@@ -14,6 +14,7 @@ from .asymptotics import (
 )
 from .catalog import CatalogEntry, DEFAULT_INSTANCES, builtin, builtin_names
 from .counting import (
+    CompiledCoset,
     TorsionCount,
     coset_torsion_count,
     count_solutions_mod,

@@ -88,8 +88,14 @@ def cmd_count(args, out=None) -> int:
     else:
         if not args.i:
             raise EngineError("provide --i P,Q or --locus FILE")
-        p, q = (int(t) for t in args.i.split(","))
+        try:
+            p, q = (int(t) for t in args.i.split(","))
+        except ValueError:
+            raise EngineError(f"--i needs two comma-separated integers P,Q, got {args.i!r}") from None
         model = _validated_model(args, out)
+        if not (0 <= p <= model.n and 0 <= q <= model.n):
+            raise EngineError(f"--i {p},{q} lies outside the {model.n + 1}x{model.n + 1} grid "
+                              f"of a model with n = {model.n}")
         rf = model.hodge[p][q]
         components = [c for c, v in rf.strata if v > rf.generic_value]
         label = f"jump locus of ({p},{q})"

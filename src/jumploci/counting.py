@@ -3,8 +3,10 @@
 A point x of order dividing d is x = y/d with y in (Z/d)^N, so membership
 in {A·x ≡ b} becomes the modular system A·y ≡ d·b (mod d), which is empty
 unless d·b is integral.  The count of a modular system is read off the
-Smith form of A; unions are handled by inclusion-exclusion over the
-(stacked) intersections of their components.
+Smith form of A.  Neither the Smith form nor the transformed translate
+depends on d, so a coset is compiled once into a :class:`CompiledCoset`
+whose count is a closed form in d; unions are handled by
+inclusion-exclusion over the compiled nonempty meets of their components.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import CapExceeded, ComponentBudgetExceeded, DimensionMismatch
 from .torus import CongruenceCoset, TorusPoint, snf
 
 DEFAULT_COMPONENT_BUDGET = 12
 DEFAULT_ENUM_CAP = 10_000_000
+
+SignedMeets = tuple[tuple[int, "CompiledCoset"], ...]
 
 
 @dataclass(frozen=True)
@@ -30,40 +34,83 @@ class TorsionCount:
     value: int
 
 
+@dataclass(frozen=True)
+class CompiledCoset:
+    """The part of the torsion count of a nonempty coset that does not depend on d.
+
+    With U·A·V = S the Smith form of A and L the order of the translate b
+    (the lcm of its denominators), the system A·y ≡ d·b (mod d) is empty
+    unless L divides d, and otherwise equivalent to
+    S·z ≡ (d/L)·U·(L·b) (mod d).  A diagonal entry s contributes gcd(s, d)
+    solutions when that divides its transformed right-hand side, and every
+    column without a nonzero pivot contributes d.  Zero pivots and rows
+    beyond the diagonal impose a condition free of d, checked once when
+    compiling: its failure means the coset is empty.
+    """
+
+    order: int                            # L
+    free: int                             # columns without a nonzero pivot
+    torsion: tuple[tuple[int, int], ...]  # (s, (U·L·b)_i mod s) for pivots s > 1
+
+    @classmethod
+    def of(cls, coset: CongruenceCoset) -> Optional["CompiledCoset"]:
+        """Compile a coset; None when it is empty."""
+        return _compile(coset.ambient_dim, coset.rows, coset.rhs)
+
+    def count(self, d: int) -> int:
+        """Number of points of order dividing d on the coset (d positive)."""
+        if d % self.order:
+            return 0
+        scale = d // self.order
+        total = d ** self.free
+        for s, w in self.torsion:
+            g = math.gcd(s, d)
+            if scale * w % g:
+                return 0
+            total *= g
+        return total
+
+
+def _compile(width: int, rows: Sequence[Sequence[int]],
+             rhs: Sequence[Fraction]) -> Optional[CompiledCoset]:
+    order = math.lcm(*(b.denominator for b in rhs))
+    if not rows:
+        return CompiledCoset(order, width, ())
+    scaled = [b.numerator * (order // b.denominator) for b in rhs]
+    s, u, _ = snf(rows, width)
+    free = width
+    torsion = []
+    for i, urow in enumerate(u):
+        w = sum(a * c for a, c in zip(urow, scaled))
+        pivot = s[i][i] if i < width else 0
+        if not pivot:
+            if w % order:
+                return None
+        else:
+            free -= 1
+            if pivot > 1:
+                torsion.append((pivot, w % pivot))
+    return CompiledCoset(order, free, tuple(torsion))
+
+
 def count_solutions_mod(rows: Sequence[Sequence[int]], rhs: Sequence[int], modulus: int,
                         *, width: int | None = None) -> int:
     """|{y in (Z/m)^N : A·y ≡ c (mod m)}| via the Smith form of A.
 
-    With U·A·V = S diagonal, the system is equivalent to S·z ≡ U·c: each
-    diagonal entry s contributes gcd(s, m) solutions when gcd(s, m) divides
-    the transformed right-hand side (zero otherwise), and each column
-    beyond the diagonal is free.
+    This is the number of m-torsion points on the coset {A·x ≡ c/m}.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
     k = len(rows)
     if k != len(rhs):
         raise DimensionMismatch("right-hand side length differs from the row count")
-    if k == 0:
-        if width is None:
-            raise DimensionMismatch("width required for a system with no rows")
-        return modulus ** width
-    n = len(rows[0])
+    if k == 0 and width is None:
+        raise DimensionMismatch("width required for a system with no rows")
+    n = len(rows[0]) if k else width
     if width is not None and width != n:
         raise DimensionMismatch("width disagrees with row length")
-    s, u, _ = snf(rows)
-    uc = [sum(u[i][j] * int(rhs[j]) for j in range(k)) for i in range(k)]
-    count = 1
-    diag = min(k, n)
-    for i in range(diag):
-        g = math.gcd(s[i][i], modulus)
-        if uc[i] % g:
-            return 0
-        count *= g
-    for i in range(diag, k):
-        if uc[i] % modulus:
-            return 0
-    return count * modulus ** (n - diag)
+    compiled = _compile(n, rows, [Fraction(int(c), modulus) for c in rhs])
+    return compiled.count(modulus) if compiled else 0
 
 
 def coset_torsion_count(coset: CongruenceCoset, d: int) -> TorsionCount:
@@ -76,41 +123,55 @@ def coset_torsion_count(coset: CongruenceCoset, d: int) -> TorsionCount:
     """
     if d < 1:
         raise ValueError("d must be positive")
-    scaled = []
-    for b in coset.rhs:
-        db = b * d
-        if db.denominator != 1:
-            return TorsionCount(d, 0)
-        scaled.append(db.numerator)
-    return TorsionCount(d, count_solutions_mod(coset.rows, scaled, d, width=coset.ambient_dim))
+    compiled = CompiledCoset.of(coset)
+    return TorsionCount(d, compiled.count(d) if compiled else 0)
+
+
+def check_union(components: Sequence[CongruenceCoset], budget: int) -> None:
+    """Raise unless the components share one torus and fit the budget."""
+    if not components:
+        return
+    ambient = components[0].ambient_dim
+    for c in components:
+        if c.ambient_dim != ambient:
+            raise DimensionMismatch("union components live in different tori")
+    if len(components) > budget:
+        raise ComponentBudgetExceeded(
+            f"{len(components)} components exceed the inclusion-exclusion budget of {budget}")
+
+
+def union_meets(components: Sequence[CongruenceCoset]) -> SignedMeets:
+    """Inclusion-exclusion terms of a union: (sign, compiled meet) per nonempty meet.
+
+    Every nonempty subset of components is intersected by stacking the
+    systems; the subset count grows as 2^r, so callers run
+    :func:`check_union` first.
+    """
+    meets = []
+    for size in range(1, len(components) + 1):
+        sign = 1 if size % 2 else -1
+        for subset in combinations(components, size):
+            rows = [row for c in subset for row in c.rows]
+            rhs = [b for c in subset for b in c.rhs]
+            compiled = _compile(subset[0].ambient_dim, rows, rhs)
+            if compiled is not None:
+                meets.append((sign, compiled))
+    return tuple(meets)
+
+
+def meets_count(meets: SignedMeets, d: int) -> int:
+    """Signed sum of the torsion counts of compiled meets (d positive)."""
+    return sum(sign * compiled.count(d) for sign, compiled in meets)
 
 
 def union_torsion_count(components: Sequence[CongruenceCoset], d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    """Exact |S_d ∩ (C_1 ∪ ... ∪ C_r)| by inclusion-exclusion.
-
-    Every nonempty subset of components is intersected by stacking the
-    systems and counted; the subset count grows as 2^r, so r is capped.
-    """
+    """Exact |S_d ∩ (C_1 ∪ ... ∪ C_r)| by inclusion-exclusion."""
+    if d < 1:
+        raise ValueError("d must be positive")
     comps = list(components)
-    if not comps:
-        return 0
-    ambient = comps[0].ambient_dim
-    for c in comps:
-        if c.ambient_dim != ambient:
-            raise DimensionMismatch("union components live in different tori")
-    if len(comps) > budget:
-        raise ComponentBudgetExceeded(
-            f"{len(comps)} components exceed the inclusion-exclusion budget of {budget}")
-    total = 0
-    for size in range(1, len(comps) + 1):
-        sign = 1 if size % 2 else -1
-        for subset in combinations(comps, size):
-            meet = subset[0]
-            for extra in subset[1:]:
-                meet = meet.intersect(extra)
-            total += sign * coset_torsion_count(meet, d).value
-    return total
+    check_union(comps, budget)
+    return meets_count(union_meets(comps), d)
 
 
 def enumerate_torsion(coset: CongruenceCoset, d: int,

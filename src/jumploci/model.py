@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Optional
 
+from .counting import SignedMeets, check_union, union_meets
 from .errors import DimensionMismatch, MissingStratification
 from .torus import CongruenceCoset, NormalizedCoset, TorusPoint
 
@@ -31,7 +33,13 @@ class Stratum(NamedTuple):
 
 @dataclass(frozen=True)
 class RankFunction:
-    """Rank of one cohomology group as a function of the twisting point."""
+    """Rank of one cohomology group as a function of the twisting point.
+
+    Everything that does not depend on the cover index d is compiled on
+    first use and kept on the instance: the normalized strata and, per
+    threshold, the signed compiled meets of its level set.  Every d reads
+    the same compiled form.
+    """
 
     ambient_dim: int
     generic_value: int
@@ -41,6 +49,31 @@ class RankFunction:
         object.__setattr__(
             self, "strata",
             tuple(Stratum(c, int(v)) for c, v in self.strata))
+
+    @cached_property
+    def normalized_strata(self) -> tuple[Optional[NormalizedCoset], ...]:
+        """The normalized coset of each stratum, None when it is empty."""
+        return tuple(coset.normalize() for coset, _ in self.strata)
+
+    @cached_property
+    def _compiled_level_sets(self) -> tuple[tuple[int, SignedMeets], ...]:
+        out = []
+        prev = self.generic_value
+        for t in sorted({value for _, value in self.strata if value > self.generic_value}):
+            out.append((t - prev, union_meets([coset for coset, value in self.strata if value >= t])))
+            prev = t
+        return tuple(out)
+
+    def compiled_level_sets(self, budget: int) -> tuple[tuple[int, SignedMeets], ...]:
+        """Per threshold above the generic value: its step over the previous
+        threshold and the signed compiled nonempty meets of its level set.
+
+        The budget caps the strata of a level set.  It is checked on every
+        call, on the lowest level set, which contains all the others, before
+        the 2^r meets are compiled on first use.
+        """
+        check_union([coset for coset, value in self.strata if value > self.generic_value], budget)
+        return self._compiled_level_sets
 
     def rank_at(self, alpha: TorusPoint) -> int:
         """max(generic value, values of the strata containing the point)."""
@@ -55,11 +88,9 @@ class RankFunction:
     def effective_generic_value(self) -> int:
         """Generic value with any stratum spanning the whole torus folded in."""
         best = self.generic_value
-        for coset, value in self.strata:
-            if value > best:
-                nc = coset.normalize()
-                if nc is not None and nc.dim == self.ambient_dim:
-                    best = value
+        for (_, value), nc in zip(self.strata, self.normalized_strata):
+            if value > best and nc is not None and nc.dim == self.ambient_dim:
+                best = value
         return best
 
     def is_proper(self) -> bool:
@@ -69,14 +100,8 @@ class RankFunction:
     def effective_strata(self) -> list[tuple[NormalizedCoset, int]]:
         """Nonempty, non-full strata whose value exceeds the effective generic."""
         floor = self.effective_generic_value()
-        out = []
-        for coset, value in self.strata:
-            if value <= floor:
-                continue
-            nc = coset.normalize()
-            if nc is not None and nc.dim < self.ambient_dim:
-                out.append((nc, value))
-        return out
+        return [(nc, value) for (_, value), nc in zip(self.strata, self.normalized_strata)
+                if value > floor and nc is not None and nc.dim < self.ambient_dim]
 
     def max_stratum_dim(self) -> int:
         """Largest real dimension among effective strata; -1 when there are none."""
@@ -212,8 +237,7 @@ def satisfies_weak_generic_nakano(model: VarietyModel) -> bool:
 def _serre_sample_points(model: VarietyModel) -> list[TorusPoint]:
     points = [TorusPoint.zero(model.torus_dim)]
     for p, q in model.hodge_pairs():
-        for coset, _ in model.hodge[p][q].strata:
-            nc = coset.normalize()
+        for nc in model.hodge[p][q].normalized_strata:
             if nc is not None:
                 points.append(nc.witness)
                 points.append(-nc.witness)
@@ -251,13 +275,12 @@ def validate_model(model: VarietyModel) -> ValidationReport:
         if rf.ambient_dim != model.torus_dim:
             err(f"rank function ({p},{q}) has ambient dimension {rf.ambient_dim}, expected {model.torus_dim}")
             continue
-        for idx, (coset, value) in enumerate(rf.strata):
+        for idx, ((coset, value), nc) in enumerate(zip(rf.strata, rf.normalized_strata)):
             if coset.ambient_dim != model.torus_dim:
                 err(f"stratum {idx} of ({p},{q}) lives in dimension {coset.ambient_dim}")
                 continue
             if value <= rf.generic_value:
                 err(f"stratum {idx} of ({p},{q}) has value {value} not above the generic {rf.generic_value}")
-            nc = coset.normalize()
             if nc is None:
                 warn(f"stratum {idx} of ({p},{q}) is empty and unreachable")
             else:

@@ -33,6 +33,13 @@ def _fraction_from_str(s: Any) -> Fraction:
         raise ModelFormatError(f"bad rational {s!r}: {exc}") from None
 
 
+def _integer(x: Any, what: str) -> int:
+    """A JSON integer; floats, booleans and strings are refused, never coerced."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ModelFormatError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _coset_to_dict(coset: CongruenceCoset) -> dict:
     return {
         "A": [list(row) for row in coset.rows],
@@ -50,7 +57,7 @@ def _coset_from_dict(obj: Any, ambient_dim: int) -> CongruenceCoset:
     try:
         return CongruenceCoset.of(
             ambient_dim,
-            [[int(a) for a in row] for row in rows],
+            [[_integer(a, "an entry of 'A'") for a in row] for row in rows],
             [_fraction_from_str(b) for b in rhs])
     except Exception as exc:
         raise ModelFormatError(f"bad coset: {exc}") from None
@@ -64,14 +71,13 @@ def _rank_to_dict(rf: RankFunction) -> dict:
 
 
 def _rank_from_dict(obj: Any, ambient_dim: int) -> RankFunction:
-    generic = obj.get("generic", 0)
-    if not isinstance(generic, int):
-        raise ModelFormatError("'generic' must be an integer")
+    generic = _integer(obj.get("generic", 0), "'generic'")
     strata = []
     for s in obj.get("strata", []):
         if "value" not in s:
             raise ModelFormatError("a stratum needs a 'value'")
-        strata.append(Stratum(_coset_from_dict(s, ambient_dim), int(s["value"])))
+        value = _integer(s["value"], "a stratum 'value'")
+        strata.append(Stratum(_coset_from_dict(s, ambient_dim), value))
     return RankFunction(ambient_dim, generic, tuple(strata))
 
 

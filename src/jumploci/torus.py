@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -324,16 +325,7 @@ class CongruenceCoset:
                 return None
         rows = tuple(tuple(r) for r, _ in work[:rank])
         rhs = tuple(b % 1 for _, b in work[:rank])
-        comp = 1
-        for f in invariant_factors(rows, n):
-            comp *= f
-        return NormalizedCoset(
-            ambient_dim=n,
-            rows=rows,
-            rhs=rhs,
-            witness=_particular_solution(rows, rhs, n),
-            component_count=comp,
-        )
+        return NormalizedCoset(ambient_dim=n, rows=rows, rhs=rhs)
 
 
 def _particular_solution(hrows: IntMatrix, hrhs: tuple[Fraction, ...], n: int) -> TorusPoint:
@@ -349,18 +341,28 @@ def _particular_solution(hrows: IntMatrix, hrhs: tuple[Fraction, ...], n: int) -
 
 @dataclass(frozen=True)
 class NormalizedCoset:
-    """Canonicalized nonempty coset: independent rows, witness, components.
+    """Canonicalized nonempty coset: independent rows in Hermite form.
 
-    ``component_count`` is the number of connected components of the
-    underlying subgroup {x : A·x ≡ 0}, i.e. the product of the invariant
-    factors of A (those exceeding 1 contribute).
+    The witness point and the component count are computed on first use.
     """
 
     ambient_dim: int
     rows: IntMatrix
     rhs: tuple[Fraction, ...]
-    witness: TorusPoint
-    component_count: int
+
+    @cached_property
+    def witness(self) -> TorusPoint:
+        """One point of the coset."""
+        return _particular_solution(self.rows, self.rhs, self.ambient_dim)
+
+    @cached_property
+    def component_count(self) -> int:
+        """Number of connected components of the underlying subgroup {x : A·x ≡ 0}.
+
+        This is the product of the invariant factors of A (those exceeding
+        1 contribute).
+        """
+        return math.prod(invariant_factors(self.rows, self.ambient_dim))
 
     @property
     def rank(self) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .counting import DEFAULT_COMPONENT_BUDGET, union_torsion_count
+from .counting import DEFAULT_COMPONENT_BUDGET, meets_count, union_torsion_count  # noqa: F401  (kept importable from tower)
 from .errors import MissingPluriData
 from .model import RankFunction, VarietyModel
 
@@ -61,13 +61,11 @@ class CoverInvariants:
 def sheaf_rank_on_cover(rf: RankFunction, d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
     """Sum of rf over all d-torsion points, via level-set counting."""
-    total = rf.generic_value * d ** rf.ambient_dim
-    thresholds = sorted({value for _, value in rf.strata if value > rf.generic_value})
-    prev = rf.generic_value
-    for t in thresholds:
-        components = [coset for coset, value in rf.strata if value >= t]
-        total += (t - prev) * union_torsion_count(components, d, budget=budget)
-        prev = t
+    if d < 1:
+        raise ValueError("d must be positive")
+    total = rf.generic_value * d ** rf.ambient_dim if rf.generic_value else 0
+    for step, meets in rf.compiled_level_sets(budget):
+        total += step * meets_count(meets, d)
     return total
 
 

@@ -56,6 +56,18 @@ class TestCount:
                      "--i", "0,1", "--d", "2"]) == 2
 
 
+    @pytest.mark.parametrize("entry,message", [
+        ("9,9", "outside the 2x2 grid"),
+        ("-1,0", "outside the 2x2 grid"),
+        ("1", "two comma-separated integers"),
+        ("a,b", "two comma-separated integers"),
+    ])
+    def test_bad_grid_entry(self, capsys, entry, message):
+        code = main(["count", "--builtin", "abelian", f"--i={entry}", "--d", "2"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestTower:
     def test_blowup_row_values(self, capsys):
         code, out = run_cli(capsys, "tower", "--builtin", "blowup_abelian4_curve",

@@ -7,6 +7,7 @@ import pytest
 
 from jumploci import (
     CapExceeded,
+    CompiledCoset,
     ComponentBudgetExceeded,
     CongruenceCoset,
     TorusPoint,
@@ -66,6 +67,18 @@ class TestCosetTorsionCount:
                 value = coset_torsion_count(coset, d).value
                 assert value in (0, d ** nc.dim)
                 assert (value != 0) == (d % order == 0)
+
+
+class TestCompiledCoset:
+    def test_emptiness_matches_normalize(self):
+        rng = random.Random(5040)
+        empty = 0
+        for _ in range(300):
+            coset = random_coset(rng, rng.randint(1, 4))
+            compiled = CompiledCoset.of(coset)
+            assert (compiled is None) == (coset.normalize() is None)
+            empty += compiled is None
+        assert 0 < empty < 300
 
 
 class TestEnumerate:

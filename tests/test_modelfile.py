@@ -15,6 +15,7 @@ from jumploci import (
     save_model,
     DEFAULT_INSTANCES,
 )
+from jumploci.cli import main
 
 
 @pytest.mark.parametrize("name,params", DEFAULT_INSTANCES)
@@ -62,6 +63,22 @@ def test_float_rationals_rejected():
     blob["hodge"][0]["strata"][0]["b"] = [0.5, 0.0]
     with pytest.raises(ModelFormatError):
         model_from_dict(blob)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "3"])
+@pytest.mark.parametrize("field", ["value", "A"])
+def test_non_integers_rejected(field, bad, tmp_path):
+    blob = model_to_dict(builtin("abelian", g=1).model)
+    stratum = blob["hodge"][0]["strata"][0]
+    if field == "value":
+        stratum["value"] = bad
+    else:
+        stratum["A"][0][0] = bad
+    with pytest.raises(ModelFormatError):
+        model_from_dict(blob)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
 
 
 def test_load_locus(tmp_path):

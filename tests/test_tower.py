@@ -8,9 +8,12 @@ from math import comb, factorial
 import pytest
 
 from jumploci import (
+    ComponentBudgetExceeded,
+    CongruenceCoset,
     MissingPluriData,
     PluriData,
     RankFunction,
+    Stratum,
     TorusPoint,
     betti_cover,
     builtin,
@@ -54,6 +57,42 @@ class TestSheafRankOnCover:
             rf = random_rank_function(rng, 2 * g)
             d = rng.randint(1, 5 if g == 1 else 4)
             assert sheaf_rank_on_cover(rf, d) == brute_force_rank_sum(rf, d)
+
+    def test_one_object_serves_every_d(self):
+        # the compiled form is built at the first d and reused, in any order
+        rng = random.Random(9973)
+        for _ in range(20):
+            g = rng.randint(1, 2)
+            rf = random_rank_function(rng, 2 * g)
+            small = list(range(1, 6 if g == 1 else 5))
+            rng.shuffle(small)
+            expected = {d: brute_force_rank_sum(rf, d) for d in small}
+            for d in small:
+                assert sheaf_rank_on_cover(rf, d) == expected[d]
+            assert sheaf_rank_on_cover(rf, 10 ** 30) >= rf.generic_value * 10 ** (30 * 2 * g)
+            for d in reversed(small):
+                assert sheaf_rank_on_cover(rf, d) == expected[d]
+
+    def test_budget_checked_on_every_call(self):
+        strata = tuple(Stratum(CongruenceCoset.of(2, [[1, 0]], [Fraction(j, 5)]), 1)
+                       for j in range(5))
+        rf = RankFunction(2, 0, strata)
+        with pytest.raises(ComponentBudgetExceeded):
+            sheaf_rank_on_cover(rf, 5, budget=4)
+        assert sheaf_rank_on_cover(rf, 5, budget=5) == 25
+        with pytest.raises(ComponentBudgetExceeded):
+            sheaf_rank_on_cover(rf, 5, budget=4)
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_nonpositive_d_rejected(self, d):
+        rng = random.Random(d)
+        rank_functions = [constant_rank(3, 2), origin_jump(2, 0, 4), RankFunction(2, 1, ()),
+                          random_rank_function(rng, 2)]
+        for rf in rank_functions:
+            with pytest.raises(ValueError):
+                sheaf_rank_on_cover(rf, d)
+        with pytest.raises(ValueError):
+            cover_invariants(builtin("abelian", g=1).model, d)
 
     def test_monotone_in_divisibility(self):
         rng = random.Random(4096)
