@@ -259,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jumploci",
         description="Exact invariants of abelian-cover towers from jump-locus models.")
     parser.add_argument("--budget", type=int, default=counting.DEFAULT_COMPONENT_BUDGET,
-                        help="inclusion-exclusion component cap")
+                        help="cap on the components of a union; the work grows with their "
+                             "distinct nonempty meets")
     parser.add_argument("--enum-cap", type=int, default=counting.DEFAULT_ENUM_CAP,
                         help="point cap for brute-force enumeration")
     sub = parser.add_subparsers(dest="command", required=True)

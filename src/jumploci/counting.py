@@ -5,8 +5,11 @@ in {A·x ≡ b} becomes the modular system A·y ≡ d·b (mod d), which is empty
 unless d·b is integral.  The count of a modular system is read off the
 Smith form of A.  Neither the Smith form nor the transformed translate
 depends on d, so a coset is compiled once into a :class:`CompiledCoset`
-whose count is a closed form in d; unions are handled by
-inclusion-exclusion over the compiled nonempty meets of their components.
+whose count is a closed form in d.  A union is counted as a signed sum
+over the distinct nonempty meets of its components (Möbius inversion over
+their intersection poset), built one component at a time with meets keyed
+by their Hermite form; empty meets are never extended, so the work is
+bounded by the distinct nonempty meets rather than by the 2^r subsets.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, ComponentBudgetExceeded, DimensionMismatch
-from .torus import CongruenceCoset, TorusPoint, snf
+from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, snf
 
 DEFAULT_COMPONENT_BUDGET = 12
 DEFAULT_ENUM_CAP = 10_000_000
@@ -137,41 +140,51 @@ def check_union(components: Sequence[CongruenceCoset], budget: int) -> None:
             raise DimensionMismatch("union components live in different tori")
     if len(components) > budget:
         raise ComponentBudgetExceeded(
-            f"{len(components)} components exceed the inclusion-exclusion budget of {budget}")
+            f"{len(components)} components exceed the component budget of {budget}")
 
 
-def union_meets(components: Sequence[CongruenceCoset]) -> SignedMeets:
-    """Inclusion-exclusion terms of a union: (sign, compiled meet) per nonempty meet.
+def union_meets(components: Sequence[NormalizedCoset]) -> SignedMeets:
+    """Signed terms of a union: (coefficient, compiled meet) with
+    1_union = Σ coefficient·1_meet.
 
-    Every nonempty subset of components is intersected by stacking the
-    systems; the subset count grows as 2^r, so callers run
-    :func:`check_union` first.
+    Components are added one at a time, using
+    1_{U ∪ C} = 1_U + 1_C − Σ c_x·1_{x ∩ C} for the terms (c_x, x) of U.
+    Meets are keyed by their normalized Hermite form, so equal meets merge
+    and terms whose coefficients cancel are dropped; an empty meet is never
+    extended.  There is one term per distinct nonempty meet at most, and one
+    Smith form per surviving term.  Callers run :func:`check_union` first.
     """
-    meets = []
-    for size in range(1, len(components) + 1):
-        sign = 1 if size % 2 else -1
-        for subset in combinations(components, size):
-            rows = [row for c in subset for row in c.rows]
-            rhs = [b for c in subset for b in c.rhs]
-            compiled = _compile(subset[0].ambient_dim, rows, rhs)
-            if compiled is not None:
-                meets.append((sign, compiled))
-    return tuple(meets)
+    terms: dict[NormalizedCoset, int] = {}
+    for comp in components:
+        delta = {comp: 1}
+        for x, c in terms.items():
+            meet = CongruenceCoset(comp.ambient_dim, x.rows + comp.rows, x.rhs + comp.rhs).normalize()
+            if meet is not None:
+                delta[meet] = delta.get(meet, 0) - c
+        for x, c in delta.items():
+            c += terms.get(x, 0)
+            if c:
+                terms[x] = c
+            else:
+                terms.pop(x, None)
+    # a normalized coset is nonempty, so it always compiles
+    return tuple((c, _compile(x.ambient_dim, x.rows, x.rhs)) for x, c in terms.items())
 
 
 def meets_count(meets: SignedMeets, d: int) -> int:
     """Signed sum of the torsion counts of compiled meets (d positive)."""
-    return sum(sign * compiled.count(d) for sign, compiled in meets)
+    return sum(coefficient * compiled.count(d) for coefficient, compiled in meets)
 
 
 def union_torsion_count(components: Sequence[CongruenceCoset], d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    """Exact |S_d ∩ (C_1 ∪ ... ∪ C_r)| by inclusion-exclusion."""
+    """Exact |S_d ∩ (C_1 ∪ ... ∪ C_r)| as a signed sum over distinct meets."""
     if d < 1:
         raise ValueError("d must be positive")
     comps = list(components)
     check_union(comps, budget)
-    return meets_count(union_meets(comps), d)
+    normalized = [nc for nc in (c.normalize() for c in comps) if nc is not None]
+    return meets_count(union_meets(normalized), d)
 
 
 def enumerate_torsion(coset: CongruenceCoset, d: int,

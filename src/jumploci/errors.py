@@ -10,7 +10,11 @@ class DimensionMismatch(EngineError):
 
 
 class ComponentBudgetExceeded(EngineError):
-    """An inclusion-exclusion sum over coset components would be too large."""
+    """A union has more coset components than the budget allows.
+
+    The budget caps the components r; the work of counting a union is
+    bounded by the distinct nonempty meets of its components, at most 2^r - 1.
+    """
 
 
 class CapExceeded(EngineError):

@@ -60,7 +60,9 @@ class RankFunction:
         out = []
         prev = self.generic_value
         for t in sorted({value for _, value in self.strata if value > self.generic_value}):
-            out.append((t - prev, union_meets([coset for coset, value in self.strata if value >= t])))
+            level = [nc for (_, value), nc in zip(self.strata, self.normalized_strata)
+                     if value >= t and nc is not None]
+            out.append((t - prev, union_meets(level)))
             prev = t
         return tuple(out)
 
@@ -70,7 +72,7 @@ class RankFunction:
 
         The budget caps the strata of a level set.  It is checked on every
         call, on the lowest level set, which contains all the others, before
-        the 2^r meets are compiled on first use.
+        the meets are built and compiled on first use.
         """
         check_union([coset for coset, value in self.strata if value > self.generic_value], budget)
         return self._compiled_level_sets
@@ -141,7 +143,20 @@ class PluriData:
         pinned = {i: translate.coords[i] for i in range(2 * self.q_base, ambient_dim)}
         return CongruenceCoset.pinned(ambient_dim, pinned)
 
+    @cached_property
+    def _rank_functions(self) -> dict[tuple[int, int], RankFunction]:
+        return {}
+
     def rank_function(self, ambient_dim: int, m: int) -> RankFunction:
+        """The rank function of ω^m, built once per (ambient_dim, m) so that
+        every cover reads the same compiled form."""
+        key = (ambient_dim, m)
+        rf = self._rank_functions.get(key)
+        if rf is None:
+            rf = self._rank_functions[key] = self._build_rank_function(ambient_dim, m)
+        return rf
+
+    def _build_rank_function(self, ambient_dim: int, m: int) -> RankFunction:
         generic = int(self.generic_values.get(m, 0))
         value = int(self.values[m])
         if 2 * self.q_base >= ambient_dim:

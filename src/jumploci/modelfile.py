@@ -40,6 +40,26 @@ def _integer(x: Any, what: str) -> int:
     return x
 
 
+def _natural(x: Any, what: str) -> int:
+    """A nonnegative JSON integer."""
+    value = _integer(x, what)
+    if value < 0:
+        raise ModelFormatError(f"{what} must be nonnegative, got {value}")
+    return value
+
+
+def _object(x: Any, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ModelFormatError(f"{what} must be a JSON object, got {x!r}")
+    return x
+
+
+def _list(x: Any, what: str) -> list:
+    if not isinstance(x, list):
+        raise ModelFormatError(f"{what} must be a list, got {x!r}")
+    return x
+
+
 def _coset_to_dict(coset: CongruenceCoset) -> dict:
     return {
         "A": [list(row) for row in coset.rows],
@@ -71,10 +91,11 @@ def _rank_to_dict(rf: RankFunction) -> dict:
 
 
 def _rank_from_dict(obj: Any, ambient_dim: int) -> RankFunction:
+    obj = _object(obj, "a rank function")
     generic = _integer(obj.get("generic", 0), "'generic'")
     strata = []
-    for s in obj.get("strata", []):
-        if "value" not in s:
+    for s in _list(obj.get("strata", []), "'strata'"):
+        if "value" not in _object(s, "a stratum"):
             raise ModelFormatError("a stratum needs a 'value'")
         value = _integer(s["value"], "a stratum 'value'")
         strata.append(Stratum(_coset_from_dict(s, ambient_dim), value))
@@ -120,60 +141,70 @@ def model_to_dict(model: VarietyModel) -> dict:
     return out
 
 
+def _power_table(obj: Any, what: str) -> dict[int, int]:
+    """A pluri table: JSON object keys are the decimal exponents m."""
+    table = {}
+    for m, v in _object(obj, what).items():
+        try:
+            key = int(m)
+        except ValueError:
+            raise ModelFormatError(f"{what} keys must be integers, got {m!r}") from None
+        table[key] = _integer(v, f"an entry of {what}")
+    return table
+
+
 def model_from_dict(obj: Any) -> VarietyModel:
     if not isinstance(obj, dict):
         raise ModelFormatError("a model file must contain a JSON object")
     version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ModelFormatError(f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION}")
-    try:
-        n = int(obj["n"])
-        g = int(obj["g"])
-    except (KeyError, TypeError, ValueError):
-        raise ModelFormatError("'n' and 'g' must be present integers") from None
-    if n < 0 or g < 0:
-        raise ModelFormatError("'n' and 'g' must be nonnegative")
+    if "n" not in obj or "g" not in obj:
+        raise ModelFormatError("'n' and 'g' must be present integers")
+    n = _natural(obj["n"], "'n'")
+    g = _natural(obj["g"], "'g'")
     torus = 2 * g
 
     grid = [[RankFunction(torus, 0, ()) for _ in range(n + 1)] for _ in range(n + 1)]
-    for entry in obj.get("hodge", []):
-        try:
-            p, q = int(entry["p"]), int(entry["q"])
-        except (KeyError, TypeError, ValueError):
-            raise ModelFormatError("every hodge entry needs integer 'p' and 'q'") from None
+    for entry in _list(obj.get("hodge", []), "'hodge'"):
+        if "p" not in _object(entry, "a hodge entry") or "q" not in entry:
+            raise ModelFormatError("every hodge entry needs integer 'p' and 'q'")
+        p, q = _integer(entry["p"], "'p'"), _integer(entry["q"], "'q'")
         if not (0 <= p <= n and 0 <= q <= n):
             raise ModelFormatError(f"hodge entry ({p},{q}) outside the (n+1)x(n+1) grid")
         grid[p][q] = _rank_from_dict(entry, torus)
 
-    defect = obj.get("defect_strata", [])
-    if not isinstance(defect, list):
-        raise ModelFormatError("'defect_strata' must be a list of [l, dim] pairs")
     strata = []
-    for pair in defect:
+    for pair in _list(obj.get("defect_strata", []), "'defect_strata'"):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ModelFormatError("'defect_strata' entries are [l, dim] pairs")
-        strata.append((int(pair[0]), int(pair[1])))
+        strata.append((_integer(pair[0], "a defect 'l'"), _integer(pair[1], "a defect 'dim'")))
 
     pluri = None
     if obj.get("pluri") is not None:
-        pd = obj["pluri"]
-        try:
-            pluri = PluriData(
-                q_base=int(pd["q_base"]),
-                translates=tuple(_point_from_list(t, torus) for t in pd["translates"]),
-                values={int(m): int(v) for m, v in pd.get("values", {}).items()},
-                generic_values={int(m): int(v) for m, v in pd.get("generic_values", {}).items()},
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelFormatError(f"bad pluri block: {exc}") from None
+        pd = _object(obj["pluri"], "'pluri'")
+        if "q_base" not in pd or "translates" not in pd:
+            raise ModelFormatError("bad pluri block: it needs 'q_base' and 'translates'")
+        pluri = PluriData(
+            q_base=_integer(pd["q_base"], "'q_base'"),
+            translates=tuple(_point_from_list(t, torus) for t in _list(pd["translates"], "'translates'")),
+            values=_power_table(pd.get("values", {}), "'values'"),
+            generic_values=_power_table(pd.get("generic_values", {}), "'generic_values'"),
+        )
 
     sheaves = {}
-    for name, rfs in obj.get("sheaves", {}).items():
+    for name, rfs in _object(obj.get("sheaves", {}), "'sheaves'").items():
         if not isinstance(rfs, list):
             raise ModelFormatError(f"sheaf slot {name!r} must be a list of rank functions")
         sheaves[name] = tuple(_rank_from_dict(rf, torus) for rf in rfs)
 
-    flags = obj.get("flags", {})
+    flags = _object(obj.get("flags", {}), "'flags'")
+    for flag in ("semismall", "serre_check"):
+        if not isinstance(flags.get(flag, False), bool):
+            raise ModelFormatError(f"flag {flag!r} must be true or false, got {flags[flag]!r}")
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise ModelFormatError(f"'name' must be a string, got {name!r}")
     return VarietyModel(
         n=n,
         g=g,
@@ -181,9 +212,9 @@ def model_from_dict(obj: Any) -> VarietyModel:
         defect_strata=tuple(strata),
         pluri=pluri,
         sheaves=sheaves,
-        semismall=bool(flags.get("semismall", False)),
-        serre_check=bool(flags.get("serre_check", True)),
-        name=str(obj.get("name", "")),
+        semismall=flags.get("semismall", False),
+        serre_check=flags.get("serre_check", True),
+        name=name,
     )
 
 
@@ -217,5 +248,5 @@ def load_locus(path: str | Path) -> list[CongruenceCoset]:
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or "ambient_dim" not in obj:
         raise ModelFormatError("a locus file needs 'ambient_dim' and 'components'")
-    ambient = int(obj["ambient_dim"])
-    return [_coset_from_dict(c, ambient) for c in obj.get("components", [])]
+    ambient = _natural(obj["ambient_dim"], "'ambient_dim'")
+    return [_coset_from_dict(c, ambient) for c in _list(obj.get("components", []), "'components'")]

@@ -3,8 +3,8 @@
 A closed coset is carried as a rational congruence system
 ``{x : A·x ≡ b (mod Z^k)}`` with an integer matrix ``A`` and a rational
 vector ``b``.  This representation is closed under intersection (stack the
-two systems), which is what makes inclusion-exclusion counting over unions
-of cosets mechanical.  Membership, emptiness, dimension and component
+two systems), which is what makes signed counting over the meets of a
+union of cosets mechanical.  Membership, emptiness, dimension and component
 structure all reduce to integer normal forms:
 
 * :func:`snf` diagonalizes an integer matrix with unimodular transforms
@@ -282,49 +282,48 @@ class CongruenceCoset:
         exactly the emptiness test.
         """
         n = self.ambient_dim
-        work = [(list(r), b) for r, b in zip(self.rows, self.rhs)]
+        # integer arithmetic throughout: (A | L·b) with L the common denominator
+        order = math.lcm(*(b.denominator for b in self.rhs))
+        work = [list(r) + [b.numerator * (order // b.denominator)] for r, b in zip(self.rows, self.rhs)]
         k = len(work)
 
         def sub(i: int, j: int, q: int) -> None:
-            ri, bi = work[i]
-            rj, bj = work[j]
-            for c in range(n):
+            ri, rj = work[i], work[j]
+            for c in range(n + 1):
                 ri[c] -= q * rj[c]
-            work[i] = (ri, bi - q * bj)
 
         rank = 0
         for c in range(n):
             while True:
                 piv = None
                 for i in range(rank, k):
-                    a = work[i][0][c]
-                    if a and (piv is None or abs(a) < abs(work[piv][0][c])):
+                    a = work[i][c]
+                    if a and (piv is None or abs(a) < abs(work[piv][c])):
                         piv = i
                 if piv is None:
                     break
                 work[rank], work[piv] = work[piv], work[rank]
                 clean = True
                 for i in range(rank + 1, k):
-                    if work[i][0][c]:
-                        sub(i, rank, work[i][0][c] // work[rank][0][c])
-                        if work[i][0][c]:
+                    if work[i][c]:
+                        sub(i, rank, work[i][c] // work[rank][c])
+                        if work[i][c]:
                             clean = False
                 if clean:
                     break
-            if rank < k and work[rank][0][c]:
-                if work[rank][0][c] < 0:
-                    row, b = work[rank]
-                    work[rank] = ([-a for a in row], -b)
+            if rank < k and work[rank][c]:
+                if work[rank][c] < 0:
+                    work[rank] = [-a for a in work[rank]]
                 for i in range(rank):
-                    q = work[i][0][c] // work[rank][0][c]
+                    q = work[i][c] // work[rank][c]
                     if q:
                         sub(i, rank, q)
                 rank += 1
         for i in range(rank, k):
-            if work[i][1].denominator != 1:
+            if work[i][n] % order:
                 return None
-        rows = tuple(tuple(r) for r, _ in work[:rank])
-        rhs = tuple(b % 1 for _, b in work[:rank])
+        rows = tuple(tuple(r[:n]) for r in work[:rank])
+        rhs = tuple(Fraction(r[n] % order, order) for r in work[:rank])
         return NormalizedCoset(ambient_dim=n, rows=rows, rhs=rhs)
 
 

@@ -1,6 +1,7 @@
 """Command line behaviour: tables, CSV determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -96,6 +97,21 @@ class TestTower:
         rows = list(csv.DictReader(io.StringIO(out)))
         p2 = {r["d"]: int(r["P_2"]) for r in rows}
         assert p2["2"] == 2 ** 4 * p2["1"]
+
+    @pytest.mark.parametrize("name,params,digest", [
+        ("abelian", "g=2", "f48c69fd4814b66843c01187713655969b15d316489aa6fe235cfb3c19407d3e"),
+        ("nondeg_line_bundle", "g=2,p=0,chi0=3",
+         "f48c69fd4814b66843c01187713655969b15d316489aa6fe235cfb3c19407d3e"),
+        ("elliptic_surface_qI0", "genus=2,chi=1",
+         "7bdc3e280dab083a1318ca238378e95f33f971d1ab148c766ed777f8a2fde226"),
+        ("cartwright_steger_like", "", "df3c72adffc2ab170dbb0b03456d31fa4dca88e173012b29223828f544323c96"),
+    ])
+    def test_pluri_csv_unchanged(self, capsys, name, params, digest):
+        # digests of the CSV written before pluricanonical rank functions were cached
+        code, out = run_cli(capsys, "tower", "--builtin", name, "--params", params,
+                            "--d-max", "8", "--pluri", "2,3,4,5,6")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_byte_identical_output(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,8 @@ from jumploci import (
     enumerate_torsion,
     union_torsion_count,
 )
-from gen import random_connected_coset, random_coset
+from jumploci.counting import union_meets
+from gen import random_connected_coset, random_coset, random_nonempty_coset
 from oracles import brute_force_torsion_count
 
 
@@ -164,3 +166,77 @@ class TestUnion:
             pieces = sum(nc.component_count for nc in normalized)
             for d in range(1, 7):
                 assert union_torsion_count(comps, d) <= pieces * d ** top
+
+
+def _distinct_nonempty_meets(components):
+    """Normalized meet of every nonempty subset whose meet is nonempty."""
+    meets = []
+    for size in range(1, len(components) + 1):
+        for subset in combinations(components, size):
+            stacked = CongruenceCoset.of(
+                components[0].ambient_dim,
+                [row for c in subset for row in c.rows],
+                [b for c in subset for b in c.rhs])
+            nc = stacked.normalize()
+            if nc is not None:
+                meets.append(nc)
+    return meets
+
+
+class TestSignedMeets:
+    """The signed sum over distinct meets against enumeration, for r = 4..8."""
+
+    @staticmethod
+    def _random_union(rng, n, r):
+        # few small rows and denominators, so that meets repeat and nest
+        comps = []
+        for _ in range(r):
+            if comps and rng.random() < 0.25:
+                comps.append(rng.choice(comps))
+            elif rng.random() < 0.15:
+                comps.append(random_coset(rng, n, max_rows=2, span=2, max_den=2))
+            else:
+                comps.append(random_nonempty_coset(rng, n, max_rows=2, span=2, max_den=3))
+        return comps
+
+    def test_against_enumeration(self):
+        rng = random.Random(60221)
+        merged = 0
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            comps = self._random_union(rng, n, rng.randint(4, 8))
+            normalized = [nc for nc in (c.normalize() for c in comps) if nc is not None]
+            terms = union_meets(normalized)
+            meets = _distinct_nonempty_meets(comps)
+            assert len(terms) <= len(set(meets)) <= len(meets) <= 2 ** len(comps) - 1
+            merged += len(terms) < len(meets)
+            for d in (1, 2, 3, 4, 6):
+                assert union_torsion_count(comps, d) == brute_force_torsion_count(comps, d)
+        assert merged > 20
+
+    def test_duplicates_collapse(self):
+        rng = random.Random(1618)
+        for _ in range(10):
+            nc = random_nonempty_coset(rng, 3).normalize()
+            terms = union_meets([nc] * rng.randint(2, 6))
+            assert terms == ((1, CompiledCoset.of(nc.as_coset())),)
+
+    def test_nested_components(self):
+        point = CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), 0]))
+        line = CongruenceCoset.of(2, [[0, 1]], [0])
+        torus = CongruenceCoset.full_torus(2)
+        for comps in ([point, line, torus], [torus, line, point], [line, point, line, point]):
+            top = comps[-1] if comps[0] is point else comps[0]
+            normalized = [c.normalize() for c in comps]
+            assert union_meets(normalized) == ((1, CompiledCoset.of(top)),)
+            for d in (1, 2, 3, 4):
+                assert union_torsion_count(comps, d) == brute_force_torsion_count(comps, d)
+
+    def test_empty_components(self):
+        empty = CongruenceCoset.of(2, [[1, 1], [2, 2]], [0, Fraction(1, 2)])
+        assert empty.normalize() is None
+        line = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 3)])
+        for comps in ([empty] * 4, [empty, line, empty, line, empty]):
+            for d in (1, 3, 6):
+                assert union_torsion_count(comps, d) == brute_force_torsion_count(comps, d)
+        assert union_meets([]) == ()

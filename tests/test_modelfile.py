@@ -93,6 +93,55 @@ def test_load_locus(tmp_path):
     assert comps[1].normalize().dim == 2
 
 
+@pytest.mark.parametrize("mutate,message", [
+    (lambda d: d["hodge"][0]["strata"].append(1), "a stratum must be a JSON object"),
+    (lambda d: d.update(sheaves=[1]), "'sheaves' must be a JSON object"),
+    (lambda d: d.update(flags=[1]), "'flags' must be a JSON object"),
+    (lambda d: d["flags"].update(semismall="yes"), "'semismall' must be true or false"),
+    (lambda d: d.update(schema_version=True), "schema_version"),
+    (lambda d: d.update(schema_version=1.0), "schema_version"),
+    (lambda d: d.update(name=5), "'name' must be a string"),
+    (lambda d: d.update(n=1.5), "'n' must be an integer"),
+    (lambda d: d.update(g=True), "'g' must be an integer"),
+    (lambda d: d.update(n=-1), "'n' must be nonnegative"),
+    (lambda d: d["hodge"][0].update(p="0"), "'p' must be an integer"),
+    (lambda d: d["hodge"][0].update(q=0.0), "'q' must be an integer"),
+    (lambda d: d.update(defect_strata=[[0, 1.0]]), "a defect 'dim' must be an integer"),
+    (lambda d: d["pluri"].update(q_base=0.5), "'q_base' must be an integer"),
+    (lambda d: d["pluri"]["values"].update({"2": 1.5}), "an entry of 'values' must be an integer"),
+    (lambda d: d["pluri"]["generic_values"].update({"2": True}),
+     "an entry of 'generic_values' must be an integer"),
+    (lambda d: d["pluri"]["values"].update({"two": 1}), "'values' keys must be integers"),
+])
+def test_bad_fields_rejected(mutate, message, tmp_path):
+    blob = model_to_dict(builtin("abelian", g=1).model)
+    mutate(blob)
+    with pytest.raises(ModelFormatError, match=message):
+        model_from_dict(blob)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+
+
+@pytest.mark.parametrize("field,bad,message", [
+    ("ambient_dim", 2.7, "'ambient_dim' must be an integer"),
+    ("ambient_dim", True, "'ambient_dim' must be an integer"),
+    ("ambient_dim", "2", "'ambient_dim' must be an integer"),
+    ("ambient_dim", -1, "'ambient_dim' must be nonnegative"),
+    ("components", {"A": [[1, 0]], "b": ["1/2"]}, "'components' must be a list"),
+    ("components", "none", "'components' must be a list"),
+])
+def test_bad_locus_rejected(field, bad, message, tmp_path, capsys):
+    blob = {"ambient_dim": 2, "components": [{"A": [[1, 0]], "b": ["1/2"]}]}
+    blob[field] = bad
+    path = tmp_path / "locus.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=message):
+        load_locus(path)
+    assert main(["count", "--locus", str(path), "--d", "2"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_file():
     with pytest.raises(ModelFormatError):
         load_model("/nonexistent/model.json")

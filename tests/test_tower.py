@@ -254,6 +254,13 @@ class TestPlurigenera:
         assert lv.value == 0
         assert lv.kind == "upper-bound-zero"
 
+    def test_rank_function_built_once(self):
+        pluri = builtin("abelian", g=2).model.pluri
+        rf = pluri.rank_function(4, 2)
+        assert pluri.rank_function(4, 2) is rf
+        assert pluri.rank_function(4, 3) is not rf
+        assert pluri.rank_function(2, 2) is not rf
+
     def test_geometric_genus_routes_through_grid(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
         for d in (1, 2, 3):
