@@ -21,7 +21,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, ComponentBudgetExceeded, DimensionMismatch
-from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, snf
+from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, normalize_system, snf
 
 DEFAULT_COMPONENT_BUDGET = 12
 DEFAULT_ENUM_CAP = 10_000_000
@@ -158,7 +158,7 @@ def union_meets(components: Sequence[NormalizedCoset]) -> SignedMeets:
     for comp in components:
         delta = {comp: 1}
         for x, c in terms.items():
-            meet = CongruenceCoset(comp.ambient_dim, x.rows + comp.rows, x.rhs + comp.rhs).normalize()
+            meet = normalize_system(comp.ambient_dim, x.rows + comp.rows, x.rhs + comp.rhs)
             if meet is not None:
                 delta[meet] = delta.get(meet, 0) - c
         for x, c in delta.items():
@@ -174,6 +174,23 @@ def union_meets(components: Sequence[NormalizedCoset]) -> SignedMeets:
 def meets_count(meets: SignedMeets, d: int) -> int:
     """Signed sum of the torsion counts of compiled meets (d positive)."""
     return sum(coefficient * compiled.count(d) for coefficient, compiled in meets)
+
+
+def meets_polynomial(meets: SignedMeets) -> dict[int, int]:
+    """The count of a union at every sufficiently divisible d, as a polynomial.
+
+    Once d is divisible by every translate order and every Smith pivot, a
+    compiled meet has Π s · d^free points, Π s being its number of connected
+    components; the result maps each exponent to its nonzero coefficient.
+    For unions U ⊆ V, U = V exactly when their polynomials agree: a
+    component of V not inside U meets U in lower dimension, so it leaves a
+    positive leading term in the difference.
+    """
+    poly: dict[int, int] = {}
+    for coefficient, compiled in meets:
+        poly[compiled.free] = poly.get(compiled.free, 0) + \
+            coefficient * math.prod(s for s, _ in compiled.torsion)
+    return {e: c for e, c in poly.items() if c}
 
 
 def union_torsion_count(components: Sequence[CongruenceCoset], d: int,

@@ -16,14 +16,14 @@ named sheaf slots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .counting import SignedMeets, check_union, union_meets
-from .errors import DimensionMismatch, MissingStratification
-from .torus import CongruenceCoset, NormalizedCoset, TorusPoint
+from .counting import (DEFAULT_COMPONENT_BUDGET, SignedMeets, check_union, meets_polynomial,
+                       union_meets)
+from .errors import ComponentBudgetExceeded, DimensionMismatch, MissingStratification
+from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, normalize_system
 
 
 class Stratum(NamedTuple):
@@ -249,31 +249,63 @@ def satisfies_weak_generic_nakano(model: VarietyModel) -> bool:
     return all(classify_weak_gv(model, p) == model.n - p for p in range(model.n + 1))
 
 
-def _serre_sample_points(model: VarietyModel) -> list[TorusPoint]:
-    points = [TorusPoint.zero(model.torus_dim)]
-    for p, q in model.hodge_pairs():
-        for nc in model.hodge[p][q].normalized_strata:
-            if nc is not None:
-                points.append(nc.witness)
-                points.append(-nc.witness)
-    half = Fraction(1, 2)
-    dim = model.torus_dim
-    if 2 ** dim <= 64:  # the full 2-torsion grid is cheap enough
-        masks = range(2 ** dim)
-    else:  # sparse slice: 2-torsion with at most two nonzero coordinates
-        masks = [0] + [1 << i for i in range(dim)] + \
-                [(1 << i) | (1 << j) for i in range(dim) for j in range(i + 1, dim)]
-    for mask in masks:
-        coords = [half if mask & (1 << i) else Fraction(0) for i in range(dim)]
-        points.append(TorusPoint.of(coords))
-    seen: dict[tuple, TorusPoint] = {}
-    for pt in points:
-        seen.setdefault(pt.coords, pt)
-    return list(seen.values())
+def _level_components(rf: RankFunction, t: int) -> frozenset[NormalizedCoset]:
+    """Normalized cosets whose union is {rf >= t}: the full torus at or
+    below the generic value, else the nonempty strata reaching t."""
+    if t <= rf.generic_value:
+        return frozenset({NormalizedCoset(rf.ambient_dim, (), ())})
+    return frozenset(nc for (_, value), nc in zip(rf.strata, rf.normalized_strata)
+                     if value >= t and nc is not None)
+
+
+def _level_polynomial(rf: RankFunction, t: int, budget: int) -> dict[int, int]:
+    """Count polynomial of {rf >= t}, read off the compiled level sets."""
+    if t <= rf.generic_value:
+        return {rf.ambient_dim: 1}
+    level = rf.generic_value
+    for step, meets in rf.compiled_level_sets(budget):
+        level += step
+        if level >= t:
+            return meets_polynomial(meets)
+    return {}
+
+
+def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[int]:
+    """Smallest threshold t at which {f >= t} and -{g >= t} differ; None
+    when f(α) = g(-α) at every point α.
+
+    Both functions take only their generic and stratum values, so these
+    thresholds decide it.  Equal sets of normalized cosets are equal level
+    sets.  Otherwise U = {f >= t} and V = -{g >= t} are equal exactly when
+    U, V and U ∩ V have the same count polynomial (:func:`meets_polynomial`);
+    U ∩ V is the union of the pairwise meets of their cosets.  Raises
+    ComponentBudgetExceeded when a level set to be counted exceeds the
+    budget.
+    """
+    values = {f.generic_value, g.generic_value}
+    values.update(value for _, value in f.strata + g.strata)
+    for t in sorted(values):
+        u = _level_components(f, t)
+        v = frozenset(-nc for nc in _level_components(g, t))
+        if u == v:
+            continue
+        poly = _level_polynomial(f, t, budget)
+        if poly != _level_polynomial(g, t, budget):
+            return t
+        meets = [normalize_system(x.ambient_dim, x.rows + y.rows, x.rhs + y.rhs) for x in u for y in v]
+        if meets_polynomial(union_meets([m for m in meets if m is not None])) != poly:
+            return t
+    return None
 
 
 def validate_model(model: VarietyModel) -> ValidationReport:
-    """Structural validation; report-valued, never raises on bad content."""
+    """Structural validation; report-valued, never raises on bad content.
+
+    Serre symmetry h^(p,q)(α) = h^(n-p,n-q)(-α) is decided exactly, level
+    set by level set (:func:`_serre_mismatch`).  A pair whose level sets
+    must be counted but exceed the default component budget gets a warning
+    that it was not decided.
+    """
     findings: list[Finding] = []
     err = lambda msg: findings.append(Finding("error", msg))
     warn = lambda msg: findings.append(Finding("warning", msg))
@@ -310,7 +342,7 @@ def validate_model(model: VarietyModel) -> ValidationReport:
                 (nca, va), (ncb, vb) = effective[a], effective[b]
                 if va == vb:
                     continue
-                meet = nca.as_coset().intersect(ncb.as_coset()).normalize()
+                meet = normalize_system(model.torus_dim, nca.rows + ncb.rows, nca.rhs + ncb.rhs)
                 if meet is None:
                     continue
                 nested = (meet.rows == nca.rows and meet.rhs == nca.rhs) or \
@@ -374,18 +406,18 @@ def validate_model(model: VarietyModel) -> ValidationReport:
                     err(f"sheaf slot {name!r} degree {i} stratum {idx} does not jump above the generic value")
 
     if model.serre_check and not any(f.severity == "error" for f in findings):
-        samples = _serre_sample_points(model)
-        reported = set()
         for p, q in model.hodge_pairs():
             pd, qd = n - p, n - q
-            for alpha in samples:
-                if model.hodge[p][q].rank_at(alpha) != model.hodge[pd][qd].rank_at(-alpha):
-                    key = tuple(sorted(((p, q), (pd, qd))))
-                    if key not in reported:
-                        reported.add(key)
-                        warn(f"ranks at ({p},{q}) and ({pd},{qd}) are not Serre-symmetric "
-                             f"at a sampled torsion point")
-                    break
+            if (pd, qd) < (p, q):
+                continue  # each unordered pair once
+            try:
+                t = _serre_mismatch(model.hodge[p][q], model.hodge[pd][qd], DEFAULT_COMPONENT_BUDGET)
+            except ComponentBudgetExceeded as exc:
+                warn(f"Serre symmetry of ({p},{q}) and ({pd},{qd}) was not decided: {exc}")
+                continue
+            if t is not None:
+                warn(f"ranks at ({p},{q}) and ({pd},{qd}) are not Serre-symmetric: "
+                     f"{{h^({p},{q}) >= {t}}} and -{{h^({pd},{qd}) >= {t}}} differ")
 
     table = {
         p: frozenset(q for q in range(n + 1) if model.hodge[p][q].is_proper())

@@ -19,6 +19,12 @@ from .torus import CongruenceCoset, TorusPoint
 
 SCHEMA_VERSION = 1
 
+# Largest dimension n and irregularity g a model file may declare, checked
+# before the (n+1)x(n+1) rank grid is allocated.  Both sit far above every
+# catalog model (the default instances have n, g <= 4).
+MAX_N = 64
+MAX_G = 64
+
 
 def _fraction_to_str(x: Fraction) -> str:
     return str(Fraction(x))
@@ -142,13 +148,16 @@ def model_to_dict(model: VarietyModel) -> dict:
 
 
 def _power_table(obj: Any, what: str) -> dict[int, int]:
-    """A pluri table: JSON object keys are the decimal exponents m."""
+    """A pluri table: JSON object keys are the exponents m written in plain
+    decimal, as export writes them ("2", never "02" or " +2")."""
     table = {}
     for m, v in _object(obj, what).items():
         try:
             key = int(m)
         except ValueError:
-            raise ModelFormatError(f"{what} keys must be integers, got {m!r}") from None
+            key = None
+        if m != str(key):
+            raise ModelFormatError(f"{what} keys must be integers in plain decimal, got {m!r}")
         table[key] = _integer(v, f"an entry of {what}")
     return table
 
@@ -163,6 +172,10 @@ def model_from_dict(obj: Any) -> VarietyModel:
         raise ModelFormatError("'n' and 'g' must be present integers")
     n = _natural(obj["n"], "'n'")
     g = _natural(obj["g"], "'g'")
+    if n > MAX_N:
+        raise ModelFormatError(f"'n' = {n} exceeds the largest supported dimension {MAX_N}")
+    if g > MAX_G:
+        raise ModelFormatError(f"'g' = {g} exceeds the largest supported irregularity {MAX_G}")
     torus = 2 * g
 
     grid = [[RankFunction(torus, 0, ()) for _ in range(n + 1)] for _ in range(n + 1)]

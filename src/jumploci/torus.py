@@ -9,9 +9,9 @@ structure all reduce to integer normal forms:
 
 * :func:`snf` diagonalizes an integer matrix with unimodular transforms
   (Smith normal form), the kernel used by the torsion-counting layer.
-* :meth:`CongruenceCoset.normalize` row-reduces the system to a canonical
-  Hermite form with independent rows, decides emptiness exactly and
-  produces a witness point.
+* :func:`normalize_system` (and :meth:`CongruenceCoset.normalize`)
+  row-reduces the system to a canonical Hermite form with independent
+  rows and decides emptiness exactly.
 
 Everything is exact: arbitrary-precision ``int`` and ``Fraction``
 throughout, no floating point.
@@ -274,85 +274,78 @@ class CongruenceCoset:
         return CongruenceCoset(self.ambient_dim, self.rows + other.rows, self.rhs + other.rhs)
 
     def normalize(self) -> Optional["NormalizedCoset"]:
-        """Canonical form, or None when the system is inconsistent (empty set).
+        """Canonical form, or None when the system is inconsistent (empty set)."""
+        return normalize_system(self.ambient_dim, self.rows, self.rhs)
 
-        Row-reduces (A | b) by unimodular row operations to a Hermite form
-        with positive pivots and the entries above each pivot reduced into
-        [0, pivot); zero rows must have integral right-hand sides, which is
-        exactly the emptiness test.
-        """
-        n = self.ambient_dim
-        # integer arithmetic throughout: (A | L·b) with L the common denominator
-        order = math.lcm(*(b.denominator for b in self.rhs))
-        work = [list(r) + [b.numerator * (order // b.denominator)] for r, b in zip(self.rows, self.rhs)]
-        k = len(work)
 
-        def sub(i: int, j: int, q: int) -> None:
-            ri, rj = work[i], work[j]
-            for c in range(n + 1):
-                ri[c] -= q * rj[c]
+def normalize_system(width: int, rows: Sequence[Sequence[int]],
+                     rhs: Sequence[Fraction]) -> Optional["NormalizedCoset"]:
+    """Canonical form of {x in (R/Z)^width : A·x ≡ b}, or None when it is empty.
 
-        rank = 0
-        for c in range(n):
-            while True:
-                piv = None
-                for i in range(rank, k):
-                    a = work[i][c]
-                    if a and (piv is None or abs(a) < abs(work[piv][c])):
-                        piv = i
-                if piv is None:
-                    break
-                work[rank], work[piv] = work[piv], work[rank]
-                clean = True
-                for i in range(rank + 1, k):
+    Row-reduces (A | b) by unimodular row operations to a Hermite form
+    with positive pivots and the entries above each pivot reduced into
+    [0, pivot); zero rows must have integral right-hand sides, which is
+    exactly the emptiness test.  The rows must already be integers and the
+    right-hand side Fractions, as in a :class:`CongruenceCoset` or a
+    :class:`NormalizedCoset`; nothing is coerced, so stacked normalized
+    systems (the meets of a union) go straight in.
+    """
+    n = width
+    # integer arithmetic throughout: (A | L·b) with L the common denominator
+    order = math.lcm(*(b.denominator for b in rhs))
+    work = [list(r) + [b.numerator * (order // b.denominator)] for r, b in zip(rows, rhs)]
+    k = len(work)
+
+    def sub(i: int, j: int, q: int) -> None:
+        ri, rj = work[i], work[j]
+        for c in range(n + 1):
+            ri[c] -= q * rj[c]
+
+    rank = 0
+    for c in range(n):
+        while True:
+            piv = None
+            for i in range(rank, k):
+                a = work[i][c]
+                if a and (piv is None or abs(a) < abs(work[piv][c])):
+                    piv = i
+            if piv is None:
+                break
+            work[rank], work[piv] = work[piv], work[rank]
+            clean = True
+            for i in range(rank + 1, k):
+                if work[i][c]:
+                    sub(i, rank, work[i][c] // work[rank][c])
                     if work[i][c]:
-                        sub(i, rank, work[i][c] // work[rank][c])
-                        if work[i][c]:
-                            clean = False
-                if clean:
-                    break
-            if rank < k and work[rank][c]:
-                if work[rank][c] < 0:
-                    work[rank] = [-a for a in work[rank]]
-                for i in range(rank):
-                    q = work[i][c] // work[rank][c]
-                    if q:
-                        sub(i, rank, q)
-                rank += 1
-        for i in range(rank, k):
-            if work[i][n] % order:
-                return None
-        rows = tuple(tuple(r[:n]) for r in work[:rank])
-        rhs = tuple(Fraction(r[n] % order, order) for r in work[:rank])
-        return NormalizedCoset(ambient_dim=n, rows=rows, rhs=rhs)
-
-
-def _particular_solution(hrows: IntMatrix, hrhs: tuple[Fraction, ...], n: int) -> TorusPoint:
-    """One exact solution of H·x = b for a Hermite-form H (free coords 0)."""
-    x = [Fraction(0)] * n
-    pivots = [next(j for j, a in enumerate(row) if a) for row in hrows]
-    for i in reversed(range(len(hrows))):
-        j = pivots[i]
-        acc = hrhs[i] - sum((Fraction(hrows[i][c]) * x[c] for c in range(j + 1, n)), Fraction(0))
-        x[j] = acc / hrows[i][j]
-    return TorusPoint.of(x)
+                        clean = False
+            if clean:
+                break
+        if rank < k and work[rank][c]:
+            if work[rank][c] < 0:
+                work[rank] = [-a for a in work[rank]]
+            for i in range(rank):
+                q = work[i][c] // work[rank][c]
+                if q:
+                    sub(i, rank, q)
+            rank += 1
+    for i in range(rank, k):
+        if work[i][n] % order:
+            return None
+    hrows = tuple(tuple(r[:n]) for r in work[:rank])
+    hrhs = tuple(Fraction(r[n] % order, order) for r in work[:rank])
+    return NormalizedCoset(ambient_dim=n, rows=hrows, rhs=hrhs)
 
 
 @dataclass(frozen=True)
 class NormalizedCoset:
     """Canonicalized nonempty coset: independent rows in Hermite form.
 
-    The witness point and the component count are computed on first use.
+    The component count is computed on first use.
     """
 
     ambient_dim: int
     rows: IntMatrix
     rhs: tuple[Fraction, ...]
-
-    @cached_property
-    def witness(self) -> TorusPoint:
-        """One point of the coset."""
-        return _particular_solution(self.rows, self.rhs, self.ambient_dim)
 
     @cached_property
     def component_count(self) -> int:
@@ -379,6 +372,11 @@ class NormalizedCoset:
         divides d, so it already determines the counting behaviour.
         """
         return math.lcm(*(b.denominator for b in self.rhs)) if self.rhs else 1
+
+    def __neg__(self) -> "NormalizedCoset":
+        """The coset {-x : x in self}: the right-hand side negates, and stays
+        canonical once reduced into [0, 1)."""
+        return NormalizedCoset(self.ambient_dim, self.rows, tuple(-b % 1 for b in self.rhs))
 
     def as_coset(self) -> CongruenceCoset:
         return CongruenceCoset(self.ambient_dim, self.rows, self.rhs)

@@ -54,6 +54,20 @@ def brute_force_rank_sum(rank_function, d: int) -> int:
     return total
 
 
+def hermite_point(nc):
+    """One point of a normalized coset: back-substitute its Hermite rows
+    H·x = b with every non-pivot coordinate 0 (exact rationals)."""
+    from fractions import Fraction
+
+    from jumploci import TorusPoint
+
+    x = [Fraction(0)] * nc.ambient_dim
+    for row, b in reversed(list(zip(nc.rows, nc.rhs))):
+        j = next(c for c, a in enumerate(row) if a)
+        x[j] = (b - sum(row[c] * x[c] for c in range(j + 1, nc.ambient_dim))) / row[j]
+    return TorusPoint.of(x)
+
+
 def integer_det(matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(matrix)

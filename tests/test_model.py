@@ -3,10 +3,12 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from jumploci import (
+    DEFAULT_INSTANCES,
     CongruenceCoset,
     MissingStratification,
     RankFunction,
@@ -14,6 +16,7 @@ from jumploci import (
     TorusPoint,
     VarietyModel,
     builtin,
+    builtin_names,
     classify_weak_gv,
     constant_rank,
     defect,
@@ -21,6 +24,8 @@ from jumploci import (
     satisfies_weak_generic_nakano,
     validate_model,
 )
+from jumploci.counting import DEFAULT_COMPONENT_BUDGET
+from jumploci.model import _serre_mismatch
 from gen import random_point
 
 
@@ -128,6 +133,157 @@ class TestValidation:
         report = validate_model(builtin("blowup_abelian4_curve", genus=2).model)
         assert report.weak_gv_table[1] == frozenset({0, 1, 3, 4})
         assert report.weak_gv_table[0] == frozenset({0, 1, 2, 3, 4})
+
+
+def curve_grid(h01, h10):
+    """n = g = 1 grid with origin jumps on the diagonal and the given off-diagonal."""
+    return VarietyModel(n=1, g=1, hodge=((origin_jump(2, 0, 1), h01), (h10, origin_jump(2, 0, 1))),
+                        defect_strata=((0, 1),))
+
+
+def jump(rows, rhs, value=1):
+    return RankFunction(2, 0, (Stratum(CongruenceCoset.of(2, rows, rhs), value),))
+
+
+def serre_warnings(model):
+    return [f.message for f in validate_model(model).warnings if "Serre" in f.message]
+
+
+# rows whose 2x2 minors all divide 4 and translates with denominators dividing
+# 6: every point of every stratum and of every meet then has order dividing
+# 24, and every line component has 24 points of order dividing 24, more than
+# the other strata can cut out of it, so the 24-torsion grid meets every cell
+# of the arrangement and decides symmetry by brute force
+SERRE_ROWS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2))
+SERRE_RHS = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
+SERRE_D = 24
+
+
+def negated(stratum):
+    coset, value = stratum
+    return Stratum(CongruenceCoset.of(2, coset.rows, [-b for b in coset.rhs]), value)
+
+
+def mirrored_pair(rng):
+    """A random rank function f and g = -f, changed at random.
+
+    A bumped value, a shifted translate or a dropped stratum usually breaks
+    the symmetry.  A disconnected stratum split into its two components, or
+    a smaller stratum nested in a larger one at no higher value (also the
+    fallback when there is nothing to split), keeps the level sets but
+    presents them by other cosets, so only counting can tell.
+    """
+    generic = rng.randint(0, 1)
+    strata = []
+    for _ in range(rng.randint(1, 3)):
+        rows = rng.sample(SERRE_ROWS, rng.randint(1, 2))
+        coset = CongruenceCoset.of(2, rows, [rng.choice(SERRE_RHS) for _ in rows])
+        strata.append(Stratum(coset, generic + rng.randint(1, 3)))
+    mirror = [negated(s) for s in strata]
+    rng.shuffle(mirror)
+    i = rng.randrange(len(mirror))
+    coset, value = mirror[i]
+    kind = rng.choice(("same", "bump", "shift", "drop", "split", "nest"))
+    if kind == "same":
+        pass
+    elif kind == "bump":
+        mirror[i] = Stratum(coset, value + 1)
+    elif kind == "shift":
+        rhs = list(coset.rhs)
+        rhs[0] += rng.choice((Fraction(1, 2), Fraction(1, 3)))
+        mirror[i] = Stratum(CongruenceCoset.of(2, coset.rows, rhs), value)
+    elif kind == "drop":
+        del mirror[i]
+    elif kind == "split" and (2, 0) in coset.rows:
+        # {2·x0 ≡ b} is the union of {x0 ≡ b/2} and {x0 ≡ b/2 + 1/2}
+        k = coset.rows.index((2, 0))
+        for half in (0, Fraction(1, 2)):
+            rows = coset.rows[:k] + ((1, 0),) + coset.rows[k + 1:]
+            rhs = coset.rhs[:k] + (coset.rhs[k] / 2 + half,) + coset.rhs[k + 1:]
+            mirror.append(Stratum(CongruenceCoset.of(2, rows, rhs), value))
+        del mirror[i]
+    else:
+        row = rng.choice(SERRE_ROWS)
+        for c in rng.sample(SERRE_RHS, len(SERRE_RHS)):  # prefer a nonempty one
+            inner = CongruenceCoset.of(2, coset.rows + (row,), coset.rhs + (c,))
+            if inner.normalize() is not None:
+                break
+        mirror.append(Stratum(inner, rng.randint(generic + 1, value)))
+    return RankFunction(2, generic, tuple(strata)), RankFunction(2, generic, tuple(mirror))
+
+
+def presented(rf):
+    """The nonempty normalized strata of a rank function, with their values."""
+    return {(nc, v) for c, v in rf.strata if (nc := c.normalize()) is not None}
+
+
+def brute_mismatch(f, g, d):
+    """Smallest threshold t where {f >= t} and -{g >= t} differ on the d-torsion grid."""
+    values = sorted({f.generic_value, g.generic_value} | {v for _, v in f.strata + g.strata})
+    found = None
+    for ys in product(range(d), repeat=2):
+        alpha = TorusPoint.of([Fraction(y, d) for y in ys])
+        a, b = f.rank_at(alpha), g.rank_at(-alpha)
+        if a != b:
+            t = min(v for v in values if v > min(a, b))
+            found = t if found is None else min(found, t)
+    return found
+
+
+class TestSerreSymmetry:
+    def test_roadmap_counterexample_warns(self):
+        # h^(0,1) jumps on {x0 = 1/3}, h^(1,0) at (2/3, 0): the two agree at
+        # every sampled 2-torsion point and stratum witness, yet differ
+        model = curve_grid(jump([[1, 0]], [Fraction(1, 3)]),
+                           jump([[1, 0], [0, 1]], [Fraction(2, 3), 0]))
+        assert serre_warnings(model) == [
+            "ranks at (0,1) and (1,0) are not Serre-symmetric: "
+            "{h^(0,1) >= 1} and -{h^(1,0) >= 1} differ"]
+
+    def test_disconnected_coset_against_one_component(self):
+        both = jump([[2, 0]], [0])
+        assert serre_warnings(curve_grid(both, jump([[1, 0]], [0])))
+        assert serre_warnings(curve_grid(jump([[1, 0]], [Fraction(1, 2)]), both))
+        # the two components together are the disconnected coset
+        split = RankFunction(2, 0, (Stratum(CongruenceCoset.of(2, [[1, 0]], [0]), 1),
+                                    Stratum(CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 2)]), 1)))
+        assert _serre_mismatch(both, split, DEFAULT_COMPONENT_BUDGET) is None
+        assert not serre_warnings(curve_grid(both, split))
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(4242)
+        outcomes = {"asymmetric": 0, "same strata": 0, "other strata": 0}
+        for _ in range(60):
+            f, g = mirrored_pair(rng)
+            t = _serre_mismatch(f, g, DEFAULT_COMPONENT_BUDGET)
+            assert t == brute_mismatch(f, g, SERRE_D)
+            assert _serre_mismatch(g, f, DEFAULT_COMPONENT_BUDGET) == t
+            if t is not None:
+                outcomes["asymmetric"] += 1
+            else:
+                # symmetric pairs presented by other cosets must be counted
+                neg = RankFunction(2, g.generic_value, tuple(negated(s) for s in g.strata))
+                outcomes["same strata" if presented(f) == presented(neg) else "other strata"] += 1
+        assert min(outcomes.values()) >= 5, outcomes
+
+    @pytest.mark.parametrize("name,params", list(DEFAULT_INSTANCES) + [(n, {}) for n in builtin_names()])
+    def test_catalog_has_no_serre_finding(self, name, params):
+        assert not serre_warnings(builtin(name, **params).model)
+
+    def test_over_budget_is_not_decided(self):
+        points = [Stratum(CongruenceCoset.point(TorusPoint.of([Fraction(k, 17), 0])), 1)
+                  for k in range(DEFAULT_COMPONENT_BUDGET + 1)]
+        many = RankFunction(2, 0, tuple(points))
+        # one point fewer: the level sets differ, but deciding it means counting
+        report = validate_model(curve_grid(many, RankFunction(2, 0, tuple(points[1:]))))
+        assert [f.message for f in report.warnings if "Serre" in f.message] == [
+            "Serre symmetry of (0,1) and (1,0) was not decided: "
+            f"{DEFAULT_COMPONENT_BUDGET + 1} components exceed the component budget of "
+            f"{DEFAULT_COMPONENT_BUDGET}"]
+        assert report.ok
+        # equal sets of cosets need no counting, so the verdict stays exact
+        mirror = RankFunction(2, 0, tuple(negated(s) for s in points))
+        assert not serre_warnings(curve_grid(many, mirror))
 
 
 class TestClassifyWeakGV:

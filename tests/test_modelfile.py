@@ -16,6 +16,7 @@ from jumploci import (
     DEFAULT_INSTANCES,
 )
 from jumploci.cli import main
+from jumploci.modelfile import MAX_G, MAX_N
 
 
 @pytest.mark.parametrize("name,params", DEFAULT_INSTANCES)
@@ -112,6 +113,8 @@ def test_load_locus(tmp_path):
     (lambda d: d["pluri"]["generic_values"].update({"2": True}),
      "an entry of 'generic_values' must be an integer"),
     (lambda d: d["pluri"]["values"].update({"two": 1}), "'values' keys must be integers"),
+    (lambda d: d.update(n=MAX_N + 1), "largest supported dimension"),
+    (lambda d: d.update(g=MAX_G + 1), "largest supported irregularity"),
 ])
 def test_bad_fields_rejected(mutate, message, tmp_path):
     blob = model_to_dict(builtin("abelian", g=1).model)
@@ -121,6 +124,35 @@ def test_bad_fields_rejected(mutate, message, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(blob), encoding="utf-8")
     assert main(["validate", "--model", str(path)]) == 2
+
+
+def _pluri_blob(key):
+    blob = model_to_dict(builtin("cartwright_steger_like").model)
+    blob["pluri"]["values"] = {key: 1}
+    blob["pluri"]["generic_values"] = {}
+    return blob
+
+
+@pytest.mark.parametrize("key", [" +0002", "02", "+2", " 2", "2 ", "-0", "\uff12"])
+def test_noncanonical_pluri_keys_rejected(key, tmp_path, capsys):
+    blob = _pluri_blob(key)
+    with pytest.raises(ModelFormatError, match="keys must be integers in plain decimal"):
+        model_from_dict(blob)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    assert "plain decimal" in capsys.readouterr().err
+
+
+def test_plain_pluri_key_loads():
+    assert model_from_dict(_pluri_blob("2")).pluri.values == {2: 1}
+
+
+def test_largest_n_and_g_load():
+    blob = model_to_dict(builtin("abelian", g=1).model)
+    blob.update(n=MAX_N, g=MAX_G, hodge=[], defect_strata=[[0, MAX_G]], pluri=None)
+    model = model_from_dict(blob)
+    assert (model.n, model.g, len(model.hodge)) == (MAX_N, MAX_G, MAX_N + 1)
 
 
 @pytest.mark.parametrize("field,bad,message", [
