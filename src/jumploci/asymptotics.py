@@ -3,11 +3,12 @@
 The decay theorem says the normalized (p,q)-rank is O(d^(-e)) with
 e = 2(|n-p-q| - N) when the defect of semismallness is at most N.  The
 engine checks this two ways: numerically (the exact rational sequence
-B_d = normalized·d^e over a finite range) and analytically (a stratum of
-real dimension v contributes on the order of d^(v - 2g + e) along the
-multiples of its translate order, so v > 2g - e forces unboundedness no
+B_d = normalized·d^e over a finite range) and analytically (the leading
+term of the count form, of degree v, has d^v points at the multiples of the
+smallest d where it has a point, so v > 2g - e forces unboundedness no
 matter how a finite range looks).  A finite-range pass never overrides an
-analytic failure.
+analytic failure.  That smallest d, not a stratum's translate order, is
+also the divergence witness order of q(X_d).
 
 L² Betti numbers of the infinite Albanese cover are limits of normalized
 Betti numbers along the factorial subtower; since the limits of the full
@@ -17,14 +18,15 @@ covers of factorial degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .counting import DEFAULT_COMPONENT_BUDGET
-from .model import RankFunction, VarietyModel, satisfies_weak_generic_nakano
+from .model import VarietyModel, satisfies_weak_generic_nakano
 from .torus import TorusPoint
-from .tower import betti_cover, chi_of_forms, normalized_sequence
+from .tower import betti_cover, chi_of_forms, normalized_sequence, symbolic_limit
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,9 @@ class DivergenceReport:
 
     divergent: bool
     max_stratum_dim: int          # real dimension, 0 when bounded
-    witness_order: Optional[int]  # q(X_d) >= q(X) + d^dim - 1 when this divides d
+    # the smallest d where a top-dimensional term of h^(0,1) has a point;
+    # q(X_d) >= q(X) + d^dim - 1 at all its multiples
+    witness_order: Optional[int]
     base_irregularity: int
 
 
@@ -56,24 +60,6 @@ class L2Report:
     hodge: tuple[tuple[Fraction, ...], ...]
     nonvanishing: frozenset[int]
     weak_gnv: bool  # when False the closed form is not certified
-
-
-def _unbounded_dimension(rf: RankFunction, exponent: int) -> Optional[int]:
-    """Real dimension of a locus component that defeats d^(-exponent) decay.
-
-    The full torus counts as a component of dimension 2g when the effective
-    generic value is positive; jump strata count with their own dimension.
-    Such a component meets the d-torsion grid with d^dim points along every
-    multiple of its translate order, hence for infinitely many d.
-    """
-    allowed = rf.ambient_dim - exponent
-    if rf.effective_generic_value() > 0 and rf.ambient_dim > allowed:
-        return rf.ambient_dim
-    worst = None
-    for nc, _ in rf.effective_strata():
-        if nc.dim > allowed and (worst is None or nc.dim > worst):
-            worst = nc.dim
-    return worst
 
 
 def fit_bound(model: VarietyModel, p: int, q: int, defect_bound: int, d_max: int,
@@ -89,7 +75,8 @@ def fit_bound(model: VarietyModel, p: int, q: int, defect_bound: int, d_max: int
     exponent = 2 * (abs(model.n - p - q) - defect_bound)
     seq = normalized_sequence(model, ("hodge", p, q), range(1, d_max + 1), budget=budget)
     fitted = max(value * Fraction(d) ** exponent for d, value in enumerate(seq, start=1))
-    bad_dim = _unbounded_dimension(model.hodge[p][q], exponent)
+    leading = model.hodge[p][q].count_form(budget).degree
+    bad_dim = leading if leading > model.torus_dim - exponent else None
     return BoundFit(
         p=p, q=q,
         defect_bound=defect_bound,
@@ -100,38 +87,38 @@ def fit_bound(model: VarietyModel, p: int, q: int, defect_bound: int, d_max: int
     )
 
 
-def converse_defect_witness(model: VarietyModel, defect_bound: int) -> Optional[tuple[int, int]]:
+def converse_defect_witness(model: VarietyModel, defect_bound: int,
+                            *, budget: int = DEFAULT_COMPONENT_BUDGET) -> Optional[tuple[int, int]]:
     """First (p,q) whose locus is too large for the d^(-e) decay, if any.
 
     A witness certifies that the defect of semismallness exceeds the
-    declared bound: its stratum carries at least d^dim torsion points for
-    infinitely many d, beating the claimed decay.
+    declared bound: the leading term of its count form carries at least
+    d^dim torsion points for infinitely many d, beating the claimed decay.
     """
     for p in range(model.n + 1):
         for q in range(model.n + 1):
             exponent = 2 * (abs(model.n - p - q) - defect_bound)
-            if _unbounded_dimension(model.hodge[p][q], exponent) is not None:
+            if model.hodge[p][q].count_form(budget).degree > model.torus_dim - exponent:
                 return (p, q)
     return None
 
 
-def divergence_class(model: VarietyModel) -> DivergenceReport:
+def divergence_class(model: VarietyModel,
+                     *, budget: int = DEFAULT_COMPONENT_BUDGET) -> DivergenceReport:
     """Classify the irregularity sequence q(X_d): bounded or divergent.
 
-    Divergence happens exactly when the h^(0,1) locus has a component of
-    positive dimension; along multiples of that component's translate
-    order, q(X_d) >= q(X) + d^dim - 1.
+    Divergence happens exactly when the count form of h^(0,1) has a
+    positive limit or a proper part of positive top exponent.  Along the
+    multiples of the witness order, q(X_d) >= q(X) + d^dim - 1.
     """
     rf = model.hodge[0][1]
+    form = rf.count_form(budget)
     origin_value = rf.rank_at(TorusPoint.zero(model.torus_dim))
-    positive = [(nc, value) for nc, value in rf.effective_strata() if nc.dim > 0]
-    if rf.effective_generic_value() > 0:
+    if form.limit > 0:
         return DivergenceReport(True, rf.ambient_dim, 1, origin_value)
-    if not positive:
+    if form.top_exponent <= 0:
         return DivergenceReport(False, 0, None, origin_value)
-    best = max(nc.dim for nc, _ in positive)
-    order = min(nc.translate_order for nc, _ in positive if nc.dim == best)
-    return DivergenceReport(True, best, order, origin_value)
+    return DivergenceReport(True, form.top_exponent, form.witness_order, origin_value)
 
 
 def l2_betti(model: VarietyModel) -> L2Report:
@@ -145,35 +132,32 @@ def l2_betti(model: VarietyModel) -> L2Report:
     with von Neumann dimensions is not certified.
     """
     n = model.n
-    h2 = tuple(
-        tuple(Fraction(model.hodge[p][q].effective_generic_value())
-              for q in range(n + 1))
-        for p in range(n + 1))
-    betti = tuple(
-        sum((h2[p][k - p] for p in range(n + 1) if 0 <= k - p <= n), Fraction(0))
-        for k in range(2 * n + 1))
-    flags = frozenset(p for p in range(n + 1) if chi_of_forms(model, p) != 0)
     return L2Report(
-        betti=betti,
-        hodge=h2,
-        nonvanishing=flags,
+        betti=tuple(symbolic_limit(model, ("betti", k)).value for k in range(2 * n + 1)),
+        hodge=tuple(tuple(Fraction(rf.limit) for rf in row) for row in model.hodge),
+        nonvanishing=frozenset(p for p in range(n + 1) if chi_of_forms(model, p) != 0),
         weak_gnv=satisfies_weak_generic_nakano(model),
     )
 
 
-def betti_deviation_constant(model: VarietyModel) -> int:
-    """Explicit C with |b_n(X_d)/deg - limit| <= C·d^(-2).
+def betti_deviation_constant(model: VarietyModel,
+                             *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
+    """Explicit C with |b_n(X_d)/deg - limit| <= C·d^(-2) for every d.
 
-    Each effective stratum of a middle-degree entry contributes at most its
-    value times d^(dim - 2g) <= value·d^(-2); summing the stratum values
-    over p+q = n gives a valid constant.
+    The deviation is the proper part of the middle-degree count forms over
+    d^(2g), and a term c·count(d) is at most |c|·Π s·d^free, Π s being its
+    number of components; so C is the sum of |c|·Π s over those terms (at
+    least 1).  Raises ValueError naming the (p,q) entry when a term has
+    real dimension 2g - 1, since the deviation then decays only like d^(-1).
     """
     total = 0
     for p in range(model.n + 1):
         q = model.n - p
-        if 0 <= q <= model.n:
-            for _, value in model.hodge[p][q].effective_strata():
-                total += value
+        for c, compiled in model.hodge[p][q].count_form(budget).terms:
+            if compiled.free > model.torus_dim - 2:
+                raise ValueError(f"the middle-degree entry ({p},{q}) has a stratum of real dimension "
+                                 f"{compiled.free} = 2g - 1; its deviation has no d^(-2) bound")
+            total += abs(c) * math.prod(s for s, _ in compiled.torsion)
     return max(total, 1)
 
 
@@ -184,6 +168,6 @@ def l2_euler_characteristic(report: L2Report) -> Fraction:
 def betti_limit_deviation(model: VarietyModel, d: int,
                           *, budget: int = DEFAULT_COMPONENT_BUDGET) -> Fraction:
     """|b_n(X_d)/deg - L² middle Betti number| as an exact rational."""
-    report = l2_betti(model)
+    limit = symbolic_limit(model, ("betti", model.n)).value
     exact = Fraction(betti_cover(model, d, model.n, budget=budget), d ** model.torus_dim)
-    return abs(exact - report.betti[model.n])
+    return abs(exact - limit)

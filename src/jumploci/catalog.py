@@ -33,6 +33,7 @@ from .model import (
     constant_rank,
     origin_jump,
 )
+from .modelfile import MAX_G, MAX_N
 from .torus import CongruenceCoset, TorusPoint
 
 
@@ -59,8 +60,13 @@ def _require(cond: bool, message: str) -> None:
         raise BadParams(message)
 
 
+def _require_size(family: str, n: int, g: int) -> None:
+    _require(n <= MAX_N and g <= MAX_G, f"{family}: n = {n}, g = {g} exceed the caps n, g <= {MAX_N}, {MAX_G}")
+
+
 def abelian(g: int = 1) -> CatalogEntry:
     _require(g >= 1, "abelian: g must be at least 1")
+    _require_size("abelian", g, g)
     torus = 2 * g
     model = VarietyModel(
         n=g,
@@ -87,6 +93,7 @@ def nondeg_line_bundle(g: int = 2, p: int = 0, chi0: int = 1) -> CatalogEntry:
     _require(g >= 1, "nondeg_line_bundle: g must be at least 1")
     _require(0 <= p <= g, "nondeg_line_bundle: the index p must lie in [0, g]")
     _require(chi0 >= 1, "nondeg_line_bundle: chi0 must be a positive integer")
+    _require_size("nondeg_line_bundle", g, g)
     base = abelian(g)
     torus = 2 * g
     slot = tuple(
@@ -151,6 +158,7 @@ def blowup_abelian4_curve(genus: int = 2) -> CatalogEntry:
 def blowup_abelian_codim(g: int = 3, c: int = 2) -> CatalogEntry:
     _require(g >= 1, "blowup_abelian_codim: g must be at least 1")
     _require(1 <= c <= g, "blowup_abelian_codim: the codimension c must lie in [1, g]")
+    _require_size("blowup_abelian_codim", g, g)
     n = g
     torus = 2 * g
     center_dim = g - c
@@ -204,6 +212,7 @@ def blowup_abelian_codim(g: int = 3, c: int = 2) -> CatalogEntry:
 def elliptic_surface_qI0(genus: int = 2, chi: int = 1) -> CatalogEntry:
     _require(genus >= 2, "elliptic_surface_qI0: the base genus must be at least 2")
     _require(chi >= 1, "elliptic_surface_qI0: chi(O) must be a positive integer")
+    _require_size("elliptic_surface_qI0", 2, genus)
     gb, e = genus, chi
     torus = 2 * gb
 
@@ -241,6 +250,7 @@ def elliptic_surface_qI0(genus: int = 2, chi: int = 1) -> CatalogEntry:
 
 def fibered_over_curve(genus: int = 2) -> CatalogEntry:
     _require(genus >= 2, "fibered_over_curve: the base genus must be at least 2")
+    _require_size("fibered_over_curve", 2, genus + 1)
     gb = genus
     torus = 2 * (gb + 1)
     # twists pulled back from the base curve: the elliptic block is pinned to zero

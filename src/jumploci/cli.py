@@ -73,15 +73,23 @@ def _add_model_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--params", help="catalog parameters, e.g. g=4,c=3")
 
 
+def _positive_ints(text: str, flag: str) -> list[int]:
+    try:
+        values = [int(t) for t in text.split(",") if t]
+    except ValueError:
+        values = []
+    if not values or any(v < 1 for v in values):
+        raise EngineError(f"{flag} needs a comma list of positive integers, got {text!r}")
+    return values
+
+
 def _approx(x: Fraction) -> str:
     return f"{float(x):.12g}"
 
 
 def cmd_count(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    ds = [int(t) for t in args.d.split(",") if t]
-    if not ds or any(d < 1 for d in ds):
-        raise EngineError("--d needs a comma list of positive integers")
+    ds = _positive_ints(args.d, "--d")
     if args.locus:
         components = modelfile.load_locus(args.locus)
         label = args.locus
@@ -144,8 +152,10 @@ def _tower_rows(model: VarietyModel, d_max: int, ms: list[int], budget: int):
 
 def cmd_tower(args, out=None) -> int:
     out = out if out is not None else sys.stdout
+    if args.d_max < 1:
+        raise EngineError(f"--d-max must be a positive integer, got {args.d_max}")
     model = _validated_model(args, out)
-    ms = [int(t) for t in args.pluri.split(",")] if args.pluri else []
+    ms = _positive_ints(args.pluri, "--pluri") if args.pluri else []
     rows = _tower_rows(model, args.d_max, ms, args.budget)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -161,12 +171,15 @@ def cmd_check(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     model = _validated_model(args, out)
     n = model.n
+    if not 0 <= args.defect_bound <= n:
+        raise EngineError(f"--defect-bound {args.defect_bound} lies outside [0, {n}], "
+                          f"the range of the defect of a model with n = {n}")
     fits = [
         asymptotics.fit_bound(model, p, q, args.defect_bound, args.d_max, budget=args.budget)
         for p in range(n + 1) for q in range(n + 1)
     ]
-    witness = asymptotics.converse_defect_witness(model, args.defect_bound)
-    divergence = asymptotics.divergence_class(model)
+    witness = asymptotics.converse_defect_witness(model, args.defect_bound, budget=args.budget)
+    divergence = asymptotics.divergence_class(model, budget=args.budget)
     l2 = asymptotics.l2_betti(model)
     all_pass = all(f.passes for f in fits)
 

@@ -56,8 +56,8 @@ class CompiledCoset:
     torsion: tuple[tuple[int, int], ...]  # (s, (U·L·b)_i mod s) for pivots s > 1
 
     @classmethod
-    def of(cls, coset: CongruenceCoset) -> Optional["CompiledCoset"]:
-        """Compile a coset; None when it is empty."""
+    def of(cls, coset: CongruenceCoset | NormalizedCoset) -> Optional["CompiledCoset"]:
+        """Compile a coset; None when it is empty (a normalized coset never is)."""
         return _compile(coset.ambient_dim, coset.rows, coset.rhs)
 
     def count(self, d: int) -> int:
@@ -72,6 +72,22 @@ class CompiledCoset:
                 return 0
             total *= g
         return total
+
+    @property
+    def min_order(self) -> int:
+        """Smallest d at which the coset has a point.  Each pivot asks for a
+        least valuation of d/L at each prime, so the coset has points exactly
+        at the multiples of it, reached by multiplying in what a pivot misses."""
+        d = self.order
+        while True:
+            for s, w in self.torsion:
+                g = math.gcd(s, d)
+                missing = g // math.gcd(d // self.order * w, g)
+                if missing > 1:
+                    d *= missing
+                    break
+            else:
+                return d
 
 
 def _compile(width: int, rows: Sequence[Sequence[int]],
@@ -143,16 +159,15 @@ def check_union(components: Sequence[CongruenceCoset], budget: int) -> None:
             f"{len(components)} components exceed the component budget of {budget}")
 
 
-def union_meets(components: Sequence[NormalizedCoset]) -> SignedMeets:
-    """Signed terms of a union: (coefficient, compiled meet) with
-    1_union = Σ coefficient·1_meet.
+def signed_union(components: Sequence[NormalizedCoset]) -> dict[NormalizedCoset, int]:
+    """Signed terms of a union, keyed by meet: 1_union = Σ coefficient·1_meet.
 
     Components are added one at a time, using
     1_{U ∪ C} = 1_U + 1_C − Σ c_x·1_{x ∩ C} for the terms (c_x, x) of U.
     Meets are keyed by their normalized Hermite form, so equal meets merge
     and terms whose coefficients cancel are dropped; an empty meet is never
-    extended.  There is one term per distinct nonempty meet at most, and one
-    Smith form per surviving term.  Callers run :func:`check_union` first.
+    extended.  There is one term per distinct nonempty meet at most.
+    Callers run :func:`check_union` first.
     """
     terms: dict[NormalizedCoset, int] = {}
     for comp in components:
@@ -167,8 +182,12 @@ def union_meets(components: Sequence[NormalizedCoset]) -> SignedMeets:
                 terms[x] = c
             else:
                 terms.pop(x, None)
-    # a normalized coset is nonempty, so it always compiles
-    return tuple((c, _compile(x.ambient_dim, x.rows, x.rhs)) for x, c in terms.items())
+    return terms
+
+
+def union_meets(components: Sequence[NormalizedCoset]) -> SignedMeets:
+    """The terms of :func:`signed_union`, each compiled once."""
+    return tuple((c, CompiledCoset.of(x)) for x, c in signed_union(components).items())
 
 
 def meets_count(meets: SignedMeets, d: int) -> int:
@@ -191,6 +210,39 @@ def meets_polynomial(meets: SignedMeets) -> dict[int, int]:
         poly[compiled.free] = poly.get(compiled.free, 0) + \
             coefficient * math.prod(s for s, _ in compiled.torsion)
     return {e: c for e, c in poly.items() if c}
+
+
+@dataclass(frozen=True)
+class CountForm:
+    """A rank sum on (R/Z)^N in closed form: h(d) = limit·d^N + Σ c·count(d)
+    over the terms, the distinct meets of the level sets above the limit."""
+
+    ambient_dim: int
+    limit: int
+    terms: SignedMeets
+
+    def count(self, d: int) -> int:
+        """h summed over the points of order dividing d (d positive)."""
+        return (self.limit * d ** self.ambient_dim if self.limit else 0) + meets_count(self.terms, d)
+
+    @property
+    def top_exponent(self) -> int:
+        """Largest exponent of d in the terms, -1 when there are none.  No
+        level set's leading coefficient cancels, so this is the largest real
+        dimension of a stratum above the limit."""
+        return max((compiled.free for _, compiled in self.terms), default=-1)
+
+    @property
+    def degree(self) -> int:
+        """Largest exponent of d: N when the limit is positive."""
+        return self.ambient_dim if self.limit > 0 else self.top_exponent
+
+    @property
+    def witness_order(self) -> Optional[int]:
+        """Smallest d at which a term of the top exponent has a point; that
+        term, inside the locus, has d^top such points at each multiple of d."""
+        return min((compiled.min_order for _, compiled in self.terms
+                    if compiled.free == self.top_exponent), default=None)
 
 
 def union_torsion_count(components: Sequence[CongruenceCoset], d: int,

@@ -20,8 +20,8 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .counting import (DEFAULT_COMPONENT_BUDGET, SignedMeets, check_union, meets_polynomial,
-                       union_meets)
+from .counting import (DEFAULT_COMPONENT_BUDGET, CompiledCoset, CountForm, check_union,
+                       meets_polynomial, signed_union, union_meets)
 from .errors import ComponentBudgetExceeded, DimensionMismatch, MissingStratification
 from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, normalize_system
 
@@ -35,10 +35,9 @@ class Stratum(NamedTuple):
 class RankFunction:
     """Rank of one cohomology group as a function of the twisting point.
 
-    Everything that does not depend on the cover index d is compiled on
-    first use and kept on the instance: the normalized strata and, per
-    threshold, the signed compiled meets of its level set.  Every d reads
-    the same compiled form.
+    Everything that does not depend on the cover index d is computed on
+    first use and kept on the instance: the normalized strata, the limit
+    and the compiled count form that every d reads.
     """
 
     ambient_dim: int
@@ -56,26 +55,34 @@ class RankFunction:
         return tuple(coset.normalize() for coset, _ in self.strata)
 
     @cached_property
-    def _compiled_level_sets(self) -> tuple[tuple[int, SignedMeets], ...]:
-        out = []
-        prev = self.generic_value
-        for t in sorted({value for _, value in self.strata if value > self.generic_value}):
+    def limit(self) -> int:
+        """The d^(2g) coefficient of the rank sum: the generic value with any
+        stratum spanning the whole torus folded in.  It needs no Smith form."""
+        best = self.generic_value
+        for (_, value), nc in zip(self.strata, self.normalized_strata):
+            if value > best and nc is not None and nc.dim == self.ambient_dim:
+                best = value
+        return best
+
+    @cached_property
+    def _count_form(self) -> CountForm:
+        terms: dict[NormalizedCoset, int] = {}
+        prev = self.limit
+        for t in sorted({value for _, value in self.strata if value > self.limit}):
             level = [nc for (_, value), nc in zip(self.strata, self.normalized_strata)
                      if value >= t and nc is not None]
-            out.append((t - prev, union_meets(level)))
+            for x, c in signed_union(level).items():
+                terms[x] = terms.get(x, 0) + (t - prev) * c
             prev = t
-        return tuple(out)
+        return CountForm(self.ambient_dim, self.limit,
+                         tuple((c, CompiledCoset.of(x)) for x, c in terms.items() if c))
 
-    def compiled_level_sets(self, budget: int) -> tuple[tuple[int, SignedMeets], ...]:
-        """Per threshold above the generic value: its step over the previous
-        threshold and the signed compiled nonempty meets of its level set.
-
-        The budget caps the strata of a level set.  It is checked on every
-        call, on the lowest level set, which contains all the others, before
-        the meets are built and compiled on first use.
-        """
-        check_union([coset for coset, value in self.strata if value > self.generic_value], budget)
-        return self._compiled_level_sets
+    def count_form(self, budget: int) -> CountForm:
+        """The limit and the signed compiled meets of the level sets above it,
+        weighted by their steps and merged by Hermite form.  The budget caps
+        the strata above the limit; it is checked on every call."""
+        check_union([coset for coset, value in self.strata if value > self.limit], budget)
+        return self._count_form
 
     def rank_at(self, alpha: TorusPoint) -> int:
         """max(generic value, values of the strata containing the point)."""
@@ -87,28 +94,14 @@ class RankFunction:
                 best = value
         return best
 
-    def effective_generic_value(self) -> int:
-        """Generic value with any stratum spanning the whole torus folded in."""
-        best = self.generic_value
-        for (_, value), nc in zip(self.strata, self.normalized_strata):
-            if value > best and nc is not None and nc.dim == self.ambient_dim:
-                best = value
-        return best
-
     def is_proper(self) -> bool:
         """True when the non-vanishing locus is a proper subset of the torus."""
-        return self.effective_generic_value() == 0
+        return self.limit == 0
 
     def effective_strata(self) -> list[tuple[NormalizedCoset, int]]:
-        """Nonempty, non-full strata whose value exceeds the effective generic."""
-        floor = self.effective_generic_value()
+        """Nonempty, non-full strata whose value exceeds the limit."""
         return [(nc, value) for (_, value), nc in zip(self.strata, self.normalized_strata)
-                if value > floor and nc is not None and nc.dim < self.ambient_dim]
-
-    def max_stratum_dim(self) -> int:
-        """Largest real dimension among effective strata; -1 when there are none."""
-        dims = [nc.dim for nc, _ in self.effective_strata()]
-        return max(dims) if dims else -1
+                if value > self.limit and nc is not None and nc.dim < self.ambient_dim]
 
 
 def constant_rank(ambient_dim: int, value: int) -> RankFunction:
@@ -131,7 +124,7 @@ class PluriData:
     irregularity of the Iitaka base); the subtorus is taken to be the block
     of the leading 2·q_base coordinates.  ``values[m]`` is the constant
     rank on the locus and ``generic_values[m]`` the rank off it (zero
-    whenever the locus is proper).
+    whenever the locus is proper, which :func:`validate_model` checks).
     """
 
     q_base: int
@@ -151,21 +144,13 @@ class PluriData:
         """The rank function of ω^m, built once per (ambient_dim, m) so that
         every cover reads the same compiled form."""
         key = (ambient_dim, m)
-        rf = self._rank_functions.get(key)
-        if rf is None:
-            rf = self._rank_functions[key] = self._build_rank_function(ambient_dim, m)
-        return rf
-
-    def _build_rank_function(self, ambient_dim: int, m: int) -> RankFunction:
-        generic = int(self.generic_values.get(m, 0))
-        value = int(self.values[m])
-        if 2 * self.q_base >= ambient_dim:
-            # the locus is the whole torus; the rank is constant
-            return constant_rank(ambient_dim, max(generic, value))
-        strata = tuple(
-            Stratum(self.locus_coset(ambient_dim, t), value)
-            for t in self.translates) if value > generic else ()
-        return RankFunction(ambient_dim, generic, strata)
+        if key not in self._rank_functions:
+            generic = int(self.generic_values.get(m, 0))
+            value = int(self.values[m])
+            strata = tuple(Stratum(self.locus_coset(ambient_dim, t), value)
+                           for t in self.translates) if value > generic else ()
+            self._rank_functions[key] = RankFunction(ambient_dim, generic, strata)
+        return self._rank_functions[key]
 
 
 @dataclass(frozen=True)
@@ -185,9 +170,6 @@ class VarietyModel:
     @property
     def torus_dim(self) -> int:
         return 2 * self.g
-
-    def hodge_rank(self, p: int, q: int) -> RankFunction:
-        return self.hodge[p][q]
 
     def hodge_pairs(self) -> Iterable[tuple[int, int]]:
         return product(range(self.n + 1), repeat=2)
@@ -259,15 +241,11 @@ def _level_components(rf: RankFunction, t: int) -> frozenset[NormalizedCoset]:
 
 
 def _level_polynomial(rf: RankFunction, t: int, budget: int) -> dict[int, int]:
-    """Count polynomial of {rf >= t}, read off the compiled level sets."""
+    """Count polynomial of {rf >= t}."""
     if t <= rf.generic_value:
         return {rf.ambient_dim: 1}
-    level = rf.generic_value
-    for step, meets in rf.compiled_level_sets(budget):
-        level += step
-        if level >= t:
-            return meets_polynomial(meets)
-    return {}
+    check_union([coset for coset, value in rf.strata if value >= t], budget)
+    return meets_polynomial(union_meets(list(_level_components(rf, t))))
 
 
 def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[int]:
@@ -396,6 +374,8 @@ def validate_model(model: VarietyModel) -> ValidationReport:
                 err(f"generic plurigenus value {gv} exceeds the locus value {v} for m = {m}")
             if 2 * model.pluri.q_base == model.torus_dim and gv != v:
                 err(f"for a full-torus pluricanonical locus the generic and locus values must agree (m = {m})")
+            if model.pluri.q_base < g and gv:
+                err(f"the pluricanonical locus is proper (q_base < g), so its generic value for m = {m} must be 0")
 
     for name, rfs in sorted(model.sheaves.items()):
         for i, rf in enumerate(rfs):

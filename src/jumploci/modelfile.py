@@ -19,9 +19,9 @@ from .torus import CongruenceCoset, TorusPoint
 
 SCHEMA_VERSION = 1
 
-# Largest dimension n and irregularity g a model file may declare, checked
-# before the (n+1)x(n+1) rank grid is allocated.  Both sit far above every
-# catalog model (the default instances have n, g <= 4).
+# Largest dimension n and irregularity g a model file or a catalog
+# parameter may declare, checked before the (n+1)x(n+1) rank grid is
+# allocated.  Both sit far above the default catalog instances (n, g <= 4).
 MAX_N = 64
 MAX_G = 64
 

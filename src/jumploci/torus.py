@@ -377,9 +377,3 @@ class NormalizedCoset:
         """The coset {-x : x in self}: the right-hand side negates, and stays
         canonical once reduced into [0, 1)."""
         return NormalizedCoset(self.ambient_dim, self.rows, tuple(-b % 1 for b in self.rhs))
-
-    def as_coset(self) -> CongruenceCoset:
-        return CongruenceCoset(self.ambient_dim, self.rows, self.rhs)
-
-    def contains(self, x: TorusPoint) -> bool:
-        return self.as_coset().contains(x)

@@ -3,15 +3,16 @@
 The degree-d cover induced by multiplication by d on the Albanese torus
 has degree d^(2g), and the rank of a pulled-back sheaf on it decomposes as
 the sum of the twisted ranks over all d-torsion points of the dual torus.
-Summation is organized by level sets: the generic value contributes
-d^(2g), and each threshold above it contributes the exact torsion count of
-the union of strata reaching that threshold.  This keeps every invariant
-computable for d with d^(2g) far beyond machine range.
+Each rank function sums through its count form
+(:meth:`RankFunction.count_form`): the limit contributes limit·d^(2g), and
+the signed compiled meets of its level sets above the limit contribute
+their exact torsion counts.  This keeps every invariant computable for d
+with d^(2g) far beyond machine range.
 
-Limits of the normalized invariants (value / d^(2g)) are read off the
-model symbolically: proper loci contribute nothing in the limit, full-torus
-loci contribute their constant rank, and alternating sums give the Euler
-characteristics that control the middle degree.
+Every invariant is a sum of rank functions (:func:`summands`), so its
+limit as value / d^(2g) is the sum of their limits: proper loci contribute
+nothing, full-torus loci their constant rank, and alternating sums give the
+Euler characteristics that control the middle degree.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .counting import DEFAULT_COMPONENT_BUDGET, meets_count, union_torsion_count  # noqa: F401  (kept importable from tower)
+from .counting import DEFAULT_COMPONENT_BUDGET, union_torsion_count  # noqa: F401  (kept importable from tower)
 from .errors import MissingPluriData
 from .model import RankFunction, VarietyModel
 
@@ -60,13 +61,10 @@ class CoverInvariants:
 
 def sheaf_rank_on_cover(rf: RankFunction, d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    """Sum of rf over all d-torsion points, via level-set counting."""
+    """Sum of rf over all d-torsion points, read off its count form."""
     if d < 1:
         raise ValueError("d must be positive")
-    total = rf.generic_value * d ** rf.ambient_dim if rf.generic_value else 0
-    for step, meets in rf.compiled_level_sets(budget):
-        total += step * meets_count(meets, d)
-    return total
+    return rf.count_form(budget).count(d)
 
 
 def hodge_numbers_cover(model: VarietyModel, d: int,
@@ -77,27 +75,62 @@ def hodge_numbers_cover(model: VarietyModel, d: int,
         for p in range(model.n + 1))
 
 
+def summands(model: VarietyModel, selector: Selector) -> list[RankFunction]:
+    """The rank functions whose sum is the selected invariant; its value on
+    a cover and its limit are sums over this list."""
+    kind = selector[0]
+    if kind == "hodge":
+        _, p, q = selector
+        return [model.hodge[p][q]]
+    if kind == "betti":
+        k = selector[1]
+        return [model.hodge[p][k - p] for p in range(model.n + 1) if 0 <= k - p <= model.n]
+    if kind == "irregularity":
+        return [model.hodge[0][1]]
+    if kind == "sheaf":
+        _, name, i = selector
+        return [model.sheaves[name][i]]
+    if kind == "pluri":
+        m = selector[1]
+        if m < 1:
+            raise ValueError("m must be positive")
+        if m == 1:  # the geometric genus
+            return [model.hodge[model.n][0]]
+        if model.pluri is None or m not in model.pluri.values:
+            raise MissingPluriData(f"no plurigenus data for m = {m}")
+        return [model.pluri.rank_function(model.torus_dim, m)]
+    raise ValueError(f"unknown selector {selector!r}")
+
+
+def value_on_cover(model: VarietyModel, selector: Selector, d: int,
+                   *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
+    return sum(sheaf_rank_on_cover(rf, d, budget=budget) for rf in summands(model, selector))
+
+
 def betti_cover(model: VarietyModel, d: int, k: int,
                 *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    return sum(
-        sheaf_rank_on_cover(model.hodge[p][k - p], d, budget=budget)
-        for p in range(model.n + 1) if 0 <= k - p <= model.n)
+    return value_on_cover(model, ("betti", k), d, budget=budget)
 
 
 def irregularity_cover(model: VarietyModel, d: int,
                        *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
     """q(X_d): the h^(0,1) rank summed over the d-torsion points."""
-    return sheaf_rank_on_cover(model.hodge[0][1], d, budget=budget)
+    return value_on_cover(model, ("irregularity",), d, budget=budget)
+
+
+def plurigenera_cover(model: VarietyModel, d: int, m: int,
+                      *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
+    """P_m(X_d)."""
+    return value_on_cover(model, ("pluri", m), d, budget=budget)
 
 
 def euler_char(rank_functions: Sequence[RankFunction]) -> int:
-    """Alternating sum of the generic ranks over the cohomological degrees.
+    """Alternating sum of the limits over the cohomological degrees.
 
     Twisting by a topologically trivial line bundle leaves the Euler
-    characteristic alone, so the generic values already determine it.
+    characteristic alone, so the generic ranks already determine it.
     """
-    return sum((-1) ** i * rf.effective_generic_value()
-               for i, rf in enumerate(rank_functions))
+    return sum((-1) ** i * rf.limit for i, rf in enumerate(rank_functions))
 
 
 def chi_of_forms(model: VarietyModel, p: int) -> int:
@@ -110,30 +143,10 @@ def chi_top(model: VarietyModel) -> int:
     return sum((-1) ** p * chi_of_forms(model, p) for p in range(model.n + 1))
 
 
-def plurigenera_cover(model: VarietyModel, d: int, m: int,
-                      *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    """P_m(X_d).  m = 1 is the geometric genus and lives on the (n,0) grid
-    entry; higher powers need the pluricanonical datum."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m == 1:
-        return sheaf_rank_on_cover(model.hodge[model.n][0], d, budget=budget)
-    if model.pluri is None or m not in model.pluri.values:
-        raise MissingPluriData(f"no plurigenus data for m = {m}")
-    rf = model.pluri.rank_function(model.torus_dim, m)
-    return sheaf_rank_on_cover(rf, d, budget=budget)
-
-
 def pluri_limit(model: VarietyModel, m: int) -> LimitValue:
     """Limit of P_m(X_d)/deg: P_m(X) when the Iitaka base keeps the whole
     irregularity (q(X) = q(base)), zero otherwise."""
-    if m == 1:
-        return symbolic_limit(model, ("hodge", model.n, 0))
-    if model.pluri is None or m not in model.pluri.values:
-        raise MissingPluriData(f"no plurigenus data for m = {m}")
-    if model.pluri.q_base == model.g:
-        return LimitValue(Fraction(int(model.pluri.values[m])), EXACT_LIMIT)
-    return LimitValue(Fraction(0), UPPER_BOUND_ZERO)
+    return symbolic_limit(model, ("pluri", m))
 
 
 def pluri_bound_constant(model: VarietyModel, m: int) -> int:
@@ -165,24 +178,6 @@ def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
     )
 
 
-def value_on_cover(model: VarietyModel, selector: Selector, d: int,
-                   *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    kind = selector[0]
-    if kind == "hodge":
-        _, p, q = selector
-        return sheaf_rank_on_cover(model.hodge[p][q], d, budget=budget)
-    if kind == "betti":
-        return betti_cover(model, d, selector[1], budget=budget)
-    if kind == "irregularity":
-        return irregularity_cover(model, d, budget=budget)
-    if kind == "pluri":
-        return plurigenera_cover(model, d, selector[1], budget=budget)
-    if kind == "sheaf":
-        _, name, i = selector
-        return sheaf_rank_on_cover(model.sheaves[name][i], d, budget=budget)
-    raise ValueError(f"unknown selector {selector!r}")
-
-
 def normalized_sequence(model: VarietyModel, selector: Selector, d_range: Iterable[int],
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> list[Fraction]:
     """value(d) / d^(2g) as exact rationals, in the order of ``d_range``."""
@@ -191,43 +186,17 @@ def normalized_sequence(model: VarietyModel, selector: Selector, d_range: Iterab
             for d in d_range]
 
 
-def _limit_of_rank(rf: RankFunction) -> LimitValue:
-    generic = rf.effective_generic_value()
-    if generic:
-        return LimitValue(Fraction(generic), EXACT_LIMIT)
-    kind = UPPER_BOUND_ZERO if rf.strata else EXACT_LIMIT
-    return LimitValue(Fraction(0), kind)
-
-
 def symbolic_limit(model: VarietyModel, selector: Selector) -> LimitValue:
-    """Limit of the normalized invariant, read off the model.
+    """Limit of the normalized invariant: the sum of the limits of its rank
+    functions, zero being an upper bound when one of them jumps somewhere.
 
-    Normalized ranks converge to the (effective) generic value: strata of
-    positive codimension are killed by the d^(2g) normalization.  Betti
-    limits are the sums of the per-(p,q) limits; at k = n this agrees with
-    (-1)^n times the topological Euler characteristic whenever the model
-    satisfies weak generic Nakano vanishing.
+    At k = n the Betti limit agrees with (-1)^n times the topological Euler
+    characteristic whenever the model satisfies weak generic Nakano vanishing.
     """
-    kind = selector[0]
-    if kind == "hodge":
-        _, p, q = selector
-        return _limit_of_rank(model.hodge[p][q])
-    if kind == "irregularity":
-        return _limit_of_rank(model.hodge[0][1])
-    if kind == "sheaf":
-        _, name, i = selector
-        return _limit_of_rank(model.sheaves[name][i])
-    if kind == "betti":
-        k = selector[1]
-        parts = [_limit_of_rank(model.hodge[p][k - p])
-                 for p in range(model.n + 1) if 0 <= k - p <= model.n]
-        total = sum((lv.value for lv in parts), Fraction(0))
-        if total == 0 and any(lv.kind == UPPER_BOUND_ZERO for lv in parts):
-            return LimitValue(Fraction(0), UPPER_BOUND_ZERO)
-        return LimitValue(total, EXACT_LIMIT)
-    if kind == "pluri":
-        return pluri_limit(model, selector[1])
-    raise ValueError(f"unknown selector {selector!r}")
+    rfs = summands(model, selector)
+    total = sum(rf.limit for rf in rfs)
+    bound = total == 0 and any(rf.strata and not rf.limit for rf in rfs)
+    return LimitValue(Fraction(total), UPPER_BOUND_ZERO if bound else EXACT_LIMIT)
 
 
 def chi_multiplicativity_check(model: VarietyModel, d: int,
@@ -238,15 +207,6 @@ def chi_multiplicativity_check(model: VarietyModel, d: int,
     characteristic is multiplicative along finite étale covers); a failure
     flags an inconsistent grid.
     """
-    deg = d ** model.torus_dim
-    grid = hodge_numbers_cover(model, d, budget=budget)
-    for p in range(model.n + 1):
-        lhs = sum((-1) ** q * grid[p][q] for q in range(model.n + 1))
-        if lhs != deg * chi_of_forms(model, p):
-            return False
-    for _, rfs in sorted(model.sheaves.items()):
-        lhs = sum((-1) ** i * sheaf_rank_on_cover(rf, d, budget=budget)
-                  for i, rf in enumerate(rfs))
-        if lhs != deg * euler_char(rfs):
-            return False
-    return True
+    rows = list(model.hodge) + [rfs for _, rfs in sorted(model.sheaves.items())]
+    return all(sum((-1) ** i * sheaf_rank_on_cover(rf, d, budget=budget) for i, rf in enumerate(rfs))
+               == d ** model.torus_dim * euler_char(rfs) for rfs in rows)

@@ -41,6 +41,15 @@ def brute_force_torsion_count(components, d: int) -> int:
     return count
 
 
+def smallest_torsion_order(components) -> int:
+    """Smallest d at which one of the (nonempty) cosets has a point of order
+    dividing d, by enumeration at d = 1, 2, ..."""
+    d = 1
+    while not any(brute_force_torsion_count([c], d) for c in components):
+        d += 1
+    return d
+
+
 def brute_force_rank_sum(rank_function, d: int) -> int:
     """Sum of the rank function over the full d-torsion grid, pointwise."""
     from fractions import Fraction

@@ -1,12 +1,20 @@
 """Decay bounds, divergence classification, L² limits."""
 
+import dataclasses
 from fractions import Fraction
 
+import pytest
+
 from jumploci import (
+    CongruenceCoset,
+    RankFunction,
+    Stratum,
     betti_cover,
     betti_deviation_constant,
+    betti_limit_deviation,
     builtin,
     chi_top,
+    constant_rank,
     converse_defect_witness,
     divergence_class,
     fit_bound,
@@ -18,12 +26,18 @@ from jumploci import (
 )
 
 
+def with_hodge(model, p, q, rf):
+    rows = [list(row) for row in model.hodge]
+    rows[p][q] = rf
+    return dataclasses.replace(model, hodge=tuple(tuple(row) for row in rows))
+
+
 def stratum_dimension_criterion(model, p, q, defect_bound):
     """Second route for the pass/fail verdict: pure dimension comparison."""
     rf = model.hodge[p][q]
     exponent = 2 * (abs(model.n - p - q) - defect_bound)
     allowed = model.torus_dim - exponent
-    if rf.effective_generic_value() > 0 and model.torus_dim > allowed:
+    if rf.limit > 0 and model.torus_dim > allowed:
         return False
     return all(nc.dim <= allowed for nc, _ in rf.effective_strata())
 
@@ -123,6 +137,20 @@ class TestDivergence:
             d = report.witness_order * j
             assert irregularity_cover(model, d) >= q0 + d ** report.max_stratum_dim - 1
 
+    def test_disconnected_stratum_witness_order(self):
+        # {2·x0 ≡ 1/2, x1 ≡ 0} has translate order 2 but only points of order 4
+        base = builtin("abelian", g=2).model
+        coset = CongruenceCoset.of(4, [[2, 0, 0, 0], [0, 1, 0, 0]], [Fraction(1, 2), 0])
+        h01 = RankFunction(4, 0, base.hodge[0][1].strata + (Stratum(coset, 1),))
+        model = with_hodge(base, 0, 1, h01)
+        report = divergence_class(model)
+        assert (report.divergent, report.max_stratum_dim, report.witness_order) == (True, 2, 4)
+        q0 = report.base_irregularity
+        assert irregularity_cover(model, 2) == q0 == 2
+        for j in range(1, 4):
+            d = 4 * j
+            assert irregularity_cover(model, d) >= q0 + d ** 2 - 1
+
     def test_classification_matches_sequence_growth(self):
         for name, params in DEFAULT_INSTANCES:
             model = builtin(name, **params).model
@@ -166,6 +194,25 @@ class TestL2:
             model = builtin(name, **params).model
             report = l2_betti(model)
             assert l2_euler_characteristic(report) == chi_top(model)
+
+    def test_deviation_constant_counts_components(self):
+        # g = n = 1: h^(1,0) goes from 1 to 2 on the nine points {3·x ≡ 0}
+        nine_points = CongruenceCoset.of(2, [[3, 0], [0, 3]], [0, 0])
+        base = builtin("abelian", g=1).model
+        model = with_hodge(with_hodge(base, 0, 1, constant_rank(2, 1)), 1, 0,
+                           RankFunction(2, 1, (Stratum(nine_points, 2),)))
+        c = betti_deviation_constant(model)
+        assert betti_limit_deviation(model, 3) == 1
+        for d in range(1, 13):
+            assert betti_limit_deviation(model, d) <= Fraction(c, d ** 2)
+
+    def test_deviation_constant_refuses_codimension_one(self):
+        # a stratum of real dimension 2g - 1 = 1 decays only like d^(-1)
+        line = CongruenceCoset.of(2, [[1, 0]], [0])
+        model = with_hodge(builtin("abelian", g=1).model, 1, 0,
+                           RankFunction(2, 0, (Stratum(line, 1),)))
+        with pytest.raises(ValueError, match=r"\(1,0\) has a stratum of real dimension 1"):
+            betti_deviation_constant(model)
 
     def test_middle_betti_deviation_bound(self):
         for name, params in DEFAULT_INSTANCES:

@@ -16,6 +16,7 @@ from jumploci import (
     validate_model,
     DEFAULT_INSTANCES,
 )
+from jumploci.modelfile import MAX_G, MAX_N
 from oracles import COVER_ORACLES
 
 
@@ -101,6 +102,12 @@ def test_unknown_name():
     ("elliptic_surface_qI0", {"genus": 1, "chi": 1}),
     ("fibered_over_curve", {"genus": 1}),
     ("abelian", {"h": 1}),
+    # one past the model-file caps, rejected before any grid is built
+    ("abelian", {"g": MAX_G + 1}),
+    ("nondeg_line_bundle", {"g": MAX_G + 1}),
+    ("blowup_abelian_codim", {"g": MAX_N + 1, "c": 1}),
+    ("elliptic_surface_qI0", {"genus": MAX_G + 1}),
+    ("fibered_over_curve", {"genus": MAX_G}),
 ])
 def test_bad_params(name, params):
     with pytest.raises(BadParams):

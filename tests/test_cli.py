@@ -4,10 +4,12 @@ import csv
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from jumploci import builtin, load_model
+from jumploci import (CongruenceCoset, RankFunction, Stratum, TorusPoint, VarietyModel, builtin,
+                      dumps_model, load_model, origin_jump)
 from jumploci.cli import main
 
 
@@ -146,6 +148,69 @@ class TestCheck:
         machine = json.loads(out.split("-- machine readable --")[1])
         assert machine["divergence"]["divergent"] is False
         assert machine["l2"]["betti"] == ["0", "0", "3", "0", "0"]
+
+    def test_budget_reaches_every_verdict(self, tmp_path, capsys):
+        # 13 torsion points on h^(0,1), mirrored on h^(1,0): over the default
+        # budget of 12, within --budget 20 for the fits, the converse witness
+        # and the divergence class alike
+        def points(sign):
+            return tuple(Stratum(CongruenceCoset.point(TorusPoint.of([Fraction(sign * k, 17), 0])), 1)
+                         for k in range(13))
+        h01, h10 = RankFunction(2, 0, points(1)), RankFunction(2, 0, points(-1))
+        model = VarietyModel(n=1, g=1, hodge=((origin_jump(2, 0, 1), h01), (h10, origin_jump(2, 0, 1))),
+                             defect_strata=((0, 1),))
+        path = tmp_path / "points.json"
+        path.write_text(dumps_model(model))
+        assert main(["check", "--model", str(path)]) == 2
+        assert "exceed the component budget of 12" in capsys.readouterr().err
+        code, out = run_cli(capsys, "--budget", "20", "check", "--model", str(path))
+        assert code == 0
+        assert "cover irregularity bounded at 1" in out
+
+
+class TestBadFlags:
+    """Every flag value outside its range ends in exit 2 with a message naming the flag."""
+
+    @pytest.mark.parametrize("d_max", ["0", "-3"])
+    def test_tower_d_max(self, capsys, d_max):
+        assert main(["tower", "--builtin", "abelian", "--d-max", d_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--d-max must be a positive integer, got {d_max}" in captured.err
+
+    @pytest.mark.parametrize("bound", ["-1", "2"])
+    def test_defect_bound_outside_zero_to_n(self, capsys, bound):
+        assert main(["check", "--builtin", "abelian", "--params", "g=1",
+                     "--defect-bound", bound]) == 2
+        assert f"--defect-bound {bound} lies outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["count", "--builtin", "abelian", "--i", "0,1", "--d", "x"], "--d"),
+        (["count", "--builtin", "abelian", "--i", "0,1", "--d", "2,0"], "--d"),
+        (["tower", "--builtin", "abelian", "--pluri", "a"], "--pluri"),
+        (["tower", "--builtin", "abelian", "--pluri", "2,-1"], "--pluri"),
+    ])
+    def test_integer_lists(self, capsys, argv, flag):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} needs a comma list of positive integers" in captured.err
+        assert "invalid literal" not in captured.err
+
+    def test_catalog_parameters_capped(self, capsys):
+        assert main(["validate", "--builtin", "abelian", "--params", "g=65"]) == 2
+        assert "abelian: n = 65, g = 65 exceed the caps" in capsys.readouterr().err
+
+    def test_proper_pluri_locus_with_generic_value(self, tmp_path, capsys):
+        blob = json.loads(dumps_model(builtin("abelian", g=2).model))
+        blob["pluri"]["values"] = {"2": 3}
+        blob["pluri"]["generic_values"] = {"2": 1}
+        path = tmp_path / "pluri.json"
+        path.write_text(json.dumps(blob))
+        code, out = run_cli(capsys, "validate", "--model", str(path))
+        assert code == 2
+        assert "generic value for m = 2 must be 0" in out
+        assert main(["tower", "--model", str(path), "--pluri", "2"]) == 2
 
 
 class TestValidateExport:

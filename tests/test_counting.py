@@ -82,6 +82,23 @@ class TestCompiledCoset:
             empty += compiled is None
         assert 0 < empty < 300
 
+    def test_min_order_against_enumeration(self):
+        # points of order dividing d exist exactly at the multiples of
+        # min_order, which exceeds the translate order L when a pivot asks
+        # for more (2·x ≡ 1/2 has L = 2 but only points of order 4)
+        rng = random.Random(2718)
+        beyond_translate_order = done = 0
+        while done < 60:
+            coset = random_coset(rng, rng.randint(1, 3), max_rows=2, span=4, max_den=4)
+            compiled = CompiledCoset.of(coset)
+            if compiled is None:
+                continue
+            done += 1
+            for d in range(1, 2 * compiled.min_order + 1):
+                assert (brute_force_torsion_count([coset], d) > 0) == (d % compiled.min_order == 0)
+            beyond_translate_order += compiled.min_order != compiled.order
+        assert beyond_translate_order >= 3
+
 
 class TestEnumerate:
     def test_full_torus(self):
@@ -219,7 +236,7 @@ class TestSignedMeets:
         for _ in range(10):
             nc = random_nonempty_coset(rng, 3).normalize()
             terms = union_meets([nc] * rng.randint(2, 6))
-            assert terms == ((1, CompiledCoset.of(nc.as_coset())),)
+            assert terms == ((1, CompiledCoset.of(CongruenceCoset(nc.ambient_dim, nc.rows, nc.rhs))),)
 
     def test_nested_components(self):
         point = CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), 0]))

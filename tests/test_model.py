@@ -11,6 +11,7 @@ from jumploci import (
     DEFAULT_INSTANCES,
     CongruenceCoset,
     MissingStratification,
+    PluriData,
     RankFunction,
     Stratum,
     TorusPoint,
@@ -52,7 +53,7 @@ class TestRankAt:
 
     def test_effective_generic_folds_full_torus(self):
         rf = RankFunction(2, 1, (Stratum(CongruenceCoset.full_torus(2), 3),))
-        assert rf.effective_generic_value() == 3
+        assert rf.limit == 3
         assert not rf.is_proper()
 
     def test_level_sets_are_unions_of_strata(self):
@@ -95,6 +96,15 @@ class TestValidation:
         model = VarietyModel(n=0, g=1, hodge=grid, defect_strata=((0, 0),))
         report = validate_model(model)
         assert any("not above the generic" in f.message for f in report.errors)
+
+    def test_proper_pluri_locus_needs_zero_generic_value(self):
+        # q_base = 0 < g: P_2 would be d^4·1 + 2 while pluri_limit said 0
+        base = builtin("abelian", g=2).model
+        pluri = PluriData(q_base=0, translates=(TorusPoint.zero(4),),
+                          values={2: 3}, generic_values={2: 1})
+        report = validate_model(dataclasses.replace(base, pluri=pluri))
+        assert [f.message for f in report.errors] == [
+            "the pluricanonical locus is proper (q_base < g), so its generic value for m = 2 must be 0"]
 
     def test_semismall_flag_with_positive_defect_is_error(self):
         base = builtin("blowup_abelian4_curve", genus=2).model

@@ -116,7 +116,7 @@ class TestNormalize:
             nc = coset.normalize()
             if nc is None:
                 continue
-            again = nc.as_coset().normalize()
+            again = CongruenceCoset(nc.ambient_dim, nc.rows, nc.rhs).normalize()
             assert again == nc
             assert coset.contains(hermite_point(nc))
             done += 1

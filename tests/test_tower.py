@@ -32,8 +32,9 @@ from jumploci import (
     sheaf_rank_on_cover,
     symbolic_limit,
 )
+from jumploci.counting import DEFAULT_COMPONENT_BUDGET
 from gen import random_rank_function
-from oracles import brute_force_rank_sum
+from oracles import brute_force_rank_sum, smallest_torsion_order
 
 
 class TestSheafRankOnCover:
@@ -51,12 +52,23 @@ class TestSheafRankOnCover:
         assert sheaf_rank_on_cover(model.hodge[1][2], 2) == 2 ** 8 + 25
 
     def test_matches_pointwise_sum(self):
+        # the count form against brute force: its value at every d <= 5, its
+        # top exponent and its witness order
         rng = random.Random(6174)
+        witnessed = 0
         for _ in range(40):
             g = rng.randint(1, 2)
             rf = random_rank_function(rng, 2 * g)
-            d = rng.randint(1, 5 if g == 1 else 4)
-            assert sheaf_rank_on_cover(rf, d) == brute_force_rank_sum(rf, d)
+            for d in range(1, 6):
+                assert sheaf_rank_on_cover(rf, d) == brute_force_rank_sum(rf, d)
+            form = rf.count_form(DEFAULT_COMPONENT_BUDGET)
+            assert form.limit == rf.limit
+            assert form.top_exponent == max((nc.dim for nc, _ in rf.effective_strata()), default=-1)
+            top = [coset for (coset, value), nc in zip(rf.strata, rf.normalized_strata)
+                   if value > rf.limit and nc is not None and nc.dim == form.top_exponent]
+            assert form.witness_order == (smallest_torsion_order(top) if top else None)
+            witnessed += bool(top)
+        assert witnessed >= 10
 
     def test_one_object_serves_every_d(self):
         # the compiled form is built at the first d and reused, in any order
