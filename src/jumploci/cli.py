@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import asymptotics, catalog, counting, modelfile, tower
-from .errors import EngineError
+from .errors import EngineError, MissingPluriData
 from .model import VarietyModel, validate_model
 
 EXIT_OK = 0
@@ -109,6 +110,13 @@ def cmd_count(args, out=None) -> int:
         label = f"jump locus of ({p},{q})"
     dims = [nc.dim for nc in (c.normalize() for c in components) if nc is not None]
     top = max(dims) if dims else 0
+    # what could fail partway is checked first, so the table streams and a
+    # failure leaves no partial table
+    counting.check_union(components, args.budget)
+    if args.enumerate:
+        for d in ds:
+            for comp in components:
+                counting.check_enumeration(comp.ambient_dim, d, args.enum_cap)
     print(f"# {label}: {len(components)} components, top dimension {top}", file=out)
     print(f"{'d':>6} {'torsion':>14} {'d^dim':>14}", file=out)
     for d in ds:
@@ -150,25 +158,39 @@ def _tower_rows(model: VarietyModel, d_max: int, ms: list[int], budget: int):
         yield row
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise EngineError(f"cannot write {path}: {exc}") from None
+
+
 def cmd_tower(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     if args.d_max < 1:
         raise EngineError(f"--d-max must be a positive integer, got {args.d_max}")
     model = _validated_model(args, out)
     ms = _positive_ints(args.pluri, "--pluri") if args.pluri else []
-    rows = _tower_rows(model, args.d_max, ms, args.budget)
+    for m in ms:
+        try:
+            tower.summands(model, ("pluri", m))
+        except MissingPluriData as exc:
+            raise EngineError(f"--pluri {m}: {exc}") from None
+    # every row is computed before anything is written, so a failure leaves no output
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(_tower_rows(model, args.d_max, ms, args.budget))
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(rows)
+        _write_file(args.out, buffer.getvalue())
     else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerows(rows)
+        out.write(buffer.getvalue())
     return EXIT_OK
 
 
 def cmd_check(args, out=None) -> int:
     out = out if out is not None else sys.stdout
+    if args.d_max < 2:
+        raise EngineError(f"--d-max must be at least 2, got {args.d_max}")
     model = _validated_model(args, out)
     n = model.n
     if not 0 <= args.defect_bound <= n:
@@ -251,7 +273,7 @@ def cmd_export(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     model = _load_model(args)
     if args.out:
-        modelfile.save_model(model, args.out)
+        _write_file(args.out, modelfile.dumps_model(model))
     else:
         out.write(modelfile.dumps_model(model))
     return EXIT_OK
@@ -318,6 +340,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, value in (("--budget", args.budget), ("--enum-cap", args.enum_cap)):
+            if value < 1:
+                raise EngineError(f"{flag} must be a positive integer, got {value}")
         return args.func(args)
     except (EngineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

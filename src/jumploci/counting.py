@@ -5,23 +5,27 @@ in {A·x ≡ b} becomes the modular system A·y ≡ d·b (mod d), which is empty
 unless d·b is integral.  The count of a modular system is read off the
 Smith form of A.  Neither the Smith form nor the transformed translate
 depends on d, so a coset is compiled once into a :class:`CompiledCoset`
-whose count is a closed form in d.  A union is counted as a signed sum
-over the distinct nonempty meets of its components (Möbius inversion over
-their intersection poset), built one component at a time with meets keyed
-by their Hermite form; empty meets are never extended, so the work is
+whose count is a closed form in d, read off one call of
+:func:`~jumploci.torus.snf`.  A union is counted as a signed sum over the
+distinct nonempty meets of its components (Möbius inversion over their
+intersection poset), built one component at a time: each new component's
+rows are inserted into the Hermite rows of every stored meet
+(:meth:`~jumploci.torus.NormalizedCoset.meet`), and meets are keyed by
+their integer Hermite form.  Empty meets are never extended, so the work is
 bounded by the distinct nonempty meets rather than by the 2^r subsets.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, ComponentBudgetExceeded, DimensionMismatch
-from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, normalize_system, snf
+from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, snf
 
 DEFAULT_COMPONENT_BUDGET = 12
 DEFAULT_ENUM_CAP = 10_000_000
@@ -58,7 +62,11 @@ class CompiledCoset:
     @classmethod
     def of(cls, coset: CongruenceCoset | NormalizedCoset) -> Optional["CompiledCoset"]:
         """Compile a coset; None when it is empty (a normalized coset never is)."""
-        return _compile(coset.ambient_dim, coset.rows, coset.rhs)
+        if isinstance(coset, NormalizedCoset):
+            return _compile(coset.ambient_dim, coset.rows, coset.nums, coset.order)
+        order = math.lcm(*(b.denominator for b in coset.rhs))
+        return _compile(coset.ambient_dim, coset.rows,
+                        [b.numerator * (order // b.denominator) for b in coset.rhs], order)
 
     def count(self, d: int) -> int:
         """Number of points of order dividing d on the coset (d positive)."""
@@ -90,25 +98,27 @@ class CompiledCoset:
                 return d
 
 
-def _compile(width: int, rows: Sequence[Sequence[int]],
-             rhs: Sequence[Fraction]) -> Optional[CompiledCoset]:
-    order = math.lcm(*(b.denominator for b in rhs))
+def _compile(width: int, rows: Sequence[Sequence[int]], scaled: Sequence[int],
+             order: int) -> Optional[CompiledCoset]:
+    """Compile {A·x ≡ scaled/order}; ``order`` must be the exact translate
+    order, the lcm of the denominators of the reduced fractions."""
     if not rows:
         return CompiledCoset(order, width, ())
-    scaled = [b.numerator * (order // b.denominator) for b in rhs]
     s, u, _ = snf(rows, width)
     free = width
     torsion = []
     for i, urow in enumerate(u):
-        w = sum(a * c for a, c in zip(urow, scaled))
         pivot = s[i][i] if i < width else 0
+        if pivot == 1:  # a unit pivot asks nothing of d
+            free -= 1
+            continue
+        w = sum(map(operator.mul, urow, scaled))
         if not pivot:
             if w % order:
                 return None
         else:
             free -= 1
-            if pivot > 1:
-                torsion.append((pivot, w % pivot))
+            torsion.append((pivot, w % pivot))
     return CompiledCoset(order, free, tuple(torsion))
 
 
@@ -128,7 +138,9 @@ def count_solutions_mod(rows: Sequence[Sequence[int]], rhs: Sequence[int], modul
     n = len(rows[0]) if k else width
     if width is not None and width != n:
         raise DimensionMismatch("width disagrees with row length")
-    compiled = _compile(n, rows, [Fraction(int(c), modulus) for c in rhs])
+    scaled = [int(c) for c in rhs]
+    common = math.gcd(modulus, *scaled)
+    compiled = _compile(n, rows, [c // common for c in scaled], modulus // common)
     return compiled.count(modulus) if compiled else 0
 
 
@@ -164,16 +176,17 @@ def signed_union(components: Sequence[NormalizedCoset]) -> dict[NormalizedCoset,
 
     Components are added one at a time, using
     1_{U ∪ C} = 1_U + 1_C − Σ c_x·1_{x ∩ C} for the terms (c_x, x) of U.
-    Meets are keyed by their normalized Hermite form, so equal meets merge
-    and terms whose coefficients cancel are dropped; an empty meet is never
-    extended.  There is one term per distinct nonempty meet at most.
-    Callers run :func:`check_union` first.
+    Each meet inserts the component's rows into the stored meet's Hermite
+    rows (:meth:`NormalizedCoset.meet`).  Meets are keyed by their integer
+    Hermite form, so equal meets merge and terms whose coefficients cancel
+    are dropped; an empty meet is never extended.  There is one term per
+    distinct nonempty meet at most.  Callers run :func:`check_union` first.
     """
     terms: dict[NormalizedCoset, int] = {}
     for comp in components:
         delta = {comp: 1}
         for x, c in terms.items():
-            meet = normalize_system(comp.ambient_dim, x.rows + comp.rows, x.rhs + comp.rhs)
+            meet = x.meet(comp)
             if meet is not None:
                 delta[meet] = delta.get(meet, 0) - c
         for x, c in delta.items():
@@ -256,6 +269,12 @@ def union_torsion_count(components: Sequence[CongruenceCoset], d: int,
     return meets_count(union_meets(normalized), d)
 
 
+def check_enumeration(n: int, d: int, cap: int) -> None:
+    """Raise unless the d-torsion grid of (R/Z)^n, d^n points, fits the cap."""
+    if d ** n > cap:
+        raise CapExceeded(f"enumerating {d}^{n} points exceeds the cap of {cap}")
+
+
 def enumerate_torsion(coset: CongruenceCoset, d: int,
                       *, cap: int = DEFAULT_ENUM_CAP) -> list[TorusPoint]:
     """All d-torsion points on the coset, by direct membership testing.
@@ -266,8 +285,7 @@ def enumerate_torsion(coset: CongruenceCoset, d: int,
     if d < 1:
         raise ValueError("d must be positive")
     n = coset.ambient_dim
-    if d ** n > cap:
-        raise CapExceeded(f"enumerating {d}^{n} points exceeds the cap of {cap}")
+    check_enumeration(n, d, cap)
     points = []
     for ys in product(range(d), repeat=n):
         p = TorusPoint.of([Fraction(y, d) for y in ys])

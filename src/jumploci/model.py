@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 from .counting import (DEFAULT_COMPONENT_BUDGET, CompiledCoset, CountForm, check_union,
                        meets_polynomial, signed_union, union_meets)
 from .errors import ComponentBudgetExceeded, DimensionMismatch, MissingStratification
-from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, normalize_system
+from .torus import CongruenceCoset, NormalizedCoset, TorusPoint
 
 
 class Stratum(NamedTuple):
@@ -235,7 +235,7 @@ def _level_components(rf: RankFunction, t: int) -> frozenset[NormalizedCoset]:
     """Normalized cosets whose union is {rf >= t}: the full torus at or
     below the generic value, else the nonempty strata reaching t."""
     if t <= rf.generic_value:
-        return frozenset({NormalizedCoset(rf.ambient_dim, (), ())})
+        return frozenset({NormalizedCoset(rf.ambient_dim, (), (), 1)})
     return frozenset(nc for (_, value), nc in zip(rf.strata, rf.normalized_strata)
                      if value >= t and nc is not None)
 
@@ -270,7 +270,7 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
         poly = _level_polynomial(f, t, budget)
         if poly != _level_polynomial(g, t, budget):
             return t
-        meets = [normalize_system(x.ambient_dim, x.rows + y.rows, x.rhs + y.rhs) for x in u for y in v]
+        meets = [x.meet(y) for x in u for y in v]
         if meets_polynomial(union_meets([m for m in meets if m is not None])) != poly:
             return t
     return None
@@ -320,12 +320,8 @@ def validate_model(model: VarietyModel) -> ValidationReport:
                 (nca, va), (ncb, vb) = effective[a], effective[b]
                 if va == vb:
                     continue
-                meet = normalize_system(model.torus_dim, nca.rows + ncb.rows, nca.rhs + ncb.rhs)
-                if meet is None:
-                    continue
-                nested = (meet.rows == nca.rows and meet.rhs == nca.rhs) or \
-                         (meet.rows == ncb.rows and meet.rhs == ncb.rhs)
-                if not nested:
+                meet = nca.meet(ncb)
+                if meet is not None and meet != nca and meet != ncb:
                     warn(f"strata of ({p},{q}) with values {va} and {vb} overlap partially; "
                          "ranks on the overlap follow the max rule")
 

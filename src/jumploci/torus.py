@@ -9,10 +9,15 @@ structure all reduce to integer normal forms:
 
 * :func:`snf` diagonalizes an integer matrix with unimodular transforms
   (Smith normal form), the kernel used by the torsion-counting layer.
-* :func:`normalize_system` (and :meth:`CongruenceCoset.normalize`)
-  row-reduces the system to a canonical Hermite form with independent
-  rows and decides emptiness exactly.
+* One Hermite kernel inserts integer rows of ``(A | L·b)``, ``L`` a common
+  denominator of ``b``, one at a time into an echelon basis, and reduces
+  the entries above each pivot at the end.  :meth:`CongruenceCoset.normalize`
+  inserts into the empty basis and decides emptiness exactly; :meth:`NormalizedCoset.meet` inserts the rows
+  of one normalized coset into the rows of another, so a meet costs the
+  rows it adds, not the whole stacked system.
 
+A :class:`NormalizedCoset` keeps its translate as integers ``nums`` over
+its translate order, so equal cosets compare and hash as tuples of ints.
 Everything is exact: arbitrary-precision ``int`` and ``Fraction``
 throughout, no floating point.
 """
@@ -29,9 +34,12 @@ from .errors import DimensionMismatch
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
+_INT = {int}
+
 
 def _as_int_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
-    out = [list(map(int, r)) for r in rows]
+    """Fresh lists of the rows: rows of ints are copied, others coerced."""
+    out = [list(r) if set(map(type, r)) <= _INT else list(map(int, r)) for r in rows]
     if out:
         width = len(out[0])
         for r in out:
@@ -41,7 +49,7 @@ def _as_int_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
 
 
 def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
 
 def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None):
@@ -50,11 +58,15 @@ def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None):
     S is diagonal with nonnegative entries, each dividing the next; U and V
     are unimodular.  Total on integer matrices; ``width`` is only needed to
     disambiguate the column count of a matrix with zero rows.
+
+    At step t the rows and columns before t are finished (zero off the
+    diagonal), so row operations on S touch only the columns from t on and
+    column operations only the rows from t on; U and V get full operations.
     """
-    rows = _as_int_rows(matrix)
-    k = len(rows)
-    if rows:
-        n = len(rows[0])
+    s = _as_int_rows(matrix)  # a fresh copy, reduced in place
+    k = len(s)
+    if s:
+        n = len(s[0])
         if width is not None and width != n:
             raise DimensionMismatch("width disagrees with row length")
     elif width is not None:
@@ -62,23 +74,24 @@ def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None):
     else:
         raise DimensionMismatch("width required for a matrix with no rows")
 
-    s = [r[:] for r in rows]
     u = _identity(k)
     v = _identity(n)
+    t = 0
 
     def row_sub(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
         si, sj = s[i], s[j]
-        for c in range(n):
+        for c in range(t, n):
             si[c] -= q * sj[c]
         ui, uj = u[i], u[j]
         for c in range(k):
             ui[c] -= q * uj[c]
 
     def col_sub(i: int, j: int, q: int) -> None:  # col_i -= q * col_j
-        for r in range(k):
-            s[r][i] -= q * s[r][j]
-        for r in range(n):
-            v[r][i] -= q * v[r][j]
+        for r in range(t, k):
+            sr = s[r]
+            sr[i] -= q * sr[j]
+        for vr in v:
+            vr[i] -= q * vr[j]
 
     def swap_rows(i: int, j: int) -> None:
         if i != j:
@@ -88,20 +101,27 @@ def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None):
     def swap_cols(i: int, j: int) -> None:
         if i == j:
             return
-        for r in range(k):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for r in range(t, k):
+            sr = s[r]
+            sr[i], sr[j] = sr[j], sr[i]
+        for vr in v:
+            vr[i], vr[j] = vr[j], vr[i]
 
-    t = 0
     limit = min(k, n)
     while t < limit:
+        # the first entry of least absolute value; nothing beats a unit
         piv = None
+        best = 0
         for i in range(t, k):
+            si = s[i]
             for j in range(t, n):
-                a = s[i][j]
-                if a and (piv is None or abs(a) < abs(s[piv[0]][piv[1]])):
-                    piv = (i, j)
+                a = si[j]
+                if a and (piv is None or abs(a) < best):
+                    piv, best = (i, j), abs(a)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         swap_rows(t, piv[0])
@@ -116,21 +136,22 @@ def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None):
                         dirty = True
             if dirty:
                 continue
+            st = s[t]
             for j in range(t + 1, n):
-                if s[t][j]:
-                    col_sub(j, t, s[t][j] // s[t][t])
-                    if s[t][j]:
+                if st[j]:
+                    col_sub(j, t, st[j] // st[t])
+                    if st[j]:
                         swap_cols(t, j)
                         dirty = True
-            if dirty:
-                continue
-            if all(s[i][t] == 0 for i in range(t + 1, k)):
+            if not dirty:  # the row pass left column t clear below the pivot
                 break
         # pivot must divide every remaining entry for the divisor chain
+        pivot = s[t][t]
         offender = None
-        for i in range(t + 1, k):
+        for i in range(t + 1, k) if abs(pivot) > 1 else ():
+            si = s[i]
             for j in range(t + 1, n):
-                if s[i][j] % s[t][t]:
+                if si[j] % pivot:
                     offender = i
                     break
             if offender is not None:
@@ -138,28 +159,23 @@ def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None):
         if offender is not None:
             row_sub(t, offender, -1)
             continue
-        if s[t][t] < 0:
-            for c in range(n):
-                s[t][c] = -s[t][c]
-            for c in range(k):
-                u[t][c] = -u[t][c]
+        if pivot < 0:
+            st = s[t]
+            for c in range(t, n):
+                st[c] = -st[c]
+            u[t] = [-a for a in u[t]]
         t += 1
 
-    freeze = lambda m: tuple(tuple(r) for r in m)
-    return freeze(s), freeze(u), freeze(v)
+    return tuple(map(tuple, s)), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 def invariant_factors(matrix: Iterable[Sequence[int]], width: Optional[int] = None) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith form, in divisor-chain order."""
-    rows = _as_int_rows(matrix)
+    rows = list(matrix)
     if not rows:
         return ()
     s, _, _ = snf(rows, width)
-    out = []
-    for i in range(min(len(s), len(s[0]) if s else 0)):
-        if s[i][i]:
-            out.append(s[i][i])
-    return tuple(out)
+    return tuple(s[i][i] for i in range(min(len(s), len(s[0]))) if s[i][i])
 
 
 def _to_fraction(value) -> Fraction:
@@ -238,8 +254,7 @@ class CongruenceCoset:
 
     @classmethod
     def point(cls, p: TorusPoint) -> "CongruenceCoset":
-        n = p.dim
-        return cls(n, tuple(tuple(_identity(n)[i]) for i in range(n)), tuple(p.coords))
+        return cls(p.dim, tuple(map(tuple, _identity(p.dim))), p.coords)
 
     @classmethod
     def pinned(cls, ambient_dim: int, values: dict[int, Fraction]) -> "CongruenceCoset":
@@ -274,78 +289,98 @@ class CongruenceCoset:
         return CongruenceCoset(self.ambient_dim, self.rows + other.rows, self.rhs + other.rhs)
 
     def normalize(self) -> Optional["NormalizedCoset"]:
-        """Canonical form, or None when the system is inconsistent (empty set)."""
-        return normalize_system(self.ambient_dim, self.rows, self.rhs)
+        """Canonical form, or None when the system is inconsistent (empty set).
+
+        Inserts the rows of (A | L·b), L the common denominator of b, into the
+        empty basis: a Hermite form with positive pivots and the entries above
+        each pivot reduced into [0, pivot).  A row that reduces to zero must
+        have an integral right-hand side, which is exactly the emptiness test.
+        """
+        order = math.lcm(*(b.denominator for b in self.rhs))
+        basis: dict[int, Row] = {}
+        for r, b in zip(self.rows, self.rhs):
+            if _insert(basis, (*r, b.numerator * (order // b.denominator)), order) == _EMPTY:
+                return None
+        return _hermite(self.ambient_dim, basis, order)
 
 
-def normalize_system(width: int, rows: Sequence[Sequence[int]],
-                     rhs: Sequence[Fraction]) -> Optional["NormalizedCoset"]:
-    """Canonical form of {x in (R/Z)^width : A·x ≡ b}, or None when it is empty.
+Row = Sequence[int]  # (a_1, ..., a_N, L·b): one equation over a modulus L
 
-    Row-reduces (A | b) by unimodular row operations to a Hermite form
-    with positive pivots and the entries above each pivot reduced into
-    [0, pivot); zero rows must have integral right-hand sides, which is
-    exactly the emptiness test.  The rows must already be integers and the
-    right-hand side Fractions, as in a :class:`CongruenceCoset` or a
-    :class:`NormalizedCoset`; nothing is coerced, so stacked normalized
-    systems (the meets of a union) go straight in.
+# outcomes of inserting one row into an echelon basis
+_IMPLIED, _ADDED, _EMPTY = 0, 1, 2
+
+
+def _insert(basis: dict[int, Row], row: Row, modulus: int) -> int:
+    """Insert one row of ``(A | L·b)`` into an echelon basis.
+
+    ``basis`` maps each pivot column to its row; rows are never changed in
+    place, so a basis may share its rows.  At the leading column of the
+    row, a pivot dividing the entry clears it; otherwise Euclid against the
+    pivot row leaves their gcd in a new pivot row and carries the remainder
+    on.  A column without a pivot row takes the row as its pivot.  Returns
+    ``_EMPTY`` when the row reduces to zero with a right-hand side nonzero
+    modulo ``modulus`` (the system has no point), ``_IMPLIED`` when it
+    reduces to zero leaving the basis as it was, and ``_ADDED`` otherwise.
     """
-    n = width
-    # integer arithmetic throughout: (A | L·b) with L the common denominator
-    order = math.lcm(*(b.denominator for b in rhs))
-    work = [list(r) + [b.numerator * (order // b.denominator)] for r, b in zip(rows, rhs)]
-    k = len(work)
-
-    def sub(i: int, j: int, q: int) -> None:
-        ri, rj = work[i], work[j]
-        for c in range(n + 1):
-            ri[c] -= q * rj[c]
-
-    rank = 0
+    n = len(row) - 1
+    outcome = _IMPLIED
     for c in range(n):
-        while True:
-            piv = None
-            for i in range(rank, k):
-                a = work[i][c]
-                if a and (piv is None or abs(a) < abs(work[piv][c])):
-                    piv = i
-            if piv is None:
-                break
-            work[rank], work[piv] = work[piv], work[rank]
-            clean = True
-            for i in range(rank + 1, k):
-                if work[i][c]:
-                    sub(i, rank, work[i][c] // work[rank][c])
-                    if work[i][c]:
-                        clean = False
-            if clean:
-                break
-        if rank < k and work[rank][c]:
-            if work[rank][c] < 0:
-                work[rank] = [-a for a in work[rank]]
-            for i in range(rank):
-                q = work[i][c] // work[rank][c]
-                if q:
-                    sub(i, rank, q)
-            rank += 1
-    for i in range(rank, k):
-        if work[i][n] % order:
-            return None
-    hrows = tuple(tuple(r[:n]) for r in work[:rank])
-    hrhs = tuple(Fraction(r[n] % order, order) for r in work[:rank])
-    return NormalizedCoset(ambient_dim=n, rows=hrows, rhs=hrhs)
+        a = row[c]
+        if not a:
+            continue
+        piv = basis.get(c)
+        if piv is None:
+            basis[c] = row
+            return _ADDED
+        p = piv[c]
+        if a % p == 0:
+            q = a // p
+            row = [x - q * y for x, y in zip(row, piv)]
+            continue
+        while row[c]:
+            q = piv[c] // row[c]
+            piv, row = row, [x - q * y for x, y in zip(piv, row)]
+        basis[c] = piv
+        outcome = _ADDED
+    return _EMPTY if row[n] % modulus else outcome
+
+
+def _hermite(width: int, basis: dict[int, Row], modulus: int) -> "NormalizedCoset":
+    """The canonical form of an inserted basis: rows in pivot order, positive
+    pivots, entries above each pivot reduced into [0, pivot), and the
+    right-hand side over its exact order."""
+    cols = sorted(basis)
+    rows = [basis[c] for c in cols]
+    for i, c in enumerate(cols):
+        r = rows[i]
+        if r[c] < 0:
+            r = rows[i] = [-a for a in r]
+        p = r[c]
+        for j in range(i):
+            q = rows[j][c] // p
+            if q:
+                rows[j] = [a - q * b for a, b in zip(rows[j], r)]
+    nums = [r[width] % modulus for r in rows]
+    g = math.gcd(modulus, *nums)
+    return NormalizedCoset(width, tuple(tuple(r[:width]) for r in rows),
+                           tuple(m // g for m in nums), modulus // g)
 
 
 @dataclass(frozen=True)
 class NormalizedCoset:
-    """Canonicalized nonempty coset: independent rows in Hermite form.
+    """Canonicalized nonempty coset {x : H·x ≡ nums/order}, H in Hermite form.
 
-    The component count is computed on first use.
+    The rows of H are independent; ``order`` is the translate order (the
+    smallest m > 0 with m·b integral: a connected coset meets the d-torsion
+    grid exactly when it divides d), and every entry of ``nums`` lies in
+    [0, order) with gcd(order, *nums) = 1, so equal cosets have equal
+    fields.  The component count is computed on first use.
     """
 
     ambient_dim: int
     rows: IntMatrix
-    rhs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    order: int
 
     @cached_property
     def component_count(self) -> int:
@@ -357,6 +392,11 @@ class NormalizedCoset:
         return math.prod(invariant_factors(self.rows, self.ambient_dim))
 
     @property
+    def rhs(self) -> tuple[Fraction, ...]:
+        """The translate as Fractions in [0, 1)."""
+        return tuple(Fraction(m, self.order) for m in self.nums)
+
+    @property
     def rank(self) -> int:
         return len(self.rows)
 
@@ -364,16 +404,35 @@ class NormalizedCoset:
     def dim(self) -> int:
         return self.ambient_dim - self.rank
 
-    @property
-    def translate_order(self) -> int:
-        """Order of the translate part: the smallest m > 0 with m·b integral.
+    @cached_property
+    def _basis(self) -> dict[int, Row]:
+        """The rows of (H | nums) by pivot column: the basis a meet starts from."""
+        return {next(c for c, a in enumerate(r) if a): (*r, m) for r, m in zip(self.rows, self.nums)}
 
-        A connected coset meets the d-torsion grid exactly when this order
-        divides d, so it already determines the counting behaviour.
+    def meet(self, other: "NormalizedCoset") -> Optional["NormalizedCoset"]:
+        """The normalized intersection, or None when it is empty.
+
+        The rows of ``other`` are inserted into the rows of ``self`` over the
+        lcm of their orders; when every one of them is implied by ``self``,
+        the meet is ``self`` itself.
         """
-        return math.lcm(*(b.denominator for b in self.rhs)) if self.rhs else 1
+        if other.ambient_dim != self.ambient_dim:
+            raise DimensionMismatch("cannot intersect cosets of different ambient dimension")
+        modulus = math.lcm(self.order, other.order)
+        scale = modulus // self.order
+        basis = dict(self._basis) if scale == 1 else \
+            {c: (*r[:-1], r[-1] * scale) for c, r in self._basis.items()}
+        scale = modulus // other.order
+        added = False
+        for r, m in zip(other.rows, other.nums):
+            outcome = _insert(basis, (*r, m * scale), modulus)
+            if outcome == _EMPTY:
+                return None
+            added = added or outcome == _ADDED
+        return _hermite(self.ambient_dim, basis, modulus) if added else self
 
     def __neg__(self) -> "NormalizedCoset":
-        """The coset {-x : x in self}: the right-hand side negates, and stays
-        canonical once reduced into [0, 1)."""
-        return NormalizedCoset(self.ambient_dim, self.rows, tuple(-b % 1 for b in self.rhs))
+        """The coset {-x : x in self}: the translate negates, and stays
+        canonical once reduced into [0, order)."""
+        return NormalizedCoset(self.ambient_dim, self.rows,
+                               tuple(-m % self.order for m in self.nums), self.order)

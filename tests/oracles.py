@@ -41,6 +41,19 @@ def brute_force_torsion_count(components, d: int) -> int:
     return count
 
 
+def brute_force_torsion_points(coset, d: int) -> set[tuple[int, ...]]:
+    """The residues y in (Z/d)^N with y/d on the coset, by enumeration."""
+    n = coset.ambient_dim
+    rows = []
+    for row, b in zip(coset.rows, coset.rhs):
+        db = b * d
+        if db.denominator != 1:
+            return set()
+        rows.append((row, db.numerator % d))
+    return {ys for ys in product(range(d), repeat=n)
+            if all(sum(a * y for a, y in zip(row, ys)) % d == c for row, c in rows)}
+
+
 def smallest_torsion_order(components) -> int:
     """Smallest d at which one of the (nonempty) cosets has a point of order
     dividing d, by enumeration at d = 1, 2, ..."""

@@ -68,7 +68,7 @@ def test_criterion_02_connected_coset_dichotomy():
             for d in range(1, 7):
                 value = union_torsion_count([coset], d)
                 assert value in (0, d ** nc.dim)
-                assert (value > 0) == (d % nc.translate_order == 0)
+                assert (value > 0) == (d % nc.order == 0)
 
 
 def test_criterion_03_blowup_fourfold_values():

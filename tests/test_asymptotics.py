@@ -86,7 +86,7 @@ class TestFitBound:
                         fit = fit_bound(model, p, q, bound, 4)
                         if fit.passes:
                             continue
-                        orders = [nc.translate_order for nc, _ in model.hodge[p][q].effective_strata()]
+                        orders = [nc.order for nc, _ in model.hodge[p][q].effective_strata()]
                         step = max(orders, default=1)
                         ds = [8 * step, 16 * step]
                         seq = normalized_sequence(model, ("hodge", p, q), ds)

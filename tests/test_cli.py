@@ -197,6 +197,68 @@ class TestBadFlags:
         assert f"error: {flag} needs a comma list of positive integers" in captured.err
         assert "invalid literal" not in captured.err
 
+    def test_pluri_beyond_the_data_writes_nothing(self, tmp_path, capsys):
+        # abelian pluri data stop at m = 6
+        target = tmp_path / "tower.csv"
+        for extra in ([], ["--out", str(target)]):
+            assert main(["tower", "--builtin", "abelian", "--pluri", "2,7", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--pluri 7: no plurigenus data for m = 7" in captured.err
+        assert not target.exists()
+        assert main(["tower", "--builtin", "abelian", "--pluri", "6", "--out", str(target)]) == 0
+        assert target.read_text().startswith("schema,d,deg,")
+
+    @pytest.mark.parametrize("name,params", [("abelian", "g=2"), ("fibered_over_curve", "genus=2")])
+    def test_pluri_one_is_the_geometric_genus(self, capsys, name, params):
+        # m = 1 needs no pluri data: fibered_over_curve carries none
+        argv = ["tower", "--builtin", name, "--params", params, "--d-max", "3", "--pluri", "1"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        n = builtin(name, **{k: int(v) for k, v in [params.split("=")]}).model.n
+        assert len(rows) == 3
+        assert all(row["P_1"] == row[f"h_{n}_0"] for row in rows)
+
+    def test_count_failures_write_nothing(self, capsys):
+        # the cap fails at the second d only, the budget at every d
+        argv = ["count", "--builtin", "abelian", "--i", "0,1", "--d", "2,100", "--enumerate"]
+        assert main(["--enum-cap", "1000", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "enumerating 100^2 points exceeds the cap of 1000" in captured.err
+        assert main(["--enum-cap", "1000", *argv[:-2], "2"]) == 0
+        assert capsys.readouterr().out.startswith("# jump locus of (0,1)")
+        argv = ["count", "--builtin", "blowup_abelian_codim", "--i", "1,1", "--d", "2"]
+        assert main(["--budget", "1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2 components exceed the component budget of 1" in captured.err
+        assert main(["--budget", "2", *argv]) == 0
+
+    def test_check_d_max_below_two(self, capsys):
+        assert main(["check", "--builtin", "abelian", "--d-max", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--d-max must be at least 2, got 1" in captured.err
+        assert main(["check", "--builtin", "abelian", "--d-max", "2"]) == 0
+
+    @pytest.mark.parametrize("flag,value", [("--budget", "0"), ("--budget", "-1"),
+                                            ("--enum-cap", "0"), ("--enum-cap", "-1")])
+    def test_global_caps_below_one(self, capsys, flag, value):
+        argv = [flag, value, "count", "--builtin", "abelian", "--i", "0,0", "--d", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} must be a positive integer, got {value}" in captured.err
+        assert main([flag, "1", *argv[2:]]) == 0
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        for argv in (["tower", "--builtin", "abelian"], ["export", "--builtin", "abelian"]):
+            assert main([*argv, "--out", str(tmp_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"cannot write {tmp_path}" in captured.err
+
     def test_catalog_parameters_capped(self, capsys):
         assert main(["validate", "--builtin", "abelian", "--params", "g=65"]) == 2
         assert "abelian: n = 65, g = 65 exceed the caps" in capsys.readouterr().err

@@ -64,7 +64,7 @@ class TestCosetTorsionCount:
             coset, _ = random_connected_coset(rng, n)
             nc = coset.normalize()
             assert nc.component_count == 1
-            order = nc.translate_order
+            order = nc.order
             for d in range(1, 7):
                 value = coset_torsion_count(coset, d).value
                 assert value in (0, d ** nc.dim)
@@ -257,3 +257,30 @@ class TestSignedMeets:
             for d in (1, 3, 6):
                 assert union_torsion_count(comps, d) == brute_force_torsion_count(comps, d)
         assert union_meets([]) == ()
+
+
+class TestLargeUnions:
+    """Unions of r = 16 and 20 codimension-1 and -2 cosets of (R/Z)^4, within a
+    budget of 20, against enumeration at small d."""
+
+    @staticmethod
+    def _sparse_coset(rng, n, codim):
+        rows = []
+        for _ in range(codim):
+            row = [0] * n
+            for j in rng.sample(range(n), 3):
+                row[j] = rng.choice((-2, -1, 1, 2))
+            rows.append(row)
+        return CongruenceCoset.of(n, rows, [Fraction(rng.randint(0, 1), 2) for _ in rows])
+
+    @pytest.mark.parametrize("r", [16, 20])
+    def test_against_enumeration(self, r):
+        rng = random.Random(1600 + r)
+        for _ in range(2):
+            comps = [self._sparse_coset(rng, 4, rng.choice((1, 2))) for _ in range(r)]
+            normalized = [nc for nc in (c.normalize() for c in comps) if nc is not None]
+            assert len(union_meets(normalized)) > r
+            for d in (1, 2, 3, 4, 6):
+                assert union_torsion_count(comps, d, budget=20) == brute_force_torsion_count(comps, d)
+            with pytest.raises(ComponentBudgetExceeded):
+                union_torsion_count(comps, 2, budget=r - 1)

@@ -1,5 +1,6 @@
 """Exact torus linear algebra: Smith form, normalization, intersection."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from jumploci import (
     snf,
 )
 from gen import random_coset, random_nonempty_coset, random_point
-from oracles import hermite_point, integer_det
+from oracles import brute_force_torsion_points, hermite_point, integer_det
 
 
 def matmul(a, b):
@@ -106,7 +107,7 @@ class TestNormalize:
 
     def test_translate_order(self):
         coset = CongruenceCoset.pinned(3, {0: Fraction(1, 2), 2: Fraction(2, 3)})
-        assert coset.normalize().translate_order == 6
+        assert coset.normalize().order == 6
 
     def test_idempotent_random(self):
         rng = random.Random(7341)
@@ -213,3 +214,90 @@ class TestIntersection:
             CongruenceCoset.full_torus(2).contains(TorusPoint.zero(3))
         with pytest.raises(DimensionMismatch):
             CongruenceCoset.of(2, [[1, 0]], [0, 0])
+
+
+class TestNormalizedCosetFields:
+    def test_integer_translate_is_canonical(self):
+        rng = random.Random(3301)
+        done = 0
+        while done < 80:
+            coset = random_coset(rng, rng.randint(1, 4), max_den=12)
+            nc = coset.normalize()
+            if nc is None:
+                continue
+            done += 1
+            assert len(nc.nums) == nc.rank
+            assert all(0 <= m < nc.order for m in nc.nums)
+            assert math.gcd(nc.order, *nc.nums) == 1
+            assert nc.rhs == tuple(Fraction(m, nc.order) for m in nc.nums)
+            assert all(type(m) is int for m in nc.nums)
+            # the Fraction translate round-trips through a congruence system
+            assert CongruenceCoset(nc.ambient_dim, nc.rows, nc.rhs).normalize() == nc
+
+    def test_negation(self):
+        rng = random.Random(1729)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            nc = random_nonempty_coset(rng, n, max_den=6).normalize()
+            neg = -nc
+            assert neg.rows == nc.rows and neg.order == nc.order
+            assert neg.rhs == tuple(-b % 1 for b in nc.rhs)
+            assert -neg == nc
+            for d in (1, 2, 3, 6):
+                points = brute_force_torsion_points(nc, d)
+                assert brute_force_torsion_points(neg, d) == {tuple(-y % d for y in ys) for ys in points}
+
+    def test_full_torus(self):
+        nc = CongruenceCoset.full_torus(3).normalize()
+        assert (nc.rows, nc.nums, nc.order) == ((), (), 1)
+
+
+class TestMeet:
+    def test_against_enumeration(self):
+        # the torsion points of a meet are the common torsion points
+        rng = random.Random(8675)
+        empty = nonempty = 0
+        while nonempty < 80:
+            n = rng.randint(1, 3)
+            x = random_nonempty_coset(rng, n, max_rows=2, span=3, max_den=4).normalize()
+            y = random_nonempty_coset(rng, n, max_rows=2, span=3, max_den=4).normalize()
+            meet = x.meet(y)
+            if meet is None:
+                empty += 1
+            else:
+                nonempty += 1
+                assert meet == CongruenceCoset(n, x.rows + y.rows, x.rhs + y.rhs).normalize()
+            for d in range(1, 7):
+                common = brute_force_torsion_points(x, d) & brute_force_torsion_points(y, d)
+                if meet is None:
+                    assert not common
+                else:
+                    assert brute_force_torsion_points(meet, d) == common
+        assert empty > 5
+
+    def test_symmetric_idempotent_and_full_torus_neutral(self):
+        rng = random.Random(4242)
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            x = random_nonempty_coset(rng, n).normalize()
+            y = random_nonempty_coset(rng, n).normalize()
+            full = CongruenceCoset.full_torus(n).normalize()
+            assert x.meet(y) == y.meet(x)
+            assert x.meet(x) == x
+            assert x.meet(full) == x
+            assert full.meet(x) == x
+
+    def test_nested_and_disjoint(self):
+        line = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 3)]).normalize()
+        point = CongruenceCoset.point(TorusPoint.of([Fraction(1, 3), Fraction(1, 2)])).normalize()
+        assert line.meet(point) == point and point.meet(line) == point
+        other = CongruenceCoset.of(2, [[1, 0]], [Fraction(2, 3)]).normalize()
+        assert line.meet(other) is None
+        # 2·x0 ≡ 1/2 and x0 ≡ 1/4 meet in the line x0 = 1/4 over lcm(2, 4)
+        double = CongruenceCoset.of(2, [[2, 0]], [Fraction(1, 2)]).normalize()
+        quarter = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 4)]).normalize()
+        assert double.meet(quarter) == quarter
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            CongruenceCoset.full_torus(2).normalize().meet(CongruenceCoset.full_torus(3).normalize())
