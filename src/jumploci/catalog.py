@@ -47,8 +47,10 @@ class CatalogEntry:
 
 def _origin_grid(n: int, torus_dim: int, origin_value: Callable[[int, int], int],
                  generic_value: Callable[[int, int], int] = lambda p, q: 0):
+    # one origin coset for the grid: each one coerces a full identity matrix
+    origin = CongruenceCoset.point(TorusPoint.zero(torus_dim))
     return tuple(
-        tuple(origin_jump(torus_dim, generic_value(p, q), origin_value(p, q))
+        tuple(RankFunction(torus_dim, generic_value(p, q), (Stratum(origin, origin_value(p, q)),))
               if origin_value(p, q) > generic_value(p, q)
               else constant_rank(torus_dim, generic_value(p, q))
               for q in range(n + 1))

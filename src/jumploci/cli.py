@@ -307,43 +307,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--d", required=True, help="comma list of cover indices")
     p_count.add_argument("--enumerate", action="store_true",
                          help="also list the torsion points (small d only)")
-    p_count.set_defaults(func=cmd_count)
 
     p_tower = sub.add_parser("tower", help="CSV of exact cover invariants")
     _add_model_source(p_tower)
     p_tower.add_argument("--d-max", type=int, default=4, dest="d_max")
     p_tower.add_argument("--pluri", help="comma list of plurigenus exponents to include")
     p_tower.add_argument("--out", help="CSV output path (default: stdout)")
-    p_tower.set_defaults(func=cmd_tower)
 
     p_check = sub.add_parser("check", help="decay bounds, divergence, L2 report")
     _add_model_source(p_check)
     p_check.add_argument("--defect-bound", type=int, default=0, dest="defect_bound")
     p_check.add_argument("--d-max", type=int, default=4, dest="d_max")
-    p_check.set_defaults(func=cmd_check)
 
     p_val = sub.add_parser("validate", help="validate a model and print findings")
     _add_model_source(p_val)
-    p_val.set_defaults(func=cmd_validate)
 
     p_exp = sub.add_parser("export", help="write a model to a model file")
     _add_model_source(p_exp)
     p_exp.add_argument("--out", help="output path (default: stdout)")
-    p_exp.set_defaults(func=cmd_export)
 
     p_list = sub.add_parser("catalog-list", help="list built-in models")
-    p_list.set_defaults(func=cmd_catalog_list)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         for flag, value in (("--budget", args.budget), ("--enum-cap", args.enum_cap)):
             if value < 1:
                 raise EngineError(f"{flag} must be a positive integer, got {value}")
-        return args.func(args)
+        # looked up by name on each call, so a wrapper installed on the module is called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (EngineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -6,13 +6,18 @@ unless d·b is integral.  The count of a modular system is read off the
 Smith form of A.  Neither the Smith form nor the transformed translate
 depends on d, so a coset is compiled once into a :class:`CompiledCoset`
 whose count is a closed form in d, read off one call of
-:func:`~jumploci.torus.snf`.  A union is counted as a signed sum over the
-distinct nonempty meets of its components (Möbius inversion over their
-intersection poset), built one component at a time: each new component's
-rows are inserted into the Hermite rows of every stored meet
-(:meth:`~jumploci.torus.NormalizedCoset.meet`), and meets are keyed by
-their integer Hermite form.  Empty meets are never extended, so the work is
-bounded by the distinct nonempty meets rather than by the 2^r subsets.
+:func:`~jumploci.torus.snf`; only normalized cosets are compiled.
+
+Every count is one :class:`CountForm`: a limit times d^N plus a signed sum
+over compiled distinct nonempty meets (Möbius inversion over their
+intersection poset).  A rank function's form weights the union of each of
+its level sets by the step to the next threshold, and a union of cosets is
+the form of limit 0 with every value 1.  A union is built one component at
+a time: each new component's rows are inserted into the Hermite rows of
+every stored meet (:meth:`~jumploci.torus.NormalizedCoset.meet`), and meets
+are keyed by their integer Hermite form.  Empty meets are never extended,
+so the work is bounded by the distinct nonempty meets rather than by the
+2^r subsets.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, snf
 
 DEFAULT_COMPONENT_BUDGET = 12
 DEFAULT_ENUM_CAP = 10_000_000
-
-SignedMeets = tuple[tuple[int, "CompiledCoset"], ...]
 
 
 @dataclass(frozen=True)
@@ -50,23 +53,24 @@ class CompiledCoset:
     unless L divides d, and otherwise equivalent to
     S·z ≡ (d/L)·U·(L·b) (mod d).  A diagonal entry s contributes gcd(s, d)
     solutions when that divides its transformed right-hand side, and every
-    column without a nonzero pivot contributes d.  Zero pivots and rows
-    beyond the diagonal impose a condition free of d, checked once when
-    compiling: its failure means the coset is empty.
+    column without a pivot contributes d.
     """
 
     order: int                            # L
-    free: int                             # columns without a nonzero pivot
+    free: int                             # columns without a pivot
     torsion: tuple[tuple[int, int], ...]  # (s, (U·L·b)_i mod s) for pivots s > 1
 
     @classmethod
-    def of(cls, coset: CongruenceCoset | NormalizedCoset) -> Optional["CompiledCoset"]:
-        """Compile a coset; None when it is empty (a normalized coset never is)."""
-        if isinstance(coset, NormalizedCoset):
-            return _compile(coset.ambient_dim, coset.rows, coset.nums, coset.order)
-        order = math.lcm(*(b.denominator for b in coset.rhs))
-        return _compile(coset.ambient_dim, coset.rows,
-                        [b.numerator * (order // b.denominator) for b in coset.rhs], order)
+    def of(cls, coset: NormalizedCoset) -> "CompiledCoset":
+        """Compile a normalized coset.  Its rows are independent, so every
+        Smith pivot is nonzero and the coset has dim free columns."""
+        s, u, _ = snf(coset.rows, coset.ambient_dim)
+        torsion = []
+        for i, urow in enumerate(u):
+            pivot = s[i][i]
+            if pivot > 1:  # a unit pivot asks nothing of d
+                torsion.append((pivot, sum(map(operator.mul, urow, coset.nums)) % pivot))
+        return cls(coset.order, coset.dim, tuple(torsion))
 
     def count(self, d: int) -> int:
         """Number of points of order dividing d on the coset (d positive)."""
@@ -98,64 +102,31 @@ class CompiledCoset:
                 return d
 
 
-def _compile(width: int, rows: Sequence[Sequence[int]], scaled: Sequence[int],
-             order: int) -> Optional[CompiledCoset]:
-    """Compile {A·x ≡ scaled/order}; ``order`` must be the exact translate
-    order, the lcm of the denominators of the reduced fractions."""
-    if not rows:
-        return CompiledCoset(order, width, ())
-    s, u, _ = snf(rows, width)
-    free = width
-    torsion = []
-    for i, urow in enumerate(u):
-        pivot = s[i][i] if i < width else 0
-        if pivot == 1:  # a unit pivot asks nothing of d
-            free -= 1
-            continue
-        w = sum(map(operator.mul, urow, scaled))
-        if not pivot:
-            if w % order:
-                return None
-        else:
-            free -= 1
-            torsion.append((pivot, w % pivot))
-    return CompiledCoset(order, free, tuple(torsion))
-
-
 def count_solutions_mod(rows: Sequence[Sequence[int]], rhs: Sequence[int], modulus: int,
                         *, width: int | None = None) -> int:
-    """|{y in (Z/m)^N : A·y ≡ c (mod m)}| via the Smith form of A.
-
-    This is the number of m-torsion points on the coset {A·x ≡ c/m}.
-    """
+    """|{y in (Z/m)^N : A·y ≡ c (mod m)}|: the number of m-torsion points on
+    the coset {A·x ≡ c/m}, whose ambient dimension is ``width`` when given."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    k = len(rows)
-    if k != len(rhs):
-        raise DimensionMismatch("right-hand side length differs from the row count")
-    if k == 0 and width is None:
-        raise DimensionMismatch("width required for a system with no rows")
-    n = len(rows[0]) if k else width
-    if width is not None and width != n:
-        raise DimensionMismatch("width disagrees with row length")
-    scaled = [int(c) for c in rhs]
-    common = math.gcd(modulus, *scaled)
-    compiled = _compile(n, rows, [c // common for c in scaled], modulus // common)
-    return compiled.count(modulus) if compiled else 0
+    if width is None:
+        if not rows:
+            raise DimensionMismatch("width required for a system with no rows")
+        width = len(rows[0])
+    coset = CongruenceCoset.of(width, rows, [Fraction(int(c), modulus) for c in rhs])
+    return coset_torsion_count(coset, modulus).value
 
 
 def coset_torsion_count(coset: CongruenceCoset, d: int) -> TorsionCount:
     """Number of points of order dividing d on the coset, exactly.
 
-    Zero unless d·b is integral (the only way a coset can miss the whole
-    d-torsion grid); otherwise the modular count above.  For a nonempty
-    connected coset the result is d^dim when the translate order divides d
-    and 0 otherwise.
+    Zero when the coset is empty; otherwise the closed form of its
+    normalized coset.  For a nonempty connected coset the result is d^dim
+    when the translate order divides d and 0 otherwise.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    compiled = CompiledCoset.of(coset)
-    return TorsionCount(d, compiled.count(d) if compiled else 0)
+    nc = coset.normalize()
+    return TorsionCount(d, CompiledCoset.of(nc).count(d) if nc is not None else 0)
 
 
 def check_union(components: Sequence[CongruenceCoset], budget: int) -> None:
@@ -171,7 +142,7 @@ def check_union(components: Sequence[CongruenceCoset], budget: int) -> None:
             f"{len(components)} components exceed the component budget of {budget}")
 
 
-def signed_union(components: Sequence[NormalizedCoset]) -> dict[NormalizedCoset, int]:
+def _signed_union(components: Sequence[NormalizedCoset]) -> dict[NormalizedCoset, int]:
     """Signed terms of a union, keyed by meet: 1_union = Σ coefficient·1_meet.
 
     Components are added one at a time, using
@@ -180,7 +151,7 @@ def signed_union(components: Sequence[NormalizedCoset]) -> dict[NormalizedCoset,
     rows (:meth:`NormalizedCoset.meet`).  Meets are keyed by their integer
     Hermite form, so equal meets merge and terms whose coefficients cancel
     are dropped; an empty meet is never extended.  There is one term per
-    distinct nonempty meet at most.  Callers run :func:`check_union` first.
+    distinct nonempty meet at most.
     """
     terms: dict[NormalizedCoset, int] = {}
     for comp in components:
@@ -198,33 +169,6 @@ def signed_union(components: Sequence[NormalizedCoset]) -> dict[NormalizedCoset,
     return terms
 
 
-def union_meets(components: Sequence[NormalizedCoset]) -> SignedMeets:
-    """The terms of :func:`signed_union`, each compiled once."""
-    return tuple((c, CompiledCoset.of(x)) for x, c in signed_union(components).items())
-
-
-def meets_count(meets: SignedMeets, d: int) -> int:
-    """Signed sum of the torsion counts of compiled meets (d positive)."""
-    return sum(coefficient * compiled.count(d) for coefficient, compiled in meets)
-
-
-def meets_polynomial(meets: SignedMeets) -> dict[int, int]:
-    """The count of a union at every sufficiently divisible d, as a polynomial.
-
-    Once d is divisible by every translate order and every Smith pivot, a
-    compiled meet has Π s · d^free points, Π s being its number of connected
-    components; the result maps each exponent to its nonzero coefficient.
-    For unions U ⊆ V, U = V exactly when their polynomials agree: a
-    component of V not inside U meets U in lower dimension, so it leaves a
-    positive leading term in the difference.
-    """
-    poly: dict[int, int] = {}
-    for coefficient, compiled in meets:
-        poly[compiled.free] = poly.get(compiled.free, 0) + \
-            coefficient * math.prod(s for s, _ in compiled.torsion)
-    return {e: c for e, c in poly.items() if c}
-
-
 @dataclass(frozen=True)
 class CountForm:
     """A rank sum on (R/Z)^N in closed form: h(d) = limit·d^N + Σ c·count(d)
@@ -232,11 +176,50 @@ class CountForm:
 
     ambient_dim: int
     limit: int
-    terms: SignedMeets
+    terms: tuple[tuple[int, CompiledCoset], ...]
+
+    @classmethod
+    def of(cls, ambient_dim: int, limit: int,
+           strata: Sequence[tuple[NormalizedCoset, int]]) -> "CountForm":
+        """The form of h = max(limit, values of the strata containing the point).
+
+        With thresholds t above the limit in increasing order,
+        h = limit + Σ_t (t − t_prev)·1_{h ≥ t}, and each level set
+        {h ≥ t} is the union of the strata reaching t (:func:`_signed_union`).
+        Terms are merged by Hermite form and each compiled once.  A union of
+        cosets is the form of limit 0 with every value 1.  Callers run
+        :func:`check_union` first.
+        """
+        terms: dict[NormalizedCoset, int] = {}
+        prev = limit
+        for t in sorted({value for _, value in strata if value > limit}):
+            for x, c in _signed_union([nc for nc, value in strata if value >= t]).items():
+                terms[x] = terms.get(x, 0) + (t - prev) * c
+            prev = t
+        return cls(ambient_dim, limit,
+                   tuple((c, CompiledCoset.of(x)) for x, c in terms.items() if c))
 
     def count(self, d: int) -> int:
         """h summed over the points of order dividing d (d positive)."""
-        return (self.limit * d ** self.ambient_dim if self.limit else 0) + meets_count(self.terms, d)
+        return (self.limit * d ** self.ambient_dim if self.limit else 0) + \
+            sum(c * compiled.count(d) for c, compiled in self.terms)
+
+    @property
+    def polynomial(self) -> dict[int, int]:
+        """The count at every sufficiently divisible d, as a polynomial.
+
+        Once d is divisible by every translate order and every Smith pivot, a
+        compiled meet has Π s · d^free points, Π s being its number of
+        connected components; the result maps each exponent to its nonzero
+        coefficient.  For unions U ⊆ V, U = V exactly when their polynomials
+        agree: a component of V not inside U meets U in lower dimension, so it
+        leaves a positive leading term in the difference.
+        """
+        poly = {self.ambient_dim: self.limit}
+        for c, compiled in self.terms:
+            poly[compiled.free] = poly.get(compiled.free, 0) + \
+                c * math.prod(s for s, _ in compiled.torsion)
+        return {e: c for e, c in poly.items() if c}
 
     @property
     def top_exponent(self) -> int:
@@ -265,8 +248,8 @@ def union_torsion_count(components: Sequence[CongruenceCoset], d: int,
         raise ValueError("d must be positive")
     comps = list(components)
     check_union(comps, budget)
-    normalized = [nc for nc in (c.normalize() for c in comps) if nc is not None]
-    return meets_count(union_meets(normalized), d)
+    normalized = [(nc, 1) for nc in (c.normalize() for c in comps) if nc is not None]
+    return CountForm.of(comps[0].ambient_dim if comps else 0, 0, normalized).count(d)
 
 
 def check_enumeration(n: int, d: int, cap: int) -> None:

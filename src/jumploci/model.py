@@ -20,8 +20,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .counting import (DEFAULT_COMPONENT_BUDGET, CompiledCoset, CountForm, check_union,
-                       meets_polynomial, signed_union, union_meets)
+from .counting import DEFAULT_COMPONENT_BUDGET, CountForm, check_union
 from .errors import ComponentBudgetExceeded, DimensionMismatch, MissingStratification
 from .torus import CongruenceCoset, NormalizedCoset, TorusPoint
 
@@ -66,16 +65,7 @@ class RankFunction:
 
     @cached_property
     def _count_form(self) -> CountForm:
-        terms: dict[NormalizedCoset, int] = {}
-        prev = self.limit
-        for t in sorted({value for _, value in self.strata if value > self.limit}):
-            level = [nc for (_, value), nc in zip(self.strata, self.normalized_strata)
-                     if value >= t and nc is not None]
-            for x, c in signed_union(level).items():
-                terms[x] = terms.get(x, 0) + (t - prev) * c
-            prev = t
-        return CountForm(self.ambient_dim, self.limit,
-                         tuple((c, CompiledCoset.of(x)) for x, c in terms.items() if c))
+        return CountForm.of(self.ambient_dim, self.limit, self.effective_strata())
 
     def count_form(self, budget: int) -> CountForm:
         """The limit and the signed compiled meets of the level sets above it,
@@ -245,7 +235,7 @@ def _level_polynomial(rf: RankFunction, t: int, budget: int) -> dict[int, int]:
     if t <= rf.generic_value:
         return {rf.ambient_dim: 1}
     check_union([coset for coset, value in rf.strata if value >= t], budget)
-    return meets_polynomial(union_meets(list(_level_components(rf, t))))
+    return CountForm.of(rf.ambient_dim, 0, [(nc, 1) for nc in _level_components(rf, t)]).polynomial
 
 
 def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[int]:
@@ -255,7 +245,7 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
     Both functions take only their generic and stratum values, so these
     thresholds decide it.  Equal sets of normalized cosets are equal level
     sets.  Otherwise U = {f >= t} and V = -{g >= t} are equal exactly when
-    U, V and U ∩ V have the same count polynomial (:func:`meets_polynomial`);
+    U, V and U ∩ V have the same count polynomial (:attr:`CountForm.polynomial`);
     U ∩ V is the union of the pairwise meets of their cosets.  Raises
     ComponentBudgetExceeded when a level set to be counted exceeds the
     budget.
@@ -271,7 +261,7 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
         if poly != _level_polynomial(g, t, budget):
             return t
         meets = [x.meet(y) for x in u for y in v]
-        if meets_polynomial(union_meets([m for m in meets if m is not None])) != poly:
+        if CountForm.of(f.ambient_dim, 0, [(m, 1) for m in meets if m is not None]).polynomial != poly:
             return t
     return None
 

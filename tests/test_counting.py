@@ -11,13 +11,14 @@ from jumploci import (
     CompiledCoset,
     ComponentBudgetExceeded,
     CongruenceCoset,
+    DimensionMismatch,
     TorusPoint,
     coset_torsion_count,
     count_solutions_mod,
     enumerate_torsion,
     union_torsion_count,
 )
-from jumploci.counting import union_meets
+from jumploci.counting import CountForm
 from gen import random_connected_coset, random_coset, random_nonempty_coset
 from oracles import brute_force_torsion_count
 
@@ -38,6 +39,23 @@ class TestCountSolutionsMod:
         # the zero row encodes a pure compatibility condition
         assert count_solutions_mod([[1, 1], [2, 2]], [1, 2], 6) == 6
         assert count_solutions_mod([[1, 1], [2, 2]], [1, 3], 6) == 0
+
+    def test_bad_modulus(self):
+        for modulus in (0, -3):
+            with pytest.raises(ValueError):
+                count_solutions_mod([[1, 0]], [0], modulus)
+
+    def test_rhs_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            count_solutions_mod([[1, 0], [0, 1]], [0], 4)
+
+    def test_width_disagrees_with_rows(self):
+        with pytest.raises(DimensionMismatch):
+            count_solutions_mod([[1, 0]], [0], 4, width=3)
+
+    def test_no_rows_needs_width(self):
+        with pytest.raises(DimensionMismatch):
+            count_solutions_mod((), (), 4)
 
 
 class TestCosetTorsionCount:
@@ -73,14 +91,25 @@ class TestCosetTorsionCount:
 
 class TestCompiledCoset:
     def test_emptiness_matches_normalize(self):
+        # an empty coset has no point on any grid; a nonempty one has points
+        # at its min_order, confirmed by enumeration when that grid is small
         rng = random.Random(5040)
-        empty = 0
+        empty = witnessed = 0
         for _ in range(300):
-            coset = random_coset(rng, rng.randint(1, 4))
-            compiled = CompiledCoset.of(coset)
-            assert (compiled is None) == (coset.normalize() is None)
-            empty += compiled is None
-        assert 0 < empty < 300
+            n = rng.randint(1, 4)
+            coset = random_coset(rng, n)
+            nc = coset.normalize()
+            if nc is None:
+                empty += 1
+                for d in range(1, 13):
+                    if d ** n <= 2000:
+                        assert brute_force_torsion_count([coset], d) == 0
+            else:
+                d = CompiledCoset.of(nc).min_order
+                if d ** n <= 2000:
+                    assert brute_force_torsion_count([coset], d) > 0
+                    witnessed += 1
+        assert empty > 0 and witnessed > 200
 
     def test_min_order_against_enumeration(self):
         # points of order dividing d exist exactly at the multiples of
@@ -90,9 +119,10 @@ class TestCompiledCoset:
         beyond_translate_order = done = 0
         while done < 60:
             coset = random_coset(rng, rng.randint(1, 3), max_rows=2, span=4, max_den=4)
-            compiled = CompiledCoset.of(coset)
-            if compiled is None:
+            nc = coset.normalize()
+            if nc is None:
                 continue
+            compiled = CompiledCoset.of(nc)
             done += 1
             for d in range(1, 2 * compiled.min_order + 1):
                 assert (brute_force_torsion_count([coset], d) > 0) == (d % compiled.min_order == 0)
@@ -200,6 +230,10 @@ def _distinct_nonempty_meets(components):
     return meets
 
 
+def _union_terms(normalized, n):
+    return CountForm.of(n, 0, [(nc, 1) for nc in normalized]).terms
+
+
 class TestSignedMeets:
     """The signed sum over distinct meets against enumeration, for r = 4..8."""
 
@@ -223,7 +257,7 @@ class TestSignedMeets:
             n = rng.randint(1, 3)
             comps = self._random_union(rng, n, rng.randint(4, 8))
             normalized = [nc for nc in (c.normalize() for c in comps) if nc is not None]
-            terms = union_meets(normalized)
+            terms = _union_terms(normalized, n)
             meets = _distinct_nonempty_meets(comps)
             assert len(terms) <= len(set(meets)) <= len(meets) <= 2 ** len(comps) - 1
             merged += len(terms) < len(meets)
@@ -235,8 +269,8 @@ class TestSignedMeets:
         rng = random.Random(1618)
         for _ in range(10):
             nc = random_nonempty_coset(rng, 3).normalize()
-            terms = union_meets([nc] * rng.randint(2, 6))
-            assert terms == ((1, CompiledCoset.of(CongruenceCoset(nc.ambient_dim, nc.rows, nc.rhs))),)
+            terms = _union_terms([nc] * rng.randint(2, 6), 3)
+            assert terms == ((1, CompiledCoset.of(CongruenceCoset(nc.ambient_dim, nc.rows, nc.rhs).normalize())),)
 
     def test_nested_components(self):
         point = CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), 0]))
@@ -245,7 +279,7 @@ class TestSignedMeets:
         for comps in ([point, line, torus], [torus, line, point], [line, point, line, point]):
             top = comps[-1] if comps[0] is point else comps[0]
             normalized = [c.normalize() for c in comps]
-            assert union_meets(normalized) == ((1, CompiledCoset.of(top)),)
+            assert _union_terms(normalized, 2) == ((1, CompiledCoset.of(top.normalize())),)
             for d in (1, 2, 3, 4):
                 assert union_torsion_count(comps, d) == brute_force_torsion_count(comps, d)
 
@@ -256,7 +290,7 @@ class TestSignedMeets:
         for comps in ([empty] * 4, [empty, line, empty, line, empty]):
             for d in (1, 3, 6):
                 assert union_torsion_count(comps, d) == brute_force_torsion_count(comps, d)
-        assert union_meets([]) == ()
+        assert _union_terms([], 2) == ()
 
 
 class TestLargeUnions:
@@ -279,7 +313,7 @@ class TestLargeUnions:
         for _ in range(2):
             comps = [self._sparse_coset(rng, 4, rng.choice((1, 2))) for _ in range(r)]
             normalized = [nc for nc in (c.normalize() for c in comps) if nc is not None]
-            assert len(union_meets(normalized)) > r
+            assert len(_union_terms(normalized, 4)) > r
             for d in (1, 2, 3, 4, 6):
                 assert union_torsion_count(comps, d, budget=20) == brute_force_torsion_count(comps, d)
             with pytest.raises(ComponentBudgetExceeded):
