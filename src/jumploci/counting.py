@@ -5,8 +5,10 @@ in {A·x ≡ b} becomes the modular system A·y ≡ d·b (mod d), which is empty
 unless d·b is integral.  The count of a modular system is read off the
 Smith form of A.  Neither the Smith form nor the transformed translate
 depends on d, so a coset is compiled once into a :class:`CompiledCoset`
-whose count is a closed form in d, read off one call of
-:func:`~jumploci.torus.snf`; only normalized cosets are compiled.
+whose count is a closed form in d.  Compiling is one call of
+:func:`~jumploci.torus.snf` on the coset's rows of (H | L·b), the last
+column carried along, so the transformed translate U·(L·b) comes out
+without U or V being built; only normalized cosets are compiled.
 
 Every count is one :class:`CountForm`: a limit times d^N plus a signed sum
 over compiled distinct nonempty meets (Möbius inversion over their
@@ -15,7 +17,9 @@ its level sets by the step to the next threshold, and a union of cosets is
 the form of limit 0 with every value 1.  A union is built one component at
 a time: each new component's rows are inserted into the Hermite rows of
 every stored meet (:meth:`~jumploci.torus.NormalizedCoset.meet`), and meets
-are keyed by their integer Hermite form.  Empty meets are never extended,
+are keyed by their integer Hermite form, hashed once.  Each meet hands its
+rows of (H | L·b) on to the next meet and to its compiled form.  Empty
+meets are never extended,
 so the work is bounded by the distinct nonempty meets rather than by the
 2^r subsets.
 """
@@ -23,7 +27,6 @@ so the work is bounded by the distinct nonempty meets rather than by the
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -53,7 +56,8 @@ class CompiledCoset:
     unless L divides d, and otherwise equivalent to
     S·z ≡ (d/L)·U·(L·b) (mod d).  A diagonal entry s contributes gcd(s, d)
     solutions when that divides its transformed right-hand side, and every
-    column without a pivot contributes d.
+    column without a pivot contributes d.  U·(L·b) is the column that the
+    Smith pass carries along.
     """
 
     order: int                            # L
@@ -64,13 +68,11 @@ class CompiledCoset:
     def of(cls, coset: NormalizedCoset) -> "CompiledCoset":
         """Compile a normalized coset.  Its rows are independent, so every
         Smith pivot is nonzero and the coset has dim free columns."""
-        s, u, _ = snf(coset.rows, coset.ambient_dim)
-        torsion = []
-        for i, urow in enumerate(u):
-            pivot = s[i][i]
-            if pivot > 1:  # a unit pivot asks nothing of d
-                torsion.append((pivot, sum(map(operator.mul, urow, coset.nums)) % pivot))
-        return cls(coset.order, coset.dim, tuple(torsion))
+        n = coset.ambient_dim
+        # one Smith pass over the rows of (H | nums): the last column is U·nums
+        torsion = tuple((r[i], r[n] % r[i]) for i, r in enumerate(snf(coset.basis.values(), n))
+                        if r[i] > 1)  # a unit pivot asks nothing of d
+        return cls(coset.order, coset.dim, torsion)
 
     def count(self, d: int) -> int:
         """Number of points of order dividing d on the coset (d positive)."""

@@ -7,24 +7,31 @@ two systems), which is what makes signed counting over the meets of a
 union of cosets mechanical.  Membership, emptiness, dimension and component
 structure all reduce to integer normal forms:
 
-* :func:`snf` diagonalizes an integer matrix with unimodular transforms
-  (Smith normal form), the kernel used by the torsion-counting layer.
+* :func:`snf` brings the leading columns of an integer matrix to Smith
+  normal form by unimodular row and column operations; the columns after
+  them only follow the row operations.  Carrying a translate gives ``U·b``
+  without building ``U``, and neither transform is stored.
 * One Hermite kernel inserts integer rows of ``(A | L·b)``, ``L`` a common
   denominator of ``b``, one at a time into an echelon basis, and reduces
   the entries above each pivot at the end.  :meth:`CongruenceCoset.normalize`
-  inserts into the empty basis and decides emptiness exactly; :meth:`NormalizedCoset.meet` inserts the rows
-  of one normalized coset into the rows of another, so a meet costs the
-  rows it adds, not the whole stacked system.
+  inserts into the empty basis and decides emptiness exactly, once per
+  coset; :meth:`NormalizedCoset.meet` inserts the rows of one normalized
+  coset into the rows of another, so a meet costs the rows it adds, not
+  the whole stacked system.
 
 A :class:`NormalizedCoset` keeps its translate as integers ``nums`` over
 its translate order, so equal cosets compare and hash as tuples of ints.
+One made by the Hermite kernel also keeps the rows of ``(H | nums)`` by
+pivot column (:attr:`NormalizedCoset.basis`), which the next meet inserts
+into and the counting layer hands to :func:`snf`, and its hash.
 Everything is exact: arbitrary-precision ``int`` and ``Fraction``
-throughout, no floating point.
+throughout, no floating point; membership is decided in integers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -52,61 +59,31 @@ def _identity(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
 
-def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None):
-    """Smith normal form with transforms: returns (S, U, V) with U·A·V = S.
+def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None) -> IntMatrix:
+    """Smith form of the first ``width`` columns, the others carried along.
 
-    S is diagonal with nonnegative entries, each dividing the next; U and V
-    are unimodular.  Total on integer matrices; ``width`` is only needed to
-    disambiguate the column count of a matrix with zero rows.
+    For the rows of M = (A | C), A the first ``width`` columns (all of
+    them by default), returns the reduced rows (S | U·C): S = U·A·V is
+    diagonal with nonnegative entries, each dividing the next, for
+    unimodular U and V, neither of which is built.  C only undergoes the
+    row operations, so carrying a translate gives U·b and carrying the
+    identity gives U.  ``width`` is required for a matrix with no rows.
 
     At step t the rows and columns before t are finished (zero off the
-    diagonal), so row operations on S touch only the columns from t on and
-    column operations only the rows from t on; U and V get full operations.
+    diagonal), so row operations touch only the columns from t on and
+    column operations only the rows from t on.
     """
     s = _as_int_rows(matrix)  # a fresh copy, reduced in place
     k = len(s)
-    if s:
-        n = len(s[0])
-        if width is not None and width != n:
-            raise DimensionMismatch("width disagrees with row length")
-    elif width is not None:
-        n = width
-    else:
-        raise DimensionMismatch("width required for a matrix with no rows")
-
-    u = _identity(k)
-    v = _identity(n)
+    if not s:
+        if width is None:
+            raise DimensionMismatch("width required for a matrix with no rows")
+        return ()
+    total = len(s[0])
+    n = total if width is None else width
+    if not 0 <= n <= total:
+        raise DimensionMismatch("width exceeds the row length")
     t = 0
-
-    def row_sub(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
-        si, sj = s[i], s[j]
-        for c in range(t, n):
-            si[c] -= q * sj[c]
-        ui, uj = u[i], u[j]
-        for c in range(k):
-            ui[c] -= q * uj[c]
-
-    def col_sub(i: int, j: int, q: int) -> None:  # col_i -= q * col_j
-        for r in range(t, k):
-            sr = s[r]
-            sr[i] -= q * sr[j]
-        for vr in v:
-            vr[i] -= q * vr[j]
-
-    def swap_rows(i: int, j: int) -> None:
-        if i != j:
-            s[i], s[j] = s[j], s[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        if i == j:
-            return
-        for r in range(t, k):
-            sr = s[r]
-            sr[i], sr[j] = sr[j], sr[i]
-        for vr in v:
-            vr[i], vr[j] = vr[j], vr[i]
-
     limit = min(k, n)
     while t < limit:
         # the first entry of least absolute value; nothing beats a unit
@@ -124,58 +101,72 @@ def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None):
                 break
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        i, j = piv
+        s[t], s[i] = s[i], s[t]
+        if j != t:
+            for sr in s[t:]:
+                sr[t], sr[j] = sr[j], sr[t]
         while True:
+            # clear column t by row operations; a remainder beating the
+            # pivot is promoted to pivot row and the pass runs again
             dirty = False
             for i in range(t + 1, k):
-                if s[i][t]:
-                    row_sub(i, t, s[i][t] // s[t][t])
-                    if s[i][t]:  # remainder beats the pivot; promote it
-                        swap_rows(t, i)
+                si = s[i]
+                if si[t]:
+                    st = s[t]
+                    q = si[t] // st[t]
+                    for c in range(t, total):
+                        si[c] -= q * st[c]
+                    if si[t]:
+                        s[t], s[i] = si, st
                         dirty = True
             if dirty:
                 continue
+            # then row t by column operations, on the rows from t on
             st = s[t]
             for j in range(t + 1, n):
                 if st[j]:
-                    col_sub(j, t, st[j] // st[t])
+                    q = st[j] // st[t]
+                    for sr in s[t:]:
+                        sr[j] -= q * sr[t]
                     if st[j]:
-                        swap_cols(t, j)
+                        for sr in s[t:]:
+                            sr[t], sr[j] = sr[j], sr[t]
                         dirty = True
             if not dirty:  # the row pass left column t clear below the pivot
                 break
         # pivot must divide every remaining entry for the divisor chain
-        pivot = s[t][t]
+        st = s[t]
+        pivot = st[t]
         offender = None
         for i in range(t + 1, k) if abs(pivot) > 1 else ():
             si = s[i]
             for j in range(t + 1, n):
                 if si[j] % pivot:
-                    offender = i
+                    offender = si
                     break
             if offender is not None:
                 break
-        if offender is not None:
-            row_sub(t, offender, -1)
+        if offender is not None:  # add the offending row to the pivot row
+            for c in range(t, total):
+                st[c] += offender[c]
             continue
         if pivot < 0:
-            st = s[t]
-            for c in range(t, n):
+            for c in range(t, total):
                 st[c] = -st[c]
-            u[t] = [-a for a in u[t]]
         t += 1
 
-    return tuple(map(tuple, s)), tuple(map(tuple, u)), tuple(map(tuple, v))
+    return tuple(map(tuple, s))
 
 
 def invariant_factors(matrix: Iterable[Sequence[int]], width: Optional[int] = None) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith form, in divisor-chain order."""
+    """Nonzero diagonal entries of the Smith form of the first ``width``
+    columns (all of them by default), in divisor-chain order."""
     rows = list(matrix)
     if not rows:
         return ()
-    s, _, _ = snf(rows, width)
-    return tuple(s[i][i] for i in range(min(len(s), len(s[0]))) if s[i][i])
+    n = len(rows[0]) if width is None else width
+    return tuple(r[i] for i, r in enumerate(snf(rows, width)) if i < n and r[i])
 
 
 def _to_fraction(value) -> Fraction:
@@ -275,13 +266,16 @@ class CongruenceCoset:
         return len(self.rows)
 
     def contains(self, x: TorusPoint) -> bool:
+        """Membership in integers: with m the lcm of the point's order and
+        the denominators of b, each equation asks A·(m·x) ≡ m·b (mod m)."""
         if x.dim != self.ambient_dim:
             raise DimensionMismatch("point and coset live in different tori")
-        for row, b in zip(self.rows, self.rhs):
-            acc = sum((a * c for a, c in zip(row, x.coords)), Fraction(0)) - b
-            if acc.denominator != 1:
-                return False
-        return True
+        m = math.lcm(x.order, *(b.denominator for b in self.rhs))
+        if m == 1:  # x and b integral: every equation holds
+            return True
+        y = [c.numerator * (m // c.denominator) for c in x.coords]
+        return all((sum(map(operator.mul, row, y)) - b.numerator * (m // b.denominator)) % m == 0
+                   for row, b in zip(self.rows, self.rhs))
 
     def intersect(self, other: "CongruenceCoset") -> "CongruenceCoset":
         if other.ambient_dim != self.ambient_dim:
@@ -291,11 +285,18 @@ class CongruenceCoset:
     def normalize(self) -> Optional["NormalizedCoset"]:
         """Canonical form, or None when the system is inconsistent (empty set).
 
-        Inserts the rows of (A | L·b), L the common denominator of b, into the
-        empty basis: a Hermite form with positive pivots and the entries above
-        each pivot reduced into [0, pivot).  A row that reduces to zero must
-        have an integral right-hand side, which is exactly the emptiness test.
+        Computed on the first call and kept on the instance, so a coset that
+        many rank functions share is normalized once.
         """
+        return self._normalized
+
+    @cached_property
+    def _normalized(self) -> Optional["NormalizedCoset"]:
+        """Inserts the rows of (A | L·b), L the common denominator of b, into
+        the empty basis: a Hermite form with positive pivots and the entries
+        above each pivot reduced into [0, pivot).  A row that reduces to zero
+        must have an integral right-hand side, which is exactly the emptiness
+        test."""
         order = math.lcm(*(b.denominator for b in self.rhs))
         basis: dict[int, Row] = {}
         for r, b in zip(self.rows, self.rhs):
@@ -348,7 +349,8 @@ def _insert(basis: dict[int, Row], row: Row, modulus: int) -> int:
 def _hermite(width: int, basis: dict[int, Row], modulus: int) -> "NormalizedCoset":
     """The canonical form of an inserted basis: rows in pivot order, positive
     pivots, entries above each pivot reduced into [0, pivot), and the
-    right-hand side over its exact order."""
+    right-hand side over its exact order.  The coset keeps the rows of
+    (H | nums) by pivot column as its :attr:`NormalizedCoset.basis`."""
     cols = sorted(basis)
     rows = [basis[c] for c in cols]
     for i, c in enumerate(cols):
@@ -362,8 +364,16 @@ def _hermite(width: int, basis: dict[int, Row], modulus: int) -> "NormalizedCose
                 rows[j] = [a - q * b for a, b in zip(rows[j], r)]
     nums = [r[width] % modulus for r in rows]
     g = math.gcd(modulus, *nums)
-    return NormalizedCoset(width, tuple(tuple(r[:width]) for r in rows),
-                           tuple(m // g for m in nums), modulus // g)
+    if g > 1:
+        modulus //= g
+        nums = [m // g for m in nums]
+    # a row that came through unchanged is already (H_i | nums_i)
+    aug = [r if type(r) is tuple and r[width] == m else (*r[:width], m) for r, m in zip(rows, nums)]
+    fields = (width, tuple([r[:width] for r in aug]), tuple(nums), modulus)
+    nc = NormalizedCoset(*fields)
+    # fill the cached properties with what this pass already has
+    vars(nc).update(basis=dict(zip(cols, aug)), _hash=hash(fields))
+    return nc
 
 
 @dataclass(frozen=True)
@@ -404,9 +414,20 @@ class NormalizedCoset:
     def dim(self) -> int:
         return self.ambient_dim - self.rank
 
+    def __hash__(self) -> int:
+        return self._hash
+
     @cached_property
-    def _basis(self) -> dict[int, Row]:
-        """The rows of (H | nums) by pivot column: the basis a meet starts from."""
+    def _hash(self) -> int:
+        """The hash of the four fields, computed once: meets are dict keys."""
+        return hash((self.ambient_dim, self.rows, self.nums, self.order))
+
+    @cached_property
+    def basis(self) -> dict[int, Row]:
+        """The rows of (H | nums) by pivot column: the basis a meet starts
+        from, and the rows a compiled coset is read off.  A coset made by
+        normalizing or meeting gets it from the Hermite pass.  Shared
+        between meets: never change it in place."""
         return {next(c for c, a in enumerate(r) if a): (*r, m) for r, m in zip(self.rows, self.nums)}
 
     def meet(self, other: "NormalizedCoset") -> Optional["NormalizedCoset"]:
@@ -420,12 +441,12 @@ class NormalizedCoset:
             raise DimensionMismatch("cannot intersect cosets of different ambient dimension")
         modulus = math.lcm(self.order, other.order)
         scale = modulus // self.order
-        basis = dict(self._basis) if scale == 1 else \
-            {c: (*r[:-1], r[-1] * scale) for c, r in self._basis.items()}
+        basis = dict(self.basis) if scale == 1 else \
+            {c: (*r[:-1], r[-1] * scale) for c, r in self.basis.items()}
         scale = modulus // other.order
         added = False
-        for r, m in zip(other.rows, other.nums):
-            outcome = _insert(basis, (*r, m * scale), modulus)
+        for r in other.basis.values():
+            outcome = _insert(basis, r if scale == 1 else (*r[:-1], r[-1] * scale), modulus)
             if outcome == _EMPTY:
                 return None
             added = added or outcome == _ADDED

@@ -90,6 +90,28 @@ def hermite_point(nc):
     return TorusPoint.of(x)
 
 
+def smith_diagonal_by_minors(matrix, width: int) -> list[int]:
+    """The Smith diagonal of a k x width integer matrix from its
+    determinantal divisors: s_i = D_i / D_(i-1) for i = 1..min(k, width),
+    D_i the gcd of the i x i minors (0, and every later s_i 0, when they all
+    vanish).  Minors by :func:`integer_det`; no elimination is shared with
+    the engine."""
+    from itertools import combinations
+    from math import gcd
+
+    k = len(matrix)
+    diag = []
+    prev = 1
+    for i in range(1, min(k, width) + 1):
+        divisor = 0
+        for rs in combinations(range(k), i):
+            for cs in combinations(range(width), i):
+                divisor = gcd(divisor, integer_det([[matrix[r][c] for c in cs] for r in rs]))
+        diag.append(divisor // prev if prev else 0)
+        prev = divisor
+    return diag
+
+
 def integer_det(matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(matrix)

@@ -111,6 +111,27 @@ class TestCompiledCoset:
                     witnessed += 1
         assert empty > 0 and witnessed > 200
 
+    def test_count_against_enumeration(self):
+        # the closed form reads U·nums off the column the Smith pass carries;
+        # every count up to d = 12 matches enumeration
+        rng = random.Random(1213)
+        torsion_pivots = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            coset = random_nonempty_coset(rng, n, max_rows=3, span=5, max_den=6)
+            compiled = CompiledCoset.of(coset.normalize())
+            torsion_pivots += any(s > 2 for s, _ in compiled.torsion)
+            for d in range(1, 13):
+                assert compiled.count(d) == brute_force_torsion_count([coset], d)
+        assert torsion_pivots > 30
+
+    def test_transformed_translate_follows_the_sign_flip(self):
+        # 6·x0 − 3·x1 ≡ 1/2: the Smith pivot −3 is made positive by negating
+        # its row, so U = (−1) and the carried translate is −1 ≡ 2 (mod 3)
+        nc = CongruenceCoset.of(2, [[6, -3]], [Fraction(1, 2)]).normalize()
+        assert (nc.rows, nc.nums, nc.order) == (((6, -3),), (1,), 2)
+        assert CompiledCoset.of(nc) == CompiledCoset(2, 1, ((3, 2),))
+
     def test_min_order_against_enumeration(self):
         # points of order dividing d exist exactly at the multiples of
         # min_order, which exceeds the translate order L when a pivot asks

@@ -139,6 +139,35 @@ class TestValidation:
         assert report.ok
         assert not report.warnings
 
+    def test_shared_origin_coset_is_normalized_once(self, monkeypatch):
+        # every entry of the g = 32 grid jumps on one shared 64 x 64 origin
+        # coset; validating normalizes it once, and the report equals that
+        # of a copy whose entries each hold their own coset
+        from jumploci import torus
+
+        model = builtin("abelian", g=32).model
+        origin = model.hodge[0][0].strata[0].coset
+        assert all(rf.strata[0].coset is origin for row in model.hodge for rf in row)
+        built = []
+        hermite = torus._hermite
+
+        def recording_hermite(*args):
+            built.append(hermite(*args))
+            return built[-1]
+
+        monkeypatch.setattr(torus, "_hermite", recording_hermite)
+        report = validate_model(model)
+        assert built == [origin.normalize()] and built[0] is origin.normalize()
+        monkeypatch.undo()
+
+        def own_cosets(rf):
+            return RankFunction(rf.ambient_dim, rf.generic_value, tuple(
+                Stratum(CongruenceCoset(c.ambient_dim, c.rows, c.rhs), v) for c, v in rf.strata))
+
+        copy = dataclasses.replace(model, hodge=tuple(tuple(map(own_cosets, row)) for row in model.hodge))
+        assert validate_model(copy) == report
+        assert report.ok and not report.findings
+
     def test_weak_gv_table(self):
         report = validate_model(builtin("blowup_abelian4_curve", genus=2).model)
         assert report.weak_gv_table[1] == frozenset({0, 1, 3, 4})

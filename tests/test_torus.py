@@ -9,12 +9,13 @@ import pytest
 from jumploci import (
     CongruenceCoset,
     DimensionMismatch,
+    NormalizedCoset,
     TorusPoint,
     invariant_factors,
     snf,
 )
 from gen import random_coset, random_nonempty_coset, random_point
-from oracles import brute_force_torsion_points, hermite_point, integer_det
+from oracles import brute_force_torsion_points, hermite_point, integer_det, smith_diagonal_by_minors
 
 
 def matmul(a, b):
@@ -23,36 +24,52 @@ def matmul(a, b):
         for i in range(len(a)))
 
 
+def _eye(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def _carry(a, *blocks):
+    """The rows of (A | B_1 | B_2 | ...)."""
+    return [list(row) + [x for b in blocks for x in b[i]] for i, row in enumerate(a)]
+
+
 class TestSmithForm:
     def test_identity(self):
         eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        s, u, v = snf(eye)
-        assert s == eye
-        assert u == eye
-        assert v == eye
+        assert snf(eye) == eye
+        # carrying the identity gives U, here the identity as well
+        assert snf(_carry(eye, eye), 3) == tuple(r + r for r in eye)
 
     def test_known_invariant_factors(self):
         # gcd of entries is 2 and |det| = 8, forcing the factors (2, 4)
         assert invariant_factors([[2, 4], [6, 8]]) == (2, 4)
 
     def test_zero_rows_need_width(self):
-        s, u, v = snf((), width=3)
-        assert s == ()
-        assert u == ()
-        assert len(v) == 3
+        assert snf((), width=3) == ()
+        assert invariant_factors((), 3) == ()
         with pytest.raises(DimensionMismatch):
             snf(())
+        # the diagonalized columns cannot outrun the rows
+        with pytest.raises(DimensionMismatch):
+            snf([[1, 2]], width=3)
+        # width 0 diagonalizes nothing: every column is carried unchanged
+        assert snf([[2, 3], [4, 5]], width=0) == ((2, 3), (4, 5))
 
     def test_round_trip_random(self):
+        # with U carried as the identity block: U is unimodular, the leading
+        # block is a nonnegative divisor-chain diagonal equal to the one read
+        # off the minors, and row i of U·A is s_i times an integer row (zero
+        # past the rank), so U·A = S·W with W integral; equal determinantal
+        # divisors then make W unimodular, i.e. U·A·V = S for V = W^(-1)
         rng = random.Random(1905)
         for _ in range(120):
             k = rng.randint(1, 4)
             n = rng.randint(1, 4)
             a = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(k))
-            s, u, v = snf(a)
-            assert matmul(matmul(u, a), v) == s
+            rows = snf(_carry(a, _eye(k)), n)
+            s = tuple(r[:n] for r in rows)
+            u = tuple(r[n:] for r in rows)
             assert integer_det(u) in (1, -1)
-            assert integer_det(v) in (1, -1)
             diag = [s[i][i] for i in range(min(k, n))]
             for i in range(k):
                 for j in range(n):
@@ -60,7 +77,39 @@ class TestSmithForm:
                         assert s[i][j] == 0
             assert all(x >= 0 for x in diag)
             for x, y in zip(diag, diag[1:]):
-                assert y == 0 or (x != 0 and y % x == 0) or (x == 0 and y == 0)
+                assert y == 0 or (x != 0 and y % x == 0)
+            assert diag == smith_diagonal_by_minors(a, n)
+            ua = matmul(u, a)
+            for i, row in enumerate(ua):
+                factor = diag[i] if i < len(diag) else 0
+                if factor:
+                    assert all(x % factor == 0 for x in row)
+                else:
+                    assert not any(row)
+            assert snf(a) == s
+            assert invariant_factors(a) == tuple(x for x in diag if x)
+
+    def test_negative_pivot_flips_the_carried_columns(self):
+        # the least entry of (6, -3) is swapped to the front and clears the
+        # 6, leaving the pivot -3; the row negation that makes it positive
+        # is a row operation, so the carried columns (here U and c) follow it
+        assert snf([[6, -3, 1, 5]], 2) == ((3, 0, -1, -5),)
+
+    def test_carried_columns_are_u_times_c(self):
+        # the carried block follows the row operations only: U·C, with U the
+        # carried identity, and carrying more columns changes nothing else
+        rng = random.Random(3119)
+        for _ in range(150):
+            k = rng.randint(1, 5)
+            n = rng.randint(1, 5)
+            m = rng.randint(1, 3)
+            a = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(k)]
+            c = [[rng.randint(-30, 30) for _ in range(m)] for _ in range(k)]
+            both = snf(_carry(a, _eye(k), c), n)
+            u = tuple(r[n:n + k] for r in both)
+            assert tuple(r[n + k:] for r in both) == matmul(u, c)
+            alone = snf(_carry(a, c), n)
+            assert alone == tuple(r[:n] + r[n + k:] for r in both)
 
 
 class TestTorusPoint:
@@ -207,6 +256,34 @@ class TestIntersection:
         assert point.contains(TorusPoint.of([Fraction(1, 3), 0]))
         assert not point.contains(TorusPoint.of([Fraction(2, 3), 0]))
 
+    def test_membership_against_fractions(self):
+        # integer membership agrees with summing Fraction products, on
+        # translates outside [0, 1) too, and on points put on the coset
+        def by_fractions(coset, x):
+            return all((sum((a * c for a, c in zip(row, x.coords)), Fraction(0)) - b).denominator == 1
+                       for row, b in zip(coset.rows, coset.rhs))
+
+        rng = random.Random(2187)
+        inside = 0
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            coset = random_coset(rng, n, max_den=12)
+            coset = CongruenceCoset.of(n, coset.rows, [b + rng.randint(-3, 3) for b in coset.rhs])
+            nc = coset.normalize()
+            points = [random_point(rng, n, max_den=12), TorusPoint.zero(n)]
+            if nc is not None:
+                points.append(hermite_point(nc))
+            for x in points:
+                assert coset.contains(x) == by_fractions(coset, x)
+                inside += coset.contains(x)
+        assert inside > 300
+        eye = CongruenceCoset.point(TorusPoint.zero(64))
+        assert eye.contains(TorusPoint.zero(64)) and by_fractions(eye, TorusPoint.zero(64))
+        off = TorusPoint.of([Fraction(1, 2)] + [0] * 63)
+        assert not eye.contains(off) and not by_fractions(eye, off)
+        third = CongruenceCoset.pinned(64, {5: Fraction(-2, 3)})
+        assert third.contains(TorusPoint.of([0] * 5 + [Fraction(1, 3)] + [0] * 58))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             CongruenceCoset.full_torus(2).intersect(CongruenceCoset.full_torus(3))
@@ -297,6 +374,32 @@ class TestMeet:
         double = CongruenceCoset.of(2, [[2, 0]], [Fraction(1, 2)]).normalize()
         quarter = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 4)]).normalize()
         assert double.meet(quarter) == quarter
+
+    def test_stored_basis_and_hash_match_a_rescan(self):
+        # normalizing and meeting hand on the rows of (H | nums) by pivot
+        # column and the hash; both equal what the four fields give afresh
+        def rescan(nc):
+            return {next(c for c, a in enumerate(r) if a): (*r, m) for r, m in zip(nc.rows, nc.nums)}
+
+        rng = random.Random(6561)
+        met = 0
+        while met < 150:
+            n = rng.randint(1, 4)
+            x = random_nonempty_coset(rng, n, max_den=6).normalize()
+            y = random_nonempty_coset(rng, n, max_den=6).normalize()
+            meet = x.meet(y)
+            for nc in (x, y, meet):
+                if nc is None:
+                    continue
+                assert "basis" in vars(nc)  # kept from the Hermite pass
+                assert nc.basis == rescan(nc) and list(nc.basis) == sorted(nc.basis)
+                fields = (nc.ambient_dim, nc.rows, nc.nums, nc.order)
+                assert hash(nc) == hash(fields) == hash(NormalizedCoset(*fields))
+                assert nc == NormalizedCoset(*fields)
+            met += meet is not None and meet is not x
+        # a coset built from its fields rescans on first use
+        fresh = NormalizedCoset(3, ((2, 0, 1), (0, 0, 3)), (1, 2), 5)
+        assert fresh.basis == {0: (2, 0, 1, 1), 2: (0, 0, 3, 2)}
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
