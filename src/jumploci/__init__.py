@@ -14,7 +14,6 @@ from .asymptotics import (
 )
 from .catalog import CatalogEntry, DEFAULT_INSTANCES, builtin, builtin_names
 from .counting import (
-    CompiledCoset,
     TorsionCount,
     coset_torsion_count,
     count_solutions_mod,

@@ -18,7 +18,6 @@ covers of factorial degree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -145,19 +144,19 @@ def betti_deviation_constant(model: VarietyModel,
     """Explicit C with |b_n(X_d)/deg - limit| <= C·d^(-2) for every d.
 
     The deviation is the proper part of the middle-degree count forms over
-    d^(2g), and a term c·count(d) is at most |c|·Π s·d^free, Π s being its
-    number of components; so C is the sum of |c|·Π s over those terms (at
-    least 1).  Raises ValueError naming the (p,q) entry when a term has
-    real dimension 2g - 1, since the deviation then decays only like d^(-1).
+    d^(2g), and a term c·count(d) is at most |c|·component_count·d^dim; so
+    C is the sum of |c|·component_count over those terms (at least 1).
+    Raises ValueError naming the (p,q) entry when a term has real
+    dimension 2g - 1, since the deviation then decays only like d^(-1).
     """
     total = 0
     for p in range(model.n + 1):
         q = model.n - p
-        for c, compiled in model.hodge[p][q].count_form(budget).terms:
-            if compiled.free > model.torus_dim - 2:
+        for c, nc in model.hodge[p][q].count_form(budget).terms:
+            if nc.dim > model.torus_dim - 2:
                 raise ValueError(f"the middle-degree entry ({p},{q}) has a stratum of real dimension "
-                                 f"{compiled.free} = 2g - 1; its deviation has no d^(-2) bound")
-            total += abs(c) * math.prod(s for s, _ in compiled.torsion)
+                                 f"{nc.dim} = 2g - 1; its deviation has no d^(-2) bound")
+            total += abs(c) * nc.component_count
     return max(total, 1)
 
 

@@ -4,36 +4,33 @@ A point x of order dividing d is x = y/d with y in (Z/d)^N, so membership
 in {A·x ≡ b} becomes the modular system A·y ≡ d·b (mod d), which is empty
 unless d·b is integral.  The count of a modular system is read off the
 Smith form of A.  Neither the Smith form nor the transformed translate
-depends on d, so a coset is compiled once into a :class:`CompiledCoset`
-whose count is a closed form in d.  Compiling is one call of
-:func:`~jumploci.torus.snf` on the coset's rows of (H | L·b), the last
-column carried along, so the transformed translate U·(L·b) comes out
-without U or V being built; only normalized cosets are compiled.
+depends on d, so the count of a normalized coset is a closed form in d,
+read off its Smith data (:attr:`~jumploci.torus.NormalizedCoset.torsion`,
+computed once per coset).
 
 Every count is one :class:`CountForm`: a limit times d^N plus a signed sum
-over compiled distinct nonempty meets (Möbius inversion over their
+over distinct nonempty normalized meets (Möbius inversion over their
 intersection poset).  A rank function's form weights the union of each of
 its level sets by the step to the next threshold, and a union of cosets is
 the form of limit 0 with every value 1.  A union is built one component at
 a time: each new component's rows are inserted into the Hermite rows of
 every stored meet (:meth:`~jumploci.torus.NormalizedCoset.meet`), and meets
 are keyed by their integer Hermite form, hashed once.  Each meet hands its
-rows of (H | L·b) on to the next meet and to its compiled form.  Empty
-meets are never extended,
-so the work is bounded by the distinct nonempty meets rather than by the
-2^r subsets.
+rows of (H | L·b) on to the next meet and to its Smith pass.  Empty meets
+are never extended, so the work is bounded by the distinct nonempty meets
+rather than by the 2^r subsets.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, ComponentBudgetExceeded, DimensionMismatch
-from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, snf
+from .torus import CongruenceCoset, NormalizedCoset, TorusPoint
+from .torus import snf  # noqa: F401  (bench/tests asserts this binding)
 
 DEFAULT_COMPONENT_BUDGET = 12
 DEFAULT_ENUM_CAP = 10_000_000
@@ -45,63 +42,6 @@ class TorsionCount:
 
     d: int
     value: int
-
-
-@dataclass(frozen=True)
-class CompiledCoset:
-    """The part of the torsion count of a nonempty coset that does not depend on d.
-
-    With U·A·V = S the Smith form of A and L the order of the translate b
-    (the lcm of its denominators), the system A·y ≡ d·b (mod d) is empty
-    unless L divides d, and otherwise equivalent to
-    S·z ≡ (d/L)·U·(L·b) (mod d).  A diagonal entry s contributes gcd(s, d)
-    solutions when that divides its transformed right-hand side, and every
-    column without a pivot contributes d.  U·(L·b) is the column that the
-    Smith pass carries along.
-    """
-
-    order: int                            # L
-    free: int                             # columns without a pivot
-    torsion: tuple[tuple[int, int], ...]  # (s, (U·L·b)_i mod s) for pivots s > 1
-
-    @classmethod
-    def of(cls, coset: NormalizedCoset) -> "CompiledCoset":
-        """Compile a normalized coset.  Its rows are independent, so every
-        Smith pivot is nonzero and the coset has dim free columns."""
-        n = coset.ambient_dim
-        # one Smith pass over the rows of (H | nums): the last column is U·nums
-        torsion = tuple((r[i], r[n] % r[i]) for i, r in enumerate(snf(coset.basis.values(), n))
-                        if r[i] > 1)  # a unit pivot asks nothing of d
-        return cls(coset.order, coset.dim, torsion)
-
-    def count(self, d: int) -> int:
-        """Number of points of order dividing d on the coset (d positive)."""
-        if d % self.order:
-            return 0
-        scale = d // self.order
-        total = d ** self.free
-        for s, w in self.torsion:
-            g = math.gcd(s, d)
-            if scale * w % g:
-                return 0
-            total *= g
-        return total
-
-    @property
-    def min_order(self) -> int:
-        """Smallest d at which the coset has a point.  Each pivot asks for a
-        least valuation of d/L at each prime, so the coset has points exactly
-        at the multiples of it, reached by multiplying in what a pivot misses."""
-        d = self.order
-        while True:
-            for s, w in self.torsion:
-                g = math.gcd(s, d)
-                missing = g // math.gcd(d // self.order * w, g)
-                if missing > 1:
-                    d *= missing
-                    break
-            else:
-                return d
 
 
 def count_solutions_mod(rows: Sequence[Sequence[int]], rhs: Sequence[int], modulus: int,
@@ -122,13 +62,14 @@ def coset_torsion_count(coset: CongruenceCoset, d: int) -> TorsionCount:
     """Number of points of order dividing d on the coset, exactly.
 
     Zero when the coset is empty; otherwise the closed form of its
-    normalized coset.  For a nonempty connected coset the result is d^dim
-    when the translate order divides d and 0 otherwise.
+    normalized coset (:meth:`NormalizedCoset.count`).  For a nonempty
+    connected coset the result is d^dim when the translate order divides d
+    and 0 otherwise.
     """
     if d < 1:
         raise ValueError("d must be positive")
     nc = coset.normalize()
-    return TorsionCount(d, CompiledCoset.of(nc).count(d) if nc is not None else 0)
+    return TorsionCount(d, nc.count(d) if nc is not None else 0)
 
 
 def check_union(components: Sequence[CongruenceCoset], budget: int) -> None:
@@ -178,7 +119,7 @@ class CountForm:
 
     ambient_dim: int
     limit: int
-    terms: tuple[tuple[int, CompiledCoset], ...]
+    terms: tuple[tuple[int, NormalizedCoset], ...]
 
     @classmethod
     def of(cls, ambient_dim: int, limit: int,
@@ -188,9 +129,8 @@ class CountForm:
         With thresholds t above the limit in increasing order,
         h = limit + Σ_t (t − t_prev)·1_{h ≥ t}, and each level set
         {h ≥ t} is the union of the strata reaching t (:func:`_signed_union`).
-        Terms are merged by Hermite form and each compiled once.  A union of
-        cosets is the form of limit 0 with every value 1.  Callers run
-        :func:`check_union` first.
+        Terms are merged by Hermite form.  A union of cosets is the form of
+        limit 0 with every value 1.  Callers run :func:`check_union` first.
         """
         terms: dict[NormalizedCoset, int] = {}
         prev = limit
@@ -198,29 +138,26 @@ class CountForm:
             for x, c in _signed_union([nc for nc, value in strata if value >= t]).items():
                 terms[x] = terms.get(x, 0) + (t - prev) * c
             prev = t
-        return cls(ambient_dim, limit,
-                   tuple((c, CompiledCoset.of(x)) for x, c in terms.items() if c))
+        return cls(ambient_dim, limit, tuple((c, x) for x, c in terms.items() if c))
 
     def count(self, d: int) -> int:
         """h summed over the points of order dividing d (d positive)."""
         return (self.limit * d ** self.ambient_dim if self.limit else 0) + \
-            sum(c * compiled.count(d) for c, compiled in self.terms)
+            sum(c * nc.count(d) for c, nc in self.terms)
 
     @property
     def polynomial(self) -> dict[int, int]:
         """The count at every sufficiently divisible d, as a polynomial.
 
         Once d is divisible by every translate order and every Smith pivot, a
-        compiled meet has Π s · d^free points, Π s being its number of
-        connected components; the result maps each exponent to its nonzero
-        coefficient.  For unions U ⊆ V, U = V exactly when their polynomials
+        meet has component_count·d^dim points; the result maps each exponent
+        to its nonzero coefficient.  For unions U ⊆ V, U = V exactly when their polynomials
         agree: a component of V not inside U meets U in lower dimension, so it
         leaves a positive leading term in the difference.
         """
         poly = {self.ambient_dim: self.limit}
-        for c, compiled in self.terms:
-            poly[compiled.free] = poly.get(compiled.free, 0) + \
-                c * math.prod(s for s, _ in compiled.torsion)
+        for c, nc in self.terms:
+            poly[nc.dim] = poly.get(nc.dim, 0) + c * nc.component_count
         return {e: c for e, c in poly.items() if c}
 
     @property
@@ -228,7 +165,7 @@ class CountForm:
         """Largest exponent of d in the terms, -1 when there are none.  No
         level set's leading coefficient cancels, so this is the largest real
         dimension of a stratum above the limit."""
-        return max((compiled.free for _, compiled in self.terms), default=-1)
+        return max((nc.dim for _, nc in self.terms), default=-1)
 
     @property
     def degree(self) -> int:
@@ -239,8 +176,8 @@ class CountForm:
     def witness_order(self) -> Optional[int]:
         """Smallest d at which a term of the top exponent has a point; that
         term, inside the locus, has d^top such points at each multiple of d."""
-        return min((compiled.min_order for _, compiled in self.terms
-                    if compiled.free == self.top_exponent), default=None)
+        return min((nc.min_order for _, nc in self.terms if nc.dim == self.top_exponent),
+                   default=None)
 
 
 def union_torsion_count(components: Sequence[CongruenceCoset], d: int,

@@ -68,7 +68,7 @@ class RankFunction:
         return CountForm.of(self.ambient_dim, self.limit, self.effective_strata())
 
     def count_form(self, budget: int) -> CountForm:
-        """The limit and the signed compiled meets of the level sets above it,
+        """The limit and the signed meets of the level sets above it,
         weighted by their steps and merged by Hermite form.  The budget caps
         the strata above the limit; it is checked on every call."""
         check_union([coset for coset, value in self.strata if value > self.limit], budget)
@@ -245,8 +245,9 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
     Both functions take only their generic and stratum values, so these
     thresholds decide it.  Equal sets of normalized cosets are equal level
     sets.  Otherwise U = {f >= t} and V = -{g >= t} are equal exactly when
-    U, V and U ∩ V have the same count polynomial (:attr:`CountForm.polynomial`);
-    U ∩ V is the union of the pairwise meets of their cosets.  Raises
+    U, V and U ∪ V have the same count polynomial (:attr:`CountForm.polynomial`):
+    U ⊆ U ∪ V, so equal polynomials make them equal, and likewise for V.
+    U ∪ V has at most |U| + |V| components.  Raises
     ComponentBudgetExceeded when a level set to be counted exceeds the
     budget.
     """
@@ -260,8 +261,7 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
         poly = _level_polynomial(f, t, budget)
         if poly != _level_polynomial(g, t, budget):
             return t
-        meets = [x.meet(y) for x in u for y in v]
-        if CountForm.of(f.ambient_dim, 0, [(m, 1) for m in meets if m is not None]).polynomial != poly:
+        if CountForm.of(f.ambient_dim, 0, [(nc, 1) for nc in u | v]).polynomial != poly:
             return t
     return None
 

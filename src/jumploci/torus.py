@@ -21,9 +21,13 @@ structure all reduce to integer normal forms:
 
 A :class:`NormalizedCoset` keeps its translate as integers ``nums`` over
 its translate order, so equal cosets compare and hash as tuples of ints.
-One made by the Hermite kernel also keeps the rows of ``(H | nums)`` by
-pivot column (:attr:`NormalizedCoset.basis`), which the next meet inserts
-into and the counting layer hands to :func:`snf`, and its hash.
+One made by the Hermite kernel also keeps its hash and the rows of
+``(H | nums)`` by pivot column (:attr:`NormalizedCoset.basis`), which the
+next meet inserts into.  Compiling is a property of the coset: on first
+use, one :func:`snf` pass over those rows gives its Smith data
+(:attr:`NormalizedCoset.torsion`), off which its component count and its
+number of d-torsion points, a closed form in d, are read.  A coset that
+many counts share runs that pass once.
 Everything is exact: arbitrary-precision ``int`` and ``Fraction``
 throughout, no floating point; membership is decided in integers.
 """
@@ -384,7 +388,8 @@ class NormalizedCoset:
     smallest m > 0 with m·b integral: a connected coset meets the d-torsion
     grid exactly when it divides d), and every entry of ``nums`` lies in
     [0, order) with gcd(order, *nums) = 1, so equal cosets have equal
-    fields.  The component count is computed on first use.
+    fields.  The Smith data (:attr:`torsion`) is computed on first use, and
+    the component count and the count of d-torsion points are read off it.
     """
 
     ambient_dim: int
@@ -393,13 +398,60 @@ class NormalizedCoset:
     order: int
 
     @cached_property
-    def component_count(self) -> int:
-        """Number of connected components of the underlying subgroup {x : A·x ≡ 0}.
+    def torsion(self) -> tuple[tuple[int, int], ...]:
+        """(s, (U·nums)_i mod s) for each Smith pivot s > 1 of H, U·H·V = S.
 
-        This is the product of the invariant factors of A (those exceeding
-        1 contribute).
+        One Smith pass over the rows of (H | nums): the last column is U·nums.
+        The rows are independent, so every pivot is nonzero; a unit pivot
+        asks nothing of d.  Computed once per coset, however many counts
+        share it.
         """
-        return math.prod(invariant_factors(self.rows, self.ambient_dim))
+        n = self.ambient_dim
+        return tuple((r[i], r[n] % r[i]) for i, r in enumerate(snf(self.basis.values(), n))
+                     if r[i] > 1)
+
+    @cached_property
+    def component_count(self) -> int:
+        """Number of connected components of the underlying subgroup {x : H·x ≡ 0}:
+        the product of the Smith pivots of H."""
+        return math.prod(s for s, _ in self.torsion)
+
+    def count(self, d: int) -> int:
+        """Number of points of order dividing d on the coset (d positive).
+
+        A point of order dividing d is y/d, and H·y ≡ d·nums/order (mod d)
+        is empty unless ``order`` divides d, and otherwise equivalent to
+        S·z ≡ (d/order)·U·nums (mod d).  A diagonal entry s contributes
+        gcd(s, d) solutions when that divides its transformed right-hand
+        side, and every column without a pivot contributes d.
+        """
+        if d % self.order:
+            return 0
+        scale = d // self.order
+        total = d ** self.dim
+        for s, w in self.torsion:
+            g = math.gcd(s, d)
+            if scale * w % g:
+                return 0
+            total *= g
+        return total
+
+    @property
+    def min_order(self) -> int:
+        """Smallest d at which the coset has a point.  Each pivot asks for a
+        least valuation of d/order at each prime, so the coset has points
+        exactly at the multiples of it, reached by multiplying in what a
+        pivot misses."""
+        d = self.order
+        while True:
+            for s, w in self.torsion:
+                g = math.gcd(s, d)
+                missing = g // math.gcd(d // self.order * w, g)
+                if missing > 1:
+                    d *= missing
+                    break
+            else:
+                return d
 
     @property
     def rhs(self) -> tuple[Fraction, ...]:
@@ -410,8 +462,9 @@ class NormalizedCoset:
     def rank(self) -> int:
         return len(self.rows)
 
-    @property
+    @cached_property
     def dim(self) -> int:
+        """Real dimension; cached, since every count reads it."""
         return self.ambient_dim - self.rank
 
     def __hash__(self) -> int:
@@ -425,9 +478,10 @@ class NormalizedCoset:
     @cached_property
     def basis(self) -> dict[int, Row]:
         """The rows of (H | nums) by pivot column: the basis a meet starts
-        from, and the rows a compiled coset is read off.  A coset made by
-        normalizing or meeting gets it from the Hermite pass.  Shared
-        between meets: never change it in place."""
+        from, and the rows the Smith pass of :attr:`torsion` reads.  A coset
+        made by normalizing or meeting gets it from the Hermite pass; one
+        built from its fields (a negated coset) builds it from its rows.
+        Shared between meets: never change it in place."""
         return {next(c for c, a in enumerate(r) if a): (*r, m) for r, m in zip(self.rows, self.nums)}
 
     def meet(self, other: "NormalizedCoset") -> Optional["NormalizedCoset"]:

@@ -1,5 +1,6 @@
 """Torsion counting: closed forms against brute-force enumeration."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +9,6 @@ import pytest
 
 from jumploci import (
     CapExceeded,
-    CompiledCoset,
     ComponentBudgetExceeded,
     CongruenceCoset,
     DimensionMismatch,
@@ -16,6 +16,7 @@ from jumploci import (
     coset_torsion_count,
     count_solutions_mod,
     enumerate_torsion,
+    invariant_factors,
     union_torsion_count,
 )
 from jumploci.counting import CountForm
@@ -89,7 +90,7 @@ class TestCosetTorsionCount:
                 assert (value != 0) == (d % order == 0)
 
 
-class TestCompiledCoset:
+class TestNormalizedCosetCount:
     def test_emptiness_matches_normalize(self):
         # an empty coset has no point on any grid; a nonempty one has points
         # at its min_order, confirmed by enumeration when that grid is small
@@ -105,7 +106,7 @@ class TestCompiledCoset:
                     if d ** n <= 2000:
                         assert brute_force_torsion_count([coset], d) == 0
             else:
-                d = CompiledCoset.of(nc).min_order
+                d = nc.min_order
                 if d ** n <= 2000:
                     assert brute_force_torsion_count([coset], d) > 0
                     witnessed += 1
@@ -119,18 +120,33 @@ class TestCompiledCoset:
         for _ in range(300):
             n = rng.randint(1, 3)
             coset = random_nonempty_coset(rng, n, max_rows=3, span=5, max_den=6)
-            compiled = CompiledCoset.of(coset.normalize())
-            torsion_pivots += any(s > 2 for s, _ in compiled.torsion)
+            nc = coset.normalize()
+            torsion_pivots += any(s > 2 for s, _ in nc.torsion)
+            # the carried pivots against a separate Smith pass over the rows
+            assert nc.component_count == math.prod(invariant_factors(nc.rows, n))
             for d in range(1, 13):
-                assert compiled.count(d) == brute_force_torsion_count([coset], d)
+                assert nc.count(d) == brute_force_torsion_count([coset], d)
         assert torsion_pivots > 30
+
+    def test_negated_count_against_enumeration(self):
+        # a negated coset is built from its fields, not by the Hermite pass,
+        # so its Smith pass reads a basis rebuilt from its rows
+        rng = random.Random(1213)
+        for _ in range(100):
+            n = rng.randint(1, 3)
+            coset = random_nonempty_coset(rng, n, max_rows=3, span=5, max_den=6)
+            neg = -coset.normalize()
+            assert "basis" not in vars(neg)
+            negated = CongruenceCoset(n, coset.rows, tuple(-b for b in coset.rhs))
+            for d in range(1, 9):
+                assert neg.count(d) == brute_force_torsion_count([negated], d)
 
     def test_transformed_translate_follows_the_sign_flip(self):
         # 6·x0 − 3·x1 ≡ 1/2: the Smith pivot −3 is made positive by negating
         # its row, so U = (−1) and the carried translate is −1 ≡ 2 (mod 3)
         nc = CongruenceCoset.of(2, [[6, -3]], [Fraction(1, 2)]).normalize()
         assert (nc.rows, nc.nums, nc.order) == (((6, -3),), (1,), 2)
-        assert CompiledCoset.of(nc) == CompiledCoset(2, 1, ((3, 2),))
+        assert (nc.order, nc.dim, nc.torsion) == (2, 1, ((3, 2),))
 
     def test_min_order_against_enumeration(self):
         # points of order dividing d exist exactly at the multiples of
@@ -143,11 +159,10 @@ class TestCompiledCoset:
             nc = coset.normalize()
             if nc is None:
                 continue
-            compiled = CompiledCoset.of(nc)
             done += 1
-            for d in range(1, 2 * compiled.min_order + 1):
-                assert (brute_force_torsion_count([coset], d) > 0) == (d % compiled.min_order == 0)
-            beyond_translate_order += compiled.min_order != compiled.order
+            for d in range(1, 2 * nc.min_order + 1):
+                assert (brute_force_torsion_count([coset], d) > 0) == (d % nc.min_order == 0)
+            beyond_translate_order += nc.min_order != nc.order
         assert beyond_translate_order >= 3
 
 
@@ -291,7 +306,7 @@ class TestSignedMeets:
         for _ in range(10):
             nc = random_nonempty_coset(rng, 3).normalize()
             terms = _union_terms([nc] * rng.randint(2, 6), 3)
-            assert terms == ((1, CompiledCoset.of(CongruenceCoset(nc.ambient_dim, nc.rows, nc.rhs).normalize())),)
+            assert terms == ((1, CongruenceCoset(nc.ambient_dim, nc.rows, nc.rhs).normalize()),)
 
     def test_nested_components(self):
         point = CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), 0]))
@@ -300,7 +315,7 @@ class TestSignedMeets:
         for comps in ([point, line, torus], [torus, line, point], [line, point, line, point]):
             top = comps[-1] if comps[0] is point else comps[0]
             normalized = [c.normalize() for c in comps]
-            assert _union_terms(normalized, 2) == ((1, CompiledCoset.of(top.normalize())),)
+            assert _union_terms(normalized, 2) == ((1, top.normalize()),)
             for d in (1, 2, 3, 4):
                 assert union_torsion_count(comps, d) == brute_force_torsion_count(comps, d)
 

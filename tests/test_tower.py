@@ -32,6 +32,7 @@ from jumploci import (
     sheaf_rank_on_cover,
     symbolic_limit,
 )
+from jumploci import counting, torus
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
 from gen import random_rank_function
 from oracles import brute_force_rank_sum, smallest_torsion_order
@@ -138,6 +139,17 @@ class TestHodgeAndBetti:
         for d in (1, 2, 3):
             for k in range(5):
                 assert betti_cover(model, d, k) == comb(4, k)
+
+    def test_shared_origin_runs_one_smith_pass(self, monkeypatch):
+        # all 289 rank functions of the grid jump on one origin coset, whose
+        # Smith data every count form reads
+        calls = []
+        for module in (torus, counting):
+            real = module.snf
+            monkeypatch.setattr(module, "snf", lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+        grid = hodge_numbers_cover(builtin("abelian", g=16).model, 2)
+        assert grid[16][16] == 1
+        assert len(calls) == 1
 
     def test_b0_is_one(self):
         for name, params in (("abelian", {"g": 2}), ("cartwright_steger_like", {}),
