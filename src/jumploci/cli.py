@@ -9,15 +9,20 @@ Subcommands:
 * ``export``       write a catalog entry to a model file
 * ``catalog-list`` list the built-in models
 
-Exit codes: 0 pass, 1 analytic fail (``check`` only), 2 invalid input.
+Exit codes: 0 pass, 1 analytic fail (``check`` only), 2 invalid input,
+141 (128 + SIGPIPE) when standard output is closed before everything is
+written, as by ``jumploci catalog-list | head -1``; nothing goes to
+standard error then.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,6 +34,7 @@ from .model import VarietyModel, validate_model
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
+EXIT_CLOSED_PIPE = 141
 
 
 def _parse_params(text: Optional[str]) -> dict:
@@ -88,6 +94,21 @@ def _approx(x: Fraction) -> str:
     return f"{float(x):.12g}"
 
 
+@contextlib.contextmanager
+def _int_text_of_any_size():
+    """Lifts the interpreter's cap on the digits of an int turned into text
+    (4300 by default, and no cap before Python 3.10.7), then restores it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def cmd_count(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     ds = _positive_ints(args.d, "--d")
@@ -119,13 +140,15 @@ def cmd_count(args, out=None) -> int:
                 counting.check_enumeration(comp.ambient_dim, d, args.enum_cap)
     print(f"# {label}: {len(components)} components, top dimension {top}", file=out)
     print(f"{'d':>6} {'torsion':>14} {'d^dim':>14}", file=out)
-    for d in ds:
-        value = counting.union_torsion_count(components, d, budget=args.budget)
-        print(f"{d:>6} {value:>14} {d ** top:>14}", file=out)
-        if args.enumerate:
-            for comp in components:
-                for pt in counting.enumerate_torsion(comp, d, cap=args.enum_cap):
-                    print("    " + " ".join(str(c) for c in pt.coords), file=out)
+    # counts are exact, so a huge d prints every digit
+    with _int_text_of_any_size():
+        for d in ds:
+            value = counting.union_torsion_count(components, d, budget=args.budget)
+            print(f"{d:>6} {value:>14} {d ** top:>14}", file=out)
+            if args.enumerate:
+                for comp in components:
+                    for pt in counting.enumerate_torsion(comp, d, cap=args.enum_cap):
+                        print("    " + " ".join(str(c) for c in pt.coords), file=out)
     return EXIT_OK
 
 
@@ -340,10 +363,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if value < 1:
                 raise EngineError(f"{flag} must be a positive integer, got {value}")
         # looked up by name on each call, so a wrapper installed on the module is called
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return code
     except (EngineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes to the null device,
+        # so the flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

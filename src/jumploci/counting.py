@@ -10,12 +10,13 @@ computed once per coset).
 
 Every count is one :class:`CountForm`: a limit times d^N plus a signed sum
 over distinct nonempty normalized meets (Möbius inversion over their
-intersection poset).  A rank function's form weights the union of each of
-its level sets by the step to the next threshold, and a union of cosets is
-the form of limit 0 with every value 1.  A union is built one component at
-a time: each new component's rows are inserted into the Hermite rows of
-every stored meet (:meth:`~jumploci.torus.NormalizedCoset.meet`), and meets
-are keyed by their integer Hermite form, hashed once.  Each meet hands its
+intersection poset).  A rank function's form is built in one pass: its
+strata join a running union in decreasing value order, and the change each
+makes to the union is weighted by its value's height above the limit.  A
+union of cosets is the form of limit 0 with every value 1.  Each new
+stratum's rows are inserted into the Hermite rows of every stored meet
+(:meth:`~jumploci.torus.NormalizedCoset.meet`), and meets are keyed by
+their integer Hermite form, hashed once.  Each meet hands its
 rows of (H | L·b) on to the next meet and to its Smith pass.  Empty meets
 are never extended, so the work is bounded by the distinct nonempty meets
 rather than by the 2^r subsets.
@@ -85,37 +86,10 @@ def check_union(components: Sequence[CongruenceCoset], budget: int) -> None:
             f"{len(components)} components exceed the component budget of {budget}")
 
 
-def _signed_union(components: Sequence[NormalizedCoset]) -> dict[NormalizedCoset, int]:
-    """Signed terms of a union, keyed by meet: 1_union = Σ coefficient·1_meet.
-
-    Components are added one at a time, using
-    1_{U ∪ C} = 1_U + 1_C − Σ c_x·1_{x ∩ C} for the terms (c_x, x) of U.
-    Each meet inserts the component's rows into the stored meet's Hermite
-    rows (:meth:`NormalizedCoset.meet`).  Meets are keyed by their integer
-    Hermite form, so equal meets merge and terms whose coefficients cancel
-    are dropped; an empty meet is never extended.  There is one term per
-    distinct nonempty meet at most.
-    """
-    terms: dict[NormalizedCoset, int] = {}
-    for comp in components:
-        delta = {comp: 1}
-        for x, c in terms.items():
-            meet = x.meet(comp)
-            if meet is not None:
-                delta[meet] = delta.get(meet, 0) - c
-        for x, c in delta.items():
-            c += terms.get(x, 0)
-            if c:
-                terms[x] = c
-            else:
-                terms.pop(x, None)
-    return terms
-
-
 @dataclass(frozen=True)
 class CountForm:
     """A rank sum on (R/Z)^N in closed form: h(d) = limit·d^N + Σ c·count(d)
-    over the terms, the distinct meets of the level sets above the limit."""
+    over the terms, the distinct meets of the strata above the limit."""
 
     ambient_dim: int
     limit: int
@@ -126,19 +100,34 @@ class CountForm:
            strata: Sequence[tuple[NormalizedCoset, int]]) -> "CountForm":
         """The form of h = max(limit, values of the strata containing the point).
 
-        With thresholds t above the limit in increasing order,
-        h = limit + Σ_t (t − t_prev)·1_{h ≥ t}, and each level set
-        {h ≥ t} is the union of the strata reaching t (:func:`_signed_union`).
-        Terms are merged by Hermite form.  A union of cosets is the form of
-        limit 0 with every value 1.  Callers run :func:`check_union` first.
+        One pass adds the strata to a running union U in decreasing value
+        order, using 1_{U ∪ C} = 1_U + 1_C − Σ c_x·1_{x ∩ C} over the terms
+        (c_x, x) of U, and weights each delta 1_{U ∪ C} − 1_U by the height
+        of C's value above the limit.  Each meet inserts C's rows into the
+        stored meet's Hermite rows (:meth:`NormalizedCoset.meet`); meets are
+        keyed by their integer Hermite form, so equal meets merge, terms
+        that cancel are dropped and an empty meet is never extended.  A
+        union of cosets is the form of limit 0 with every value 1.  Callers
+        run :func:`check_union` first.
         """
+        union: dict[NormalizedCoset, int] = {}
         terms: dict[NormalizedCoset, int] = {}
-        prev = limit
-        for t in sorted({value for _, value in strata if value > limit}):
-            for x, c in _signed_union([nc for nc, value in strata if value >= t]).items():
-                terms[x] = terms.get(x, 0) + (t - prev) * c
-            prev = t
-        return cls(ambient_dim, limit, tuple((c, x) for x, c in terms.items() if c))
+        for comp, value in sorted(strata, key=lambda s: -s[1]):
+            if value <= limit:
+                break
+            delta = {comp: 1}
+            for x, c in union.items():
+                meet = x.meet(comp)
+                if meet is not None:
+                    delta[meet] = delta.get(meet, 0) - c
+            for total, weight in ((union, 1), (terms, value - limit)):
+                for x, c in delta.items():
+                    c = total.get(x, 0) + weight * c
+                    if c:
+                        total[x] = c
+                    else:
+                        total.pop(x, None)
+        return cls(ambient_dim, limit, tuple((c, x) for x, c in terms.items()))
 
     def count(self, d: int) -> int:
         """h summed over the points of order dividing d (d positive)."""

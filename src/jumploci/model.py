@@ -68,9 +68,9 @@ class RankFunction:
         return CountForm.of(self.ambient_dim, self.limit, self.effective_strata())
 
     def count_form(self, budget: int) -> CountForm:
-        """The limit and the signed meets of the level sets above it,
-        weighted by their steps and merged by Hermite form.  The budget caps
-        the strata above the limit; it is checked on every call."""
+        """The limit and the signed meets of the strata above it, merged by
+        Hermite form (:meth:`CountForm.of`).  The budget caps the strata
+        above the limit; it is checked on every call."""
         check_union([coset for coset, value in self.strata if value > self.limit], budget)
         return self._count_form
 
@@ -127,18 +127,27 @@ class PluriData:
         return CongruenceCoset.pinned(ambient_dim, pinned)
 
     @cached_property
+    def _locus_cosets(self) -> dict[int, tuple[CongruenceCoset, ...]]:
+        return {}
+
+    @cached_property
     def _rank_functions(self) -> dict[tuple[int, int], RankFunction]:
         return {}
 
     def rank_function(self, ambient_dim: int, m: int) -> RankFunction:
         """The rank function of ω^m, built once per (ambient_dim, m) so that
-        every cover reads the same compiled form."""
+        every cover reads the same compiled form.  Its locus cosets are built
+        once per ambient_dim, so every m shares their normalization and Smith
+        data."""
         key = (ambient_dim, m)
         if key not in self._rank_functions:
+            if ambient_dim not in self._locus_cosets:
+                self._locus_cosets[ambient_dim] = tuple(
+                    self.locus_coset(ambient_dim, t) for t in self.translates)
             generic = int(self.generic_values.get(m, 0))
             value = int(self.values[m])
-            strata = tuple(Stratum(self.locus_coset(ambient_dim, t), value)
-                           for t in self.translates) if value > generic else ()
+            strata = tuple(Stratum(c, value)
+                           for c in self._locus_cosets[ambient_dim]) if value > generic else ()
             self._rank_functions[key] = RankFunction(ambient_dim, generic, strata)
         return self._rank_functions[key]
 
@@ -287,6 +296,8 @@ def validate_model(model: VarietyModel) -> ValidationReport:
 
     for p, q in model.hodge_pairs():
         rf = model.hodge[p][q]
+        if rf.generic_value < 0:
+            err(f"rank function ({p},{q}) has negative generic value {rf.generic_value}")
         if rf.ambient_dim != model.torus_dim:
             err(f"rank function ({p},{q}) has ambient dimension {rf.ambient_dim}, expected {model.torus_dim}")
             continue
@@ -352,6 +363,11 @@ def validate_model(model: VarietyModel) -> ValidationReport:
         for t in model.pluri.translates:
             if t.dim != model.torus_dim:
                 err("a pluricanonical translate lives in the wrong torus")
+        for table, what in ((model.pluri.values, "plurigenus value"),
+                            (model.pluri.generic_values, "generic plurigenus value")):
+            for m, v in table.items():
+                if v < 0:
+                    err(f"{what} {v} for m = {m} is negative")
         for m, v in model.pluri.values.items():
             if m < 2:
                 err(f"plurigenus data for m = {m}; only m >= 2 belongs here")
@@ -365,6 +381,8 @@ def validate_model(model: VarietyModel) -> ValidationReport:
 
     for name, rfs in sorted(model.sheaves.items()):
         for i, rf in enumerate(rfs):
+            if rf.generic_value < 0:
+                err(f"sheaf slot {name!r} degree {i} has negative generic value {rf.generic_value}")
             if rf.ambient_dim != model.torus_dim:
                 err(f"sheaf slot {name!r} degree {i} has the wrong ambient dimension")
             for idx, (coset, value) in enumerate(rf.strata):

@@ -21,7 +21,8 @@ SCHEMA_VERSION = 1
 
 # Largest dimension n and irregularity g a model file or a catalog
 # parameter may declare, checked before the (n+1)x(n+1) rank grid is
-# allocated.  Both sit far above the default catalog instances (n, g <= 4).
+# allocated; a locus file's torus obeys the same cap, 2·MAX_G.  Both sit
+# far above the default catalog instances (n, g <= 4).
 MAX_N = 64
 MAX_G = 64
 
@@ -262,4 +263,7 @@ def load_locus(path: str | Path) -> list[CongruenceCoset]:
     if not isinstance(obj, dict) or "ambient_dim" not in obj:
         raise ModelFormatError("a locus file needs 'ambient_dim' and 'components'")
     ambient = _natural(obj["ambient_dim"], "'ambient_dim'")
+    if ambient > 2 * MAX_G:
+        raise ModelFormatError(f"'ambient_dim' = {ambient} exceeds the largest supported "
+                               f"torus dimension {2 * MAX_G}")
     return [_coset_from_dict(c, ambient) for c in _list(obj.get("components", []), "'components'")]

@@ -5,8 +5,8 @@ has degree d^(2g), and the rank of a pulled-back sheaf on it decomposes as
 the sum of the twisted ranks over all d-torsion points of the dual torus.
 Each rank function sums through its count form
 (:meth:`RankFunction.count_form`): the limit contributes limit·d^(2g), and
-the signed meets of its level sets above the limit contribute
-their exact torsion counts.  This keeps every invariant computable for d
+the signed meets of its strata above the limit contribute their exact
+torsion counts.  This keeps every invariant computable for d
 with d^(2g) far beyond machine range.
 
 Every invariant is a sum of rank functions (:func:`summands`), so its

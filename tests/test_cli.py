@@ -4,10 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import jumploci
 from jumploci import (CongruenceCoset, RankFunction, Stratum, TorusPoint, VarietyModel, builtin,
                       dumps_model, load_model, origin_jump)
 from jumploci.cli import main
@@ -26,7 +31,32 @@ def test_catalog_list(capsys):
     assert "cartwright_steger_like()" in out
 
 
+def test_closed_pipe_exits_quietly():
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(jumploci.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "jumploci.cli", "catalog-list"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 class TestCount:
+    def test_huge_counts_print_every_digit(self, capsys):
+        # 10^40 on a locus of real dimension 126: d^126 has 5041 digits,
+        # beyond the interpreter's default cap on int-to-text conversion
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out = run_cli(capsys, "count", "--builtin", "fibered_over_curve", "--params", "genus=63",
+                            "--i", "0,1", "--d", "2,1" + "0" * 40)
+        assert code == 0
+        big = "1" + "0" * (40 * 126)
+        assert out.splitlines()[-1].split() == ["1" + "0" * 40, big, big]
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
     def test_blowup_origin_only_locus(self, capsys):
         code, out = run_cli(capsys, "count", "--builtin", "blowup_abelian4_curve",
                             "--params", "genus=2", "--i", "1,2", "--d", "1,2,3")

@@ -329,6 +329,70 @@ class TestSignedMeets:
         assert _union_terms([], 2) == ()
 
 
+def _per_threshold_terms(n, limit, strata):
+    """h = limit + Σ_t (t − t_prev)·1_{h ≥ t} over the thresholds above the
+    limit, each level set a union of unit value: the reference that the one
+    pass of :meth:`CountForm.of` must reproduce term for term."""
+    terms = {}
+    prev = limit
+    for t in sorted({v for _, v in strata if v > limit}):
+        for c, x in _union_terms([nc for nc, v in strata if v >= t], n):
+            terms[x] = terms.get(x, 0) + (t - prev) * c
+        prev = t
+    return {x: c for x, c in terms.items() if c}
+
+
+class TestOnePassForm:
+    """The one-pass form of a multi-valued rank function against the sum of
+    its level sets' unions, compared as dicts."""
+
+    @staticmethod
+    def _terms(n, limit, strata):
+        return {x: c for c, x in CountForm.of(n, limit, strata).terms}
+
+    def test_random_rank_functions(self):
+        rng = random.Random(31415)
+        multivalued = 0
+        for _ in range(120):
+            n = rng.randint(2, 4)
+            limit = rng.randint(0, 2)
+            strata = []
+            for _ in range(rng.randint(1, 7)):
+                if strata and rng.random() < 0.2:
+                    nc = rng.choice(strata)[0]
+                else:
+                    nc = random_nonempty_coset(rng, n, max_rows=2, span=2, max_den=3).normalize()
+                strata.append((nc, limit + rng.randint(0, 4)))
+            multivalued += len({v for _, v in strata if v > limit}) > 1
+            assert self._terms(n, limit, strata) == _per_threshold_terms(n, limit, strata)
+        assert multivalued > 60
+
+    def test_equal_values(self):
+        lines = [CongruenceCoset.of(2, [row], [Fraction(1, 2)]).normalize()
+                 for row in ([1, 0], [0, 1], [1, 1])]
+        strata = [(nc, 3) for nc in lines]
+        terms = self._terms(2, 1, strata)
+        assert terms == _per_threshold_terms(2, 1, strata)
+        assert terms == {x: 2 * c for c, x in _union_terms(lines, 2)}
+
+    def test_nested_strata_cancel(self):
+        # the point lies on the line; below the line's value it adds nothing
+        point = CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), 0])).normalize()
+        line = CongruenceCoset.of(2, [[0, 1]], [0]).normalize()
+        for strata, expected in (([(point, 2), (line, 3)], {line: 3}),
+                                 ([(line, 2), (point, 5)], {line: 2, point: 3})):
+            assert self._terms(2, 0, strata) == _per_threshold_terms(2, 0, strata) == expected
+
+    def test_full_torus_stratum_at_the_limit(self):
+        torus = CongruenceCoset.full_torus(2).normalize()
+        line = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 3)]).normalize()
+        strata = [(torus, 2), (line, 4), (line, 2)]
+        assert self._terms(2, 2, strata) == _per_threshold_terms(2, 2, strata) == {line: 2}
+        form = CountForm.of(2, 2, strata)
+        for d in (1, 3, 6):
+            assert form.count(d) == 2 * d ** 2 + 2 * (d if d % 3 == 0 else 0)
+
+
 class TestLargeUnions:
     """Unions of r = 16 and 20 codimension-1 and -2 cosets of (R/Z)^4, within a
     budget of 20, against enumeration at small d."""

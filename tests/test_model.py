@@ -97,6 +97,23 @@ class TestValidation:
         report = validate_model(model)
         assert any("not above the generic" in f.message for f in report.errors)
 
+    def test_negative_ranks_are_errors(self):
+        base = builtin("abelian", g=1).model
+        grid = [list(row) for row in base.hodge]
+        grid[1][0] = RankFunction(2, -3, grid[1][0].strata)
+        model = dataclasses.replace(base, hodge=tuple(map(tuple, grid)))
+        assert [f.message for f in validate_model(model).errors] == [
+            "rank function (1,0) has negative generic value -3"]
+        sheaf = dataclasses.replace(base, sheaves={"L": (constant_rank(2, 0), constant_rank(2, -1))})
+        assert [f.message for f in validate_model(sheaf).errors] == [
+            "sheaf slot 'L' degree 1 has negative generic value -1"]
+        pluri = PluriData(q_base=1, translates=(TorusPoint.zero(2),),
+                          values={2: -2}, generic_values={2: -2, 3: -1})
+        assert [f.message for f in validate_model(dataclasses.replace(base, pluri=pluri)).errors] == [
+            "plurigenus value -2 for m = 2 is negative",
+            "generic plurigenus value -2 for m = 2 is negative",
+            "generic plurigenus value -1 for m = 3 is negative"]
+
     def test_proper_pluri_locus_needs_zero_generic_value(self):
         # q_base = 0 < g: P_2 would be d^4·1 + 2 while pluri_limit said 0
         base = builtin("abelian", g=2).model

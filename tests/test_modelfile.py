@@ -155,6 +155,29 @@ def test_largest_n_and_g_load():
     assert (model.n, model.g, len(model.hodge)) == (MAX_N, MAX_G, MAX_N + 1)
 
 
+def test_negative_generic_rank_exits_2(tmp_path, capsys):
+    blob = model_to_dict(builtin("abelian", g=1).model)
+    blob["hodge"][2]["generic"] = -3
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "error: rank function (1,0) has negative generic value -3" in out
+    assert out.endswith("model rejected\n")
+
+
+def test_locus_at_the_torus_cap_loads(tmp_path, capsys):
+    n = 2 * MAX_G
+    path = tmp_path / "locus.json"
+    path.write_text(json.dumps({
+        "ambient_dim": n,
+        "components": [{"A": [[1] + [0] * (n - 1)], "b": ["1/2"]}],
+    }), encoding="utf-8")
+    assert load_locus(path)[0].normalize().dim == n - 1
+    assert main(["count", "--locus", str(path), "--d", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["2", str(2 ** (n - 1)), str(2 ** (n - 1))]
+
+
 @pytest.mark.parametrize("field,bad,message", [
     ("ambient_dim", 2.7, "'ambient_dim' must be an integer"),
     ("ambient_dim", True, "'ambient_dim' must be an integer"),
@@ -162,6 +185,7 @@ def test_largest_n_and_g_load():
     ("ambient_dim", -1, "'ambient_dim' must be nonnegative"),
     ("components", {"A": [[1, 0]], "b": ["1/2"]}, "'components' must be a list"),
     ("components", "none", "'components' must be a list"),
+    ("ambient_dim", 2 * MAX_G + 1, "exceeds the largest supported torus dimension 128"),
 ])
 def test_bad_locus_rejected(field, bad, message, tmp_path, capsys):
     blob = {"ambient_dim": 2, "components": [{"A": [[1, 0]], "b": ["1/2"]}]}

@@ -32,7 +32,7 @@ from jumploci import (
     sheaf_rank_on_cover,
     symbolic_limit,
 )
-from jumploci import counting, torus
+from jumploci import cli, counting, torus
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
 from gen import random_rank_function
 from oracles import brute_force_rank_sum, smallest_torsion_order
@@ -150,6 +150,18 @@ class TestHodgeAndBetti:
         grid = hodge_numbers_cover(builtin("abelian", g=16).model, 2)
         assert grid[16][16] == 1
         assert len(calls) == 1
+
+    def test_plurigenus_exponents_share_their_locus(self, monkeypatch, capsys):
+        # one Smith pass for the grid's origin and one for the pinned locus
+        # that every exponent m reads
+        calls = []
+        for module in (torus, counting):
+            real = module.snf
+            monkeypatch.setattr(module, "snf", lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+        assert cli.main(["tower", "--builtin", "abelian", "--params", "g=32", "--d-max", "2",
+                         "--pluri", "2,3,4,5,6"]) == 0
+        assert capsys.readouterr().out.count("\n") == 3
+        assert len(calls) == 2
 
     def test_b0_is_one(self):
         for name, params in (("abelian", {"g": 2}), ("cartwright_steger_like", {}),
