@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_CLOSED_PIPE = 141
+ECHO_CHARS = 60  # an error message quotes at most this much of a bad argument
 
 
 def _parse_params(text: Optional[str]) -> dict:
@@ -82,11 +83,13 @@ def _add_model_source(parser: argparse.ArgumentParser) -> None:
 
 def _positive_ints(text: str, flag: str) -> list[int]:
     try:
-        values = [int(t) for t in text.split(",") if t]
+        with _int_text_of_any_size():
+            values = [int(t) for t in text.split(",") if t]
     except ValueError:
         values = []
     if not values or any(v < 1 for v in values):
-        raise EngineError(f"{flag} needs a comma list of positive integers, got {text!r}")
+        shown = text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+        raise EngineError(f"{flag} needs a comma list of positive integers, got {shown!r}")
     return values
 
 

@@ -12,12 +12,15 @@ Every count is one :class:`CountForm`: a limit times d^N plus a signed sum
 over distinct nonempty normalized meets (Möbius inversion over their
 intersection poset).  A rank function's form is built in one pass: its
 strata join a running union in decreasing value order, and the change each
-makes to the union is weighted by its value's height above the limit.  A
-union of cosets is the form of limit 0 with every value 1.  Each new
-stratum's rows are inserted into the Hermite rows of every stored meet
-(:meth:`~jumploci.torus.NormalizedCoset.meet`), and meets are keyed by
-their integer Hermite form, hashed once.  Each meet hands its
-rows of (H | L·b) on to the next meet and to its Smith pass.  Empty meets
+makes to the union is weighted by its value's height above the limit.
+Among equal values the lower-dimensional strata enter first, which makes
+fewer meets; the terms do not depend on the order, since a subset S of
+strata gives its meet (−1)^(|S|+1)·(min value over S − limit) however they
+enter.  A union of cosets is the form of limit 0 with every value 1.
+Each new stratum's rows are inserted into the Hermite rows of every stored
+meet (:meth:`~jumploci.torus.NormalizedCoset.meet`), and meets are keyed
+by their integer Hermite form, hashed once.  Each meet hands its rows of
+(H | L·b) on to the next meet and to its Smith data.  Empty meets
 are never extended, so the work is bounded by the distinct nonempty meets
 rather than by the 2^r subsets.
 """
@@ -101,18 +104,21 @@ class CountForm:
         """The form of h = max(limit, values of the strata containing the point).
 
         One pass adds the strata to a running union U in decreasing value
-        order, using 1_{U ∪ C} = 1_U + 1_C − Σ c_x·1_{x ∩ C} over the terms
-        (c_x, x) of U, and weights each delta 1_{U ∪ C} − 1_U by the height
-        of C's value above the limit.  Each meet inserts C's rows into the
-        stored meet's Hermite rows (:meth:`NormalizedCoset.meet`); meets are
-        keyed by their integer Hermite form, so equal meets merge, terms
-        that cancel are dropped and an empty meet is never extended.  A
-        union of cosets is the form of limit 0 with every value 1.  Callers
-        run :func:`check_union` first.
+        order, lowest dimension first among equal values, using
+        1_{U ∪ C} = 1_U + 1_C − Σ c_x·1_{x ∩ C} over the terms (c_x, x) of
+        U, and weights each delta 1_{U ∪ C} − 1_U by the height of C's
+        value above the limit.  The terms are the same in any order; low
+        dimensions first tend to keep U smaller, so later strata make fewer
+        meets.  Each meet inserts C's rows into the stored meet's Hermite
+        rows (:meth:`NormalizedCoset.meet`); meets are keyed by their
+        integer Hermite form, so equal meets merge, terms that cancel are
+        dropped and an empty meet is never extended.  A union of cosets is
+        the form of limit 0 with every value 1.  Callers run
+        :func:`check_union` first.
         """
         union: dict[NormalizedCoset, int] = {}
         terms: dict[NormalizedCoset, int] = {}
-        for comp, value in sorted(strata, key=lambda s: -s[1]):
+        for comp, value in sorted(strata, key=lambda s: (-s[1], s[0].dim)):
             if value <= limit:
                 break
             delta = {comp: 1}

@@ -24,10 +24,15 @@ its translate order, so equal cosets compare and hash as tuples of ints.
 One made by the Hermite kernel also keeps its hash and the rows of
 ``(H | nums)`` by pivot column (:attr:`NormalizedCoset.basis`), which the
 next meet inserts into.  Compiling is a property of the coset: on first
-use, one :func:`snf` pass over those rows gives its Smith data
-(:attr:`NormalizedCoset.torsion`), off which its component count and its
-number of d-torsion points, a closed form in d, are read.  A coset that
-many counts share runs that pass once.
+use those rows give its Smith data (:attr:`NormalizedCoset.torsion`), off
+which its component count and its number of d-torsion points, a closed
+form in d, are read.  A coset that many counts share computes them once.
+H is in Hermite form, so the entries above each pivot lie in [0, pivot):
+a pivot of 1 has a unit-vector column, and its row splits off as Smith
+pivot 1, which asks nothing of d.  Only the rows with pivot above 1 are
+read: without one there are no Smith data, a single one gives the gcd g
+of its entries and its translate modulo g (U = 1), and more run one
+:func:`snf` pass.
 Everything is exact: arbitrary-precision ``int`` and ``Fraction``
 throughout, no floating point; membership is decided in integers.
 """
@@ -380,6 +385,23 @@ def _hermite(width: int, basis: dict[int, Row], modulus: int) -> "NormalizedCose
     return nc
 
 
+def _smith_data(rows: list[Row], width: int) -> tuple[tuple[int, int], ...]:
+    """(s, (U·nums)_i mod s) for each Smith pivot s > 1 of the independent
+    rows of (H | nums), H their first ``width`` columns.
+
+    A single row needs no pass: its only pivot is the gcd of its entries,
+    with U = 1.  More rows run one :func:`snf` pass, the last column
+    carried along as U·nums.
+    """
+    if not rows:
+        return ()
+    if len(rows) == 1:
+        row = rows[0]
+        g = math.gcd(*row[:width])
+        return ((g, row[width] % g),) if g > 1 else ()
+    return tuple((r[i], r[width] % r[i]) for i, r in enumerate(snf(rows, width)) if r[i] > 1)
+
+
 @dataclass(frozen=True)
 class NormalizedCoset:
     """Canonicalized nonempty coset {x : H·x ≡ nums/order}, H in Hermite form.
@@ -401,14 +423,13 @@ class NormalizedCoset:
     def torsion(self) -> tuple[tuple[int, int], ...]:
         """(s, (U·nums)_i mod s) for each Smith pivot s > 1 of H, U·H·V = S.
 
-        One Smith pass over the rows of (H | nums): the last column is U·nums.
-        The rows are independent, so every pivot is nonzero; a unit pivot
-        asks nothing of d.  Computed once per coset, however many counts
-        share it.
+        Computed once per coset, however many counts share it, by
+        :func:`_smith_data` over the rows of (H | nums) whose Hermite pivot
+        exceeds 1: a row with pivot 1 splits off as a unit Smith pivot, which
+        asks nothing of d.  No such row gives (); one gives its gcd g and
+        nums_i mod g when g > 1; two or more run one Smith pass.
         """
-        n = self.ambient_dim
-        return tuple((r[i], r[n] % r[i]) for i, r in enumerate(snf(self.basis.values(), n))
-                     if r[i] > 1)
+        return _smith_data([r for c, r in self.basis.items() if r[c] > 1], self.ambient_dim)
 
     @cached_property
     def component_count(self) -> int:

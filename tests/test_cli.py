@@ -57,6 +57,17 @@ class TestCount:
         assert out.splitlines()[-1].split() == ["1" + "0" * 40, big, big]
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
+    def test_d_beyond_the_int_text_digit_cap(self, capsys):
+        # 4301 digits exceed the interpreter's default cap on text-to-int
+        # conversion, which parsing lifts as printing does
+        big = "1" + "0" * 4300
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out = run_cli(capsys, "count", "--builtin", "abelian", "--params", "g=1",
+                            "--i", "0,0", "--d", "1," + big)
+        assert code == 0
+        assert out.splitlines()[-1].split() == [big, "1", "1"]
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
     def test_blowup_origin_only_locus(self, capsys):
         code, out = run_cli(capsys, "count", "--builtin", "blowup_abelian4_curve",
                             "--params", "genus=2", "--i", "1,2", "--d", "1,2,3")
@@ -226,6 +237,14 @@ class TestBadFlags:
         assert captured.out == ""
         assert f"error: {flag} needs a comma list of positive integers" in captured.err
         assert "invalid literal" not in captured.err
+
+    def test_long_bad_list_is_echoed_short(self, capsys):
+        text = "x" * 10_000
+        assert main(["count", "--builtin", "abelian", "--i", "0,1", "--d", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --d needs a comma list of positive integers, got 'xxx")
+        assert len(captured.err) < 200
 
     def test_pluri_beyond_the_data_writes_nothing(self, tmp_path, capsys):
         # abelian pluri data stop at m = 6

@@ -20,6 +20,7 @@ from jumploci import (
     union_torsion_count,
 )
 from jumploci.counting import CountForm
+from jumploci.torus import NormalizedCoset, snf
 from gen import random_connected_coset, random_coset, random_nonempty_coset
 from oracles import brute_force_torsion_count
 
@@ -142,11 +143,17 @@ class TestNormalizedCosetCount:
                 assert neg.count(d) == brute_force_torsion_count([negated], d)
 
     def test_transformed_translate_follows_the_sign_flip(self):
-        # 6·x0 − 3·x1 ≡ 1/2: the Smith pivot −3 is made positive by negating
-        # its row, so U = (−1) and the carried translate is −1 ≡ 2 (mod 3)
-        nc = CongruenceCoset.of(2, [[6, -3]], [Fraction(1, 2)]).normalize()
+        # (6, −3 | 1): the Smith pivot −3 is made positive by negating its
+        # row, so U = (−1) and the carried translate is −1
+        assert snf([(6, -3, 1)], 2) == ((3, 0, -1),)
+        # 6·x0 − 3·x1 ≡ 1/2 is one row, read without a pass: its pivot is
+        # the gcd 3, with U = 1
+        coset = CongruenceCoset.of(2, [[6, -3]], [Fraction(1, 2)])
+        nc = coset.normalize()
         assert (nc.rows, nc.nums, nc.order) == (((6, -3),), (1,), 2)
-        assert (nc.order, nc.dim, nc.torsion) == (2, 1, ((3, 2),))
+        assert (nc.order, nc.dim, nc.torsion) == (2, 1, ((3, 1),))
+        for d in range(1, 13):
+            assert nc.count(d) == brute_force_torsion_count([coset], d)
 
     def test_min_order_against_enumeration(self):
         # points of order dividing d exist exactly at the multiples of
@@ -164,6 +171,43 @@ class TestNormalizedCosetCount:
                 assert (brute_force_torsion_count([coset], d) > 0) == (d % nc.min_order == 0)
             beyond_translate_order += nc.min_order != nc.order
         assert beyond_translate_order >= 3
+
+
+class TestUnitPivotSplit:
+    """Smith data read from the rows whose Hermite pivot exceeds 1 against a
+    Smith pass over every row, for cosets with 0, 1 and 2 or more such rows."""
+
+    @staticmethod
+    def _reference(nc):
+        """A copy of the coset whose Smith data come from every basis row."""
+        n = nc.ambient_dim
+        ref = NormalizedCoset(n, nc.rows, nc.nums, nc.order)
+        vars(ref)["torsion"] = tuple((r[i], r[n] % r[i])
+                                     for i, r in enumerate(snf(list(nc.basis.values()), n)) if r[i] > 1)
+        return ref
+
+    def test_against_a_pass_over_every_row(self):
+        rng = random.Random(4301)
+        seen = {0: 0, 1: 0, 2: 0}
+        enumerated = dict(seen)
+        unit_rows = 0
+        while min(seen.values()) < 40:
+            n = rng.randint(1, 4)
+            coset = random_nonempty_coset(rng, n, max_rows=n, span=4, max_den=6)
+            nc = coset.normalize()
+            kind = min(2, sum(r[c] > 1 for c, r in nc.basis.items()))
+            seen[kind] += 1
+            unit_rows += kind < nc.rank
+            ref = self._reference(nc)
+            assert nc.component_count == ref.component_count
+            assert nc.min_order == ref.min_order
+            for d in (*range(1, 25), 10 ** 6, 10 ** 30):
+                assert nc.count(d) == ref.count(d)
+            if n <= 3 and enumerated[kind] < 12:
+                enumerated[kind] += 1
+                for d in range(1, 13):
+                    assert nc.count(d) == brute_force_torsion_count([coset], d)
+        assert min(enumerated.values()) == 12 and unit_rows > 40
 
 
 class TestEnumerate:
@@ -391,6 +435,41 @@ class TestOnePassForm:
         form = CountForm.of(2, 2, strata)
         for d in (1, 3, 6):
             assert form.count(d) == 2 * d ** 2 + 2 * (d if d % 3 == 0 else 0)
+
+
+class TestStratumOrder:
+    """Strata of equal value enter lowest dimension first; the terms do not
+    depend on the order."""
+
+    def test_permuted_strata_give_equal_terms(self):
+        rng = random.Random(1729)
+        for multivalued in (False, True):
+            for _ in range(40):
+                n = rng.randint(2, 4)
+                limit = rng.randint(0, 2) if multivalued else 0
+                strata = []
+                for _ in range(rng.randint(2, 7)):
+                    nc = random_nonempty_coset(rng, n, max_rows=2, span=2, max_den=3).normalize()
+                    strata.append((nc, limit + (rng.randint(1, 3) if multivalued else 1)))
+                terms = TestOnePassForm._terms(n, limit, strata)
+                for _ in range(3):
+                    rng.shuffle(strata)
+                    assert TestOnePassForm._terms(n, limit, strata) == terms
+
+    def test_lower_dimension_first_makes_fewer_meets(self, monkeypatch):
+        rng = random.Random(5)
+        comps = [TestLargeUnions._sparse_coset(rng, 4, rng.choice((1, 2))) for _ in range(8)]
+        highest_first = sorted((c.normalize() for c in comps), key=lambda nc: -nc.dim)
+        meets = []
+        real = NormalizedCoset.meet
+        monkeypatch.setattr(NormalizedCoset, "meet", lambda *a: meets.append(1) or real(*a))
+        union = CountForm.of(4, 0, [(nc, 1) for nc in highest_first])
+        lowest_first = len(meets)
+        meets.clear()
+        # distinct values decreasing along the list force it in as given
+        forced = CountForm.of(4, 0, [(nc, len(comps) - i) for i, nc in enumerate(highest_first)])
+        assert lowest_first < len(meets)
+        assert {x for _, x in union.terms} == {x for _, x in forced.terms}
 
 
 class TestLargeUnions:

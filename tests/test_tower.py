@@ -38,6 +38,15 @@ from gen import random_rank_function
 from oracles import brute_force_rank_sum, smallest_torsion_order
 
 
+def count_calls(monkeypatch, *targets) -> list:
+    """One log shared by the named functions: an entry per call of any."""
+    calls = []
+    for owner, name in targets:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
 class TestSheafRankOnCover:
     def test_origin_only(self):
         rf = origin_jump(2, 0, 4)
@@ -142,26 +151,25 @@ class TestHodgeAndBetti:
 
     def test_shared_origin_runs_one_smith_pass(self, monkeypatch):
         # all 289 rank functions of the grid jump on one origin coset, whose
-        # Smith data every count form reads
-        calls = []
-        for module in (torus, counting):
-            real = module.snf
-            monkeypatch.setattr(module, "snf", lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+        # Smith data every count form reads; the origin's Hermite pivots are
+        # all 1, so computing it runs no snf pass
+        smith = count_calls(monkeypatch, (torus, "_smith_data"))
+        passes = count_calls(monkeypatch, (torus, "snf"), (counting, "snf"))
         grid = hodge_numbers_cover(builtin("abelian", g=16).model, 2)
         assert grid[16][16] == 1
-        assert len(calls) == 1
+        assert len(smith) == 1
+        assert len(passes) == 0
 
     def test_plurigenus_exponents_share_their_locus(self, monkeypatch, capsys):
-        # one Smith pass for the grid's origin and one for the pinned locus
-        # that every exponent m reads
-        calls = []
-        for module in (torus, counting):
-            real = module.snf
-            monkeypatch.setattr(module, "snf", lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+        # Smith data once for the grid's origin and once for the pinned locus
+        # that every exponent m reads; both have unit pivots only
+        smith = count_calls(monkeypatch, (torus, "_smith_data"))
+        passes = count_calls(monkeypatch, (torus, "snf"), (counting, "snf"))
         assert cli.main(["tower", "--builtin", "abelian", "--params", "g=32", "--d-max", "2",
                          "--pluri", "2,3,4,5,6"]) == 0
         assert capsys.readouterr().out.count("\n") == 3
-        assert len(calls) == 2
+        assert len(smith) == 2
+        assert len(passes) == 0
 
     def test_b0_is_one(self):
         for name, params in (("abelian", {"g": 2}), ("cartwright_steger_like", {}),
