@@ -2,8 +2,9 @@
 
 The decay theorem says the normalized (p,q)-rank is O(d^(-e)) with
 e = 2(|n-p-q| - N) when the defect of semismallness is at most N.  The
-engine checks this two ways: numerically (the exact rational sequence
-B_d = normalized·d^e over a finite range) and analytically (the leading
+engine checks this two ways: numerically (the exact supremum of
+B_d = normalized·d^e = h(d)·d^(e-2g) over a finite range, taken in
+integers from the entry's count form) and analytically (the leading
 term of the count form, of degree v, has d^v points at the multiples of the
 smallest d where it has a point, so v > 2g - e forces unboundedness no
 matter how a finite range looks).  A finite-range pass never overrides an
@@ -25,7 +26,7 @@ from typing import Optional
 from .counting import DEFAULT_COMPONENT_BUDGET
 from .model import VarietyModel, satisfies_weak_generic_nakano
 from .torus import TorusPoint
-from .tower import betti_cover, chi_of_forms, normalized_sequence, symbolic_limit
+from .tower import betti_cover, chi_of_forms, symbolic_limit
 
 
 @dataclass(frozen=True)
@@ -65,22 +66,31 @@ def fit_bound(model: VarietyModel, p: int, q: int, defect_bound: int, d_max: int
               *, budget: int = DEFAULT_COMPONENT_BUDGET) -> BoundFit:
     """Fit the decay constant for (p,q) at the declared defect bound.
 
-    ``fitted_b`` is the exact supremum of normalized·d^e over d = 1..d_max;
-    the verdict additionally applies the dimension criterion, because a
-    finite range cannot see the torsion orders of a too-large stratum.
+    ``fitted_b`` is the exact supremum of normalized·d^e = h(d)·d^(e-2g)
+    over d = 1..d_max, with h read off the entry's count form.  Each value
+    is an integer pair (numerator, denominator) and pairs are compared by
+    cross-multiplying, so one Fraction is built, at the end.  The verdict
+    additionally applies the dimension criterion, because a finite range
+    cannot see the torsion orders of a too-large stratum.
     """
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
     exponent = 2 * (abs(model.n - p - q) - defect_bound)
-    seq = normalized_sequence(model, ("hodge", p, q), range(1, d_max + 1), budget=budget)
-    fitted = max(value * Fraction(d) ** exponent for d, value in enumerate(seq, start=1))
-    leading = model.hodge[p][q].count_form(budget).degree
+    form = model.hodge[p][q].count_form(budget)
+    shift = exponent - model.torus_dim
+    num, den = form.count(1), 1
+    for d in range(2, d_max + 1):
+        h = form.count(d)
+        h_num, h_den = (h * d ** shift, 1) if shift >= 0 else (h, d ** -shift)
+        if h_num * den > num * h_den:
+            num, den = h_num, h_den
+    leading = form.degree
     bad_dim = leading if leading > model.torus_dim - exponent else None
     return BoundFit(
         p=p, q=q,
         defect_bound=defect_bound,
         exponent=exponent,
-        fitted_b=fitted,
+        fitted_b=Fraction(num, den),
         passes=bad_dim is None,
         violating_dim=bad_dim,
     )

@@ -62,8 +62,14 @@ def _require(cond: bool, message: str) -> None:
         raise BadParams(message)
 
 
+def _size_text(x: int) -> str:
+    # a parameter of thousands of digits is named by its size, not printed
+    return str(x) if abs(x) < 10 ** 20 else "at least 10^20"
+
+
 def _require_size(family: str, n: int, g: int) -> None:
-    _require(n <= MAX_N and g <= MAX_G, f"{family}: n = {n}, g = {g} exceed the caps n, g <= {MAX_N}, {MAX_G}")
+    _require(n <= MAX_N and g <= MAX_G, f"{family}: n = {_size_text(n)}, g = {_size_text(g)} "
+                                        f"exceed the caps n, g <= {MAX_N}, {MAX_G}")
 
 
 def abelian(g: int = 1) -> CatalogEntry:

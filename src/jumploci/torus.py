@@ -179,9 +179,21 @@ def invariant_factors(matrix: Iterable[Sequence[int]], width: Optional[int] = No
 
 
 def _to_fraction(value) -> Fraction:
+    """The value as a Fraction; a Fraction is returned as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floating point is not allowed in exact coordinates")
     return Fraction(value)
+
+
+def _to_int(value) -> int:
+    if isinstance(value, float):
+        raise TypeError("floating point is not allowed in exact coefficients")
+    return int(value)
+
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -206,7 +218,7 @@ class TorusPoint:
 
     @classmethod
     def zero(cls, dim: int) -> "TorusPoint":
-        return cls(tuple(Fraction(0) for _ in range(dim)))
+        return cls((_ZERO,) * dim)
 
     @property
     def dim(self) -> int:
@@ -232,7 +244,9 @@ class CongruenceCoset:
     rhs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(a) for a in r) for r in self.rows)
+        # a row of ints is kept as it is, as in _as_int_rows
+        rows = tuple(tuple(r) if set(map(type, r)) <= _INT else tuple(map(_to_int, r))
+                     for r in self.rows)
         rhs = tuple(_to_fraction(b) for b in self.rhs)
         if len(rows) != len(rhs):
             raise DimensionMismatch("right-hand side length differs from the row count")

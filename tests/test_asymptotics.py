@@ -1,6 +1,7 @@
 """Decay bounds, divergence classification, L² limits."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,13 @@ from jumploci import (
     irregularity_cover,
     l2_betti,
     l2_euler_characteristic,
+    normalized_sequence,
     satisfies_weak_generic_nakano,
+    VarietyModel,
     DEFAULT_INSTANCES,
 )
+from jumploci import counting, model as model_module
+from gen import random_rank_function
 
 
 def with_hodge(model, p, q, rf):
@@ -93,6 +98,71 @@ class TestFitBound:
                         b8, b16 = (v * Fraction(d) ** fit.exponent for v, d in zip(seq, ds))
                         assert b16 > b8
                         assert b16 > fit.fitted_b
+
+
+# small members of the catalog families beyond the default instances
+CATALOG_SMALL = (
+    ("abelian", {"g": 1}),
+    ("nondeg_line_bundle", {"g": 1, "p": 0, "chi0": 1}),
+    ("nondeg_line_bundle", {"g": 1, "p": 1, "chi0": 2}),
+    ("nondeg_line_bundle", {"g": 2, "p": 2, "chi0": 1}),
+    ("blowup_abelian_codim", {"g": 1, "c": 1}),
+    ("blowup_abelian_codim", {"g": 2, "c": 1}),
+    ("blowup_abelian_codim", {"g": 2, "c": 2}),
+    ("elliptic_surface_qI0", {"genus": 2, "chi": 2}),
+    ("elliptic_surface_qI0", {"genus": 2, "chi": 3}),
+)
+
+
+def fit_corpus():
+    """Every catalog instance above, then seeded random models with n, g in {1, 2}."""
+    models = [builtin(name, **params).model for name, params in DEFAULT_INSTANCES + CATALOG_SMALL]
+    rng = random.Random(4457)
+    for _ in range(60):
+        n, g = rng.choice((1, 2)), rng.choice((1, 2))
+        grid = tuple(tuple(random_rank_function(rng, 2 * g) for _ in range(n + 1))
+                     for _ in range(n + 1))
+        models.append(VarietyModel(n=n, g=g, hodge=grid, defect_strata=()))
+    return models
+
+
+class TestIntegerFit:
+    """fit_bound's integer supremum against the per-d Fraction route."""
+
+    def test_equals_the_normalized_sequence_supremum(self):
+        for model in fit_corpus():
+            for p in range(model.n + 1):
+                for q in range(model.n + 1):
+                    seq = normalized_sequence(model, ("hodge", p, q), range(1, 41))
+                    for bound in range(model.n + 1):
+                        e = 2 * (abs(model.n - p - q) - bound)
+                        for d_max in (2, 4, 16, 40):
+                            expected = max(v * Fraction(d) ** e
+                                           for d, v in enumerate(seq[:d_max], 1))
+                            fitted = fit_bound(model, p, q, bound, d_max).fitted_b
+                            assert type(fitted) is Fraction
+                            assert fitted == expected, (model.name, p, q, bound, d_max)
+                            assert str(fitted) == str(expected)
+
+    def test_one_form_read_and_one_count_per_d(self, monkeypatch):
+        calls = {"count_form": 0, "count": 0}
+        count_form, count = model_module.RankFunction.count_form, counting.CountForm.count
+
+        def spy_count_form(self, budget):
+            calls["count_form"] += 1
+            return count_form(self, budget)
+
+        def spy_count(self, d):
+            calls["count"] += 1
+            return count(self, d)
+
+        monkeypatch.setattr(model_module.RankFunction, "count_form", spy_count_form)
+        monkeypatch.setattr(counting.CountForm, "count", spy_count)
+        model = builtin("blowup_abelian4_curve", genus=2).model
+        for d_max in (2, 16):
+            calls.update(count_form=0, count=0)
+            fit_bound(model, 1, 2, 0, d_max)
+            assert calls == {"count_form": 1, "count": d_max}
 
 
 class TestConverseWitness:

@@ -246,6 +246,33 @@ class TestBadFlags:
         assert captured.err.startswith("error: --d needs a comma list of positive integers, got 'xxx")
         assert len(captured.err) < 200
 
+    @pytest.mark.parametrize("extra", [
+        ["--params", "g=1", "--i", "0," + "1" * 5000],
+        ["--params", "g=1", "--i", "0," + "1" * 4000],
+        ["--params", "g=" + "1" * 5000, "--i", "0,0"],
+        ["--params", "g" * 6000, "--i", "0,0"],
+        ["--params", "g=" + "1" * 4000, "--i", "0,0"],
+        ["--params", "g=1", "--i", "x" * 6000],
+    ])
+    def test_long_arguments_are_echoed_short(self, capsys, extra):
+        assert main(["count", "--builtin", "abelian", *extra, "--d", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.encode()) < 300
+
+    def test_long_grid_entry_lies_outside_the_grid(self, capsys):
+        argv = ["count", "--builtin", "abelian", "--params", "g=1", "--i", "0," + "1" * 5000, "--d", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --i 0,111")
+        assert "lies outside the 2x2 grid of a model with n = 1" in err
+
+    def test_huge_catalog_parameters_name_the_caps(self, capsys):
+        assert main(["validate", "--builtin", "abelian", "--params", "g=" + "1" * 5000]) == 2
+        assert capsys.readouterr().err == \
+            "error: abelian: n = at least 10^20, g = at least 10^20 exceed the caps n, g <= 64, 64\n"
+
     def test_pluri_beyond_the_data_writes_nothing(self, tmp_path, capsys):
         # abelian pluri data stop at m = 6
         target = tmp_path / "tower.csv"

@@ -127,6 +127,44 @@ class TestTorusPoint:
         assert (-p).coords == (Fraction(2, 3), Fraction(0))
 
 
+class TestConstructors:
+    def test_rhs_forms_give_equal_cosets(self):
+        rows = [[2, -1, 0], [0, 3, 1]]
+        forms = [
+            [Fraction(1, 2), Fraction(2, 3)],
+            [Fraction(1, 2), Fraction(-4, 3)],  # same classes mod 1, kept as given
+            ["1/2", "2/3"],
+        ]
+        cosets = [CongruenceCoset.of(3, rows, rhs) for rhs in forms]
+        assert cosets[0] == cosets[2] and hash(cosets[0]) == hash(cosets[2])
+        assert all(type(b) is Fraction for c in cosets for b in c.rhs)
+        ints = [CongruenceCoset.of(2, [[1, 0]], [1]), CongruenceCoset.of(2, [[1, 0]], [Fraction(1)]),
+                CongruenceCoset.of(2, [[1, 0]], ["1"])]
+        assert ints[0] == ints[1] == ints[2]
+        assert len({hash(c) for c in ints}) == 1
+        assert {c.normalize() for c in cosets} == {cosets[0].normalize()}
+
+    def test_given_fraction_is_kept(self):
+        b = Fraction(5, 7)
+        assert CongruenceCoset.of(1, [[1]], [b]).rhs[0] is b
+
+    def test_bool_entries_come_out_as_int(self):
+        coset = CongruenceCoset.of(2, [[True, False], [1, True]], [0, "1/2"])
+        assert coset.rows == ((1, 0), (1, 1))
+        assert all(type(a) is int for row in coset.rows for a in row)
+
+    def test_floats_raise(self):
+        with pytest.raises(TypeError):
+            CongruenceCoset.of(1, [[1]], [0.5])
+        with pytest.raises(TypeError):
+            CongruenceCoset.of(1, [[1.0]], [0])
+
+    def test_zero_point(self):
+        for n in range(4):
+            assert TorusPoint.zero(n) == TorusPoint.of([0] * n)
+            assert TorusPoint.zero(n).order == 1
+
+
 class TestNormalize:
     def test_full_torus(self):
         nc = CongruenceCoset.full_torus(2).normalize()
