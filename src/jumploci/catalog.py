@@ -19,12 +19,13 @@ recomputed independently (and is, in the test suite):
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable
 
-from .errors import BadParams, UnknownName
+from .errors import BadParams, UnknownName, shown
 from .model import (
     PluriData,
     RankFunction,
@@ -362,9 +363,14 @@ def builtin(name: str, **params) -> CatalogEntry:
     try:
         factory = _BUILTINS[name]
     except KeyError:
-        raise UnknownName(f"no catalog entry named {name!r}; "
+        raise UnknownName(f"no catalog entry named {shown(name)!r}; "
                           f"known: {', '.join(builtin_names())}") from None
     try:
         return factory(**params)
     except TypeError as exc:
+        known = inspect.signature(factory).parameters
+        unknown = [key for key in params if key not in known]
+        if unknown:  # Python's own message would quote the key in full
+            raise BadParams(f"{name}: {factory.__name__}() got an unexpected keyword "
+                            f"argument {shown(unknown[0])!r}") from None
         raise BadParams(f"{name}: {exc}") from None

@@ -28,19 +28,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import asymptotics, catalog, counting, modelfile, tower
-from .errors import EngineError, MissingPluriData
+from .errors import EngineError, MissingPluriData, shown
 from .model import VarietyModel, validate_model
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_CLOSED_PIPE = 141
-ECHO_CHARS = 60  # an error message quotes at most this much of a bad argument
-
-
-def _shown(text: str) -> str:
-    """User text as an error message quotes it: at most ECHO_CHARS characters."""
-    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
 
 
 def _parse_params(text: Optional[str]) -> dict:
@@ -51,13 +45,13 @@ def _parse_params(text: Optional[str]) -> dict:
         if not item:
             continue
         if "=" not in item:
-            raise EngineError(f"bad parameter {_shown(item)!r}; expected name=value")
+            raise EngineError(f"bad parameter {shown(item)!r}; expected name=value")
         key, value = item.split("=", 1)
         try:
             with _int_text_of_any_size():
                 params[key.strip()] = int(value)
         except ValueError:
-            raise EngineError(f"parameter {_shown(key)!r} must be an integer, got {_shown(value)!r}") from None
+            raise EngineError(f"parameter {shown(key)!r} must be an integer, got {shown(value)!r}") from None
     return params
 
 
@@ -94,7 +88,7 @@ def _positive_ints(text: str, flag: str) -> list[int]:
     except ValueError:
         values = []
     if not values or any(v < 1 for v in values):
-        raise EngineError(f"{flag} needs a comma list of positive integers, got {_shown(text)!r}")
+        raise EngineError(f"{flag} needs a comma list of positive integers, got {shown(text)!r}")
     return values
 
 
@@ -130,10 +124,10 @@ def cmd_count(args, out=None) -> int:
             with _int_text_of_any_size():
                 p, q = (int(t) for t in args.i.split(","))
         except ValueError:
-            raise EngineError(f"--i needs two comma-separated integers P,Q, got {_shown(args.i)!r}") from None
+            raise EngineError(f"--i needs two comma-separated integers P,Q, got {shown(args.i)!r}") from None
         model = _validated_model(args, out)
         if not (0 <= p <= model.n and 0 <= q <= model.n):
-            raise EngineError(f"--i {_shown(args.i)} lies outside the {model.n + 1}x{model.n + 1} grid "
+            raise EngineError(f"--i {shown(args.i)} lies outside the {model.n + 1}x{model.n + 1} grid "
                               f"of a model with n = {model.n}")
         rf = model.hodge[p][q]
         components = [c for c, v in rf.strata if v > rf.generic_value]

@@ -23,17 +23,26 @@ by their integer Hermite form, hashed once.  Each meet hands its rows of
 (H | L·b) on to the next meet and to its Smith data.  Empty meets
 are never extended, so the work is bounded by the distinct nonempty meets
 rather than by the 2^r subsets.
+
+A term's count depends on d only through divisibility: it is d^dim times
+the :func:`~jumploci.torus.torsion_gate` of its translate order and Smith
+data, 0 or Π gcd(s, d).  So a form groups its terms once, on its first
+count, by that class (:attr:`CountForm.classes`), summing the coefficients
+of each exponent, and every d runs one gate per class and one power of d
+per exponent of a class.  The limit is class (1, ()), whose gate is 1; the
+catalog's forms have no other class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, ComponentBudgetExceeded, DimensionMismatch
-from .torus import CongruenceCoset, NormalizedCoset, TorusPoint
+from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, torsion_gate
 from .torus import snf  # noqa: F401  (bench/tests asserts this binding)
 
 DEFAULT_COMPONENT_BUDGET = 12
@@ -84,9 +93,14 @@ def check_union(components: Sequence[CongruenceCoset], budget: int) -> None:
     for c in components:
         if c.ambient_dim != ambient:
             raise DimensionMismatch("union components live in different tori")
-    if len(components) > budget:
+    check_budget(len(components), budget)
+
+
+def check_budget(components: int, budget: int) -> None:
+    """Raise unless a union of this many components fits the budget."""
+    if components > budget:
         raise ComponentBudgetExceeded(
-            f"{len(components)} components exceed the component budget of {budget}")
+            f"{components} components exceed the component budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -135,10 +149,38 @@ class CountForm:
                         total.pop(x, None)
         return cls(ambient_dim, limit, tuple((c, x) for x, c in terms.items()))
 
+    @cached_property
+    def classes(self) -> tuple[tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]:
+        """The terms grouped by divisibility class: (order, torsion, its
+        (exponent, summed coefficient) pairs), zero sums and empty classes
+        dropped.  A term's count is d^dim times the :func:`torsion_gate` of
+        its class, so a class is tested once per d.  The limit is class
+        (1, ()) at exponent N."""
+        grouped: dict[tuple[int, tuple[tuple[int, int], ...]], dict[int, int]] = \
+            {(1, ()): {self.ambient_dim: self.limit}}
+        for c, nc in self.terms:
+            poly = grouped.setdefault((nc.order, nc.torsion), {})
+            poly[nc.dim] = poly.get(nc.dim, 0) + c
+        classes = []
+        for (order, torsion), poly in grouped.items():
+            pairs = tuple((e, c) for e, c in poly.items() if c)
+            if pairs:
+                classes.append((order, torsion, pairs))
+        return tuple(classes)
+
     def count(self, d: int) -> int:
-        """h summed over the points of order dividing d (d positive)."""
-        return (self.limit * d ** self.ambient_dim if self.limit else 0) + \
-            sum(c * nc.count(d) for c, nc in self.terms)
+        """h summed over the points of order dividing d: one divisibility
+        test per class with a translate order or Smith data, then one power
+        of d per exponent of the class, none for d^0."""
+        if d < 1:
+            raise ValueError("d must be positive")
+        total = 0
+        for order, torsion, pairs in self.classes:
+            gate = torsion_gate(order, torsion, d) if order > 1 or torsion else 1
+            if gate:
+                for e, c in pairs:
+                    total += gate * c * d ** e if e else gate * c
+        return total
 
     @property
     def polynomial(self) -> dict[int, int]:

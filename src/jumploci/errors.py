@@ -1,4 +1,12 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and how their messages quote
+user text."""
+
+ECHO_CHARS = 60  # an error message quotes at most this much of user text
+
+
+def shown(text: str) -> str:
+    """User text as an error message quotes it: at most ECHO_CHARS characters."""
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
 
 
 class EngineError(Exception):

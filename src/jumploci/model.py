@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .counting import DEFAULT_COMPONENT_BUDGET, CountForm, check_union
+from .counting import DEFAULT_COMPONENT_BUDGET, CountForm, check_budget, check_union
 from .errors import ComponentBudgetExceeded, DimensionMismatch, MissingStratification
 from .torus import CongruenceCoset, NormalizedCoset, TorusPoint
 
@@ -67,11 +67,19 @@ class RankFunction:
     def _count_form(self) -> CountForm:
         return CountForm.of(self.ambient_dim, self.limit, self.effective_strata())
 
+    @cached_property
+    def _strata_above_limit(self) -> int:
+        """How many strata lie above the limit; their ambient dimensions are
+        checked once, when this is first read."""
+        above = [coset for coset, value in self.strata if value > self.limit]
+        check_union(above, len(above))  # the budget is checked per call
+        return len(above)
+
     def count_form(self, budget: int) -> CountForm:
         """The limit and the signed meets of the strata above it, merged by
         Hermite form (:meth:`CountForm.of`).  The budget caps the strata
         above the limit; it is checked on every call."""
-        check_union([coset for coset, value in self.strata if value > self.limit], budget)
+        check_budget(self._strata_above_limit, budget)
         return self._count_form
 
     def rank_at(self, alpha: TorusPoint) -> int:

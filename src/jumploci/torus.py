@@ -416,6 +416,30 @@ def _smith_data(rows: list[Row], width: int) -> tuple[tuple[int, int], ...]:
     return tuple((r[i], r[width] % r[i]) for i, r in enumerate(snf(rows, width)) if r[i] > 1)
 
 
+def torsion_gate(order: int, torsion: tuple[tuple[int, int], ...], d: int) -> int:
+    """The part of a coset's count of d-torsion points that is not a power of
+    d, read off its translate order and Smith data (d positive).
+
+    A point of order dividing d is y/d, and H·y ≡ d·nums/order (mod d) is
+    empty unless ``order`` divides d, and otherwise equivalent to
+    S·z ≡ (d/order)·U·nums (mod d).  A diagonal entry s contributes gcd(s, d)
+    solutions when that divides its transformed right-hand side, and every
+    column without a pivot contributes d.  So the count is d^dim times this:
+    0 when a test fails, Π gcd(s, d) otherwise.  It depends on d only
+    through divisibility, so cosets of equal order and Smith data share it.
+    """
+    if d % order:
+        return 0
+    scale = d // order
+    gate = 1
+    for s, w in torsion:
+        g = math.gcd(s, d)
+        if scale * w % g:
+            return 0
+        gate *= g
+    return gate
+
+
 @dataclass(frozen=True)
 class NormalizedCoset:
     """Canonicalized nonempty coset {x : H·x ≡ nums/order}, H in Hermite form.
@@ -452,24 +476,12 @@ class NormalizedCoset:
         return math.prod(s for s, _ in self.torsion)
 
     def count(self, d: int) -> int:
-        """Number of points of order dividing d on the coset (d positive).
-
-        A point of order dividing d is y/d, and H·y ≡ d·nums/order (mod d)
-        is empty unless ``order`` divides d, and otherwise equivalent to
-        S·z ≡ (d/order)·U·nums (mod d).  A diagonal entry s contributes
-        gcd(s, d) solutions when that divides its transformed right-hand
-        side, and every column without a pivot contributes d.
-        """
-        if d % self.order:
-            return 0
-        scale = d // self.order
-        total = d ** self.dim
-        for s, w in self.torsion:
-            g = math.gcd(s, d)
-            if scale * w % g:
-                return 0
-            total *= g
-        return total
+        """Number of points of order dividing d on the coset: d^dim times
+        its :func:`torsion_gate`."""
+        if d < 1:
+            raise ValueError("d must be positive")
+        gate = torsion_gate(self.order, self.torsion, d)
+        return gate * d ** self.dim if gate else 0
 
     @property
     def min_order(self) -> int:

@@ -6,8 +6,15 @@ the sum of the twisted ranks over all d-torsion points of the dual torus.
 Each rank function sums through its count form
 (:meth:`RankFunction.count_form`): the limit contributes limit·d^(2g), and
 the signed meets of its strata above the limit contribute their exact
-torsion counts.  This keeps every invariant computable for d
+torsion counts, one divisibility test per class of terms
+(:meth:`CountForm.count`).  This keeps every invariant computable for d
 with d^(2g) far beyond machine range.
+
+Everything that does not depend on d is kept off the per-cover path:
+:func:`cover_invariants` reads each grid entry's form once (its budget
+check compares two integers), sums the Betti numbers from that grid, and
+computes each row's Euler characteristic once, chi_top being their
+alternating sum.
 
 Every invariant is a sum of rank functions (:func:`summands`), so its
 limit as value / d^(2g) is the sum of their limits: proper loci contribute
@@ -63,17 +70,13 @@ class CoverInvariants:
 def sheaf_rank_on_cover(rf: RankFunction, d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
     """Sum of rf over all d-torsion points, read off its count form."""
-    if d < 1:
-        raise ValueError("d must be positive")
     return rf.count_form(budget).count(d)
 
 
 def hodge_numbers_cover(model: VarietyModel, d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(sheaf_rank_on_cover(model.hodge[p][q], d, budget=budget)
-              for q in range(model.n + 1))
-        for p in range(model.n + 1))
+    """The (p,q) grid of X_d, each entry's count form read once."""
+    return tuple(tuple(rf.count_form(budget).count(d) for rf in row) for row in model.hodge)
 
 
 def summands(model: VarietyModel, selector: Selector) -> list[RankFunction]:
@@ -163,18 +166,20 @@ def pluri_bound_constant(model: VarietyModel, m: int) -> int:
 def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
                      *, budget: int = DEFAULT_COMPONENT_BUDGET) -> CoverInvariants:
     grid = hodge_numbers_cover(model, d, budget=budget)
-    betti = tuple(
-        sum(grid[p][k - p] for p in range(model.n + 1) if 0 <= k - p <= model.n)
-        for k in range(2 * model.n + 1))
+    betti = [0] * (2 * model.n + 1)
+    for p, row in enumerate(grid):
+        for q, h in enumerate(row):
+            betti[p + q] += h
     pluri = {m: plurigenera_cover(model, d, m, budget=budget) for m in pluri_ms}
+    chi_p = tuple(chi_of_forms(model, p) for p in range(model.n + 1))
     return CoverInvariants(
         d=d,
         deg=d ** model.torus_dim,
         hodge=grid,
-        betti=betti,
+        betti=tuple(betti),
         q=grid[0][1],
-        chi_p=tuple(chi_of_forms(model, p) for p in range(model.n + 1)),
-        chi_top=chi_top(model),
+        chi_p=chi_p,
+        chi_top=sum((-1) ** p * chi for p, chi in enumerate(chi_p)),
         pluri=pluri,
     )
 

@@ -76,6 +76,13 @@ def brute_force_rank_sum(rank_function, d: int) -> int:
     return total
 
 
+def per_term_count(form, d: int) -> int:
+    """A count form's value at d read term by term: limit·d^N plus each
+    term's coefficient times its own closed-form count, with no grouping of
+    the terms by divisibility class."""
+    return form.limit * d ** form.ambient_dim + sum(c * nc.count(d) for c, nc in form.terms)
+
+
 def hermite_point(nc):
     """One point of a normalized coset: back-substitute its Hermite rows
     H·x = b with every non-pivot coordinate 0 (exact rationals)."""

@@ -261,6 +261,18 @@ class TestBadFlags:
         assert captured.err.startswith("error: ")
         assert len(captured.err.encode()) < 300
 
+    @pytest.mark.parametrize("argv,start", [
+        (["--builtin", "x" * 6000], "error: no catalog entry named 'xxx"),
+        (["--builtin", "abelian", "--params", "g" * 6000 + "=1"],
+         "error: abelian: abelian() got an unexpected keyword argument 'ggg"),
+    ])
+    def test_long_catalog_name_or_key_is_echoed_short(self, capsys, argv, start):
+        assert main(["validate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(start)
+        assert len(captured.err.encode()) < 300
+
     def test_long_grid_entry_lies_outside_the_grid(self, capsys):
         argv = ["count", "--builtin", "abelian", "--params", "g=1", "--i", "0," + "1" * 5000, "--d", "2"]
         assert main(argv) == 2

@@ -12,17 +12,21 @@ from jumploci import (
     ComponentBudgetExceeded,
     CongruenceCoset,
     DimensionMismatch,
+    RankFunction,
+    Stratum,
     TorusPoint,
+    builtin,
     coset_torsion_count,
     count_solutions_mod,
     enumerate_torsion,
     invariant_factors,
     union_torsion_count,
 )
-from jumploci.counting import CountForm
+from jumploci.catalog import DEFAULT_INSTANCES
+from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm
 from jumploci.torus import NormalizedCoset, snf
 from gen import random_connected_coset, random_coset, random_nonempty_coset
-from oracles import brute_force_torsion_count
+from oracles import brute_force_torsion_count, per_term_count
 
 
 class TestCountSolutionsMod:
@@ -497,3 +501,81 @@ class TestLargeUnions:
                 assert union_torsion_count(comps, d, budget=20) == brute_force_torsion_count(comps, d)
             with pytest.raises(ComponentBudgetExceeded):
                 union_torsion_count(comps, 2, budget=r - 1)
+
+
+# odd d skip the classes of translate order 2; 10^6 and 10^30 are divisible
+# by every small pivot of 2 and 5 only, 1000000007 is prime
+CLASS_DS = (*range(1, 25), 10 ** 6, 10 ** 30, 1000000007)
+
+
+def _sparse_translated_coset(rng, n, codim):
+    """Rows of three entries in ±1, ±2, and a translate of order 1, 2 or 3."""
+    rows = []
+    for _ in range(codim):
+        row = [0] * n
+        for j in rng.sample(range(n), 3):
+            row[j] = rng.choice((-2, -1, 1, 2))
+        rows.append(row)
+    den = rng.choice((2, 3))
+    return CongruenceCoset.of(n, rows, [Fraction(rng.randrange(den), den) for _ in rows])
+
+
+class TestClassEvaluation:
+    """CountForm.count, one divisibility test per class of (order, torsion),
+    against the sum over its terms one by one (oracles.per_term_count)."""
+
+    @staticmethod
+    def _check(form):
+        for d in CLASS_DS:
+            assert form.count(d) == per_term_count(form, d)
+        return {(order, torsion) for order, torsion, _ in form.classes}
+
+    def test_catalog_forms_are_one_polynomial(self):
+        for name, params in DEFAULT_INSTANCES:
+            model = builtin(name, **params).model
+            rank_functions = [rf for row in model.hodge for rf in row]
+            rank_functions += [rf for row in model.sheaves.values() for rf in row]
+            if model.pluri is not None:
+                rank_functions += [model.pluri.rank_function(model.torus_dim, m)
+                                   for m in model.pluri.values]
+            for rf in rank_functions:
+                assert self._check(rf.count_form(DEFAULT_COMPONENT_BUDGET)) <= {(1, ())}
+
+    def test_seeded_unions_and_rank_functions(self):
+        rng = random.Random(1414)
+        seen = set()
+        for n in (4, 6):
+            for _ in range(12):
+                comps = [_sparse_translated_coset(rng, n, rng.choice((1, 2)))
+                         for _ in range(rng.randint(2, 6))]
+                normalized = [nc for nc in (c.normalize() for c in comps) if nc is not None]
+                seen |= self._check(CountForm.of(n, 0, [(nc, 1) for nc in normalized]))
+                generic = rng.randint(0, 2)
+                strata = tuple(Stratum(c, generic + rng.randint(1, 4)) for c in comps)
+                seen |= self._check(RankFunction(n, generic, strata).count_form(len(strata)))
+        assert {2, 3} <= {order for order, _ in seen}
+        assert any(torsion for _, torsion in seen)
+        assert len(seen) > 10
+
+    def test_terms_of_one_class_cancel_at_one_exponent(self):
+        # two lines of translate order 2 with opposite coefficients share the
+        # class (2, ()) at exponent 1; the point where they meet stays
+        a = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 2)]).normalize()
+        b = CongruenceCoset.of(2, [[0, 1]], [Fraction(1, 2)]).normalize()
+        form = CountForm(2, 1, ((3, a), (-3, b), (5, a.meet(b))))
+        assert form.classes == ((1, (), ((2, 1),)), (2, (), ((0, 5),)))
+        self._check(form)
+        assert (form.count(3), form.count(4)) == (9, 16 + 5)
+        assert CountForm(2, 0, ((3, a), (-3, b))).classes == ()
+
+    @pytest.mark.parametrize("d", [0, -1, -2])
+    def test_nonpositive_d_rejected(self, d):
+        form = builtin("fibered_over_curve", genus=2).model.hodge[0][1].count_form(DEFAULT_COMPONENT_BUDGET)
+        assert form.terms
+        with pytest.raises(ValueError, match="d must be positive"):
+            form.count(d)
+        point = CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), 0])).normalize()
+        line = CongruenceCoset.of(2, [[2, 0]], [0]).normalize()
+        for nc in (point, line, *(nc for _, nc in form.terms)):
+            with pytest.raises(ValueError, match="d must be positive"):
+                nc.count(d)

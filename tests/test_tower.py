@@ -32,7 +32,8 @@ from jumploci import (
     sheaf_rank_on_cover,
     symbolic_limit,
 )
-from jumploci import cli, counting, torus
+from jumploci import cli, counting, torus, tower
+from jumploci.catalog import DEFAULT_INSTANCES
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
 from gen import random_rank_function
 from oracles import brute_force_rank_sum, smallest_torsion_order
@@ -104,6 +105,13 @@ class TestSheafRankOnCover:
         assert sheaf_rank_on_cover(rf, 5, budget=5) == 25
         with pytest.raises(ComponentBudgetExceeded):
             sheaf_rank_on_cover(rf, 5, budget=4)
+        for budget in (12, 3, 5, 4):
+            if budget < 5:
+                with pytest.raises(ComponentBudgetExceeded,
+                                   match="^5 components exceed the component budget of "):
+                    rf.count_form(budget)
+            else:
+                assert rf.count_form(budget).count(5) == 25
 
     @pytest.mark.parametrize("d", [0, -2])
     def test_nonpositive_d_rejected(self, d):
@@ -359,3 +367,23 @@ class TestCoverInvariants:
         for k in range(2 * model.n + 1):
             assert inv.betti[k] == sum(
                 inv.hodge[p][k - p] for p in range(model.n + 1) if 0 <= k - p <= model.n)
+
+    @pytest.mark.parametrize("name,params", DEFAULT_INSTANCES)
+    def test_one_euler_characteristic_per_row(self, monkeypatch, name, params):
+        model = builtin(name, **params).model
+        calls = count_calls(monkeypatch, (tower, "chi_of_forms"))
+        inv = cover_invariants(model, 3)
+        assert len(calls) == model.n + 1
+        assert inv.chi_top == sum((-1) ** p * chi for p, chi in enumerate(inv.chi_p))
+
+    @pytest.mark.parametrize("d", [1, 2, 24, 10 ** 30])
+    def test_bundle_matches_the_single_invariants(self, d):
+        for name, params in DEFAULT_INSTANCES:
+            model = builtin(name, **params).model
+            inv = cover_invariants(model, d)
+            assert inv.deg == d ** model.torus_dim
+            assert inv.hodge == hodge_numbers_cover(model, d)
+            assert inv.betti == tuple(betti_cover(model, d, k) for k in range(2 * model.n + 1))
+            assert inv.q == irregularity_cover(model, d)
+            assert inv.chi_p == tuple(chi_of_forms(model, p) for p in range(model.n + 1))
+            assert inv.chi_top == chi_top(model)
