@@ -9,6 +9,7 @@ from .asymptotics import (
     converse_defect_witness,
     divergence_class,
     fit_bound,
+    fit_bounds,
     l2_betti,
     l2_euler_characteristic,
 )

@@ -4,7 +4,8 @@ The decay theorem says the normalized (p,q)-rank is O(d^(-e)) with
 e = 2(|n-p-q| - N) when the defect of semismallness is at most N.  The
 engine checks this two ways: numerically (the exact supremum of
 B_d = normalized·d^e = h(d)·d^(e-2g) over a finite range, taken in
-integers from the entry's count form) and analytically (the leading
+integers; :func:`fit_bounds` reads the whole grid from one evaluation of
+the model's count table per d) and analytically (the leading
 term of the count form, of degree v, has d^v points at the multiples of the
 smallest d where it has a point, so v > 2g - e forces unboundedness no
 matter how a finite range looks).  A finite-range pass never overrides an
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
-from .counting import DEFAULT_COMPONENT_BUDGET
+from .counting import DEFAULT_COMPONENT_BUDGET, CountForm
 from .model import VarietyModel, satisfies_weak_generic_nakano
 from .torus import TorusPoint
 from .tower import betti_cover, chi_of_forms, symbolic_limit
@@ -62,38 +63,73 @@ class L2Report:
     weak_gnv: bool  # when False the closed form is not certified
 
 
-def fit_bound(model: VarietyModel, p: int, q: int, defect_bound: int, d_max: int,
-              *, budget: int = DEFAULT_COMPONENT_BUDGET) -> BoundFit:
-    """Fit the decay constant for (p,q) at the declared defect bound.
-
-    ``fitted_b`` is the exact supremum of normalized·d^e = h(d)·d^(e-2g)
-    over d = 1..d_max, with h read off the entry's count form.  Each value
-    is an integer pair (numerator, denominator) and pairs are compared by
-    cross-multiplying, so one Fraction is built, at the end.  The verdict
-    additionally applies the dimension criterion, because a finite range
-    cannot see the torsion orders of a too-large stratum.
-    """
-    if d_max < 2:
-        raise ValueError("d_max must be at least 2")
-    exponent = 2 * (abs(model.n - p - q) - defect_bound)
-    form = model.hodge[p][q].count_form(budget)
-    shift = exponent - model.torus_dim
-    num, den = form.count(1), 1
+def _suprema(evaluate: Callable[[int], Sequence[int]], shifts: Sequence[int],
+             d_max: int) -> list[Fraction]:
+    """For each i, the exact supremum of evaluate(d)[i]·d^shifts[i] over
+    d = 1..d_max; columns past the shifts are not read.  Each value is an
+    integer pair (numerator, denominator), pairs are compared by
+    cross-multiplying, and one Fraction per column is built, at the end."""
+    nums, dens = list(evaluate(1)[:len(shifts)]), [1] * len(shifts)
+    distinct = set(shifts)
     for d in range(2, d_max + 1):
-        h = form.count(d)
-        h_num, h_den = (h * d ** shift, 1) if shift >= 0 else (h, d ** -shift)
-        if h_num * den > num * h_den:
-            num, den = h_num, h_den
+        powers = {shift: d ** abs(shift) for shift in distinct}
+        for i, (h, shift) in enumerate(zip(evaluate(d), shifts)):
+            h_num, h_den = (h * powers[shift], 1) if shift >= 0 else (h, powers[shift])
+            if h_num * dens[i] > nums[i] * h_den:
+                nums[i], dens[i] = h_num, h_den
+    return [Fraction(num, den) for num, den in zip(nums, dens)]
+
+
+def _decay_exponent(model: VarietyModel, p: int, q: int, defect_bound: int) -> int:
+    return 2 * (abs(model.n - p - q) - defect_bound)
+
+
+def _bound_fit(model: VarietyModel, p: int, q: int, defect_bound: int, fitted_b: Fraction,
+               form: CountForm) -> BoundFit:
+    """The verdict applies the dimension criterion to the entry's form,
+    because a finite range cannot see the torsion orders of a too-large
+    stratum."""
+    exponent = _decay_exponent(model, p, q, defect_bound)
     leading = form.degree
     bad_dim = leading if leading > model.torus_dim - exponent else None
     return BoundFit(
         p=p, q=q,
         defect_bound=defect_bound,
         exponent=exponent,
-        fitted_b=Fraction(num, den),
+        fitted_b=fitted_b,
         passes=bad_dim is None,
         violating_dim=bad_dim,
     )
+
+
+def fit_bound(model: VarietyModel, p: int, q: int, defect_bound: int, d_max: int,
+              *, budget: int = DEFAULT_COMPONENT_BUDGET) -> BoundFit:
+    """Fit the decay constant for (p,q) at the declared defect bound.
+
+    ``fitted_b`` is the exact supremum of normalized·d^e = h(d)·d^(e-2g)
+    over d = 1..d_max, with h read off the entry's own count form only, so
+    only this entry's budget is checked.
+    """
+    if d_max < 2:
+        raise ValueError("d_max must be at least 2")
+    form = model.hodge[p][q].count_form(budget)
+    shift = _decay_exponent(model, p, q, defect_bound) - model.torus_dim
+    [fitted] = _suprema(lambda d: (form.count(d),), (shift,), d_max)
+    return _bound_fit(model, p, q, defect_bound, fitted, form)
+
+
+def fit_bounds(model: VarietyModel, defect_bound: int, d_max: int,
+               *, budget: int = DEFAULT_COMPONENT_BUDGET) -> list[BoundFit]:
+    """:func:`fit_bound` for every grid entry, row-major, with the whole
+    grid read off one evaluation of the model's table per d."""
+    if d_max < 2:
+        raise ValueError("d_max must be at least 2")
+    table = model.hodge_table(budget)
+    entries = [(p, q) for p, row in enumerate(model.hodge) for q in range(len(row))]
+    shifts = [_decay_exponent(model, p, q, defect_bound) - model.torus_dim for p, q in entries]
+    fitted = _suprema(table.counts.values, shifts, d_max)
+    return [_bound_fit(model, p, q, defect_bound, b, model.hodge[p][q].count_form(budget))
+            for (p, q), b in zip(entries, fitted)]
 
 
 def converse_defect_witness(model: VarietyModel, defect_bound: int,
@@ -106,7 +142,7 @@ def converse_defect_witness(model: VarietyModel, defect_bound: int,
     """
     for p in range(model.n + 1):
         for q in range(model.n + 1):
-            exponent = 2 * (abs(model.n - p - q) - defect_bound)
+            exponent = _decay_exponent(model, p, q, defect_bound)
             if model.hodge[p][q].count_form(budget).degree > model.torus_dim - exponent:
                 return (p, q)
     return None

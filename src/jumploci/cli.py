@@ -198,6 +198,12 @@ def cmd_tower(args, out=None) -> int:
         raise EngineError(f"--d-max must be a positive integer, got {args.d_max}")
     model = _validated_model(args, out)
     ms = _positive_ints(args.pluri, "--pluri") if args.pluri else []
+    seen: set[int] = set()
+    for m in ms:
+        if m in seen:  # a CSV header with two P_m columns loses one to readers keyed on it
+            with _int_text_of_any_size():
+                raise EngineError(f"--pluri lists {shown(str(m))} more than once")
+        seen.add(m)
     for m in ms:
         try:
             tower.summands(model, ("pluri", m))
@@ -222,10 +228,7 @@ def cmd_check(args, out=None) -> int:
     if not 0 <= args.defect_bound <= n:
         raise EngineError(f"--defect-bound {args.defect_bound} lies outside [0, {n}], "
                           f"the range of the defect of a model with n = {n}")
-    fits = [
-        asymptotics.fit_bound(model, p, q, args.defect_bound, args.d_max, budget=args.budget)
-        for p in range(n + 1) for q in range(n + 1)
-    ]
+    fits = asymptotics.fit_bounds(model, args.defect_bound, args.d_max, budget=args.budget)
     witness = asymptotics.converse_defect_witness(model, args.defect_bound, budget=args.budget)
     divergence = asymptotics.divergence_class(model, budget=args.budget)
     l2 = asymptotics.l2_betti(model)

@@ -26,10 +26,14 @@ rather than by the 2^r subsets.
 
 A term's count depends on d only through divisibility: it is d^dim times
 the :func:`~jumploci.torus.torsion_gate` of its translate order and Smith
-data, 0 or Π gcd(s, d).  So a form groups its terms once, on its first
-count, by that class (:attr:`CountForm.classes`), summing the coefficients
-of each exponent, and every d runs one gate per class and one power of d
-per exponent of a class.  The limit is class (1, ()), whose gate is 1; the
+data, 0 or Π gcd(s, d).  So forms are merged once into a
+:class:`CountTable`, one column per form, keyed by that class: each class
+maps each exponent to the summed coefficients of its terms, column by
+column.  Every d runs one gate per class and one power of d per distinct
+exponent, then adds gate·c·d^e into the columns.  A model's whole grid is
+one table (:meth:`~jumploci.model.VarietyModel.hodge_table`), and a single
+form's count is the one-column case, so :meth:`CountTable.values` is the
+one evaluation routine.  The limit is class (1, ()), whose gate is 1; the
 catalog's forms have no other class.
 """
 
@@ -150,37 +154,13 @@ class CountForm:
         return cls(ambient_dim, limit, tuple((c, x) for x, c in terms.items()))
 
     @cached_property
-    def classes(self) -> tuple[tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]:
-        """The terms grouped by divisibility class: (order, torsion, its
-        (exponent, summed coefficient) pairs), zero sums and empty classes
-        dropped.  A term's count is d^dim times the :func:`torsion_gate` of
-        its class, so a class is tested once per d.  The limit is class
-        (1, ()) at exponent N."""
-        grouped: dict[tuple[int, tuple[tuple[int, int], ...]], dict[int, int]] = \
-            {(1, ()): {self.ambient_dim: self.limit}}
-        for c, nc in self.terms:
-            poly = grouped.setdefault((nc.order, nc.torsion), {})
-            poly[nc.dim] = poly.get(nc.dim, 0) + c
-        classes = []
-        for (order, torsion), poly in grouped.items():
-            pairs = tuple((e, c) for e, c in poly.items() if c)
-            if pairs:
-                classes.append((order, torsion, pairs))
-        return tuple(classes)
+    def _table(self) -> "CountTable":
+        return CountTable.of((self,))
 
     def count(self, d: int) -> int:
-        """h summed over the points of order dividing d: one divisibility
-        test per class with a translate order or Smith data, then one power
-        of d per exponent of the class, none for d^0."""
-        if d < 1:
-            raise ValueError("d must be positive")
-        total = 0
-        for order, torsion, pairs in self.classes:
-            gate = torsion_gate(order, torsion, d) if order > 1 or torsion else 1
-            if gate:
-                for e, c in pairs:
-                    total += gate * c * d ** e if e else gate * c
-        return total
+        """h summed over the points of order dividing d: the one column of
+        the form's own :class:`CountTable`."""
+        return self._table.values(d)[0]
 
     @property
     def polynomial(self) -> dict[int, int]:
@@ -215,6 +195,61 @@ class CountForm:
         term, inside the locus, has d^top such points at each multiple of d."""
         return min((nc.min_order for _, nc in self.terms if nc.dim == self.top_exponent),
                    default=None)
+
+
+@dataclass(frozen=True)
+class CountTable:
+    """Count forms merged by divisibility class, one column per form.
+
+    ``classes`` holds (order, torsion, ((exponent, ((column, coefficient),
+    ...)), ...)): the summed coefficients of the terms of that class and
+    exponent, zero entries, exponents and classes dropped.  A form's limit
+    is class (1, ()) at exponent N.
+    """
+
+    width: int
+    classes: tuple[tuple[int, tuple[tuple[int, int], ...],
+                         tuple[tuple[int, tuple[tuple[int, int], ...]], ...]], ...]
+
+    @classmethod
+    def of(cls, forms: Sequence[CountForm]) -> "CountTable":
+        grouped: dict[tuple[int, tuple[tuple[int, int], ...]], dict[int, dict[int, int]]] = {}
+        for column, form in enumerate(forms):
+            terms = [(1, (), form.ambient_dim, form.limit)]
+            terms += [(nc.order, nc.torsion, nc.dim, c) for c, nc in form.terms]
+            for order, torsion, e, c in terms:
+                vector = grouped.setdefault((order, torsion), {}).setdefault(e, {})
+                vector[column] = vector.get(column, 0) + c
+        classes = []
+        for (order, torsion), by_exponent in grouped.items():
+            exponents = []
+            for e, vector in by_exponent.items():
+                entries = tuple((column, c) for column, c in vector.items() if c)
+                if entries:
+                    exponents.append((e, entries))
+            if exponents:
+                classes.append((order, torsion, tuple(exponents)))
+        return cls(len(forms), tuple(classes))
+
+    def values(self, d: int) -> list[int]:
+        """Every column's count at d: one divisibility test per class with a
+        translate order or Smith data, one power per distinct exponent of d,
+        then gate·c·d^e added into each column."""
+        if d < 1:
+            raise ValueError("d must be positive")
+        out = [0] * self.width
+        powers = {0: 1}
+        for order, torsion, exponents in self.classes:
+            gate = torsion_gate(order, torsion, d) if order > 1 or torsion else 1
+            if gate:
+                for e, entries in exponents:
+                    power = powers.get(e)
+                    if power is None:
+                        power = powers[e] = d ** e
+                    scale = gate * power
+                    for column, c in entries:
+                        out[column] += c * scale
+        return out
 
 
 def union_torsion_count(components: Sequence[CongruenceCoset], d: int,

@@ -10,17 +10,18 @@ A :class:`VarietyModel` bundles the full (p,q) grid of rank functions for
 the bundles of holomorphic p-forms, the fiber-dimension stratification of
 the Albanese map (from which the defect of semismallness is computed),
 optional plurigenus data for the pluricanonical series, and optional extra
-named sheaf slots.
+named sheaf slots.  The grid's count forms are compiled once into one count
+table (:meth:`VarietyModel.hodge_table`) that every cover reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Mapping, NamedTuple, Optional
+from itertools import accumulate, product
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .counting import DEFAULT_COMPONENT_BUDGET, CountForm, check_budget, check_union
+from .counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_budget, check_union
 from .errors import ComponentBudgetExceeded, DimensionMismatch, MissingStratification
 from .torus import CongruenceCoset, NormalizedCoset, TorusPoint
 
@@ -102,6 +103,15 @@ class RankFunction:
                 if value > self.limit and nc is not None and nc.dim < self.ambient_dim]
 
 
+def euler_char(rank_functions: Sequence[RankFunction]) -> int:
+    """Alternating sum of the limits over the cohomological degrees.
+
+    Twisting by a topologically trivial line bundle leaves the Euler
+    characteristic alone, so the generic ranks already determine it.
+    """
+    return sum((-1) ** i * rf.limit for i, rf in enumerate(rank_functions))
+
+
 def constant_rank(ambient_dim: int, value: int) -> RankFunction:
     return RankFunction(ambient_dim, value, ())
 
@@ -160,6 +170,22 @@ class PluriData:
         return self._rank_functions[key]
 
 
+class HodgeTable(NamedTuple):
+    """A model's grid compiled once.  ``counts`` has a column per grid entry,
+    row-major, then one for d^(2g) (the form of limit 1 and no terms);
+    ``rows`` slices each grid row out of its values.  The Euler
+    characteristics of the rows and chi_top do not depend on d."""
+
+    counts: CountTable
+    rows: tuple[slice, ...]
+    chi_p: tuple[int, ...]
+    chi_top: int
+
+    def grid(self, values: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """The grid of one evaluation of ``counts``."""
+        return tuple(tuple(values[row]) for row in self.rows)
+
+
 @dataclass(frozen=True)
 class VarietyModel:
     """n, irregularity g, the (n+1)x(n+1) grid of rank functions, and extras."""
@@ -180,6 +206,35 @@ class VarietyModel:
 
     def hodge_pairs(self) -> Iterable[tuple[int, int]]:
         return product(range(self.n + 1), repeat=2)
+
+    @cached_property
+    def _strata_counts(self) -> tuple[int, ...]:
+        """How many strata lie above the limit at each grid entry, row-major."""
+        return tuple(rf._strata_above_limit for row in self.hodge for rf in row)
+
+    @cached_property
+    def _hodge_table(self) -> HodgeTable:
+        forms = [rf._count_form for row in self.hodge for rf in row]
+        forms.append(CountForm(self.torus_dim, 1, ()))
+        ends = list(accumulate(len(row) for row in self.hodge))
+        chi_p = tuple(euler_char(row) for row in self.hodge)
+        return HodgeTable(
+            counts=CountTable.of(forms),
+            rows=tuple(slice(end - len(row), end) for row, end in zip(self.hodge, ends)),
+            chi_p=chi_p,
+            chi_top=sum((-1) ** p * chi for p, chi in enumerate(chi_p)),
+        )
+
+    def hodge_table(self, budget: int) -> HodgeTable:
+        """Every grid entry's count form in one table, built on first use
+        and kept.  The budget caps the strata above the limit of each entry;
+        it is checked on every call, and the first entry over it, row-major,
+        raises before any form is built."""
+        counts = self._strata_counts
+        if counts and max(counts) > budget:
+            for strata in counts:
+                check_budget(strata, budget)
+        return self._hodge_table
 
 
 class Finding(NamedTuple):

@@ -6,15 +6,17 @@ the sum of the twisted ranks over all d-torsion points of the dual torus.
 Each rank function sums through its count form
 (:meth:`RankFunction.count_form`): the limit contributes limit·d^(2g), and
 the signed meets of its strata above the limit contribute their exact
-torsion counts, one divisibility test per class of terms
-(:meth:`CountForm.count`).  This keeps every invariant computable for d
-with d^(2g) far beyond machine range.
+torsion counts, one divisibility test per class of terms.  This keeps
+every invariant computable for d with d^(2g) far beyond machine range.
 
-Everything that does not depend on d is kept off the per-cover path:
-:func:`cover_invariants` reads each grid entry's form once (its budget
-check compares two integers), sums the Betti numbers from that grid, and
-computes each row's Euler characteristic once, chi_top being their
-alternating sum.
+Everything that does not depend on d is kept off the per-cover path.  The
+model compiles its grid once into one count table
+(:meth:`VarietyModel.hodge_table`), with a last column for d^(2g) and the
+rows' Euler characteristics kept beside it.  :func:`hodge_numbers_cover`
+and :func:`cover_invariants` read the whole grid from one evaluation of
+that table per cover; the Betti numbers are summed from it and P_1 is its
+(n,0) entry.  Only P_m for m >= 2 and the extra sheaf slots read forms of
+their own.
 
 Every invariant is a sum of rank functions (:func:`summands`), so its
 limit as value / d^(2g) is the sum of their limits: proper loci contribute
@@ -26,12 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .counting import DEFAULT_COMPONENT_BUDGET
 from .counting import union_torsion_count  # noqa: F401  (bench/tests asserts this binding)
 from .errors import MissingPluriData
-from .model import RankFunction, VarietyModel
+from .model import RankFunction, VarietyModel, euler_char
 
 EXACT_LIMIT = "exact-limit"
 UPPER_BOUND_ZERO = "upper-bound-zero"
@@ -75,8 +77,9 @@ def sheaf_rank_on_cover(rf: RankFunction, d: int,
 
 def hodge_numbers_cover(model: VarietyModel, d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> tuple[tuple[int, ...], ...]:
-    """The (p,q) grid of X_d, each entry's count form read once."""
-    return tuple(tuple(rf.count_form(budget).count(d) for rf in row) for row in model.hodge)
+    """The (p,q) grid of X_d, read off one evaluation of the model's table."""
+    table = model.hodge_table(budget)
+    return table.grid(table.counts.values(d))
 
 
 def summands(model: VarietyModel, selector: Selector) -> list[RankFunction]:
@@ -128,15 +131,6 @@ def plurigenera_cover(model: VarietyModel, d: int, m: int,
     return value_on_cover(model, ("pluri", m), d, budget=budget)
 
 
-def euler_char(rank_functions: Sequence[RankFunction]) -> int:
-    """Alternating sum of the limits over the cohomological degrees.
-
-    Twisting by a topologically trivial line bundle leaves the Euler
-    characteristic alone, so the generic ranks already determine it.
-    """
-    return sum((-1) ** i * rf.limit for i, rf in enumerate(rank_functions))
-
-
 def chi_of_forms(model: VarietyModel, p: int) -> int:
     return euler_char(model.hodge[p])
 
@@ -165,21 +159,26 @@ def pluri_bound_constant(model: VarietyModel, m: int) -> int:
 
 def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
                      *, budget: int = DEFAULT_COMPONENT_BUDGET) -> CoverInvariants:
-    grid = hodge_numbers_cover(model, d, budget=budget)
+    """Every invariant of X_d from one evaluation of the model's table: the
+    grid, deg (its last column), the Betti numbers summed from the grid and
+    P_1 = h^(n,0) read off it; only P_m for m >= 2 has forms of its own."""
+    table = model.hodge_table(budget)
+    values = table.counts.values(d)
+    grid = table.grid(values)
     betti = [0] * (2 * model.n + 1)
     for p, row in enumerate(grid):
         for q, h in enumerate(row):
             betti[p + q] += h
-    pluri = {m: plurigenera_cover(model, d, m, budget=budget) for m in pluri_ms}
-    chi_p = tuple(chi_of_forms(model, p) for p in range(model.n + 1))
+    pluri = {m: grid[model.n][0] if m == 1 else plurigenera_cover(model, d, m, budget=budget)
+             for m in pluri_ms}
     return CoverInvariants(
         d=d,
-        deg=d ** model.torus_dim,
+        deg=values[-1],
         hodge=grid,
         betti=tuple(betti),
         q=grid[0][1],
-        chi_p=chi_p,
-        chi_top=sum((-1) ** p * chi for p, chi in enumerate(chi_p)),
+        chi_p=table.chi_p,
+        chi_top=table.chi_top,
         pluri=pluri,
     )
 
@@ -213,6 +212,9 @@ def chi_multiplicativity_check(model: VarietyModel, d: int,
     characteristic is multiplicative along finite étale covers); a failure
     flags an inconsistent grid.
     """
-    rows = list(model.hodge) + [rfs for _, rfs in sorted(model.sheaves.items())]
-    return all(sum((-1) ** i * sheaf_rank_on_cover(rf, d, budget=budget) for i, rf in enumerate(rfs))
-               == d ** model.torus_dim * euler_char(rfs) for rfs in rows)
+    deg = d ** model.torus_dim
+    rows = list(zip(hodge_numbers_cover(model, d, budget=budget), model.hodge))
+    rows += [((sheaf_rank_on_cover(rf, d, budget=budget) for rf in rfs), rfs)
+             for _, rfs in sorted(model.sheaves.items())]
+    return all(sum((-1) ** i * h for i, h in enumerate(values)) == deg * euler_char(rfs)
+               for values, rfs in rows)

@@ -19,6 +19,7 @@ from jumploci import (
     converse_defect_witness,
     divergence_class,
     fit_bound,
+    fit_bounds,
     irregularity_cover,
     l2_betti,
     l2_euler_characteristic,
@@ -145,24 +146,42 @@ class TestIntegerFit:
                             assert str(fitted) == str(expected)
 
     def test_one_form_read_and_one_count_per_d(self, monkeypatch):
-        calls = {"count_form": 0, "count": 0}
-        count_form, count = model_module.RankFunction.count_form, counting.CountForm.count
+        calls = {"count_form": 0, "values": 0}
+        count_form, values = model_module.RankFunction.count_form, counting.CountTable.values
 
         def spy_count_form(self, budget):
             calls["count_form"] += 1
             return count_form(self, budget)
 
-        def spy_count(self, d):
-            calls["count"] += 1
-            return count(self, d)
+        def spy_values(self, d):
+            calls["values"] += 1
+            return values(self, d)
 
         monkeypatch.setattr(model_module.RankFunction, "count_form", spy_count_form)
-        monkeypatch.setattr(counting.CountForm, "count", spy_count)
+        monkeypatch.setattr(counting.CountTable, "values", spy_values)
         model = builtin("blowup_abelian4_curve", genus=2).model
         for d_max in (2, 16):
-            calls.update(count_form=0, count=0)
+            calls.update(count_form=0, values=0)
             fit_bound(model, 1, 2, 0, d_max)
-            assert calls == {"count_form": 1, "count": d_max}
+            assert calls == {"count_form": 1, "values": d_max}
+            # the whole grid from one evaluation of the model's table per d;
+            # each entry's form is read once, for its degree
+            calls.update(count_form=0, values=0)
+            fits = fit_bounds(model, 0, d_max)
+            assert calls == {"count_form": len(fits), "values": d_max}
+
+    def test_fit_bounds_equals_fit_bound_per_entry(self):
+        for model in fit_corpus():
+            for bound in range(model.n + 1):
+                for d_max in (2, 4, 16):
+                    fits = fit_bounds(model, bound, d_max)
+                    assert fits == [fit_bound(model, p, q, bound, d_max)
+                                    for p in range(model.n + 1) for q in range(model.n + 1)]
+                    assert all(type(f.fitted_b) is Fraction for f in fits)
+
+    def test_fit_bounds_rejects_a_short_range(self):
+        with pytest.raises(ValueError, match="d_max must be at least 2"):
+            fit_bounds(builtin("abelian", g=1).model, 0, 1)
 
 
 class TestConverseWitness:

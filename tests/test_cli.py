@@ -16,6 +16,7 @@ import jumploci
 from jumploci import (CongruenceCoset, RankFunction, Stratum, TorusPoint, VarietyModel, builtin,
                       dumps_model, load_model, origin_jump)
 from jumploci.cli import main
+from jumploci.errors import ECHO_CHARS
 
 
 def run_cli(capsys, *argv):
@@ -296,6 +297,19 @@ class TestBadFlags:
         assert not target.exists()
         assert main(["tower", "--builtin", "abelian", "--pluri", "6", "--out", str(target)]) == 0
         assert target.read_text().startswith("schema,d,deg,")
+
+    def test_repeated_pluri_exponent_writes_nothing(self, tmp_path, capsys):
+        target = tmp_path / "tower.csv"
+        huge = "9" * 5000
+        for pluri, repeated in (("1,1", "1"), ("2,1,2", "2"), ("3,2,2,3", "2"),
+                                (f"{huge},{huge}", "9" * ECHO_CHARS + "...")):
+            for extra in ([], ["--out", str(target)]):
+                argv = ["tower", "--builtin", "cartwright_steger_like", "--d-max", "2", "--pluri", pluri]
+                assert main(argv + extra) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: --pluri lists {repeated} more than once\n"
+        assert not target.exists()
 
     @pytest.mark.parametrize("name,params", [("abelian", "g=2"), ("fibered_over_curve", "genus=2")])
     def test_pluri_one_is_the_geometric_genus(self, capsys, name, params):

@@ -15,6 +15,7 @@ from jumploci import (
     RankFunction,
     Stratum,
     TorusPoint,
+    VarietyModel,
     builtin,
     coset_torsion_count,
     count_solutions_mod,
@@ -23,9 +24,9 @@ from jumploci import (
     union_torsion_count,
 )
 from jumploci.catalog import DEFAULT_INSTANCES
-from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm
+from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable
 from jumploci.torus import NormalizedCoset, snf
-from gen import random_connected_coset, random_coset, random_nonempty_coset
+from gen import random_connected_coset, random_coset, random_nonempty_coset, random_rank_function
 from oracles import brute_force_torsion_count, per_term_count
 
 
@@ -520,15 +521,23 @@ def _sparse_translated_coset(rng, n, codim):
     return CongruenceCoset.of(n, rows, [Fraction(rng.randrange(den), den) for _ in rows])
 
 
+def _classes(table):
+    return {(order, torsion) for order, torsion, _ in table.classes}
+
+
 class TestClassEvaluation:
-    """CountForm.count, one divisibility test per class of (order, torsion),
-    against the sum over its terms one by one (oracles.per_term_count)."""
+    """CountTable.values, one divisibility test per class of (order, torsion)
+    and one power per exponent, against the sum over each column's terms one
+    by one (oracles.per_term_count)."""
 
     @staticmethod
-    def _check(form):
+    def _check(*forms):
+        table = CountTable.of(forms)
         for d in CLASS_DS:
-            assert form.count(d) == per_term_count(form, d)
-        return {(order, torsion) for order, torsion, _ in form.classes}
+            assert table.values(d) == [per_term_count(form, d) for form in forms]
+        for form in forms:
+            assert [form.count(d) for d in CLASS_DS] == [per_term_count(form, d) for d in CLASS_DS]
+        return _classes(table)
 
     def test_catalog_forms_are_one_polynomial(self):
         for name, params in DEFAULT_INSTANCES:
@@ -538,21 +547,23 @@ class TestClassEvaluation:
             if model.pluri is not None:
                 rank_functions += [model.pluri.rank_function(model.torus_dim, m)
                                    for m in model.pluri.values]
-            for rf in rank_functions:
-                assert self._check(rf.count_form(DEFAULT_COMPONENT_BUDGET)) <= {(1, ())}
+            forms = [rf.count_form(DEFAULT_COMPONENT_BUDGET) for rf in rank_functions]
+            assert self._check(*forms) <= {(1, ())}
 
     def test_seeded_unions_and_rank_functions(self):
         rng = random.Random(1414)
         seen = set()
         for n in (4, 6):
+            forms = []
             for _ in range(12):
                 comps = [_sparse_translated_coset(rng, n, rng.choice((1, 2)))
                          for _ in range(rng.randint(2, 6))]
                 normalized = [nc for nc in (c.normalize() for c in comps) if nc is not None]
-                seen |= self._check(CountForm.of(n, 0, [(nc, 1) for nc in normalized]))
+                forms.append(CountForm.of(n, 0, [(nc, 1) for nc in normalized]))
                 generic = rng.randint(0, 2)
                 strata = tuple(Stratum(c, generic + rng.randint(1, 4)) for c in comps)
-                seen |= self._check(RankFunction(n, generic, strata).count_form(len(strata)))
+                forms.append(RankFunction(n, generic, strata).count_form(len(strata)))
+            seen |= self._check(*forms)
         assert {2, 3} <= {order for order, _ in seen}
         assert any(torsion for _, torsion in seen)
         assert len(seen) > 10
@@ -563,17 +574,56 @@ class TestClassEvaluation:
         a = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 2)]).normalize()
         b = CongruenceCoset.of(2, [[0, 1]], [Fraction(1, 2)]).normalize()
         form = CountForm(2, 1, ((3, a), (-3, b), (5, a.meet(b))))
-        assert form.classes == ((1, (), ((2, 1),)), (2, (), ((0, 5),)))
+        assert CountTable.of([form]).classes == ((1, (), ((2, ((0, 1),)),)), (2, (), ((0, ((0, 5),)),)))
         self._check(form)
         assert (form.count(3), form.count(4)) == (9, 16 + 5)
-        assert CountForm(2, 0, ((3, a), (-3, b))).classes == ()
+        cancelled = CountForm(2, 0, ((3, a), (-3, b)))
+        assert CountTable.of([cancelled]).classes == ()
+        # across columns a coefficient cancels only within its own column
+        table = CountTable.of([CountForm(2, 0, ((3, a),)), CountForm(2, 0, ((-3, a),))])
+        assert table.classes == ((2, (), ((1, ((0, 3), (1, -3))),)),)
+        assert table.values(4) == [12, -12] and table.values(3) == [0, 0]
+
+    def test_hodge_table_columns_on_catalog_grids(self):
+        for name, params in DEFAULT_INSTANCES:
+            model = builtin(name, **params).model
+            table = model.hodge_table(DEFAULT_COMPONENT_BUDGET)
+            forms = [rf.count_form(DEFAULT_COMPONENT_BUDGET) for row in model.hodge for rf in row]
+            forms.append(CountForm(model.torus_dim, 1, ()))
+            assert table.counts.width == len(forms)
+            for d in CLASS_DS:
+                assert table.counts.values(d) == [per_term_count(form, d) for form in forms], (name, d)
+
+    def test_hodge_table_columns_on_random_models(self):
+        # translates of denominator up to 4 give classes of order 2, 3 and 4
+        rng = random.Random(1616)
+        seen = set()
+        for _ in range(30):
+            n, g = rng.choice((1, 2)), rng.choice((1, 2))
+            grid = tuple(tuple(random_rank_function(rng, 2 * g) for _ in range(n + 1))
+                         for _ in range(n + 1))
+            model = VarietyModel(n=n, g=g, hodge=grid, defect_strata=())
+            table = model.hodge_table(DEFAULT_COMPONENT_BUDGET)
+            forms = [rf.count_form(DEFAULT_COMPONENT_BUDGET) for row in grid for rf in row]
+            forms.append(CountForm(2 * g, 1, ()))
+            for d in CLASS_DS:
+                values = table.counts.values(d)
+                assert values == [per_term_count(form, d) for form in forms]
+                assert table.grid(values) == tuple(tuple(per_term_count(rf.count_form(DEFAULT_COMPONENT_BUDGET), d) for rf in row)
+                                                   for row in grid)
+            seen |= _classes(table.counts)
+        assert {2, 3} <= {order for order, _ in seen}
+        assert any(torsion for _, torsion in seen)
 
     @pytest.mark.parametrize("d", [0, -1, -2])
     def test_nonpositive_d_rejected(self, d):
-        form = builtin("fibered_over_curve", genus=2).model.hodge[0][1].count_form(DEFAULT_COMPONENT_BUDGET)
+        model = builtin("fibered_over_curve", genus=2).model
+        form = model.hodge[0][1].count_form(DEFAULT_COMPONENT_BUDGET)
         assert form.terms
         with pytest.raises(ValueError, match="d must be positive"):
             form.count(d)
+        with pytest.raises(ValueError, match="d must be positive"):
+            model.hodge_table(DEFAULT_COMPONENT_BUDGET).counts.values(d)
         point = CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), 0])).normalize()
         line = CongruenceCoset.of(2, [[2, 0]], [0]).normalize()
         for nc in (point, line, *(nc for _, nc in form.terms)):

@@ -370,11 +370,55 @@ class TestCoverInvariants:
 
     @pytest.mark.parametrize("name,params", DEFAULT_INSTANCES)
     def test_one_euler_characteristic_per_row(self, monkeypatch, name, params):
+        # the row Euler characteristics are kept with the model's table, so
+        # no cover after the first computes one
         model = builtin(name, **params).model
-        calls = count_calls(monkeypatch, (tower, "chi_of_forms"))
-        inv = cover_invariants(model, 3)
-        assert len(calls) == model.n + 1
+        first = cover_invariants(model, 2)
+        calls = count_calls(monkeypatch, (tower, "chi_of_forms"), (tower, "euler_char"))
+        for d in (3, 4, 10 ** 30):
+            inv = cover_invariants(model, d)
+            assert inv.chi_p == first.chi_p
+        assert len(calls) == 0
+        assert inv.chi_p == tuple(chi_of_forms(model, p) for p in range(model.n + 1))
         assert inv.chi_top == sum((-1) ** p * chi for p, chi in enumerate(inv.chi_p))
+
+    @pytest.mark.parametrize("name,params", DEFAULT_INSTANCES)
+    def test_one_table_evaluation_per_cover(self, monkeypatch, name, params):
+        model = builtin(name, **params).model
+        pluri_ms = [1] + sorted(model.pluri.values if model.pluri else ())
+        expected = {d: (hodge_numbers_cover(model, d),
+                        {m: plurigenera_cover(model, d, m) for m in pluri_ms}) for d in (1, 2, 3)}
+        values = count_calls(monkeypatch, (counting.CountTable, "values"))
+        forms = count_calls(monkeypatch, (RankFunction, "count_form"))
+        for d in (1, 2, 3):
+            values.clear()
+            forms.clear()
+            inv = cover_invariants(model, d, pluri_ms)
+            # one evaluation for the grid, one per plurigenus exponent m >= 2
+            assert len(values) == len(pluri_ms)
+            assert len(forms) == len(pluri_ms) - 1
+            assert (inv.hodge, inv.pluri) == expected[d]
+            assert inv.pluri[1] == inv.hodge[model.n][0]
+
+    def test_table_budget_checked_on_every_call(self):
+        # parallel circles of translate order 5: four at (0,1), five at (1,0),
+        # so the first entry over the budget, row-major, depends on the budget
+        base = builtin("abelian", g=1).model
+        circles = tuple(Stratum(CongruenceCoset.of(2, [[1, 0]], [Fraction(j, 5)]), 2) for j in range(5))
+        rows = [list(row) for row in base.hodge]
+        rows[0][1], rows[1][0] = RankFunction(2, 1, circles[:4]), RankFunction(2, 1, circles)
+        model = dataclasses.replace(base, hodge=tuple(map(tuple, rows)))
+        calls = (lambda b: model.hodge_table(b), lambda b: cover_invariants(model, 5, budget=b),
+                 lambda b: hodge_numbers_cover(model, 5, budget=b))
+        for budget in (12, 3, 5, 4, 12, 3):
+            if budget < 5:
+                strata = 4 if budget < 4 else 5
+                for call in calls:
+                    with pytest.raises(ComponentBudgetExceeded,
+                                       match=f"^{strata} components exceed the component budget of {budget}$"):
+                        call(budget)
+            else:
+                assert cover_invariants(model, 5, budget=budget).hodge == ((1, 25 + 20), (25 + 25, 1))
 
     @pytest.mark.parametrize("d", [1, 2, 24, 10 ** 30])
     def test_bundle_matches_the_single_invariants(self, d):
