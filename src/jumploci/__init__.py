@@ -17,7 +17,6 @@ from .catalog import CatalogEntry, DEFAULT_INSTANCES, builtin, builtin_names
 from .counting import (
     TorsionCount,
     coset_torsion_count,
-    count_solutions_mod,
     enumerate_torsion,
     union_torsion_count,
 )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Callable
 
@@ -224,11 +225,7 @@ def elliptic_surface_qI0(genus: int = 2, chi: int = 1) -> CatalogEntry:
     _require_size("elliptic_surface_qI0", 2, genus)
     gb, e = genus, chi
     torus = 2 * gb
-
-    def rf(generic: int, origin_value: int) -> RankFunction:
-        if origin_value > generic:
-            return origin_jump(torus, generic, origin_value)
-        return constant_rank(torus, generic)
+    rf = partial(origin_jump, torus)
 
     grid = (
         (rf(0, 1), rf(gb - 1, gb), rf(gb - 1 + e, gb - 1 + e)),
@@ -297,11 +294,7 @@ def fibered_over_curve(genus: int = 2) -> CatalogEntry:
 
 def cartwright_steger_like() -> CatalogEntry:
     torus = 2
-
-    def rf(generic: int, origin_value: int) -> RankFunction:
-        if origin_value > generic:
-            return origin_jump(torus, generic, origin_value)
-        return constant_rank(torus, generic)
+    rf = partial(origin_jump, torus)
 
     grid = (
         (rf(0, 1), rf(0, 1), rf(1, 1)),

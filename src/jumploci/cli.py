@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import asymptotics, catalog, counting, modelfile, tower
-from .errors import EngineError, MissingPluriData, shown
+from .errors import EngineError, MissingPluriData, shown, shown_int
 from .model import VarietyModel, validate_model
 
 EXIT_OK = 0
@@ -201,14 +201,13 @@ def cmd_tower(args, out=None) -> int:
     seen: set[int] = set()
     for m in ms:
         if m in seen:  # a CSV header with two P_m columns loses one to readers keyed on it
-            with _int_text_of_any_size():
-                raise EngineError(f"--pluri lists {shown(str(m))} more than once")
+            raise EngineError(f"--pluri lists {shown_int(m)} more than once")
         seen.add(m)
     for m in ms:
         try:
             tower.summands(model, ("pluri", m))
         except MissingPluriData as exc:
-            raise EngineError(f"--pluri {m}: {exc}") from None
+            raise EngineError(f"--pluri {shown_int(m)}: {exc}") from None
     # every row is computed before anything is written, so a failure leaves no output
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(_tower_rows(model, args.d_max, ms, args.budget))

@@ -61,20 +61,6 @@ class TorsionCount:
     value: int
 
 
-def count_solutions_mod(rows: Sequence[Sequence[int]], rhs: Sequence[int], modulus: int,
-                        *, width: int | None = None) -> int:
-    """|{y in (Z/m)^N : A·y ≡ c (mod m)}|: the number of m-torsion points on
-    the coset {A·x ≡ c/m}, whose ambient dimension is ``width`` when given."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    if width is None:
-        if not rows:
-            raise DimensionMismatch("width required for a system with no rows")
-        width = len(rows[0])
-    coset = CongruenceCoset.of(width, rows, [Fraction(int(c), modulus) for c in rhs])
-    return coset_torsion_count(coset, modulus).value
-
-
 def coset_torsion_count(coset: CongruenceCoset, d: int) -> TorsionCount:
     """Number of points of order dividing d on the coset, exactly.
 

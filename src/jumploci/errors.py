@@ -1,12 +1,22 @@
 """Exception types shared across the engine, and how their messages quote
 user text."""
 
+import math
+
 ECHO_CHARS = 60  # an error message quotes at most this much of user text
 
 
 def shown(text: str) -> str:
     """User text as an error message quotes it: at most ECHO_CHARS characters."""
     return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+
+
+def shown_int(value: int) -> str:
+    """``shown(str(value))`` at any size: str() refuses an int past the
+    interpreter's digit cap, so a long one first loses its trailing digits."""
+    cut = max(0, int(abs(value).bit_length() * math.log10(2)) - ECHO_CHARS)
+    text = str(value // 10 ** cut if value >= 0 else -(-value // 10 ** cut))
+    return text[:ECHO_CHARS] + "..." if cut else shown(text)
 
 
 class EngineError(Exception):

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_budget, check_union
+from .counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_budget
 from .errors import ComponentBudgetExceeded, DimensionMismatch, MissingStratification
-from .torus import CongruenceCoset, NormalizedCoset, TorusPoint
+from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, _to_int
 
 
 class Stratum(NamedTuple):
@@ -35,6 +35,10 @@ class Stratum(NamedTuple):
 class RankFunction:
     """Rank of one cohomology group as a function of the twisting point.
 
+    Construction refuses a generic or stratum value that is not an integer
+    (TypeError) and a stratum in another torus (DimensionMismatch); what the
+    values mean, such as a negative rank, is left to :func:`validate_model`.
+
     Everything that does not depend on the cover index d is computed on
     first use and kept on the instance: the normalized strata, the limit
     and the compiled count form that every d reads.
@@ -45,9 +49,14 @@ class RankFunction:
     strata: tuple[Stratum, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "strata",
-            tuple(Stratum(c, int(v)) for c, v in self.strata))
+        if type(self.generic_value) is not int:
+            object.__setattr__(self, "generic_value", _to_int(self.generic_value))
+        strata = []  # one loop, no generator: every catalog model builds many of these
+        for coset, value in self.strata:
+            if coset.ambient_dim != self.ambient_dim:
+                raise DimensionMismatch(f"a stratum lives outside the dual torus of dimension {self.ambient_dim}")
+            strata.append(Stratum(coset, value if type(value) is int else _to_int(value)))
+        object.__setattr__(self, "strata", tuple(strata))
 
     @cached_property
     def normalized_strata(self) -> tuple[Optional[NormalizedCoset], ...]:
@@ -70,11 +79,8 @@ class RankFunction:
 
     @cached_property
     def _strata_above_limit(self) -> int:
-        """How many strata lie above the limit; their ambient dimensions are
-        checked once, when this is first read."""
-        above = [coset for coset, value in self.strata if value > self.limit]
-        check_union(above, len(above))  # the budget is checked per call
-        return len(above)
+        """How many strata lie above the limit."""
+        return sum(value > self.limit for _, value in self.strata)
 
     def count_form(self, budget: int) -> CountForm:
         """The limit and the signed meets of the strata above it, merged by
@@ -117,10 +123,12 @@ def constant_rank(ambient_dim: int, value: int) -> RankFunction:
 
 
 def origin_jump(ambient_dim: int, generic: int, origin_value: int) -> RankFunction:
-    """Rank function jumping only at the origin (the most common shape)."""
+    """Rank function jumping only at the origin (the most common shape);
+    constant when the origin value does not exceed the generic one."""
+    if origin_value <= generic:
+        return constant_rank(ambient_dim, generic)
     origin = CongruenceCoset.point(TorusPoint.zero(ambient_dim))
-    strata = (Stratum(origin, origin_value),) if origin_value > generic else ()
-    return RankFunction(ambient_dim, generic, strata)
+    return RankFunction(ambient_dim, generic, (Stratum(origin, origin_value),))
 
 
 @dataclass(frozen=True)
@@ -133,12 +141,22 @@ class PluriData:
     of the leading 2·q_base coordinates.  ``values[m]`` is the constant
     rank on the locus and ``generic_values[m]`` the rank off it (zero
     whenever the locus is proper, which :func:`validate_model` checks).
+    Construction refuses a ``q_base``, exponent or value that is not an
+    integer (TypeError); their ranges are left to :func:`validate_model`.
     """
 
     q_base: int
     translates: tuple[TorusPoint, ...]
     values: Mapping[int, int]
     generic_values: Mapping[int, int]
+
+    def __post_init__(self) -> None:
+        if type(self.q_base) is not int:
+            object.__setattr__(self, "q_base", _to_int(self.q_base))
+        for name in ("values", "generic_values"):
+            table = getattr(self, name)
+            if not {int}.issuperset(map(type, (*table, *table.values()))):
+                object.__setattr__(self, name, {_to_int(m): _to_int(v) for m, v in table.items()})
 
     def locus_coset(self, ambient_dim: int, translate: TorusPoint) -> CongruenceCoset:
         pinned = {i: translate.coords[i] for i in range(2 * self.q_base, ambient_dim)}
@@ -162,8 +180,8 @@ class PluriData:
             if ambient_dim not in self._locus_cosets:
                 self._locus_cosets[ambient_dim] = tuple(
                     self.locus_coset(ambient_dim, t) for t in self.translates)
-            generic = int(self.generic_values.get(m, 0))
-            value = int(self.values[m])
+            generic = self.generic_values.get(m, 0)
+            value = self.values[m]
             strata = tuple(Stratum(c, value)
                            for c in self._locus_cosets[ambient_dim]) if value > generic else ()
             self._rank_functions[key] = RankFunction(ambient_dim, generic, strata)
@@ -188,7 +206,8 @@ class HodgeTable(NamedTuple):
 
 @dataclass(frozen=True)
 class VarietyModel:
-    """n, irregularity g, the (n+1)x(n+1) grid of rank functions, and extras."""
+    """n, irregularity g, the (n+1)x(n+1) grid of rank functions, and extras.
+    Construction refuses an n or g that is not an integer (TypeError)."""
 
     n: int
     g: int
@@ -199,6 +218,11 @@ class VarietyModel:
     semismall: bool = False
     serre_check: bool = True
     name: str = ""
+
+    def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.g) is not int:
+            object.__setattr__(self, "n", _to_int(self.n))
+            object.__setattr__(self, "g", _to_int(self.g))
 
     @property
     def torus_dim(self) -> int:
@@ -306,7 +330,7 @@ def _level_polynomial(rf: RankFunction, t: int, budget: int) -> dict[int, int]:
     """Count polynomial of {rf >= t}."""
     if t <= rf.generic_value:
         return {rf.ambient_dim: 1}
-    check_union([coset for coset, value in rf.strata if value >= t], budget)
+    check_budget(sum(value >= t for _, value in rf.strata), budget)
     return CountForm.of(rf.ambient_dim, 0, [(nc, 1) for nc in _level_components(rf, t)]).polynomial
 
 
@@ -350,6 +374,31 @@ def validate_model(model: VarietyModel) -> ValidationReport:
     err = lambda msg: findings.append(Finding("error", msg))
     warn = lambda msg: findings.append(Finding("warning", msg))
 
+    def check_rank_function(rf: RankFunction, place: str, kind: str = "") -> None:
+        """The findings on a grid entry or a sheaf slot, named ``place``; a
+        finding on the whole function opens with ``kind`` before it."""
+        if rf.generic_value < 0:
+            err(f"{kind}{place} has negative generic value {rf.generic_value}")
+        if rf.ambient_dim != model.torus_dim:
+            err(f"{kind}{place} has ambient dimension {rf.ambient_dim}, expected {model.torus_dim}")
+            return
+        for idx, ((_, value), nc) in enumerate(zip(rf.strata, rf.normalized_strata)):
+            if value <= rf.generic_value:
+                err(f"stratum {idx} of {place} has value {value} not above the generic {rf.generic_value}")
+            if nc is None:
+                warn(f"stratum {idx} of {place} is empty and unreachable")
+            else:
+                if nc.dim % 2 == 1:
+                    warn(f"stratum {idx} of {place} has odd real dimension {nc.dim}")
+                if nc.dim == model.torus_dim:
+                    warn(f"stratum {idx} of {place} spans the whole torus; it overrides the generic value")
+        # overlapping strata with neither containing the other: the max rule decides
+        for (nca, va), (ncb, vb) in combinations(rf.effective_strata(), 2):
+            meet = nca.meet(ncb) if va != vb else None
+            if meet is not None and meet != nca and meet != ncb:
+                warn(f"strata of {place} with values {va} and {vb} overlap partially; "
+                     "ranks on the overlap follow the max rule")
+
     n, g = model.n, model.g
     if n < 0 or g < 0:
         err("dimension and irregularity must be nonnegative")
@@ -358,36 +407,7 @@ def validate_model(model: VarietyModel) -> ValidationReport:
         return ValidationReport(tuple(findings), {})
 
     for p, q in model.hodge_pairs():
-        rf = model.hodge[p][q]
-        if rf.generic_value < 0:
-            err(f"rank function ({p},{q}) has negative generic value {rf.generic_value}")
-        if rf.ambient_dim != model.torus_dim:
-            err(f"rank function ({p},{q}) has ambient dimension {rf.ambient_dim}, expected {model.torus_dim}")
-            continue
-        for idx, ((coset, value), nc) in enumerate(zip(rf.strata, rf.normalized_strata)):
-            if coset.ambient_dim != model.torus_dim:
-                err(f"stratum {idx} of ({p},{q}) lives in dimension {coset.ambient_dim}")
-                continue
-            if value <= rf.generic_value:
-                err(f"stratum {idx} of ({p},{q}) has value {value} not above the generic {rf.generic_value}")
-            if nc is None:
-                warn(f"stratum {idx} of ({p},{q}) is empty and unreachable")
-            else:
-                if nc.dim % 2 == 1:
-                    warn(f"stratum {idx} of ({p},{q}) has odd real dimension {nc.dim}")
-                if nc.dim == model.torus_dim:
-                    warn(f"stratum {idx} of ({p},{q}) spans the whole torus; it overrides the generic value")
-        # overlapping strata with neither containing the other: the max rule decides
-        effective = rf.effective_strata()
-        for a in range(len(effective)):
-            for b in range(a + 1, len(effective)):
-                (nca, va), (ncb, vb) = effective[a], effective[b]
-                if va == vb:
-                    continue
-                meet = nca.meet(ncb)
-                if meet is not None and meet != nca and meet != ncb:
-                    warn(f"strata of ({p},{q}) with values {va} and {vb} overlap partially; "
-                         "ranks on the overlap follow the max rule")
+        check_rank_function(model.hodge[p][q], f"({p},{q})", "rank function ")
 
     origin = TorusPoint.zero(model.torus_dim)
     if model.hodge[0][0].ambient_dim == model.torus_dim and model.hodge[0][0].rank_at(origin) != 1:
@@ -444,13 +464,7 @@ def validate_model(model: VarietyModel) -> ValidationReport:
 
     for name, rfs in sorted(model.sheaves.items()):
         for i, rf in enumerate(rfs):
-            if rf.generic_value < 0:
-                err(f"sheaf slot {name!r} degree {i} has negative generic value {rf.generic_value}")
-            if rf.ambient_dim != model.torus_dim:
-                err(f"sheaf slot {name!r} degree {i} has the wrong ambient dimension")
-            for idx, (coset, value) in enumerate(rf.strata):
-                if value <= rf.generic_value:
-                    err(f"sheaf slot {name!r} degree {i} stratum {idx} does not jump above the generic value")
+            check_rank_function(rf, f"sheaf slot {name!r} degree {i}")
 
     if model.serre_check and not any(f.severity == "error" for f in findings):
         for p, q in model.hodge_pairs():

@@ -27,10 +27,6 @@ MAX_N = 64
 MAX_G = 64
 
 
-def _fraction_to_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _fraction_from_str(s: Any) -> Fraction:
     if isinstance(s, bool) or isinstance(s, float):
         raise ModelFormatError(f"rationals must be strings or integers, got {s!r}")
@@ -70,7 +66,7 @@ def _list(x: Any, what: str) -> list:
 def _coset_to_dict(coset: CongruenceCoset) -> dict:
     return {
         "A": [list(row) for row in coset.rows],
-        "b": [_fraction_to_str(b) for b in coset.rhs],
+        "b": [str(b) for b in coset.rhs],
     }
 
 
@@ -136,9 +132,9 @@ def model_to_dict(model: VarietyModel) -> dict:
     if model.pluri is not None:
         out["pluri"] = {
             "q_base": model.pluri.q_base,
-            "translates": [[_fraction_to_str(c) for c in t.coords] for t in model.pluri.translates],
-            "values": {str(m): int(v) for m, v in sorted(model.pluri.values.items())},
-            "generic_values": {str(m): int(v) for m, v in sorted(model.pluri.generic_values.items())},
+            "translates": [[str(c) for c in t.coords] for t in model.pluri.translates],
+            "values": {str(m): v for m, v in sorted(model.pluri.values.items())},
+            "generic_values": {str(m): v for m, v in sorted(model.pluri.generic_values.items())},
         }
     if model.sheaves:
         out["sheaves"] = {

@@ -54,8 +54,8 @@ _INT = {int}
 
 
 def _as_int_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
-    """Fresh lists of the rows: rows of ints are copied, others coerced."""
-    out = [list(r) if set(map(type, r)) <= _INT else list(map(int, r)) for r in rows]
+    """Fresh lists of the rows: rows of ints are copied, others pass :func:`_to_int`."""
+    out = [list(r) if set(map(type, r)) <= _INT else list(map(_to_int, r)) for r in rows]
     if out:
         width = len(out[0])
         for r in out:
@@ -188,8 +188,14 @@ def _to_fraction(value) -> Fraction:
 
 
 def _to_int(value) -> int:
+    """The value as an int, the engine's one integer rule: a float is refused,
+    and so is any value whose int differs from it, as Fraction(5, 2) or "3"."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise TypeError("floating point is not allowed in exact coefficients")
+    if isinstance(value, str) or int(value) != value:
+        raise TypeError(f"a {type(value).__name__} that is not an integer is not allowed in exact coefficients")
     return int(value)
 
 
@@ -283,10 +289,6 @@ class CongruenceCoset:
         return cls(ambient_dim, tuple(rows), tuple(rhs))
 
     # -- operations --------------------------------------------------------
-
-    @property
-    def row_count(self) -> int:
-        return len(self.rows)
 
     def contains(self, x: TorusPoint) -> bool:
         """Membership in integers: with m the lcm of the point's order and

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 
 from .counting import DEFAULT_COMPONENT_BUDGET
 from .counting import union_torsion_count  # noqa: F401  (bench/tests asserts this binding)
-from .errors import MissingPluriData
+from .errors import MissingPluriData, shown_int
 from .model import RankFunction, VarietyModel, euler_char
 
 EXACT_LIMIT = "exact-limit"
@@ -104,7 +104,7 @@ def summands(model: VarietyModel, selector: Selector) -> list[RankFunction]:
         if m == 1:  # the geometric genus
             return [model.hodge[model.n][0]]
         if model.pluri is None or m not in model.pluri.values:
-            raise MissingPluriData(f"no plurigenus data for m = {m}")
+            raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
         return [model.pluri.rank_function(model.torus_dim, m)]
     raise ValueError(f"unknown selector {selector!r}")
 
@@ -150,11 +150,11 @@ def pluri_limit(model: VarietyModel, m: int) -> LimitValue:
 def pluri_bound_constant(model: VarietyModel, m: int) -> int:
     """Constant M with P_m(X_d)/deg <= M · d^(-2(g - q_base)) for all d."""
     if model.pluri is None or m not in model.pluri.values:
-        raise MissingPluriData(f"no plurigenus data for m = {m}")
-    generic = int(model.pluri.generic_values.get(m, 0))
+        raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
+    generic = model.pluri.generic_values.get(m, 0)
     if generic:
-        return generic + len(model.pluri.translates) * int(model.pluri.values[m])
-    return max(1, len(model.pluri.translates)) * int(model.pluri.values[m])
+        return generic + len(model.pluri.translates) * model.pluri.values[m]
+    return max(1, len(model.pluri.translates)) * model.pluri.values[m]
 
 
 def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),

@@ -15,8 +15,8 @@ import pytest
 import jumploci
 from jumploci import (CongruenceCoset, RankFunction, Stratum, TorusPoint, VarietyModel, builtin,
                       dumps_model, load_model, origin_jump)
-from jumploci.cli import main
-from jumploci.errors import ECHO_CHARS
+from jumploci.cli import _int_text_of_any_size, main
+from jumploci.errors import ECHO_CHARS, shown, shown_int
 
 
 def run_cli(capsys, *argv):
@@ -297,6 +297,22 @@ class TestBadFlags:
         assert not target.exists()
         assert main(["tower", "--builtin", "abelian", "--pluri", "6", "--out", str(target)]) == 0
         assert target.read_text().startswith("schema,d,deg,")
+
+    def test_huge_pluri_exponent_is_named_and_capped(self, capsys):
+        for digits in (100, 5000):
+            m = "9" * digits
+            assert main(["tower", "--builtin", "abelian", "--params", "g=1", "--pluri", f"2,{m}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            shown = "9" * ECHO_CHARS + "..."
+            assert captured.err == f"error: --pluri {shown}: no plurigenus data for m = {shown}\n"
+
+    def test_shown_int_matches_shown_text(self):
+        values = [0, 7, -7, 10 ** 59, 10 ** 60 - 1, 10 ** 60, -10 ** 60, 2 ** 200, -(3 ** 150),
+                  10 ** 5000, -(7 * 10 ** 5000 + 1), 2 ** 100_000 - 1]
+        texts = [shown_int(v) for v in values]  # the interpreter's digit cap in force
+        with _int_text_of_any_size():
+            assert texts == [shown(str(v)) for v in values]
 
     def test_repeated_pluri_exponent_writes_nothing(self, tmp_path, capsys):
         target = tmp_path / "tower.csv"

@@ -18,7 +18,6 @@ from jumploci import (
     VarietyModel,
     builtin,
     coset_torsion_count,
-    count_solutions_mod,
     enumerate_torsion,
     invariant_factors,
     union_torsion_count,
@@ -30,39 +29,41 @@ from gen import random_connected_coset, random_coset, random_nonempty_coset, ran
 from oracles import brute_force_torsion_count, per_term_count
 
 
+def _count_mod(width, rows, rhs, modulus):
+    """|{y in (Z/m)^N : A·y ≡ c (mod m)}|: the m-torsion points on {A·x ≡ c/m}."""
+    coset = CongruenceCoset.of(width, rows, [Fraction(c, modulus) for c in rhs])
+    return coset_torsion_count(coset, modulus).value
+
+
 class TestCountSolutionsMod:
     def test_free_system(self):
-        assert count_solutions_mod((), (), 5, width=2) == 25
+        assert _count_mod(2, (), (), 5) == 25
 
     def test_single_pinned_coordinate(self):
-        assert count_solutions_mod([[0, 1]], [0], 3) == 3
+        assert _count_mod(2, [[0, 1]], [0], 3) == 3
 
     def test_even_coefficient(self):
         # 2 y1 ≡ 1 (mod 4) has no solution; 2 y1 ≡ 2 has y1 in {1, 3}
-        assert count_solutions_mod([[2, 0]], [1], 4) == 0
-        assert count_solutions_mod([[2, 0]], [2], 4) == 8
+        assert _count_mod(2, [[2, 0]], [1], 4) == 0
+        assert _count_mod(2, [[2, 0]], [2], 4) == 8
 
     def test_redundant_rows(self):
         # the zero row encodes a pure compatibility condition
-        assert count_solutions_mod([[1, 1], [2, 2]], [1, 2], 6) == 6
-        assert count_solutions_mod([[1, 1], [2, 2]], [1, 3], 6) == 0
+        assert _count_mod(2, [[1, 1], [2, 2]], [1, 2], 6) == 6
+        assert _count_mod(2, [[1, 1], [2, 2]], [1, 3], 6) == 0
 
     def test_bad_modulus(self):
         for modulus in (0, -3):
             with pytest.raises(ValueError):
-                count_solutions_mod([[1, 0]], [0], modulus)
+                coset_torsion_count(CongruenceCoset.of(2, [[1, 0]], [0]), modulus)
 
     def test_rhs_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            count_solutions_mod([[1, 0], [0, 1]], [0], 4)
+            _count_mod(2, [[1, 0], [0, 1]], [0], 4)
 
     def test_width_disagrees_with_rows(self):
         with pytest.raises(DimensionMismatch):
-            count_solutions_mod([[1, 0]], [0], 4, width=3)
-
-    def test_no_rows_needs_width(self):
-        with pytest.raises(DimensionMismatch):
-            count_solutions_mod((), (), 4)
+            _count_mod(3, [[1, 0]], [0], 4)
 
 
 class TestCosetTorsionCount:

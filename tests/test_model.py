@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ import pytest
 from jumploci import (
     DEFAULT_INSTANCES,
     CongruenceCoset,
+    DimensionMismatch,
     MissingStratification,
     PluriData,
     RankFunction,
@@ -85,6 +87,45 @@ class TestRankAt:
                     assert permuted.rank_at(x) == rf.rank_at(x)
 
 
+class TestValueTypes:
+    @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), Decimal("1.5"), "1"], ids=repr)
+    def test_rank_function_refuses_non_integers(self, bad):
+        with pytest.raises(TypeError):
+            RankFunction(2, bad)
+        with pytest.raises(TypeError):
+            RankFunction(2, 0, (Stratum(origin_coset(2), bad),))
+
+    def test_rank_function_takes_integral_values_as_ints(self):
+        rf = RankFunction(2, Fraction(1), (Stratum(origin_coset(2), Decimal(3)),))
+        assert rf == RankFunction(2, 1, (Stratum(origin_coset(2), 3),))
+        assert type(rf.generic_value) is int and type(rf.strata[0].value) is int
+
+    def test_rank_function_refuses_a_stratum_in_another_torus(self):
+        # such a stratum never meets the d-torsion points of (R/Z)^2: its counts read 0
+        with pytest.raises(DimensionMismatch):
+            RankFunction(2, 0, (Stratum(origin_coset(4), 1),))
+
+    def test_pluri_data_refuses_non_integers(self):
+        point = (TorusPoint.zero(2),)
+        for bad in ({2: 2.5}, {2: Fraction(5, 2)}, {Fraction(5, 2): 1}, {2: "2"}):
+            with pytest.raises(TypeError):
+                PluriData(1, point, bad, {})
+            with pytest.raises(TypeError):
+                PluriData(1, point, {2: 3}, bad)
+        with pytest.raises(TypeError):
+            PluriData(0.5, point, {2: 3}, {})
+        pluri = PluriData(Fraction(1), point, {Decimal(2): Fraction(3)}, {})
+        assert pluri == PluriData(1, point, {2: 3}, {})
+        assert [type(x) for x in (pluri.q_base, *pluri.values, *pluri.values.values())] == [int] * 3
+
+    def test_model_refuses_non_integral_n_and_g(self):
+        base = builtin("abelian", g=1).model
+        for change in ({"n": 1.0}, {"g": Fraction(1, 2)}, {"g": "1"}):
+            with pytest.raises(TypeError):
+                dataclasses.replace(base, **change)
+        assert dataclasses.replace(base, n=Fraction(1), g=Decimal(1)) == base
+
+
 class TestValidation:
     def test_abelian_clean(self):
         report = validate_model(builtin("abelian", g=2).model)
@@ -113,6 +154,36 @@ class TestValidation:
             "plurigenus value -2 for m = 2 is negative",
             "generic plurigenus value -2 for m = 2 is negative",
             "generic plurigenus value -1 for m = 3 is negative"]
+
+    def test_sheaf_slots_get_the_grid_findings(self):
+        # one validator for both: the same rank function gets the same
+        # findings at a grid entry and in a sheaf slot, in its own wording
+        base = builtin("abelian", g=1).model
+        empty = CongruenceCoset.of(2, [[1, 0], [1, 0]], [0, Fraction(1, 2)])
+        line = lambda i, b: CongruenceCoset.pinned(2, {i: b})
+        cases = [
+            (RankFunction(2, 0, (Stratum(empty, 1),)),
+             [("warning", "stratum 0 of {} is empty and unreachable")]),
+            (RankFunction(2, 1, (Stratum(origin_coset(2), 1),)),
+             [("error", "stratum 0 of {} has value 1 not above the generic 1")]),
+            (constant_rank(4, 0), [("error", "{} has ambient dimension 4, expected 2")]),
+            (RankFunction(2, 0, (Stratum(line(0, 0), 1), Stratum(line(1, 0), 2))),
+             [("warning", "stratum 0 of {} has odd real dimension 1"),
+              ("warning", "stratum 1 of {} has odd real dimension 1"),
+              ("warning", "strata of {} with values 1 and 2 overlap partially; "
+                          "ranks on the overlap follow the max rule")]),
+        ]
+        for rf, expected in cases:
+            grid = [list(row) for row in base.hodge]
+            grid[0][1] = rf
+            at_grid = validate_model(dataclasses.replace(base, hodge=tuple(map(tuple, grid))))
+            in_slot = validate_model(dataclasses.replace(base, sheaves={"L": (constant_rank(2, 0), rf)}))
+            own = [tuple(f) for f in at_grid.findings if f.message.startswith(("rank function", "strat"))]
+            assert own == [
+                (severity, message.format("(0,1)").replace("(0,1) has amb", "rank function (0,1) has amb"))
+                for severity, message in expected]
+            assert [tuple(f) for f in in_slot.findings] == [
+                (severity, message.format("sheaf slot 'L' degree 1")) for severity, message in expected]
 
     def test_proper_pluri_locus_needs_zero_generic_value(self):
         # q_base = 0 < g: P_2 would be d^4·1 + 2 while pluri_limit said 0

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,23 @@ class TestConstructors:
         with pytest.raises(TypeError):
             CongruenceCoset.of(1, [[1.0]], [0])
 
+    @pytest.mark.parametrize("bad", [2.5, Fraction(5, 2), Decimal("2.5"), "3"], ids=repr)
+    def test_non_integers_are_refused_everywhere(self, bad):
+        # one integer rule: no truncation to 2, no parsing of text
+        with pytest.raises(TypeError):
+            snf([[bad, 1], [0, 3]])
+        with pytest.raises(TypeError):
+            invariant_factors([[bad, 1], [0, 3]])
+        with pytest.raises(TypeError):
+            CongruenceCoset.of(2, [[bad, 1]], [0])
+        # an integral value of another type is taken as its int
+        rows = [[Fraction(4), 1], [0, Decimal(6)]]
+        assert snf(rows) == snf([[4, 1], [0, 6]])
+        assert invariant_factors(rows) == (1, 24)
+        coset = CongruenceCoset.of(2, rows, [0, 0])
+        assert coset.rows == ((4, 1), (0, 6))
+        assert all(type(a) is int for row in coset.rows for a in row)
+
     def test_zero_point(self):
         for n in range(4):
             assert TorusPoint.zero(n) == TorusPoint.of([0] * n)
@@ -219,7 +237,7 @@ class TestNormalize:
         while done < 40:
             n = rng.randint(1, 4)
             coset = random_nonempty_coset(rng, n)
-            k = coset.row_count
+            k = len(coset.rows)
             if k == 0:
                 continue
             u = random_unimodular(rng, k)

@@ -323,6 +323,13 @@ class TestPlurigenera:
         with pytest.raises(MissingPluriData):
             plurigenera_cover(model, 2, 3)
 
+    def test_missing_data_for_a_huge_exponent(self):
+        # past the interpreter's cap on the digits of an int turned into text
+        model = builtin("abelian", g=1).model
+        for call in (plurigenera_cover, lambda model, _, m: tower.pluri_bound_constant(model, m)):
+            with pytest.raises(MissingPluriData, match=r"m = 10{59}\.\.\.$"):
+                call(model, 1, 10 ** 5000)
+
 
 class TestIrregularity:
     def test_fibered_sequence(self):
