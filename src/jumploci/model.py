@@ -49,6 +49,8 @@ class RankFunction:
     strata: tuple[Stratum, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.ambient_dim) is not int:
+            object.__setattr__(self, "ambient_dim", _to_int(self.ambient_dim))
         if type(self.generic_value) is not int:
             object.__setattr__(self, "generic_value", _to_int(self.generic_value))
         strata = []  # one loop, no generator: every catalog model builds many of these
@@ -317,21 +319,14 @@ def satisfies_weak_generic_nakano(model: VarietyModel) -> bool:
     return all(classify_weak_gv(model, p) == model.n - p for p in range(model.n + 1))
 
 
-def _level_components(rf: RankFunction, t: int) -> frozenset[NormalizedCoset]:
-    """Normalized cosets whose union is {rf >= t}: the full torus at or
-    below the generic value, else the nonempty strata reaching t."""
-    if t <= rf.generic_value:
-        return frozenset({NormalizedCoset(rf.ambient_dim, (), (), 1)})
-    return frozenset(nc for (_, value), nc in zip(rf.strata, rf.normalized_strata)
-                     if value >= t and nc is not None)
-
-
-def _level_polynomial(rf: RankFunction, t: int, budget: int) -> dict[int, int]:
-    """Count polynomial of {rf >= t}."""
+def _level_polynomial(rf: RankFunction, t: int, components: frozenset[NormalizedCoset],
+                      budget: int) -> dict[int, int]:
+    """Count polynomial of {rf >= t}, the union of ``components`` (or of their
+    negations: negating keeps every count)."""
     if t <= rf.generic_value:
         return {rf.ambient_dim: 1}
     check_budget(sum(value >= t for _, value in rf.strata), budget)
-    return CountForm.of(rf.ambient_dim, 0, [(nc, 1) for nc in _level_components(rf, t)]).polynomial
+    return CountForm.of(rf.ambient_dim, 0, [(nc, 1) for nc in components]).polynomial
 
 
 def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[int]:
@@ -339,23 +334,28 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
     when f(α) = g(-α) at every point α.
 
     Both functions take only their generic and stratum values, so these
-    thresholds decide it.  Equal sets of normalized cosets are equal level
-    sets.  Otherwise U = {f >= t} and V = -{g >= t} are equal exactly when
-    U, V and U ∪ V have the same count polynomial (:attr:`CountForm.polynomial`):
-    U ⊆ U ∪ V, so equal polynomials make them equal, and likewise for V.
-    U ∪ V has at most |U| + |V| components.  Raises
-    ComponentBudgetExceeded when a level set to be counted exceeds the
-    budget.
+    thresholds decide it.  Each level set is a set of normalized cosets:
+    the full torus at or below the generic value, else the nonempty strata
+    reaching t, read off one list per function, whose strata for g are
+    negated once.  Equal sets of cosets are equal level sets.  Otherwise
+    U = {f >= t} and V = -{g >= t} are equal exactly when U, V and U ∪ V
+    have the same count polynomial (:attr:`CountForm.polynomial`): U ⊆ U ∪ V,
+    so equal polynomials make them equal, and likewise for V.  U ∪ V has at
+    most |U| + |V| components.  Raises ComponentBudgetExceeded when a level
+    set to be counted exceeds the budget.
     """
+    full = frozenset({NormalizedCoset(f.ambient_dim, (), (), 1)})
+    f_strata = [(nc, value) for (_, value), nc in zip(f.strata, f.normalized_strata) if nc is not None]
+    g_strata = [(-nc, value) for (_, value), nc in zip(g.strata, g.normalized_strata) if nc is not None]
     values = {f.generic_value, g.generic_value}
     values.update(value for _, value in f.strata + g.strata)
     for t in sorted(values):
-        u = _level_components(f, t)
-        v = frozenset(-nc for nc in _level_components(g, t))
+        u = full if t <= f.generic_value else frozenset(nc for nc, value in f_strata if value >= t)
+        v = full if t <= g.generic_value else frozenset(nc for nc, value in g_strata if value >= t)
         if u == v:
             continue
-        poly = _level_polynomial(f, t, budget)
-        if poly != _level_polynomial(g, t, budget):
+        poly = _level_polynomial(f, t, u, budget)
+        if poly != _level_polynomial(g, t, v, budget):
             return t
         if CountForm.of(f.ambient_dim, 0, [(nc, 1) for nc in u | v]).polynomial != poly:
             return t

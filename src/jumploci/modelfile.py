@@ -4,6 +4,12 @@ Rationals are serialized as "num/den" strings (plain integers allowed on
 input) so that nothing is lost to floating point.  Rank-grid entries that
 are identically zero are omitted on export and filled back in on import,
 making export/import a round trip up to equality of models.
+
+Within one load, strata written with the same coset (the origin point
+repeats in most grid entries) share one :class:`CongruenceCoset`, so its
+rationals are parsed, and the coset built and normalized, once.  The table
+that finds the repeats lives for that load only; nothing is kept between
+loads.
 """
 
 from __future__ import annotations
@@ -70,20 +76,38 @@ def _coset_to_dict(coset: CongruenceCoset) -> dict:
     }
 
 
-def _coset_from_dict(obj: Any, ambient_dim: int) -> CongruenceCoset:
+_INT = {int}
+_INT_OR_STR = {int, str}
+
+
+def _coset_from_dict(obj: Any, ambient_dim: int, built: dict) -> CongruenceCoset:
+    """The coset of ``obj``; one written the same way earlier in the load
+    returns the coset already in ``built``, a table that lives for one load.
+    Only entries of the JSON types a coset allows (int in 'A'; str or int in
+    'b') are keyed, so true or 1.0, which equal 1 as keys, are never matched
+    to an earlier coset: they take the checks below and are refused."""
     if not isinstance(obj, dict) or "A" not in obj or "b" not in obj:
         raise ModelFormatError("a coset needs 'A' (integer rows) and 'b' (rationals)")
     rows = obj["A"]
     rhs = obj["b"]
     if not isinstance(rows, list) or not isinstance(rhs, list):
         raise ModelFormatError("'A' must be a list of rows and 'b' a list of rationals")
+    key = None
+    if set(map(type, rhs)) <= _INT_OR_STR and all(
+            type(row) is list and set(map(type, row)) <= _INT for row in rows):
+        key = (tuple(map(tuple, rows)), tuple(rhs))
+        if key in built:
+            return built[key]
     try:
-        return CongruenceCoset.of(
+        coset = CongruenceCoset.of(
             ambient_dim,
             [[_integer(a, "an entry of 'A'") for a in row] for row in rows],
             [_fraction_from_str(b) for b in rhs])
     except Exception as exc:
         raise ModelFormatError(f"bad coset: {exc}") from None
+    if key is not None:
+        built[key] = coset
+    return coset
 
 
 def _rank_to_dict(rf: RankFunction) -> dict:
@@ -93,7 +117,7 @@ def _rank_to_dict(rf: RankFunction) -> dict:
     }
 
 
-def _rank_from_dict(obj: Any, ambient_dim: int) -> RankFunction:
+def _rank_from_dict(obj: Any, ambient_dim: int, built: dict) -> RankFunction:
     obj = _object(obj, "a rank function")
     generic = _integer(obj.get("generic", 0), "'generic'")
     strata = []
@@ -101,7 +125,7 @@ def _rank_from_dict(obj: Any, ambient_dim: int) -> RankFunction:
         if "value" not in _object(s, "a stratum"):
             raise ModelFormatError("a stratum needs a 'value'")
         value = _integer(s["value"], "a stratum 'value'")
-        strata.append(Stratum(_coset_from_dict(s, ambient_dim), value))
+        strata.append(Stratum(_coset_from_dict(s, ambient_dim, built), value))
     return RankFunction(ambient_dim, generic, tuple(strata))
 
 
@@ -174,6 +198,7 @@ def model_from_dict(obj: Any) -> VarietyModel:
     if g > MAX_G:
         raise ModelFormatError(f"'g' = {g} exceeds the largest supported irregularity {MAX_G}")
     torus = 2 * g
+    built: dict = {}  # the cosets of this load, by their JSON content
 
     grid = [[RankFunction(torus, 0, ()) for _ in range(n + 1)] for _ in range(n + 1)]
     for entry in _list(obj.get("hodge", []), "'hodge'"):
@@ -182,7 +207,7 @@ def model_from_dict(obj: Any) -> VarietyModel:
         p, q = _integer(entry["p"], "'p'"), _integer(entry["q"], "'q'")
         if not (0 <= p <= n and 0 <= q <= n):
             raise ModelFormatError(f"hodge entry ({p},{q}) outside the (n+1)x(n+1) grid")
-        grid[p][q] = _rank_from_dict(entry, torus)
+        grid[p][q] = _rank_from_dict(entry, torus, built)
 
     strata = []
     for pair in _list(obj.get("defect_strata", []), "'defect_strata'"):
@@ -206,7 +231,7 @@ def model_from_dict(obj: Any) -> VarietyModel:
     for name, rfs in _object(obj.get("sheaves", {}), "'sheaves'").items():
         if not isinstance(rfs, list):
             raise ModelFormatError(f"sheaf slot {name!r} must be a list of rank functions")
-        sheaves[name] = tuple(_rank_from_dict(rf, torus) for rf in rfs)
+        sheaves[name] = tuple(_rank_from_dict(rf, torus, built) for rf in rfs)
 
     flags = _object(obj.get("flags", {}), "'flags'")
     for flag in ("semismall", "serre_check"):
@@ -262,4 +287,5 @@ def load_locus(path: str | Path) -> list[CongruenceCoset]:
     if ambient > 2 * MAX_G:
         raise ModelFormatError(f"'ambient_dim' = {ambient} exceeds the largest supported "
                                f"torus dimension {2 * MAX_G}")
-    return [_coset_from_dict(c, ambient) for c in _list(obj.get("components", []), "'components'")]
+    built: dict = {}
+    return [_coset_from_dict(c, ambient, built) for c in _list(obj.get("components", []), "'components'")]

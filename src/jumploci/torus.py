@@ -189,14 +189,21 @@ def _to_fraction(value) -> Fraction:
 
 def _to_int(value) -> int:
     """The value as an int, the engine's one integer rule: a float is refused,
-    and so is any value whose int differs from it, as Fraction(5, 2) or "3"."""
+    and so is any value whose int differs from it, as Fraction(5, 2) or "3",
+    or that has no int, as Decimal("Infinity") or Decimal("NaN")."""
     if type(value) is int:
         return value
     if isinstance(value, float):
         raise TypeError("floating point is not allowed in exact coefficients")
-    if isinstance(value, str) or int(value) != value:
-        raise TypeError(f"a {type(value).__name__} that is not an integer is not allowed in exact coefficients")
-    return int(value)
+    if not isinstance(value, str):
+        try:
+            as_int = int(value)
+        except (OverflowError, ValueError):  # a non-finite Decimal
+            pass
+        else:
+            if as_int == value:
+                return as_int
+    raise TypeError(f"a {type(value).__name__} that is not an integer is not allowed in exact coefficients")
 
 
 _ZERO = Fraction(0)
@@ -224,7 +231,11 @@ class TorusPoint:
 
     @classmethod
     def zero(cls, dim: int) -> "TorusPoint":
-        return cls((_ZERO,) * dim)
+        """The origin, built as it is: its coordinates are already reduced."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", (_ZERO,) * dim)
+        object.__setattr__(point, "order", 1)
+        return point
 
     @property
     def dim(self) -> int:
@@ -250,6 +261,8 @@ class CongruenceCoset:
     rhs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if type(self.ambient_dim) is not int:
+            object.__setattr__(self, "ambient_dim", _to_int(self.ambient_dim))
         # a row of ints is kept as it is, as in _as_int_rows
         rows = tuple(tuple(r) if set(map(type, r)) <= _INT else tuple(map(_to_int, r))
                      for r in self.rows)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from jumploci import builtin, cli
+from jumploci import builtin, cli, save_model
 from jumploci.catalog import DEFAULT_INSTANCES
 
 TABLE = Path(__file__).with_name("golden.json")
@@ -44,12 +44,15 @@ LOCUS_SEED = 2016
 LOCUS_SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 8, 9)
 
 
-def instance_invocations(name: str, params: dict) -> list[list[str]]:
+def instance_invocations(name: str, params: dict, model_file: str | None = None) -> list[list[str]]:
     """validate, check, tower (plain and with every plurigenus exponent that
-    has data) and count on every grid entry, for one catalog instance."""
+    has data) and count on every grid entry, for one catalog instance, read
+    with --builtin or, given ``model_file``, with --model."""
     source = ["--builtin", name]
     if params:
         source += ["--params", ",".join(f"{k}={v}" for k, v in params.items())]
+    if model_file is not None:
+        source = ["--model", model_file]
     model = builtin(name, **params).model
     exponents = [1] + sorted(model.pluri.values if model.pluri else ())
     argvs = [["validate", *source]]
@@ -111,6 +114,17 @@ def golden() -> dict[str, str]:
 def test_catalog_outputs(golden, name, params):
     argvs = instance_invocations(name, params)
     assert [key(a) for a in argvs if golden.get(key(a)) != digest(a)] == []
+
+
+@pytest.mark.parametrize("name,params", INSTANCES,
+                         ids=[f"{n}-{'-'.join(map(str, p.values()))}" for n, p in INSTANCES])
+def test_model_file_outputs(golden, name, params, tmp_path, monkeypatch):
+    # the exported model, read back with --model, gives the golden output of
+    # the same invocation with --builtin
+    monkeypatch.chdir(tmp_path)
+    save_model(builtin(name, **params).model, "model.json")
+    pairs = zip(instance_invocations(name, params), instance_invocations(name, params, "model.json"))
+    assert [key(a) for a, b in pairs if golden.get(key(a)) != digest(b)] == []
 
 
 def test_locus_outputs(golden, tmp_path, monkeypatch):

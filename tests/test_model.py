@@ -13,6 +13,7 @@ from jumploci import (
     CongruenceCoset,
     DimensionMismatch,
     MissingStratification,
+    NormalizedCoset,
     PluriData,
     RankFunction,
     Stratum,
@@ -29,6 +30,7 @@ from jumploci import (
 )
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
 from jumploci.model import _serre_mismatch
+from jumploci.tower import sheaf_rank_on_cover
 from gen import random_point
 
 
@@ -94,6 +96,23 @@ class TestValueTypes:
             RankFunction(2, bad)
         with pytest.raises(TypeError):
             RankFunction(2, 0, (Stratum(origin_coset(2), bad),))
+
+    @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN", "sNaN"])
+    def test_rank_function_refuses_non_finite_decimals(self, bad):
+        # int() raises OverflowError or ValueError for these; the rule says TypeError
+        with pytest.raises(TypeError):
+            RankFunction(2, Decimal(bad))
+        with pytest.raises(TypeError):
+            RankFunction(2, 0, (Stratum(origin_coset(2), Decimal(bad)),))
+
+    @pytest.mark.parametrize("bad", [2.5, Fraction(5, 2)], ids=repr)
+    def test_rank_function_refuses_a_non_integral_ambient_dimension(self, bad):
+        # a float dimension used to reach the counts: sheaf_rank_on_cover gave 32.0
+        with pytest.raises(TypeError):
+            RankFunction(bad, 1, ())
+        rf = RankFunction(Fraction(4), 1, ())
+        assert rf == RankFunction(4, 1, ()) and type(rf.ambient_dim) is int
+        assert sheaf_rank_on_cover(rf, 4) == 4 ** 4
 
     def test_rank_function_takes_integral_values_as_ints(self):
         rf = RankFunction(2, Fraction(1), (Stratum(origin_coset(2), Decimal(3)),))
@@ -392,6 +411,25 @@ class TestSerreSymmetry:
                 neg = RankFunction(2, g.generic_value, tuple(negated(s) for s in g.strata))
                 outcomes["same strata" if presented(f) == presented(neg) else "other strata"] += 1
         assert min(outcomes.values()) >= 5, outcomes
+
+    def test_each_stratum_of_g_is_negated_once(self, monkeypatch):
+        negations = []
+        neg = NormalizedCoset.__neg__
+
+        def recording_neg(nc):
+            negations.append(nc)
+            return neg(nc)
+
+        monkeypatch.setattr(NormalizedCoset, "__neg__", recording_neg)
+        rng = random.Random(4242)
+        thresholds = 0
+        for _ in range(60):
+            f, g = mirrored_pair(rng)
+            negations.clear()
+            _serre_mismatch(f, g, DEFAULT_COMPONENT_BUDGET)
+            assert negations == [nc for nc in g.normalized_strata if nc is not None]
+            thresholds = max(thresholds, len({v for _, v in f.strata + g.strata}))
+        assert thresholds >= 3  # so that a per-threshold negation would show
 
     @pytest.mark.parametrize("name,params", list(DEFAULT_INSTANCES) + [(n, {}) for n in builtin_names()])
     def test_catalog_has_no_serre_finding(self, name, params):

@@ -13,6 +13,7 @@ from jumploci import (
     model_from_dict,
     model_to_dict,
     save_model,
+    validate_model,
     DEFAULT_INSTANCES,
 )
 from jumploci.cli import main
@@ -201,3 +202,82 @@ def test_bad_locus_rejected(field, bad, message, tmp_path, capsys):
 def test_missing_file():
     with pytest.raises(ModelFormatError):
         load_model("/nonexistent/model.json")
+
+
+def _cosets(model):
+    """Every stratum's coset, grid and sheaf slots."""
+    rfs = [rf for row in model.hodge for rf in row] + [rf for slot in model.sheaves.values() for rf in slot]
+    return [coset for rf in rfs for coset, _ in rf.strata]
+
+
+class TestOneCosetPerLoad:
+    """Strata written with the same coset share one object within a load."""
+
+    def test_each_distinct_coset_is_built_once(self, tmp_path):
+        model = builtin("blowup_abelian4_curve", genus=2).model
+        save_model(model, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        assert loaded == model
+        cosets = _cosets(loaded)
+        assert len(cosets) == 25
+        assert len({id(c) for c in cosets}) == len(set(cosets)) == 1
+
+    @pytest.mark.parametrize("name,params", [("blowup_abelian4_curve", {"genus": 2}),
+                                             ("blowup_abelian_codim", {"g": 3, "c": 2})])
+    def test_validation_normalizes_each_distinct_coset_once(self, name, params, tmp_path, monkeypatch):
+        from jumploci import torus
+
+        save_model(builtin(name, **params).model, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        built = []
+        hermite = torus._hermite
+
+        def recording_hermite(*args):
+            built.append(hermite(*args))
+            return built[-1]
+
+        monkeypatch.setattr(torus, "_hermite", recording_hermite)
+        assert validate_model(loaded).ok
+        distinct = set(_cosets(loaded))
+        assert len(built) == len(distinct) < len(_cosets(loaded))
+        assert set(built) == {c.normalize() for c in distinct}
+
+    def test_two_loads_share_nothing(self, tmp_path):
+        save_model(builtin("blowup_abelian4_curve", genus=2).model, tmp_path / "m.json")
+        first, second = load_model(tmp_path / "m.json"), load_model(tmp_path / "m.json")
+        assert first == second
+        assert not {id(c) for c in _cosets(first)} & {id(c) for c in _cosets(second)}
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=repr)
+    def test_a_repeat_in_a_wrong_type_is_refused(self, bad, tmp_path):
+        # True == 1.0 == 1 with equal hashes: a key of raw values would take
+        # the later stratum for the earlier coset and accept it
+        blob = model_to_dict(builtin("blowup_abelian4_curve", genus=2).model)
+        strata = [s for entry in blob["hodge"] for s in entry["strata"]]
+        assert strata[0]["A"][0][0] == 1 and all(s["A"] == strata[0]["A"] for s in strata)
+        strata[-1]["A"][0][0] = bad
+        with pytest.raises(ModelFormatError, match="an entry of 'A' must be an integer"):
+            model_from_dict(blob)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(blob), encoding="utf-8")
+        assert main(["validate", "--model", str(path)]) == 2
+
+    @pytest.mark.parametrize("bad", [False, 0.0], ids=repr)
+    def test_a_repeat_with_a_wrong_type_in_b_is_refused(self, bad):
+        blob = model_to_dict(builtin("blowup_abelian4_curve", genus=2).model)
+        strata = [s for entry in blob["hodge"] for s in entry["strata"]]
+        for s in strata:
+            s["b"] = [0] * len(s["b"])  # integers, which a raw key would match to False and 0.0
+        assert model_from_dict(blob) == builtin("blowup_abelian4_curve", genus=2).model
+        strata[-1]["b"][0] = bad
+        with pytest.raises(ModelFormatError, match="rationals must be strings or integers"):
+            model_from_dict(blob)
+
+    def test_locus_files_share_repeated_components(self, tmp_path):
+        path = tmp_path / "locus.json"
+        component = {"A": [[1, 0]], "b": ["1/2"]}
+        path.write_text(json.dumps({"ambient_dim": 2, "components": [component, {"A": [], "b": []}, component]}),
+                        encoding="utf-8")
+        comps = load_locus(path)
+        assert comps[0] is comps[2] and comps[0] != comps[1]
+        assert load_locus(path)[0] is not comps[0]

@@ -12,6 +12,7 @@ from jumploci import (
     DimensionMismatch,
     NormalizedCoset,
     TorusPoint,
+    coset_torsion_count,
     invariant_factors,
     snf,
 )
@@ -177,10 +178,23 @@ class TestConstructors:
         assert coset.rows == ((4, 1), (0, 6))
         assert all(type(a) is int for row in coset.rows for a in row)
 
+    @pytest.mark.parametrize("bad", [2.5, Fraction(5, 2)], ids=repr)
+    def test_ambient_dimension_follows_the_integer_rule(self, bad):
+        # a float dimension used to reach the counts: 3**2.5 points of order 3
+        with pytest.raises(TypeError):
+            CongruenceCoset.full_torus(bad)
+        with pytest.raises(TypeError):
+            CongruenceCoset.of(bad, [], [])
+        coset = CongruenceCoset.full_torus(Fraction(4))
+        assert coset == CongruenceCoset.full_torus(4) and type(coset.ambient_dim) is int
+        assert coset_torsion_count(coset, 3).value == 81
+
     def test_zero_point(self):
-        for n in range(4):
-            assert TorusPoint.zero(n) == TorusPoint.of([0] * n)
-            assert TorusPoint.zero(n).order == 1
+        for n in range(9):
+            zero = TorusPoint.zero(n)
+            assert zero == TorusPoint.of([0] * n) and hash(zero) == hash(TorusPoint.of([0] * n))
+            assert zero.order == 1
+            assert all(type(c) is Fraction for c in zero.coords)
 
 
 class TestNormalize:
