@@ -8,7 +8,6 @@ from .asymptotics import (
     betti_limit_deviation,
     converse_defect_witness,
     divergence_class,
-    fit_bound,
     fit_bounds,
     l2_betti,
     l2_euler_characteristic,
@@ -51,8 +50,6 @@ from .tower import (
     LimitValue,
     betti_cover,
     chi_multiplicativity_check,
-    chi_of_forms,
-    chi_top,
     cover_invariants,
     euler_char,
     hodge_numbers_cover,

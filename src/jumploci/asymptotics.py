@@ -1,16 +1,17 @@
 """Decay bounds, divergence classification, and L² limits.
 
-The decay theorem says the normalized (p,q)-rank is O(d^(-e)) with
-e = 2(|n-p-q| - N) when the defect of semismallness is at most N.  The
-engine checks this two ways: numerically (the exact supremum of
-B_d = normalized·d^e = h(d)·d^(e-2g) over a finite range, taken in
-integers; :func:`fit_bounds` reads the whole grid from one evaluation of
-the model's count table per d) and analytically (the leading
-term of the count form, of degree v, has d^v points at the multiples of the
-smallest d where it has a point, so v > 2g - e forces unboundedness no
-matter how a finite range looks).  A finite-range pass never overrides an
-analytic failure.  That smallest d, not a stratum's translate order, is
-also the divergence witness order of q(X_d).
+The decay theorem and its converse are one criterion: the normalized
+(p,q)-rank is O(d^(-e)) with e = 2(|n-p-q| - N) exactly when no stratum
+is too large for the defect bound N.  :func:`fit_bounds` reports, per
+entry, the exact supremum of B_d = normalized·d^e = h(d)·d^(e-2g) over a
+finite range, taken in integers from one evaluation of the model's count
+table per d, and the verdict of that criterion, decided analytically: the
+leading term of the count form, of degree v, has d^v points at the
+multiples of the smallest d where it has a point, so v > 2g - e forces
+unboundedness no matter how a finite range looks.  The converse's witness
+(:func:`converse_defect_witness`) is the first entry that fails it.  That
+smallest d, not a stratum's translate order, is also the divergence
+witness order of q(X_d).
 
 L² Betti numbers of the infinite Albanese cover are limits of normalized
 Betti numbers along the factorial subtower; since the limits of the full
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .counting import DEFAULT_COMPONENT_BUDGET, CountForm
+from .counting import DEFAULT_COMPONENT_BUDGET
 from .model import VarietyModel, satisfies_weak_generic_nakano
 from .torus import TorusPoint
-from .tower import betti_cover, chi_of_forms, symbolic_limit
+from .tower import betti_cover, symbolic_limit
 
 
 @dataclass(frozen=True)
@@ -84,67 +85,48 @@ def _decay_exponent(model: VarietyModel, p: int, q: int, defect_bound: int) -> i
     return 2 * (abs(model.n - p - q) - defect_bound)
 
 
-def _bound_fit(model: VarietyModel, p: int, q: int, defect_bound: int, fitted_b: Fraction,
-               form: CountForm) -> BoundFit:
-    """The verdict applies the dimension criterion to the entry's form,
-    because a finite range cannot see the torsion orders of a too-large
-    stratum."""
-    exponent = _decay_exponent(model, p, q, defect_bound)
-    leading = form.degree
-    bad_dim = leading if leading > model.torus_dim - exponent else None
-    return BoundFit(
-        p=p, q=q,
-        defect_bound=defect_bound,
-        exponent=exponent,
-        fitted_b=fitted_b,
-        passes=bad_dim is None,
-        violating_dim=bad_dim,
-    )
-
-
-def fit_bound(model: VarietyModel, p: int, q: int, defect_bound: int, d_max: int,
-              *, budget: int = DEFAULT_COMPONENT_BUDGET) -> BoundFit:
-    """Fit the decay constant for (p,q) at the declared defect bound.
-
-    ``fitted_b`` is the exact supremum of normalized·d^e = h(d)·d^(e-2g)
-    over d = 1..d_max, with h read off the entry's own count form only, so
-    only this entry's budget is checked.
-    """
-    if d_max < 2:
-        raise ValueError("d_max must be at least 2")
-    form = model.hodge[p][q].count_form(budget)
-    shift = _decay_exponent(model, p, q, defect_bound) - model.torus_dim
-    [fitted] = _suprema(lambda d: (form.count(d),), (shift,), d_max)
-    return _bound_fit(model, p, q, defect_bound, fitted, form)
+def _violating_dim(model: VarietyModel, p: int, q: int, exponent: int, budget: int) -> Optional[int]:
+    """The degree of (p,q)'s count form when it exceeds 2g - e, else None:
+    the dimension criterion, which decides a verdict because a finite range
+    cannot see the torsion orders of a too-large stratum."""
+    leading = model.hodge[p][q].count_form(budget).degree
+    return leading if leading > model.torus_dim - exponent else None
 
 
 def fit_bounds(model: VarietyModel, defect_bound: int, d_max: int,
                *, budget: int = DEFAULT_COMPONENT_BUDGET) -> list[BoundFit]:
-    """:func:`fit_bound` for every grid entry, row-major, with the whole
-    grid read off one evaluation of the model's table per d."""
+    """Fit the decay constant of every grid entry, row-major, at the
+    declared defect bound.
+
+    ``fitted_b`` is the exact supremum of normalized·d^e = h(d)·d^(e-2g)
+    over d = 1..d_max, with the whole grid read off one evaluation of the
+    model's table per d; the verdict is the dimension criterion.
+    """
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
     table = model.hodge_table(budget)
     entries = [(p, q) for p, row in enumerate(model.hodge) for q in range(len(row))]
-    shifts = [_decay_exponent(model, p, q, defect_bound) - model.torus_dim for p, q in entries]
-    fitted = _suprema(table.counts.values, shifts, d_max)
-    return [_bound_fit(model, p, q, defect_bound, b, model.hodge[p][q].count_form(budget))
-            for (p, q), b in zip(entries, fitted)]
+    exponents = [_decay_exponent(model, p, q, defect_bound) for p, q in entries]
+    fitted = _suprema(table.values, [e - model.torus_dim for e in exponents], d_max)
+    fits = []
+    for (p, q), e, b in zip(entries, exponents, fitted):
+        bad_dim = _violating_dim(model, p, q, e, budget)
+        fits.append(BoundFit(p, q, defect_bound, e, b, bad_dim is None, bad_dim))
+    return fits
 
 
 def converse_defect_witness(model: VarietyModel, defect_bound: int,
                             *, budget: int = DEFAULT_COMPONENT_BUDGET) -> Optional[tuple[int, int]]:
-    """First (p,q) whose locus is too large for the d^(-e) decay, if any.
+    """First (p,q), row-major, whose locus is too large for the d^(-e)
+    decay, if any: the first failing entry of :func:`fit_bounds`.
 
     A witness certifies that the defect of semismallness exceeds the
     declared bound: the leading term of its count form carries at least
     d^dim torsion points for infinitely many d, beating the claimed decay.
     """
-    for p in range(model.n + 1):
-        for q in range(model.n + 1):
-            exponent = _decay_exponent(model, p, q, defect_bound)
-            if model.hodge[p][q].count_form(budget).degree > model.torus_dim - exponent:
-                return (p, q)
+    for p, q in model.hodge_pairs():
+        if _violating_dim(model, p, q, _decay_exponent(model, p, q, defect_bound), budget) is not None:
+            return (p, q)
     return None
 
 
@@ -156,6 +138,8 @@ def divergence_class(model: VarietyModel,
     positive limit or a proper part of positive top exponent.  Along the
     multiples of the witness order, q(X_d) >= q(X) + d^dim - 1.
     """
+    if model.n == 0:  # a point has no h^(0,1) entry
+        return DivergenceReport(False, 0, None, 0)
     rf = model.hodge[0][1]
     form = rf.count_form(budget)
     origin_value = rf.rank_at(TorusPoint.zero(model.torus_dim))
@@ -180,7 +164,7 @@ def l2_betti(model: VarietyModel) -> L2Report:
     return L2Report(
         betti=tuple(symbolic_limit(model, ("betti", k)).value for k in range(2 * n + 1)),
         hodge=tuple(tuple(Fraction(rf.limit) for rf in row) for row in model.hodge),
-        nonvanishing=frozenset(p for p in range(n + 1) if chi_of_forms(model, p) != 0),
+        nonvanishing=frozenset(p for p in range(n + 1) if model.chi_p[p] != 0),
         weak_gnv=satisfies_weak_generic_nakano(model),
     )
 

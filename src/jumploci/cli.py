@@ -228,7 +228,7 @@ def cmd_check(args, out=None) -> int:
         raise EngineError(f"--defect-bound {args.defect_bound} lies outside [0, {n}], "
                           f"the range of the defect of a model with n = {n}")
     fits = asymptotics.fit_bounds(model, args.defect_bound, args.d_max, budget=args.budget)
-    witness = asymptotics.converse_defect_witness(model, args.defect_bound, budget=args.budget)
+    witness = next(((f.p, f.q) for f in fits if not f.passes), None)  # the converse: first failing fit
     divergence = asymptotics.divergence_class(model, budget=args.budget)
     l2 = asymptotics.l2_betti(model)
     all_pass = all(f.passes for f in fits)

@@ -10,15 +10,19 @@ A :class:`VarietyModel` bundles the full (p,q) grid of rank functions for
 the bundles of holomorphic p-forms, the fiber-dimension stratification of
 the Albanese map (from which the defect of semismallness is computed),
 optional plurigenus data for the pluricanonical series, and optional extra
-named sheaf slots.  The grid's count forms are compiled once into one count
-table (:meth:`VarietyModel.hodge_table`) that every cover reads.
+named sheaf slots.  Everything about the grid that does not depend on the
+cover is kept on the model once built: its count forms compiled into one
+count table (:meth:`VarietyModel.hodge_table`) that every cover and every
+decay fit reads, and the rows' Euler characteristics
+(:attr:`VarietyModel.chi_p`, :attr:`VarietyModel.chi_top`) that the tower
+and the L² report read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, combinations, product
+from itertools import combinations, product
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_budget
@@ -190,22 +194,6 @@ class PluriData:
         return self._rank_functions[key]
 
 
-class HodgeTable(NamedTuple):
-    """A model's grid compiled once.  ``counts`` has a column per grid entry,
-    row-major, then one for d^(2g) (the form of limit 1 and no terms);
-    ``rows`` slices each grid row out of its values.  The Euler
-    characteristics of the rows and chi_top do not depend on d."""
-
-    counts: CountTable
-    rows: tuple[slice, ...]
-    chi_p: tuple[int, ...]
-    chi_top: int
-
-    def grid(self, values: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """The grid of one evaluation of ``counts``."""
-        return tuple(tuple(values[row]) for row in self.rows)
-
-
 @dataclass(frozen=True)
 class VarietyModel:
     """n, irregularity g, the (n+1)x(n+1) grid of rank functions, and extras.
@@ -239,28 +227,41 @@ class VarietyModel:
         return tuple(rf._strata_above_limit for row in self.hodge for rf in row)
 
     @cached_property
-    def _hodge_table(self) -> HodgeTable:
+    def _hodge_table(self) -> CountTable:
         forms = [rf._count_form for row in self.hodge for rf in row]
         forms.append(CountForm(self.torus_dim, 1, ()))
-        ends = list(accumulate(len(row) for row in self.hodge))
-        chi_p = tuple(euler_char(row) for row in self.hodge)
-        return HodgeTable(
-            counts=CountTable.of(forms),
-            rows=tuple(slice(end - len(row), end) for row, end in zip(self.hodge, ends)),
-            chi_p=chi_p,
-            chi_top=sum((-1) ** p * chi for p, chi in enumerate(chi_p)),
-        )
+        return CountTable.of(forms)
 
-    def hodge_table(self, budget: int) -> HodgeTable:
+    def hodge_table(self, budget: int) -> CountTable:
         """Every grid entry's count form in one table, built on first use
-        and kept.  The budget caps the strata above the limit of each entry;
-        it is checked on every call, and the first entry over it, row-major,
-        raises before any form is built."""
+        and kept: a column per entry, row-major (:meth:`grid` slices the
+        rows out of its values), then one for d^(2g), the form of limit 1
+        and no terms.  The budget caps the strata above the limit of each
+        entry; it is checked on every call, and the first entry over it,
+        row-major, raises before any form is built."""
         counts = self._strata_counts
         if counts and max(counts) > budget:
             for strata in counts:
                 check_budget(strata, budget)
         return self._hodge_table
+
+    def grid(self, values: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """The grid of one evaluation of :meth:`hodge_table`."""
+        rows, start = [], 0
+        for row in self.hodge:
+            rows.append(tuple(values[start:start + len(row)]))
+            start += len(row)
+        return tuple(rows)
+
+    @cached_property
+    def chi_p(self) -> tuple[int, ...]:
+        """chi(Omega^p) of each row p (:func:`euler_char`); no cover changes it."""
+        return tuple(euler_char(row) for row in self.hodge)
+
+    @cached_property
+    def chi_top(self) -> int:
+        """The topological Euler characteristic: sum over p of (-1)^p chi(Omega^p)."""
+        return sum((-1) ** p * chi for p, chi in enumerate(self.chi_p))
 
 
 class Finding(NamedTuple):

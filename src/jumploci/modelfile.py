@@ -92,9 +92,10 @@ def _coset_from_dict(obj: Any, ambient_dim: int, built: dict) -> CongruenceCoset
     rhs = obj["b"]
     if not isinstance(rows, list) or not isinstance(rhs, list):
         raise ModelFormatError("'A' must be a list of rows and 'b' a list of rationals")
+    if not all(isinstance(row, list) for row in rows):
+        raise ModelFormatError("each row of 'A' must be a list of integers")
     key = None
-    if set(map(type, rhs)) <= _INT_OR_STR and all(
-            type(row) is list and set(map(type, row)) <= _INT for row in rows):
+    if set(map(type, rhs)) <= _INT_OR_STR and all(set(map(type, row)) <= _INT for row in rows):
         key = (tuple(map(tuple, rows)), tuple(rhs))
         if key in built:
             return built[key]

@@ -11,12 +11,12 @@ every invariant computable for d with d^(2g) far beyond machine range.
 
 Everything that does not depend on d is kept off the per-cover path.  The
 model compiles its grid once into one count table
-(:meth:`VarietyModel.hodge_table`), with a last column for d^(2g) and the
-rows' Euler characteristics kept beside it.  :func:`hodge_numbers_cover`
-and :func:`cover_invariants` read the whole grid from one evaluation of
-that table per cover; the Betti numbers are summed from it and P_1 is its
-(n,0) entry.  Only P_m for m >= 2 and the extra sheaf slots read forms of
-their own.
+(:meth:`VarietyModel.hodge_table`), with a last column for d^(2g), and
+keeps the rows' Euler characteristics (:attr:`VarietyModel.chi_p`).
+:func:`hodge_numbers_cover` and :func:`cover_invariants` read the whole
+grid from one evaluation of that table per cover; the Betti numbers are
+summed from it and P_1 is its (n,0) entry.  Only P_m for m >= 2 and the
+extra sheaf slots read forms of their own.
 
 Every invariant is a sum of rank functions (:func:`summands`), so its
 limit as value / d^(2g) is the sum of their limits: proper loci contribute
@@ -78,8 +78,7 @@ def sheaf_rank_on_cover(rf: RankFunction, d: int,
 def hodge_numbers_cover(model: VarietyModel, d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> tuple[tuple[int, ...], ...]:
     """The (p,q) grid of X_d, read off one evaluation of the model's table."""
-    table = model.hodge_table(budget)
-    return table.grid(table.counts.values(d))
+    return model.grid(model.hodge_table(budget).values(d))
 
 
 def summands(model: VarietyModel, selector: Selector) -> list[RankFunction]:
@@ -92,8 +91,8 @@ def summands(model: VarietyModel, selector: Selector) -> list[RankFunction]:
     if kind == "betti":
         k = selector[1]
         return [model.hodge[p][k - p] for p in range(model.n + 1) if 0 <= k - p <= model.n]
-    if kind == "irregularity":
-        return [model.hodge[0][1]]
+    if kind == "irregularity":  # a point (n = 0) has no h^(0,1) entry
+        return [model.hodge[0][1]] if model.n else []
     if kind == "sheaf":
         _, name, i = selector
         return [model.sheaves[name][i]]
@@ -131,16 +130,6 @@ def plurigenera_cover(model: VarietyModel, d: int, m: int,
     return value_on_cover(model, ("pluri", m), d, budget=budget)
 
 
-def chi_of_forms(model: VarietyModel, p: int) -> int:
-    return euler_char(model.hodge[p])
-
-
-def chi_top(model: VarietyModel) -> int:
-    """Topological Euler characteristic from the form rows:
-    sum over p of (-1)^p chi(Omega^p)."""
-    return sum((-1) ** p * chi_of_forms(model, p) for p in range(model.n + 1))
-
-
 def pluri_limit(model: VarietyModel, m: int) -> LimitValue:
     """Limit of P_m(X_d)/deg: P_m(X) when the Iitaka base keeps the whole
     irregularity (q(X) = q(base)), zero otherwise."""
@@ -162,9 +151,8 @@ def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
     """Every invariant of X_d from one evaluation of the model's table: the
     grid, deg (its last column), the Betti numbers summed from the grid and
     P_1 = h^(n,0) read off it; only P_m for m >= 2 has forms of its own."""
-    table = model.hodge_table(budget)
-    values = table.counts.values(d)
-    grid = table.grid(values)
+    values = model.hodge_table(budget).values(d)
+    grid = model.grid(values)
     betti = [0] * (2 * model.n + 1)
     for p, row in enumerate(grid):
         for q, h in enumerate(row):
@@ -176,9 +164,9 @@ def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
         deg=values[-1],
         hodge=grid,
         betti=tuple(betti),
-        q=grid[0][1],
-        chi_p=table.chi_p,
-        chi_top=table.chi_top,
+        q=grid[0][1] if model.n else 0,
+        chi_p=model.chi_p,
+        chi_top=model.chi_top,
         pluri=pluri,
     )
 
@@ -213,8 +201,7 @@ def chi_multiplicativity_check(model: VarietyModel, d: int,
     flags an inconsistent grid.
     """
     deg = d ** model.torus_dim
-    rows = list(zip(hodge_numbers_cover(model, d, budget=budget), model.hodge))
-    rows += [((sheaf_rank_on_cover(rf, d, budget=budget) for rf in rfs), rfs)
+    rows = list(zip(hodge_numbers_cover(model, d, budget=budget), model.chi_p))
+    rows += [((sheaf_rank_on_cover(rf, d, budget=budget) for rf in rfs), euler_char(rfs))
              for _, rfs in sorted(model.sheaves.items())]
-    return all(sum((-1) ** i * h for i, h in enumerate(values)) == deg * euler_char(rfs)
-               for values, rfs in rows)
+    return all(sum((-1) ** i * h for i, h in enumerate(values)) == deg * chi for values, chi in rows)

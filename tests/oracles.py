@@ -83,6 +83,17 @@ def per_term_count(form, d: int) -> int:
     return form.limit * d ** form.ambient_dim + sum(c * nc.count(d) for c, nc in form.terms)
 
 
+def row_euler_characteristic(model, p: int) -> int:
+    """chi(Omega^p) as the alternating sum over q of the limits of row p:
+    twisting leaves the Euler characteristic alone."""
+    return sum((-1) ** q * rf.limit for q, rf in enumerate(model.hodge[p]))
+
+
+def top_euler_characteristic(model) -> int:
+    """chi_top as the alternating sum over p of the row Euler characteristics."""
+    return sum((-1) ** p * row_euler_characteristic(model, p) for p in range(model.n + 1))
+
+
 def hermite_point(nc):
     """One point of a normalized coset: back-substitute its Hermite rows
     H·x = b with every non-pivot coordinate 0 (exact rationals)."""

@@ -12,12 +12,10 @@ from jumploci import (
     betti_cover,
     betti_deviation_constant,
     builtin,
-    chi_of_forms,
-    chi_top,
     converse_defect_witness,
     defect,
     divergence_class,
-    fit_bound,
+    fit_bounds,
     hodge_numbers_cover,
     irregularity_cover,
     l2_betti,
@@ -30,7 +28,12 @@ from jumploci import (
     DEFAULT_INSTANCES,
 )
 from gen import random_connected_coset, random_coset
-from oracles import blowup4_cover_hodge, brute_force_torsion_count
+from oracles import (
+    blowup4_cover_hodge,
+    brute_force_torsion_count,
+    row_euler_characteristic,
+    top_euler_characteristic,
+)
 
 
 class _Criterion:
@@ -87,15 +90,14 @@ def test_criterion_04_decay_bound_forward_and_converse():
     with _Criterion(4, "decay bounds: codim-2 blowups pass at N=0; the fourfold fails with witness (1,2), passes at N=1"):
         for g in (3, 4):
             semismall = builtin("blowup_abelian_codim", g=g, c=2).model
-            for p in range(semismall.n + 1):
-                for q in range(semismall.n + 1):
-                    assert fit_bound(semismall, p, q, 0, 4).passes
+            fits = fit_bounds(semismall, 0, 4)
+            assert len(fits) == (semismall.n + 1) ** 2 and all(f.passes for f in fits)
         model = builtin("blowup_abelian4_curve", genus=2).model
-        assert not fit_bound(model, 1, 2, 0, 4).passes
-        assert converse_defect_witness(model, 0) == (1, 2)
-        for p in range(5):
-            for q in range(5):
-                assert fit_bound(model, p, q, 1, 4).passes
+        failing = [(f.p, f.q) for f in fit_bounds(model, 0, 4) if not f.passes]
+        assert (1, 2) in failing
+        assert converse_defect_witness(model, 0) == failing[0] == (1, 2)
+        fits = fit_bounds(model, 1, 4)
+        assert len(fits) == 25 and all(f.passes for f in fits)
         assert converse_defect_witness(model, 1) is None
 
 
@@ -117,7 +119,7 @@ def test_criterion_06_chi_multiplicativity():
                 grid = hodge_numbers_cover(model, d)
                 for p in range(model.n + 1):
                     lhs = sum((-1) ** q * grid[p][q] for q in range(model.n + 1))
-                    assert lhs == deg * chi_of_forms(model, p), (name, d, p)
+                    assert lhs == deg * model.chi_p[p] == deg * row_euler_characteristic(model, p), (name, d, p)
 
 
 def test_criterion_07_line_bundle_constant_sequence():
@@ -175,7 +177,8 @@ def test_criterion_10_l2_betti_numbers():
             for k, b in enumerate(report.betti):
                 if k != model.n:
                     assert b == 0
-            assert report.betti[model.n] == (-1) ** model.n * chi_top(model)
+            assert report.betti[model.n] == (-1) ** model.n * model.chi_top
+            assert model.chi_top == top_euler_characteristic(model)
             c = betti_deviation_constant(model)
             for d in range(1, 5):
                 exact = Fraction(betti_cover(model, d, model.n), d ** model.torus_dim)

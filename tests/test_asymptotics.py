@@ -14,11 +14,9 @@ from jumploci import (
     betti_deviation_constant,
     betti_limit_deviation,
     builtin,
-    chi_top,
     constant_rank,
     converse_defect_witness,
     divergence_class,
-    fit_bound,
     fit_bounds,
     irregularity_cover,
     l2_betti,
@@ -30,6 +28,7 @@ from jumploci import (
 )
 from jumploci import counting, model as model_module
 from gen import random_rank_function
+from oracles import top_euler_characteristic
 
 
 def with_hodge(model, p, q, rf):
@@ -38,27 +37,35 @@ def with_hodge(model, p, q, rf):
     return dataclasses.replace(model, hodge=tuple(tuple(row) for row in rows))
 
 
-def stratum_dimension_criterion(model, p, q, defect_bound):
-    """Second route for the pass/fail verdict: pure dimension comparison."""
+def dimension_route(model, p, q, defect_bound):
+    """Second route for a fit's exponent and verdict: compare the largest
+    real dimension of the locus with 2g - e, stratum by stratum.  Returns
+    the exponent e and the violating dimension (None when it passes)."""
     rf = model.hodge[p][q]
     exponent = 2 * (abs(model.n - p - q) - defect_bound)
-    allowed = model.torus_dim - exponent
-    if rf.limit > 0 and model.torus_dim > allowed:
-        return False
-    return all(nc.dim <= allowed for nc, _ in rf.effective_strata())
+    dims = [model.torus_dim] if rf.limit > 0 else [nc.dim for nc, _ in rf.effective_strata()]
+    top = max(dims, default=-1)
+    return exponent, top if top > model.torus_dim - exponent else None
+
+
+def fit_at(model, p, q, defect_bound, d_max):
+    """The (p,q) entry of the row-major grid of fits."""
+    fit = fit_bounds(model, defect_bound, d_max)[p * (model.n + 1) + q]
+    assert (fit.p, fit.q, fit.defect_bound) == (p, q, defect_bound)
+    return fit
 
 
 class TestFitBound:
     def test_semismall_codim_two_passes(self):
         for g in (3, 4):
             model = builtin("blowup_abelian_codim", g=g, c=2).model
-            for p in range(model.n + 1):
-                for q in range(model.n + 1):
-                    assert fit_bound(model, p, q, 0, 4).passes
+            fits = fit_bounds(model, 0, 4)
+            assert len(fits) == (model.n + 1) ** 2
+            assert all(f.passes for f in fits)
 
     def test_blowup_fourfold_fails_at_zero(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
-        fit = fit_bound(model, 1, 2, 0, 4)
+        fit = fit_at(model, 1, 2, 0, 4)
         assert not fit.passes
         assert fit.exponent == 2
         assert fit.violating_dim == 8  # the locus fills the torus
@@ -67,38 +74,36 @@ class TestFitBound:
 
     def test_blowup_fourfold_passes_at_one(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
-        for p in range(5):
-            for q in range(5):
-                assert fit_bound(model, p, q, 1, 4).passes
+        fits = fit_bounds(model, 1, 4)
+        assert len(fits) == 25
+        assert all(f.passes for f in fits)
 
     def test_agrees_with_dimension_criterion(self):
-        for name, params in DEFAULT_INSTANCES:
-            model = builtin(name, **params).model
+        for model in fit_corpus():
             for bound in (0, 1, 2):
-                for p in range(model.n + 1):
-                    for q in range(model.n + 1):
-                        fit = fit_bound(model, p, q, bound, 3)
-                        assert fit.passes == stratum_dimension_criterion(model, p, q, bound)
+                fits = fit_bounds(model, bound, 3)
+                assert [(f.p, f.q) for f in fits] == list(model.hodge_pairs())
+                for f in fits:
+                    exponent, bad_dim = dimension_route(model, f.p, f.q, bound)
+                    assert (f.exponent, f.violating_dim) == (exponent, bad_dim), (model.name, f)
+                    assert f.passes == (bad_dim is None)
 
     def test_failures_confirmed_numerically(self):
         # every analytic failure must show actual growth past the fitted range
-        from jumploci import normalized_sequence
-
         for name, params in DEFAULT_INSTANCES:
             model = builtin(name, **params).model
             for bound in (0, 1):
-                for p in range(model.n + 1):
-                    for q in range(model.n + 1):
-                        fit = fit_bound(model, p, q, bound, 4)
-                        if fit.passes:
-                            continue
-                        orders = [nc.order for nc, _ in model.hodge[p][q].effective_strata()]
-                        step = max(orders, default=1)
-                        ds = [8 * step, 16 * step]
-                        seq = normalized_sequence(model, ("hodge", p, q), ds)
-                        b8, b16 = (v * Fraction(d) ** fit.exponent for v, d in zip(seq, ds))
-                        assert b16 > b8
-                        assert b16 > fit.fitted_b
+                for fit in fit_bounds(model, bound, 4):
+                    if fit.passes:
+                        continue
+                    p, q = fit.p, fit.q
+                    orders = [nc.order for nc, _ in model.hodge[p][q].effective_strata()]
+                    step = max(orders, default=1)
+                    ds = [8 * step, 16 * step]
+                    seq = normalized_sequence(model, ("hodge", p, q), ds)
+                    b8, b16 = (v * Fraction(d) ** fit.exponent for v, d in zip(seq, ds))
+                    assert b16 > b8
+                    assert b16 > fit.fitted_b
 
 
 # small members of the catalog families beyond the default instances
@@ -128,22 +133,21 @@ def fit_corpus():
 
 
 class TestIntegerFit:
-    """fit_bound's integer supremum against the per-d Fraction route."""
+    """fit_bounds' integer suprema against the per-d Fraction route."""
 
     def test_equals_the_normalized_sequence_supremum(self):
         for model in fit_corpus():
-            for p in range(model.n + 1):
-                for q in range(model.n + 1):
-                    seq = normalized_sequence(model, ("hodge", p, q), range(1, 41))
-                    for bound in range(model.n + 1):
-                        e = 2 * (abs(model.n - p - q) - bound)
-                        for d_max in (2, 4, 16, 40):
-                            expected = max(v * Fraction(d) ** e
-                                           for d, v in enumerate(seq[:d_max], 1))
-                            fitted = fit_bound(model, p, q, bound, d_max).fitted_b
-                            assert type(fitted) is Fraction
-                            assert fitted == expected, (model.name, p, q, bound, d_max)
-                            assert str(fitted) == str(expected)
+            seqs = {(p, q): normalized_sequence(model, ("hodge", p, q), range(1, 41))
+                    for p, q in model.hodge_pairs()}
+            for bound in range(model.n + 1):
+                for d_max in (2, 4, 16, 40):
+                    for fit in fit_bounds(model, bound, d_max):
+                        e = 2 * (abs(model.n - fit.p - fit.q) - bound)
+                        expected = max(v * Fraction(d) ** e
+                                       for d, v in enumerate(seqs[fit.p, fit.q][:d_max], 1))
+                        assert type(fit.fitted_b) is Fraction
+                        assert fit.fitted_b == expected, (model.name, fit, d_max)
+                        assert str(fit.fitted_b) == str(expected)
 
     def test_one_form_read_and_one_count_per_d(self, monkeypatch):
         calls = {"count_form": 0, "values": 0}
@@ -161,23 +165,11 @@ class TestIntegerFit:
         monkeypatch.setattr(counting.CountTable, "values", spy_values)
         model = builtin("blowup_abelian4_curve", genus=2).model
         for d_max in (2, 16):
-            calls.update(count_form=0, values=0)
-            fit_bound(model, 1, 2, 0, d_max)
-            assert calls == {"count_form": 1, "values": d_max}
             # the whole grid from one evaluation of the model's table per d;
             # each entry's form is read once, for its degree
             calls.update(count_form=0, values=0)
             fits = fit_bounds(model, 0, d_max)
             assert calls == {"count_form": len(fits), "values": d_max}
-
-    def test_fit_bounds_equals_fit_bound_per_entry(self):
-        for model in fit_corpus():
-            for bound in range(model.n + 1):
-                for d_max in (2, 4, 16):
-                    fits = fit_bounds(model, bound, d_max)
-                    assert fits == [fit_bound(model, p, q, bound, d_max)
-                                    for p in range(model.n + 1) for q in range(model.n + 1)]
-                    assert all(type(f.fitted_b) is Fraction for f in fits)
 
     def test_fit_bounds_rejects_a_short_range(self):
         with pytest.raises(ValueError, match="d_max must be at least 2"):
@@ -203,6 +195,16 @@ class TestConverseWitness:
         model = builtin("blowup_abelian_codim", g=4, c=4).model  # defect 2
         assert converse_defect_witness(model, 1) is not None
         assert converse_defect_witness(model, 2) is None
+
+    def test_is_the_first_failing_fit(self):
+        # check reads its witness off the fits, so the two must agree
+        found = 0
+        for model in fit_corpus():
+            for bound in range(model.n + 1):
+                first = next(((f.p, f.q) for f in fit_bounds(model, bound, 2) if not f.passes), None)
+                assert converse_defect_witness(model, bound) == first, (model.name, bound)
+                found += first is not None
+        assert found > 10
 
 
 class TestDivergence:
@@ -258,7 +260,7 @@ class TestL2:
         report = l2_betti(model)
         assert report.weak_gnv
         assert all(b == 0 for k, b in enumerate(report.betti) if k != model.n)
-        assert report.betti[model.n] == (-1) ** model.n * chi_top(model)
+        assert report.betti[model.n] == (-1) ** model.n * top_euler_characteristic(model)
 
     def test_abelian_all_zero(self):
         report = l2_betti(builtin("abelian", g=2).model)
@@ -282,7 +284,7 @@ class TestL2:
         for name, params in DEFAULT_INSTANCES:
             model = builtin(name, **params).model
             report = l2_betti(model)
-            assert l2_euler_characteristic(report) == chi_top(model)
+            assert l2_euler_characteristic(report) == model.chi_top == top_euler_characteristic(model)
 
     def test_deviation_constant_counts_components(self):
         # g = n = 1: h^(1,0) goes from 1 to 2 on the nine points {3·x ≡ 0}

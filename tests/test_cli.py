@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import jumploci
-from jumploci import (CongruenceCoset, RankFunction, Stratum, TorusPoint, VarietyModel, builtin,
-                      dumps_model, load_model, origin_jump)
+from jumploci import (CongruenceCoset, RankFunction, Stratum, TorusPoint, VarietyModel, asymptotics, builtin,
+                      constant_rank, dumps_model, load_model, origin_jump)
 from jumploci.cli import _int_text_of_any_size, main
 from jumploci.errors import ECHO_CHARS, shown, shown_int
 
@@ -208,6 +208,49 @@ class TestCheck:
         code, out = run_cli(capsys, "--budget", "20", "check", "--model", str(path))
         assert code == 0
         assert "cover irregularity bounded at 1" in out
+
+
+    @pytest.mark.parametrize("name,params,bound,witness", [
+        ("blowup_abelian4_curve", {"genus": 2}, 0, [1, 2]),
+        ("cartwright_steger_like", {}, 1, None),
+    ])
+    def test_witness_is_read_off_the_fits(self, monkeypatch, capsys, name, params, bound, witness):
+        # the fits apply the decay criterion once per entry; the witness is
+        # the first failing fit, so no second pass over the grid is made
+        def refuse(*args, **kwargs):
+            raise AssertionError("check made a second witness pass")
+
+        forms = []
+        count_form = RankFunction.count_form
+        monkeypatch.setattr(asymptotics, "converse_defect_witness", refuse)
+        monkeypatch.setattr(RankFunction, "count_form", lambda rf, budget: forms.append(rf) or count_form(rf, budget))
+        text = ",".join(f"{k}={v}" for k, v in params.items())
+        code, out = run_cli(capsys, "check", "--builtin", name, "--params", text, "--defect-bound", str(bound))
+        assert code == (0 if witness is None else 1)
+        assert json.loads(out.split("-- machine readable --")[1])["witness"] == witness
+        # one read per grid entry for the fits, one more for the divergence class's h^(0,1)
+        assert len(forms) == (builtin(name, **params).model.n + 1) ** 2 + 1
+
+
+class TestPointModel:
+    """n = 0: the grid is the one entry (0,0), so there is no h^(0,1)."""
+
+    @pytest.mark.parametrize("g", [0, 1])
+    def test_check_and_tower_exit_0(self, tmp_path, capsys, g):
+        model = VarietyModel(n=0, g=g, hodge=((constant_rank(2 * g, 1),),), defect_strata=((0, 0),))
+        path = tmp_path / "point.json"
+        path.write_text(dumps_model(model))
+        code, out = run_cli(capsys, "validate", "--model", str(path))
+        assert (code, out.splitlines()[-1]) == (0, "model accepted")
+        code, out = run_cli(capsys, "check", "--model", str(path))
+        assert code == 0
+        assert "# cover irregularity bounded at 0\n" in out
+        assert json.loads(out.split("-- machine readable --")[1])["divergence"]["base_irregularity"] == 0
+        code, out = run_cli(capsys, "tower", "--model", str(path), "--d-max", "3")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["deg"], row["h_0_0"], row["q"]) for row in rows] == [
+            (str(d ** (2 * g)), str(d ** (2 * g)), "0") for d in (1, 2, 3)]
 
 
 class TestBadFlags:

@@ -591,9 +591,9 @@ class TestClassEvaluation:
             table = model.hodge_table(DEFAULT_COMPONENT_BUDGET)
             forms = [rf.count_form(DEFAULT_COMPONENT_BUDGET) for row in model.hodge for rf in row]
             forms.append(CountForm(model.torus_dim, 1, ()))
-            assert table.counts.width == len(forms)
+            assert table.width == len(forms)
             for d in CLASS_DS:
-                assert table.counts.values(d) == [per_term_count(form, d) for form in forms], (name, d)
+                assert table.values(d) == [per_term_count(form, d) for form in forms], (name, d)
 
     def test_hodge_table_columns_on_random_models(self):
         # translates of denominator up to 4 give classes of order 2, 3 and 4
@@ -608,11 +608,11 @@ class TestClassEvaluation:
             forms = [rf.count_form(DEFAULT_COMPONENT_BUDGET) for row in grid for rf in row]
             forms.append(CountForm(2 * g, 1, ()))
             for d in CLASS_DS:
-                values = table.counts.values(d)
+                values = table.values(d)
                 assert values == [per_term_count(form, d) for form in forms]
-                assert table.grid(values) == tuple(tuple(per_term_count(rf.count_form(DEFAULT_COMPONENT_BUDGET), d) for rf in row)
+                assert model.grid(values) == tuple(tuple(per_term_count(rf.count_form(DEFAULT_COMPONENT_BUDGET), d) for rf in row)
                                                    for row in grid)
-            seen |= _classes(table.counts)
+            seen |= _classes(table)
         assert {2, 3} <= {order for order, _ in seen}
         assert any(torsion for _, torsion in seen)
 
@@ -624,7 +624,7 @@ class TestClassEvaluation:
         with pytest.raises(ValueError, match="d must be positive"):
             form.count(d)
         with pytest.raises(ValueError, match="d must be positive"):
-            model.hodge_table(DEFAULT_COMPONENT_BUDGET).counts.values(d)
+            model.hodge_table(DEFAULT_COMPONENT_BUDGET).values(d)
         point = CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), 0])).normalize()
         line = CongruenceCoset.of(2, [[2, 0]], [0]).normalize()
         for nc in (point, line, *(nc for _, nc in form.terms)):

@@ -281,3 +281,24 @@ class TestOneCosetPerLoad:
         comps = load_locus(path)
         assert comps[0] is comps[2] and comps[0] != comps[1]
         assert load_locus(path)[0] is not comps[0]
+
+
+@pytest.mark.parametrize("rows", [["", {}], [""], [5], [[0], "0"]], ids=repr)
+def test_a_row_that_is_not_a_list_is_refused(rows, tmp_path, capsys):
+    # a string or an object iterates like a row of no entries; it must not
+    # load as one
+    point = {"schema_version": 1, "n": 0, "g": 0, "defect_strata": [[0, 0]],
+             "hodge": [{"p": 0, "q": 0, "generic": 1, "strata": [{"A": rows, "b": ["0"] * len(rows), "value": 2}]}]}
+    with pytest.raises(ModelFormatError, match="each row of 'A' must be a list of integers"):
+        model_from_dict(point)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(point), encoding="utf-8")
+    assert main(["validate", "--model", str(model_path)]) == 2
+    assert "each row of 'A'" in capsys.readouterr().err
+    locus_path = tmp_path / "locus.json"
+    locus_path.write_text(json.dumps({"ambient_dim": 0, "components": [{"A": rows, "b": ["0"] * len(rows)}]}),
+                          encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="each row of 'A' must be a list of integers"):
+        load_locus(locus_path)
+    assert main(["count", "--locus", str(locus_path), "--d", "2"]) == 2
+    assert "each row of 'A'" in capsys.readouterr().err

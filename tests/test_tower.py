@@ -10,6 +10,7 @@ import pytest
 from jumploci import (
     ComponentBudgetExceeded,
     CongruenceCoset,
+    DivergenceReport,
     MissingPluriData,
     PluriData,
     RankFunction,
@@ -18,10 +19,9 @@ from jumploci import (
     betti_cover,
     builtin,
     chi_multiplicativity_check,
-    chi_of_forms,
-    chi_top,
     constant_rank,
     cover_invariants,
+    divergence_class,
     euler_char,
     hodge_numbers_cover,
     irregularity_cover,
@@ -31,12 +31,19 @@ from jumploci import (
     pluri_limit,
     sheaf_rank_on_cover,
     symbolic_limit,
+    VarietyModel,
 )
 from jumploci import cli, counting, torus, tower
+from jumploci import model as model_module
 from jumploci.catalog import DEFAULT_INSTANCES
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
 from gen import random_rank_function
-from oracles import brute_force_rank_sum, smallest_torsion_order
+from oracles import (
+    brute_force_rank_sum,
+    row_euler_characteristic,
+    smallest_torsion_order,
+    top_euler_characteristic,
+)
 
 
 def count_calls(monkeypatch, *targets) -> list:
@@ -189,12 +196,11 @@ class TestHodgeAndBetti:
 class TestEulerCharacteristics:
     def test_abelian_rows_vanish(self):
         model = builtin("abelian", g=3).model
-        for p in range(4):
-            assert chi_of_forms(model, p) == 0
+        assert model.chi_p == (0, 0, 0, 0)
 
     def test_blowup_one_forms(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
-        assert chi_of_forms(model, 1) == 1
+        assert model.chi_p[1] == 1
 
     def test_line_bundle_slot_sign(self):
         for p, chi0 in ((0, 3), (1, 2), (2, 5)):
@@ -202,10 +208,10 @@ class TestEulerCharacteristics:
             assert euler_char(model.sheaves["line_bundle"]) == (-1) ** p * chi0
 
     def test_chi_top_values(self):
-        assert chi_top(builtin("abelian", g=2).model) == 0
-        assert chi_top(builtin("blowup_abelian4_curve", genus=2).model) == -4
-        assert chi_top(builtin("cartwright_steger_like").model) == 3
-        assert chi_top(builtin("elliptic_surface_qI0", genus=2, chi=1).model) == 12
+        assert builtin("abelian", g=2).model.chi_top == 0
+        assert builtin("blowup_abelian4_curve", genus=2).model.chi_top == -4
+        assert builtin("cartwright_steger_like").model.chi_top == 3
+        assert builtin("elliptic_surface_qI0", genus=2, chi=1).model.chi_top == 12
 
     def test_chi_top_matches_alternating_identity(self):
         # (-1)^n chi_top = sum_p (-1)^(n-p) chi(Omega^p), both read off the rows
@@ -213,8 +219,9 @@ class TestEulerCharacteristics:
                              ("fibered_over_curve", {"genus": 2})):
             model = builtin(name, **params).model
             n = model.n
-            lhs = (-1) ** n * chi_top(model)
-            rhs = sum((-1) ** (n - p) * chi_of_forms(model, p) for p in range(n + 1))
+            assert model.chi_p == tuple(row_euler_characteristic(model, p) for p in range(n + 1))
+            lhs = (-1) ** n * model.chi_top
+            rhs = sum((-1) ** (n - p) * row_euler_characteristic(model, p) for p in range(n + 1))
             assert lhs == rhs
 
 
@@ -345,6 +352,20 @@ class TestIrregularity:
         model = builtin("abelian", g=3).model
         assert all(irregularity_cover(model, d) == 3 for d in (1, 2, 4))
 
+    @pytest.mark.parametrize("g", [0, 1])
+    def test_point_has_none(self, g):
+        # n = 0: the grid is the one entry (0,0), with no h^(0,1) to sum
+        model = VarietyModel(n=0, g=g, hodge=((constant_rank(2 * g, 1),),), defect_strata=((0, 0),))
+        assert tower.summands(model, ("irregularity",)) == []
+        assert symbolic_limit(model, ("irregularity",)).value == 0
+        assert divergence_class(model) == DivergenceReport(False, 0, None, 0)
+        for d in (1, 2, 5):
+            inv = cover_invariants(model, d)
+            assert irregularity_cover(model, d) == inv.q == 0
+            assert inv.hodge == ((d ** (2 * g),),) and inv.betti == (d ** (2 * g),)
+            assert (inv.chi_p, inv.chi_top) == ((1,), 1)
+            assert chi_multiplicativity_check(model, d)
+
 
 class TestChiMultiplicativity:
     def test_abelian(self):
@@ -377,17 +398,19 @@ class TestCoverInvariants:
 
     @pytest.mark.parametrize("name,params", DEFAULT_INSTANCES)
     def test_one_euler_characteristic_per_row(self, monkeypatch, name, params):
-        # the row Euler characteristics are kept with the model's table, so
-        # no cover after the first computes one
+        # the row Euler characteristics are kept on the model: the first
+        # cover computes one per row, and no later cover computes any
         model = builtin(name, **params).model
+        calls = count_calls(monkeypatch, (model_module, "euler_char"), (tower, "euler_char"))
         first = cover_invariants(model, 2)
-        calls = count_calls(monkeypatch, (tower, "chi_of_forms"), (tower, "euler_char"))
+        assert len(calls) == model.n + 1
+        calls.clear()
         for d in (3, 4, 10 ** 30):
             inv = cover_invariants(model, d)
             assert inv.chi_p == first.chi_p
         assert len(calls) == 0
-        assert inv.chi_p == tuple(chi_of_forms(model, p) for p in range(model.n + 1))
-        assert inv.chi_top == sum((-1) ** p * chi for p, chi in enumerate(inv.chi_p))
+        assert inv.chi_p == tuple(row_euler_characteristic(model, p) for p in range(model.n + 1))
+        assert inv.chi_top == top_euler_characteristic(model)
 
     @pytest.mark.parametrize("name,params", DEFAULT_INSTANCES)
     def test_one_table_evaluation_per_cover(self, monkeypatch, name, params):
@@ -436,5 +459,5 @@ class TestCoverInvariants:
             assert inv.hodge == hodge_numbers_cover(model, d)
             assert inv.betti == tuple(betti_cover(model, d, k) for k in range(2 * model.n + 1))
             assert inv.q == irregularity_cover(model, d)
-            assert inv.chi_p == tuple(chi_of_forms(model, p) for p in range(model.n + 1))
-            assert inv.chi_top == chi_top(model)
+            assert inv.chi_p == tuple(row_euler_characteristic(model, p) for p in range(model.n + 1))
+            assert inv.chi_top == top_euler_characteristic(model)
