@@ -134,20 +134,19 @@ def divergence_class(model: VarietyModel,
                      *, budget: int = DEFAULT_COMPONENT_BUDGET) -> DivergenceReport:
     """Classify the irregularity sequence q(X_d): bounded or divergent.
 
-    Divergence happens exactly when the count form of h^(0,1) has a
-    positive limit or a proper part of positive top exponent.  Along the
-    multiples of the witness order, q(X_d) >= q(X) + d^dim - 1.
+    q(X_d) is bounded exactly when the count form of h^(0,1) has degree at
+    most 0 (:attr:`CountForm.degree`); otherwise it diverges at real
+    dimension the degree, and along the multiples of the witness order
+    q(X_d) >= q(X) + d^dim - 1.  A positive limit has witness order 1.
     """
     if model.n == 0:  # a point has no h^(0,1) entry
         return DivergenceReport(False, 0, None, 0)
     rf = model.hodge[0][1]
     form = rf.count_form(budget)
     origin_value = rf.rank_at(TorusPoint.zero(model.torus_dim))
-    if form.limit > 0:
-        return DivergenceReport(True, rf.ambient_dim, 1, origin_value)
-    if form.top_exponent <= 0:
+    if form.degree <= 0:
         return DivergenceReport(False, 0, None, origin_value)
-    return DivergenceReport(True, form.top_exponent, form.witness_order, origin_value)
+    return DivergenceReport(True, form.degree, 1 if form.limit > 0 else form.witness_order, origin_value)
 
 
 def l2_betti(model: VarietyModel) -> L2Report:

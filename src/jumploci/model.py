@@ -10,12 +10,12 @@ A :class:`VarietyModel` bundles the full (p,q) grid of rank functions for
 the bundles of holomorphic p-forms, the fiber-dimension stratification of
 the Albanese map (from which the defect of semismallness is computed),
 optional plurigenus data for the pluricanonical series, and optional extra
-named sheaf slots.  Everything about the grid that does not depend on the
-cover is kept on the model once built: its count forms compiled into one
-count table (:meth:`VarietyModel.hodge_table`) that every cover and every
-decay fit reads, and the rows' Euler characteristics
-(:attr:`VarietyModel.chi_p`, :attr:`VarietyModel.chi_top`) that the tower
-and the L² report read.
+named sheaf slots.  Everything that does not depend on the cover is kept
+on the model once built: the grid's count forms compiled into one count
+table (:meth:`VarietyModel.hodge_table`) that every cover and every decay
+fit reads, the rows' Euler characteristics (:attr:`VarietyModel.chi_p`,
+:attr:`VarietyModel.chi_top`) that the tower and the L² report read, and
+the rank functions of ω^m (:attr:`VarietyModel.plurigenera`).
 """
 
 from __future__ import annotations
@@ -149,6 +149,7 @@ class PluriData:
     whenever the locus is proper, which :func:`validate_model` checks).
     Construction refuses a ``q_base``, exponent or value that is not an
     integer (TypeError); their ranges are left to :func:`validate_model`.
+    The model builds the rank functions of ω^m (:attr:`VarietyModel.plurigenera`).
     """
 
     q_base: int
@@ -163,35 +164,6 @@ class PluriData:
             table = getattr(self, name)
             if not {int}.issuperset(map(type, (*table, *table.values()))):
                 object.__setattr__(self, name, {_to_int(m): _to_int(v) for m, v in table.items()})
-
-    def locus_coset(self, ambient_dim: int, translate: TorusPoint) -> CongruenceCoset:
-        pinned = {i: translate.coords[i] for i in range(2 * self.q_base, ambient_dim)}
-        return CongruenceCoset.pinned(ambient_dim, pinned)
-
-    @cached_property
-    def _locus_cosets(self) -> dict[int, tuple[CongruenceCoset, ...]]:
-        return {}
-
-    @cached_property
-    def _rank_functions(self) -> dict[tuple[int, int], RankFunction]:
-        return {}
-
-    def rank_function(self, ambient_dim: int, m: int) -> RankFunction:
-        """The rank function of ω^m, built once per (ambient_dim, m) so that
-        every cover reads the same compiled form.  Its locus cosets are built
-        once per ambient_dim, so every m shares their normalization and Smith
-        data."""
-        key = (ambient_dim, m)
-        if key not in self._rank_functions:
-            if ambient_dim not in self._locus_cosets:
-                self._locus_cosets[ambient_dim] = tuple(
-                    self.locus_coset(ambient_dim, t) for t in self.translates)
-            generic = self.generic_values.get(m, 0)
-            value = self.values[m]
-            strata = tuple(Stratum(c, value)
-                           for c in self._locus_cosets[ambient_dim]) if value > generic else ()
-            self._rank_functions[key] = RankFunction(ambient_dim, generic, strata)
-        return self._rank_functions[key]
 
 
 @dataclass(frozen=True)
@@ -252,6 +224,24 @@ class VarietyModel:
             rows.append(tuple(values[start:start + len(row)]))
             start += len(row)
         return tuple(rows)
+
+    @cached_property
+    def plurigenera(self) -> Mapping[int, RankFunction]:
+        """The rank function of ω^m for each m with plurigenus data, built once.
+        Every m's strata are one tuple of locus cosets, the translates pinned in
+        this torus off the leading 2·q_base coordinates, so all m share their
+        normalization and Smith data."""
+        pluri, dim = self.pluri, self.torus_dim
+        if pluri is None:
+            return {}
+        cosets = tuple(CongruenceCoset.pinned(dim, {i: t.coords[i] for i in range(2 * pluri.q_base, dim)})
+                       for t in pluri.translates)
+        rank_functions = {}
+        for m, value in pluri.values.items():
+            generic = pluri.generic_values.get(m, 0)
+            strata = tuple(Stratum(c, value) for c in cosets) if value > generic else ()
+            rank_functions[m] = RankFunction(dim, generic, strata)
+        return rank_functions
 
     @cached_property
     def chi_p(self) -> tuple[int, ...]:
@@ -416,6 +406,9 @@ def validate_model(model: VarietyModel) -> ValidationReport:
     if n >= 1 and model.hodge[1][0].ambient_dim == model.torus_dim and model.hodge[1][0].rank_at(origin) != g:
         warn(f"the (1,0) rank at the origin is {model.hodge[1][0].rank_at(origin)}, "
              f"not the irregularity {g}; the model does not present its own Albanese torus")
+    if n == 0 and g > 0:
+        warn(f"a point's Albanese torus is trivial, not of irregularity {g}; "
+             "the model does not present its own Albanese torus")
 
     try:
         delta = defect(model)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, shown, shown_int
 from .model import PluriData, RankFunction, Stratum, VarietyModel
 from .torus import CongruenceCoset, TorusPoint
 
@@ -33,19 +33,24 @@ MAX_N = 64
 MAX_G = 64
 
 
+def _quoted(x: Any) -> str:
+    """A value from the file as a message quotes it: its repr, capped."""
+    return shown_int(x) if type(x) is int else shown(repr(x))
+
+
 def _fraction_from_str(s: Any) -> Fraction:
     if isinstance(s, bool) or isinstance(s, float):
-        raise ModelFormatError(f"rationals must be strings or integers, got {s!r}")
+        raise ModelFormatError(f"rationals must be strings or integers, got {_quoted(s)}")
     try:
         return Fraction(s)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ModelFormatError(f"bad rational {s!r}: {exc}") from None
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ModelFormatError(f"bad rational {_quoted(s)}") from None
 
 
 def _integer(x: Any, what: str) -> int:
     """A JSON integer; floats, booleans and strings are refused, never coerced."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ModelFormatError(f"{what} must be an integer, got {x!r}")
+        raise ModelFormatError(f"{what} must be an integer, got {_quoted(x)}")
     return x
 
 
@@ -53,19 +58,19 @@ def _natural(x: Any, what: str) -> int:
     """A nonnegative JSON integer."""
     value = _integer(x, what)
     if value < 0:
-        raise ModelFormatError(f"{what} must be nonnegative, got {value}")
+        raise ModelFormatError(f"{what} must be nonnegative, got {_quoted(value)}")
     return value
 
 
 def _object(x: Any, what: str) -> dict:
     if not isinstance(x, dict):
-        raise ModelFormatError(f"{what} must be a JSON object, got {x!r}")
+        raise ModelFormatError(f"{what} must be a JSON object, got {_quoted(x)}")
     return x
 
 
 def _list(x: Any, what: str) -> list:
     if not isinstance(x, list):
-        raise ModelFormatError(f"{what} must be a list, got {x!r}")
+        raise ModelFormatError(f"{what} must be a list, got {_quoted(x)}")
     return x
 
 
@@ -179,7 +184,7 @@ def _power_table(obj: Any, what: str) -> dict[int, int]:
         except ValueError:
             key = None
         if m != str(key):
-            raise ModelFormatError(f"{what} keys must be integers in plain decimal, got {m!r}")
+            raise ModelFormatError(f"{what} keys must be integers in plain decimal, got {_quoted(m)}")
         table[key] = _integer(v, f"an entry of {what}")
     return table
 
@@ -189,15 +194,15 @@ def model_from_dict(obj: Any) -> VarietyModel:
         raise ModelFormatError("a model file must contain a JSON object")
     version = obj.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise ModelFormatError(f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION}")
+        raise ModelFormatError(f"unsupported schema_version {_quoted(version)}; this build reads {SCHEMA_VERSION}")
     if "n" not in obj or "g" not in obj:
         raise ModelFormatError("'n' and 'g' must be present integers")
     n = _natural(obj["n"], "'n'")
     g = _natural(obj["g"], "'g'")
     if n > MAX_N:
-        raise ModelFormatError(f"'n' = {n} exceeds the largest supported dimension {MAX_N}")
+        raise ModelFormatError(f"'n' = {_quoted(n)} exceeds the largest supported dimension {MAX_N}")
     if g > MAX_G:
-        raise ModelFormatError(f"'g' = {g} exceeds the largest supported irregularity {MAX_G}")
+        raise ModelFormatError(f"'g' = {_quoted(g)} exceeds the largest supported irregularity {MAX_G}")
     torus = 2 * g
     built: dict = {}  # the cosets of this load, by their JSON content
 
@@ -207,7 +212,7 @@ def model_from_dict(obj: Any) -> VarietyModel:
             raise ModelFormatError("every hodge entry needs integer 'p' and 'q'")
         p, q = _integer(entry["p"], "'p'"), _integer(entry["q"], "'q'")
         if not (0 <= p <= n and 0 <= q <= n):
-            raise ModelFormatError(f"hodge entry ({p},{q}) outside the (n+1)x(n+1) grid")
+            raise ModelFormatError(f"hodge entry ({_quoted(p)},{_quoted(q)}) outside the (n+1)x(n+1) grid")
         grid[p][q] = _rank_from_dict(entry, torus, built)
 
     strata = []
@@ -231,16 +236,16 @@ def model_from_dict(obj: Any) -> VarietyModel:
     sheaves = {}
     for name, rfs in _object(obj.get("sheaves", {}), "'sheaves'").items():
         if not isinstance(rfs, list):
-            raise ModelFormatError(f"sheaf slot {name!r} must be a list of rank functions")
+            raise ModelFormatError(f"sheaf slot {_quoted(name)} must be a list of rank functions")
         sheaves[name] = tuple(_rank_from_dict(rf, torus, built) for rf in rfs)
 
     flags = _object(obj.get("flags", {}), "'flags'")
     for flag in ("semismall", "serre_check"):
         if not isinstance(flags.get(flag, False), bool):
-            raise ModelFormatError(f"flag {flag!r} must be true or false, got {flags[flag]!r}")
+            raise ModelFormatError(f"flag {flag!r} must be true or false, got {_quoted(flags[flag])}")
     name = obj.get("name", "")
     if not isinstance(name, str):
-        raise ModelFormatError(f"'name' must be a string, got {name!r}")
+        raise ModelFormatError(f"'name' must be a string, got {_quoted(name)}")
     return VarietyModel(
         n=n,
         g=g,
@@ -262,31 +267,32 @@ def save_model(model: VarietyModel, path: str | Path) -> None:
     Path(path).write_text(dumps_model(model), encoding="utf-8")
 
 
-def load_model(path: str | Path) -> VarietyModel:
+def _load_json(path: str | Path) -> Any:
+    """The JSON value of a file; every failure names the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from None
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from None
-    return model_from_dict(obj)
+    except ValueError:  # an integer past the interpreter's digit cap, which json.loads refuses
+        raise ModelFormatError(f"{path} holds an integer with too many digits to read") from None
+
+
+def load_model(path: str | Path) -> VarietyModel:
+    return model_from_dict(_load_json(path))
 
 
 def load_locus(path: str | Path) -> list[CongruenceCoset]:
     """Read a standalone locus file: an ambient dimension plus components."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path} is not valid JSON: {exc}") from None
+    obj = _load_json(path)
     if not isinstance(obj, dict) or "ambient_dim" not in obj:
         raise ModelFormatError("a locus file needs 'ambient_dim' and 'components'")
     ambient = _natural(obj["ambient_dim"], "'ambient_dim'")
     if ambient > 2 * MAX_G:
-        raise ModelFormatError(f"'ambient_dim' = {ambient} exceeds the largest supported "
+        raise ModelFormatError(f"'ambient_dim' = {_quoted(ambient)} exceeds the largest supported "
                                f"torus dimension {2 * MAX_G}")
     built: dict = {}
     return [_coset_from_dict(c, ambient, built) for c in _list(obj.get("components", []), "'components'")]

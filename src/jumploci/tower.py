@@ -15,8 +15,8 @@ model compiles its grid once into one count table
 keeps the rows' Euler characteristics (:attr:`VarietyModel.chi_p`).
 :func:`hodge_numbers_cover` and :func:`cover_invariants` read the whole
 grid from one evaluation of that table per cover; the Betti numbers are
-summed from it and P_1 is its (n,0) entry.  Only P_m for m >= 2 and the
-extra sheaf slots read forms of their own.
+summed from it and P_1 is its (n,0) entry.  Only P_m for m >= 2 (the
+model's :attr:`VarietyModel.plurigenera`) and the sheaf slots read their own forms.
 
 Every invariant is a sum of rank functions (:func:`summands`), so its
 limit as value / d^(2g) is the sum of their limits: proper loci contribute
@@ -102,9 +102,9 @@ def summands(model: VarietyModel, selector: Selector) -> list[RankFunction]:
             raise ValueError("m must be positive")
         if m == 1:  # the geometric genus
             return [model.hodge[model.n][0]]
-        if model.pluri is None or m not in model.pluri.values:
+        if m not in model.plurigenera:
             raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
-        return [model.pluri.rank_function(model.torus_dim, m)]
+        return [model.plurigenera[m]]
     raise ValueError(f"unknown selector {selector!r}")
 
 
@@ -138,7 +138,7 @@ def pluri_limit(model: VarietyModel, m: int) -> LimitValue:
 
 def pluri_bound_constant(model: VarietyModel, m: int) -> int:
     """Constant M with P_m(X_d)/deg <= M · d^(-2(g - q_base)) for all d."""
-    if model.pluri is None or m not in model.pluri.values:
+    if m not in model.plurigenera:
         raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
     generic = model.pluri.generic_values.get(m, 0)
     if generic:

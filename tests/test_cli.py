@@ -242,6 +242,9 @@ class TestPointModel:
         path.write_text(dumps_model(model))
         code, out = run_cli(capsys, "validate", "--model", str(path))
         assert (code, out.splitlines()[-1]) == (0, "model accepted")
+        warning = (f"warning: a point's Albanese torus is trivial, not of irregularity {g}; "
+                   "the model does not present its own Albanese torus")
+        assert out.splitlines()[:-2] == ([warning] if g else [])
         code, out = run_cli(capsys, "check", "--model", str(path))
         assert code == 0
         assert "# cover irregularity bounded at 0\n" in out
@@ -251,6 +254,26 @@ class TestPointModel:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [(row["deg"], row["h_0_0"], row["q"]) for row in rows] == [
             (str(d ** (2 * g)), str(d ** (2 * g)), "0") for d in (1, 2, 3)]
+
+
+class TestGenusZero:
+    """g = 0: the dual torus is a point, so h^(0,1) is a constant and q(X_d) cannot grow."""
+
+    def test_check_agrees_with_tower(self, tmp_path, capsys):
+        blob = {"schema_version": 1, "n": 1, "g": 0,
+                "hodge": [{"p": p, "q": q, "generic": 1} for p in (0, 1) for q in (0, 1)],
+                "defect_strata": [[0, 0], [1, 0]]}
+        path = tmp_path / "g0.json"
+        path.write_text(json.dumps(blob))
+        report = asymptotics.divergence_class(load_model(path))
+        assert (report.divergent, report.max_stratum_dim, report.witness_order,
+                report.base_irregularity) == (False, 0, None, 1)
+        code, out = run_cli(capsys, "check", "--model", str(path), "--defect-bound", "1")
+        assert code == 0
+        assert "# cover irregularity bounded at 1\n" in out
+        code, out = run_cli(capsys, "tower", "--model", str(path), "--d-max", "3")
+        assert code == 0
+        assert [row["q"] for row in csv.DictReader(io.StringIO(out))] == ["1", "1", "1"]
 
 
 class TestBadFlags:
@@ -461,3 +484,30 @@ class TestValidateExport:
 
     def test_missing_source(self, capsys):
         assert main(["export"]) == 2
+
+
+_POINT = {"schema_version": 1, "n": 0, "g": 1, "hodge": [{"p": 0, "q": 0, "generic": 1}],
+          "defect_strata": [[0, 0]]}
+_LONG_B = {"A": [[1, 0]], "b": ["x" * 5000]}
+
+
+class TestFileTextIsEchoedShort:
+    """Model- and locus-file messages quote user text capped at ECHO_CHARS."""
+
+    @pytest.mark.parametrize("command,text", [
+        ("validate --model", json.dumps(dict(_POINT, hodge=[{"p": 0, "q": 0, "generic": 1,
+                                                            "strata": [dict(_LONG_B, value=2)]}]))),
+        ("count --d 2 --locus", json.dumps({"ambient_dim": 2, "components": [_LONG_B]})),
+        ("validate --model", json.dumps(dict(_POINT, flags={"semismall": "x" * 5000}))),
+        ("validate --model", json.dumps(_POINT).replace('"generic": 1', '"generic": ' + "9" * 5000)),
+    ], ids=["model b", "locus b", "semismall", "digits"])
+    def test_exit_2_with_a_short_message(self, tmp_path, capsys, command, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert main([*command.split(), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.encode()) < 300
+        assert "x" * (ECHO_CHARS + 1) not in captured.err
+        if "9" * 5000 in text:  # past the interpreter's digit cap: the message names the file
+            assert captured.err == f"error: {path} holds an integer with too many digits to read\n"

@@ -545,9 +545,7 @@ class TestClassEvaluation:
             model = builtin(name, **params).model
             rank_functions = [rf for row in model.hodge for rf in row]
             rank_functions += [rf for row in model.sheaves.values() for rf in row]
-            if model.pluri is not None:
-                rank_functions += [model.pluri.rank_function(model.torus_dim, m)
-                                   for m in model.pluri.values]
+            rank_functions += model.plurigenera.values()
             forms = [rf.count_form(DEFAULT_COMPONENT_BUDGET) for rf in rank_functions]
             assert self._check(*forms) <= {(1, ())}
 

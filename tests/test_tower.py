@@ -314,11 +314,37 @@ class TestPlurigenera:
         assert lv.kind == "upper-bound-zero"
 
     def test_rank_function_built_once(self):
-        pluri = builtin("abelian", g=2).model.pluri
-        rf = pluri.rank_function(4, 2)
-        assert pluri.rank_function(4, 2) is rf
-        assert pluri.rank_function(4, 3) is not rf
-        assert pluri.rank_function(2, 2) is not rf
+        # one per m: the model has one torus, which every m's locus lives in
+        model = builtin("abelian", g=2).model
+        rf = model.plurigenera[2]
+        assert model.plurigenera is model.plurigenera
+        assert model.plurigenera[2] is rf
+        assert model.plurigenera[3] is not rf
+        assert tower.summands(model, ("pluri", 2)) == [rf]
+
+    def test_exponents_share_one_normalized_locus(self, monkeypatch):
+        # three translates of the subtorus x2 = x3 = 0; every m reads the
+        # same three coset objects, each normalized once
+        translates = tuple(TorusPoint.of([0, 0, Fraction(k, 3), 0]) for k in range(3))
+        pluri = PluriData(q_base=1, translates=translates,
+                          values={m: m for m in range(2, 7)}, generic_values={})
+        model = dataclasses.replace(builtin("abelian", g=2).model, pluri=pluri)
+        built = []
+        hermite = torus._hermite
+
+        def recording_hermite(*args):
+            built.append(hermite(*args))
+            return built[-1]
+
+        monkeypatch.setattr(torus, "_hermite", recording_hermite)
+        # 9 points of order dividing 3 on each translate
+        assert [plurigenera_cover(model, 3, m) for m in range(2, 7)] == [27 * m for m in range(2, 7)]
+        cosets = [c for c, _ in model.plurigenera[2].strata]
+        assert len(set(cosets)) == 3
+        for rf in model.plurigenera.values():
+            assert all(c is locus for (c, _), locus in zip(rf.strata, cosets, strict=True))
+        assert len(built) == 3
+        assert set(built) == {c.normalize() for c in cosets}
 
     def test_geometric_genus_routes_through_grid(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
