@@ -10,7 +10,8 @@ A :class:`VarietyModel` bundles the full (p,q) grid of rank functions for
 the bundles of holomorphic p-forms, the fiber-dimension stratification of
 the Albanese map (from which the defect of semismallness is computed),
 optional plurigenus data for the pluricanonical series, and optional extra
-named sheaf slots.  Everything that does not depend on the cover is kept
+named sheaf slots; construction checks its shape, and :func:`validate_model`
+its content.  Everything that does not depend on the cover is kept
 on the model once built: the grid's count forms compiled into one count
 table (:meth:`VarietyModel.hodge_table`) that every cover and every decay
 fit reads, the rows' Euler characteristics (:attr:`VarietyModel.chi_p`,
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_budget
@@ -169,7 +170,9 @@ class PluriData:
 @dataclass(frozen=True)
 class VarietyModel:
     """n, irregularity g, the (n+1)x(n+1) grid of rank functions, and extras.
-    Construction refuses an n or g that is not an integer (TypeError)."""
+    Construction refuses an n or g that is not an integer (TypeError) or is
+    negative (ValueError), a grid of another shape, and a grid entry, sheaf
+    slot or pluricanonical translate outside the 2g-torus (DimensionMismatch)."""
 
     n: int
     g: int
@@ -178,13 +181,22 @@ class VarietyModel:
     pluri: Optional[PluriData] = None
     sheaves: Mapping[str, tuple[RankFunction, ...]] = field(default_factory=dict)
     semismall: bool = False
-    serre_check: bool = True
     name: str = ""
 
     def __post_init__(self) -> None:
         if type(self.n) is not int or type(self.g) is not int:
             object.__setattr__(self, "n", _to_int(self.n))
             object.__setattr__(self, "g", _to_int(self.g))
+        n, dim = self.n, self.torus_dim
+        if n < 0 or dim < 0:
+            raise ValueError("dimension and irregularity must be nonnegative")
+        if len(self.hodge) != n + 1 or any(len(row) != n + 1 for row in self.hodge):
+            raise DimensionMismatch(f"the rank grid must be {n + 1} x {n + 1}")
+        for rf in chain(*self.hodge, *self.sheaves.values()):
+            if rf.ambient_dim != dim:
+                raise DimensionMismatch(f"a rank function has ambient dimension {rf.ambient_dim}, expected {dim}")
+        if self.pluri is not None and any(t.dim != dim for t in self.pluri.translates):
+            raise DimensionMismatch(f"a pluricanonical translate lives outside the dual torus of dimension {dim}")
 
     @property
     def torus_dim(self) -> int:
@@ -310,16 +322,6 @@ def satisfies_weak_generic_nakano(model: VarietyModel) -> bool:
     return all(classify_weak_gv(model, p) == model.n - p for p in range(model.n + 1))
 
 
-def _level_polynomial(rf: RankFunction, t: int, components: frozenset[NormalizedCoset],
-                      budget: int) -> dict[int, int]:
-    """Count polynomial of {rf >= t}, the union of ``components`` (or of their
-    negations: negating keeps every count)."""
-    if t <= rf.generic_value:
-        return {rf.ambient_dim: 1}
-    check_budget(sum(value >= t for _, value in rf.strata), budget)
-    return CountForm.of(rf.ambient_dim, 0, [(nc, 1) for nc in components]).polynomial
-
-
 def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[int]:
     """Smallest threshold t at which {f >= t} and -{g >= t} differ; None
     when f(α) = g(-α) at every point α.
@@ -332,34 +334,38 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
     U = {f >= t} and V = -{g >= t} are equal exactly when U, V and U ∪ V
     have the same count polynomial (:attr:`CountForm.polynomial`): U ⊆ U ∪ V,
     so equal polynomials make them equal, and likewise for V.  U ∪ V has at
-    most |U| + |V| components.  Raises ComponentBudgetExceeded when a level
-    set to be counted exceeds the budget.
+    most |U| + |V| components, and is not counted when U and V already
+    differ.  Raises ComponentBudgetExceeded when a level set above its
+    generic value has more strata than the budget, checked for U, then V.
     """
     full = frozenset({NormalizedCoset(f.ambient_dim, (), (), 1)})
     f_strata = [(nc, value) for (_, value), nc in zip(f.strata, f.normalized_strata) if nc is not None]
     g_strata = [(-nc, value) for (_, value), nc in zip(g.strata, g.normalized_strata) if nc is not None]
     values = {f.generic_value, g.generic_value}
     values.update(value for _, value in f.strata + g.strata)
+    polynomial = lambda cosets: CountForm.of(f.ambient_dim, 0, [(nc, 1) for nc in cosets]).polynomial
     for t in sorted(values):
         u = full if t <= f.generic_value else frozenset(nc for nc, value in f_strata if value >= t)
         v = full if t <= g.generic_value else frozenset(nc for nc, value in g_strata if value >= t)
         if u == v:
             continue
-        poly = _level_polynomial(f, t, u, budget)
-        if poly != _level_polynomial(g, t, v, budget):
-            return t
-        if CountForm.of(f.ambient_dim, 0, [(nc, 1) for nc in u | v]).polynomial != poly:
+        for rf in (f, g):
+            if t > rf.generic_value:
+                check_budget(sum(value >= t for _, value in rf.strata), budget)
+        poly = polynomial(u)
+        if poly != polynomial(v) or polynomial(u | v) != poly:
             return t
     return None
 
 
 def validate_model(model: VarietyModel) -> ValidationReport:
-    """Structural validation; report-valued, never raises on bad content.
+    """The findings on the content of a well-formed model (construction
+    checked its shape); report-valued, never raises on bad content.
 
     Serre symmetry h^(p,q)(α) = h^(n-p,n-q)(-α) is decided exactly, level
-    set by level set (:func:`_serre_mismatch`).  A pair whose level sets
-    must be counted but exceed the default component budget gets a warning
-    that it was not decided.
+    set by level set (:func:`_serre_mismatch`), unless there are errors.  A
+    pair whose level sets must be counted but exceed the default component
+    budget gets a warning that it was not decided.
     """
     findings: list[Finding] = []
     err = lambda msg: findings.append(Finding("error", msg))
@@ -370,9 +376,6 @@ def validate_model(model: VarietyModel) -> ValidationReport:
         finding on the whole function opens with ``kind`` before it."""
         if rf.generic_value < 0:
             err(f"{kind}{place} has negative generic value {rf.generic_value}")
-        if rf.ambient_dim != model.torus_dim:
-            err(f"{kind}{place} has ambient dimension {rf.ambient_dim}, expected {model.torus_dim}")
-            return
         for idx, ((_, value), nc) in enumerate(zip(rf.strata, rf.normalized_strata)):
             if value <= rf.generic_value:
                 err(f"stratum {idx} of {place} has value {value} not above the generic {rf.generic_value}")
@@ -391,19 +394,13 @@ def validate_model(model: VarietyModel) -> ValidationReport:
                      "ranks on the overlap follow the max rule")
 
     n, g = model.n, model.g
-    if n < 0 or g < 0:
-        err("dimension and irregularity must be nonnegative")
-    if len(model.hodge) != n + 1 or any(len(row) != n + 1 for row in model.hodge):
-        err("the rank grid must be (n+1) x (n+1)")
-        return ValidationReport(tuple(findings), {})
-
     for p, q in model.hodge_pairs():
         check_rank_function(model.hodge[p][q], f"({p},{q})", "rank function ")
 
     origin = TorusPoint.zero(model.torus_dim)
-    if model.hodge[0][0].ambient_dim == model.torus_dim and model.hodge[0][0].rank_at(origin) != 1:
+    if model.hodge[0][0].rank_at(origin) != 1:
         err("the (0,0) rank at the origin must be 1")
-    if n >= 1 and model.hodge[1][0].ambient_dim == model.torus_dim and model.hodge[1][0].rank_at(origin) != g:
+    if n >= 1 and model.hodge[1][0].rank_at(origin) != g:
         warn(f"the (1,0) rank at the origin is {model.hodge[1][0].rank_at(origin)}, "
              f"not the irregularity {g}; the model does not present its own Albanese torus")
     if n == 0 and g > 0:
@@ -437,9 +434,6 @@ def validate_model(model: VarietyModel) -> ValidationReport:
     if model.pluri is not None:
         if not (0 <= model.pluri.q_base <= g):
             err(f"the Iitaka-base irregularity {model.pluri.q_base} must lie in [0, {g}]")
-        for t in model.pluri.translates:
-            if t.dim != model.torus_dim:
-                err("a pluricanonical translate lives in the wrong torus")
         for table, what in ((model.pluri.values, "plurigenus value"),
                             (model.pluri.generic_values, "generic plurigenus value")):
             for m, v in table.items():
@@ -460,7 +454,7 @@ def validate_model(model: VarietyModel) -> ValidationReport:
         for i, rf in enumerate(rfs):
             check_rank_function(rf, f"sheaf slot {name!r} degree {i}")
 
-    if model.serre_check and not any(f.severity == "error" for f in findings):
+    if not any(f.severity == "error" for f in findings):
         for p, q in model.hodge_pairs():
             pd, qd = n - p, n - q
             if (pd, qd) < (p, q):

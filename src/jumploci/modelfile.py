@@ -142,7 +142,6 @@ def _point_from_list(obj: Any, ambient_dim: int) -> TorusPoint:
 
 
 def model_to_dict(model: VarietyModel) -> dict:
-    torus = model.torus_dim
     hodge = []
     for p in range(model.n + 1):
         for q in range(model.n + 1):
@@ -157,7 +156,7 @@ def model_to_dict(model: VarietyModel) -> dict:
         "g": model.g,
         "hodge": hodge,
         "defect_strata": [list(s) for s in model.defect_strata],
-        "flags": {"semismall": model.semismall, "serre_check": model.serre_check},
+        "flags": {"semismall": model.semismall},
     }
     if model.pluri is not None:
         out["pluri"] = {
@@ -240,9 +239,8 @@ def model_from_dict(obj: Any) -> VarietyModel:
         sheaves[name] = tuple(_rank_from_dict(rf, torus, built) for rf in rfs)
 
     flags = _object(obj.get("flags", {}), "'flags'")
-    for flag in ("semismall", "serre_check"):
-        if not isinstance(flags.get(flag, False), bool):
-            raise ModelFormatError(f"flag {flag!r} must be true or false, got {_quoted(flags[flag])}")
+    if not isinstance(flags.get("semismall", False), bool):
+        raise ModelFormatError(f"flag 'semismall' must be true or false, got {_quoted(flags['semismall'])}")
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise ModelFormatError(f"'name' must be a string, got {_quoted(name)}")
@@ -254,7 +252,6 @@ def model_from_dict(obj: Any) -> VarietyModel:
         pluri=pluri,
         sheaves=sheaves,
         semismall=flags.get("semismall", False),
-        serre_check=flags.get("serre_check", True),
         name=name,
     )
 
@@ -273,6 +270,8 @@ def _load_json(path: str | Path) -> Any:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -401,10 +401,6 @@ def _hermite(width: int, basis: dict[int, Row], modulus: int) -> "NormalizedCose
             if q:
                 rows[j] = [a - q * b for a, b in zip(rows[j], r)]
     nums = [r[width] % modulus for r in rows]
-    g = math.gcd(modulus, *nums)
-    if g > 1:
-        modulus //= g
-        nums = [m // g for m in nums]
     # a row that came through unchanged is already (H_i | nums_i)
     aug = [r if type(r) is tuple and r[width] == m else (*r[:width], m) for r, m in zip(rows, nums)]
     fields = (width, tuple([r[:width] for r in aug]), tuple(nums), modulus)

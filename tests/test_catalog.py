@@ -112,3 +112,9 @@ def test_unknown_name():
 def test_bad_params(name, params):
     with pytest.raises(BadParams):
         builtin(name, **params)
+
+
+def test_a_parameter_of_the_wrong_type_is_bad_params():
+    # the factory's own TypeError comes out as BadParams, not as a traceback
+    with pytest.raises(BadParams, match="^abelian: '>=' not supported between instances of 'NoneType' and 'int'$"):
+        builtin("abelian", g=None)

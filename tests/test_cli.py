@@ -460,6 +460,11 @@ class TestBadFlags:
 
 
 class TestValidateExport:
+    def test_empty_parameter_items_are_skipped(self, capsys):
+        code, out = run_cli(capsys, "validate", "--builtin", "abelian", "--params", "g=2,,")
+        assert (code, out) == run_cli(capsys, "validate", "--builtin", "abelian", "--params", "g=2")
+        assert code == 0 and out.endswith("model accepted\n")
+
     def test_validate_accepts_catalog(self, capsys):
         code, out = run_cli(capsys, "validate", "--builtin", "fibered_over_curve",
                             "--params", "genus=2")

@@ -23,7 +23,7 @@ from jumploci import (
     union_torsion_count,
 )
 from jumploci.catalog import DEFAULT_INSTANCES
-from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable
+from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_union
 from jumploci.torus import NormalizedCoset, snf
 from gen import random_connected_coset, random_coset, random_nonempty_coset, random_rank_function
 from oracles import brute_force_torsion_count, per_term_count
@@ -240,6 +240,14 @@ class TestEnumerate:
         with pytest.raises(CapExceeded):
             enumerate_torsion(CongruenceCoset.full_torus(4), 100, cap=1000)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_d_must_be_positive(self, d):
+        origin = CongruenceCoset.point(TorusPoint.zero(2))
+        with pytest.raises(ValueError, match="^d must be positive$"):
+            enumerate_torsion(origin, d)
+        with pytest.raises(ValueError, match="^d must be positive$"):
+            union_torsion_count([origin], d)
+
 
 class TestUnion:
     def test_single_component(self):
@@ -248,6 +256,11 @@ class TestUnion:
             coset = random_coset(rng, 3)
             d = rng.randint(1, 5)
             assert union_torsion_count([coset], d) == coset_torsion_count(coset, d).value
+
+    def test_components_in_two_tori_are_refused(self):
+        parts = [CongruenceCoset.point(TorusPoint.zero(2)), CongruenceCoset.point(TorusPoint.zero(4))]
+        with pytest.raises(DimensionMismatch, match="^union components live in different tori$"):
+            check_union(parts, DEFAULT_COMPONENT_BUDGET)
 
     def test_two_coordinate_lines(self):
         a = CongruenceCoset.of(2, [[1, 0]], [0])

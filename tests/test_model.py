@@ -55,6 +55,10 @@ class TestRankAt:
         assert rf.rank_at(TorusPoint.zero(2)) == 5
         assert rf.rank_at(TorusPoint.of([Fraction(1, 3), 0])) == 2
 
+    def test_point_of_another_torus_is_refused(self):
+        with pytest.raises(DimensionMismatch, match="^point dimension differs from the dual-torus dimension$"):
+            constant_rank(2, 1).rank_at(TorusPoint.zero(4))
+
     def test_effective_generic_folds_full_torus(self):
         rf = RankFunction(2, 1, (Stratum(CongruenceCoset.full_torus(2), 3),))
         assert rf.limit == 3
@@ -144,6 +148,31 @@ class TestValueTypes:
                 dataclasses.replace(base, **change)
         assert dataclasses.replace(base, n=Fraction(1), g=Decimal(1)) == base
 
+    def test_model_refuses_a_malformed_shape(self):
+        # each of these used to build, and a library reader met the shape
+        # later: a count in the wrong torus, an IndexError, or ignored coordinates
+        point = lambda dim: ((constant_rank(dim, 1),),)
+        with pytest.raises(ValueError, match="^dimension and irregularity must be nonnegative$"):
+            VarietyModel(n=-1, g=1, hodge=(), defect_strata=())
+        with pytest.raises(ValueError, match="^dimension and irregularity must be nonnegative$"):
+            VarietyModel(n=0, g=-1, hodge=point(0), defect_strata=((0, 0),))
+        with pytest.raises(DimensionMismatch, match="^the rank grid must be 2 x 2$"):
+            VarietyModel(n=1, g=1, hodge=point(2), defect_strata=((0, 1),))
+        ragged = ((constant_rank(2, 1), constant_rank(2, 1)), (constant_rank(2, 1),))
+        with pytest.raises(DimensionMismatch, match="^the rank grid must be 2 x 2$"):
+            VarietyModel(n=1, g=1, hodge=ragged, defect_strata=((0, 1),))
+        # cover_invariants read this as a point with h^(0,0)(X_3) = 81 beside deg = 9
+        with pytest.raises(DimensionMismatch, match="^a rank function has ambient dimension 4, expected 2$"):
+            VarietyModel(n=0, g=1, hodge=point(4), defect_strata=((0, 0),))
+        with pytest.raises(DimensionMismatch, match="^a rank function has ambient dimension 4, expected 2$"):
+            VarietyModel(n=0, g=1, hodge=point(2), defect_strata=((0, 0),), sheaves={"L": (constant_rank(4, 0),)})
+        base = builtin("abelian", g=1).model
+        for coords in ([0], [0, 0, 0, 0]):  # too short: IndexError; too long: extra coordinates ignored
+            pluri = PluriData(0, (TorusPoint.of(coords),), {2: 1}, {})
+            with pytest.raises(DimensionMismatch, match="^a pluricanonical translate lives outside the dual "
+                                                        "torus of dimension 2$"):
+                dataclasses.replace(base, pluri=pluri)
+
 
 class TestValidation:
     def test_abelian_clean(self):
@@ -185,7 +214,6 @@ class TestValidation:
              [("warning", "stratum 0 of {} is empty and unreachable")]),
             (RankFunction(2, 1, (Stratum(origin_coset(2), 1),)),
              [("error", "stratum 0 of {} has value 1 not above the generic 1")]),
-            (constant_rank(4, 0), [("error", "{} has ambient dimension 4, expected 2")]),
             (RankFunction(2, 0, (Stratum(line(0, 0), 1), Stratum(line(1, 0), 2))),
              [("warning", "stratum 0 of {} has odd real dimension 1"),
               ("warning", "stratum 1 of {} has odd real dimension 1"),
@@ -198,11 +226,16 @@ class TestValidation:
             at_grid = validate_model(dataclasses.replace(base, hodge=tuple(map(tuple, grid))))
             in_slot = validate_model(dataclasses.replace(base, sheaves={"L": (constant_rank(2, 0), rf)}))
             own = [tuple(f) for f in at_grid.findings if f.message.startswith(("rank function", "strat"))]
-            assert own == [
-                (severity, message.format("(0,1)").replace("(0,1) has amb", "rank function (0,1) has amb"))
-                for severity, message in expected]
+            assert own == [(severity, message.format("(0,1)")) for severity, message in expected]
             assert [tuple(f) for f in in_slot.findings] == [
                 (severity, message.format("sheaf slot 'L' degree 1")) for severity, message in expected]
+        # a rank function in another torus is refused at construction, in either place
+        grid = [list(row) for row in base.hodge]
+        grid[0][1] = constant_rank(4, 0)
+        with pytest.raises(DimensionMismatch, match="ambient dimension 4, expected 2"):
+            dataclasses.replace(base, hodge=tuple(map(tuple, grid)))
+        with pytest.raises(DimensionMismatch, match="ambient dimension 4, expected 2"):
+            dataclasses.replace(base, sheaves={"L": (constant_rank(2, 0), constant_rank(4, 0))})
 
     def test_proper_pluri_locus_needs_zero_generic_value(self):
         # q_base = 0 < g: P_2 would be d^4·1 + 2 while pluri_limit said 0
@@ -237,7 +270,7 @@ class TestValidation:
             (origin_jump(2, 0, 1), RankFunction(2, 0, (Stratum(line, 1),))),
             (origin_jump(2, 0, 1), origin_jump(2, 0, 1)),
         )
-        model = VarietyModel(n=1, g=1, hodge=grid, defect_strata=((0, 1),), serre_check=False)
+        model = VarietyModel(n=1, g=1, hodge=grid, defect_strata=((0, 1),))
         report = validate_model(model)
         assert any("odd real dimension" in f.message for f in report.warnings)
 

@@ -6,6 +6,7 @@ import pytest
 
 from jumploci import (
     ModelFormatError,
+    RankFunction,
     builtin,
     dumps_model,
     load_locus,
@@ -302,3 +303,140 @@ def test_a_row_that_is_not_a_list_is_refused(rows, tmp_path, capsys):
         load_locus(locus_path)
     assert main(["count", "--locus", str(locus_path), "--d", "2"]) == 2
     assert "each row of 'A'" in capsys.readouterr().err
+
+
+def test_export_writes_no_serre_check_flag():
+    # Serre symmetry is always decided, so no flag switches it off
+    for name, params in DEFAULT_INSTANCES:
+        assert set(model_to_dict(builtin(name, **params).model)["flags"]) == {"semismall"}
+    assert "serre_check" not in dumps_model(builtin("abelian", g=1).model)
+
+
+# h^(0,1) jumps on {x0 ≡ 1/3} and h^(1,0) at (2/3, 0): the two agree at every
+# 2-torsion point, yet are not Serre-symmetric
+SERRE_COUNTEREXAMPLE = {
+    "schema_version": 1, "n": 1, "g": 1, "defect_strata": [[0, 1]],
+    "hodge": [
+        {"p": 0, "q": 0, "strata": [{"A": [[1, 0], [0, 1]], "b": ["0", "0"], "value": 1}]},
+        {"p": 1, "q": 1, "strata": [{"A": [[1, 0], [0, 1]], "b": ["0", "0"], "value": 1}]},
+        {"p": 0, "q": 1, "strata": [{"A": [[1, 0]], "b": ["1/3"], "value": 1}]},
+        {"p": 1, "q": 0, "strata": [{"A": [[1, 0], [0, 1]], "b": ["2/3", "0"], "value": 1}]},
+    ],
+}
+
+
+def test_serre_check_flag_switches_nothing_off(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(SERRE_COUNTEREXAMPLE, flags={"serre_check": False})), encoding="utf-8")
+    assert load_model(path) == model_from_dict(SERRE_COUNTEREXAMPLE)
+    assert main(["validate", "--model", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert ("warning: ranks at (0,1) and (1,0) are not Serre-symmetric: "
+            "{h^(0,1) >= 1} and -{h^(1,0) >= 1} differ") in out
+    assert out[-1] == "model accepted"
+
+
+def test_identically_zero_entry_is_omitted_and_restored():
+    # the counterexample without its (1,0) entry, which loads as the zero function
+    model = model_from_dict(dict(SERRE_COUNTEREXAMPLE, hodge=SERRE_COUNTEREXAMPLE["hodge"][:3]))
+    assert model.hodge[1][0] == RankFunction(2, 0, ())
+    exported = model_to_dict(model)
+    assert [(e["p"], e["q"]) for e in exported["hodge"]] == [(0, 0), (0, 1), (1, 1)]
+    assert model_from_dict(exported) == model != model_from_dict(SERRE_COUNTEREXAMPLE)
+
+
+@pytest.mark.parametrize("command", ["validate --model", "count --d 2 --locus"])
+def test_a_file_that_is_not_utf8_names_the_file(command, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ModelFormatError):
+        (load_model if command.startswith("validate") else load_locus)(path)
+    assert main([*command.split(), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} is not UTF-8 text: invalid start byte at byte 0\n"
+
+
+def _abelian_blob():
+    blob = model_to_dict(builtin("abelian", g=1).model)
+    blob["flags"] = {}
+    return blob
+
+
+def _pluri(q_base, values, generic_values):
+    return lambda d: d.update(pluri={"q_base": q_base, "translates": [["0", "0"]],
+                                     "values": values, "generic_values": generic_values})
+
+
+def _full_torus_stratum(d):
+    for entry in d["hodge"]:
+        if entry["p"] != entry["q"]:
+            entry["strata"].append({"A": [], "b": [], "value": 1})
+
+
+@pytest.mark.parametrize("mutate,findings", [
+    (lambda d: d.update(defect_strata=[]), ["error: the fiber-dimension stratification is empty"]),
+    (lambda d: d.update(defect_strata=[[1, 0]]), ["error: the stratification must include the l = 0 stratum"]),
+    (lambda d: d.update(defect_strata=[[0, 0]]),
+     ["error: the stratification implies a negative defect -1, which no morphism attains"]),
+    (lambda d: d.update(defect_strata=[[0, 1], [-1, 0]]), ["error: stratum (-1,0) has negative entries"]),
+    (lambda d: d.update(defect_strata=[[0, 1], [1, 1]]),
+     ["error: stratum (1,1) cannot fit in a variety of dimension 1"]),
+    (lambda d: d.update(g=0, defect_strata=[[0, 1]], pluri=None, hodge=[
+        {"p": p, "q": q, "generic": 1} for p in range(2) for q in range(2)]),
+     ["warning: the (1,0) rank at the origin is 1, not the irregularity 0; "
+      "the model does not present its own Albanese torus",
+      "error: stratum (0,1) exceeds the Albanese dimension 0"]),
+    (_pluri(2, {"2": 1}, {}), ["error: the Iitaka-base irregularity 2 must lie in [0, 1]"]),
+    (_pluri(0, {"1": 1}, {}), ["error: plurigenus data for m = 1; only m >= 2 belongs here"]),
+    (_pluri(1, {"2": 1}, {"2": 2}),
+     ["error: generic plurigenus value 2 exceeds the locus value 1 for m = 2",
+      "error: for a full-torus pluricanonical locus the generic and locus values must agree (m = 2)"]),
+    (_pluri(1, {"2": 2}, {"2": 1}),
+     ["error: for a full-torus pluricanonical locus the generic and locus values must agree (m = 2)"]),
+    (_full_torus_stratum,
+     ["warning: stratum 1 of (0,1) spans the whole torus; it overrides the generic value",
+      "warning: stratum 1 of (1,0) spans the whole torus; it overrides the generic value"]),
+], ids=["no strata", "no l = 0", "negative defect", "negative entry", "l + dim > n", "dim > g",
+        "q_base > g", "m < 2", "generic above locus", "full locus, two values", "stratum with no rows"])
+def test_content_findings_through_validate(mutate, findings, tmp_path, capsys):
+    blob = _abelian_blob()
+    mutate(blob)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    code = main(["validate", "--model", str(path)])
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith(("error:", "warning:"))] == findings
+    assert (code, out[-1]) == ((2, "model rejected") if findings[-1].startswith("error") else (0, "model accepted"))
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda d: d["hodge"][0]["strata"][0].pop("A"), "a coset needs 'A' (integer rows) and 'b' (rationals)"),
+    (lambda d: d["hodge"][0]["strata"][0].pop("b"), "a coset needs 'A' (integer rows) and 'b' (rationals)"),
+    (lambda d: d["hodge"][0]["strata"][0].update(A="1"), "'A' must be a list of rows and 'b' a list of rationals"),
+    (lambda d: d["hodge"][0]["strata"][0].update(b="0"), "'A' must be a list of rows and 'b' a list of rationals"),
+    (lambda d: d["pluri"]["translates"].append(["0"]), "a torus point must be a list of 2 rationals"),
+    (lambda d: d["hodge"][0].pop("q"), "every hodge entry needs integer 'p' and 'q'"),
+    (lambda d: d.update(defect_strata=[[0, 1, 0]]), "'defect_strata' entries are [l, dim] pairs"),
+    (lambda d: d.update(defect_strata=[0]), "'defect_strata' entries are [l, dim] pairs"),
+    (lambda d: d["pluri"].pop("q_base"), "bad pluri block: it needs 'q_base' and 'translates'"),
+    (lambda d: d["pluri"].pop("translates"), "bad pluri block: it needs 'q_base' and 'translates'"),
+    (lambda d: d.update(sheaves={"L": {"generic": 1}}), "sheaf slot 'L' must be a list of rank functions"),
+])
+def test_schema_errors_exit_2(mutate, message, tmp_path, capsys):
+    blob = model_to_dict(builtin("abelian", g=1).model)
+    mutate(blob)
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_dict(blob)
+    assert str(exc.value) == message
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_file_holding_a_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text("[]", encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == "error: a model file must contain a JSON object\n"

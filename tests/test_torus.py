@@ -1,5 +1,6 @@
 """Exact torus linear algebra: Smith form, normalization, intersection."""
 
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -45,6 +46,11 @@ class TestSmithForm:
     def test_known_invariant_factors(self):
         # gcd of entries is 2 and |det| = 8, forcing the factors (2, 4)
         assert invariant_factors([[2, 4], [6, 8]]) == (2, 4)
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [3, 4]]])
+    def test_ragged_matrix_is_refused(self, rows):
+        with pytest.raises(DimensionMismatch, match="^ragged matrix$"):
+            snf(rows)
 
     def test_zero_rows_need_width(self):
         assert snf((), width=3) == ()
@@ -365,14 +371,17 @@ class TestIntersection:
 
 class TestNormalizedCosetFields:
     def test_integer_translate_is_canonical(self):
+        # the seeded cosets, their negations and their nonempty meets
         rng = random.Random(3301)
-        done = 0
-        while done < 80:
-            coset = random_coset(rng, rng.randint(1, 4), max_den=12)
-            nc = coset.normalize()
-            if nc is None:
-                continue
-            done += 1
+        seeded = []
+        while len(seeded) < 80:
+            nc = random_coset(rng, rng.randint(1, 4), max_den=12).normalize()
+            if nc is not None:
+                seeded.append(nc)
+        meets = [meet for a, b in itertools.combinations(seeded, 2)
+                 if a.ambient_dim == b.ambient_dim and (meet := a.meet(b)) is not None]
+        assert len(meets) >= 100
+        for nc in seeded + [-nc for nc in seeded] + meets:
             assert len(nc.nums) == nc.rank
             assert all(0 <= m < nc.order for m in nc.nums)
             assert math.gcd(nc.order, *nc.nums) == 1

@@ -356,6 +356,20 @@ class TestPlurigenera:
         with pytest.raises(MissingPluriData):
             plurigenera_cover(model, 2, 3)
 
+    def test_bad_selectors(self):
+        model = builtin("abelian", g=1).model
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="^m must be positive$"):
+                tower.summands(model, ("pluri", m))
+        with pytest.raises(ValueError, match=r"^unknown selector \('chi',\)$"):
+            tower.summands(model, ("chi",))
+
+    def test_bound_constant_with_a_positive_generic_value(self):
+        # q_base = g: the locus is the whole torus, and the generic value counts once
+        model = builtin("elliptic_surface_qI0", genus=2, chi=1).model
+        assert [model.pluri.generic_values[m] for m in (2, 3)] == [5, 8]
+        assert [tower.pluri_bound_constant(model, m) for m in (2, 3)] == [5 + 5, 8 + 8]
+
     def test_missing_data_for_a_huge_exponent(self):
         # past the interpreter's cap on the digits of an int turned into text
         model = builtin("abelian", g=1).model
