@@ -26,22 +26,21 @@ rather than by the 2^r subsets.
 
 A term's count depends on d only through divisibility: it is d^dim times
 the :func:`~jumploci.torus.torsion_gate` of its translate order and Smith
-data, 0 or Π gcd(s, d).  So forms are merged once into a
-:class:`CountTable`, one column per form, keyed by that class: each class
-maps each exponent to the summed coefficients of its terms, column by
-column.  Every d runs one gate per class and one power of d per distinct
-exponent, then adds gate·c·d^e into the columns.  A model's whole grid is
-one table (:meth:`~jumploci.model.VarietyModel.hodge_table`), and a single
-form's count is the one-column case, so :meth:`CountTable.values` is the
-one evaluation routine.  The limit is class (1, ()), whose gate is 1; the
-catalog's forms have no other class.
+data, 0 or Π gcd(s, d).  A single form (a union, a sheaf slot, a
+plurigenus) is counted term by term (:meth:`CountForm.count`).  Forms read
+together at every cover are merged once into a :class:`CountTable`, one
+column per form, keyed by that class: each class maps each exponent to
+the summed coefficients of its terms, column by column.  Every d runs one
+gate per class and one power of d per distinct exponent, then adds
+gate·c·d^e into the columns.  A model's whole grid is one table
+(:meth:`~jumploci.model.VarietyModel.hodge_table`).  The limit is class
+(1, ()), whose gate is 1; the catalog's forms have no other class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
@@ -130,23 +129,27 @@ class CountForm:
                 meet = x.meet(comp)
                 if meet is not None:
                     delta[meet] = delta.get(meet, 0) - c
-            for total, weight in ((union, 1), (terms, value - limit)):
-                for x, c in delta.items():
-                    c = total.get(x, 0) + weight * c
-                    if c:
-                        total[x] = c
-                    else:
-                        total.pop(x, None)
+            height = value - limit
+            for x, c in delta.items():
+                u, h = union.get(x, 0) + c, terms.get(x, 0) + height * c
+                if u:
+                    union[x] = u
+                else:
+                    union.pop(x, None)
+                if h:
+                    terms[x] = h
+                else:
+                    terms.pop(x, None)
         return cls(ambient_dim, limit, tuple((c, x) for x, c in terms.items()))
 
-    @cached_property
-    def _table(self) -> "CountTable":
-        return CountTable.of((self,))
-
     def count(self, d: int) -> int:
-        """h summed over the points of order dividing d: the one column of
-        the form's own :class:`CountTable`."""
-        return self._table.values(d)[0]
+        """h summed over the points of order dividing d, term by term:
+        limit·d^N plus each coefficient times its term's closed-form count
+        (:meth:`NormalizedCoset.count`).  A form read once is cheaper this
+        way than merged into a :class:`CountTable` first."""
+        if d < 1:
+            raise ValueError("d must be positive")
+        return self.limit * d ** self.ambient_dim + sum(c * nc.count(d) for c, nc in self.terms)
 
     @property
     def polynomial(self) -> dict[int, int]:

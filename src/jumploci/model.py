@@ -27,7 +27,7 @@ from itertools import chain, combinations, product
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_budget
-from .errors import ComponentBudgetExceeded, DimensionMismatch, MissingStratification
+from .errors import ComponentBudgetExceeded, DimensionMismatch, MissingStratification, shown_int
 from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, _to_int
 
 
@@ -150,7 +150,8 @@ class PluriData:
     whenever the locus is proper, which :func:`validate_model` checks).
     Construction refuses a ``q_base``, exponent or value that is not an
     integer (TypeError); their ranges are left to :func:`validate_model`.
-    The model builds the rank functions of ω^m (:attr:`VarietyModel.plurigenera`).
+    The model builds the rank functions of ω^m (:attr:`VarietyModel.plurigenera`),
+    and refuses there a ``q_base`` outside [0, g], which names no block.
     """
 
     q_base: int
@@ -242,10 +243,13 @@ class VarietyModel:
         """The rank function of ω^m for each m with plurigenus data, built once.
         Every m's strata are one tuple of locus cosets, the translates pinned in
         this torus off the leading 2·q_base coordinates, so all m share their
-        normalization and Smith data."""
+        normalization and Smith data.  A ``q_base`` outside [0, g] has no
+        such block and raises ValueError."""
         pluri, dim = self.pluri, self.torus_dim
         if pluri is None:
             return {}
+        if not 0 <= pluri.q_base <= self.g:
+            raise ValueError(f"q_base {shown_int(pluri.q_base)} lies outside [0, g] = [0, {self.g}]")
         cosets = tuple(CongruenceCoset.pinned(dim, {i: t.coords[i] for i in range(2 * pluri.q_base, dim)})
                        for t in pluri.translates)
         rank_functions = {}

@@ -21,12 +21,13 @@ structure all reduce to integer normal forms:
 
 A :class:`NormalizedCoset` keeps its translate as integers ``nums`` over
 its translate order, so equal cosets compare and hash as tuples of ints.
-One made by the Hermite kernel also keeps its hash and the rows of
-``(H | nums)`` by pivot column (:attr:`NormalizedCoset.basis`), which the
-next meet inserts into.  Compiling is a property of the coset: on first
-use those rows give its Smith data (:attr:`NormalizedCoset.torsion`), off
-which its component count and its number of d-torsion points, a closed
-form in d, are read.  A coset that many counts share computes them once.
+One made by the Hermite kernel is filled in by it, with no second pass:
+its fields, real dimension, hash and the rows of ``(H | nums)`` by pivot
+column (:attr:`NormalizedCoset.basis`), which the next meet inserts into.
+Compiling is a property of the coset: on first use those rows give its
+Smith data (:attr:`NormalizedCoset.torsion`), off which its component
+count and its number of d-torsion points, a closed form in d, are read.
+A coset that many counts share computes them once.
 H is in Hermite form, so the entries above each pivot lie in [0, pivot):
 a pivot of 1 has a unit-vector column, and its row splits off as Smith
 pivot 1, which asks nothing of d.  Only the rows with pivot above 1 are
@@ -387,8 +388,10 @@ def _insert(basis: dict[int, Row], row: Row, modulus: int) -> int:
 def _hermite(width: int, basis: dict[int, Row], modulus: int) -> "NormalizedCoset":
     """The canonical form of an inserted basis: rows in pivot order, positive
     pivots, entries above each pivot reduced into [0, pivot), and the
-    right-hand side over its exact order.  The coset keeps the rows of
-    (H | nums) by pivot column as its :attr:`NormalizedCoset.basis`."""
+    right-hand side over its exact order.  One pass over the reduced rows
+    builds the rows of (H | nums), of H and nums; the coset is filled in
+    directly, with its :attr:`NormalizedCoset.basis` (the rows of (H | nums)
+    by pivot column), its real dimension and its hash."""
     cols = sorted(basis)
     rows = [basis[c] for c in cols]
     for i, c in enumerate(cols):
@@ -400,13 +403,19 @@ def _hermite(width: int, basis: dict[int, Row], modulus: int) -> "NormalizedCose
             q = rows[j][c] // p
             if q:
                 rows[j] = [a - q * b for a, b in zip(rows[j], r)]
-    nums = [r[width] % modulus for r in rows]
-    # a row that came through unchanged is already (H_i | nums_i)
-    aug = [r if type(r) is tuple and r[width] == m else (*r[:width], m) for r, m in zip(rows, nums)]
-    fields = (width, tuple([r[:width] for r in aug]), tuple(nums), modulus)
-    nc = NormalizedCoset(*fields)
-    # fill the cached properties with what this pass already has
-    vars(nc).update(basis=dict(zip(cols, aug)), _hash=hash(fields))
+    aug, h_rows, nums = {}, [], []
+    for c, r in zip(cols, rows):
+        m = r[width] % modulus
+        if type(r) is not tuple or r[width] != m:  # a row that came through unchanged is kept
+            r = (*r[:width], m)
+        aug[c] = r
+        h_rows.append(r[:width])
+        nums.append(m)
+    h_rows, nums = tuple(h_rows), tuple(nums)
+    nc = object.__new__(NormalizedCoset)
+    object.__setattr__(nc, "__dict__", {
+        "ambient_dim": width, "rows": h_rows, "nums": nums, "order": modulus, "dim": width - len(rows),
+        "basis": aug, "_hash": hash((width, h_rows, nums, modulus))})
     return nc
 
 
@@ -546,19 +555,21 @@ class NormalizedCoset:
         """The normalized intersection, or None when it is empty.
 
         The rows of ``other`` are inserted into the rows of ``self`` over the
-        lcm of their orders; when every one of them is implied by ``self``,
-        the meet is ``self`` itself.
+        lcm of their orders, rescaled only when the orders differ; when every
+        one of them is implied by ``self``, the meet is ``self`` itself.
         """
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("cannot intersect cosets of different ambient dimension")
-        modulus = math.lcm(self.order, other.order)
-        scale = modulus // self.order
-        basis = dict(self.basis) if scale == 1 else \
-            {c: (*r[:-1], r[-1] * scale) for c, r in self.basis.items()}
-        scale = modulus // other.order
+        if self.order == other.order:
+            modulus, basis, rows = self.order, dict(self.basis), other.basis.values()
+        else:
+            modulus = math.lcm(self.order, other.order)
+            s, t = modulus // self.order, modulus // other.order
+            basis = {c: (*r[:-1], r[-1] * s) if s > 1 else r for c, r in self.basis.items()}
+            rows = [(*r[:-1], r[-1] * t) if t > 1 else r for r in other.basis.values()]
         added = False
-        for r in other.basis.values():
-            outcome = _insert(basis, r if scale == 1 else (*r[:-1], r[-1] * scale), modulus)
+        for r in rows:
+            outcome = _insert(basis, r, modulus)
             if outcome == _EMPTY:
                 return None
             added = added or outcome == _ADDED

@@ -26,7 +26,7 @@ from jumploci.catalog import DEFAULT_INSTANCES
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_union
 from jumploci.torus import NormalizedCoset, snf
 from gen import random_connected_coset, random_coset, random_nonempty_coset, random_rank_function
-from oracles import brute_force_torsion_count, per_term_count
+from oracles import brute_force_rank_sum, brute_force_torsion_count, per_term_count
 
 
 def _count_mod(width, rows, rhs, modulus):
@@ -542,7 +542,8 @@ def _classes(table):
 class TestClassEvaluation:
     """CountTable.values, one divisibility test per class of (order, torsion)
     and one power per exponent, against the sum over each column's terms one
-    by one (oracles.per_term_count)."""
+    by one (oracles.per_term_count); and each form's own count against its
+    one-column table."""
 
     @staticmethod
     def _check(*forms):
@@ -550,7 +551,8 @@ class TestClassEvaluation:
         for d in CLASS_DS:
             assert table.values(d) == [per_term_count(form, d) for form in forms]
         for form in forms:
-            assert [form.count(d) for d in CLASS_DS] == [per_term_count(form, d) for d in CLASS_DS]
+            column = CountTable.of([form])
+            assert [form.count(d) for d in CLASS_DS] == [column.values(d)[0] for d in CLASS_DS]
         return _classes(table)
 
     def test_catalog_forms_are_one_polynomial(self):
@@ -641,3 +643,43 @@ class TestClassEvaluation:
         for nc in (point, line, *(nc for _, nc in form.terms)):
             with pytest.raises(ValueError, match="d must be positive"):
                 nc.count(d)
+
+
+class TestTermByTermCount:
+    """CountForm.count reads its terms one by one: it equals the form merged
+    into a one-column CountTable at every d of CLASS_DS, and a brute-force
+    count wherever the d-torsion grid is small."""
+
+    @staticmethod
+    def _check(form, brute_force, grid_cap):
+        column = CountTable.of([form])
+        for d in CLASS_DS:
+            assert form.count(d) == column.values(d)[0], d
+        small = [d for d in range(1, 13) if d ** form.ambient_dim <= grid_cap]
+        assert len(small) >= 2
+        for d in small:
+            assert form.count(d) == brute_force(d), d
+
+    def test_seeded_unions(self):
+        rng = random.Random(2326)
+        translated = 0
+        for n in (3, 4, 6):
+            for _ in range(8):
+                comps = [_sparse_translated_coset(rng, n, rng.choice((1, 2)))
+                         for _ in range(rng.randint(2, 6))]
+                normalized = [nc for nc in (c.normalize() for c in comps) if nc is not None]
+                form = CountForm.of(n, 0, [(nc, 1) for nc in normalized])
+                translated += any(nc.order > 1 for _, nc in form.terms)
+                self._check(form, lambda d: brute_force_torsion_count(comps, d), 4096)
+        assert translated > 10
+
+    def test_random_rank_functions(self):
+        rng = random.Random(2327)
+        orders = []
+        for n in (1, 2, 3, 4):
+            for _ in range(12):
+                rf = random_rank_function(rng, n)
+                form = rf.count_form(DEFAULT_COMPONENT_BUDGET)
+                orders += [nc.order for _, nc in form.terms]
+                self._check(form, lambda d: brute_force_rank_sum(rf, d), 256)
+        assert len(orders) > 20 and {2, 3} <= set(orders)

@@ -69,10 +69,12 @@ class TestSmithForm:
         # off the minors, and row i of U·A is s_i times an integer row (zero
         # past the rank), so U·A = S·W with W integral; equal determinantal
         # divisors then make W unimodular, i.e. U·A·V = S for V = W^(-1)
+        # up to 6 rows and 7 columns, the blocks (H | nums) of a union count
+        # in (R/Z)^6 that reach a Smith pass
         rng = random.Random(1905)
         for _ in range(120):
-            k = rng.randint(1, 4)
-            n = rng.randint(1, 4)
+            k = rng.randint(1, 6)
+            n = rng.randint(1, 7)
             a = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(k))
             rows = snf(_carry(a, _eye(k)), n)
             s = tuple(r[:n] for r in rows)
@@ -389,6 +391,12 @@ class TestNormalizedCosetFields:
             assert all(type(m) is int for m in nc.nums)
             # the Fraction translate round-trips through a congruence system
             assert CongruenceCoset(nc.ambient_dim, nc.rows, nc.rhs).normalize() == nc
+            # what the Hermite pass fills in is what the four fields give
+            fresh = NormalizedCoset(nc.ambient_dim, nc.rows, nc.nums, nc.order)
+            assert (nc.dim, nc.basis, nc._hash) == (fresh.dim, fresh.basis, fresh._hash)
+            assert all(type(r) is tuple and all(type(a) is int for a in r) for r in nc.basis.values())
+            assert type(nc.rows) is tuple and all(type(r) is tuple for r in nc.rows)
+            assert type(nc.nums) is tuple
 
     def test_negation(self):
         rng = random.Random(1729)

@@ -31,6 +31,7 @@ from jumploci import (
     pluri_limit,
     sheaf_rank_on_cover,
     symbolic_limit,
+    validate_model,
     VarietyModel,
 )
 from jumploci import cli, counting, torus, tower
@@ -305,6 +306,18 @@ class TestPlurigenera:
         assert plurigenera_cover(model, 3, 2) == 9 * 7
         assert pluri_limit(model, 2).value == 7
 
+    @pytest.mark.parametrize("q_base", [2, -1])
+    def test_q_base_outside_the_torus_is_refused(self, q_base):
+        # the locus block of 2·q_base coordinates does not fit a g = 1 torus:
+        # q_base = 2 read as the full torus (d^2) and q_base = -1 as the
+        # origin (1), since the pins at coordinates -2 and -1 alias 0 and 1
+        base = builtin("abelian", g=1).model
+        model = dataclasses.replace(base, pluri=PluriData(q_base, (TorusPoint.zero(2),), {2: 1}, {}))
+        for read in (lambda: model.plurigenera, lambda: plurigenera_cover(model, 2, 2)):
+            with pytest.raises(ValueError, match=rf"^q_base {q_base} lies outside \[0, g\] = \[0, 1\]$"):
+                read()
+        assert any("Iitaka-base irregularity" in f.message for f in validate_model(model).errors)
+
     def test_point_locus_stays_constant(self):
         model = builtin("abelian", g=2).model
         for d in range(1, 5):
@@ -459,14 +472,17 @@ class TestCoverInvariants:
         expected = {d: (hodge_numbers_cover(model, d),
                         {m: plurigenera_cover(model, d, m) for m in pluri_ms}) for d in (1, 2, 3)}
         values = count_calls(monkeypatch, (counting.CountTable, "values"))
+        counts = count_calls(monkeypatch, (counting.CountForm, "count"))
         forms = count_calls(monkeypatch, (RankFunction, "count_form"))
         for d in (1, 2, 3):
             values.clear()
+            counts.clear()
             forms.clear()
             inv = cover_invariants(model, d, pluri_ms)
-            # one evaluation for the grid, one per plurigenus exponent m >= 2
-            assert len(values) == len(pluri_ms)
-            assert len(forms) == len(pluri_ms) - 1
+            # one table evaluation for the grid, one form count per
+            # plurigenus exponent m >= 2
+            assert len(values) == 1
+            assert len(counts) == len(forms) == len(pluri_ms) - 1
             assert (inv.hodge, inv.pluri) == expected[d]
             assert inv.pluri[1] == inv.hodge[model.n][0]
 
