@@ -30,9 +30,12 @@ data, 0 or Π gcd(s, d).  A single form (a union, a sheaf slot, a
 plurigenus) is counted term by term (:meth:`CountForm.count`).  Forms read
 together at every cover are merged once into a :class:`CountTable`, one
 column per form, keyed by that class: each class maps each exponent to
-the summed coefficients of its terms, column by column.  Every d runs one
-gate per class and one power of d per distinct exponent, then adds
-gate·c·d^e into the columns.  A model's whole grid is one table
+the summed coefficients of its terms, column by column.  The class
+(1, ()) at exponent 0 does not depend on d, so it is summed once into a
+constant per column.  Every d starts from those constants, runs one gate
+per other class and one power of d per distinct exponent, then adds
+gate·c·d^e into the columns.  Every number a model's cover reports (the
+grid, the Betti numbers and d^(2g)) is one table
 (:meth:`~jumploci.model.VarietyModel.hodge_table`).  The limit is class
 (1, ()), whose gate is 1; the catalog's forms have no other class.
 """
@@ -144,12 +147,22 @@ class CountForm:
 
     def count(self, d: int) -> int:
         """h summed over the points of order dividing d, term by term:
-        limit·d^N plus each coefficient times its term's closed-form count
-        (:meth:`NormalizedCoset.count`).  A form read once is cheaper this
-        way than merged into a :class:`CountTable` first."""
+        limit·d^N plus each coefficient times its term's closed-form count,
+        d^dim times its :func:`~jumploci.torus.torsion_gate`, with one power
+        per distinct exponent.  A form read once is cheaper this way than
+        merged into a :class:`CountTable` first."""
         if d < 1:
             raise ValueError("d must be positive")
-        return self.limit * d ** self.ambient_dim + sum(c * nc.count(d) for c, nc in self.terms)
+        total = self.limit * d ** self.ambient_dim if self.limit else 0
+        powers = {}
+        for c, nc in self.terms:
+            gate = torsion_gate(nc.order, nc.torsion, d)
+            if gate:
+                power = powers.get(nc.dim)
+                if power is None:
+                    power = powers[nc.dim] = d ** nc.dim
+                total += c * gate * power
+        return total
 
     @property
     def polynomial(self) -> dict[int, int]:
@@ -190,13 +203,15 @@ class CountForm:
 class CountTable:
     """Count forms merged by divisibility class, one column per form.
 
-    ``classes`` holds (order, torsion, ((exponent, ((column, coefficient),
-    ...)), ...)): the summed coefficients of the terms of that class and
-    exponent, zero entries, exponents and classes dropped.  A form's limit
-    is class (1, ()) at exponent N.
+    ``constants`` holds each column's coefficient of class (1, ()) at
+    exponent 0, the part of its count that no d changes, summed once here.
+    ``classes`` holds the rest as (order, torsion, ((exponent, ((column,
+    coefficient), ...)), ...)): the summed coefficients of the terms of that
+    class and exponent, zero entries, exponents and classes dropped.  A
+    form's limit is class (1, ()) at exponent N.
     """
 
-    width: int
+    constants: tuple[int, ...]
     classes: tuple[tuple[int, tuple[tuple[int, int], ...],
                          tuple[tuple[int, tuple[tuple[int, int], ...]], ...]], ...]
 
@@ -209,6 +224,9 @@ class CountTable:
             for order, torsion, e, c in terms:
                 vector = grouped.setdefault((order, torsion), {}).setdefault(e, {})
                 vector[column] = vector.get(column, 0) + c
+        constants = [0] * len(forms)
+        for column, c in grouped.get((1, ()), {}).pop(0, {}).items():
+            constants[column] = c
         classes = []
         for (order, torsion), by_exponent in grouped.items():
             exponents = []
@@ -218,15 +236,20 @@ class CountTable:
                     exponents.append((e, entries))
             if exponents:
                 classes.append((order, torsion, tuple(exponents)))
-        return cls(len(forms), tuple(classes))
+        return cls(tuple(constants), tuple(classes))
+
+    @property
+    def width(self) -> int:
+        """The number of columns."""
+        return len(self.constants)
 
     def values(self, d: int) -> list[int]:
-        """Every column's count at d: one divisibility test per class with a
-        translate order or Smith data, one power per distinct exponent of d,
-        then gate·c·d^e added into each column."""
+        """Every column's count at d: its constant, then one divisibility
+        test per class with a translate order or Smith data, one power per
+        distinct exponent of d, and gate·c·d^e added into each column."""
         if d < 1:
             raise ValueError("d must be positive")
-        out = [0] * self.width
+        out = list(self.constants)
         powers = {0: 1}
         for order, torsion, exponents in self.classes:
             gate = torsion_gate(order, torsion, d) if order > 1 or torsion else 1

@@ -12,9 +12,10 @@ the Albanese map (from which the defect of semismallness is computed),
 optional plurigenus data for the pluricanonical series, and optional extra
 named sheaf slots; construction checks its shape, and :func:`validate_model`
 its content.  Everything that does not depend on the cover is kept
-on the model once built: the grid's count forms compiled into one count
-table (:meth:`VarietyModel.hodge_table`) that every cover and every decay
-fit reads, the rows' Euler characteristics (:attr:`VarietyModel.chi_p`,
+on the model once built: the grid's count forms and the Betti numbers'
+merged forms compiled into one count table
+(:meth:`VarietyModel.hodge_table`) that every cover and every decay fit
+reads, the rows' Euler characteristics (:attr:`VarietyModel.chi_p`,
 :attr:`VarietyModel.chi_top`) that the tower and the L² report read, and
 the rank functions of ω^m (:attr:`VarietyModel.plurigenera`).
 """
@@ -171,9 +172,10 @@ class PluriData:
 @dataclass(frozen=True)
 class VarietyModel:
     """n, irregularity g, the (n+1)x(n+1) grid of rank functions, and extras.
-    Construction refuses an n or g that is not an integer (TypeError) or is
-    negative (ValueError), a grid of another shape, and a grid entry, sheaf
-    slot or pluricanonical translate outside the 2g-torus (DimensionMismatch)."""
+    Construction refuses an n, g or defect-stratum entry that is not an
+    integer (TypeError), an n or g that is negative (ValueError), a grid of
+    another shape, and a grid entry, sheaf slot or pluricanonical translate
+    outside the 2g-torus (DimensionMismatch)."""
 
     n: int
     g: int
@@ -188,6 +190,9 @@ class VarietyModel:
         if type(self.n) is not int or type(self.g) is not int:
             object.__setattr__(self, "n", _to_int(self.n))
             object.__setattr__(self, "g", _to_int(self.g))
+        if not {int}.issuperset(map(type, chain(*self.defect_strata))):
+            object.__setattr__(self, "defect_strata", tuple((_to_int(l), _to_int(dim))
+                                                            for l, dim in self.defect_strata))
         n, dim = self.n, self.torus_dim
         if n < 0 or dim < 0:
             raise ValueError("dimension and irregularity must be nonnegative")
@@ -212,31 +217,39 @@ class VarietyModel:
         return tuple(rf._strata_above_limit for row in self.hodge for rf in row)
 
     @cached_property
+    def _most_strata(self) -> int:
+        """The largest of :attr:`_strata_counts`."""
+        return max(self._strata_counts)
+
+    @cached_property
     def _hodge_table(self) -> CountTable:
+        n, dim = self.n, self.torus_dim
         forms = [rf._count_form for row in self.hodge for rf in row]
-        forms.append(CountForm(self.torus_dim, 1, ()))
+        for k in range(2 * n + 1):
+            diagonal = [self.hodge[p][k - p]._count_form for p in range(max(0, k - n), min(k, n) + 1)]
+            forms.append(CountForm(dim, sum(form.limit for form in diagonal),
+                                   tuple(chain.from_iterable(form.terms for form in diagonal))))
+        forms.append(CountForm(dim, 1, ()))
         return CountTable.of(forms)
 
     def hodge_table(self, budget: int) -> CountTable:
-        """Every grid entry's count form in one table, built on first use
-        and kept: a column per entry, row-major (:meth:`grid` slices the
-        rows out of its values), then one for d^(2g), the form of limit 1
-        and no terms.  The budget caps the strata above the limit of each
-        entry; it is checked on every call, and the first entry over it,
-        row-major, raises before any form is built."""
-        counts = self._strata_counts
-        if counts and max(counts) > budget:
-            for strata in counts:
+        """Every number a cover reports in one table, built on first use and
+        kept: a column per grid entry, row-major (:meth:`grid` slices the
+        rows out of its values), then one per Betti number b_0 … b_2n (the
+        merged form of the entries with p + q = k), then one for d^(2g), the
+        form of limit 1 and no terms.  The budget caps the strata above the
+        limit of each entry; it is checked on every call against the largest
+        such count, and the first entry over it, row-major, raises before
+        any form is built."""
+        if self._most_strata > budget:
+            for strata in self._strata_counts:
                 check_budget(strata, budget)
         return self._hodge_table
 
     def grid(self, values: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """The grid of one evaluation of :meth:`hodge_table`."""
-        rows, start = [], 0
-        for row in self.hodge:
-            rows.append(tuple(values[start:start + len(row)]))
-            start += len(row)
-        return tuple(rows)
+        w = self.n + 1
+        return tuple([tuple(values[i:i + w]) for i in range(0, w * w, w)])
 
     @cached_property
     def plurigenera(self) -> Mapping[int, RankFunction]:
@@ -379,10 +392,10 @@ def validate_model(model: VarietyModel) -> ValidationReport:
         """The findings on a grid entry or a sheaf slot, named ``place``; a
         finding on the whole function opens with ``kind`` before it."""
         if rf.generic_value < 0:
-            err(f"{kind}{place} has negative generic value {rf.generic_value}")
+            err(f"{kind}{place} has negative generic value {shown_int(rf.generic_value)}")
         for idx, ((_, value), nc) in enumerate(zip(rf.strata, rf.normalized_strata)):
             if value <= rf.generic_value:
-                err(f"stratum {idx} of {place} has value {value} not above the generic {rf.generic_value}")
+                err(f"stratum {idx} of {place} has value {shown_int(value)} not above the generic {shown_int(rf.generic_value)}")
             if nc is None:
                 warn(f"stratum {idx} of {place} is empty and unreachable")
             else:
@@ -394,7 +407,7 @@ def validate_model(model: VarietyModel) -> ValidationReport:
         for (nca, va), (ncb, vb) in combinations(rf.effective_strata(), 2):
             meet = nca.meet(ncb) if va != vb else None
             if meet is not None and meet != nca and meet != ncb:
-                warn(f"strata of {place} with values {va} and {vb} overlap partially; "
+                warn(f"strata of {place} with values {shown_int(va)} and {shown_int(vb)} overlap partially; "
                      "ranks on the overlap follow the max rule")
 
     n, g = model.n, model.g
@@ -405,7 +418,7 @@ def validate_model(model: VarietyModel) -> ValidationReport:
     if model.hodge[0][0].rank_at(origin) != 1:
         err("the (0,0) rank at the origin must be 1")
     if n >= 1 and model.hodge[1][0].rank_at(origin) != g:
-        warn(f"the (1,0) rank at the origin is {model.hodge[1][0].rank_at(origin)}, "
+        warn(f"the (1,0) rank at the origin is {shown_int(model.hodge[1][0].rank_at(origin))}, "
              f"not the irregularity {g}; the model does not present its own Albanese torus")
     if n == 0 and g > 0:
         warn(f"a point's Albanese torus is trivial, not of irregularity {g}; "
@@ -418,16 +431,16 @@ def validate_model(model: VarietyModel) -> ValidationReport:
         delta = None
     if delta is not None:
         if delta < 0:
-            err(f"the stratification implies a negative defect {delta}, which no morphism attains")
+            err(f"the stratification implies a negative defect {shown_int(delta)}, which no morphism attains")
         for l, dim in model.defect_strata:
             if l < 0 or dim < 0:
-                err(f"stratum ({l},{dim}) has negative entries")
+                err(f"stratum ({shown_int(l)},{shown_int(dim)}) has negative entries")
             elif l + dim > n:
-                err(f"stratum ({l},{dim}) cannot fit in a variety of dimension {n}")
+                err(f"stratum ({shown_int(l)},{shown_int(dim)}) cannot fit in a variety of dimension {n}")
             elif dim > g:
-                err(f"stratum ({l},{dim}) exceeds the Albanese dimension {g}")
+                err(f"stratum ({shown_int(l)},{shown_int(dim)}) exceeds the Albanese dimension {g}")
         if model.semismall and delta != 0:
-            err(f"the model is flagged semismall but its defect is {delta}")
+            err(f"the model is flagged semismall but its defect is {shown_int(delta)}")
 
     if model.semismall:
         for p, q in model.hodge_pairs():
@@ -437,22 +450,22 @@ def validate_model(model: VarietyModel) -> ValidationReport:
 
     if model.pluri is not None:
         if not (0 <= model.pluri.q_base <= g):
-            err(f"the Iitaka-base irregularity {model.pluri.q_base} must lie in [0, {g}]")
+            err(f"the Iitaka-base irregularity {shown_int(model.pluri.q_base)} must lie in [0, {g}]")
         for table, what in ((model.pluri.values, "plurigenus value"),
                             (model.pluri.generic_values, "generic plurigenus value")):
             for m, v in table.items():
                 if v < 0:
-                    err(f"{what} {v} for m = {m} is negative")
+                    err(f"{what} {shown_int(v)} for m = {shown_int(m)} is negative")
         for m, v in model.pluri.values.items():
             if m < 2:
-                err(f"plurigenus data for m = {m}; only m >= 2 belongs here")
+                err(f"plurigenus data for m = {shown_int(m)}; only m >= 2 belongs here")
             gv = model.pluri.generic_values.get(m, 0)
             if gv > v:
-                err(f"generic plurigenus value {gv} exceeds the locus value {v} for m = {m}")
+                err(f"generic plurigenus value {shown_int(gv)} exceeds the locus value {shown_int(v)} for m = {shown_int(m)}")
             if 2 * model.pluri.q_base == model.torus_dim and gv != v:
-                err(f"for a full-torus pluricanonical locus the generic and locus values must agree (m = {m})")
+                err(f"for a full-torus pluricanonical locus the generic and locus values must agree (m = {shown_int(m)})")
             if model.pluri.q_base < g and gv:
-                err(f"the pluricanonical locus is proper (q_base < g), so its generic value for m = {m} must be 0")
+                err(f"the pluricanonical locus is proper (q_base < g), so its generic value for m = {shown_int(m)} must be 0")
 
     for name, rfs in sorted(model.sheaves.items()):
         for i, rf in enumerate(rfs):
@@ -470,7 +483,7 @@ def validate_model(model: VarietyModel) -> ValidationReport:
                 continue
             if t is not None:
                 warn(f"ranks at ({p},{q}) and ({pd},{qd}) are not Serre-symmetric: "
-                     f"{{h^({p},{q}) >= {t}}} and -{{h^({pd},{qd}) >= {t}}} differ")
+                     f"{{h^({p},{q}) >= {shown_int(t)}}} and -{{h^({pd},{qd}) >= {shown_int(t)}}} differ")
 
     table = {
         p: frozenset(q for q in range(n + 1) if model.hodge[p][q].is_proper())

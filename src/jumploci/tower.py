@@ -10,13 +10,14 @@ torsion counts, one divisibility test per class of terms.  This keeps
 every invariant computable for d with d^(2g) far beyond machine range.
 
 Everything that does not depend on d is kept off the per-cover path.  The
-model compiles its grid once into one count table
-(:meth:`VarietyModel.hodge_table`), with a last column for d^(2g), and
-keeps the rows' Euler characteristics (:attr:`VarietyModel.chi_p`).
-:func:`hodge_numbers_cover` and :func:`cover_invariants` read the whole
-grid from one evaluation of that table per cover; the Betti numbers are
-summed from it and P_1 is its (n,0) entry.  Only P_m for m >= 2 (the
-model's :attr:`VarietyModel.plurigenera`) and the sheaf slots read their own forms.
+model compiles every number a cover reports once into one count table
+(:meth:`VarietyModel.hodge_table`): a column per grid entry, one per Betti
+number (the merged form of its anti-diagonal) and a last one for d^(2g);
+it also keeps the rows' Euler characteristics (:attr:`VarietyModel.chi_p`).
+:func:`hodge_numbers_cover` and :func:`cover_invariants` read one
+evaluation of that table per cover; q is its (0,1) entry and P_1 its (n,0)
+entry.  Only P_m for m >= 2 (the model's :attr:`VarietyModel.plurigenera`)
+and the sheaf slots read their own forms.
 
 Every invariant is a sum of rank functions (:func:`summands`), so its
 limit as value / d^(2g) is the sum of their limits: proper loci contribute
@@ -148,27 +149,20 @@ def pluri_bound_constant(model: VarietyModel, m: int) -> int:
 
 def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
                      *, budget: int = DEFAULT_COMPONENT_BUDGET) -> CoverInvariants:
-    """Every invariant of X_d from one evaluation of the model's table: the
-    grid, deg (its last column), the Betti numbers summed from the grid and
-    P_1 = h^(n,0) read off it; only P_m for m >= 2 has forms of its own."""
+    """Every invariant of X_d read off one evaluation of the model's table:
+    the grid from its first (n+1)^2 columns, the Betti numbers from the next
+    2n+1, deg from the last, q = h^(0,1) and P_1 = h^(n,0) from the grid;
+    only P_m for m >= 2 has forms of its own."""
     values = model.hodge_table(budget).values(d)
     grid = model.grid(values)
-    betti = [0] * (2 * model.n + 1)
-    for p, row in enumerate(grid):
-        for q, h in enumerate(row):
-            betti[p + q] += h
-    pluri = {m: grid[model.n][0] if m == 1 else plurigenera_cover(model, d, m, budget=budget)
-             for m in pluri_ms}
-    return CoverInvariants(
-        d=d,
-        deg=values[-1],
-        hodge=grid,
-        betti=tuple(betti),
-        q=grid[0][1] if model.n else 0,
-        chi_p=model.chi_p,
-        chi_top=model.chi_top,
-        pluri=pluri,
-    )
+    n = model.n
+    inv = object.__new__(CoverInvariants)  # frozen: fill the fields in one step
+    object.__setattr__(inv, "__dict__", {
+        "d": d, "deg": values[-1], "hodge": grid, "betti": tuple(values[(n + 1) ** 2:-1]),
+        "q": grid[0][1] if n else 0, "chi_p": model.chi_p, "chi_top": model.chi_top,
+        "pluri": {m: grid[n][0] if m == 1 else plurigenera_cover(model, d, m, budget=budget)
+                  for m in pluri_ms}})
+    return inv
 
 
 def normalized_sequence(model: VarietyModel, selector: Selector, d_range: Iterable[int],

@@ -1,4 +1,4 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and a catalog sweep shared by the test modules."""
 
 from __future__ import annotations
 
@@ -6,6 +6,19 @@ import random
 from fractions import Fraction
 
 from jumploci import CongruenceCoset, RankFunction, Stratum, TorusPoint
+
+# small members of every catalog family with parameters, beyond the defaults
+CATALOG_SWEEP = (
+    ("abelian", {"g": 1}),
+    ("nondeg_line_bundle", {"g": 1, "p": 0, "chi0": 1}),
+    ("nondeg_line_bundle", {"g": 1, "p": 1, "chi0": 2}),
+    ("nondeg_line_bundle", {"g": 2, "p": 2, "chi0": 1}),
+    ("blowup_abelian_codim", {"g": 1, "c": 1}),
+    ("blowup_abelian_codim", {"g": 2, "c": 1}),
+    ("blowup_abelian_codim", {"g": 2, "c": 2}),
+    ("elliptic_surface_qI0", {"genus": 2, "chi": 2}),
+    ("elliptic_surface_qI0", {"genus": 2, "chi": 3}),
+)
 
 
 def random_fraction(rng: random.Random, max_den: int = 6) -> Fraction:

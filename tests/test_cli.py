@@ -516,3 +516,17 @@ class TestFileTextIsEchoedShort:
         assert "x" * (ECHO_CHARS + 1) not in captured.err
         if "9" * 5000 in text:  # past the interpreter's digit cap: the message names the file
             assert captured.err == f"error: {path} holds an integer with too many digits to read\n"
+
+    def test_validation_quotes_a_long_model_integer_short(self, tmp_path, capsys):
+        # a 4000-digit q_base reads (below the interpreter's digit cap) and
+        # fails validation: its finding quotes ECHO_CHARS digits, not 4000
+        blob = json.loads(jumploci.dumps_model(builtin("elliptic_surface_qI0", genus=2, chi=1).model))
+        blob["pluri"]["q_base"] = int("9" * 4000)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(blob))
+        assert main(["validate", "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        lines = [line for line in captured.out.splitlines() if "Iitaka-base" in line]
+        assert lines == [f"error: the Iitaka-base irregularity {'9' * ECHO_CHARS}... must lie in [0, 2]"]
+        assert len(lines[0].encode()) < 300
+        assert captured.out.endswith("model rejected\n")

@@ -598,15 +598,27 @@ class TestClassEvaluation:
         assert table.classes == ((2, (), ((1, ((0, 3), (1, -3))),)),)
         assert table.values(4) == [12, -12] and table.values(3) == [0, 0]
 
+    @staticmethod
+    def _check_hodge_table(model):
+        """Every column of the model's table against per_term_count: the grid
+        row-major, then b_0 … b_2n as sums over their anti-diagonals, then
+        d^(2g)."""
+        n = model.n
+        table = model.hodge_table(DEFAULT_COMPONENT_BUDGET)
+        assert table.width == (n + 1) ** 2 + (2 * n + 1) + 1
+        forms = [[rf.count_form(DEFAULT_COMPONENT_BUDGET) for rf in row] for row in model.hodge]
+        for d in CLASS_DS:
+            grid = tuple(tuple(per_term_count(form, d) for form in row) for row in forms)
+            betti = [sum(per_term_count(forms[p][k - p], d) for p in range(n + 1) if 0 <= k - p <= n)
+                     for k in range(2 * n + 1)]
+            values = table.values(d)
+            assert values == [h for row in grid for h in row] + betti + [d ** model.torus_dim], d
+            assert model.grid(values) == grid
+        return _classes(table)
+
     def test_hodge_table_columns_on_catalog_grids(self):
         for name, params in DEFAULT_INSTANCES:
-            model = builtin(name, **params).model
-            table = model.hodge_table(DEFAULT_COMPONENT_BUDGET)
-            forms = [rf.count_form(DEFAULT_COMPONENT_BUDGET) for row in model.hodge for rf in row]
-            forms.append(CountForm(model.torus_dim, 1, ()))
-            assert table.width == len(forms)
-            for d in CLASS_DS:
-                assert table.values(d) == [per_term_count(form, d) for form in forms], (name, d)
+            self._check_hodge_table(builtin(name, **params).model)
 
     def test_hodge_table_columns_on_random_models(self):
         # translates of denominator up to 4 give classes of order 2, 3 and 4
@@ -616,18 +628,16 @@ class TestClassEvaluation:
             n, g = rng.choice((1, 2)), rng.choice((1, 2))
             grid = tuple(tuple(random_rank_function(rng, 2 * g) for _ in range(n + 1))
                          for _ in range(n + 1))
-            model = VarietyModel(n=n, g=g, hodge=grid, defect_strata=())
-            table = model.hodge_table(DEFAULT_COMPONENT_BUDGET)
-            forms = [rf.count_form(DEFAULT_COMPONENT_BUDGET) for row in grid for rf in row]
-            forms.append(CountForm(2 * g, 1, ()))
-            for d in CLASS_DS:
-                values = table.values(d)
-                assert values == [per_term_count(form, d) for form in forms]
-                assert model.grid(values) == tuple(tuple(per_term_count(rf.count_form(DEFAULT_COMPONENT_BUDGET), d) for rf in row)
-                                                   for row in grid)
-            seen |= _classes(table)
+            seen |= self._check_hodge_table(VarietyModel(n=n, g=g, hodge=grid, defect_strata=()))
         assert {2, 3} <= {order for order, _ in seen}
         assert any(torsion for _, torsion in seen)
+
+    def test_hodge_table_of_a_point(self):
+        # n = 0: one Betti column, b_0 = h^(0,0)
+        rf = RankFunction(2, 1, (Stratum(CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), 0])), 3),))
+        model = VarietyModel(n=0, g=1, hodge=((rf,),), defect_strata=((0, 0),))
+        self._check_hodge_table(model)
+        assert model.hodge_table(DEFAULT_COMPONENT_BUDGET).values(4) == [16 + 2, 16 + 2, 16]
 
     @pytest.mark.parametrize("d", [0, -1, -2])
     def test_nonpositive_d_rejected(self, d):

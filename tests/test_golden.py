@@ -22,21 +22,10 @@ import pytest
 
 from jumploci import builtin, cli, save_model
 from jumploci.catalog import DEFAULT_INSTANCES
+from gen import CATALOG_SWEEP
 
 TABLE = Path(__file__).with_name("golden.json")
 
-# small members of every catalog family with parameters, beyond the defaults
-CATALOG_SWEEP = (
-    ("abelian", {"g": 1}),
-    ("nondeg_line_bundle", {"g": 1, "p": 0, "chi0": 1}),
-    ("nondeg_line_bundle", {"g": 1, "p": 1, "chi0": 2}),
-    ("nondeg_line_bundle", {"g": 2, "p": 2, "chi0": 1}),
-    ("blowup_abelian_codim", {"g": 1, "c": 1}),
-    ("blowup_abelian_codim", {"g": 2, "c": 1}),
-    ("blowup_abelian_codim", {"g": 2, "c": 2}),
-    ("elliptic_surface_qI0", {"genus": 2, "chi": 2}),
-    ("elliptic_surface_qI0", {"genus": 2, "chi": 3}),
-)
 INSTANCES = tuple(DEFAULT_INSTANCES) + CATALOG_SWEEP
 COUNT_DS = "1,2,3,5,12,1000000007"
 LOCUS_DS = "1,2,3,4,6,1000000007"

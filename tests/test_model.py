@@ -29,6 +29,7 @@ from jumploci import (
     validate_model,
 )
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
+from jumploci.errors import ECHO_CHARS
 from jumploci.model import _serre_mismatch
 from jumploci.tower import sheaf_rank_on_cover
 from gen import random_point
@@ -148,6 +149,14 @@ class TestValueTypes:
                 dataclasses.replace(base, **change)
         assert dataclasses.replace(base, n=Fraction(1), g=Decimal(1)) == base
 
+    def test_model_refuses_non_integral_defect_strata(self):
+        base = builtin("abelian", g=1).model
+        for bad in (((0, 1.0),), ((Fraction(1, 2), 1),), ((0, "1"),)):
+            with pytest.raises(TypeError):
+                dataclasses.replace(base, defect_strata=bad)
+        model = dataclasses.replace(base, defect_strata=((Fraction(0), Decimal(1)),))
+        assert model == base and [type(x) for x in model.defect_strata[0]] == [int, int]
+
     def test_model_refuses_a_malformed_shape(self):
         # each of these used to build, and a library reader met the shape
         # later: a count in the wrong torus, an IndexError, or ignored coordinates
@@ -202,6 +211,36 @@ class TestValidation:
             "plurigenus value -2 for m = 2 is negative",
             "generic plurigenus value -2 for m = 2 is negative",
             "generic plurigenus value -1 for m = 3 is negative"]
+
+    def test_huge_model_integers_are_quoted_short(self):
+        # str() refuses an int past the interpreter's digit cap (4300 by
+        # default): validation reported with a ValueError, or quoted in full
+        huge = 10 ** 5000 - 1
+        cut, neg = "9" * ECHO_CHARS + "...", "-" + "9" * (ECHO_CHARS - 1) + "..."
+        base = builtin("elliptic_surface_qI0", genus=2, chi=1).model
+        pluri = PluriData(huge, base.pluri.translates, {2: huge, 3: -huge}, {2: huge + 1, 4: -huge})
+        messages = [f.message for f in validate_model(dataclasses.replace(base, pluri=pluri)).errors]
+        assert messages == [
+            f"the Iitaka-base irregularity {cut} must lie in [0, 2]",
+            f"plurigenus value {neg} for m = 3 is negative",
+            f"generic plurigenus value {neg} for m = 4 is negative",
+            f"generic plurigenus value 1{'0' * (ECHO_CHARS - 1)}... exceeds the locus value {cut} for m = 2",
+            f"generic plurigenus value 0 exceeds the locus value {neg} for m = 3"]
+        pluri = PluriData(1, base.pluri.translates, {huge: 1}, {huge: 1})
+        assert [f.message for f in validate_model(dataclasses.replace(base, pluri=pluri)).errors] == [
+            f"the pluricanonical locus is proper (q_base < g), so its generic value for m = {cut} must be 0"]
+        grid = [list(row) for row in base.hodge]
+        grid[0][1] = RankFunction(4, -huge, (Stratum(origin_coset(4), -huge),))
+        grid[1][0] = RankFunction(4, huge, (Stratum(origin_coset(4), huge),))
+        model = dataclasses.replace(base, hodge=tuple(map(tuple, grid)), defect_strata=((0, 1), (huge, -huge)))
+        messages = [f.message for f in validate_model(model).findings]
+        assert f"rank function (0,1) has negative generic value {neg}" in messages
+        assert f"stratum 0 of (0,1) has value {neg} not above the generic {neg}" in messages
+        assert f"stratum 0 of (1,0) has value {cut} not above the generic {cut}" in messages
+        assert f"the (1,0) rank at the origin is {cut}, not the irregularity 2; " \
+               "the model does not present its own Albanese torus" in messages
+        assert f"stratum ({cut},{neg}) has negative entries" in messages
+        assert max(map(len, messages)) < 300
 
     def test_sheaf_slots_get_the_grid_findings(self):
         # one validator for both: the same rank function gets the same

@@ -38,7 +38,7 @@ from jumploci import cli, counting, torus, tower
 from jumploci import model as model_module
 from jumploci.catalog import DEFAULT_INSTANCES
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
-from gen import random_rank_function
+from gen import CATALOG_SWEEP, random_rank_function
 from oracles import (
     brute_force_rank_sum,
     row_euler_characteristic,
@@ -470,20 +470,23 @@ class TestCoverInvariants:
         model = builtin(name, **params).model
         pluri_ms = [1] + sorted(model.pluri.values if model.pluri else ())
         expected = {d: (hodge_numbers_cover(model, d),
+                        tuple(betti_cover(model, d, k) for k in range(2 * model.n + 1)),
                         {m: plurigenera_cover(model, d, m) for m in pluri_ms}) for d in (1, 2, 3)}
         values = count_calls(monkeypatch, (counting.CountTable, "values"))
         counts = count_calls(monkeypatch, (counting.CountForm, "count"))
         forms = count_calls(monkeypatch, (RankFunction, "count_form"))
         for d in (1, 2, 3):
-            values.clear()
-            counts.clear()
-            forms.clear()
-            inv = cover_invariants(model, d, pluri_ms)
-            # one table evaluation for the grid, one form count per
-            # plurigenus exponent m >= 2
-            assert len(values) == 1
-            assert len(counts) == len(forms) == len(pluri_ms) - 1
-            assert (inv.hodge, inv.pluri) == expected[d]
+            for ms in ((), pluri_ms):
+                values.clear()
+                counts.clear()
+                forms.clear()
+                inv = cover_invariants(model, d, ms)
+                # one table evaluation for the grid, the Betti numbers and
+                # deg, one form count per plurigenus exponent m >= 2
+                assert len(values) == 1
+                assert len(counts) == len(forms) == max(0, len(ms) - 1)
+                assert (inv.hodge, inv.betti) == expected[d][:2]
+            assert inv.pluri == expected[d][2]
             assert inv.pluri[1] == inv.hodge[model.n][0]
 
     def test_table_budget_checked_on_every_call(self):
@@ -506,14 +509,55 @@ class TestCoverInvariants:
             else:
                 assert cover_invariants(model, 5, budget=budget).hodge == ((1, 25 + 20), (25 + 25, 1))
 
-    @pytest.mark.parametrize("d", [1, 2, 24, 10 ** 30])
+    @staticmethod
+    def _models():
+        """Every default instance, the catalog sweep, 30 seeded random grids
+        (translates of order 2 and 3, Smith data) and a point."""
+        models = [builtin(name, **params).model for name, params in (*DEFAULT_INSTANCES, *CATALOG_SWEEP)]
+        rng = random.Random(2424)
+        for _ in range(30):
+            n, g = rng.choice((1, 2)), rng.choice((1, 2))
+            grid = tuple(tuple(random_rank_function(rng, 2 * g) for _ in range(n + 1)) for _ in range(n + 1))
+            models.append(VarietyModel(n=n, g=g, hodge=grid, defect_strata=()))
+        point = RankFunction(2, 1, (Stratum(CongruenceCoset.point(TorusPoint.of([Fraction(1, 3), 0])), 2),))
+        models.append(VarietyModel(n=0, g=1, hodge=((point,),), defect_strata=((0, 0),)))
+        return models
+
+    def test_model_corpus_has_torsion_classes(self):
+        terms = [nc for model in self._models() for row in model.hodge for rf in row
+                 for _, nc in rf.count_form(DEFAULT_COMPONENT_BUDGET).terms]
+        assert {2, 3} <= {nc.order for nc in terms}
+        assert any(nc.torsion for nc in terms)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 24, 10 ** 30])
     def test_bundle_matches_the_single_invariants(self, d):
-        for name, params in DEFAULT_INSTANCES:
-            model = builtin(name, **params).model
+        for model in self._models():
             inv = cover_invariants(model, d)
+            assert inv.d == d
             assert inv.deg == d ** model.torus_dim
             assert inv.hodge == hodge_numbers_cover(model, d)
             assert inv.betti == tuple(betti_cover(model, d, k) for k in range(2 * model.n + 1))
             assert inv.q == irregularity_cover(model, d)
             assert inv.chi_p == tuple(row_euler_characteristic(model, p) for p in range(model.n + 1))
             assert inv.chi_top == top_euler_characteristic(model)
+            assert inv.pluri == {}
+
+    def test_point_has_one_betti_number(self):
+        point = self._models()[-1]
+        inv = cover_invariants(point, 3, [1])
+        assert (inv.hodge, inv.betti, inv.q, inv.deg, inv.pluri) == (((9 + 1,),), (9 + 1,), 0, 9, {1: 9 + 1})
+
+    def test_bundle_is_a_frozen_dataclass(self):
+        model = builtin("elliptic_surface_qI0", genus=2, chi=1).model
+        inv = cover_invariants(model, 2, [1, 2])
+        built = tower.CoverInvariants(**{f.name: getattr(inv, f.name) for f in dataclasses.fields(inv)})
+        assert inv == built and built == inv and repr(inv) == repr(built)
+        assert inv != cover_invariants(model, 3, [1, 2])
+        changed = dataclasses.replace(inv, hodge=((0,),))
+        assert changed.hodge == ((0,),) and changed.betti == inv.betti and changed != inv
+        assert dataclasses.replace(inv) == inv
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inv.d = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del inv.betti
+        assert inv.d == 2 and inv.betti == built.betti
