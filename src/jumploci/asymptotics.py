@@ -64,17 +64,20 @@ class L2Report:
     weak_gnv: bool  # when False the closed form is not certified
 
 
-def _suprema(evaluate: Callable[[int], Sequence[int]], shifts: Sequence[int],
-             d_max: int) -> list[Fraction]:
-    """For each i, the exact supremum of evaluate(d)[i]·d^shifts[i] over
-    d = 1..d_max; columns past the shifts are not read.  Each value is an
+def _suprema(evaluate: Callable[[int], Sequence[int]], columns: Sequence[int],
+             shifts: Sequence[int], d_max: int) -> list[Fraction]:
+    """For each i, the exact supremum of evaluate(d)[columns[i]]·d^shifts[i]
+    over d = 1..d_max; other columns are not read.  Each value is an
     integer pair (numerator, denominator), pairs are compared by
     cross-multiplying, and one Fraction per column is built, at the end."""
-    nums, dens = list(evaluate(1)[:len(shifts)]), [1] * len(shifts)
+    first = evaluate(1)
+    nums, dens = [first[c] for c in columns], [1] * len(columns)
     distinct = set(shifts)
     for d in range(2, d_max + 1):
         powers = {shift: d ** abs(shift) for shift in distinct}
-        for i, (h, shift) in enumerate(zip(evaluate(d), shifts)):
+        values = evaluate(d)
+        for i, (column, shift) in enumerate(zip(columns, shifts)):
+            h = values[column]
             h_num, h_den = (h * powers[shift], 1) if shift >= 0 else (h, powers[shift])
             if h_num * dens[i] > nums[i] * h_den:
                 nums[i], dens[i] = h_num, h_den
@@ -100,18 +103,24 @@ def fit_bounds(model: VarietyModel, defect_bound: int, d_max: int,
 
     ``fitted_b`` is the exact supremum of normalized·d^e = h(d)·d^(e-2g)
     over d = 1..d_max, with the whole grid read off one evaluation of the
-    model's table per d; the verdict is the dimension criterion.
+    model's table per d; the verdict is the dimension criterion.  Entries
+    that share a rank function (:class:`VarietyModel` shares equal ones) and
+    an exponent share both, so each such pair is fitted and judged once.
     """
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
     table = model.hodge_table(budget)
-    entries = [(p, q) for p, row in enumerate(model.hodge) for q in range(len(row))]
-    exponents = [_decay_exponent(model, p, q, defect_bound) for p, q in entries]
-    fitted = _suprema(table.values, [e - model.torus_dim for e in exponents], d_max)
+    entries = [(p, q, _decay_exponent(model, p, q, defect_bound)) for p, q in model.hodge_pairs()]
+    first: dict = {}  # (rank function, exponent) -> the first column, row-major, that has it
+    for column, (p, q, e) in enumerate(entries):
+        first.setdefault((id(model.hodge[p][q]), e), column)
+    shifts = [entries[column][2] - model.torus_dim for column in first.values()]
+    fitted = dict(zip(first, _suprema(table.values, list(first.values()), shifts, d_max)))
+    judged = {key: _violating_dim(model, *entries[column], budget) for key, column in first.items()}
     fits = []
-    for (p, q), e, b in zip(entries, exponents, fitted):
-        bad_dim = _violating_dim(model, p, q, e, budget)
-        fits.append(BoundFit(p, q, defect_bound, e, b, bad_dim is None, bad_dim))
+    for p, q, e in entries:
+        key = (id(model.hodge[p][q]), e)
+        fits.append(BoundFit(p, q, defect_bound, e, fitted[key], judged[key] is None, judged[key]))
     return fits
 
 

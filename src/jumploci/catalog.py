@@ -22,7 +22,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache
 from math import comb
 from typing import Callable
 
@@ -33,7 +33,6 @@ from .model import (
     Stratum,
     VarietyModel,
     constant_rank,
-    origin_jump,
 )
 from .modelfile import MAX_G, MAX_N
 from .torus import CongruenceCoset, TorusPoint
@@ -49,14 +48,21 @@ class CatalogEntry:
 
 def _origin_grid(n: int, torus_dim: int, origin_value: Callable[[int, int], int],
                  generic_value: Callable[[int, int], int] = lambda p, q: 0):
-    # one origin coset for the grid: each one coerces a full identity matrix
+    """The grid of rank functions that jump only at the origin, as
+    :func:`~jumploci.model.origin_jump` builds one, and are constant where
+    the origin value does not exceed the generic one.  The grid shares one
+    origin coset, which would otherwise be coerced and normalized per entry,
+    and builds one function per distinct pair of values."""
     origin = CongruenceCoset.point(TorusPoint.zero(torus_dim))
-    return tuple(
-        tuple(RankFunction(torus_dim, generic_value(p, q), (Stratum(origin, origin_value(p, q)),))
-              if origin_value(p, q) > generic_value(p, q)
-              else constant_rank(torus_dim, generic_value(p, q))
-              for q in range(n + 1))
-        for p in range(n + 1))
+
+    @cache  # for this grid only
+    def rank(generic: int, at_origin: int) -> RankFunction:
+        if at_origin > generic:
+            return RankFunction(torus_dim, generic, (Stratum(origin, at_origin),))
+        return constant_rank(torus_dim, generic)
+
+    return tuple(tuple(rank(generic_value(p, q), origin_value(p, q)) for q in range(n + 1))
+                 for p in range(n + 1))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -183,21 +189,18 @@ def blowup_abelian_codim(g: int = 3, c: int = 2) -> CatalogEntry:
     # twists trivial on the center: the annihilator of the center's dual block
     kernel = CongruenceCoset.pinned(torus, {i: Fraction(0) for i in range(2 * center_dim)})
 
-    rows = []
-    for p in range(n + 1):
-        row = []
-        for q in range(n + 1):
-            exc = exceptional(p, q)
-            total = comb(g, p) * comb(g, q) + exc
-            if c == g:
-                # center is a point; every twist restricts trivially to it
-                row.append(RankFunction(torus, exc, (Stratum(origin, total),)))
-            else:
-                strata = [Stratum(origin, total)]
-                if exc > 0:
-                    strata.append(Stratum(kernel, exc))
-                row.append(RankFunction(torus, 0, tuple(strata)))
-        rows.append(tuple(row))
+    @cache  # one function per distinct pair of values, for this model only
+    def rank(exc: int, on_abelian: int) -> RankFunction:
+        total = on_abelian + exc
+        if c == g:
+            # center is a point; every twist restricts trivially to it
+            return RankFunction(torus, exc, (Stratum(origin, total),))
+        strata = [Stratum(origin, total)]
+        if exc > 0:
+            strata.append(Stratum(kernel, exc))
+        return RankFunction(torus, 0, tuple(strata))
+
+    rows = tuple(tuple(rank(exceptional(p, q), comb(g, p) * comb(g, q)) for q in range(n + 1)) for p in range(n + 1))
 
     defect_strata = [(0, g)]
     if c >= 2:
@@ -205,7 +208,7 @@ def blowup_abelian_codim(g: int = 3, c: int = 2) -> CatalogEntry:
     model = VarietyModel(
         n=n,
         g=g,
-        hodge=tuple(rows),
+        hodge=rows,
         defect_strata=tuple(defect_strata),
         semismall=c <= 2,
         name=f"blowup_abelian_codim({g},{c})",
@@ -225,17 +228,12 @@ def elliptic_surface_qI0(genus: int = 2, chi: int = 1) -> CatalogEntry:
     _require_size("elliptic_surface_qI0", 2, genus)
     gb, e = genus, chi
     torus = 2 * gb
-    rf = partial(origin_jump, torus)
-
-    grid = (
-        (rf(0, 1), rf(gb - 1, gb), rf(gb - 1 + e, gb - 1 + e)),
-        (rf(gb - 1, gb), rf(2 * (gb - 1) + 10 * e, 2 * gb + 10 * e), rf(gb - 1, gb)),
-        (rf(gb - 1 + e, gb - 1 + e), rf(gb - 1, gb), rf(0, 1)),
-    )
+    generic = ((0, gb - 1, gb - 1 + e), (gb - 1, 2 * (gb - 1) + 10 * e, gb - 1), (gb - 1 + e, gb - 1, 0))
+    at_origin = ((1, gb, gb - 1 + e), (gb, 2 * gb + 10 * e, gb), (gb - 1 + e, gb, 1))
     model = VarietyModel(
         n=2,
         g=gb,
-        hodge=grid,
+        hodge=_origin_grid(2, torus, lambda p, q: at_origin[p][q], lambda p, q: generic[p][q]),
         defect_strata=((0, 1), (1, 1)),
         pluri=PluriData(
             q_base=gb,
@@ -263,6 +261,7 @@ def fibered_over_curve(genus: int = 2) -> CatalogEntry:
     curve_block = CongruenceCoset.pinned(torus, {2 * gb: Fraction(0), 2 * gb + 1: Fraction(0)})
     origin = CongruenceCoset.point(TorusPoint.zero(torus))
 
+    @cache  # one function per distinct pair of values, for this model only
     def rf(on_block: int, at_origin: int) -> RankFunction:
         strata = []
         if on_block > 0:
@@ -294,17 +293,12 @@ def fibered_over_curve(genus: int = 2) -> CatalogEntry:
 
 def cartwright_steger_like() -> CatalogEntry:
     torus = 2
-    rf = partial(origin_jump, torus)
-
-    grid = (
-        (rf(0, 1), rf(0, 1), rf(1, 1)),
-        (rf(0, 1), rf(1, 3), rf(0, 1)),
-        (rf(1, 1), rf(0, 1), rf(0, 1)),
-    )
+    generic = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    at_origin = ((1, 1, 1), (1, 3, 1), (1, 1, 1))
     model = VarietyModel(
         n=2,
         g=1,
-        hodge=grid,
+        hodge=_origin_grid(2, torus, lambda p, q: at_origin[p][q], lambda p, q: generic[p][q]),
         defect_strata=((0, 1), (1, 1)),
         pluri=PluriData(
             q_base=1,

@@ -11,9 +11,10 @@ the bundles of holomorphic p-forms, the fiber-dimension stratification of
 the Albanese map (from which the defect of semismallness is computed),
 optional plurigenus data for the pluricanonical series, and optional extra
 named sheaf slots; construction checks its shape, and :func:`validate_model`
-its content.  Everything that does not depend on the cover is kept
-on the model once built: the grid's count forms and the Betti numbers'
-merged forms compiled into one count table
+its content.  Equal grid entries are one object, so what a rank function
+derives is derived once per distinct function.  Everything that does not
+depend on the cover is kept on the model once built: the grid's count
+forms and the Betti numbers' merged forms compiled into one count table
 (:meth:`VarietyModel.hodge_table`) that every cover and every decay fit
 reads, the rows' Euler characteristics (:attr:`VarietyModel.chi_p`,
 :attr:`VarietyModel.chi_top`) that the tower and the L² report read, and
@@ -60,10 +61,13 @@ class RankFunction:
         if type(self.generic_value) is not int:
             object.__setattr__(self, "generic_value", _to_int(self.generic_value))
         strata = []  # one loop, no generator: every catalog model builds many of these
-        for coset, value in self.strata:
+        for stratum in self.strata:
+            coset, value = stratum
             if coset.ambient_dim != self.ambient_dim:
                 raise DimensionMismatch(f"a stratum lives outside the dual torus of dimension {self.ambient_dim}")
-            strata.append(Stratum(coset, value if type(value) is int else _to_int(value)))
+            # a Stratum of an int value is kept as it is; others are built once here
+            strata.append(stratum if type(value) is int and type(stratum) is Stratum
+                          else Stratum(coset, _to_int(value)))
         object.__setattr__(self, "strata", tuple(strata))
 
     @cached_property
@@ -132,7 +136,9 @@ def constant_rank(ambient_dim: int, value: int) -> RankFunction:
 
 def origin_jump(ambient_dim: int, generic: int, origin_value: int) -> RankFunction:
     """Rank function jumping only at the origin (the most common shape);
-    constant when the origin value does not exceed the generic one."""
+    constant when the origin value does not exceed the generic one.  Each
+    call builds its own origin coset; a grid of such functions is better
+    built around one, as the catalog builds its grids."""
     if origin_value <= generic:
         return constant_rank(ambient_dim, generic)
     origin = CongruenceCoset.point(TorusPoint.zero(ambient_dim))
@@ -175,7 +181,15 @@ class VarietyModel:
     Construction refuses an n, g or defect-stratum entry that is not an
     integer (TypeError), an n or g that is negative (ValueError), a grid of
     another shape, and a grid entry, sheaf slot or pluricanonical translate
-    outside the 2g-torus (DimensionMismatch)."""
+    outside the 2g-torus (DimensionMismatch).
+
+    Hodge symmetry and Serre duality repeat most entries of a grid, so
+    construction maps grid entries with the same generic value and the same
+    strata (the same coset objects with the same values) to one
+    :class:`RankFunction`; its normalized strata, limit and count form are
+    then derived once, and validation, the table and the decay fit read
+    them per distinct function.  The grid stays equal by value to the one
+    given, and nothing is shared between models."""
 
     n: int
     g: int
@@ -201,6 +215,19 @@ class VarietyModel:
         for rf in chain(*self.hodge, *self.sheaves.values()):
             if rf.ambient_dim != dim:
                 raise DimensionMismatch(f"a rank function has ambient dimension {rf.ambient_dim}, expected {dim}")
+        # equal entries become one object: the key is the generic value and each
+        # stratum's coset, by identity, with its value, so no coset is hashed
+        shared: dict = {}
+        grid = []
+        for row in self.hodge:
+            entries = []
+            for rf in row:
+                key = [rf.generic_value]
+                for coset, value in rf.strata:
+                    key += (id(coset), value)
+                entries.append(shared.setdefault(tuple(key), rf))
+            grid.append(tuple(entries))
+        object.__setattr__(self, "hodge", tuple(grid))
         if self.pluri is not None and any(t.dim != dim for t in self.pluri.translates):
             raise DimensionMismatch(f"a pluricanonical translate lives outside the dual torus of dimension {dim}")
 
@@ -343,11 +370,28 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
     """Smallest threshold t at which {f >= t} and -{g >= t} differ; None
     when f(α) = g(-α) at every point α.
 
+    When the two presentations mirror, that is decided from them alone: with
+    equal generic values and the same (coset, value) pairs over f's nonempty
+    normalized strata as over g's, negated once, the max rule gives
+    f(α) = g(-α) everywhere, and no level set is built or counted.
+    Otherwise the level sets decide it (:func:`_level_set_mismatch`).
+    """
+    f_strata = [(nc, value) for (_, value), nc in zip(f.strata, f.normalized_strata) if nc is not None]
+    g_strata = [(-nc, value) for (_, value), nc in zip(g.strata, g.normalized_strata) if nc is not None]
+    if f.generic_value == g.generic_value and set(f_strata) == set(g_strata):
+        return None
+    return _level_set_mismatch(f, g, f_strata, g_strata, budget)
+
+
+def _level_set_mismatch(f: RankFunction, g: RankFunction, f_strata: list[tuple[NormalizedCoset, int]],
+                        g_strata: list[tuple[NormalizedCoset, int]], budget: int) -> Optional[int]:
+    """:func:`_serre_mismatch` decided threshold by threshold, given the
+    nonempty normalized strata of f and the negated ones of g, with values.
+
     Both functions take only their generic and stratum values, so these
     thresholds decide it.  Each level set is a set of normalized cosets:
     the full torus at or below the generic value, else the nonempty strata
-    reaching t, read off one list per function, whose strata for g are
-    negated once.  Equal sets of cosets are equal level sets.  Otherwise
+    reaching t.  Equal sets of cosets are equal level sets.  Otherwise
     U = {f >= t} and V = -{g >= t} are equal exactly when U, V and U ∪ V
     have the same count polynomial (:attr:`CountForm.polynomial`): U ⊆ U ∪ V,
     so equal polynomials make them equal, and likewise for V.  U ∪ V has at
@@ -356,8 +400,6 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
     generic value has more strata than the budget, checked for U, then V.
     """
     full = frozenset({NormalizedCoset(f.ambient_dim, (), (), 1)})
-    f_strata = [(nc, value) for (_, value), nc in zip(f.strata, f.normalized_strata) if nc is not None]
-    g_strata = [(-nc, value) for (_, value), nc in zip(g.strata, g.normalized_strata) if nc is not None]
     values = {f.generic_value, g.generic_value}
     values.update(value for _, value in f.strata + g.strata)
     polynomial = lambda cosets: CountForm.of(f.ambient_dim, 0, [(nc, 1) for nc in cosets]).polynomial
@@ -379,36 +421,54 @@ def validate_model(model: VarietyModel) -> ValidationReport:
     """The findings on the content of a well-formed model (construction
     checked its shape); report-valued, never raises on bad content.
 
-    Serre symmetry h^(p,q)(α) = h^(n-p,n-q)(-α) is decided exactly, level
-    set by level set (:func:`_serre_mismatch`), unless there are errors.  A
-    pair whose level sets must be counted but exceed the default component
-    budget gets a warning that it was not decided.
+    Serre symmetry h^(p,q)(α) = h^(n-p,n-q)(-α) is decided exactly, from
+    the presentations or level set by level set (:func:`_serre_mismatch`),
+    unless there are errors.  A pair whose level sets must be counted but
+    exceed the default component budget gets a warning that it was not
+    decided.  Each distinct rank function is judged, and each distinct pair
+    of functions decided, once per call; the findings are then named at
+    every place that holds them, so they read as if each were checked there.
     """
     findings: list[Finding] = []
     err = lambda msg: findings.append(Finding("error", msg))
     warn = lambda msg: findings.append(Finding("warning", msg))
 
-    def check_rank_function(rf: RankFunction, place: str, kind: str = "") -> None:
-        """The findings on a grid entry or a sheaf slot, named ``place``; a
-        finding on the whole function opens with ``kind`` before it."""
+    def judge(rf: RankFunction) -> list[tuple[str, Optional[str], str]]:
+        """The findings on one rank function as (severity, opening, rest),
+        its place to go between them; the opening None stands for the kind
+        of place, which opens a finding on the whole function."""
+        found = []
         if rf.generic_value < 0:
-            err(f"{kind}{place} has negative generic value {shown_int(rf.generic_value)}")
+            found.append(("error", None, f" has negative generic value {shown_int(rf.generic_value)}"))
         for idx, ((_, value), nc) in enumerate(zip(rf.strata, rf.normalized_strata)):
+            opening = f"stratum {idx} of "
             if value <= rf.generic_value:
-                err(f"stratum {idx} of {place} has value {shown_int(value)} not above the generic {shown_int(rf.generic_value)}")
+                found.append(("error", opening, f" has value {shown_int(value)} not above the generic "
+                                                f"{shown_int(rf.generic_value)}"))
             if nc is None:
-                warn(f"stratum {idx} of {place} is empty and unreachable")
+                found.append(("warning", opening, " is empty and unreachable"))
             else:
                 if nc.dim % 2 == 1:
-                    warn(f"stratum {idx} of {place} has odd real dimension {nc.dim}")
+                    found.append(("warning", opening, f" has odd real dimension {nc.dim}"))
                 if nc.dim == model.torus_dim:
-                    warn(f"stratum {idx} of {place} spans the whole torus; it overrides the generic value")
+                    found.append(("warning", opening, " spans the whole torus; it overrides the generic value"))
         # overlapping strata with neither containing the other: the max rule decides
         for (nca, va), (ncb, vb) in combinations(rf.effective_strata(), 2):
             meet = nca.meet(ncb) if va != vb else None
             if meet is not None and meet != nca and meet != ncb:
-                warn(f"strata of {place} with values {shown_int(va)} and {shown_int(vb)} overlap partially; "
-                     "ranks on the overlap follow the max rule")
+                found.append(("warning", "strata of ", f" with values {shown_int(va)} and {shown_int(vb)} "
+                                                       "overlap partially; ranks on the overlap follow the max rule"))
+        return found
+
+    judged: dict[int, list] = {}  # each distinct function is judged once, then named at each place
+
+    def check_rank_function(rf: RankFunction, place: str, kind: str = "") -> None:
+        """The findings on a grid entry or a sheaf slot, named ``place``; a
+        finding on the whole function opens with ``kind`` before it."""
+        if id(rf) not in judged:
+            judged[id(rf)] = judge(rf)
+        for severity, opening, rest in judged[id(rf)]:
+            findings.append(Finding(severity, f"{kind if opening is None else opening}{place}{rest}"))
 
     n, g = model.n, model.g
     for p, q in model.hodge_pairs():
@@ -472,14 +532,21 @@ def validate_model(model: VarietyModel) -> ValidationReport:
             check_rank_function(rf, f"sheaf slot {name!r} degree {i}")
 
     if not any(f.severity == "error" for f in findings):
+        decided: dict = {}  # each distinct pair of functions once: its threshold or its budget error
         for p, q in model.hodge_pairs():
             pd, qd = n - p, n - q
             if (pd, qd) < (p, q):
                 continue  # each unordered pair once
-            try:
-                t = _serre_mismatch(model.hodge[p][q], model.hodge[pd][qd], DEFAULT_COMPONENT_BUDGET)
-            except ComponentBudgetExceeded as exc:
-                warn(f"Serre symmetry of ({p},{q}) and ({pd},{qd}) was not decided: {exc}")
+            f, h = model.hodge[p][q], model.hodge[pd][qd]
+            key = (id(f), id(h))
+            if key not in decided:
+                try:
+                    decided[key] = _serre_mismatch(f, h, DEFAULT_COMPONENT_BUDGET)
+                except ComponentBudgetExceeded as exc:
+                    decided[key] = exc
+            t = decided[key]
+            if isinstance(t, ComponentBudgetExceeded):
+                warn(f"Serre symmetry of ({p},{q}) and ({pd},{qd}) was not decided: {t}")
                 continue
             if t is not None:
                 warn(f"ranks at ({p},{q}) and ({pd},{qd}) are not Serre-symmetric: "

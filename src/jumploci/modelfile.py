@@ -7,15 +7,18 @@ making export/import a round trip up to equality of models.
 
 Within one load, strata written with the same coset (the origin point
 repeats in most grid entries) share one :class:`CongruenceCoset`, so its
-rationals are parsed, and the coset built and normalized, once.  The table
-that finds the repeats lives for that load only; nothing is kept between
-loads.
+rationals are parsed, and the coset built and normalized, once.  Entries
+with the same generic value over those shared cosets (Serre duality and
+Hodge symmetry repeat most of a grid) then become one :class:`RankFunction`
+when the :class:`VarietyModel` is built.  The table that finds the repeats
+lives for that load only; nothing is kept between loads.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any
 
@@ -97,10 +100,10 @@ def _coset_from_dict(obj: Any, ambient_dim: int, built: dict) -> CongruenceCoset
     rhs = obj["b"]
     if not isinstance(rows, list) or not isinstance(rhs, list):
         raise ModelFormatError("'A' must be a list of rows and 'b' a list of rationals")
-    if not all(isinstance(row, list) for row in rows):
+    if not all(map(isinstance, rows, repeat(list))):
         raise ModelFormatError("each row of 'A' must be a list of integers")
     key = None
-    if set(map(type, rhs)) <= _INT_OR_STR and all(set(map(type, row)) <= _INT for row in rows):
+    if set(map(type, rhs)) <= _INT_OR_STR and set(map(type, chain.from_iterable(rows))) <= _INT:
         key = (tuple(map(tuple, rows)), tuple(rhs))
         if key in built:
             return built[key]
@@ -205,7 +208,8 @@ def model_from_dict(obj: Any) -> VarietyModel:
     torus = 2 * g
     built: dict = {}  # the cosets of this load, by their JSON content
 
-    grid = [[RankFunction(torus, 0, ()) for _ in range(n + 1)] for _ in range(n + 1)]
+    zero = RankFunction(torus, 0, ())  # every entry the file omits
+    grid = [[zero] * (n + 1) for _ in range(n + 1)]
     for entry in _list(obj.get("hodge", []), "'hodge'"):
         if "p" not in _object(entry, "a hodge entry") or "q" not in entry:
             raise ModelFormatError("every hodge entry needs integer 'p' and 'q'")

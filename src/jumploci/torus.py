@@ -577,6 +577,9 @@ class NormalizedCoset:
 
     def __neg__(self) -> "NormalizedCoset":
         """The coset {-x : x in self}: the translate negates, and stays
-        canonical once reduced into [0, order)."""
+        canonical once reduced into [0, order).  A subgroup (order 1) is its
+        own negative, and is returned as it is."""
+        if self.order == 1:
+            return self
         return NormalizedCoset(self.ambient_dim, self.rows,
                                tuple(-m % self.order for m in self.nums), self.order)

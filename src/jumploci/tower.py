@@ -27,7 +27,7 @@ Euler characteristics that control the middle degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -58,7 +58,8 @@ class LimitValue:
 
 @dataclass(frozen=True)
 class CoverInvariants:
-    """All exact invariants of one cover X_d."""
+    """All exact invariants of one cover X_d.  ``pluri`` is a dict, so it is
+    left out of the hash; equality still compares it."""
 
     d: int
     deg: int
@@ -67,7 +68,7 @@ class CoverInvariants:
     q: int
     chi_p: tuple[int, ...]
     chi_top: int
-    pluri: Mapping[int, int]
+    pluri: Mapping[int, int] = field(hash=False)
 
 
 def sheaf_rank_on_cover(rf: RankFunction, d: int,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from jumploci import CongruenceCoset, RankFunction, Stratum, TorusPoint
+from jumploci import CongruenceCoset, RankFunction, Stratum, TorusPoint, VarietyModel
 
 # small members of every catalog family with parameters, beyond the defaults
 CATALOG_SWEEP = (
@@ -91,3 +91,36 @@ def random_rank_function(rng: random.Random, n: int, max_strata: int = 3) -> Ran
         coset = random_nonempty_coset(rng, n, max_rows=2, span=3, max_den=4)
         strata.append(Stratum(coset, generic + rng.randint(1, 5)))
     return RankFunction(n, generic, tuple(strata))
+
+
+def negated_rank_function(rf: RankFunction) -> RankFunction:
+    """α -> rf(-α), presented by the negated cosets."""
+    return RankFunction(rf.ambient_dim, rf.generic_value, tuple(
+        Stratum(CongruenceCoset(c.ambient_dim, c.rows, tuple(-b for b in c.rhs)), v) for c, v in rf.strata))
+
+
+def random_model(rng: random.Random) -> VarietyModel:
+    """A model of n, g in {1, 2} whose grid repeats entries as real ones do.
+
+    Each entry is one of three :func:`random_rank_function` draws, itself or
+    rebuilt over the same strata, and each Serre partner of an entry is, half
+    the time, its negative.  h^(0,0) = h^(n,n) jumps to 1 at the origin and
+    the stratification is consistent, so validation decides Serre symmetry.
+    """
+    n, g = rng.choice((1, 2)), rng.choice((1, 2))
+    dim = 2 * g
+    pool = [random_rank_function(rng, dim) for _ in range(3)]
+    grid = []
+    for _ in range(n + 1):
+        row = []
+        for _ in range(n + 1):
+            rf = rng.choice(pool)
+            row.append(rf if rng.random() < 0.5 else RankFunction(dim, rf.generic_value, rf.strata))
+        grid.append(row)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            if (p, q) < (n - p, n - q) and rng.random() < 0.5:
+                grid[n - p][n - q] = negated_rank_function(grid[p][q])
+    grid[0][0] = grid[n][n] = RankFunction(dim, 0, (Stratum(CongruenceCoset.point(TorusPoint.zero(dim)), 1),))
+    m = min(n, g)
+    return VarietyModel(n=n, g=g, hodge=tuple(map(tuple, grid)), defect_strata=((0, m), (n - m, m)))

@@ -166,10 +166,13 @@ class TestIntegerFit:
         model = builtin("blowup_abelian4_curve", genus=2).model
         for d_max in (2, 16):
             # the whole grid from one evaluation of the model's table per d;
-            # each entry's form is read once, for its degree
+            # the form of each distinct (rank function, exponent) pair is
+            # read once, for its degree
             calls.update(count_form=0, values=0)
             fits = fit_bounds(model, 0, d_max)
-            assert calls == {"count_form": len(fits), "values": d_max}
+            pairs = {(id(model.hodge[f.p][f.q]), f.exponent) for f in fits}
+            assert len(pairs) == 9 < len(fits) == 25
+            assert calls == {"count_form": len(pairs), "values": d_max}
 
     def test_fit_bounds_rejects_a_short_range(self):
         with pytest.raises(ValueError, match="d_max must be at least 2"):

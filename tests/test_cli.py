@@ -215,7 +215,7 @@ class TestCheck:
         ("cartwright_steger_like", {}, 1, None),
     ])
     def test_witness_is_read_off_the_fits(self, monkeypatch, capsys, name, params, bound, witness):
-        # the fits apply the decay criterion once per entry; the witness is
+        # the fits apply the decay criterion once per distinct entry; the witness is
         # the first failing fit, so no second pass over the grid is made
         def refuse(*args, **kwargs):
             raise AssertionError("check made a second witness pass")
@@ -228,8 +228,11 @@ class TestCheck:
         code, out = run_cli(capsys, "check", "--builtin", name, "--params", text, "--defect-bound", str(bound))
         assert code == (0 if witness is None else 1)
         assert json.loads(out.split("-- machine readable --")[1])["witness"] == witness
-        # one read per grid entry for the fits, one more for the divergence class's h^(0,1)
-        assert len(forms) == (builtin(name, **params).model.n + 1) ** 2 + 1
+        # one read per distinct (rank function, exponent) pair for the fits,
+        # one more for the divergence class's h^(0,1)
+        model = builtin(name, **params).model
+        pairs = {(model.hodge[p][q], abs(model.n - p - q) - bound) for p, q in model.hodge_pairs()}
+        assert len(forms) == len(pairs) + 1 < (model.n + 1) ** 2 + 1
 
 
 class TestPointModel:

@@ -135,18 +135,35 @@ class TestNormalizedCosetCount:
                 assert nc.count(d) == brute_force_torsion_count([coset], d)
         assert torsion_pivots > 30
 
-    def test_negated_count_against_enumeration(self):
-        # a negated coset is built from its fields, not by the Hermite pass,
-        # so its Smith pass reads a basis rebuilt from its rows
+    @staticmethod
+    def _negations(order_one: bool):
+        """60 seeded cosets with their negatives, of translate order 1 or above
+        1; once the caller has looked at a negative, its count is checked
+        against enumeration."""
         rng = random.Random(1213)
-        for _ in range(100):
+        for _ in range(60):
             n = rng.randint(1, 3)
             coset = random_nonempty_coset(rng, n, max_rows=3, span=5, max_den=6)
-            neg = -coset.normalize()
-            assert "basis" not in vars(neg)
+            while (coset.normalize().order == 1) != order_one:
+                coset = random_nonempty_coset(rng, n, max_rows=3, span=5, max_den=6)
+            nc = coset.normalize()
+            neg = -nc
+            yield nc, neg
             negated = CongruenceCoset(n, coset.rows, tuple(-b for b in coset.rhs))
             for d in range(1, 9):
                 assert neg.count(d) == brute_force_torsion_count([negated], d)
+
+    def test_negated_count_against_enumeration(self):
+        # a negated coset of translate order above 1 is built from its fields,
+        # not by the Hermite pass, so its Smith pass reads a basis rebuilt from its rows
+        for nc, neg in self._negations(order_one=False):
+            assert "basis" not in vars(neg)
+            assert neg.order == nc.order and neg.rows == nc.rows
+
+    def test_negated_subgroup_is_itself(self):
+        # a coset of translate order 1 is a subgroup, its own negative
+        for nc, neg in self._negations(order_one=True):
+            assert neg is nc
 
     def test_transformed_translate_follows_the_sign_flip(self):
         # (6, −3 | 1): the Smith pivot −3 is made positive by negating its

@@ -30,9 +30,11 @@ from jumploci import (
 )
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
 from jumploci.errors import ECHO_CHARS
-from jumploci.model import _serre_mismatch
+from jumploci.asymptotics import divergence_class, fit_bounds
+from jumploci.model import _level_set_mismatch, _serre_mismatch
+from jumploci.modelfile import model_to_dict
 from jumploci.tower import sheaf_rank_on_cover
-from gen import random_point
+from gen import CATALOG_SWEEP, random_model, random_point
 
 
 def origin_coset(n):
@@ -484,6 +486,33 @@ class TestSerreSymmetry:
                 outcomes["same strata" if presented(f) == presented(neg) else "other strata"] += 1
         assert min(outcomes.values()) >= 5, outcomes
 
+    def test_presentations_agree_with_level_sets(self):
+        # mirrored presentations return before any level set; that verdict
+        # must be the level sets' own (checked against brute force in
+        # test_agrees_with_brute_force), and functions presented otherwise, by
+        # a split or nested stratum, still go to the level sets
+        rng = random.Random(2626)
+        outcomes = {"mirrored": 0, "mirrored with translates of order 2 or 3": 0,
+                    "other presentations, symmetric": 0, "asymmetric": 0}
+        for _ in range(120):
+            f, g = mirrored_pair(rng)
+            f_strata = [(nc, v) for (_, v), nc in zip(f.strata, f.normalized_strata) if nc is not None]
+            g_strata = [(-nc, v) for (_, v), nc in zip(g.strata, g.normalized_strata) if nc is not None]
+            levels = _level_set_mismatch(f, g, f_strata, g_strata, DEFAULT_COMPONENT_BUDGET)
+            assert _serre_mismatch(f, g, DEFAULT_COMPONENT_BUDGET) == levels
+            if f.generic_value == g.generic_value and set(f_strata) == set(g_strata):
+                assert levels is None
+                # the same strata over another generic value do not mirror
+                bumped = RankFunction(2, g.generic_value + 1, g.strata)
+                assert (_serre_mismatch(f, bumped, DEFAULT_COMPONENT_BUDGET)
+                        == _level_set_mismatch(f, bumped, f_strata, g_strata, DEFAULT_COMPONENT_BUDGET)
+                        == g.generic_value + 1)
+                outcomes["mirrored"] += 1
+                outcomes["mirrored with translates of order 2 or 3"] += any(nc.order in (2, 3) for nc, _ in f_strata)
+            else:
+                outcomes["asymmetric" if levels is not None else "other presentations, symmetric"] += 1
+        assert min(outcomes.values()) >= 5, outcomes
+
     def test_each_stratum_of_g_is_negated_once(self, monkeypatch):
         negations = []
         neg = NormalizedCoset.__neg__
@@ -521,6 +550,73 @@ class TestSerreSymmetry:
         # equal sets of cosets need no counting, so the verdict stays exact
         mirror = RankFunction(2, 0, tuple(negated(s) for s in points))
         assert not serre_warnings(curve_grid(many, mirror))
+
+
+def fresh_grid(model):
+    """A fresh copy of every grid entry and of its cosets, so that
+    construction can share no entry that has strata."""
+    def fresh(rf):
+        return RankFunction(rf.ambient_dim, rf.generic_value, tuple(
+            Stratum(CongruenceCoset(c.ambient_dim, c.rows, c.rhs), v) for c, v in rf.strata))
+    return tuple(tuple(map(fresh, row)) for row in model.hodge)
+
+
+def fresh_copy(model):
+    return dataclasses.replace(model, hodge=fresh_grid(model))
+
+
+def distinct_entries(model):
+    return len({id(rf) for row in model.hodge for rf in row})
+
+
+SHARING_MODELS = ([builtin(name, **params).model for name, params in (*DEFAULT_INSTANCES, *CATALOG_SWEEP)]
+                  + [random_model(random.Random(f"sharing:{i}")) for i in range(30)])
+
+
+class TestSharedEntries:
+    """Equal grid entries are one rank function, and no output shows it."""
+
+    def test_equal_entries_share_one_function(self):
+        model = builtin("blowup_abelian4_curve", genus=2).model
+        assert distinct_entries(model) == len({rf for row in model.hodge for rf in row}) == 7
+        assert distinct_entries(fresh_copy(model)) > 7
+        # sharing lives in one model: a second build shares nothing with the first
+        again = builtin("blowup_abelian4_curve", genus=2).model
+        assert again == model
+        assert not {id(rf) for row in again.hodge for rf in row} & {id(rf) for row in model.hodge for rf in row}
+
+    def test_entries_over_one_coset_object_share(self):
+        origin = origin_coset(2)
+        a, b = RankFunction(2, 0, (Stratum(origin, 3),)), RankFunction(2, 0, (Stratum(origin, 3),))
+        other = RankFunction(2, 0, (Stratum(origin_coset(2), 3),))  # an equal coset, another object
+        grid = ((a, b, other), (RankFunction(2, 1, (Stratum(origin, 3),)), RankFunction(2, 0, (Stratum(origin, 2),)),
+                                constant_rank(2, 0)),
+                (constant_rank(2, 1), constant_rank(2, 0), constant_rank(2, 1)))
+        model = VarietyModel(n=2, g=1, hodge=grid, defect_strata=((0, 1),))
+        assert model.hodge == grid
+        assert model.hodge[0][0] is model.hodge[0][1] is a
+        assert model.hodge[2][0] is model.hodge[2][2] and model.hodge[1][2] is model.hodge[2][1]
+        # another coset object, generic value or stratum value is another function
+        assert distinct_entries(model) == 6
+
+    def test_random_grids_share(self):
+        shared = sum(distinct_entries(m) < distinct_entries(fresh_copy(m)) for m in SHARING_MODELS[-30:])
+        assert shared >= 20
+
+    @pytest.mark.parametrize("index", range(len(SHARING_MODELS)))
+    def test_sharing_is_invisible(self, index):
+        model = SHARING_MODELS[index]
+        grid = fresh_grid(model)
+        copy = dataclasses.replace(model, hodge=grid)
+        assert copy.hodge == grid and copy == model
+        assert validate_model(copy).findings == validate_model(model).findings
+        assert model_to_dict(copy) == model_to_dict(model)
+        for d in (*range(1, 13), 10 ** 6, 10 ** 30):
+            assert (copy.hodge_table(DEFAULT_COMPONENT_BUDGET).values(d)
+                    == model.hodge_table(DEFAULT_COMPONENT_BUDGET).values(d))
+        for bound in range(model.n + 1):
+            assert fit_bounds(copy, bound, 8) == fit_bounds(model, bound, 8)
+        assert divergence_class(copy) == divergence_class(model)
 
 
 class TestClassifyWeakGV:

@@ -284,6 +284,40 @@ class TestOneCosetPerLoad:
         assert load_locus(path)[0] is not comps[0]
 
 
+class TestOneRankFunctionPerLoad:
+    """Entries written the same way share one rank function within a load:
+    their cosets are one object, so the model shares them."""
+
+    def test_equal_entries_are_one_function(self, tmp_path):
+        model = builtin("blowup_abelian4_curve", genus=2).model
+        save_model(model, tmp_path / "m.json")
+        first, second = load_model(tmp_path / "m.json"), load_model(tmp_path / "m.json")
+        assert first == second == model
+        entries = [rf for row in first.hodge for rf in row]
+        assert len({id(rf) for rf in entries}) == len(set(entries)) == 7
+        assert not {id(rf) for rf in entries} & {id(rf) for row in second.hodge for rf in row}
+
+    @pytest.mark.parametrize("key,good,bad", [("value", 1, True), ("generic", 1, 1.0), ("generic", 0, False)],
+                             ids=repr)
+    def test_a_repeat_in_another_json_type_is_refused(self, key, good, bad):
+        # 1 == True == 1.0 as values and as keys: a repeat is told apart by
+        # its JSON type, and takes the refusal it would take alone
+        def entry(p, q, x):
+            stratum = {"A": [[1, 0], [0, 1]], "b": ["0", "0"], "value": 3}
+            rf = {"p": p, "q": q, "generic": 0, "strata": [stratum]}
+            (stratum if key == "value" else rf)[key] = x
+            return rf
+
+        with pytest.raises(ModelFormatError, match="must be an integer") as alone:
+            model_from_dict(dict(_abelian_blob(), hodge=[entry(1, 0, bad)]))
+        for pair in ((entry(0, 1, good), entry(1, 0, bad)), (entry(1, 0, bad), entry(0, 1, good))):
+            with pytest.raises(ModelFormatError) as refused:
+                model_from_dict(dict(_abelian_blob(), hodge=list(pair)))
+            assert str(refused.value) == str(alone.value)
+        accepted = model_from_dict(dict(_abelian_blob(), hodge=[entry(0, 1, good), entry(1, 0, good)]))
+        assert accepted.hodge[0][1] is accepted.hodge[1][0]
+
+
 @pytest.mark.parametrize("rows", [["", {}], [""], [5], [[0], "0"]], ids=repr)
 def test_a_row_that_is_not_a_list_is_refused(rows, tmp_path, capsys):
     # a string or an object iterates like a row of no entries; it must not

@@ -561,3 +561,15 @@ class TestCoverInvariants:
         with pytest.raises(dataclasses.FrozenInstanceError):
             del inv.betti
         assert inv.d == 2 and inv.betti == built.betti
+
+    def test_bundle_hashes(self):
+        # pluri is a dict: it stays out of the hash, and in equality
+        model = builtin("abelian", g=1).model
+        inv = cover_invariants(model, 2)
+        assert isinstance(hash(inv), int)
+        again = cover_invariants(model, 2)
+        assert again == inv and hash(again) == hash(inv)
+        with_pluri = cover_invariants(model, 2, [2])
+        assert with_pluri != inv and hash(with_pluri) == hash(inv)
+        changed = dataclasses.replace(inv, hodge=((0,),))
+        assert changed != inv and hash(changed) != hash(inv) and hash(dataclasses.replace(inv)) == hash(inv)
