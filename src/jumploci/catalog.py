@@ -93,9 +93,7 @@ def abelian(g: int = 1) -> CatalogEntry:
             q_base=0,
             translates=(TorusPoint.zero(torus),),
             values={m: 1 for m in range(2, 7)},
-            generic_values={m: 0 for m in range(2, 7)},
         ),
-        semismall=True,
         name=f"abelian({g})",
     )
     notes = ("Abelian g-fold under the identity map: h^(p,q) = C(g,p)C(g,q) at the "
@@ -122,7 +120,6 @@ def nondeg_line_bundle(g: int = 2, p: int = 0, chi0: int = 1) -> CatalogEntry:
         defect_strata=base.model.defect_strata,
         pluri=base.model.pluri,
         sheaves={"line_bundle": slot},
-        semismall=True,
         name=f"nondeg_line_bundle({g},{p},{chi0})",
     )
     notes = ("A nondegenerate line bundle on an abelian g-fold has cohomology "
@@ -210,7 +207,6 @@ def blowup_abelian_codim(g: int = 3, c: int = 2) -> CatalogEntry:
         g=g,
         hodge=rows,
         defect_strata=tuple(defect_strata),
-        semismall=c <= 2,
         name=f"blowup_abelian_codim({g},{c})",
     )
     notes = ("Blowup of an abelian g-fold along an abelian subvariety of codimension c "
@@ -239,7 +235,6 @@ def elliptic_surface_qI0(genus: int = 2, chi: int = 1) -> CatalogEntry:
             q_base=gb,
             translates=(TorusPoint.zero(torus),),
             values={m: m * (2 * gb - 2 + e) + 1 - gb for m in range(2, 7)},
-            generic_values={m: m * (2 * gb - 2 + e) + 1 - gb for m in range(2, 7)},
         ),
         name=f"elliptic_surface_qI0({gb},{e})",
     )
@@ -280,7 +275,6 @@ def fibered_over_curve(genus: int = 2) -> CatalogEntry:
         g=gb + 1,
         hodge=grid,
         defect_strata=((0, 2),),
-        semismall=True,
         name=f"fibered_over_curve({gb})",
     )
     notes = ("Product of a genus-g curve with an elliptic curve; the Albanese map is an "
@@ -304,7 +298,6 @@ def cartwright_steger_like() -> CatalogEntry:
             q_base=1,
             translates=(TorusPoint.zero(torus),),
             values={m: 1 + 9 * m * (m - 1) // 2 for m in range(2, 7)},
-            generic_values={m: 1 + 9 * m * (m - 1) // 2 for m in range(2, 7)},
         ),
         name="cartwright_steger_like",
     )

@@ -64,13 +64,12 @@ def _load_model(args) -> VarietyModel:
     raise EngineError("provide --model FILE or --builtin NAME")
 
 
-def _validated_model(args, out=None) -> VarietyModel:
-    out = out if out is not None else sys.stdout
+def _validated_model(args) -> VarietyModel:
     model = _load_model(args)
     report = validate_model(model)
     if not report.ok:
         for finding in report.errors:
-            print(f"error: {finding.message}", file=out)
+            print(f"error: {finding.message}")
         raise EngineError("the model does not validate")
     return model
 
@@ -111,8 +110,7 @@ def _int_text_of_any_size():
         sys.set_int_max_str_digits(old)
 
 
-def cmd_count(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_count(args) -> int:
     ds = _positive_ints(args.d, "--d")
     if args.locus:
         components = modelfile.load_locus(args.locus)
@@ -125,7 +123,7 @@ def cmd_count(args, out=None) -> int:
                 p, q = (int(t) for t in args.i.split(","))
         except ValueError:
             raise EngineError(f"--i needs two comma-separated integers P,Q, got {shown(args.i)!r}") from None
-        model = _validated_model(args, out)
+        model = _validated_model(args)
         if not (0 <= p <= model.n and 0 <= q <= model.n):
             raise EngineError(f"--i {shown(args.i)} lies outside the {model.n + 1}x{model.n + 1} grid "
                               f"of a model with n = {model.n}")
@@ -141,17 +139,17 @@ def cmd_count(args, out=None) -> int:
         for d in ds:
             for comp in components:
                 counting.check_enumeration(comp.ambient_dim, d, args.enum_cap)
-    print(f"# {label}: {len(components)} components, top dimension {top}", file=out)
-    print(f"{'d':>6} {'torsion':>14} {'d^dim':>14}", file=out)
+    print(f"# {label}: {len(components)} components, top dimension {top}")
+    print(f"{'d':>6} {'torsion':>14} {'d^dim':>14}")
     # counts are exact, so a huge d prints every digit
     with _int_text_of_any_size():
         for d in ds:
             value = counting.union_torsion_count(components, d, budget=args.budget)
-            print(f"{d:>6} {value:>14} {d ** top:>14}", file=out)
+            print(f"{d:>6} {value:>14} {d ** top:>14}")
             if args.enumerate:
                 for comp in components:
                     for pt in counting.enumerate_torsion(comp, d, cap=args.enum_cap):
-                        print("    " + " ".join(str(c) for c in pt.coords), file=out)
+                        print("    " + " ".join(str(c) for c in pt.coords))
     return EXIT_OK
 
 
@@ -192,11 +190,10 @@ def _write_file(path: str, text: str) -> None:
         raise EngineError(f"cannot write {path}: {exc}") from None
 
 
-def cmd_tower(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_tower(args) -> int:
     if args.d_max < 1:
         raise EngineError(f"--d-max must be a positive integer, got {args.d_max}")
-    model = _validated_model(args, out)
+    model = _validated_model(args)
     ms = _positive_ints(args.pluri, "--pluri") if args.pluri else []
     seen: set[int] = set()
     for m in ms:
@@ -214,15 +211,14 @@ def cmd_tower(args, out=None) -> int:
     if args.out:
         _write_file(args.out, buffer.getvalue())
     else:
-        out.write(buffer.getvalue())
+        sys.stdout.write(buffer.getvalue())
     return EXIT_OK
 
 
-def cmd_check(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_check(args) -> int:
     if args.d_max < 2:
         raise EngineError(f"--d-max must be at least 2, got {args.d_max}")
-    model = _validated_model(args, out)
+    model = _validated_model(args)
     n = model.n
     if not 0 <= args.defect_bound <= n:
         raise EngineError(f"--defect-bound {args.defect_bound} lies outside [0, {n}], "
@@ -233,23 +229,23 @@ def cmd_check(args, out=None) -> int:
     l2 = asymptotics.l2_betti(model)
     all_pass = all(f.passes for f in fits)
 
-    print(f"# decay bounds at defect bound N = {args.defect_bound}, d <= {args.d_max}", file=out)
-    print(f"{'p':>3} {'q':>3} {'exponent':>9} {'fitted_B':>14} verdict", file=out)
+    print(f"# decay bounds at defect bound N = {args.defect_bound}, d <= {args.d_max}")
+    print(f"{'p':>3} {'q':>3} {'exponent':>9} {'fitted_B':>14} verdict")
     for f in fits:
         verdict = "pass" if f.passes else f"FAIL (dim {f.violating_dim})"
-        print(f"{f.p:>3} {f.q:>3} {f.exponent:>9} {str(f.fitted_b):>14} {verdict}", file=out)
+        print(f"{f.p:>3} {f.q:>3} {f.exponent:>9} {str(f.fitted_b):>14} {verdict}")
     if witness is None:
-        print("# no witness pair: the declared defect bound is consistent", file=out)
+        print("# no witness pair: the declared defect bound is consistent")
     else:
-        print(f"# witness pair violating the bound: {witness}", file=out)
+        print(f"# witness pair violating the bound: {witness}")
     if divergence.divergent:
         print(f"# cover irregularity diverges: stratum of real dimension {divergence.max_stratum_dim}, "
-              f"witness order {divergence.witness_order}", file=out)
+              f"witness order {divergence.witness_order}")
     else:
-        print(f"# cover irregularity bounded at {divergence.base_irregularity}", file=out)
+        print(f"# cover irregularity bounded at {divergence.base_irregularity}")
     caveat = "" if l2.weak_gnv else " (weak generic Nakano vanishing fails; closed form not certified)"
-    print(f"# L2 Betti numbers{caveat}: {[str(b) for b in l2.betti]}", file=out)
-    print(f"# nonvanishing middle L2 Hodge rows: {sorted(l2.nonvanishing)}", file=out)
+    print(f"# L2 Betti numbers{caveat}: {[str(b) for b in l2.betti]}")
+    print(f"# nonvanishing middle L2 Hodge rows: {sorted(l2.nonvanishing)}")
 
     machine = {
         "schema_version": modelfile.SCHEMA_VERSION,
@@ -276,44 +272,41 @@ def cmd_check(args, out=None) -> int:
         },
         "all_pass": all_pass,
     }
-    print("-- machine readable --", file=out)
-    print(json.dumps(machine, indent=2, sort_keys=True), file=out)
+    print("-- machine readable --")
+    print(json.dumps(machine, indent=2, sort_keys=True))
     return EXIT_OK if all_pass else EXIT_FAIL
 
 
-def cmd_validate(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_validate(args) -> int:
     model = _load_model(args)
     report = validate_model(model)
     for finding in report.findings:
-        print(f"{finding.severity}: {finding.message}", file=out)
+        print(f"{finding.severity}: {finding.message}")
     for p in sorted(report.weak_gv_table):
         proper = sorted(report.weak_gv_table[p])
-        print(f"proper loci for p={p}: q in {proper}", file=out)
+        print(f"proper loci for p={p}: q in {proper}")
     if not report.ok:
-        print("model rejected", file=out)
+        print("model rejected")
         return EXIT_INVALID
-    print("model accepted", file=out)
+    print("model accepted")
     return EXIT_OK
 
 
-def cmd_export(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_export(args) -> int:
     model = _load_model(args)
     if args.out:
         _write_file(args.out, modelfile.dumps_model(model))
     else:
-        out.write(modelfile.dumps_model(model))
+        sys.stdout.write(modelfile.dumps_model(model))
     return EXIT_OK
 
 
-def cmd_catalog_list(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_catalog_list(args) -> int:
     for name, params in catalog.DEFAULT_INSTANCES:
         entry = catalog.builtin(name, **params)
         args_text = ",".join(f"{k}={v}" for k, v in params.items())
-        print(f"{name}({args_text})", file=out)
-        print(f"    {entry.oracle_notes.splitlines()[0]}", file=out)
+        print(f"{name}({args_text})")
+        print(f"    {entry.oracle_notes.splitlines()[0]}")
     return EXIT_OK
 
 

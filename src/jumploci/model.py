@@ -153,26 +153,23 @@ class PluriData:
     of translates of one subtorus of complex dimension ``q_base`` (the
     irregularity of the Iitaka base); the subtorus is taken to be the block
     of the leading 2·q_base coordinates.  ``values[m]`` is the constant
-    rank on the locus and ``generic_values[m]`` the rank off it (zero
-    whenever the locus is proper, which :func:`validate_model` checks).
-    Construction refuses a ``q_base``, exponent or value that is not an
-    integer (TypeError); their ranges are left to :func:`validate_model`.
-    The model builds the rank functions of ω^m (:attr:`VarietyModel.plurigenera`),
-    and refuses there a ``q_base`` outside [0, g], which names no block.
+    rank on the locus; the rank off it, 0, is derived, not stated
+    (:attr:`VarietyModel.plurigenera`), and an older model file's
+    ``generic_values`` must agree with it.  Construction refuses a
+    ``q_base``, exponent or value that is not an integer (TypeError); their
+    ranges are left to :func:`validate_model`.  The model refuses a
+    ``q_base`` outside [0, g], which names no block, when it builds ω^m.
     """
 
     q_base: int
     translates: tuple[TorusPoint, ...]
     values: Mapping[int, int]
-    generic_values: Mapping[int, int]
 
     def __post_init__(self) -> None:
         if type(self.q_base) is not int:
             object.__setattr__(self, "q_base", _to_int(self.q_base))
-        for name in ("values", "generic_values"):
-            table = getattr(self, name)
-            if not {int}.issuperset(map(type, (*table, *table.values()))):
-                object.__setattr__(self, name, {_to_int(m): _to_int(v) for m, v in table.items()})
+        if not {int}.issuperset(map(type, (*self.values, *self.values.values()))):
+            object.__setattr__(self, "values", {_to_int(m): _to_int(v) for m, v in self.values.items()})
 
 
 @dataclass(frozen=True)
@@ -189,7 +186,8 @@ class VarietyModel:
     :class:`RankFunction`; its normalized strata, limit and count form are
     then derived once, and validation, the table and the decay fit read
     them per distinct function.  The grid stays equal by value to the one
-    given, and nothing is shared between models."""
+    given, and nothing is shared between models.  Whether the Albanese map is
+    semismall is not stated but derived: it is, exactly when :func:`defect` is 0."""
 
     n: int
     g: int
@@ -197,7 +195,6 @@ class VarietyModel:
     defect_strata: tuple[tuple[int, int], ...]
     pluri: Optional[PluriData] = None
     sheaves: Mapping[str, tuple[RankFunction, ...]] = field(default_factory=dict)
-    semismall: bool = False
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -280,7 +277,9 @@ class VarietyModel:
 
     @cached_property
     def plurigenera(self) -> Mapping[int, RankFunction]:
-        """The rank function of ω^m for each m with plurigenus data, built once.
+        """The rank function of ω^m for each m with plurigenus data, built once:
+        ``values[m]`` on the locus cosets and 0 elsewhere, so a locus that
+        fills the torus (q_base = g) folds into :attr:`RankFunction.limit`.
         Every m's strata are one tuple of locus cosets, the translates pinned in
         this torus off the leading 2·q_base coordinates, so all m share their
         normalization and Smith data.  A ``q_base`` outside [0, g] has no
@@ -292,12 +291,8 @@ class VarietyModel:
             raise ValueError(f"q_base {shown_int(pluri.q_base)} lies outside [0, g] = [0, {self.g}]")
         cosets = tuple(CongruenceCoset.pinned(dim, {i: t.coords[i] for i in range(2 * pluri.q_base, dim)})
                        for t in pluri.translates)
-        rank_functions = {}
-        for m, value in pluri.values.items():
-            generic = pluri.generic_values.get(m, 0)
-            strata = tuple(Stratum(c, value) for c in cosets) if value > generic else ()
-            rank_functions[m] = RankFunction(dim, generic, strata)
-        return rank_functions
+        return {m: RankFunction(dim, 0, tuple(Stratum(c, value) for c in cosets) if value > 0 else ())
+                for m, value in pluri.values.items()}
 
     @cached_property
     def chi_p(self) -> tuple[int, ...]:
@@ -428,6 +423,11 @@ def validate_model(model: VarietyModel) -> ValidationReport:
     decided.  Each distinct rank function is judged, and each distinct pair
     of functions decided, once per call; the findings are then named at
     every place that holds them, so they read as if each were checked there.
+
+    A model is semismall exactly when its stratification raises no error
+    and has defect 0; then a locus off p + q = n filling the torus gets a
+    warning.  Every cover is connected, so for n, g >= 1 the (0,0) and
+    (n,n) ranks must vanish off the origin.
     """
     findings: list[Finding] = []
     err = lambda msg: findings.append(Finding("error", msg))
@@ -477,6 +477,13 @@ def validate_model(model: VarietyModel) -> ValidationReport:
     origin = TorusPoint.zero(model.torus_dim)
     if model.hodge[0][0].rank_at(origin) != 1:
         err("the (0,0) rank at the origin must be 1")
+    if n >= 1 and g >= 1:
+        # every X_d is connected: h^(0,0)(α) = [α = 0], and h^(n,n) by Serre duality
+        for p in (0, n):
+            rf = model.hodge[p][p]
+            if rf.generic_value or any(value > 0 and nc is not None and (nc.dim or nc.order > 1 or nc.torsion)
+                                       for (_, value), nc in zip(rf.strata, rf.normalized_strata)):
+                err(f"the ({p},{p}) rank must vanish off the origin, since every cover X_d is connected")
     if n >= 1 and model.hodge[1][0].rank_at(origin) != g:
         warn(f"the (1,0) rank at the origin is {shown_int(model.hodge[1][0].rank_at(origin))}, "
              f"not the irregularity {g}; the model does not present its own Albanese torus")
@@ -484,6 +491,7 @@ def validate_model(model: VarietyModel) -> ValidationReport:
         warn(f"a point's Albanese torus is trivial, not of irregularity {g}; "
              "the model does not present its own Albanese torus")
 
+    before = len(findings)  # the stratification adds errors only
     try:
         delta = defect(model)
     except MissingStratification as exc:
@@ -499,10 +507,18 @@ def validate_model(model: VarietyModel) -> ValidationReport:
                 err(f"stratum ({shown_int(l)},{shown_int(dim)}) cannot fit in a variety of dimension {n}")
             elif dim > g:
                 err(f"stratum ({shown_int(l)},{shown_int(dim)}) exceeds the Albanese dimension {g}")
-        if model.semismall and delta != 0:
-            err(f"the model is flagged semismall but its defect is {shown_int(delta)}")
+        # the general fiber has dimension k = n - dim V_0; V_l shrinks as l grows, and is V_0 for l <= k
+        if len(findings) == before:
+            k = n - next(dim for l, dim in model.defect_strata if l == 0)
+            for l, dim in model.defect_strata:
+                if l <= k and dim != n - k:
+                    err(f"stratum ({l},{dim}) contradicts V_0 of dimension {n - k}: the general fiber "
+                        f"has dimension {k}, so V_l = V_0 for every l <= {k}")
+                elif any(other < l and below < dim for other, below in model.defect_strata):
+                    err(f"stratum ({l},{dim}) is larger than a stratum of smaller l; V_l cannot grow as l grows")
 
-    if model.semismall:
+    if len(findings) == before and delta == 0:
+        # semismall: by generic vanishing only p + q = n may fill the torus
         for p, q in model.hodge_pairs():
             if not model.hodge[p][q].is_proper() and p + q != n:
                 warn(f"locus ({p},{q}) fills the torus although p+q differs from n; "
@@ -511,21 +527,11 @@ def validate_model(model: VarietyModel) -> ValidationReport:
     if model.pluri is not None:
         if not (0 <= model.pluri.q_base <= g):
             err(f"the Iitaka-base irregularity {shown_int(model.pluri.q_base)} must lie in [0, {g}]")
-        for table, what in ((model.pluri.values, "plurigenus value"),
-                            (model.pluri.generic_values, "generic plurigenus value")):
-            for m, v in table.items():
-                if v < 0:
-                    err(f"{what} {shown_int(v)} for m = {shown_int(m)} is negative")
         for m, v in model.pluri.values.items():
+            if v < 0:
+                err(f"plurigenus value {shown_int(v)} for m = {shown_int(m)} is negative")
             if m < 2:
                 err(f"plurigenus data for m = {shown_int(m)}; only m >= 2 belongs here")
-            gv = model.pluri.generic_values.get(m, 0)
-            if gv > v:
-                err(f"generic plurigenus value {shown_int(gv)} exceeds the locus value {shown_int(v)} for m = {shown_int(m)}")
-            if 2 * model.pluri.q_base == model.torus_dim and gv != v:
-                err(f"for a full-torus pluricanonical locus the generic and locus values must agree (m = {shown_int(m)})")
-            if model.pluri.q_base < g and gv:
-                err(f"the pluricanonical locus is proper (q_base < g), so its generic value for m = {shown_int(m)} must be 0")
 
     for name, rfs in sorted(model.sheaves.items()):
         for i, rf in enumerate(rfs):

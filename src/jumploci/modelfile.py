@@ -12,6 +12,12 @@ with the same generic value over those shared cosets (Serre duality and
 Hodge symmetry repeat most of a grid) then become one :class:`RankFunction`
 when the :class:`VarietyModel` is built.  The table that finds the repeats
 lives for that load only; nothing is kept between loads.
+
+A file states only what a model cannot derive, so export writes no
+``flags`` (semismall means defect 0) and no pluri ``generic_values`` (0 off
+the locus, which fills the torus exactly when q_base = g).  Files with
+either key still load: ``flags`` is ignored, and a ``generic_values`` entry
+that contradicts the derived value is refused, never read another way.
 """
 
 from __future__ import annotations
@@ -159,14 +165,12 @@ def model_to_dict(model: VarietyModel) -> dict:
         "g": model.g,
         "hodge": hodge,
         "defect_strata": [list(s) for s in model.defect_strata],
-        "flags": {"semismall": model.semismall},
     }
     if model.pluri is not None:
         out["pluri"] = {
             "q_base": model.pluri.q_base,
             "translates": [[str(c) for c in t.coords] for t in model.pluri.translates],
             "values": {str(m): v for m, v in sorted(model.pluri.values.items())},
-            "generic_values": {str(m): v for m, v in sorted(model.pluri.generic_values.items())},
         }
     if model.sheaves:
         out["sheaves"] = {
@@ -224,7 +228,7 @@ def model_from_dict(obj: Any) -> VarietyModel:
             raise ModelFormatError("'defect_strata' entries are [l, dim] pairs")
         strata.append((_integer(pair[0], "a defect 'l'"), _integer(pair[1], "a defect 'dim'")))
 
-    pluri = None
+    pluri, declared = None, {}
     if obj.get("pluri") is not None:
         pd = _object(obj["pluri"], "'pluri'")
         if "q_base" not in pd or "translates" not in pd:
@@ -233,8 +237,8 @@ def model_from_dict(obj: Any) -> VarietyModel:
             q_base=_integer(pd["q_base"], "'q_base'"),
             translates=tuple(_point_from_list(t, torus) for t in _list(pd["translates"], "'translates'")),
             values=_power_table(pd.get("values", {}), "'values'"),
-            generic_values=_power_table(pd.get("generic_values", {}), "'generic_values'"),
         )
+        declared = _power_table(pd.get("generic_values", {}), "'generic_values'")
 
     sheaves = {}
     for name, rfs in _object(obj.get("sheaves", {}), "'sheaves'").items():
@@ -242,22 +246,25 @@ def model_from_dict(obj: Any) -> VarietyModel:
             raise ModelFormatError(f"sheaf slot {_quoted(name)} must be a list of rank functions")
         sheaves[name] = tuple(_rank_from_dict(rf, torus, built) for rf in rfs)
 
-    flags = _object(obj.get("flags", {}), "'flags'")
-    if not isinstance(flags.get("semismall", False), bool):
-        raise ModelFormatError(f"flag 'semismall' must be true or false, got {_quoted(flags['semismall'])}")
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise ModelFormatError(f"'name' must be a string, got {_quoted(name)}")
-    return VarietyModel(
+    model = VarietyModel(
         n=n,
         g=g,
         hodge=tuple(tuple(row) for row in grid),
         defect_strata=tuple(strata),
         pluri=pluri,
         sheaves=sheaves,
-        semismall=flags.get("semismall", False),
         name=name,
     )
+    if declared and 0 <= pluri.q_base <= g:  # an older file's generic values must be the derived ones
+        for m, value in declared.items():
+            if m in pluri.values and value != model.plurigenera[m].limit:
+                raise ModelFormatError(
+                    f"'generic_values' gives {_quoted(value)} for m = {_quoted(m)}, but the model derives "
+                    f"{_quoted(model.plurigenera[m].limit)}: the locus value when q_base = g, else 0")
+    return model
 
 
 def dumps_model(model: VarietyModel) -> str:

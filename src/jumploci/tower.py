@@ -142,10 +142,7 @@ def pluri_bound_constant(model: VarietyModel, m: int) -> int:
     """Constant M with P_m(X_d)/deg <= M · d^(-2(g - q_base)) for all d."""
     if m not in model.plurigenera:
         raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
-    generic = model.pluri.generic_values.get(m, 0)
-    if generic:
-        return generic + len(model.pluri.translates) * model.pluri.values[m]
-    return max(1, len(model.pluri.translates)) * model.pluri.values[m]
+    return model.plurigenera[m].limit + max(1, len(model.pluri.translates)) * model.pluri.values[m]
 
 
 def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),

@@ -451,15 +451,18 @@ class TestBadFlags:
         assert "abelian: n = 65, g = 65 exceed the caps" in capsys.readouterr().err
 
     def test_proper_pluri_locus_with_generic_value(self, tmp_path, capsys):
+        # a file of the first layout that states a rank off a proper locus is
+        # refused at load: the model derives 0 there
         blob = json.loads(dumps_model(builtin("abelian", g=2).model))
         blob["pluri"]["values"] = {"2": 3}
         blob["pluri"]["generic_values"] = {"2": 1}
         path = tmp_path / "pluri.json"
         path.write_text(json.dumps(blob))
-        code, out = run_cli(capsys, "validate", "--model", str(path))
-        assert code == 2
-        assert "generic value for m = 2 must be 0" in out
-        assert main(["tower", "--model", str(path), "--pluri", "2"]) == 2
+        message = ("error: 'generic_values' gives 1 for m = 2, but the model derives 0: "
+                   "the locus value when q_base = g, else 0\n")
+        for argv in (["validate"], ["tower", "--pluri", "2"]):
+            assert main([*argv, "--model", str(path)]) == 2
+            assert capsys.readouterr() == ("", message)
 
 
 class TestValidateExport:
@@ -467,6 +470,29 @@ class TestValidateExport:
         code, out = run_cli(capsys, "validate", "--builtin", "abelian", "--params", "g=2,,")
         assert (code, out) == run_cli(capsys, "validate", "--builtin", "abelian", "--params", "g=2")
         assert code == 0 and out.endswith("model accepted\n")
+
+    def test_impossible_models_exit_2(self, tmp_path, capsys):
+        # a stratification that contradicts itself, which check --defect-bound 0
+        # failed on, and covers that are not connected (h^(0,0)(X_3) = 2 in tower)
+        strata = json.loads(dumps_model(builtin("elliptic_surface_qI0", genus=2, chi=1).model))
+        strata["defect_strata"] = [[0, 1], [1, 0]]
+        points = lambda *xs: [{"A": [[1, 0], [0, 1]], "b": [x, "0"], "value": 1} for x in ("0", *xs)]
+        disconnected = {"schema_version": 1, "n": 1, "g": 1, "defect_strata": [[0, 1]], "hodge": [
+            {"p": p, "q": q, "strata": points("1/3" if p == 0 else "2/3")} for p in range(2) for q in range(2)]}
+        cases = [(strata, ["error: stratum (1,0) contradicts V_0 of dimension 1: the general fiber has "
+                           "dimension 1, so V_l = V_0 for every l <= 1"]),
+                 (disconnected, [f"error: the ({p},{p}) rank must vanish off the origin, since every cover "
+                                 "X_d is connected" for p in (0, 1)])]
+        for blob, errors in cases:
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(blob))
+            code, out = run_cli(capsys, "validate", "--model", str(path))
+            assert code == 2 and [line for line in out.splitlines() if line.startswith("error")] == errors
+            assert out.endswith("model rejected\n")
+            for argv in (["check", "--defect-bound", "0"], ["tower", "--d-max", "3"]):
+                assert main([*argv, "--model", str(path)]) == 2
+                assert capsys.readouterr() == ("".join(f"{e}\n" for e in errors),
+                                               "error: the model does not validate\n")
 
     def test_validate_accepts_catalog(self, capsys):
         code, out = run_cli(capsys, "validate", "--builtin", "fibered_over_curve",
@@ -506,9 +532,10 @@ class TestFileTextIsEchoedShort:
         ("validate --model", json.dumps(dict(_POINT, hodge=[{"p": 0, "q": 0, "generic": 1,
                                                             "strata": [dict(_LONG_B, value=2)]}]))),
         ("count --d 2 --locus", json.dumps({"ambient_dim": 2, "components": [_LONG_B]})),
-        ("validate --model", json.dumps(dict(_POINT, flags={"semismall": "x" * 5000}))),
+        ("validate --model", json.dumps(dict(_POINT, pluri={"q_base": 0, "translates": [["0", "0"]],
+                                                            "generic_values": {"x" * 5000: 0}}))),
         ("validate --model", json.dumps(_POINT).replace('"generic": 1', '"generic": ' + "9" * 5000)),
-    ], ids=["model b", "locus b", "semismall", "digits"])
+    ], ids=["model b", "locus b", "generic_values key", "digits"])
     def test_exit_2_with_a_short_message(self, tmp_path, capsys, command, text):
         path = tmp_path / "input.json"
         path.write_text(text)

@@ -5,9 +5,18 @@ the d-torsion points onto themselves, fixes the origin and commutes with
 negation.  It maps the coset {x : A·x ≡ b} onto {y : A·W⁻¹·y ≡ b}, so
 replacing every stratum's rows A by A·W⁻¹ moves each rank function by an
 automorphism, and no invariant of the covers, limit, decay fit, witness or
-validation finding may change.  The models have several divisibility
-classes (translates of order 2 to 4, Smith pivots above 1), so the torsion
-gates of the count table are exercised, not only its limits.
+validation finding may change.
+
+Two more relations hold for the covers.  Translating by a point t of order
+k maps the d-torsion points onto themselves whenever k divides d, and maps
+{x : A·x ≡ b} onto {y : A·y ≡ b + A·t}; so translating every stratum by t
+leaves every cover X_d with k | d unchanged.  And a stratum contained in
+another one of at least its value changes no rank under the max rule, so
+adding one changes no cover, decay fit or divergence verdict.
+
+The models have several divisibility classes (translates of order 2 to 4,
+Smith pivots above 1), so the torsion gates of the count table are
+exercised, not only its limits.
 """
 
 import random
@@ -15,7 +24,7 @@ from fractions import Fraction
 
 import pytest
 
-from jumploci import CongruenceCoset, RankFunction, Stratum, validate_model
+from jumploci import CongruenceCoset, RankFunction, Stratum, TorusPoint, validate_model
 from jumploci.asymptotics import divergence_class, fit_bounds
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
 from jumploci.tower import cover_invariants
@@ -40,24 +49,72 @@ def inverse(matrix):
     return [[int(a) for a in row] for row in out]
 
 
-def moved(model, w):
-    """The model with every stratum's rows A replaced by A·W⁻¹; a coset
-    that several strata share stays one object."""
-    w_inv = inverse(w)
-    n = len(w)
-    images = {}
-
-    def image(coset):
-        if id(coset) not in images:
-            rows = [[sum(row[k] * w_inv[k][j] for k in range(n)) for j in range(n)] for row in coset.rows]
-            images[id(coset)] = CongruenceCoset.of(n, rows, coset.rhs)
-        return images[id(coset)]
-
-    def move(rf):
-        return RankFunction(rf.ambient_dim, rf.generic_value, tuple(Stratum(image(c), v) for c, v in rf.strata))
-
+def remapped(model, move):
+    """The model with every rank function replaced by ``move`` of it."""
     return type(model)(n=model.n, g=model.g, hodge=tuple(tuple(map(move, row)) for row in model.hodge),
                        defect_strata=model.defect_strata)
+
+
+def with_cosets(model, image):
+    """The model with every stratum's coset replaced by ``image`` of it; a
+    coset that several strata share stays one object."""
+    images = {}
+
+    def move(rf):
+        strata = []
+        for coset, value in rf.strata:
+            if id(coset) not in images:
+                images[id(coset)] = image(coset)
+            strata.append(Stratum(images[id(coset)], value))
+        return RankFunction(rf.ambient_dim, rf.generic_value, tuple(strata))
+
+    return remapped(model, move)
+
+
+def moved(model, w):
+    """The model with every stratum's rows A replaced by A·W⁻¹."""
+    w_inv = inverse(w)
+    n = len(w)
+    return with_cosets(model, lambda coset: CongruenceCoset.of(
+        n, [[sum(row[k] * w_inv[k][j] for k in range(n)) for j in range(n)] for row in coset.rows], coset.rhs))
+
+
+def translated(model, t):
+    """The model with every stratum translated by the point t."""
+    return with_cosets(model, lambda coset: CongruenceCoset.of(
+        coset.ambient_dim, coset.rows, [b + sum(a * c for a, c in zip(row, t.coords))
+                                        for row, b in zip(coset.rows, coset.rhs)]))
+
+
+def point_of(coset):
+    """A point of a nonempty coset: H·x = nums/order solved exactly over Q by
+    back substitution on its Hermite rows, the free coordinates set to 0."""
+    nc = coset.normalize()
+    x = [Fraction(0)] * nc.ambient_dim
+    for row, num in reversed(list(zip(nc.rows, nc.nums))):
+        pivot = next(c for c, a in enumerate(row) if a)
+        x[pivot] = (Fraction(num, nc.order) - sum(a * c for a, c in zip(row, x))) / row[pivot]
+    point = TorusPoint.of(x)
+    assert coset.contains(point)
+    return point
+
+
+def with_dominated_strata(model, rng):
+    """The model with, in each grid entry that has strata, one more stratum
+    inside one of them, cut by a random row through a point of it, with a
+    value from above the generic one up to that stratum's."""
+    def move(rf):
+        if not rf.strata:
+            return rf
+        coset, value = rng.choice(rf.strata)
+        x = point_of(coset)
+        row = [rng.randint(-3, 3) for _ in range(rf.ambient_dim)]
+        inner = CongruenceCoset.of(rf.ambient_dim, [*coset.rows, row],
+                                   [*coset.rhs, sum(a * c for a, c in zip(row, x.coords))])
+        return RankFunction(rf.ambient_dim, rf.generic_value,
+                            (*rf.strata, Stratum(inner, rng.randint(rf.generic_value + 1, value))))
+
+    return remapped(model, move)
 
 
 def outputs(model):
@@ -89,3 +146,27 @@ def test_the_models_have_several_divisibility_classes():
             classes.add((order, torsion))
     assert len({order for order, _ in classes}) >= 3
     assert any(torsion for _, torsion in classes)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_covers_are_invariant_under_a_torsion_translation(seed):
+    rng = random.Random(f"invariance:{seed}")
+    model = random_model(rng)
+    k = rng.randint(2, 6)
+    t = TorusPoint.of([Fraction(1, k)] + [Fraction(rng.randrange(k), k) for _ in range(model.torus_dim - 1)])
+    image = translated(model, t)
+    assert image != model
+    for d in (k, 2 * k, 6 * k, k * (10 ** 30 // k)):
+        assert cover_invariants(image, d) == cover_invariants(model, d)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_covers_fits_and_verdict_ignore_a_dominated_stratum(seed):
+    rng = random.Random(f"invariance:{seed}")
+    model = random_model(rng)
+    wider = with_dominated_strata(model, rng)
+    assert wider != model
+    assert [cover_invariants(wider, d) for d in DS] == [cover_invariants(model, d) for d in DS]
+    assert [fit_bounds(wider, bound, 8) for bound in range(model.n + 1)] == \
+        [fit_bounds(model, bound, 8) for bound in range(model.n + 1)]
+    assert divergence_class(wider) == divergence_class(model)

@@ -33,7 +33,7 @@ from jumploci.errors import ECHO_CHARS
 from jumploci.asymptotics import divergence_class, fit_bounds
 from jumploci.model import _level_set_mismatch, _serre_mismatch
 from jumploci.modelfile import model_to_dict
-from jumploci.tower import sheaf_rank_on_cover
+from jumploci.tower import plurigenera_cover, sheaf_rank_on_cover
 from gen import CATALOG_SWEEP, random_model, random_point
 
 
@@ -135,13 +135,11 @@ class TestValueTypes:
         point = (TorusPoint.zero(2),)
         for bad in ({2: 2.5}, {2: Fraction(5, 2)}, {Fraction(5, 2): 1}, {2: "2"}):
             with pytest.raises(TypeError):
-                PluriData(1, point, bad, {})
-            with pytest.raises(TypeError):
-                PluriData(1, point, {2: 3}, bad)
+                PluriData(1, point, bad)
         with pytest.raises(TypeError):
-            PluriData(0.5, point, {2: 3}, {})
-        pluri = PluriData(Fraction(1), point, {Decimal(2): Fraction(3)}, {})
-        assert pluri == PluriData(1, point, {2: 3}, {})
+            PluriData(0.5, point, {2: 3})
+        pluri = PluriData(Fraction(1), point, {Decimal(2): Fraction(3)})
+        assert pluri == PluriData(1, point, {2: 3})
         assert [type(x) for x in (pluri.q_base, *pluri.values, *pluri.values.values())] == [int] * 3
 
     def test_model_refuses_non_integral_n_and_g(self):
@@ -179,7 +177,7 @@ class TestValueTypes:
             VarietyModel(n=0, g=1, hodge=point(2), defect_strata=((0, 0),), sheaves={"L": (constant_rank(4, 0),)})
         base = builtin("abelian", g=1).model
         for coords in ([0], [0, 0, 0, 0]):  # too short: IndexError; too long: extra coordinates ignored
-            pluri = PluriData(0, (TorusPoint.of(coords),), {2: 1}, {})
+            pluri = PluriData(0, (TorusPoint.of(coords),), {2: 1})
             with pytest.raises(DimensionMismatch, match="^a pluricanonical translate lives outside the dual "
                                                         "torus of dimension 2$"):
                 dataclasses.replace(base, pluri=pluri)
@@ -207,12 +205,10 @@ class TestValidation:
         sheaf = dataclasses.replace(base, sheaves={"L": (constant_rank(2, 0), constant_rank(2, -1))})
         assert [f.message for f in validate_model(sheaf).errors] == [
             "sheaf slot 'L' degree 1 has negative generic value -1"]
-        pluri = PluriData(q_base=1, translates=(TorusPoint.zero(2),),
-                          values={2: -2}, generic_values={2: -2, 3: -1})
+        pluri = PluriData(q_base=1, translates=(TorusPoint.zero(2),), values={2: -2, 3: -1})
         assert [f.message for f in validate_model(dataclasses.replace(base, pluri=pluri)).errors] == [
             "plurigenus value -2 for m = 2 is negative",
-            "generic plurigenus value -2 for m = 2 is negative",
-            "generic plurigenus value -1 for m = 3 is negative"]
+            "plurigenus value -1 for m = 3 is negative"]
 
     def test_huge_model_integers_are_quoted_short(self):
         # str() refuses an int past the interpreter's digit cap (4300 by
@@ -220,17 +216,12 @@ class TestValidation:
         huge = 10 ** 5000 - 1
         cut, neg = "9" * ECHO_CHARS + "...", "-" + "9" * (ECHO_CHARS - 1) + "..."
         base = builtin("elliptic_surface_qI0", genus=2, chi=1).model
-        pluri = PluriData(huge, base.pluri.translates, {2: huge, 3: -huge}, {2: huge + 1, 4: -huge})
+        pluri = PluriData(huge, base.pluri.translates, {2: huge, 3: -huge, -huge: 1})
         messages = [f.message for f in validate_model(dataclasses.replace(base, pluri=pluri)).errors]
         assert messages == [
             f"the Iitaka-base irregularity {cut} must lie in [0, 2]",
             f"plurigenus value {neg} for m = 3 is negative",
-            f"generic plurigenus value {neg} for m = 4 is negative",
-            f"generic plurigenus value 1{'0' * (ECHO_CHARS - 1)}... exceeds the locus value {cut} for m = 2",
-            f"generic plurigenus value 0 exceeds the locus value {neg} for m = 3"]
-        pluri = PluriData(1, base.pluri.translates, {huge: 1}, {huge: 1})
-        assert [f.message for f in validate_model(dataclasses.replace(base, pluri=pluri)).errors] == [
-            f"the pluricanonical locus is proper (q_base < g), so its generic value for m = {cut} must be 0"]
+            f"plurigenus data for m = {neg}; only m >= 2 belongs here"]
         grid = [list(row) for row in base.hodge]
         grid[0][1] = RankFunction(4, -huge, (Stratum(origin_coset(4), -huge),))
         grid[1][0] = RankFunction(4, huge, (Stratum(origin_coset(4), huge),))
@@ -279,19 +270,87 @@ class TestValidation:
             dataclasses.replace(base, sheaves={"L": (constant_rank(2, 0), constant_rank(4, 0))})
 
     def test_proper_pluri_locus_needs_zero_generic_value(self):
-        # q_base = 0 < g: P_2 would be d^4·1 + 2 while pluri_limit said 0
+        # q_base = 0 < g: the rank of ω^2 is 3 at the origin and is derived
+        # to be 0 off it, so P_2 and pluri_limit agree
         base = builtin("abelian", g=2).model
-        pluri = PluriData(q_base=0, translates=(TorusPoint.zero(4),),
-                          values={2: 3}, generic_values={2: 1})
-        report = validate_model(dataclasses.replace(base, pluri=pluri))
-        assert [f.message for f in report.errors] == [
-            "the pluricanonical locus is proper (q_base < g), so its generic value for m = 2 must be 0"]
+        pluri = PluriData(q_base=0, translates=(TorusPoint.zero(4),), values={2: 3})
+        model = dataclasses.replace(base, pluri=pluri)
+        assert validate_model(model).ok
+        rf = model.plurigenera[2]
+        assert (rf.generic_value, rf.limit) == (0, 0)
+        assert [rf.rank_at(TorusPoint.of(x)) for x in ([0] * 4, [Fraction(1, 2), 0, 0, 0])] == [3, 0]
+        assert [plurigenera_cover(model, d, 2) for d in (1, 2, 3)] == [3, 3, 3]
 
-    def test_semismall_flag_with_positive_defect_is_error(self):
+    def test_stratification_that_contradicts_itself_is_error(self):
+        # dim V_0 = 1 < n = 2: the general fiber is a curve, so V_1 = V_0
+        base = builtin("elliptic_surface_qI0", genus=2, chi=1).model
+        report = validate_model(dataclasses.replace(base, defect_strata=((0, 1), (1, 0))))
+        assert [f.message for f in report.errors] == [
+            "stratum (1,0) contradicts V_0 of dimension 1: the general fiber has dimension 1, "
+            "so V_l = V_0 for every l <= 1"]
         base = builtin("blowup_abelian4_curve", genus=2).model
-        flagged = dataclasses.replace(base, semismall=True)
-        report = validate_model(flagged)
-        assert any("flagged semismall" in f.message for f in report.errors)
+        report = validate_model(dataclasses.replace(base, defect_strata=((0, 4), (1, 1), (2, 2))))
+        assert [f.message for f in report.errors] == [
+            "stratum (2,2) is larger than a stratum of smaller l; V_l cannot grow as l grows"]
+        # past the general fiber dimension V_l is proper, which l + dim V_l <= n already demands
+        report = validate_model(dataclasses.replace(base, defect_strata=((0, 3), (2, 3))))
+        assert [f.message for f in report.errors] == ["stratum (2,3) cannot fit in a variety of dimension 4"]
+        for name, params in (*DEFAULT_INSTANCES, *CATALOG_SWEEP):
+            assert validate_model(builtin(name, **params).model).ok
+
+    def test_defect_zero_is_semismall(self):
+        # no flag states it: defect 0 makes the off-middle full-locus warning apply
+        base = builtin("blowup_abelian_codim", g=2, c=2).model
+        grid = [list(row) for row in base.hodge]
+        for p, q in ((0, 1), (2, 1)):  # a Serre pair
+            grid[p][q] = RankFunction(4, 1, grid[p][q].strata)
+        model = dataclasses.replace(base, hodge=tuple(map(tuple, grid)))
+        semismall = [f"locus ({p},{q}) fills the torus although p+q differs from n; "
+                     "a semismall model cannot do that" for p, q in ((0, 1), (2, 1))]
+        report = validate_model(model)
+        assert defect(model) == 0 and report.ok
+        assert [f.message for f in report.warnings] == semismall
+        positive = dataclasses.replace(model, defect_strata=((0, 2), (1, 1)))
+        assert defect(positive) == 1 and not validate_model(positive).findings
+        contradicted = dataclasses.replace(model, defect_strata=((0, 2), (0, 1)))
+        report = validate_model(contradicted)
+        assert defect(contradicted) == 0 and not report.warnings
+        assert [f.message for f in report.errors] == [
+            "stratum (0,1) contradicts V_0 of dimension 2: the general fiber has dimension 0, "
+            "so V_l = V_0 for every l <= 0"]
+
+    def test_every_cover_is_connected(self):
+        # h^(0,0)(α) = [α = 0], and h^(n,n) likewise: with another point the
+        # cover X_3 of the first case would have h^(0,0) = 2
+        base = builtin("abelian", g=1).model
+        third = CongruenceCoset.point(TorusPoint.of([Fraction(1, 3), 0]))
+        two_torsion = CongruenceCoset.of(2, [[2, 0], [0, 2]], [0, 0])  # dimension 0, order 1, Smith data
+        cases = [
+            RankFunction(2, 0, (Stratum(origin_coset(2), 1), Stratum(third, 1))),
+            RankFunction(2, 0, (Stratum(origin_coset(2), 1), Stratum(two_torsion, 1))),
+            RankFunction(2, 0, (Stratum(CongruenceCoset.pinned(2, {0: 0}), 1),)),
+            RankFunction(2, 1, ()),
+        ]
+        for rf in cases:
+            for p in (0, 1):
+                grid = [list(row) for row in base.hodge]
+                grid[p][p] = rf
+                report = validate_model(dataclasses.replace(base, hodge=tuple(map(tuple, grid))))
+                errors = [f.message for f in report.errors]
+                assert errors == [f"the ({p},{p}) rank must vanish off the origin, since every cover X_d is connected"]
+        # the origin written with other rows, and an empty stratum, are the origin
+        origin = CongruenceCoset.of(2, [[1, 1], [0, 1]], [0, 0])
+        empty = CongruenceCoset.of(2, [[1, 0], [1, 0]], [0, Fraction(1, 2)])
+        grid = [list(row) for row in base.hodge]
+        grid[0][0] = grid[1][1] = RankFunction(2, 0, (Stratum(origin, 1), Stratum(empty, 1)))
+        assert validate_model(dataclasses.replace(base, hodge=tuple(map(tuple, grid)))).ok
+        # a torus of dimension 0 is its origin, and a point n = 0 keeps its own warning
+        flat = VarietyModel(n=1, g=0, hodge=((constant_rank(0, 1),) * 2,) * 2, defect_strata=((0, 0), (1, 0)))
+        assert validate_model(flat).ok
+        point = VarietyModel(n=0, g=1, hodge=((constant_rank(2, 1),),), defect_strata=((0, 0),))
+        assert [tuple(f) for f in validate_model(point).findings] == [
+            ("warning", "a point's Albanese torus is trivial, not of irregularity 1; "
+                        "the model does not present its own Albanese torus")]
 
     def test_serre_asymmetry_warns(self):
         # a surface-shaped grid with h^(0,1) and h^(1,0) disagreeing at the origin
@@ -677,6 +736,5 @@ class TestDefect:
         for name, params in (("abelian", {"g": 2}), ("blowup_abelian_codim", {"g": 4, "c": 2}),
                              ("fibered_over_curve", {"genus": 3})):
             model = builtin(name, **params).model
-            if model.semismall:
-                assert validate_model(model).ok
-                assert defect(model) == 0
+            assert validate_model(model).ok
+            assert defect(model) == 0

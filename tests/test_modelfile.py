@@ -16,9 +16,11 @@ from jumploci import (
     save_model,
     validate_model,
     DEFAULT_INSTANCES,
+    defect,
 )
 from jumploci.cli import main
 from jumploci.modelfile import MAX_G, MAX_N
+from gen import CATALOG_SWEEP
 
 
 @pytest.mark.parametrize("name,params", DEFAULT_INSTANCES)
@@ -99,8 +101,6 @@ def test_load_locus(tmp_path):
 @pytest.mark.parametrize("mutate,message", [
     (lambda d: d["hodge"][0]["strata"].append(1), "a stratum must be a JSON object"),
     (lambda d: d.update(sheaves=[1]), "'sheaves' must be a JSON object"),
-    (lambda d: d.update(flags=[1]), "'flags' must be a JSON object"),
-    (lambda d: d["flags"].update(semismall="yes"), "'semismall' must be true or false"),
     (lambda d: d.update(schema_version=True), "schema_version"),
     (lambda d: d.update(schema_version=1.0), "schema_version"),
     (lambda d: d.update(name=5), "'name' must be a string"),
@@ -112,7 +112,7 @@ def test_load_locus(tmp_path):
     (lambda d: d.update(defect_strata=[[0, 1.0]]), "a defect 'dim' must be an integer"),
     (lambda d: d["pluri"].update(q_base=0.5), "'q_base' must be an integer"),
     (lambda d: d["pluri"]["values"].update({"2": 1.5}), "an entry of 'values' must be an integer"),
-    (lambda d: d["pluri"]["generic_values"].update({"2": True}),
+    (lambda d: d["pluri"].update(generic_values={"2": True}),
      "an entry of 'generic_values' must be an integer"),
     (lambda d: d["pluri"]["values"].update({"two": 1}), "'values' keys must be integers"),
     (lambda d: d.update(n=MAX_N + 1), "largest supported dimension"),
@@ -131,7 +131,6 @@ def test_bad_fields_rejected(mutate, message, tmp_path):
 def _pluri_blob(key):
     blob = model_to_dict(builtin("cartwright_steger_like").model)
     blob["pluri"]["values"] = {key: 1}
-    blob["pluri"]["generic_values"] = {}
     return blob
 
 
@@ -340,9 +339,11 @@ def test_a_row_that_is_not_a_list_is_refused(rows, tmp_path, capsys):
 
 
 def test_export_writes_no_serre_check_flag():
-    # Serre symmetry is always decided, so no flag switches it off
+    # Serre symmetry is always decided, so no flag switches it off; nor is
+    # semismallness a flag, since the defect decides it
     for name, params in DEFAULT_INSTANCES:
-        assert set(model_to_dict(builtin(name, **params).model)["flags"]) == {"semismall"}
+        blob = model_to_dict(builtin(name, **params).model)
+        assert "flags" not in blob and "generic_values" not in (blob.get("pluri") or {})
     assert "serre_check" not in dumps_model(builtin("abelian", g=1).model)
 
 
@@ -392,14 +393,11 @@ def test_a_file_that_is_not_utf8_names_the_file(command, tmp_path, capsys):
 
 
 def _abelian_blob():
-    blob = model_to_dict(builtin("abelian", g=1).model)
-    blob["flags"] = {}
-    return blob
+    return model_to_dict(builtin("abelian", g=1).model)
 
 
-def _pluri(q_base, values, generic_values):
-    return lambda d: d.update(pluri={"q_base": q_base, "translates": [["0", "0"]],
-                                     "values": values, "generic_values": generic_values})
+def _pluri(q_base, values):
+    return lambda d: d.update(pluri={"q_base": q_base, "translates": [["0", "0"]], "values": values})
 
 
 def _full_torus_stratum(d):
@@ -421,18 +419,13 @@ def _full_torus_stratum(d):
      ["warning: the (1,0) rank at the origin is 1, not the irregularity 0; "
       "the model does not present its own Albanese torus",
       "error: stratum (0,1) exceeds the Albanese dimension 0"]),
-    (_pluri(2, {"2": 1}, {}), ["error: the Iitaka-base irregularity 2 must lie in [0, 1]"]),
-    (_pluri(0, {"1": 1}, {}), ["error: plurigenus data for m = 1; only m >= 2 belongs here"]),
-    (_pluri(1, {"2": 1}, {"2": 2}),
-     ["error: generic plurigenus value 2 exceeds the locus value 1 for m = 2",
-      "error: for a full-torus pluricanonical locus the generic and locus values must agree (m = 2)"]),
-    (_pluri(1, {"2": 2}, {"2": 1}),
-     ["error: for a full-torus pluricanonical locus the generic and locus values must agree (m = 2)"]),
+    (_pluri(2, {"2": 1}), ["error: the Iitaka-base irregularity 2 must lie in [0, 1]"]),
+    (_pluri(0, {"1": 1}), ["error: plurigenus data for m = 1; only m >= 2 belongs here"]),
     (_full_torus_stratum,
      ["warning: stratum 1 of (0,1) spans the whole torus; it overrides the generic value",
       "warning: stratum 1 of (1,0) spans the whole torus; it overrides the generic value"]),
 ], ids=["no strata", "no l = 0", "negative defect", "negative entry", "l + dim > n", "dim > g",
-        "q_base > g", "m < 2", "generic above locus", "full locus, two values", "stratum with no rows"])
+        "q_base > g", "m < 2", "stratum with no rows"])
 def test_content_findings_through_validate(mutate, findings, tmp_path, capsys):
     blob = _abelian_blob()
     mutate(blob)
@@ -442,6 +435,65 @@ def test_content_findings_through_validate(mutate, findings, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith(("error:", "warning:"))] == findings
     assert (code, out[-1]) == ((2, "model rejected") if findings[-1].startswith("error") else (0, "model accepted"))
+
+
+def _first_layout(model):
+    """The model as export wrote it before semismallness and the generic
+    plurigenera were derived: with ``flags`` and ``generic_values``."""
+    blob = dict(model_to_dict(model), flags={"semismall": defect(model) == 0})
+    if model.pluri is not None:
+        full = model.pluri.q_base == model.g
+        blob["pluri"]["generic_values"] = {m: v if full else 0 for m, v in blob["pluri"]["values"].items()}
+    return blob
+
+
+@pytest.mark.parametrize("name,params", DEFAULT_INSTANCES + CATALOG_SWEEP)
+def test_files_of_the_first_layout_load_unchanged(name, params):
+    model = builtin(name, **params).model
+    assert model_from_dict(_first_layout(model)) == model
+
+
+@pytest.mark.parametrize("flags", [[1], "yes", {"semismall": "yes"}, {"semismall": True}, {"serre_check": False}])
+def test_flags_of_any_shape_are_ignored(flags, tmp_path, capsys):
+    # semismall: true beside a positive defect, too: the stratification decides
+    model = builtin("blowup_abelian4_curve", genus=2).model
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(model_to_dict(model), flags=flags)), encoding="utf-8")
+    assert load_model(path) == model
+    assert main(["validate", "--model", str(path)]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"proper loci for p={p}: q in {sorted(q)}\n" for p, q in sorted(validate_model(model).weak_gv_table.items())
+    ) + "model accepted\n"
+
+
+@pytest.mark.parametrize("q_base,values,declared,derived", [
+    (1, {"2": 1}, {"2": 2}, 1),
+    (1, {"2": 2}, {"2": 1}, 2),
+    (0, {"2": 3}, {"2": 1}, 0),
+], ids=["generic above locus", "full locus, two values", "proper locus"])
+def test_contradicting_generic_values_refused_at_load(q_base, values, declared, derived, tmp_path, capsys):
+    blob = _abelian_blob()
+    blob["pluri"] = {"q_base": q_base, "translates": [["0", "0"]], "values": values, "generic_values": declared}
+    message = (f"'generic_values' gives {declared['2']} for m = 2, but the model derives {derived}: "
+               "the locus value when q_base = g, else 0")
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_dict(blob)
+    assert str(exc.value) == message
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_generic_values_with_nothing_derived_are_not_read():
+    # an exponent without a locus value, and a q_base that names no block,
+    # leave nothing to compare; validation then judges q_base
+    blob = _abelian_blob()
+    blob["pluri"] = {"q_base": 1, "translates": [["0", "0"]], "values": {"2": 1}, "generic_values": {"2": 1, "3": 7}}
+    assert model_from_dict(blob).pluri.values == {2: 1}
+    blob["pluri"].update(q_base=2, generic_values={"2": 5})
+    assert [f.message for f in validate_model(model_from_dict(blob)).errors] == [
+        "the Iitaka-base irregularity 2 must lie in [0, 1]"]
 
 
 @pytest.mark.parametrize("mutate,message", [

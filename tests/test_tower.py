@@ -300,7 +300,6 @@ class TestPlurigenera:
             q_base=1,
             translates=(TorusPoint.zero(2),),
             values={2: 7},
-            generic_values={2: 7},
         )
         model = dataclasses.replace(base, pluri=pluri)
         assert plurigenera_cover(model, 3, 2) == 9 * 7
@@ -312,7 +311,7 @@ class TestPlurigenera:
         # q_base = 2 read as the full torus (d^2) and q_base = -1 as the
         # origin (1), since the pins at coordinates -2 and -1 alias 0 and 1
         base = builtin("abelian", g=1).model
-        model = dataclasses.replace(base, pluri=PluriData(q_base, (TorusPoint.zero(2),), {2: 1}, {}))
+        model = dataclasses.replace(base, pluri=PluriData(q_base, (TorusPoint.zero(2),), {2: 1}))
         for read in (lambda: model.plurigenera, lambda: plurigenera_cover(model, 2, 2)):
             with pytest.raises(ValueError, match=rf"^q_base {q_base} lies outside \[0, g\] = \[0, 1\]$"):
                 read()
@@ -340,7 +339,7 @@ class TestPlurigenera:
         # same three coset objects, each normalized once
         translates = tuple(TorusPoint.of([0, 0, Fraction(k, 3), 0]) for k in range(3))
         pluri = PluriData(q_base=1, translates=translates,
-                          values={m: m for m in range(2, 7)}, generic_values={})
+                          values={m: m for m in range(2, 7)})
         model = dataclasses.replace(builtin("abelian", g=2).model, pluri=pluri)
         built = []
         hermite = torus._hermite
@@ -380,7 +379,7 @@ class TestPlurigenera:
     def test_bound_constant_with_a_positive_generic_value(self):
         # q_base = g: the locus is the whole torus, and the generic value counts once
         model = builtin("elliptic_surface_qI0", genus=2, chi=1).model
-        assert [model.pluri.generic_values[m] for m in (2, 3)] == [5, 8]
+        assert [model.plurigenera[m].limit for m in (2, 3)] == [5, 8]
         assert [tower.pluri_bound_constant(model, m) for m in (2, 3)] == [5 + 5, 8 + 8]
 
     def test_missing_data_for_a_huge_exponent(self):
