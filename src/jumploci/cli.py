@@ -22,9 +22,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import asymptotics, catalog, counting, modelfile, tower
@@ -89,10 +89,6 @@ def _positive_ints(text: str, flag: str) -> list[int]:
     if not values or any(v < 1 for v in values):
         raise EngineError(f"{flag} needs a comma list of positive integers, got {shown(text)!r}")
     return values
-
-
-def _approx(x: Fraction) -> str:
-    return f"{float(x):.12g}"
 
 
 @contextlib.contextmanager
@@ -173,12 +169,12 @@ def _tower_rows(model: VarietyModel, d_max: int, ms: list[int], budget: int):
         row += list(inv.betti)
         row += [inv.q]
         row += [inv.pluri[m] for m in ms]
-        norm_h = [Fraction(v, inv.deg) for v in flat]
-        norm_b = [Fraction(v, inv.deg) for v in inv.betti]
-        row += [str(x) for x in norm_h]
-        row += [_approx(x) for x in norm_h]
-        row += [str(x) for x in norm_b]
-        row += [_approx(x) for x in norm_b]
+        deg = inv.deg
+        for values in (flat, inv.betti):  # v/deg in lowest terms, then as float text
+            for v in values:
+                g = math.gcd(v, deg)
+                row.append(f"{v // g}" if g == deg else f"{v // g}/{deg // g}")
+            row += [f"{v / deg:.12g}" for v in values]
         yield row
 
 

@@ -258,7 +258,7 @@ class CountTable:
                     power = powers.get(e)
                     if power is None:
                         power = powers[e] = d ** e
-                    scale = gate * power
+                    scale = power if gate == 1 else gate * power
                     for column, c in entries:
                         out[column] += c * scale
         return out

@@ -271,9 +271,11 @@ class VarietyModel:
         return self._hodge_table
 
     def grid(self, values: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """The grid of one evaluation of :meth:`hodge_table`."""
-        w = self.n + 1
-        return tuple([tuple(values[i:i + w]) for i in range(0, w * w, w)])
+        """The grid of one evaluation of :meth:`hodge_table`: one ``zip`` of
+        n + 1 references to one iterator over the values cuts them into rows
+        of n + 1, and the first n + 1 rows are the grid."""
+        it = iter(values)
+        return tuple(zip(*(it,) * (self.n + 1)))[:self.n + 1]
 
     @cached_property
     def plurigenera(self) -> Mapping[int, RankFunction]:
@@ -426,8 +428,10 @@ def validate_model(model: VarietyModel) -> ValidationReport:
 
     A model is semismall exactly when its stratification raises no error
     and has defect 0; then a locus off p + q = n filling the torus gets a
-    warning.  Every cover is connected, so for n, g >= 1 the (0,0) and
-    (n,n) ranks must vanish off the origin.
+    warning.  The (0,0) rank, and for n >= 1 the (n,n) rank, is 1 at the
+    origin (h^(n,n)(0) = h^0(O_X) by Serre duality).  Every cover is
+    connected, so for n, g >= 1 the (0,0) and (n,n) ranks must vanish off
+    the origin.
     """
     findings: list[Finding] = []
     err = lambda msg: findings.append(Finding("error", msg))
@@ -475,8 +479,9 @@ def validate_model(model: VarietyModel) -> ValidationReport:
         check_rank_function(model.hodge[p][q], f"({p},{q})", "rank function ")
 
     origin = TorusPoint.zero(model.torus_dim)
-    if model.hodge[0][0].rank_at(origin) != 1:
-        err("the (0,0) rank at the origin must be 1")
+    for p in (0, n) if n else (0,):  # h^(n,n)(0) = h^0(O_X) = 1 by Serre duality
+        if model.hodge[p][p].rank_at(origin) != 1:
+            err(f"the ({p},{p}) rank at the origin must be 1")
     if n >= 1 and g >= 1:
         # every X_d is connected: h^(0,0)(α) = [α = 0], and h^(n,n) by Serre duality
         for p in (0, n):

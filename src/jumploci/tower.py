@@ -15,9 +15,11 @@ model compiles every number a cover reports once into one count table
 number (the merged form of its anti-diagonal) and a last one for d^(2g);
 it also keeps the rows' Euler characteristics (:attr:`VarietyModel.chi_p`).
 :func:`hodge_numbers_cover` and :func:`cover_invariants` read one
-evaluation of that table per cover; q is its (0,1) entry and P_1 its (n,0)
+evaluation of that table per cover, cut into rows by one ``zip``
+(:meth:`VarietyModel.grid`); q is its (0,1) entry and P_1 its (n,0)
 entry.  Only P_m for m >= 2 (the model's :attr:`VarietyModel.plurigenera`)
-and the sheaf slots read their own forms.
+and the sheaf slots read their own forms, and a cover asked for no
+exponent builds no plurigenus.
 
 Every invariant is a sum of rank functions (:func:`summands`), so its
 limit as value / d^(2g) is the sum of their limits: proper loci contribute
@@ -150,7 +152,8 @@ def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
     """Every invariant of X_d read off one evaluation of the model's table:
     the grid from its first (n+1)^2 columns, the Betti numbers from the next
     2n+1, deg from the last, q = h^(0,1) and P_1 = h^(n,0) from the grid;
-    only P_m for m >= 2 has forms of its own."""
+    only P_m for m >= 2 has forms of its own.  ``pluri`` is a new dict on
+    every call, filled only when ``pluri_ms`` names exponents."""
     values = model.hodge_table(budget).values(d)
     grid = model.grid(values)
     n = model.n
@@ -159,7 +162,7 @@ def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
         "d": d, "deg": values[-1], "hodge": grid, "betti": tuple(values[(n + 1) ** 2:-1]),
         "q": grid[0][1] if n else 0, "chi_p": model.chi_p, "chi_top": model.chi_top,
         "pluri": {m: grid[n][0] if m == 1 else plurigenera_cover(model, d, m, budget=budget)
-                  for m in pluri_ms}})
+                  for m in pluri_ms} if pluri_ms else {}})
     return inv
 
 

@@ -157,6 +157,23 @@ class TestTower:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("name,params", [("elliptic_surface_qI0", "genus=30,chi=1"), ("abelian", "g=40")])
+    def test_normalized_cells_past_float_range(self, capsys, name, params):
+        # deg reaches 3^60 and 3^80, far past 2^53: each nh_/nb_ cell is the
+        # reduced v/deg and its float, for v and deg read off the same row
+        code, out = run_cli(capsys, "tower", "--builtin", name, "--params", params, "--d-max", "3")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 3 and int(rows[-1]["deg"]) >= 3 ** 60
+        for row in rows:
+            deg = int(row["deg"])
+            keys = [key[1:] for key in row if key.startswith(("nh_", "nb_")) and not key.endswith("_approx")]
+            assert len(keys) == sum(key.startswith(("h_", "b_")) for key in row) > 0
+            for key in keys:
+                x = Fraction(int(row[key]), deg)
+                assert row[f"n{key}"] == str(x)
+                assert row[f"n{key}_approx"] == f"{float(x):.12g}"
+
     def test_byte_identical_output(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -473,16 +490,20 @@ class TestValidateExport:
 
     def test_impossible_models_exit_2(self, tmp_path, capsys):
         # a stratification that contradicts itself, which check --defect-bound 0
-        # failed on, and covers that are not connected (h^(0,0)(X_3) = 2 in tower)
+        # failed on, covers that are not connected (h^(0,0)(X_3) = 2 in tower),
         strata = json.loads(dumps_model(builtin("elliptic_surface_qI0", genus=2, chi=1).model))
         strata["defect_strata"] = [[0, 1], [1, 0]]
         points = lambda *xs: [{"A": [[1, 0], [0, 1]], "b": [x, "0"], "value": 1} for x in ("0", *xs)]
         disconnected = {"schema_version": 1, "n": 1, "g": 1, "defect_strata": [[0, 1]], "hodge": [
             {"p": p, "q": q, "strata": points("1/3" if p == 0 else "2/3")} for p in range(2) for q in range(2)]}
+        # and h^(1,1)(0) = 2, which tower printed as h_1_1 = b_2 = 2 on every cover
+        top = {**disconnected, "hodge": [{"p": p, "q": q, "strata": [{**points()[0], "value": 1 + p * q}]}
+                                         for p in range(2) for q in range(2)]}
         cases = [(strata, ["error: stratum (1,0) contradicts V_0 of dimension 1: the general fiber has "
                            "dimension 1, so V_l = V_0 for every l <= 1"]),
                  (disconnected, [f"error: the ({p},{p}) rank must vanish off the origin, since every cover "
-                                 "X_d is connected" for p in (0, 1)])]
+                                 "X_d is connected" for p in (0, 1)]),
+                 (top, ["error: the (1,1) rank at the origin must be 1"])]
         for blob, errors in cases:
             path = tmp_path / "model.json"
             path.write_text(json.dumps(blob))

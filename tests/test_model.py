@@ -352,6 +352,22 @@ class TestValidation:
             ("warning", "a point's Albanese torus is trivial, not of irregularity 1; "
                         "the model does not present its own Albanese torus")]
 
+    def test_top_rank_at_the_origin_is_one(self):
+        # h^(n,n)(0) = h^0(O_X) = 1 by Serre duality; with 2 there, tower
+        # printed h_1_1 = b_2 = 2 on every cover of this would-be curve
+        grid = ((origin_jump(2, 0, 1),) * 2, (origin_jump(2, 0, 1), origin_jump(2, 0, 2)))
+        curve = VarietyModel(n=1, g=1, hodge=grid, defect_strata=((0, 1),))
+        assert [f.message for f in validate_model(curve).errors] == ["the (1,1) rank at the origin must be 1"]
+        base = builtin("elliptic_surface_qI0", genus=2, chi=1).model
+        for value in (0, 2):
+            grid = [list(row) for row in base.hodge]
+            grid[2][2] = origin_jump(base.torus_dim, 0, value)
+            report = validate_model(dataclasses.replace(base, hodge=tuple(map(tuple, grid))))
+            assert [f.message for f in report.errors] == ["the (2,2) rank at the origin must be 1"]
+        # a point's (0,0) entry is its (n,n) entry: one error, not two
+        point = VarietyModel(n=0, g=0, hodge=((constant_rank(0, 2),),), defect_strata=((0, 0),))
+        assert [f.message for f in validate_model(point).errors] == ["the (0,0) rank at the origin must be 1"]
+
     def test_serre_asymmetry_warns(self):
         # a surface-shaped grid with h^(0,1) and h^(1,0) disagreeing at the origin
         g = 1

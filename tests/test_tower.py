@@ -541,6 +541,40 @@ class TestCoverInvariants:
             assert inv.chi_top == top_euler_characteristic(model)
             assert inv.pluri == {}
 
+    def test_grid_is_the_row_slices_of_the_values(self):
+        # n runs from 0 to 4 over the corpus; the values run on past the grid
+        # into the Betti numbers and d^(2g), which the grid must not take
+        models = self._models()
+        assert {model.n for model in models} == {0, 1, 2, 3, 4}
+        for model in models:
+            w = model.n + 1
+            for d in (1, 6, 10 ** 30):
+                values = model.hodge_table(DEFAULT_COMPONENT_BUDGET).values(d)
+                grid = model.grid(values)
+                assert grid == tuple(tuple(values[i:i + w]) for i in range(0, w * w, w))
+                assert type(grid) is tuple and all(type(row) is tuple for row in grid)
+
+    def test_exponents_given_as_any_iterable(self):
+        model = builtin("elliptic_surface_qI0", genus=2, chi=1).model
+        for d in (1, 2, 3, 10 ** 30):
+            bare = cover_invariants(model, d)
+            assert bare.pluri == {}
+            for empty in ((), [], range(0), iter(())):
+                assert cover_invariants(model, d, empty) == bare
+            inv = cover_invariants(model, d, iter([1, 2]))  # read once
+            assert inv.pluri == {1: bare.hodge[model.n][0], 2: plurigenera_cover(model, d, 2)}
+            assert dataclasses.replace(inv, pluri={}) == bare
+
+    @pytest.mark.parametrize("ms", [(), [1, 2]])
+    def test_every_cover_has_its_own_pluri_dict(self, ms):
+        model = builtin("elliptic_surface_qI0", genus=2, chi=1).model
+        first = cover_invariants(model, 2, ms)
+        expected = dict(first.pluri)
+        first.pluri[7] = 0
+        second = cover_invariants(model, 2, ms)
+        assert second.pluri == expected and second.pluri is not first.pluri
+        assert cover_invariants(model, 3, ms).pluri is not second.pluri
+
     def test_point_has_one_betti_number(self):
         point = self._models()[-1]
         inv = cover_invariants(point, 3, [1])
