@@ -48,16 +48,12 @@ from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, invariant_facto
 from .tower import (
     CoverInvariants,
     LimitValue,
-    betti_cover,
     chi_multiplicativity_check,
     cover_invariants,
     euler_char,
-    hodge_numbers_cover,
-    irregularity_cover,
     normalized_sequence,
     pluri_bound_constant,
     pluri_limit,
-    plurigenera_cover,
     sheaf_rank_on_cover,
     symbolic_limit,
     value_on_cover,

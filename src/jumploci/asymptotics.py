@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 from .counting import DEFAULT_COMPONENT_BUDGET
 from .model import VarietyModel, satisfies_weak_generic_nakano
 from .torus import TorusPoint
-from .tower import betti_cover, symbolic_limit
+from .tower import symbolic_limit, value_on_cover
 
 
 @dataclass(frozen=True)
@@ -206,5 +206,5 @@ def betti_limit_deviation(model: VarietyModel, d: int,
                           *, budget: int = DEFAULT_COMPONENT_BUDGET) -> Fraction:
     """|b_n(X_d)/deg - L² middle Betti number| as an exact rational."""
     limit = symbolic_limit(model, ("betti", model.n)).value
-    exact = Fraction(betti_cover(model, d, model.n, budget=budget), d ** model.torus_dim)
+    exact = Fraction(value_on_cover(model, ("betti", model.n), d, budget=budget), d ** model.torus_dim)
     return abs(exact - limit)

@@ -14,12 +14,12 @@ model compiles every number a cover reports once into one count table
 (:meth:`VarietyModel.hodge_table`): a column per grid entry, one per Betti
 number (the merged form of its anti-diagonal) and a last one for d^(2g);
 it also keeps the rows' Euler characteristics (:attr:`VarietyModel.chi_p`).
-:func:`hodge_numbers_cover` and :func:`cover_invariants` read one
-evaluation of that table per cover, cut into rows by one ``zip``
-(:meth:`VarietyModel.grid`); q is its (0,1) entry and P_1 its (n,0)
-entry.  Only P_m for m >= 2 (the model's :attr:`VarietyModel.plurigenera`)
-and the sheaf slots read their own forms, and a cover asked for no
-exponent builds no plurigenus.
+Every grid number has one evaluation path: :func:`cover_invariants` cuts
+one evaluation per cover into rows by one ``zip`` (:meth:`VarietyModel.grid`),
+and :func:`value_on_cover` reads one column of it.  Only P_m for m >= 2 (the
+model's :attr:`VarietyModel.plurigenera`) and the sheaf slots, which no table
+holds, read their own forms, and a cover asked for no exponent builds no
+plurigenus.
 
 Every invariant is a sum of rank functions (:func:`summands`), so its
 limit as value / d^(2g) is the sum of their limits: proper loci contribute
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .counting import DEFAULT_COMPONENT_BUDGET
 from .counting import union_torsion_count  # noqa: F401  (bench/tests asserts this binding)
@@ -79,59 +79,58 @@ def sheaf_rank_on_cover(rf: RankFunction, d: int,
     return rf.count_form(budget).count(d)
 
 
-def hodge_numbers_cover(model: VarietyModel, d: int,
-                        *, budget: int = DEFAULT_COMPONENT_BUDGET) -> tuple[tuple[int, ...], ...]:
-    """The (p,q) grid of X_d, read off one evaluation of the model's table."""
-    return model.grid(model.hodge_table(budget).values(d))
+def _locate(model: VarietyModel, selector: Selector) -> tuple[list[RankFunction], Optional[int]]:
+    """The selected invariant's rank functions and its column in the model's
+    table, None when no table holds it: (p,q) is column p(n+1)+q, Betti k
+    column (n+1)^2+k, q column 1 and P_1 column n(n+1).  A selector that
+    names nothing in the model raises one ValueError that names it."""
+    n = model.n
+    kind, *args = tuple(selector) or (None,)
+    if kind == "hodge" and len(args) == 2 and all(isinstance(i, int) and 0 <= i <= n for i in args):
+        p, q = args
+        return [model.hodge[p][q]], p * (n + 1) + q
+    if kind == "betti" and len(args) == 1 and isinstance(args[0], int):
+        k = args[0]  # outside [0, 2n] no entry has p + q = k, and no column holds it
+        rfs = [model.hodge[p][k - p] for p in range(max(0, k - n), min(k, n) + 1)]
+        return rfs, (n + 1) ** 2 + k if rfs else None
+    if kind == "irregularity" and not args:  # a point (n = 0) has no h^(0,1) entry
+        return ([model.hodge[0][1]], 1) if n else ([], None)
+    if kind == "pluri" and len(args) == 1:
+        m = args[0]
+        if m < 1:
+            raise ValueError("m must be positive")
+        if m == 1:  # the geometric genus
+            return [model.hodge[n][0]], n * (n + 1)
+        if m not in model.plurigenera:
+            raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
+        return [model.plurigenera[m]], None
+    if kind == "sheaf" and len(args) == 2:
+        name, i = args
+        slot = model.sheaves.get(name, ())
+        if isinstance(i, int) and 0 <= i < len(slot):
+            return [slot[i]], None
+    raise ValueError(f"unknown selector {selector!r}")
 
 
 def summands(model: VarietyModel, selector: Selector) -> list[RankFunction]:
     """The rank functions whose sum is the selected invariant; its value on
-    a cover and its limit are sums over this list."""
-    kind = selector[0]
-    if kind == "hodge":
-        _, p, q = selector
-        return [model.hodge[p][q]]
-    if kind == "betti":
-        k = selector[1]
-        return [model.hodge[p][k - p] for p in range(model.n + 1) if 0 <= k - p <= model.n]
-    if kind == "irregularity":  # a point (n = 0) has no h^(0,1) entry
-        return [model.hodge[0][1]] if model.n else []
-    if kind == "sheaf":
-        _, name, i = selector
-        return [model.sheaves[name][i]]
-    if kind == "pluri":
-        m = selector[1]
-        if m < 1:
-            raise ValueError("m must be positive")
-        if m == 1:  # the geometric genus
-            return [model.hodge[model.n][0]]
-        if m not in model.plurigenera:
-            raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
-        return [model.plurigenera[m]]
-    raise ValueError(f"unknown selector {selector!r}")
+    a cover and its limit are sums over this list.  ``("hodge", p, q)`` is
+    h^(p,q)(X_d); ``("betti", k)`` is b_k(X_d), 0 for k outside [0, 2n];
+    ``("irregularity",)`` is q(X_d), 0 for a point; ``("sheaf", name, i)`` is
+    the i-th rank of a named sheaf; ``("pluri", m)`` is the plurigenus
+    P_m(X_d), the geometric genus h^(n,0) for m = 1 (limit: :func:`pluri_limit`)."""
+    return _locate(model, selector)[0]
 
 
 def value_on_cover(model: VarietyModel, selector: Selector, d: int,
                    *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    return sum(sheaf_rank_on_cover(rf, d, budget=budget) for rf in summands(model, selector))
-
-
-def betti_cover(model: VarietyModel, d: int, k: int,
-                *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    return value_on_cover(model, ("betti", k), d, budget=budget)
-
-
-def irregularity_cover(model: VarietyModel, d: int,
-                       *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    """q(X_d): the h^(0,1) rank summed over the d-torsion points."""
-    return value_on_cover(model, ("irregularity",), d, budget=budget)
-
-
-def plurigenera_cover(model: VarietyModel, d: int, m: int,
-                      *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    """P_m(X_d)."""
-    return value_on_cover(model, ("pluri", m), d, budget=budget)
+    """The selected invariant of X_d.  A grid number is a column of one
+    evaluation of the model's table, whose budget covers the whole grid;
+    P_m for m >= 2 and the sheaf slots sum their own forms."""
+    rfs, column = _locate(model, selector)
+    if column is None:
+        return sum(sheaf_rank_on_cover(rf, d, budget=budget) for rf in rfs)
+    return model.hodge_table(budget).values(d)[column]
 
 
 def pluri_limit(model: VarietyModel, m: int) -> LimitValue:
@@ -161,7 +160,7 @@ def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
     object.__setattr__(inv, "__dict__", {
         "d": d, "deg": values[-1], "hodge": grid, "betti": tuple(values[(n + 1) ** 2:-1]),
         "q": grid[0][1] if n else 0, "chi_p": model.chi_p, "chi_top": model.chi_top,
-        "pluri": {m: grid[n][0] if m == 1 else plurigenera_cover(model, d, m, budget=budget)
+        "pluri": {m: grid[n][0] if m == 1 else value_on_cover(model, ("pluri", m), d, budget=budget)
                   for m in pluri_ms} if pluri_ms else {}})
     return inv
 
@@ -195,8 +194,8 @@ def chi_multiplicativity_check(model: VarietyModel, d: int,
     characteristic is multiplicative along finite étale covers); a failure
     flags an inconsistent grid.
     """
-    deg = d ** model.torus_dim
-    rows = list(zip(hodge_numbers_cover(model, d, budget=budget), model.chi_p))
+    inv = cover_invariants(model, d, budget=budget)
+    rows = list(zip(inv.hodge, inv.chi_p))
     rows += [((sheaf_rank_on_cover(rf, d, budget=budget) for rf in rfs), euler_char(rfs))
              for _, rfs in sorted(model.sheaves.items())]
-    return all(sum((-1) ** i * h for i, h in enumerate(values)) == deg * chi for values, chi in rows)
+    return all(sum((-1) ** i * h for i, h in enumerate(values)) == inv.deg * chi for values, chi in rows)

@@ -83,6 +83,14 @@ def per_term_count(form, d: int) -> int:
     return form.limit * d ** form.ambient_dim + sum(c * nc.count(d) for c, nc in form.terms)
 
 
+def summed_count(model, selector, d: int) -> int:
+    """A selected invariant of X_d as the sum of its rank functions' counts,
+    each read by :func:`per_term_count`, never through the model's table."""
+    from jumploci.tower import summands
+
+    return sum(per_term_count(rf.count_form(12), d) for rf in summands(model, selector))
+
+
 def row_euler_characteristic(model, p: int) -> int:
     """chi(Omega^p) as the alternating sum over q of the limits of row p:
     twisting leaves the Euler characteristic alone."""

@@ -9,22 +9,20 @@ import random
 from fractions import Fraction
 
 from jumploci import (
-    betti_cover,
     betti_deviation_constant,
     builtin,
+    cover_invariants,
     converse_defect_witness,
     defect,
     divergence_class,
     fit_bounds,
-    hodge_numbers_cover,
-    irregularity_cover,
     l2_betti,
     normalized_sequence,
-    plurigenera_cover,
     pluri_bound_constant,
     satisfies_weak_generic_nakano,
     symbolic_limit,
     union_torsion_count,
+    value_on_cover,
     DEFAULT_INSTANCES,
 )
 from gen import random_connected_coset, random_coset
@@ -78,10 +76,10 @@ def test_criterion_03_blowup_fourfold_values():
     with _Criterion(3, "blowup of an abelian fourfold: h^(1,2), b_3 and their limits"):
         model = builtin("blowup_abelian4_curve", genus=2).model
         for d in range(1, 5):
-            h12 = hodge_numbers_cover(model, d)[1][2]
+            h12 = cover_invariants(model, d).hodge[1][2]
             assert h12 == d ** 8 + 25
             assert h12 == blowup4_cover_hodge(2, d, 1, 2)
-            assert betti_cover(model, d, 3) == 2 * d ** 8 + 58
+            assert value_on_cover(model, ("betti", 3), d) == 2 * d ** 8 + 58
         assert symbolic_limit(model, ("hodge", 1, 2)).value == Fraction(1)
         assert symbolic_limit(model, ("betti", 3)).value == Fraction(2)
 
@@ -116,7 +114,7 @@ def test_criterion_06_chi_multiplicativity():
             model = builtin(name, **params).model
             for d in range(1, 5):
                 deg = d ** model.torus_dim
-                grid = hodge_numbers_cover(model, d)
+                grid = cover_invariants(model, d).hodge
                 for p in range(model.n + 1):
                     lhs = sum((-1) ** q * grid[p][q] for q in range(model.n + 1))
                     assert lhs == deg * model.chi_p[p] == deg * row_euler_characteristic(model, p), (name, d, p)
@@ -138,9 +136,9 @@ def test_criterion_08_plurigenus_multiplicativity_and_bound():
             model = builtin(name, **params).model
             assert model.pluri.q_base == model.g  # q(I) = 0
             for m in range(2, 6):
-                base = plurigenera_cover(model, 1, m)
+                base = value_on_cover(model, ("pluri", m), 1)
                 for d in range(1, 5):
-                    assert plurigenera_cover(model, d, m) == d ** model.torus_dim * base
+                    assert value_on_cover(model, ("pluri", m), d) == d ** model.torus_dim * base
         for g in (1, 2):
             model = builtin("abelian", g=g).model
             q_iitaka = model.g - model.pluri.q_base
@@ -148,7 +146,7 @@ def test_criterion_08_plurigenus_multiplicativity_and_bound():
             for m in range(2, 6):
                 bound_m = pluri_bound_constant(model, m)
                 for d in range(1, 5):
-                    normalized = Fraction(plurigenera_cover(model, d, m), d ** model.torus_dim)
+                    normalized = Fraction(value_on_cover(model, ("pluri", m), d), d ** model.torus_dim)
                     assert normalized <= bound_m * Fraction(1, d ** (2 * q_iitaka))
 
 
@@ -156,11 +154,11 @@ def test_criterion_09_irregularity_divergence():
     with _Criterion(9, "cover irregularity: d^4 + 2 and divergent for the product, constant and bounded for the ball quotient"):
         fibered = builtin("fibered_over_curve", genus=2).model
         for d in range(1, 5):
-            assert irregularity_cover(fibered, d) == d ** 4 + 2
+            assert value_on_cover(fibered, ("irregularity",), d) == d ** 4 + 2
         report = divergence_class(fibered)
         assert report.divergent and report.max_stratum_dim == 4
         ball = builtin("cartwright_steger_like").model
-        assert [irregularity_cover(ball, d) for d in range(1, 7)] == [1] * 6
+        assert [value_on_cover(ball, ("irregularity",), d) for d in range(1, 7)] == [1] * 6
         assert not divergence_class(ball).divergent
 
 
@@ -181,6 +179,6 @@ def test_criterion_10_l2_betti_numbers():
             assert model.chi_top == top_euler_characteristic(model)
             c = betti_deviation_constant(model)
             for d in range(1, 5):
-                exact = Fraction(betti_cover(model, d, model.n), d ** model.torus_dim)
+                exact = Fraction(value_on_cover(model, ("betti", model.n), d), d ** model.torus_dim)
                 assert abs(exact - report.betti[model.n]) <= Fraction(c, d ** 2)
         assert checked >= 5  # the weak-GNV part of the catalog is nonempty

@@ -10,7 +10,6 @@ from jumploci import (
     CongruenceCoset,
     RankFunction,
     Stratum,
-    betti_cover,
     betti_deviation_constant,
     betti_limit_deviation,
     builtin,
@@ -18,11 +17,11 @@ from jumploci import (
     converse_defect_witness,
     divergence_class,
     fit_bounds,
-    irregularity_cover,
     l2_betti,
     l2_euler_characteristic,
     normalized_sequence,
     satisfies_weak_generic_nakano,
+    value_on_cover,
     VarietyModel,
     DEFAULT_INSTANCES,
 )
@@ -229,7 +228,7 @@ class TestDivergence:
         q0 = report.base_irregularity
         for j in range(1, 5):
             d = report.witness_order * j
-            assert irregularity_cover(model, d) >= q0 + d ** report.max_stratum_dim - 1
+            assert value_on_cover(model, ("irregularity",), d) >= q0 + d ** report.max_stratum_dim - 1
 
     def test_disconnected_stratum_witness_order(self):
         # {2·x0 ≡ 1/2, x1 ≡ 0} has translate order 2 but only points of order 4
@@ -240,17 +239,17 @@ class TestDivergence:
         report = divergence_class(model)
         assert (report.divergent, report.max_stratum_dim, report.witness_order) == (True, 2, 4)
         q0 = report.base_irregularity
-        assert irregularity_cover(model, 2) == q0 == 2
+        assert value_on_cover(model, ("irregularity",), 2) == q0 == 2
         for j in range(1, 4):
             d = 4 * j
-            assert irregularity_cover(model, d) >= q0 + d ** 2 - 1
+            assert value_on_cover(model, ("irregularity",), d) >= q0 + d ** 2 - 1
 
     def test_classification_matches_sequence_growth(self):
         for name, params in DEFAULT_INSTANCES:
             model = builtin(name, **params).model
             report = divergence_class(model)
             step = report.witness_order or 1
-            seq = [irregularity_cover(model, step * j) for j in (1, 2, 3)]
+            seq = [value_on_cover(model, ("irregularity",), step * j) for j in (1, 2, 3)]
             if report.divergent:
                 assert seq[0] < seq[1] < seq[2]
             else:
@@ -316,5 +315,5 @@ class TestL2:
             report = l2_betti(model)
             c = betti_deviation_constant(model)
             for d in range(1, 5):
-                exact = Fraction(betti_cover(model, d, model.n), d ** model.torus_dim)
+                exact = Fraction(value_on_cover(model, ("betti", model.n), d), d ** model.torus_dim)
                 assert abs(exact - report.betti[model.n]) <= Fraction(c, d ** 2)

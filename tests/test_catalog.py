@@ -10,8 +10,8 @@ from jumploci import (
     UnknownName,
     builtin,
     builtin_names,
+    cover_invariants,
     defect,
-    hodge_numbers_cover,
     sheaf_rank_on_cover,
     validate_model,
     DEFAULT_INSTANCES,
@@ -40,7 +40,7 @@ def test_cover_grids_match_oracles(name, params):
     oracle = COVER_ORACLES[name]
     model = entry.model
     for d in range(1, 5):
-        grid = hodge_numbers_cover(model, d)
+        grid = cover_invariants(model, d).hodge
         for p in range(model.n + 1):
             for q in range(model.n + 1):
                 assert grid[p][q] == oracle(params, d, p, q), (name, d, p, q)

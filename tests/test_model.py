@@ -33,7 +33,7 @@ from jumploci.errors import ECHO_CHARS
 from jumploci.asymptotics import divergence_class, fit_bounds
 from jumploci.model import _level_set_mismatch, _serre_mismatch
 from jumploci.modelfile import model_to_dict
-from jumploci.tower import plurigenera_cover, sheaf_rank_on_cover
+from jumploci.tower import sheaf_rank_on_cover, value_on_cover
 from gen import CATALOG_SWEEP, random_model, random_point
 
 
@@ -279,7 +279,7 @@ class TestValidation:
         rf = model.plurigenera[2]
         assert (rf.generic_value, rf.limit) == (0, 0)
         assert [rf.rank_at(TorusPoint.of(x)) for x in ([0] * 4, [Fraction(1, 2), 0, 0, 0])] == [3, 0]
-        assert [plurigenera_cover(model, d, 2) for d in (1, 2, 3)] == [3, 3, 3]
+        assert [value_on_cover(model, ("pluri", 2), d) for d in (1, 2, 3)] == [3, 3, 3]
 
     def test_stratification_that_contradicts_itself_is_error(self):
         # dim V_0 = 1 < n = 2: the general fiber is a curve, so V_1 = V_0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -16,22 +17,19 @@ from jumploci import (
     RankFunction,
     Stratum,
     TorusPoint,
-    betti_cover,
     builtin,
     chi_multiplicativity_check,
     constant_rank,
     cover_invariants,
     divergence_class,
     euler_char,
-    hodge_numbers_cover,
-    irregularity_cover,
     normalized_sequence,
     origin_jump,
-    plurigenera_cover,
     pluri_limit,
     sheaf_rank_on_cover,
     symbolic_limit,
     validate_model,
+    value_on_cover,
     VarietyModel,
 )
 from jumploci import cli, counting, torus, tower
@@ -43,6 +41,7 @@ from oracles import (
     brute_force_rank_sum,
     row_euler_characteristic,
     smallest_torsion_order,
+    summed_count,
     top_euler_characteristic,
 )
 
@@ -144,26 +143,26 @@ class TestSheafRankOnCover:
 class TestHodgeAndBetti:
     def test_elliptic_curve_covers(self):
         model = builtin("abelian", g=1).model
-        grid = hodge_numbers_cover(model, 3)
+        grid = cover_invariants(model, 3).hodge
         assert grid[0][0] == 1
         assert grid[1][0] == 1
 
     def test_blowup_base_and_stable_entry(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
-        assert hodge_numbers_cover(model, 1)[1][2] == 26
+        assert value_on_cover(model, ("hodge", 1, 2), 1) == 26
         for d in range(1, 5):
-            assert hodge_numbers_cover(model, d)[0][3] == 4
+            assert value_on_cover(model, ("hodge", 0, 3), d) == 4
 
     def test_blowup_b3(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
         for d in range(1, 5):
-            assert betti_cover(model, d, 3) == 2 * d ** 8 + 58
+            assert value_on_cover(model, ("betti", 3), d) == 2 * d ** 8 + 58
 
     def test_abelian_betti_binomial(self):
         model = builtin("abelian", g=2).model
         for d in (1, 2, 3):
             for k in range(5):
-                assert betti_cover(model, d, k) == comb(4, k)
+                assert value_on_cover(model, ("betti", k), d) == comb(4, k)
 
     def test_shared_origin_runs_one_smith_pass(self, monkeypatch):
         # all 289 rank functions of the grid jump on one origin coset, whose
@@ -171,7 +170,7 @@ class TestHodgeAndBetti:
         # all 1, so computing it runs no snf pass
         smith = count_calls(monkeypatch, (torus, "_smith_data"))
         passes = count_calls(monkeypatch, (torus, "snf"), (counting, "snf"))
-        grid = hodge_numbers_cover(builtin("abelian", g=16).model, 2)
+        grid = cover_invariants(builtin("abelian", g=16).model, 2).hodge
         assert grid[16][16] == 1
         assert len(smith) == 1
         assert len(passes) == 0
@@ -191,7 +190,7 @@ class TestHodgeAndBetti:
         for name, params in (("abelian", {"g": 2}), ("cartwright_steger_like", {}),
                              ("fibered_over_curve", {"genus": 2})):
             model = builtin(name, **params).model
-            assert betti_cover(model, 3, 0) == 1
+            assert value_on_cover(model, ("betti", 0), 3) == 1
 
 
 class TestEulerCharacteristics:
@@ -289,8 +288,8 @@ class TestNormalizedAndLimits:
         model = builtin("blowup_abelian4_curve", genus=2).model
         d = 10 ** 6
         assert sheaf_rank_on_cover(model.hodge[1][2], d) == d ** 8 + 25
-        assert betti_cover(model, d, 3) == 2 * d ** 8 + 58
-        assert irregularity_cover(builtin("fibered_over_curve", genus=2).model, d) == d ** 4 + 2
+        assert value_on_cover(model, ("betti", 3), d) == 2 * d ** 8 + 58
+        assert value_on_cover(builtin("fibered_over_curve", genus=2).model, ("irregularity",), d) == d ** 4 + 2
 
 
 class TestPlurigenera:
@@ -302,7 +301,7 @@ class TestPlurigenera:
             values={2: 7},
         )
         model = dataclasses.replace(base, pluri=pluri)
-        assert plurigenera_cover(model, 3, 2) == 9 * 7
+        assert value_on_cover(model, ("pluri", 2), 3) == 9 * 7
         assert pluri_limit(model, 2).value == 7
 
     @pytest.mark.parametrize("q_base", [2, -1])
@@ -312,7 +311,7 @@ class TestPlurigenera:
         # origin (1), since the pins at coordinates -2 and -1 alias 0 and 1
         base = builtin("abelian", g=1).model
         model = dataclasses.replace(base, pluri=PluriData(q_base, (TorusPoint.zero(2),), {2: 1}))
-        for read in (lambda: model.plurigenera, lambda: plurigenera_cover(model, 2, 2)):
+        for read in (lambda: model.plurigenera, lambda: value_on_cover(model, ("pluri", 2), 2)):
             with pytest.raises(ValueError, match=rf"^q_base {q_base} lies outside \[0, g\] = \[0, 1\]$"):
                 read()
         assert any("Iitaka-base irregularity" in f.message for f in validate_model(model).errors)
@@ -320,7 +319,7 @@ class TestPlurigenera:
     def test_point_locus_stays_constant(self):
         model = builtin("abelian", g=2).model
         for d in range(1, 5):
-            assert plurigenera_cover(model, d, 2) == 1
+            assert value_on_cover(model, ("pluri", 2), d) == 1
         lv = pluri_limit(model, 2)
         assert lv.value == 0
         assert lv.kind == "upper-bound-zero"
@@ -350,7 +349,7 @@ class TestPlurigenera:
 
         monkeypatch.setattr(torus, "_hermite", recording_hermite)
         # 9 points of order dividing 3 on each translate
-        assert [plurigenera_cover(model, 3, m) for m in range(2, 7)] == [27 * m for m in range(2, 7)]
+        assert [value_on_cover(model, ("pluri", m), 3) for m in range(2, 7)] == [27 * m for m in range(2, 7)]
         cosets = [c for c, _ in model.plurigenera[2].strata]
         assert len(set(cosets)) == 3
         for rf in model.plurigenera.values():
@@ -361,12 +360,14 @@ class TestPlurigenera:
     def test_geometric_genus_routes_through_grid(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
         for d in (1, 2, 3):
-            assert plurigenera_cover(model, d, 1) == sheaf_rank_on_cover(model.hodge[4][0], d)
+            assert value_on_cover(model, ("pluri", 1), d) == sheaf_rank_on_cover(model.hodge[4][0], d)
 
     def test_missing_data(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
         with pytest.raises(MissingPluriData):
-            plurigenera_cover(model, 2, 3)
+            value_on_cover(model, ("pluri", 3), 2)
+        with pytest.raises(MissingPluriData):
+            symbolic_limit(model, ("pluri", 3))
 
     def test_bad_selectors(self):
         model = builtin("abelian", g=1).model
@@ -385,24 +386,65 @@ class TestPlurigenera:
     def test_missing_data_for_a_huge_exponent(self):
         # past the interpreter's cap on the digits of an int turned into text
         model = builtin("abelian", g=1).model
-        for call in (plurigenera_cover, lambda model, _, m: tower.pluri_bound_constant(model, m)):
+        for call in (lambda model, d, m: value_on_cover(model, ("pluri", m), d),
+                     lambda model, _, m: tower.pluri_bound_constant(model, m)):
             with pytest.raises(MissingPluriData, match=r"m = 10{59}\.\.\.$"):
                 call(model, 1, 10 ** 5000)
+
+
+class TestSelectors:
+    """A selector that names nothing in the model is refused with one
+    ValueError that names it, by every reader of a selector."""
+
+    @staticmethod
+    def assert_refused(model, selector):
+        readers = (lambda: value_on_cover(model, selector, 2), lambda: tower.summands(model, selector),
+                   lambda: symbolic_limit(model, selector),
+                   lambda: normalized_sequence(model, selector, range(1, 3)))
+        for read in readers:
+            with pytest.raises(ValueError, match=f"^unknown selector {re.escape(repr(selector))}$"):
+                read()
+
+    def test_hodge_index_outside_the_grid(self):
+        # a negative index must not wrap around to another entry or column
+        model = builtin("blowup_abelian4_curve", genus=2).model
+        for selector in (("hodge", -1, 0), ("hodge", 5, 0), ("hodge", 0, -1), ("hodge", 0, 5),
+                         ("hodge", 1.0, 2)):
+            self.assert_refused(model, selector)
+
+    def test_sheaf_slot_outside_the_model(self):
+        model = builtin("nondeg_line_bundle", g=2, p=1, chi0=2).model
+        assert len(model.sheaves["line_bundle"]) == 3
+        for selector in (("sheaf", "line_bundle", -1), ("sheaf", "line_bundle", 3), ("sheaf", "nope", 0)):
+            self.assert_refused(model, selector)
+
+    def test_wrong_number_of_arguments(self):
+        model = builtin("elliptic_surface_qI0", genus=2, chi=1).model
+        for selector in (("betti",), ("pluri",), ("irregularity", 1), ("hodge", 1), ("betti", 1, 2),
+                         ("pluri", 2, 3), ("sheaf", "line_bundle"), ()):
+            self.assert_refused(model, selector)
+
+    def test_betti_degree_outside_the_range_is_zero(self):
+        model = builtin("blowup_abelian4_curve", genus=2).model
+        for k in (-1, 2 * model.n + 1, 10 ** 30):
+            assert tower.summands(model, ("betti", k)) == []
+            assert [value_on_cover(model, ("betti", k), d) for d in (1, 2, 10 ** 30)] == [0, 0, 0]
+            assert symbolic_limit(model, ("betti", k)) == tower.LimitValue(Fraction(0), "exact-limit")
 
 
 class TestIrregularity:
     def test_fibered_sequence(self):
         model = builtin("fibered_over_curve", genus=2).model
         for d in range(1, 5):
-            assert irregularity_cover(model, d) == d ** 4 + 2
+            assert value_on_cover(model, ("irregularity",), d) == d ** 4 + 2
 
     def test_finite_locus_constant(self):
         model = builtin("cartwright_steger_like").model
-        assert [irregularity_cover(model, d) for d in range(1, 7)] == [1] * 6
+        assert [value_on_cover(model, ("irregularity",), d) for d in range(1, 7)] == [1] * 6
 
     def test_abelian_constant(self):
         model = builtin("abelian", g=3).model
-        assert all(irregularity_cover(model, d) == 3 for d in (1, 2, 4))
+        assert all(value_on_cover(model, ("irregularity",), d) == 3 for d in (1, 2, 4))
 
     @pytest.mark.parametrize("g", [0, 1])
     def test_point_has_none(self, g):
@@ -413,7 +455,7 @@ class TestIrregularity:
         assert divergence_class(model) == DivergenceReport(False, 0, None, 0)
         for d in (1, 2, 5):
             inv = cover_invariants(model, d)
-            assert irregularity_cover(model, d) == inv.q == 0
+            assert value_on_cover(model, ("irregularity",), d) == inv.q == 0
             assert inv.hodge == ((d ** (2 * g),),) and inv.betti == (d ** (2 * g),)
             assert (inv.chi_p, inv.chi_top) == ((1,), 1)
             assert chi_multiplicativity_check(model, d)
@@ -426,7 +468,7 @@ class TestChiMultiplicativity:
 
     def test_blowup_row_sum(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
-        grid = hodge_numbers_cover(model, 2)
+        grid = cover_invariants(model, 2).hodge
         assert sum((-1) ** q * grid[1][q] for q in range(5)) == 2 ** 8 * 1
         assert chi_multiplicativity_check(model, 2)
 
@@ -468,9 +510,10 @@ class TestCoverInvariants:
     def test_one_table_evaluation_per_cover(self, monkeypatch, name, params):
         model = builtin(name, **params).model
         pluri_ms = [1] + sorted(model.pluri.values if model.pluri else ())
-        expected = {d: (hodge_numbers_cover(model, d),
-                        tuple(betti_cover(model, d, k) for k in range(2 * model.n + 1)),
-                        {m: plurigenera_cover(model, d, m) for m in pluri_ms}) for d in (1, 2, 3)}
+        expected = {d: (tuple(tuple(summed_count(model, ("hodge", p, q), d) for q in range(model.n + 1))
+                              for p in range(model.n + 1)),
+                        tuple(summed_count(model, ("betti", k), d) for k in range(2 * model.n + 1)),
+                        {m: summed_count(model, ("pluri", m), d) for m in pluri_ms}) for d in (1, 2, 3)}
         values = count_calls(monkeypatch, (counting.CountTable, "values"))
         counts = count_calls(monkeypatch, (counting.CountForm, "count"))
         forms = count_calls(monkeypatch, (RankFunction, "count_form"))
@@ -496,8 +539,11 @@ class TestCoverInvariants:
         rows = [list(row) for row in base.hodge]
         rows[0][1], rows[1][0] = RankFunction(2, 1, circles[:4]), RankFunction(2, 1, circles)
         model = dataclasses.replace(base, hodge=tuple(map(tuple, rows)))
+        # a single number reads the whole table, so its budget covers the whole
+        # grid: even (1,1), which has no strata, is refused over the budget
         calls = (lambda b: model.hodge_table(b), lambda b: cover_invariants(model, 5, budget=b),
-                 lambda b: hodge_numbers_cover(model, 5, budget=b))
+                 lambda b: value_on_cover(model, ("hodge", 1, 0), 5, budget=b),
+                 lambda b: value_on_cover(model, ("hodge", 1, 1), 5, budget=b))
         for budget in (12, 3, 5, 4, 12, 3):
             if budget < 5:
                 strata = 4 if budget < 4 else 5
@@ -534,12 +580,30 @@ class TestCoverInvariants:
             inv = cover_invariants(model, d)
             assert inv.d == d
             assert inv.deg == d ** model.torus_dim
-            assert inv.hodge == hodge_numbers_cover(model, d)
-            assert inv.betti == tuple(betti_cover(model, d, k) for k in range(2 * model.n + 1))
-            assert inv.q == irregularity_cover(model, d)
+            n = model.n
+            assert inv.hodge == tuple(tuple(summed_count(model, ("hodge", p, q), d) for q in range(n + 1))
+                                      for p in range(n + 1))
+            assert inv.betti == tuple(summed_count(model, ("betti", k), d) for k in range(2 * n + 1))
+            assert inv.q == summed_count(model, ("irregularity",), d)
             assert inv.chi_p == tuple(row_euler_characteristic(model, p) for p in range(model.n + 1))
             assert inv.chi_top == top_euler_characteristic(model)
             assert inv.pluri == {}
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 24, 10 ** 30])
+    def test_every_selector_reads_its_summed_counts(self, d):
+        # value_on_cover against the count of each summand's form read term
+        # by term, for every kind of selector; a grid number reads the table
+        kinds = set()
+        for model in self._models():
+            n = model.n
+            selectors = [("hodge", p, q) for p, q in model.hodge_pairs()]
+            selectors += [("betti", k) for k in range(-1, 2 * n + 2)]
+            selectors += [("irregularity",), ("pluri", 1)] + [("pluri", m) for m in model.plurigenera]
+            selectors += [("sheaf", name, i) for name, slot in model.sheaves.items() for i in range(len(slot))]
+            for selector in selectors:
+                assert value_on_cover(model, selector, d) == summed_count(model, selector, d), selector
+                kinds.add(selector[0])
+        assert kinds == {"hodge", "betti", "irregularity", "pluri", "sheaf"}
 
     def test_grid_is_the_row_slices_of_the_values(self):
         # n runs from 0 to 4 over the corpus; the values run on past the grid
@@ -562,7 +626,7 @@ class TestCoverInvariants:
             for empty in ((), [], range(0), iter(())):
                 assert cover_invariants(model, d, empty) == bare
             inv = cover_invariants(model, d, iter([1, 2]))  # read once
-            assert inv.pluri == {1: bare.hodge[model.n][0], 2: plurigenera_cover(model, d, 2)}
+            assert inv.pluri == {1: bare.hodge[model.n][0], 2: summed_count(model, ("pluri", 2), d)}
             assert dataclasses.replace(inv, pluri={}) == bare
 
     @pytest.mark.parametrize("ms", [(), [1, 2]])
