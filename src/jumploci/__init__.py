@@ -47,7 +47,6 @@ from .modelfile import dumps_model, load_locus, load_model, model_from_dict, mod
 from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, invariant_factors, snf
 from .tower import (
     CoverInvariants,
-    LimitValue,
     chi_multiplicativity_check,
     cover_invariants,
     euler_char,

@@ -5,13 +5,14 @@ The decay theorem and its converse are one criterion: the normalized
 is too large for the defect bound N.  :func:`fit_bounds` reports, per
 entry, the exact supremum of B_d = normalized·d^e = h(d)·d^(e-2g) over a
 finite range, taken in integers from one evaluation of the model's count
-table per d, and the verdict of that criterion, decided analytically: the
-leading term of the count form, of degree v, has d^v points at the
-multiples of the smallest d where it has a point, so v > 2g - e forces
-unboundedness no matter how a finite range looks.  The converse's witness
-(:func:`converse_defect_witness`) is the first entry that fails it.  That
-smallest d, not a stratum's translate order, is also the divergence
-witness order of q(X_d).
+table per d, and the verdict of that criterion, decided analytically
+(:func:`~jumploci.model.locus_too_large`): the leading term of the rank
+sum, of degree v (:attr:`~jumploci.model.RankFunction.degree`), has d^v
+points at the multiples of the smallest d where it has a point, so
+v > 2g - e forces unboundedness no matter how a finite range looks.  The
+converse's witness (:func:`converse_defect_witness`) is the first entry
+that fails it.  That smallest d is also the divergence witness order of
+q(X_d), the one verdict that builds a count form.
 
 L² Betti numbers of the infinite Albanese cover are limits of normalized
 Betti numbers along the factorial subtower; since the limits of the full
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .counting import DEFAULT_COMPONENT_BUDGET
-from .model import VarietyModel, satisfies_weak_generic_nakano
+from .model import VarietyModel, decay_exponent, locus_too_large, satisfies_weak_generic_nakano
 from .torus import TorusPoint
 from .tower import symbolic_limit, value_on_cover
 
@@ -84,18 +85,6 @@ def _suprema(evaluate: Callable[[int], Sequence[int]], columns: Sequence[int],
     return [Fraction(num, den) for num, den in zip(nums, dens)]
 
 
-def _decay_exponent(model: VarietyModel, p: int, q: int, defect_bound: int) -> int:
-    return 2 * (abs(model.n - p - q) - defect_bound)
-
-
-def _violating_dim(model: VarietyModel, p: int, q: int, exponent: int, budget: int) -> Optional[int]:
-    """The degree of (p,q)'s count form when it exceeds 2g - e, else None:
-    the dimension criterion, which decides a verdict because a finite range
-    cannot see the torsion orders of a too-large stratum."""
-    leading = model.hodge[p][q].count_form(budget).degree
-    return leading if leading > model.torus_dim - exponent else None
-
-
 def fit_bounds(model: VarietyModel, defect_bound: int, d_max: int,
                *, budget: int = DEFAULT_COMPONENT_BUDGET) -> list[BoundFit]:
     """Fit the decay constant of every grid entry, row-major, at the
@@ -105,57 +94,56 @@ def fit_bounds(model: VarietyModel, defect_bound: int, d_max: int,
     over d = 1..d_max, with the whole grid read off one evaluation of the
     model's table per d; the verdict is the dimension criterion.  Entries
     that share a rank function (:class:`VarietyModel` shares equal ones) and
-    an exponent share both, so each such pair is fitted and judged once.
+    an exponent share a supremum, so each such pair is fitted once.  The
+    budget is checked over the whole grid, by the table.
     """
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
     table = model.hodge_table(budget)
-    entries = [(p, q, _decay_exponent(model, p, q, defect_bound)) for p, q in model.hodge_pairs()]
+    entries = [(p, q, decay_exponent(model, p, q, defect_bound)) for p, q in model.hodge_pairs()]
     first: dict = {}  # (rank function, exponent) -> the first column, row-major, that has it
     for column, (p, q, e) in enumerate(entries):
         first.setdefault((id(model.hodge[p][q]), e), column)
     shifts = [entries[column][2] - model.torus_dim for column in first.values()]
     fitted = dict(zip(first, _suprema(table.values, list(first.values()), shifts, d_max)))
-    judged = {key: _violating_dim(model, *entries[column], budget) for key, column in first.items()}
     fits = []
     for p, q, e in entries:
-        key = (id(model.hodge[p][q]), e)
-        fits.append(BoundFit(p, q, defect_bound, e, fitted[key], judged[key] is None, judged[key]))
+        fails = locus_too_large(model, p, q, e)
+        fits.append(BoundFit(p, q, defect_bound, e, fitted[id(model.hodge[p][q]), e], not fails,
+                             model.hodge[p][q].degree if fails else None))
     return fits
 
 
-def converse_defect_witness(model: VarietyModel, defect_bound: int,
-                            *, budget: int = DEFAULT_COMPONENT_BUDGET) -> Optional[tuple[int, int]]:
+def converse_defect_witness(model: VarietyModel, defect_bound: int) -> Optional[tuple[int, int]]:
     """First (p,q), row-major, whose locus is too large for the d^(-e)
     decay, if any: the first failing entry of :func:`fit_bounds`.
 
     A witness certifies that the defect of semismallness exceeds the
-    declared bound: the leading term of its count form carries at least
-    d^dim torsion points for infinitely many d, beating the claimed decay.
+    declared bound: the leading term of its rank sum carries at least
+    d^degree torsion points for infinitely many d, beating the claimed decay.
     """
-    for p, q in model.hodge_pairs():
-        if _violating_dim(model, p, q, _decay_exponent(model, p, q, defect_bound), budget) is not None:
-            return (p, q)
-    return None
+    return next(((p, q) for p, q in model.hodge_pairs()
+                 if locus_too_large(model, p, q, decay_exponent(model, p, q, defect_bound))), None)
 
 
 def divergence_class(model: VarietyModel,
                      *, budget: int = DEFAULT_COMPONENT_BUDGET) -> DivergenceReport:
     """Classify the irregularity sequence q(X_d): bounded or divergent.
 
-    q(X_d) is bounded exactly when the count form of h^(0,1) has degree at
-    most 0 (:attr:`CountForm.degree`); otherwise it diverges at real
-    dimension the degree, and along the multiples of the witness order
-    q(X_d) >= q(X) + d^dim - 1.  A positive limit has witness order 1.
+    q(X_d) is bounded exactly when h^(0,1) has degree at most 0
+    (:attr:`RankFunction.degree`); otherwise it diverges at real dimension
+    the degree, and along the multiples of the witness order
+    q(X_d) >= q(X) + d^dim - 1.  A positive limit has witness order 1, and
+    only a divergent proper locus builds its count form, for that order.
     """
     if model.n == 0:  # a point has no h^(0,1) entry
         return DivergenceReport(False, 0, None, 0)
     rf = model.hodge[0][1]
-    form = rf.count_form(budget)
     origin_value = rf.rank_at(TorusPoint.zero(model.torus_dim))
-    if form.degree <= 0:
+    if rf.degree <= 0:
         return DivergenceReport(False, 0, None, origin_value)
-    return DivergenceReport(True, form.degree, 1 if form.limit > 0 else form.witness_order, origin_value)
+    return DivergenceReport(True, rf.degree, 1 if rf.limit > 0 else rf.count_form(budget).witness_order,
+                            origin_value)
 
 
 def l2_betti(model: VarietyModel) -> L2Report:
@@ -170,7 +158,7 @@ def l2_betti(model: VarietyModel) -> L2Report:
     """
     n = model.n
     return L2Report(
-        betti=tuple(symbolic_limit(model, ("betti", k)).value for k in range(2 * n + 1)),
+        betti=tuple(symbolic_limit(model, ("betti", k)) for k in range(2 * n + 1)),
         hodge=tuple(tuple(Fraction(rf.limit) for rf in row) for row in model.hodge),
         nonvanishing=frozenset(p for p in range(n + 1) if model.chi_p[p] != 0),
         weak_gnv=satisfies_weak_generic_nakano(model),
@@ -205,6 +193,6 @@ def l2_euler_characteristic(report: L2Report) -> Fraction:
 def betti_limit_deviation(model: VarietyModel, d: int,
                           *, budget: int = DEFAULT_COMPONENT_BUDGET) -> Fraction:
     """|b_n(X_d)/deg - L² middle Betti number| as an exact rational."""
-    limit = symbolic_limit(model, ("betti", model.n)).value
+    limit = symbolic_limit(model, ("betti", model.n))
     exact = Fraction(value_on_cover(model, ("betti", model.n), d, budget=budget), d ** model.torus_dim)
     return abs(exact - limit)

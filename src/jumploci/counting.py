@@ -187,11 +187,6 @@ class CountForm:
         return max((nc.dim for _, nc in self.terms), default=-1)
 
     @property
-    def degree(self) -> int:
-        """Largest exponent of d: N when the limit is positive."""
-        return self.ambient_dim if self.limit > 0 else self.top_exponent
-
-    @property
     def witness_order(self) -> Optional[int]:
         """Smallest d at which a term of the top exponent has a point; that
         term, inside the locus, has d^top such points at each multiple of d."""

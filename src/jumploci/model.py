@@ -47,8 +47,8 @@ class RankFunction:
     values mean, such as a negative rank, is left to :func:`validate_model`.
 
     Everything that does not depend on the cover index d is computed on
-    first use and kept on the instance: the normalized strata, the limit
-    and the compiled count form that every d reads.
+    first use and kept on the instance: the normalized strata, the limit,
+    the degree and the compiled count form that every d reads.
     """
 
     ambient_dim: int
@@ -110,6 +110,16 @@ class RankFunction:
             if value > best and coset.contains(alpha):
                 best = value
         return best
+
+    @cached_property
+    def degree(self) -> int:
+        """The exponent of d in the rank sum: 2g when the limit is positive,
+        else the largest real dimension of a stratum above it, -1 when there
+        is none.  It is the count form's degree, since no level set's leading
+        coefficient cancels, yet needs no meet, Smith form or budget."""
+        if self.limit > 0:
+            return self.ambient_dim
+        return max((nc.dim for nc, _ in self.effective_strata()), default=-1)
 
     def is_proper(self) -> bool:
         """True when the non-vanishing locus is a proper subset of the torus."""
@@ -187,7 +197,8 @@ class VarietyModel:
     then derived once, and validation, the table and the decay fit read
     them per distinct function.  The grid stays equal by value to the one
     given, and nothing is shared between models.  Whether the Albanese map is
-    semismall is not stated but derived: it is, exactly when :func:`defect` is 0."""
+    semismall is not stated but derived: it is, exactly when :func:`defect` is 0,
+    and :func:`validate_model` checks generic vanishing at that defect."""
 
     n: int
     g: int
@@ -359,8 +370,24 @@ def classify_weak_gv(model: VarietyModel, p: int) -> Optional[int]:
 
 
 def satisfies_weak_generic_nakano(model: VarietyModel) -> bool:
-    """True when every p-form row is weak-GV with index exactly n - p."""
-    return all(classify_weak_gv(model, p) == model.n - p for p in range(model.n + 1))
+    """True when every p-form row is weak-GV with index exactly n - p, that
+    is, when no locus off p + q = n fills the torus."""
+    return all(model.hodge[p][q].is_proper() or p + q == model.n for p, q in model.hodge_pairs())
+
+
+def decay_exponent(model: VarietyModel, p: int, q: int, defect_bound: int) -> int:
+    """The exponent e of the decay normalized h^(p,q) = O(d^(-e)) at defect
+    bound N: e = 2(|n-p-q| - N), by generic vanishing, codim V^q(Ω^p) >=
+    |p+q-n| - N.  It holds unless :func:`locus_too_large`."""
+    return 2 * (abs(model.n - p - q) - defect_bound)
+
+
+def locus_too_large(model: VarietyModel, p: int, q: int, exponent: int) -> bool:
+    """The dimension criterion of the d^(-e) decay: the locus of (p,q) is
+    too large exactly when its real dimension (:attr:`RankFunction.degree`)
+    exceeds 2g - e.  The leading term then has d^degree points at every
+    multiple of its witness order, which no finite range of d can rule out."""
+    return model.hodge[p][q].degree > model.torus_dim - exponent
 
 
 def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[int]:
@@ -426,12 +453,14 @@ def validate_model(model: VarietyModel) -> ValidationReport:
     of functions decided, once per call; the findings are then named at
     every place that holds them, so they read as if each were checked there.
 
-    A model is semismall exactly when its stratification raises no error
-    and has defect 0; then a locus off p + q = n filling the torus gets a
-    warning.  The (0,0) rank, and for n >= 1 the (n,n) rank, is 1 at the
-    origin (h^(n,n)(0) = h^0(O_X) by Serre duality).  Every cover is
-    connected, so for n, g >= 1 the (0,0) and (n,n) ranks must vanish off
-    the origin.
+    When the stratification raises no error, generic vanishing is checked
+    at the model's own defect δ: a locus of real dimension above
+    2g - 2(|p+q-n| - δ) (:func:`locus_too_large`) gets a warning naming
+    (p,q), that dimension, the maximum and δ.  At δ = 0 (semismall) this
+    covers every locus off p + q = n that fills the torus.  The (0,0) rank,
+    and for n >= 1 the (n,n) rank, is 1 at the origin (h^(n,n)(0) =
+    h^0(O_X) by Serre duality).  Every cover is connected, so for n, g >= 1
+    the (0,0) and (n,n) ranks must vanish off the origin.
     """
     findings: list[Finding] = []
     err = lambda msg: findings.append(Finding("error", msg))
@@ -522,12 +551,13 @@ def validate_model(model: VarietyModel) -> ValidationReport:
                 elif any(other < l and below < dim for other, below in model.defect_strata):
                     err(f"stratum ({l},{dim}) is larger than a stratum of smaller l; V_l cannot grow as l grows")
 
-    if len(findings) == before and delta == 0:
-        # semismall: by generic vanishing only p + q = n may fill the torus
+    if len(findings) == before:
+        # generic vanishing at the model's own defect: codim V^q(Ω^p) >= |p+q-n| - delta
         for p, q in model.hodge_pairs():
-            if not model.hodge[p][q].is_proper() and p + q != n:
-                warn(f"locus ({p},{q}) fills the torus although p+q differs from n; "
-                     "a semismall model cannot do that")
+            e = decay_exponent(model, p, q, delta)
+            if locus_too_large(model, p, q, e):
+                warn(f"locus ({p},{q}) has real dimension {model.hodge[p][q].degree}; generic vanishing "
+                     f"at defect {delta} allows at most {model.torus_dim - e}")
 
     if model.pluri is not None:
         if not (0 <= model.pluri.q_base <= g):

@@ -38,24 +38,7 @@ from .counting import union_torsion_count  # noqa: F401  (bench/tests asserts th
 from .errors import MissingPluriData, shown_int
 from .model import RankFunction, VarietyModel, euler_char
 
-EXACT_LIMIT = "exact-limit"
-UPPER_BOUND_ZERO = "upper-bound-zero"
-
 Selector = tuple  # ("hodge", p, q) | ("betti", k) | ("irregularity",) | ("pluri", m) | ("sheaf", name, i)
-
-
-@dataclass(frozen=True)
-class LimitValue:
-    """A limit of a normalized invariant, with how it was certified.
-
-    ``exact-limit`` values are read off the model (a constant generic rank
-    or an Euler characteristic); ``upper-bound-zero`` marks limits equal to
-    zero because the relevant locus is proper, so the normalized sequence
-    is dominated by a negative power of d.
-    """
-
-    value: Fraction
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -133,9 +116,9 @@ def value_on_cover(model: VarietyModel, selector: Selector, d: int,
     return model.hodge_table(budget).values(d)[column]
 
 
-def pluri_limit(model: VarietyModel, m: int) -> LimitValue:
-    """Limit of P_m(X_d)/deg: P_m(X) when the Iitaka base keeps the whole
-    irregularity (q(X) = q(base)), zero otherwise."""
+def pluri_limit(model: VarietyModel, m: int) -> Fraction:
+    """Limit of P_m(X_d)/deg, exactly: P_m(X) when the Iitaka base keeps
+    the whole irregularity (q(X) = q(base)), zero otherwise."""
     return symbolic_limit(model, ("pluri", m))
 
 
@@ -173,17 +156,15 @@ def normalized_sequence(model: VarietyModel, selector: Selector, d_range: Iterab
             for d in d_range]
 
 
-def symbolic_limit(model: VarietyModel, selector: Selector) -> LimitValue:
-    """Limit of the normalized invariant: the sum of the limits of its rank
-    functions, zero being an upper bound when one of them jumps somewhere.
+def symbolic_limit(model: VarietyModel, selector: Selector) -> Fraction:
+    """Limit of the normalized invariant, exactly: the sum of the limits of
+    its rank functions.  A proper locus contributes exactly 0, since its
+    rank sum is O(d^degree) with degree below 2g.
 
     At k = n the Betti limit agrees with (-1)^n times the topological Euler
     characteristic whenever the model satisfies weak generic Nakano vanishing.
     """
-    rfs = summands(model, selector)
-    total = sum(rf.limit for rf in rfs)
-    bound = total == 0 and any(rf.strata and not rf.limit for rf in rfs)
-    return LimitValue(Fraction(total), UPPER_BOUND_ZERO if bound else EXACT_LIMIT)
+    return Fraction(sum(rf.limit for rf in summands(model, selector)))
 
 
 def chi_multiplicativity_check(model: VarietyModel, d: int,

@@ -148,7 +148,7 @@ class TestIntegerFit:
                         assert fit.fitted_b == expected, (model.name, fit, d_max)
                         assert str(fit.fitted_b) == str(expected)
 
-    def test_one_form_read_and_one_count_per_d(self, monkeypatch):
+    def test_no_form_read_and_one_count_per_d(self, monkeypatch):
         calls = {"count_form": 0, "values": 0}
         count_form, values = model_module.RankFunction.count_form, counting.CountTable.values
 
@@ -165,13 +165,15 @@ class TestIntegerFit:
         model = builtin("blowup_abelian4_curve", genus=2).model
         for d_max in (2, 16):
             # the whole grid from one evaluation of the model's table per d;
-            # the form of each distinct (rank function, exponent) pair is
-            # read once, for its degree
+            # each verdict reads the rank function's degree, so no form is read
             calls.update(count_form=0, values=0)
             fits = fit_bounds(model, 0, d_max)
-            pairs = {(id(model.hodge[f.p][f.q]), f.exponent) for f in fits}
-            assert len(pairs) == 9 < len(fits) == 25
-            assert calls == {"count_form": len(pairs), "values": d_max}
+            assert not all(f.passes for f in fits)
+            assert calls == {"count_form": 0, "values": d_max}
+        # neither does the converse, nor a bounded divergence class
+        assert converse_defect_witness(model, 0) == (1, 2)
+        assert not divergence_class(model).divergent
+        assert calls == {"count_form": 0, "values": 16}
 
     def test_fit_bounds_rejects_a_short_range(self):
         with pytest.raises(ValueError, match="d_max must be at least 2"):

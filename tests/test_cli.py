@@ -230,6 +230,7 @@ class TestCheck:
     @pytest.mark.parametrize("name,params,bound,witness", [
         ("blowup_abelian4_curve", {"genus": 2}, 0, [1, 2]),
         ("cartwright_steger_like", {}, 1, None),
+        ("fibered_over_curve", {"genus": 2}, 0, None),
     ])
     def test_witness_is_read_off_the_fits(self, monkeypatch, capsys, name, params, bound, witness):
         # the fits apply the decay criterion once per distinct entry; the witness is
@@ -245,11 +246,11 @@ class TestCheck:
         code, out = run_cli(capsys, "check", "--builtin", name, "--params", text, "--defect-bound", str(bound))
         assert code == (0 if witness is None else 1)
         assert json.loads(out.split("-- machine readable --")[1])["witness"] == witness
-        # one read per distinct (rank function, exponent) pair for the fits,
-        # one more for the divergence class's h^(0,1)
-        model = builtin(name, **params).model
-        pairs = {(model.hodge[p][q], abs(model.n - p - q) - bound) for p, q in model.hodge_pairs()}
-        assert len(forms) == len(pairs) + 1 < (model.n + 1) ** 2 + 1
+        # the fits and the divergence class read degrees, and build no form;
+        # the divergence class reads h^(0,1)'s form only for the witness
+        # order of a divergent proper locus
+        h01 = builtin(name, **params).model.hodge[0][1]
+        assert forms == ([h01] if h01.degree > 0 and h01.limit == 0 else [])
 
 
 class TestPointModel:

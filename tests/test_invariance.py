@@ -117,9 +117,14 @@ def with_dominated_strata(model, rng):
     return remapped(model, move)
 
 
+def degrees(model):
+    return [[rf.degree for rf in row] for row in model.hodge]
+
+
 def outputs(model):
     budget = DEFAULT_COMPONENT_BUDGET
     return {
+        "degrees": degrees(model),
         "covers": [cover_invariants(model, d) for d in DS],
         "fits": [fit_bounds(model, bound, 8) for bound in range(model.n + 1)],
         "divergence": divergence_class(model),
@@ -158,6 +163,7 @@ def test_covers_are_invariant_under_a_torsion_translation(seed):
     assert image != model
     for d in (k, 2 * k, 6 * k, k * (10 ** 30 // k)):
         assert cover_invariants(image, d) == cover_invariants(model, d)
+    assert degrees(image) == degrees(model)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -170,3 +176,4 @@ def test_covers_fits_and_verdict_ignore_a_dominated_stratum(seed):
     assert [fit_bounds(wider, bound, 8) for bound in range(model.n + 1)] == \
         [fit_bounds(model, bound, 8) for bound in range(model.n + 1)]
     assert divergence_class(wider) == divergence_class(model)
+    assert degrees(wider) == degrees(model)

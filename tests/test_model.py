@@ -30,7 +30,7 @@ from jumploci import (
 )
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
 from jumploci.errors import ECHO_CHARS
-from jumploci.asymptotics import divergence_class, fit_bounds
+from jumploci.asymptotics import converse_defect_witness, divergence_class, fit_bounds
 from jumploci.model import _level_set_mismatch, _serre_mismatch
 from jumploci.modelfile import model_to_dict
 from jumploci.tower import sheaf_rank_on_cover, value_on_cover
@@ -299,14 +299,14 @@ class TestValidation:
             assert validate_model(builtin(name, **params).model).ok
 
     def test_defect_zero_is_semismall(self):
-        # no flag states it: defect 0 makes the off-middle full-locus warning apply
+        # no flag states it: at defect 0 generic vanishing allows no full locus off p + q = n
         base = builtin("blowup_abelian_codim", g=2, c=2).model
         grid = [list(row) for row in base.hodge]
         for p, q in ((0, 1), (2, 1)):  # a Serre pair
             grid[p][q] = RankFunction(4, 1, grid[p][q].strata)
         model = dataclasses.replace(base, hodge=tuple(map(tuple, grid)))
-        semismall = [f"locus ({p},{q}) fills the torus although p+q differs from n; "
-                     "a semismall model cannot do that" for p, q in ((0, 1), (2, 1))]
+        semismall = [f"locus ({p},{q}) has real dimension 4; generic vanishing at defect 0 allows at most 2"
+                     for p, q in ((0, 1), (2, 1))]
         report = validate_model(model)
         assert defect(model) == 0 and report.ok
         assert [f.message for f in report.warnings] == semismall
@@ -747,6 +747,19 @@ class TestDefect:
         model = dataclasses.replace(builtin("abelian", g=1).model, defect_strata=((1, 0),))
         with pytest.raises(MissingStratification):
             defect(model)
+
+    def test_generic_vanishing_at_the_declared_defect(self):
+        # the (1,1) locus of the blown-up abelian fourfold (c = 3) is proper, of
+        # real dimension 6: allowed at its defect 1, too large at a declared defect 0
+        model = builtin("blowup_abelian_codim", g=4, c=3).model
+        assert defect(model) == 1 and not validate_model(model).findings
+        semismall = dataclasses.replace(model, defect_strata=((0, 4),))
+        report = validate_model(semismall)
+        assert defect(semismall) == 0 and report.ok
+        assert [f.message for f in report.warnings] == [
+            f"locus ({p},{q}) has real dimension 6; generic vanishing at defect 0 allows at most 4"
+            for p, q in ((1, 1), (3, 3))]
+        assert model.hodge[1][1].is_proper() and converse_defect_witness(semismall, 0) == (1, 1)
 
     def test_validated_semismall_models_have_defect_zero(self):
         for name, params in (("abelian", {"g": 2}), ("blowup_abelian_codim", {"g": 4, "c": 2}),

@@ -85,6 +85,7 @@ class TestSheafRankOnCover:
             top = [coset for (coset, value), nc in zip(rf.strata, rf.normalized_strata)
                    if value > rf.limit and nc is not None and nc.dim == form.top_exponent]
             assert form.witness_order == (smallest_torsion_order(top) if top else None)
+            assert rf.degree == max(form.polynomial, default=-1)
             witnessed += bool(top)
         assert witnessed >= 10
 
@@ -243,21 +244,21 @@ class TestNormalizedAndLimits:
 
     def test_symbolic_limits_blowup(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
-        assert symbolic_limit(model, ("hodge", 1, 2)).value == 1
-        assert symbolic_limit(model, ("betti", 3)).value == 2
+        assert symbolic_limit(model, ("hodge", 1, 2)) == 1
+        assert symbolic_limit(model, ("betti", 3)) == 2
 
     def test_semismall_off_middle_limits_vanish(self):
+        # each 0 is exact: every summand's rank sum has degree below 2g
         model = builtin("blowup_abelian_codim", g=3, c=2).model
         for p in range(model.n + 1):
             for q in range(model.n + 1):
                 if p + q != model.n:
-                    lv = symbolic_limit(model, ("hodge", p, q))
-                    assert lv.value == 0
-                    assert lv.kind == "upper-bound-zero"
+                    assert symbolic_limit(model, ("hodge", p, q)) == 0
+                    assert all(rf.degree < model.torus_dim for rf in tower.summands(model, ("hodge", p, q)))
 
     def test_limit_consistency_along_factorials(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
-        limit = symbolic_limit(model, ("hodge", 1, 2)).value
+        limit = symbolic_limit(model, ("hodge", 1, 2))
         gaps = [abs(normalized_sequence(model, ("hodge", 1, 2), [factorial(k)])[0] - limit)
                 for k in range(1, 5)]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
@@ -302,7 +303,7 @@ class TestPlurigenera:
         )
         model = dataclasses.replace(base, pluri=pluri)
         assert value_on_cover(model, ("pluri", 2), 3) == 9 * 7
-        assert pluri_limit(model, 2).value == 7
+        assert pluri_limit(model, 2) == 7 and type(pluri_limit(model, 2)) is Fraction
 
     @pytest.mark.parametrize("q_base", [2, -1])
     def test_q_base_outside_the_torus_is_refused(self, q_base):
@@ -320,9 +321,8 @@ class TestPlurigenera:
         model = builtin("abelian", g=2).model
         for d in range(1, 5):
             assert value_on_cover(model, ("pluri", 2), d) == 1
-        lv = pluri_limit(model, 2)
-        assert lv.value == 0
-        assert lv.kind == "upper-bound-zero"
+        assert pluri_limit(model, 2) == 0
+        assert all(rf.degree < model.torus_dim for rf in tower.summands(model, ("pluri", 2)))
 
     def test_rank_function_built_once(self):
         # one per m: the model has one torus, which every m's locus lives in
@@ -429,7 +429,8 @@ class TestSelectors:
         for k in (-1, 2 * model.n + 1, 10 ** 30):
             assert tower.summands(model, ("betti", k)) == []
             assert [value_on_cover(model, ("betti", k), d) for d in (1, 2, 10 ** 30)] == [0, 0, 0]
-            assert symbolic_limit(model, ("betti", k)) == tower.LimitValue(Fraction(0), "exact-limit")
+            limit = symbolic_limit(model, ("betti", k))
+            assert type(limit) is Fraction and limit == 0
 
 
 class TestIrregularity:
@@ -451,7 +452,7 @@ class TestIrregularity:
         # n = 0: the grid is the one entry (0,0), with no h^(0,1) to sum
         model = VarietyModel(n=0, g=g, hodge=((constant_rank(2 * g, 1),),), defect_strata=((0, 0),))
         assert tower.summands(model, ("irregularity",)) == []
-        assert symbolic_limit(model, ("irregularity",)).value == 0
+        assert symbolic_limit(model, ("irregularity",)) == 0
         assert divergence_class(model) == DivergenceReport(False, 0, None, 0)
         for d in (1, 2, 5):
             inv = cover_invariants(model, d)
@@ -567,6 +568,16 @@ class TestCoverInvariants:
         point = RankFunction(2, 1, (Stratum(CongruenceCoset.point(TorusPoint.of([Fraction(1, 3), 0])), 2),))
         models.append(VarietyModel(n=0, g=1, hodge=((point,),), defect_strata=((0, 0),)))
         return models
+
+    def test_degree_is_the_top_exponent_of_the_count(self):
+        # read off the normalized strata, the degree equals the count form's
+        # polynomial's top exponent: no leading coefficient cancels
+        rank_functions = [rf for model in self._models()
+                          for rf in (*(rf for row in model.hodge for rf in row), *model.plurigenera.values(),
+                                     *(rf for slot in model.sheaves.values() for rf in slot))]
+        for rf in rank_functions:
+            assert rf.degree == max(rf.count_form(12).polynomial, default=-1)
+        assert {-1, 0} < {rf.degree for rf in rank_functions}
 
     def test_model_corpus_has_torsion_classes(self):
         terms = [nc for model in self._models() for row in model.hodge for rf in row
