@@ -255,7 +255,11 @@ class CountTable:
                         power = powers[e] = d ** e
                     scale = power if gate == 1 else gate * power
                     for column, c in entries:
-                        out[column] += c * scale
+                        # at large d each product and sum is a big integer:
+                        # a coefficient of 1 adds the power itself, and a
+                        # column still at 0 takes the term as it is
+                        term = scale if c == 1 else c * scale
+                        out[column] = out[column] + term if out[column] else term
         return out
 
 

@@ -21,9 +21,10 @@ structure all reduce to integer normal forms:
 
 A :class:`NormalizedCoset` keeps its translate as integers ``nums`` over
 its translate order, so equal cosets compare and hash as tuples of ints.
-One made by the Hermite kernel is filled in by it, with no second pass:
-its fields, real dimension, hash and the rows of ``(H | nums)`` by pivot
-column (:attr:`NormalizedCoset.basis`), which the next meet inserts into.
+Every one is complete when it is made: one fill sets its fields, real
+dimension, hash and the rows of ``(H | nums)`` by pivot column, which the
+next meet inserts into.  The Hermite kernel passes what its one loop
+built; a coset built from its fields finds the pivots of its own rows.
 Compiling is a property of the coset: on first use those rows give its
 Smith data (:attr:`NormalizedCoset.torsion`), off which its component
 count and its number of d-torsion points, a closed form in d, are read.
@@ -220,11 +221,13 @@ class TorusPoint:
 
     coords: tuple[Fraction, ...]
     order: int = field(init=False, compare=False, repr=False)
+    dim: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         reduced = tuple(_to_fraction(c) % 1 for c in self.coords)
         object.__setattr__(self, "coords", reduced)
         object.__setattr__(self, "order", math.lcm(*(c.denominator for c in reduced)) if reduced else 1)
+        object.__setattr__(self, "dim", len(reduced))
 
     @classmethod
     def of(cls, values: Iterable) -> "TorusPoint":
@@ -236,11 +239,8 @@ class TorusPoint:
         point = object.__new__(cls)
         object.__setattr__(point, "coords", (_ZERO,) * dim)
         object.__setattr__(point, "order", 1)
+        object.__setattr__(point, "dim", dim)
         return point
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
 
     def __neg__(self) -> "TorusPoint":
         return TorusPoint(tuple(-c for c in self.coords))
@@ -385,13 +385,22 @@ def _insert(basis: dict[int, Row], row: Row, modulus: int) -> int:
     return _EMPTY if row[n] % modulus else outcome
 
 
+def _fill(nc: "NormalizedCoset", width: int, rows: IntMatrix, nums: tuple[int, ...],
+          basis: dict[int, Row], order: int) -> "NormalizedCoset":
+    """Set every attribute of a coset at once: its four fields, the rows of
+    (H | nums) by pivot column, its real dimension and its hash."""
+    object.__setattr__(nc, "__dict__", {
+        "ambient_dim": width, "rows": rows, "nums": nums, "order": order, "dim": width - len(rows),
+        "basis": basis, "_hash": hash((width, rows, nums, order))})
+    return nc
+
+
 def _hermite(width: int, basis: dict[int, Row], modulus: int) -> "NormalizedCoset":
     """The canonical form of an inserted basis: rows in pivot order, positive
     pivots, entries above each pivot reduced into [0, pivot), and the
     right-hand side over its exact order.  One pass over the reduced rows
-    builds the rows of (H | nums), of H and nums; the coset is filled in
-    directly, with its :attr:`NormalizedCoset.basis` (the rows of (H | nums)
-    by pivot column), its real dimension and its hash."""
+    builds the rows of (H | nums) by pivot column, of H and of nums, and
+    :func:`_fill` makes the coset of them as they are."""
     cols = sorted(basis)
     rows = [basis[c] for c in cols]
     for i, c in enumerate(cols):
@@ -411,12 +420,7 @@ def _hermite(width: int, basis: dict[int, Row], modulus: int) -> "NormalizedCose
         aug[c] = r
         h_rows.append(r[:width])
         nums.append(m)
-    h_rows, nums = tuple(h_rows), tuple(nums)
-    nc = object.__new__(NormalizedCoset)
-    object.__setattr__(nc, "__dict__", {
-        "ambient_dim": width, "rows": h_rows, "nums": nums, "order": modulus, "dim": width - len(rows),
-        "basis": aug, "_hash": hash((width, h_rows, nums, modulus))})
-    return nc
+    return _fill(object.__new__(NormalizedCoset), width, tuple(h_rows), tuple(nums), aug, modulus)
 
 
 def _smith_data(rows: list[Row], width: int) -> tuple[tuple[int, int], ...]:
@@ -468,14 +472,22 @@ class NormalizedCoset:
     smallest m > 0 with m·b integral: a connected coset meets the d-torsion
     grid exactly when it divides d), and every entry of ``nums`` lies in
     [0, order) with gcd(order, *nums) = 1, so equal cosets have equal
-    fields.  The Smith data (:attr:`torsion`) is computed on first use, and
-    the component count and the count of d-torsion points are read off it.
+    fields.  It is made complete: ``dim``, ``_hash`` (meets are dict keys)
+    and ``basis``, the rows of (H | nums) by pivot column, which a meet
+    starts from and the Smith pass reads, shared between meets and never
+    changed in place.  The Smith data (:attr:`torsion`) is computed on first
+    use, since only counted cosets need it, and the component count and the
+    count of d-torsion points are read off it.
     """
 
     ambient_dim: int
     rows: IntMatrix
     nums: tuple[int, ...]
     order: int
+
+    def __post_init__(self) -> None:  # built from its fields: find the pivot of each row
+        _fill(self, self.ambient_dim, self.rows, self.nums,
+              {next(c for c, a in enumerate(r) if a): (*r, m) for r, m in zip(self.rows, self.nums)}, self.order)
 
     @cached_property
     def torsion(self) -> tuple[tuple[int, int], ...]:
@@ -529,27 +541,8 @@ class NormalizedCoset:
     def rank(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def dim(self) -> int:
-        """Real dimension; cached, since every count reads it."""
-        return self.ambient_dim - self.rank
-
     def __hash__(self) -> int:
         return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The hash of the four fields, computed once: meets are dict keys."""
-        return hash((self.ambient_dim, self.rows, self.nums, self.order))
-
-    @cached_property
-    def basis(self) -> dict[int, Row]:
-        """The rows of (H | nums) by pivot column: the basis a meet starts
-        from, and the rows the Smith pass of :attr:`torsion` reads.  A coset
-        made by normalizing or meeting gets it from the Hermite pass; one
-        built from its fields (a negated coset) builds it from its rows.
-        Shared between meets: never change it in place."""
-        return {next(c for c, a in enumerate(r) if a): (*r, m) for r, m in zip(self.rows, self.nums)}
 
     def meet(self, other: "NormalizedCoset") -> Optional["NormalizedCoset"]:
         """The normalized intersection, or None when it is empty.

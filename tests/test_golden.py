@@ -22,7 +22,7 @@ import pytest
 
 from jumploci import builtin, cli, save_model
 from jumploci.catalog import DEFAULT_INSTANCES
-from gen import CATALOG_SWEEP
+from gen import CATALOG_SWEEP, random_model
 
 TABLE = Path(__file__).with_name("golden.json")
 
@@ -31,6 +31,9 @@ COUNT_DS = "1,2,3,5,12,1000000007"
 LOCUS_DS = "1,2,3,4,6,1000000007"
 LOCUS_SEED = 2016
 LOCUS_SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 8, 9)
+# seeded random models with several divisibility classes: translates of
+# order up to 12 and Smith pivots above 1, so the torsion gates are pinned
+MODEL_SEEDS = (1, 2, 5)
 
 
 def instance_invocations(name: str, params: dict, model_file: str | None = None) -> list[list[str]]:
@@ -50,6 +53,26 @@ def instance_invocations(name: str, params: dict, model_file: str | None = None)
     argvs.append(["tower", *source, "--d-max", "8", "--pluri", ",".join(map(str, exponents))])
     argvs += [["count", *source, "--i", f"{p},{q}", "--d", COUNT_DS] for p, q in model.hodge_pairs()]
     return argvs
+
+
+def seeded_model(k: int):
+    return random_model(random.Random(f"golden:{k}"))
+
+
+def model_invocations() -> list[list[str]]:
+    """validate, check, tower and count on every grid entry, for each seeded
+    model read with --model."""
+    argvs = []
+    for k in MODEL_SEEDS:
+        source = ["--model", f"model{k}.json"]
+        argvs += [["validate", *source], ["check", *source, "--d-max", "16"], ["tower", *source, "--d-max", "4"]]
+        argvs += [["count", *source, "--i", f"{p},{q}", "--d", COUNT_DS] for p, q in seeded_model(k).hodge_pairs()]
+    return argvs
+
+
+def write_models(directory: Path) -> None:
+    for k in MODEL_SEEDS:
+        save_model(seeded_model(k), directory / f"model{k}.json")
 
 
 def locus_invocations() -> list[list[str]]:
@@ -90,7 +113,7 @@ def key(argv: list[str]) -> str:
 
 def all_invocations() -> list[list[str]]:
     argvs = [argv for name, params in INSTANCES for argv in instance_invocations(name, params)]
-    return argvs + locus_invocations()
+    return argvs + locus_invocations() + model_invocations()
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +147,13 @@ def test_locus_outputs(golden, tmp_path, monkeypatch):
     assert [key(a) for a in argvs if golden.get(key(a)) != digest(a)] == []
 
 
+def test_seeded_model_outputs(golden, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_models(tmp_path)
+    argvs = model_invocations()
+    assert [key(a) for a in argvs if golden.get(key(a)) != digest(a)] == []
+
+
 def test_table_names_exactly_the_corpus(golden):
     argvs = all_invocations()
     assert len({key(a) for a in argvs}) == len(argvs)
@@ -134,5 +164,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         write_loci(Path(tmp))
+        write_models(Path(tmp))
         table = {key(a): digest(a) for a in all_invocations()}
     print(json.dumps(table, indent=1, sort_keys=True))

@@ -14,11 +14,18 @@ leaves every cover X_d with k | d unchanged.  And a stratum contained in
 another one of at least its value changes no rank under the max rule, so
 adding one changes no cover, decay fit or divergence verdict.
 
+Last, one rank function has many presentations: the stratum
+{2A·x ≡ 2b} is the union of the 2^k cosets {A·x ≡ b + j/2}, j in {0,1}^k,
+k the number of rows of A, so it can be given as one stratum or as those
+pieces at the same value.  Both give the same rank at every point, and so
+every output except the findings that name strata by index.
+
 The models have several divisibility classes (translates of order 2 to 4,
 Smith pivots above 1), so the torsion gates of the count table are
 exercised, not only its limits.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -131,6 +138,56 @@ def outputs(model):
         "witness orders": [[rf.count_form(budget).witness_order for rf in row] for row in model.hodge],
         "findings": [f.message for f in validate_model(model).findings],
     }
+
+
+def split(model, rng):
+    """Two presentations of the same rank functions: in each distinct grid
+    function but the origin jump, one stratum {A·x ≡ b} of 1 or 2 rows is
+    replaced by {2A·x ≡ 2b} in the first, and by its pieces {A·x ≡ b + j/2}
+    at the same value in the second.  Also returns the pieces."""
+    images, pieces = {}, []
+    for rf in (rf for row in model.hodge for rf in row):
+        candidates = [i for i, (coset, _) in enumerate(rf.strata) if 1 <= len(coset.rows) <= 2]
+        if rf in images or rf == model.hodge[0][0] or not candidates:
+            continue
+        i = rng.choice(candidates)
+        (coset, value), before, after = rf.strata[i], rf.strata[:i], rf.strata[i + 1:]
+        parts = [CongruenceCoset.of(rf.ambient_dim, coset.rows, [b + Fraction(j, 2) for b, j in zip(coset.rhs, js)])
+                 for js in itertools.product((0, 1), repeat=len(coset.rows))]
+        pieces.append(parts)
+        doubled = CongruenceCoset.of(rf.ambient_dim, [[2 * a for a in row] for row in coset.rows],
+                                     [2 * b for b in coset.rhs])
+        images[rf] = tuple(RankFunction(rf.ambient_dim, rf.generic_value, (*before, *strata, *after))
+                           for strata in ([Stratum(doubled, value)], [Stratum(c, value) for c in parts]))
+    one = remapped(model, lambda rf: images.get(rf, (rf, rf))[0])
+    many = remapped(model, lambda rf: images.get(rf, (rf, rf))[1])
+    return one, many, pieces
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_outputs_ignore_how_a_stratum_splits_into_components(seed):
+    model = random_model(random.Random(f"invariance:{seed}"))
+    one, many, pieces = split(model, random.Random(f"splitting:{seed}"))
+    # no pieces when only the origin jump has a stratum of 1 or 2 rows
+    assert (one != many) == bool(pieces)
+    got = [outputs(one), outputs(many)]
+    for key in ("degrees", "covers", "fits", "divergence", "witness orders"):
+        assert got[0][key] == got[1][key]
+    assert validate_model(one).ok == validate_model(many).ok
+
+
+def test_some_split_has_several_components_of_translate_order_two():
+    nonempty, orders, splitting = [], set(), 0
+    for seed in range(20):
+        _, _, pieces = split(random_model(random.Random(f"invariance:{seed}")), random.Random(f"splitting:{seed}"))
+        splitting += bool(pieces)
+        for parts in pieces:
+            normalized = [nc for nc in (c.normalize() for c in parts) if nc is not None]
+            nonempty.append(len(normalized))
+            orders.update(nc.order for nc in normalized)
+    assert splitting >= 17
+    assert max(nonempty) >= 2
+    assert 2 in orders
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -470,6 +470,7 @@ class TestMeet:
 
         rng = random.Random(6561)
         met = 0
+        made = [CongruenceCoset.full_torus(3).normalize()]
         while met < 150:
             n = rng.randint(1, 4)
             x = random_nonempty_coset(rng, n, max_den=6).normalize()
@@ -483,10 +484,18 @@ class TestMeet:
                 fields = (nc.ambient_dim, nc.rows, nc.nums, nc.order)
                 assert hash(nc) == hash(fields) == hash(NormalizedCoset(*fields))
                 assert nc == NormalizedCoset(*fields)
+                made.append(nc)
             met += meet is not None and meet is not x
-        # a coset built from its fields rescans on first use
+        # a coset built from its fields holds, from construction on, the real
+        # dimension, basis and hash that the Hermite pass gives the same set:
+        # seeded cosets, their negations, their meets and the full torus
+        filled = ("dim", "basis", "_hash")
+        for nc in made:
+            for built in (NormalizedCoset(nc.ambient_dim, nc.rows, nc.nums, nc.order), -nc):
+                hermite = CongruenceCoset(built.ambient_dim, built.rows, built.rhs).normalize()
+                assert [vars(built)[k] for k in filled] == [vars(hermite)[k] for k in filled]
         fresh = NormalizedCoset(3, ((2, 0, 1), (0, 0, 3)), (1, 2), 5)
-        assert fresh.basis == {0: (2, 0, 1, 1), 2: (0, 0, 3, 2)}
+        assert vars(fresh)["basis"] == {0: (2, 0, 1, 1), 2: (0, 0, 3, 2)}
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
