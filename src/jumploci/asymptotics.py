@@ -12,7 +12,7 @@ points at the multiples of the smallest d where it has a point, so
 v > 2g - e forces unboundedness no matter how a finite range looks.  The
 converse's witness (:func:`converse_defect_witness`) is the first entry
 that fails it.  That smallest d is also the divergence witness order of
-q(X_d), the one verdict that builds a count form.
+q(X_d), read off the strata like every verdict: none builds a count form.
 
 L² Betti numbers of the infinite Albanese cover are limits of normalized
 Betti numbers along the factorial subtower; since the limits of the full
@@ -51,8 +51,8 @@ class DivergenceReport:
 
     divergent: bool
     max_stratum_dim: int          # real dimension, 0 when bounded
-    # the smallest d where a top-dimensional term of h^(0,1) has a point;
-    # q(X_d) >= q(X) + d^dim - 1 at all its multiples
+    # the smallest d where a top-dimensional stratum of h^(0,1) has a point,
+    # 1 for a positive limit; q(X_d) >= q(X) + d^dim - 1 at all its multiples
     witness_order: Optional[int]
     base_irregularity: int
 
@@ -126,15 +126,15 @@ def converse_defect_witness(model: VarietyModel, defect_bound: int) -> Optional[
                  if locus_too_large(model, p, q, decay_exponent(model, p, q, defect_bound))), None)
 
 
-def divergence_class(model: VarietyModel,
-                     *, budget: int = DEFAULT_COMPONENT_BUDGET) -> DivergenceReport:
+def divergence_class(model: VarietyModel) -> DivergenceReport:
     """Classify the irregularity sequence q(X_d): bounded or divergent.
 
     q(X_d) is bounded exactly when h^(0,1) has degree at most 0
     (:attr:`RankFunction.degree`); otherwise it diverges at real dimension
     the degree, and along the multiples of the witness order
     q(X_d) >= q(X) + d^dim - 1.  A positive limit has witness order 1, and
-    only a divergent proper locus builds its count form, for that order.
+    a divergent proper locus reads its order off its top-dimensional strata
+    (:attr:`RankFunction.witness_order`), with no count form and no budget.
     """
     if model.n == 0:  # a point has no h^(0,1) entry
         return DivergenceReport(False, 0, None, 0)
@@ -142,8 +142,7 @@ def divergence_class(model: VarietyModel,
     origin_value = rf.rank_at(TorusPoint.zero(model.torus_dim))
     if rf.degree <= 0:
         return DivergenceReport(False, 0, None, origin_value)
-    return DivergenceReport(True, rf.degree, 1 if rf.limit > 0 else rf.count_form(budget).witness_order,
-                            origin_value)
+    return DivergenceReport(True, rf.degree, 1 if rf.limit > 0 else rf.witness_order, origin_value)
 
 
 def l2_betti(model: VarietyModel) -> L2Report:

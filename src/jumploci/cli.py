@@ -47,6 +47,8 @@ def _parse_params(text: Optional[str]) -> dict:
         if "=" not in item:
             raise EngineError(f"bad parameter {shown(item)!r}; expected name=value")
         key, value = item.split("=", 1)
+        if key.strip() in params:
+            raise EngineError(f"--params names {shown(key.strip())!r} more than once")
         try:
             with _int_text_of_any_size():
                 params[key.strip()] = int(value)
@@ -221,7 +223,7 @@ def cmd_check(args) -> int:
                           f"the range of the defect of a model with n = {n}")
     fits = asymptotics.fit_bounds(model, args.defect_bound, args.d_max, budget=args.budget)
     witness = next(((f.p, f.q) for f in fits if not f.passes), None)  # the converse: first failing fit
-    divergence = asymptotics.divergence_class(model, budget=args.budget)
+    divergence = asymptotics.divergence_class(model)
     l2 = asymptotics.l2_betti(model)
     all_pass = all(f.passes for f in fits)
 

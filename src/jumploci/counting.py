@@ -10,18 +10,20 @@ computed once per coset).
 
 Every count is one :class:`CountForm`: a limit times d^N plus a signed sum
 over distinct nonempty normalized meets (Möbius inversion over their
-intersection poset).  A rank function's form is built in one pass: its
-strata join a running union in decreasing value order, and the change each
-makes to the union is weighted by its value's height above the limit.
-Among equal values the lower-dimensional strata enter first, which makes
-fewer meets; the terms do not depend on the order, since a subset S of
-strata gives its meet (−1)^(|S|+1)·(min value over S − limit) however they
-enter.  A union of cosets is the form of limit 0 with every value 1.
-Each new stratum's rows are inserted into the Hermite rows of every stored
-meet (:meth:`~jumploci.torus.NormalizedCoset.meet`), and meets are keyed
-by their integer Hermite form, hashed once.  Each meet hands its rows of
-(H | L·b) on to the next meet and to its Smith data.  Empty meets
-are never extended, so the work is bounded by the distinct nonempty meets
+intersection poset).  A form only counts: no locus verdict reads it, as a
+locus's degree and witness order are read off its strata.  A rank
+function's form is built in one pass: its strata join a running union in
+decreasing value order, and the change each makes to the union is weighted
+by its value's height above the limit.  Among equal values the
+lower-dimensional strata enter first, which makes fewer meets; the terms
+do not depend on the order, since a subset S of strata gives its meet
+(−1)^(|S|+1)·(min value over S − limit) however they enter.  A union of
+cosets is the form of limit 0 with every value 1.  Each new stratum's rows
+are inserted into the Hermite rows of every stored meet
+(:meth:`~jumploci.torus.NormalizedCoset.meet`), and meets are keyed by
+their integer Hermite form, hashed once.  Each meet hands its rows of
+(H | L·b) on to the next meet and to its Smith data.  Empty meets are
+never extended, so the work is bounded by the distinct nonempty meets
 rather than by the 2^r subsets.
 
 A term's count depends on d only through divisibility: it is d^dim times
@@ -45,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import CapExceeded, ComponentBudgetExceeded, DimensionMismatch
 from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, torsion_gate
@@ -179,20 +181,6 @@ class CountForm:
             poly[nc.dim] = poly.get(nc.dim, 0) + c * nc.component_count
         return {e: c for e, c in poly.items() if c}
 
-    @property
-    def top_exponent(self) -> int:
-        """Largest exponent of d in the terms, -1 when there are none.  No
-        level set's leading coefficient cancels, so this is the largest real
-        dimension of a stratum above the limit."""
-        return max((nc.dim for _, nc in self.terms), default=-1)
-
-    @property
-    def witness_order(self) -> Optional[int]:
-        """Smallest d at which a term of the top exponent has a point; that
-        term, inside the locus, has d^top such points at each multiple of d."""
-        return min((nc.min_order for _, nc in self.terms if nc.dim == self.top_exponent),
-                   default=None)
-
 
 @dataclass(frozen=True)
 class CountTable:
@@ -232,11 +220,6 @@ class CountTable:
             if exponents:
                 classes.append((order, torsion, tuple(exponents)))
         return cls(tuple(constants), tuple(classes))
-
-    @property
-    def width(self) -> int:
-        """The number of columns."""
-        return len(self.constants)
 
     def values(self, d: int) -> list[int]:
         """Every column's count at d: its constant, then one divisibility

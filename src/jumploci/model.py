@@ -48,7 +48,7 @@ class RankFunction:
 
     Everything that does not depend on the cover index d is computed on
     first use and kept on the instance: the normalized strata, the limit,
-    the degree and the compiled count form that every d reads.
+    the degree, the witness order and the count form that every d reads.
     """
 
     ambient_dim: int
@@ -120,6 +120,15 @@ class RankFunction:
         if self.limit > 0:
             return self.ambient_dim
         return max((nc.dim for nc, _ in self.effective_strata()), default=-1)
+
+    @cached_property
+    def witness_order(self) -> Optional[int]:
+        """The least :attr:`~jumploci.torus.NormalizedCoset.min_order` of the
+        strata above the limit of the largest real dimension, None if none:
+        the smallest d where a top term of the rank sum has a point, no meet made."""
+        strata = [nc for nc, _ in self.effective_strata()]
+        top = max((nc.dim for nc in strata), default=-1)
+        return min((nc.min_order for nc in strata if nc.dim == top), default=None)
 
     def is_proper(self) -> bool:
         """True when the non-vanishing locus is a proper subset of the torus."""
@@ -247,14 +256,9 @@ class VarietyModel:
         return product(range(self.n + 1), repeat=2)
 
     @cached_property
-    def _strata_counts(self) -> tuple[int, ...]:
-        """How many strata lie above the limit at each grid entry, row-major."""
-        return tuple(rf._strata_above_limit for row in self.hodge for rf in row)
-
-    @cached_property
     def _most_strata(self) -> int:
-        """The largest of :attr:`_strata_counts`."""
-        return max(self._strata_counts)
+        """The most strata above the limit at any grid entry."""
+        return max(rf._strata_above_limit for rf in chain(*self.hodge))
 
     @cached_property
     def _hodge_table(self) -> CountTable:
@@ -277,8 +281,8 @@ class VarietyModel:
         such count, and the first entry over it, row-major, raises before
         any form is built."""
         if self._most_strata > budget:
-            for strata in self._strata_counts:
-                check_budget(strata, budget)
+            for rf in chain(*self.hodge):
+                check_budget(rf._strata_above_limit, budget)
         return self._hodge_table
 
     def grid(self, values: Sequence[int]) -> tuple[tuple[int, ...], ...]:

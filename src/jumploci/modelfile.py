@@ -220,6 +220,8 @@ def model_from_dict(obj: Any) -> VarietyModel:
         p, q = _integer(entry["p"], "'p'"), _integer(entry["q"], "'q'")
         if not (0 <= p <= n and 0 <= q <= n):
             raise ModelFormatError(f"hodge entry ({_quoted(p)},{_quoted(q)}) outside the (n+1)x(n+1) grid")
+        if grid[p][q] is not zero:
+            raise ModelFormatError(f"hodge entry ({p},{q}) appears more than once")
         grid[p][q] = _rank_from_dict(entry, torus, built)
 
     strata = []

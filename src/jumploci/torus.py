@@ -537,10 +537,6 @@ class NormalizedCoset:
         """The translate as Fractions in [0, 1)."""
         return tuple(Fraction(m, self.order) for m in self.nums)
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def __hash__(self) -> int:
         return self._hash
 

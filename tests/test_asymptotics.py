@@ -16,6 +16,7 @@ from jumploci import (
     constant_rank,
     converse_defect_witness,
     divergence_class,
+    DivergenceReport,
     fit_bounds,
     l2_betti,
     l2_euler_characteristic,
@@ -245,6 +246,17 @@ class TestDivergence:
         for j in range(1, 4):
             d = 4 * j
             assert value_on_cover(model, ("irregularity",), d) >= q0 + d ** 2 - 1
+
+    def test_more_strata_than_the_budget_are_classified(self):
+        # 14 strata above the limit, over the component budget of 12: the
+        # witness order is read off the strata, so no budget applies; the
+        # stratum at k = 7, {x0 ≡ 1/2, x1 ≡ 0}, has its first point at d = 2
+        base = builtin("abelian", g=2).model
+        extra = tuple(Stratum(CongruenceCoset.of(4, [[1, 0, 0, 0], [0, 1, 0, 0]], [Fraction(k, 14), 0]), 1)
+                      for k in range(1, 14))
+        h01 = RankFunction(4, 0, base.hodge[0][1].strata + extra)
+        assert h01._strata_above_limit == 14 > counting.DEFAULT_COMPONENT_BUDGET
+        assert divergence_class(with_hodge(base, 0, 1, h01)) == DivergenceReport(True, 2, 2, 2)
 
     def test_classification_matches_sequence_growth(self):
         for name, params in DEFAULT_INSTANCES:

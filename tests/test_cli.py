@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from jumploci import (CongruenceCoset, RankFunction, Stratum, TorusPoint, Variet
                       constant_rank, dumps_model, load_model, origin_jump)
 from jumploci.cli import _int_text_of_any_size, main
 from jumploci.errors import ECHO_CHARS, shown, shown_int
+from gen import random_model
 
 
 def run_cli(capsys, *argv):
@@ -231,8 +233,10 @@ class TestCheck:
         ("blowup_abelian4_curve", {"genus": 2}, 0, [1, 2]),
         ("cartwright_steger_like", {}, 1, None),
         ("fibered_over_curve", {"genus": 2}, 0, None),
+        # a seeded model read from a file: its h^(0,1) is a divergent proper locus
+        ("golden:1", None, 1, None),
     ])
-    def test_witness_is_read_off_the_fits(self, monkeypatch, capsys, name, params, bound, witness):
+    def test_witness_is_read_off_the_fits(self, monkeypatch, capsys, tmp_path, name, params, bound, witness):
         # the fits apply the decay criterion once per distinct entry; the witness is
         # the first failing fit, so no second pass over the grid is made
         def refuse(*args, **kwargs):
@@ -242,15 +246,20 @@ class TestCheck:
         count_form = RankFunction.count_form
         monkeypatch.setattr(asymptotics, "converse_defect_witness", refuse)
         monkeypatch.setattr(RankFunction, "count_form", lambda rf, budget: forms.append(rf) or count_form(rf, budget))
-        text = ",".join(f"{k}={v}" for k, v in params.items())
-        code, out = run_cli(capsys, "check", "--builtin", name, "--params", text, "--defect-bound", str(bound))
+        if params is None:
+            path = tmp_path / "seeded.json"
+            path.write_text(dumps_model(random_model(random.Random(name))))
+            source = ["--model", str(path)]
+        else:
+            source = ["--builtin", name, "--params", ",".join(f"{k}={v}" for k, v in params.items())]
+        code, out = run_cli(capsys, "check", *source, "--defect-bound", str(bound))
         assert code == (0 if witness is None else 1)
-        assert json.loads(out.split("-- machine readable --")[1])["witness"] == witness
-        # the fits and the divergence class read degrees, and build no form;
-        # the divergence class reads h^(0,1)'s form only for the witness
-        # order of a divergent proper locus
-        h01 = builtin(name, **params).model.hodge[0][1]
-        assert forms == ([h01] if h01.degree > 0 and h01.limit == 0 else [])
+        machine = json.loads(out.split("-- machine readable --")[1])
+        assert machine["witness"] == witness
+        assert machine["divergence"]["witness_order"] == {"fibered_over_curve": 1, "golden:1": 6}.get(name)
+        # the fits read degrees and the divergence class reads h^(0,1)'s
+        # degree and witness order, off the strata: no verdict builds a form
+        assert forms == []
 
 
 class TestPointModel:
@@ -488,6 +497,12 @@ class TestValidateExport:
         code, out = run_cli(capsys, "validate", "--builtin", "abelian", "--params", "g=2,,")
         assert (code, out) == run_cli(capsys, "validate", "--builtin", "abelian", "--params", "g=2")
         assert code == 0 and out.endswith("model accepted\n")
+
+    @pytest.mark.parametrize("params", ["g=2,g=3", "g=2, g=3", " g =2,g=2"])
+    def test_repeated_params_exit_2(self, capsys, params):
+        # the later value would silently win, as --pluri refuses to let it
+        assert main(["validate", "--builtin", "abelian", "--params", params]) == 2
+        assert capsys.readouterr().err == "error: --params names 'g' more than once\n"
 
     def test_impossible_models_exit_2(self, tmp_path, capsys):
         # a stratification that contradicts itself, which check --defect-bound 0

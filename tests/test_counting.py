@@ -223,7 +223,7 @@ class TestUnitPivotSplit:
             nc = coset.normalize()
             kind = min(2, sum(r[c] > 1 for c, r in nc.basis.items()))
             seen[kind] += 1
-            unit_rows += kind < nc.rank
+            unit_rows += kind < len(nc.rows)
             ref = self._reference(nc)
             assert nc.component_count == ref.component_count
             assert nc.min_order == ref.min_order
@@ -625,7 +625,7 @@ class TestClassEvaluation:
         d^(2g)."""
         n = model.n
         table = model.hodge_table(DEFAULT_COMPONENT_BUDGET)
-        assert table.width == (n + 1) ** 2 + (2 * n + 1) + 1
+        assert len(table.constants) == (n + 1) ** 2 + (2 * n + 1) + 1
         forms = [[rf.count_form(DEFAULT_COMPONENT_BUDGET) for rf in row] for row in model.hodge]
         for d in CLASS_DS:
             grid = tuple(tuple(per_term_count(form, d) for form in row) for row in forms)

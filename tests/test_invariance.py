@@ -129,13 +129,12 @@ def degrees(model):
 
 
 def outputs(model):
-    budget = DEFAULT_COMPONENT_BUDGET
     return {
         "degrees": degrees(model),
         "covers": [cover_invariants(model, d) for d in DS],
         "fits": [fit_bounds(model, bound, 8) for bound in range(model.n + 1)],
         "divergence": divergence_class(model),
-        "witness orders": [[rf.count_form(budget).witness_order for rf in row] for row in model.hodge],
+        "witness orders": [[rf.witness_order for rf in row] for row in model.hodge],
         "findings": [f.message for f in validate_model(model).findings],
     }
 

@@ -167,6 +167,21 @@ def test_negative_generic_rank_exits_2(tmp_path, capsys):
     assert out.endswith("model rejected\n")
 
 
+def test_a_repeated_hodge_entry_exits_2(tmp_path, capsys):
+    # (0,0) jumps to 1 at the origin, then is listed again with generic value 5;
+    # keeping either one would judge a grid the file does not state
+    blob = model_to_dict(builtin("abelian", g=1).model)
+    assert (blob["hodge"][0]["p"], blob["hodge"][0]["q"], blob["hodge"][0]["strata"][0]["value"]) == (0, 0, 1)
+    blob["hodge"].append({"p": 0, "q": 0, "generic": 5})
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_dict(blob)
+    assert str(exc.value) == "hodge entry (0,0) appears more than once"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == "error: hodge entry (0,0) appears more than once\n"
+
+
 def test_locus_at_the_torus_cap_loads(tmp_path, capsys):
     n = 2 * MAX_G
     path = tmp_path / "locus.json"

@@ -384,7 +384,7 @@ class TestNormalizedCosetFields:
                  if a.ambient_dim == b.ambient_dim and (meet := a.meet(b)) is not None]
         assert len(meets) >= 100
         for nc in seeded + [-nc for nc in seeded] + meets:
-            assert len(nc.nums) == nc.rank
+            assert len(nc.nums) == len(nc.rows)
             assert all(0 <= m < nc.order for m in nc.nums)
             assert math.gcd(nc.order, *nc.nums) == 1
             assert nc.rhs == tuple(Fraction(m, nc.order) for m in nc.nums)
