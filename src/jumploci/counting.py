@@ -28,11 +28,11 @@ rather than by the 2^r subsets.
 
 A term's count depends on d only through divisibility: it is d^dim times
 the :func:`~jumploci.torus.torsion_gate` of its translate order and Smith
-data, 0 or Π gcd(s, d).  A single form (a union, a sheaf slot, a
-plurigenus) is counted term by term (:meth:`CountForm.count`).  Forms read
-together at every cover are merged once into a :class:`CountTable`, one
-column per form, keyed by that class: each class maps each exponent to
-the summed coefficients of its terms, column by column.  The class
+data, 0 or Π gcd(s, d).  A :class:`CountTable` is the one evaluator of
+forms: it merges them, one column per form, keyed by that class, and each
+class maps each exponent to the summed coefficients of its terms, column
+by column.  A form read alone (a union, a sheaf slot, a plurigenus) is a
+one-column table.  The class
 (1, ()) at exponent 0 does not depend on d, so it is summed once into a
 constant per column.  Every d starts from those constants, runs one gate
 per other class and one power of d per distinct exponent, then adds
@@ -147,25 +147,6 @@ class CountForm:
                     terms.pop(x, None)
         return cls(ambient_dim, limit, tuple((c, x) for x, c in terms.items()))
 
-    def count(self, d: int) -> int:
-        """h summed over the points of order dividing d, term by term:
-        limit·d^N plus each coefficient times its term's closed-form count,
-        d^dim times its :func:`~jumploci.torus.torsion_gate`, with one power
-        per distinct exponent.  A form read once is cheaper this way than
-        merged into a :class:`CountTable` first."""
-        if d < 1:
-            raise ValueError("d must be positive")
-        total = self.limit * d ** self.ambient_dim if self.limit else 0
-        powers = {}
-        for c, nc in self.terms:
-            gate = torsion_gate(nc.order, nc.torsion, d)
-            if gate:
-                power = powers.get(nc.dim)
-                if power is None:
-                    power = powers[nc.dim] = d ** nc.dim
-                total += c * gate * power
-        return total
-
     @property
     def polynomial(self) -> dict[int, int]:
         """The count at every sufficiently divisible d, as a polynomial.
@@ -184,7 +165,8 @@ class CountForm:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Count forms merged by divisibility class, one column per form.
+    """Count forms merged by divisibility class, one column per form; the
+    only evaluator of a form, so a form read alone is a one-column table.
 
     ``constants`` holds each column's coefficient of class (1, ()) at
     exponent 0, the part of its count that no d changes, summed once here.
@@ -248,13 +230,14 @@ class CountTable:
 
 def union_torsion_count(components: Sequence[CongruenceCoset], d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    """Exact |S_d ∩ (C_1 ∪ ... ∪ C_r)| as a signed sum over distinct meets."""
+    """Exact |S_d ∩ (C_1 ∪ ... ∪ C_r)| as a signed sum over distinct meets,
+    read off the union's form as a one-column :class:`CountTable`."""
     if d < 1:
         raise ValueError("d must be positive")
     comps = list(components)
     check_union(comps, budget)
     normalized = [(nc, 1) for nc in (c.normalize() for c in comps) if nc is not None]
-    return CountForm.of(comps[0].ambient_dim if comps else 0, 0, normalized).count(d)
+    return CountTable.of([CountForm.of(comps[0].ambient_dim if comps else 0, 0, normalized)]).values(d)[0]
 
 
 def check_enumeration(n: int, d: int, cap: int) -> None:

@@ -189,7 +189,7 @@ def _power_table(obj: Any, what: str) -> dict[int, int]:
             key = int(m)
         except ValueError:
             key = None
-        if m != str(key):
+        if key is None or m != str(key):
             raise ModelFormatError(f"{what} keys must be integers in plain decimal, got {_quoted(m)}")
         table[key] = _integer(v, f"an entry of {what}")
     return table

@@ -4,7 +4,8 @@ The degree-d cover induced by multiplication by d on the Albanese torus
 has degree d^(2g), and the rank of a pulled-back sheaf on it decomposes as
 the sum of the twisted ranks over all d-torsion points of the dual torus.
 Each rank function sums through its count form
-(:meth:`RankFunction.count_form`): the limit contributes limit·d^(2g), and
+(:meth:`RankFunction.count_form`), read by a
+:class:`~jumploci.counting.CountTable`: the limit contributes limit·d^(2g), and
 the signed meets of its strata above the limit contribute their exact
 torsion counts, one divisibility test per class of terms.  This keeps
 every invariant computable for d with d^(2g) far beyond machine range.
@@ -17,9 +18,9 @@ it also keeps the rows' Euler characteristics (:attr:`VarietyModel.chi_p`).
 Every grid number has one evaluation path: :func:`cover_invariants` cuts
 one evaluation per cover into rows by one ``zip`` (:meth:`VarietyModel.grid`),
 and :func:`value_on_cover` reads one column of it.  Only P_m for m >= 2 (the
-model's :attr:`VarietyModel.plurigenera`) and the sheaf slots, which no table
-holds, read their own forms, and a cover asked for no exponent builds no
-plurigenus.
+model's :attr:`VarietyModel.plurigenera`) and the sheaf slots, which the
+model's table does not hold, read their own forms, each as a one-column
+table, and a cover asked for no exponent builds no plurigenus.
 
 Every invariant is a sum of rank functions (:func:`summands`), so its
 limit as value / d^(2g) is the sum of their limits: proper loci contribute
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .counting import DEFAULT_COMPONENT_BUDGET
+from .counting import DEFAULT_COMPONENT_BUDGET, CountTable
 from .counting import union_torsion_count  # noqa: F401  (bench/tests asserts this binding)
 from .errors import MissingPluriData, shown_int
 from .model import RankFunction, VarietyModel, euler_char
@@ -58,27 +59,30 @@ class CoverInvariants:
 
 def sheaf_rank_on_cover(rf: RankFunction, d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    """Sum of rf over all d-torsion points, read off its count form."""
-    return rf.count_form(budget).count(d)
+    """Sum of rf over all d-torsion points, read off its count form as a
+    one-column table."""
+    return CountTable.of([rf.count_form(budget)]).values(d)[0]
 
 
 def _locate(model: VarietyModel, selector: Selector) -> tuple[list[RankFunction], Optional[int]]:
     """The selected invariant's rank functions and its column in the model's
     table, None when no table holds it: (p,q) is column p(n+1)+q, Betti k
     column (n+1)^2+k, q column 1 and P_1 column n(n+1).  A selector that
-    names nothing in the model raises one ValueError that names it."""
+    names nothing in the model, or whose index or exponent is not an int (a
+    bool is not) or whose sheaf name is not a str, raises one ValueError
+    that names it."""
     n = model.n
     kind, *args = tuple(selector) or (None,)
-    if kind == "hodge" and len(args) == 2 and all(isinstance(i, int) and 0 <= i <= n for i in args):
+    if kind == "hodge" and len(args) == 2 and all(type(i) is int and 0 <= i <= n for i in args):
         p, q = args
         return [model.hodge[p][q]], p * (n + 1) + q
-    if kind == "betti" and len(args) == 1 and isinstance(args[0], int):
+    if kind == "betti" and len(args) == 1 and type(args[0]) is int:
         k = args[0]  # outside [0, 2n] no entry has p + q = k, and no column holds it
         rfs = [model.hodge[p][k - p] for p in range(max(0, k - n), min(k, n) + 1)]
         return rfs, (n + 1) ** 2 + k if rfs else None
     if kind == "irregularity" and not args:  # a point (n = 0) has no h^(0,1) entry
         return ([model.hodge[0][1]], 1) if n else ([], None)
-    if kind == "pluri" and len(args) == 1:
+    if kind == "pluri" and len(args) == 1 and type(args[0]) is int:
         m = args[0]
         if m < 1:
             raise ValueError("m must be positive")
@@ -87,10 +91,10 @@ def _locate(model: VarietyModel, selector: Selector) -> tuple[list[RankFunction]
         if m not in model.plurigenera:
             raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
         return [model.plurigenera[m]], None
-    if kind == "sheaf" and len(args) == 2:
+    if kind == "sheaf" and len(args) == 2 and type(args[0]) is str:
         name, i = args
         slot = model.sheaves.get(name, ())
-        if isinstance(i, int) and 0 <= i < len(slot):
+        if type(i) is int and 0 <= i < len(slot):
             return [slot[i]], None
     raise ValueError(f"unknown selector {selector!r}")
 

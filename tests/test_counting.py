@@ -25,6 +25,7 @@ from jumploci import (
 from jumploci.catalog import DEFAULT_INSTANCES
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_union
 from jumploci.torus import NormalizedCoset, snf
+from jumploci.tower import sheaf_rank_on_cover
 from gen import random_connected_coset, random_coset, random_nonempty_coset, random_rank_function
 from oracles import brute_force_rank_sum, brute_force_torsion_count, per_term_count
 
@@ -471,9 +472,9 @@ class TestOnePassForm:
         line = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 3)]).normalize()
         strata = [(torus, 2), (line, 4), (line, 2)]
         assert self._terms(2, 2, strata) == _per_threshold_terms(2, 2, strata) == {line: 2}
-        form = CountForm.of(2, 2, strata)
+        column = CountTable.of([CountForm.of(2, 2, strata)])
         for d in (1, 3, 6):
-            assert form.count(d) == 2 * d ** 2 + 2 * (d if d % 3 == 0 else 0)
+            assert column.values(d)[0] == 2 * d ** 2 + 2 * (d if d % 3 == 0 else 0)
 
 
 class TestStratumOrder:
@@ -562,8 +563,8 @@ def _classes(table):
 class TestClassEvaluation:
     """CountTable.values, one divisibility test per class of (order, torsion)
     and one power per exponent, against the sum over each column's terms one
-    by one (oracles.per_term_count); and each form's own count against its
-    one-column table."""
+    by one (oracles.per_term_count), for the forms merged into one table and
+    for each form read alone as a one-column table."""
 
     @staticmethod
     def _check(*forms):
@@ -572,7 +573,7 @@ class TestClassEvaluation:
             assert table.values(d) == [per_term_count(form, d) for form in forms]
         for form in forms:
             column = CountTable.of([form])
-            assert [form.count(d) for d in CLASS_DS] == [column.values(d)[0] for d in CLASS_DS]
+            assert [column.values(d)[0] for d in CLASS_DS] == [per_term_count(form, d) for d in CLASS_DS]
         return _classes(table)
 
     def test_catalog_forms_are_one_polynomial(self):
@@ -608,9 +609,10 @@ class TestClassEvaluation:
         a = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 2)]).normalize()
         b = CongruenceCoset.of(2, [[0, 1]], [Fraction(1, 2)]).normalize()
         form = CountForm(2, 1, ((3, a), (-3, b), (5, a.meet(b))))
-        assert CountTable.of([form]).classes == ((1, (), ((2, ((0, 1),)),)), (2, (), ((0, ((0, 5),)),)))
+        column = CountTable.of([form])
+        assert column.classes == ((1, (), ((2, ((0, 1),)),)), (2, (), ((0, ((0, 5),)),)))
         self._check(form)
-        assert (form.count(3), form.count(4)) == (9, 16 + 5)
+        assert (column.values(3)[0], column.values(4)[0]) == (9, 16 + 5)
         cancelled = CountForm(2, 0, ((3, a), (-3, b)))
         assert CountTable.of([cancelled]).classes == ()
         # across columns a coefficient cancels only within its own column
@@ -664,31 +666,32 @@ class TestClassEvaluation:
         model = builtin("fibered_over_curve", genus=2).model
         form = model.hodge[0][1].count_form(DEFAULT_COMPONENT_BUDGET)
         assert form.terms
-        with pytest.raises(ValueError, match="d must be positive"):
-            form.count(d)
-        with pytest.raises(ValueError, match="d must be positive"):
-            model.hodge_table(DEFAULT_COMPONENT_BUDGET).values(d)
-        point = CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), 0])).normalize()
-        line = CongruenceCoset.of(2, [[2, 0]], [0]).normalize()
-        for nc in (point, line, *(nc for _, nc in form.terms)):
+        point = CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), 0]))
+        line = CongruenceCoset.of(2, [[2, 0]], [0])
+        reads = (lambda: sheaf_rank_on_cover(model.hodge[0][1], d), lambda: union_torsion_count([point, line], d),
+                 lambda: model.hodge_table(DEFAULT_COMPONENT_BUDGET).values(d))
+        for read in reads:
+            with pytest.raises(ValueError, match="d must be positive"):
+                read()
+        for nc in (point.normalize(), line.normalize(), *(nc for _, nc in form.terms)):
             with pytest.raises(ValueError, match="d must be positive"):
                 nc.count(d)
 
 
 class TestTermByTermCount:
-    """CountForm.count reads its terms one by one: it equals the form merged
-    into a one-column CountTable at every d of CLASS_DS, and a brute-force
+    """A form read alone as a one-column CountTable equals its terms read one
+    by one (oracles.per_term_count) at every d of CLASS_DS, and a brute-force
     count wherever the d-torsion grid is small."""
 
     @staticmethod
     def _check(form, brute_force, grid_cap):
         column = CountTable.of([form])
         for d in CLASS_DS:
-            assert form.count(d) == column.values(d)[0], d
+            assert column.values(d)[0] == per_term_count(form, d), d
         small = [d for d in range(1, 13) if d ** form.ambient_dim <= grid_cap]
         assert len(small) >= 2
         for d in small:
-            assert form.count(d) == brute_force(d), d
+            assert column.values(d)[0] == brute_force(d), d
 
     def test_seeded_unions(self):
         rng = random.Random(2326)

@@ -145,6 +145,19 @@ def test_noncanonical_pluri_keys_rejected(key, tmp_path, capsys):
     assert "plain decimal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block", ["values", "generic_values"])
+def test_a_pluri_key_none_is_refused(block, tmp_path, capsys):
+    # int("None") fails, and the key must not pass as the text of None
+    blob = model_to_dict(builtin("cartwright_steger_like").model)
+    blob["pluri"][block] = {**blob["pluri"].get(block, {}), "None": 2}
+    with pytest.raises(ModelFormatError, match="keys must be integers in plain decimal, got 'None'"):
+        model_from_dict(blob)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    assert "plain decimal" in capsys.readouterr().err
+
+
 def test_plain_pluri_key_loads():
     assert model_from_dict(_pluri_blob("2")).pluri.values == {2: 1}
 
