@@ -50,7 +50,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import CapExceeded, ComponentBudgetExceeded, DimensionMismatch
-from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, torsion_gate
+from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, _check_d, torsion_gate
 from .torus import snf  # noqa: F401  (bench/tests asserts this binding)
 
 DEFAULT_COMPONENT_BUDGET = 12
@@ -73,8 +73,7 @@ def coset_torsion_count(coset: CongruenceCoset, d: int) -> TorsionCount:
     connected coset the result is d^dim when the translate order divides d
     and 0 otherwise.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_d(d)
     nc = coset.normalize()
     return TorsionCount(d, nc.count(d) if nc is not None else 0)
 
@@ -207,8 +206,7 @@ class CountTable:
         """Every column's count at d: its constant, then one divisibility
         test per class with a translate order or Smith data, one power per
         distinct exponent of d, and gate·c·d^e added into each column."""
-        if d < 1:
-            raise ValueError("d must be positive")
+        _check_d(d)
         out = list(self.constants)
         powers = {0: 1}
         for order, torsion, exponents in self.classes:
@@ -232,8 +230,7 @@ def union_torsion_count(components: Sequence[CongruenceCoset], d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
     """Exact |S_d ∩ (C_1 ∪ ... ∪ C_r)| as a signed sum over distinct meets,
     read off the union's form as a one-column :class:`CountTable`."""
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_d(d)
     comps = list(components)
     check_union(comps, budget)
     normalized = [(nc, 1) for nc in (c.normalize() for c in comps) if nc is not None]
@@ -253,8 +250,7 @@ def enumerate_torsion(coset: CongruenceCoset, d: int,
     This is the slow, independent route kept for cross-checking the closed
     forms; the grid size d^N is capped.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_d(d)
     n = coset.ambient_dim
     check_enumeration(n, d, cap)
     points = []

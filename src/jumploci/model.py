@@ -382,7 +382,10 @@ def satisfies_weak_generic_nakano(model: VarietyModel) -> bool:
 def decay_exponent(model: VarietyModel, p: int, q: int, defect_bound: int) -> int:
     """The exponent e of the decay normalized h^(p,q) = O(d^(-e)) at defect
     bound N: e = 2(|n-p-q| - N), by generic vanishing, codim V^q(Ω^p) >=
-    |p+q-n| - N.  It holds unless :func:`locus_too_large`."""
+    |p+q-n| - N.  It holds unless :func:`locus_too_large`.  The bound is an
+    int, a bool is not, since it sets an exponent of d."""
+    if type(defect_bound) is not int:
+        raise TypeError(f"the defect bound must be an int, not {type(defect_bound).__name__}")
     return 2 * (abs(model.n - p - q) - defect_bound)
 
 

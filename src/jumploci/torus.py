@@ -8,8 +8,9 @@ union of cosets mechanical.  Membership, emptiness, dimension and component
 structure all reduce to integer normal forms:
 
 * :func:`snf` brings the leading columns of an integer matrix to Smith
-  normal form by unimodular row and column operations; the columns after
-  them only follow the row operations.  Carrying a translate gives ``U·b``
+  normal form by unimodular row and column operations, each pass taking
+  the least entry of the block as its pivot; the columns after them only
+  follow the row operations.  Carrying a translate gives ``U·b``
   without building ``U``, and neither transform is stored.
 * One Hermite kernel inserts integer rows of ``(A | L·b)``, ``L`` a common
   denominator of ``b``, one at a time into an echelon basis, and reduces
@@ -80,9 +81,14 @@ def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None) -> IntMatr
     row operations, so carrying a translate gives U·b and carrying the
     identity gives U.  ``width`` is required for a matrix with no rows.
 
-    At step t the rows and columns before t are finished (zero off the
-    diagonal), so row operations touch only the columns from t on and
-    column operations only the rows from t on.
+    At step t the rows and columns before t are finished.  Each pass moves
+    the least entry of the block to (t, t), the pivot in place winning a
+    tie, then clears column t by row operations and row t by column
+    operations; a remainder is smaller than the pivot, so the next pass
+    takes a smaller one.  When row and column t are clear but the pivot
+    fails to divide a row of the block, that row is added to row t, so the
+    next pass leaves a remainder.  The pivot shrinks at every pass that
+    leaves one, so step t ends, with a pivot that divides the block.
     """
     s = _as_int_rows(matrix)  # a fresh copy, reduced in place
     k = len(s)
@@ -97,75 +103,51 @@ def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None) -> IntMatr
     t = 0
     limit = min(k, n)
     while t < limit:
-        # the first entry of least absolute value; nothing beats a unit
-        piv = None
+        # the first entry of least absolute value, so the pivot in place wins
+        # a tie; nothing beats a unit
         best = 0
         for i in range(t, k):
             si = s[i]
             for j in range(t, n):
                 a = si[j]
-                if a and (piv is None or abs(a) < best):
-                    piv, best = (i, j), abs(a)
+                if a and (not best or abs(a) < best):
+                    pi, pj, best = i, j, abs(a)
                     if best == 1:
                         break
             if best == 1:
                 break
-        if piv is None:
+        if not best:
             break
-        i, j = piv
-        s[t], s[i] = s[i], s[t]
-        if j != t:
+        s[t], s[pi] = s[pi], s[t]
+        if pj != t:
             for sr in s[t:]:
-                sr[t], sr[j] = sr[j], sr[t]
-        while True:
-            # clear column t by row operations; a remainder beating the
-            # pivot is promoted to pivot row and the pass runs again
-            dirty = False
-            for i in range(t + 1, k):
-                si = s[i]
-                if si[t]:
-                    st = s[t]
-                    q = si[t] // st[t]
-                    for c in range(t, total):
-                        si[c] -= q * st[c]
-                    if si[t]:
-                        s[t], s[i] = si, st
-                        dirty = True
-            if dirty:
-                continue
-            # then row t by column operations, on the rows from t on
-            st = s[t]
-            for j in range(t + 1, n):
-                if st[j]:
-                    q = st[j] // st[t]
-                    for sr in s[t:]:
-                        sr[j] -= q * sr[t]
-                    if st[j]:
-                        for sr in s[t:]:
-                            sr[t], sr[j] = sr[j], sr[t]
-                        dirty = True
-            if not dirty:  # the row pass left column t clear below the pivot
-                break
-        # pivot must divide every remaining entry for the divisor chain
-        st = s[t]
-        pivot = st[t]
-        offender = None
-        for i in range(t + 1, k) if abs(pivot) > 1 else ():
-            si = s[i]
-            for j in range(t + 1, n):
-                if si[j] % pivot:
-                    offender = si
-                    break
-            if offender is not None:
-                break
-        if offender is not None:  # add the offending row to the pivot row
-            for c in range(t, total):
-                st[c] += offender[c]
+                sr[t], sr[pj] = sr[pj], sr[t]
+        st, pivot = s[t], s[t][t]
+        left = False  # a remainder, smaller than the pivot, is left for the next pass
+        for si in s[t + 1:]:  # row operations touch only the columns from t on
+            if si[t]:
+                q = si[t] // pivot
+                for c in range(t, total):
+                    si[c] -= q * st[c]
+                left = left or si[t] != 0
+        for j in range(t + 1, n):  # column operations only the rows from t on
+            if st[j]:
+                q = st[j] // pivot
+                for sr in s[t:]:
+                    sr[j] -= q * sr[t]
+                left = left or st[j] != 0
+        if left:
             continue
-        if pivot < 0:
-            for c in range(t, total):
-                st[c] = -st[c]
-        t += 1
+        # the pivot must divide every remaining entry for the divisor chain:
+        # the first row with an entry it does not divide is added to row t
+        for si in s[t + 1:] if abs(pivot) > 1 else ():
+            if [a for a in si[t + 1:n] if a % pivot]:
+                s[t] = [a + b for a, b in zip(st, si)]
+                break
+        else:  # the pivot divides the block: step t is done
+            if pivot < 0:
+                s[t] = [-a for a in st]
+            t += 1
 
     return tuple(map(tuple, s))
 
@@ -206,6 +188,14 @@ def _to_int(value) -> int:
             if as_int == value:
                 return as_int
     raise TypeError(f"a {type(value).__name__} that is not an integer is not allowed in exact coefficients")
+
+
+def _check_d(d) -> None:
+    """Refuse a cover index that is not a positive int; a bool is not one."""
+    if type(d) is not int:
+        raise TypeError(f"d must be an int, not {type(d).__name__}")
+    if d < 1:
+        raise ValueError("d must be positive")
 
 
 _ZERO = Fraction(0)
@@ -510,8 +500,7 @@ class NormalizedCoset:
     def count(self, d: int) -> int:
         """Number of points of order dividing d on the coset: d^dim times
         its :func:`torsion_gate`."""
-        if d < 1:
-            raise ValueError("d must be positive")
+        _check_d(d)
         gate = torsion_gate(self.order, self.torsion, d)
         return gate * d ** self.dim if gate else 0
 

@@ -128,6 +128,7 @@ def pluri_limit(model: VarietyModel, m: int) -> Fraction:
 
 def pluri_bound_constant(model: VarietyModel, m: int) -> int:
     """Constant M with P_m(X_d)/deg <= M · d^(-2(g - q_base)) for all d."""
+    _locate(model, ("pluri", m))  # refuses an exponent that is not a positive int
     if m not in model.plurigenera:
         raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
     return model.plurigenera[m].limit + max(1, len(model.pluri.translates)) * model.pluri.values[m]
@@ -138,17 +139,19 @@ def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
     """Every invariant of X_d read off one evaluation of the model's table:
     the grid from its first (n+1)^2 columns, the Betti numbers from the next
     2n+1, deg from the last, q = h^(0,1) and P_1 = h^(n,0) from the grid;
-    only P_m for m >= 2 has forms of its own.  ``pluri`` is a new dict on
-    every call, filled only when ``pluri_ms`` names exponents."""
+    only P_m for m >= 2 has forms of its own.  Each exponent is resolved as
+    the selector ("pluri", m).  ``pluri`` is a new dict on every call."""
     values = model.hodge_table(budget).values(d)
     grid = model.grid(values)
     n = model.n
+    pluri = {}
+    for m in pluri_ms:  # P_1 is a column of values; P_m for m >= 2 sums its own form
+        rfs, column = _locate(model, ("pluri", m))
+        pluri[m] = values[column] if column is not None else sheaf_rank_on_cover(rfs[0], d, budget=budget)
     inv = object.__new__(CoverInvariants)  # frozen: fill the fields in one step
     object.__setattr__(inv, "__dict__", {
         "d": d, "deg": values[-1], "hodge": grid, "betti": tuple(values[(n + 1) ** 2:-1]),
-        "q": grid[0][1] if n else 0, "chi_p": model.chi_p, "chi_top": model.chi_top,
-        "pluri": {m: grid[n][0] if m == 1 else value_on_cover(model, ("pluri", m), d, budget=budget)
-                  for m in pluri_ms} if pluri_ms else {}})
+        "q": grid[0][1] if n else 0, "chi_p": model.chi_p, "chi_top": model.chi_top, "pluri": pluri})
     return inv
 
 

@@ -121,6 +121,33 @@ class TestSmithForm:
             alone = snf(_carry(a, c), n)
             assert alone == tuple(r[:n] + r[n + k:] for r in both)
 
+    @pytest.mark.parametrize("a,diagonal", [
+        # the divisibility step: a clear pivot that fails to divide the
+        # block takes the offending row into its own
+        ([[2, 0], [0, 3]], [1, 6]),
+        ([[4, 0], [0, 6]], [2, 12]),
+        ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], [1, 30, 30]),
+        ([[2, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 2, 6]),
+        # pivots that tie with other entries, the one in place among them
+        ([[2, 2], [2, 4]], [2, 2]),
+        ([[2, 2], [2, 2]], [2, 0]),
+        ([[3, -3, 3], [-3, 3, 6]], [3, 9]),
+        ([[-2, 2, 0], [2, 0, 2], [0, 2, -2]], [2, 2, 4]),
+        ([[0, 5], [5, 5], [5, 0]], [5, 5]),
+    ])
+    def test_ties_and_the_divisibility_step(self, a, diagonal):
+        # with U carried as the identity and another block C: U is
+        # unimodular, C comes out as U·C, and the diagonal is the one read
+        # off the minors
+        k, n = len(a), len(a[0])
+        c = [[3 * i - j for j in range(2)] for i in range(k)]
+        rows = snf(_carry(a, _eye(k), c), n)
+        u = tuple(r[n:n + k] for r in rows)
+        assert integer_det(u) in (1, -1)
+        assert tuple(r[n + k:] for r in rows) == matmul(u, c)
+        assert [rows[i][i] for i in range(min(k, n))] == diagonal == smith_diagonal_by_minors(a, n)
+        assert all(rows[i][j] == 0 for i in range(k) for j in range(n) if i != j)
+
 
 class TestTorusPoint:
     def test_reduction_and_order(self):

@@ -32,7 +32,7 @@ from jumploci import (
     value_on_cover,
     VarietyModel,
 )
-from jumploci import cli, counting, torus, tower
+from jumploci import asymptotics, cli, counting, torus, tower
 from jumploci import model as model_module
 from jumploci.catalog import DEFAULT_INSTANCES
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
@@ -694,3 +694,67 @@ class TestCoverInvariants:
         assert with_pluri != inv and hash(with_pluri) == hash(inv)
         changed = dataclasses.replace(inv, hodge=((0,),))
         assert changed != inv and hash(changed) != hash(inv) and hash(dataclasses.replace(inv)) == hash(inv)
+
+
+_QI0 = builtin("elliptic_surface_qI0", genus=2, chi=1).model
+_HALF = CongruenceCoset.of(2, [[1, 0]], ["1/2"])
+# every public reader of a cover index, with its value at d = 2
+_D_READERS = {
+    "coset_torsion_count": (lambda d: counting.coset_torsion_count(_HALF, d).value, 2),
+    "union_torsion_count": (lambda d: counting.union_torsion_count([_HALF], d), 2),
+    "enumerate_torsion": (lambda d: len(counting.enumerate_torsion(_HALF, d)), 2),
+    "NormalizedCoset.count": (lambda d: _HALF.normalize().count(d), 2),
+    "CountTable.values": (lambda d: _QI0.hodge_table(DEFAULT_COMPONENT_BUDGET).values(d),
+                          [1, 17, 32, 17, 194, 17, 32, 17, 1, 1, 34, 258, 34, 1, 16]),
+    "sheaf_rank_on_cover": (lambda d: sheaf_rank_on_cover(_QI0.plurigenera[2], d), 80),
+    "value_on_cover": (lambda d: value_on_cover(_QI0, ("hodge", 1, 1), d), 194),
+    "cover_invariants": (lambda d: cover_invariants(_QI0, d).hodge[0][1], 17),
+    "chi_multiplicativity_check": (lambda d: chi_multiplicativity_check(_QI0, d), True),
+    "normalized_sequence": (lambda d: normalized_sequence(_QI0, ("hodge", 1, 1), [d]), [Fraction(97, 8)]),
+    "betti_limit_deviation": (lambda d: asymptotics.betti_limit_deviation(_QI0, d), Fraction(1, 8)),
+}
+
+
+class TestIntegerParameters:
+    """A cover index, a plurigenus exponent and a defect bound are ints: a
+    float, a bool, a Fraction or a text is refused by every public reader,
+    which never computes in floats, and an int reads as it always has."""
+
+    @pytest.mark.parametrize("reader", sorted(_D_READERS))
+    @pytest.mark.parametrize("d", [2.0, True, Fraction(2), "2"], ids=repr)
+    def test_cover_index_must_be_an_int(self, reader, d):
+        read, _ = _D_READERS[reader]
+        with pytest.raises(TypeError, match=f"^d must be an int, not {type(d).__name__}$"):
+            read(d)
+
+    @pytest.mark.parametrize("reader", sorted(_D_READERS))
+    def test_an_int_cover_index_reads_as_before(self, reader):
+        read, expected = _D_READERS[reader]
+        assert read(2) == expected
+
+    @pytest.mark.parametrize("m", [1.0, 2.0, True])
+    def test_plurigenus_exponent_must_be_an_int(self, m):
+        # one ValueError for an exponent that is not an int, from every reader
+        for read in (lambda: cover_invariants(_QI0, 2, [m]), lambda: cover_invariants(_QI0, 2, [1, m]),
+                     lambda: tower.pluri_bound_constant(_QI0, m),
+                     lambda: value_on_cover(_QI0, ("pluri", m), 2)):
+            with pytest.raises(ValueError, match=re.escape(f"unknown selector ('pluri', {m!r})")):
+                read()
+        assert cover_invariants(_QI0, 2, [1, 2]).pluri == {1: 32, 2: 80}
+        assert tower.pluri_bound_constant(_QI0, 2) == 10
+        with pytest.raises(MissingPluriData, match="^no plurigenus data for m = 1$"):
+            tower.pluri_bound_constant(_QI0, 1)
+        with pytest.raises(ValueError, match="^m must be positive$"):
+            tower.pluri_bound_constant(_QI0, 0)
+
+    @pytest.mark.parametrize("bound", [0.0, True, 0.5])
+    def test_defect_bound_must_be_an_int(self, bound):
+        model = builtin("blowup_abelian4_curve", genus=2).model
+        for read in (lambda: asymptotics.fit_bounds(model, bound, 4),
+                     lambda: asymptotics.converse_defect_witness(model, bound),
+                     lambda: model_module.decay_exponent(model, 0, 0, bound)):
+            with pytest.raises(TypeError, match=f"^the defect bound must be an int, not {type(bound).__name__}$"):
+                read()
+        assert [fit.exponent for fit in asymptotics.fit_bounds(model, 0, 4)[:3]] == [8, 6, 4]
+        assert asymptotics.converse_defect_witness(model, 0) == (1, 2)
+        assert asymptotics.converse_defect_witness(model, 1) is None
