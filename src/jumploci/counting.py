@@ -5,8 +5,8 @@ in {A·x ≡ b} becomes the modular system A·y ≡ d·b (mod d), which is empty
 unless d·b is integral.  The count of a modular system is read off the
 Smith form of A.  Neither the Smith form nor the transformed translate
 depends on d, so the count of a normalized coset is a closed form in d,
-read off its Smith data (:attr:`~jumploci.torus.NormalizedCoset.torsion`,
-computed once per coset).
+read off its :attr:`~jumploci.torus.NormalizedCoset.divisibility_class`,
+computed once per coset with its Smith data.
 
 Every count is one :class:`CountForm`: a limit times d^N plus a signed sum
 over distinct nonempty normalized meets (Möbius inversion over their
@@ -26,20 +26,21 @@ their integer Hermite form, hashed once.  Each meet hands its rows of
 never extended, so the work is bounded by the distinct nonempty meets
 rather than by the 2^r subsets.
 
-A term's count depends on d only through divisibility: it is d^dim times
-the :func:`~jumploci.torus.torsion_gate` of its translate order and Smith
-data, 0 or Π gcd(s, d).  A :class:`CountTable` is the one evaluator of
-forms: it merges them, one column per form, keyed by that class, and each
-class maps each exponent to the summed coefficients of its terms, column
-by column.  A form read alone (a union, a sheaf slot, a plurigenus) is a
-one-column table.  The class
-(1, ()) at exponent 0 does not depend on d, so it is summed once into a
-constant per column.  Every d starts from those constants, runs one gate
-per other class and one power of d per distinct exponent, then adds
-gate·c·d^e into the columns.  Every number a model's cover reports (the
-grid, the Betti numbers and d^(2g)) is one table
-(:meth:`~jumploci.model.VarietyModel.hodge_table`).  The limit is class
-(1, ()), whose gate is 1; the catalog's forms have no other class.
+A term's count depends on d only through divisibility (Kamiya, Takemura
+and Terao, 2008): f·d^dim·[M | d]·Π gcd(s', d/M) for its class (M, s', f),
+M its least order, s' its Smith pivots reduced by M, whatever its
+presentation (:func:`~jumploci.torus.torsion_gate`).  A :class:`CountTable`
+is the one evaluator of forms: it merges them, one column per form, keyed
+by (M, s'), each class mapping each exponent to the summed f·c of its
+terms, column by column; a form read alone (a union, a sheaf slot, a
+plurigenus) is a one-column table.  The class (1, ()) at exponent 0 does
+not depend on d, so it is summed once into a constant per column.  Every
+d starts from those constants, runs one gate per other class and one
+power of d per distinct exponent, then adds gate·c·d^e into the columns.
+Every number a model's cover reports (the grid, the Betti numbers and
+d^(2g)) is one table (:meth:`~jumploci.model.VarietyModel.hodge_table`).
+The limit is class (1, ()), whose gate is 1; the catalog's forms have no
+other class.
 """
 
 from __future__ import annotations
@@ -169,48 +170,47 @@ class CountTable:
 
     ``constants`` holds each column's coefficient of class (1, ()) at
     exponent 0, the part of its count that no d changes, summed once here.
-    ``classes`` holds the rest as (order, torsion, ((exponent, ((column,
-    coefficient), ...)), ...)): the summed coefficients of the terms of that
-    class and exponent, zero entries, exponents and classes dropped.  A
+    ``classes`` holds the rest as (M, s', ((exponent, ((column, f·c),
+    ...)), ...)): the sums over the terms of divisibility class (M, s', f)
+    and that exponent, zero entries, exponents and classes dropped.  A
     form's limit is class (1, ()) at exponent N.
     """
 
     constants: tuple[int, ...]
-    classes: tuple[tuple[int, tuple[tuple[int, int], ...],
+    classes: tuple[tuple[int, tuple[int, ...],
                          tuple[tuple[int, tuple[tuple[int, int], ...]], ...]], ...]
 
     @classmethod
     def of(cls, forms: Sequence[CountForm]) -> "CountTable":
-        grouped: dict[tuple[int, tuple[tuple[int, int], ...]], dict[int, dict[int, int]]] = {}
+        grouped: dict[tuple[int, tuple[int, ...]], dict[int, dict[int, int]]] = {}
         for column, form in enumerate(forms):
-            terms = [(1, (), form.ambient_dim, form.limit)]
-            terms += [(nc.order, nc.torsion, nc.dim, c) for c, nc in form.terms]
-            for order, torsion, e, c in terms:
-                vector = grouped.setdefault((order, torsion), {}).setdefault(e, {})
-                vector[column] = vector.get(column, 0) + c
+            terms = [(1, (), 1, form.ambient_dim, form.limit)]
+            terms += [(*nc.divisibility_class, nc.dim, c) for c, nc in form.terms]
+            for min_order, pivots, factor, e, c in terms:
+                vector = grouped.setdefault((min_order, pivots), {}).setdefault(e, {})
+                vector[column] = vector.get(column, 0) + factor * c
         constants = [0] * len(forms)
         for column, c in grouped.get((1, ()), {}).pop(0, {}).items():
             constants[column] = c
         classes = []
-        for (order, torsion), by_exponent in grouped.items():
+        for (min_order, pivots), by_exponent in grouped.items():
             exponents = []
             for e, vector in by_exponent.items():
                 entries = tuple((column, c) for column, c in vector.items() if c)
                 if entries:
                     exponents.append((e, entries))
             if exponents:
-                classes.append((order, torsion, tuple(exponents)))
+                classes.append((min_order, pivots, tuple(exponents)))
         return cls(tuple(constants), tuple(classes))
 
     def values(self, d: int) -> list[int]:
-        """Every column's count at d: its constant, then one divisibility
-        test per class with a translate order or Smith data, one power per
-        distinct exponent of d, and gate·c·d^e added into each column."""
+        """Every column's count at d: its constant, one torsion gate per
+        other class, one power per exponent, and gate·c·d^e into each column."""
         _check_d(d)
         out = list(self.constants)
         powers = {0: 1}
-        for order, torsion, exponents in self.classes:
-            gate = torsion_gate(order, torsion, d) if order > 1 or torsion else 1
+        for min_order, pivots, exponents in self.classes:
+            gate = torsion_gate(min_order, pivots, d) if min_order > 1 or pivots else 1
             if gate:
                 for e, entries in exponents:
                     power = powers.get(e)

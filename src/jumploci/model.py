@@ -522,7 +522,7 @@ def validate_model(model: VarietyModel) -> ValidationReport:
         # every X_d is connected: h^(0,0)(α) = [α = 0], and h^(n,n) by Serre duality
         for p in (0, n):
             rf = model.hodge[p][p]
-            if rf.generic_value or any(value > 0 and nc is not None and (nc.dim or nc.order > 1 or nc.torsion)
+            if rf.generic_value or any(value > 0 and nc is not None and (nc.dim or nc.divisibility_class != (1, (), 1))
                                        for (_, value), nc in zip(rf.strata, rf.normalized_strata)):
                 err(f"the ({p},{p}) rank must vanish off the origin, since every cover X_d is connected")
     if n >= 1 and model.hodge[1][0].rank_at(origin) != g:

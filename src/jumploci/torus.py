@@ -27,15 +27,11 @@ dimension, hash and the rows of ``(H | nums)`` by pivot column, which the
 next meet inserts into.  The Hermite kernel passes what its one loop
 built; a coset built from its fields finds the pivots of its own rows.
 Compiling is a property of the coset: on first use those rows give its
-Smith data (:attr:`NormalizedCoset.torsion`), off which its component
-count and its number of d-torsion points, a closed form in d, are read.
-A coset that many counts share computes them once.
-H is in Hermite form, so the entries above each pivot lie in [0, pivot):
-a pivot of 1 has a unit-vector column, and its row splits off as Smith
-pivot 1, which asks nothing of d.  Only the rows with pivot above 1 are
-read: without one there are no Smith data, a single one gives the gcd g
-of its entries and its translate modulo g (U = 1), and more run one
-:func:`snf` pass.
+Smith data and its divisibility class
+(:attr:`NormalizedCoset.divisibility_class`), which depends on the coset
+alone and gives its number of d-torsion points, a closed form in d.  A
+coset that many counts share computes them once.  Only the rows of H with
+pivot above 1 enter: a pivot of 1 splits off as Smith pivot 1.
 Everything is exact: arbitrary-precision ``int`` and ``Fraction``
 throughout, no floating point; membership is decided in integers.
 """
@@ -413,14 +409,15 @@ def _hermite(width: int, basis: dict[int, Row], modulus: int) -> "NormalizedCose
     return _fill(object.__new__(NormalizedCoset), width, tuple(h_rows), tuple(nums), aug, modulus)
 
 
-def _smith_data(rows: list[Row], width: int) -> tuple[tuple[int, int], ...]:
-    """(s, (U·nums)_i mod s) for each Smith pivot s > 1 of the independent
-    rows of (H | nums), H their first ``width`` columns.
+def _smith_data(basis: dict[int, Row], width: int) -> tuple[tuple[int, int], ...]:
+    """(s, (U·nums)_i mod s) for each Smith pivot s > 1 of the rows of
+    (H | nums) by pivot column, H their first ``width`` columns.
 
-    A single row needs no pass: its only pivot is the gcd of its entries,
-    with U = 1.  More rows run one :func:`snf` pass, the last column
-    carried along as U·nums.
+    A row with Hermite pivot 1 splits off as a unit Smith pivot.  A single
+    other row needs no pass: its only pivot is the gcd of its entries, with
+    U = 1.  More run one :func:`snf` pass, the last column carried along.
     """
+    rows = [r for c, r in basis.items() if r[c] > 1]
     if not rows:
         return ()
     if len(rows) == 1:
@@ -430,28 +427,19 @@ def _smith_data(rows: list[Row], width: int) -> tuple[tuple[int, int], ...]:
     return tuple((r[i], r[width] % r[i]) for i, r in enumerate(snf(rows, width)) if r[i] > 1)
 
 
-def torsion_gate(order: int, torsion: tuple[tuple[int, int], ...], d: int) -> int:
-    """The part of a coset's count of d-torsion points that is not a power of
-    d, read off its translate order and Smith data (d positive).
+def torsion_gate(min_order: int, pivots: tuple[int, ...], d: int) -> int:
+    """[M | d]·Π gcd(s', d/M), the count of d-torsion points on a coset of
+    divisibility class (M, s', f) over f·d^dim (d positive).
 
     A point of order dividing d is y/d, and H·y ≡ d·nums/order (mod d) is
-    empty unless ``order`` divides d, and otherwise equivalent to
-    S·z ≡ (d/order)·U·nums (mod d).  A diagonal entry s contributes gcd(s, d)
-    solutions when that divides its transformed right-hand side, and every
-    column without a pivot contributes d.  So the count is d^dim times this:
-    0 when a test fails, Π gcd(s, d) otherwise.  It depends on d only
-    through divisibility, so cosets of equal order and Smith data share it.
+    empty unless ``order`` divides d, and otherwise is S·z ≡ (d/order)·U·nums
+    (mod d): a diagonal entry s gives gcd(s, d) solutions when that divides
+    its right-hand side, a free column d.  The tests hold together exactly
+    when M | d, and then gcd(s, d) = gcd(s, M)·gcd(s', d/M).
     """
-    if d % order:
+    if d % min_order:
         return 0
-    scale = d // order
-    gate = 1
-    for s, w in torsion:
-        g = math.gcd(s, d)
-        if scale * w % g:
-            return 0
-        gate *= g
-    return gate
+    return math.prod([math.gcd(s, d // min_order) for s in pivots])
 
 
 @dataclass(frozen=True)
@@ -465,9 +453,8 @@ class NormalizedCoset:
     fields.  It is made complete: ``dim``, ``_hash`` (meets are dict keys)
     and ``basis``, the rows of (H | nums) by pivot column, which a meet
     starts from and the Smith pass reads, shared between meets and never
-    changed in place.  The Smith data (:attr:`torsion`) is computed on first
-    use, since only counted cosets need it, and the component count and the
-    count of d-torsion points are read off it.
+    changed in place.  The Smith data and the class read off them are
+    computed on first use, since only counted cosets need them.
     """
 
     ambient_dim: int
@@ -481,15 +468,10 @@ class NormalizedCoset:
 
     @cached_property
     def torsion(self) -> tuple[tuple[int, int], ...]:
-        """(s, (U·nums)_i mod s) for each Smith pivot s > 1 of H, U·H·V = S.
-
-        Computed once per coset, however many counts share it, by
-        :func:`_smith_data` over the rows of (H | nums) whose Hermite pivot
-        exceeds 1: a row with pivot 1 splits off as a unit Smith pivot, which
-        asks nothing of d.  No such row gives (); one gives its gcd g and
-        nums_i mod g when g > 1; two or more run one Smith pass.
-        """
-        return _smith_data([r for c, r in self.basis.items() if r[c] > 1], self.ambient_dim)
+        """(s, (U·nums)_i mod s) for each Smith pivot s > 1 of H, U·H·V = S,
+        by :func:`_smith_data` once per coset, with :attr:`divisibility_class`."""
+        self.divisibility_class  # computes the Smith data and keeps them
+        return vars(self)["torsion"]
 
     @cached_property
     def component_count(self) -> int:
@@ -497,29 +479,46 @@ class NormalizedCoset:
         the product of the Smith pivots of H."""
         return math.prod(s for s, _ in self.torsion)
 
+    @cached_property
+    def divisibility_class(self) -> tuple[int, tuple[int, ...], int]:
+        """(M, s', f): M the least d at which the coset has a point, s' the
+        Smith pivots s/gcd(s, M) above 1 and f = Π gcd(s, M), none depending
+        on U; the count is f·d^dim·:func:`torsion_gate`.  Each pivot asks for
+        a least valuation of d/order at each prime, reached by multiplying in
+        what it misses: the one read of the translate entries of the Smith
+        data, which are computed here and kept as :attr:`torsion`."""
+        if "torsion" not in vars(self):
+            vars(self)["torsion"] = _smith_data(self.basis, self.ambient_dim)
+        m, torsion = self.order, vars(self)["torsion"]
+        while torsion:
+            scale = m // self.order
+            for s, w in torsion:
+                g = math.gcd(s, m)
+                missing = g // math.gcd(scale * w, g)
+                if missing > 1:
+                    m *= missing
+                    break
+            else:
+                break
+        pivots, factor = [], 1
+        for s, _ in torsion:
+            g = math.gcd(s, m)
+            factor *= g
+            if s > g:
+                pivots.append(s // g)
+        return m, tuple(pivots), factor
+
     def count(self, d: int) -> int:
-        """Number of points of order dividing d on the coset: d^dim times
-        its :func:`torsion_gate`."""
+        """Number of points of order dividing d on the coset, off its class."""
         _check_d(d)
-        gate = torsion_gate(self.order, self.torsion, d)
+        min_order, pivots, factor = self.divisibility_class
+        gate = factor * torsion_gate(min_order, pivots, d)
         return gate * d ** self.dim if gate else 0
 
     @property
     def min_order(self) -> int:
-        """Smallest d at which the coset has a point.  Each pivot asks for a
-        least valuation of d/order at each prime, so the coset has points
-        exactly at the multiples of it, reached by multiplying in what a
-        pivot misses."""
-        d = self.order
-        while True:
-            for s, w in self.torsion:
-                g = math.gcd(s, d)
-                missing = g // math.gcd(d // self.order * w, g)
-                if missing > 1:
-                    d *= missing
-                    break
-            else:
-                return d
+        """Smallest d at which the coset has a point (:attr:`divisibility_class`)."""
+        return self.divisibility_class[0]
 
     @property
     def rhs(self) -> tuple[Fraction, ...]:

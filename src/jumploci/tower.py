@@ -7,7 +7,7 @@ Each rank function sums through its count form
 (:meth:`RankFunction.count_form`), read by a
 :class:`~jumploci.counting.CountTable`: the limit contributes limit·d^(2g), and
 the signed meets of its strata above the limit contribute their exact
-torsion counts, one divisibility test per class of terms.  This keeps
+torsion counts, one torsion gate per divisibility class of terms.  This keeps
 every invariant computable for d with d^(2g) far beyond machine range.
 
 Everything that does not depend on d is kept off the per-cover path.  The

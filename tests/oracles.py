@@ -83,6 +83,24 @@ def per_term_count(form, d: int) -> int:
     return form.limit * d ** form.ambient_dim + sum(c * nc.count(d) for c, nc in form.terms)
 
 
+def translate_gate_count(nc, d: int) -> int:
+    """A normalized coset's count of d-torsion points read off its translate
+    order and Smith data (s, w), w the transformed translate modulo s, with
+    no divisibility class: 0 unless the order divides d and gcd(s, d)
+    divides (d/order)·w for every pivot, else d^dim·Π gcd(s, d)."""
+    from math import gcd
+
+    if d % nc.order:
+        return 0
+    scale, gate = d // nc.order, 1
+    for s, w in nc.torsion:
+        g = gcd(s, d)
+        if scale * w % g:
+            return 0
+        gate *= g
+    return gate * d ** nc.dim
+
+
 def summed_count(model, selector, d: int) -> int:
     """A selected invariant of X_d as the sum of its rank functions' counts,
     each read by :func:`per_term_count`, never through the model's table."""

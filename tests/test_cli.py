@@ -97,6 +97,23 @@ class TestCount:
                   if not l.startswith("#") and ("/" in l or l.strip() == "0 0")}
         assert listed == {"0 0", "0 1/2", "1/2 0", "1/2 1/2"}
 
+    def test_enumerate_lists_a_shared_point_once(self, tmp_path, capsys):
+        # {2·x0 ≡ 1/2} ∪ {x1 ≡ 0} at d = 4: (1/4, 0) and (3/4, 0) lie on both
+        # components, so the listed lines equal the torsion column, 10, and
+        # come in first-seen order (the first component's points first)
+        locus = tmp_path / "union.json"
+        locus.write_text(json.dumps({"ambient_dim": 2, "components": [
+            {"A": [[2, 0]], "b": ["1/2"]}, {"A": [[0, 1]], "b": ["0"]}]}))
+        code, out = run_cli(capsys, "count", "--locus", str(locus), "--d", "4", "--enumerate")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[2].split() == ["4", "10", "4"]
+        listed = [line.strip() for line in lines[3:]]
+        assert all(line.startswith("    ") for line in lines[3:])
+        assert len(listed) == len(set(listed)) == 10
+        assert listed[:8] == [f"{x} {y}" for x in ("1/4", "3/4") for y in ("0", "1/4", "1/2", "3/4")]
+        assert listed[8:] == ["0 0", "1/2 0"]
+
     def test_invalid_arguments(self, capsys):
         assert main(["count", "--builtin", "abelian", "--d", "2"]) == 2
         assert main(["count", "--builtin", "abelian", "--params", "g=zero",

@@ -26,8 +26,8 @@ from jumploci.catalog import DEFAULT_INSTANCES
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_union
 from jumploci.torus import NormalizedCoset, snf
 from jumploci.tower import sheaf_rank_on_cover
-from gen import random_connected_coset, random_coset, random_nonempty_coset, random_rank_function
-from oracles import brute_force_rank_sum, brute_force_torsion_count, per_term_count
+from gen import random_connected_coset, random_coset, random_nonempty_coset, random_rank_function, random_unimodular
+from oracles import brute_force_rank_sum, brute_force_torsion_count, per_term_count, translate_gate_count
 
 
 def _count_mod(width, rows, rhs, modulus):
@@ -235,6 +235,59 @@ class TestUnitPivotSplit:
                 for d in range(1, 13):
                     assert nc.count(d) == brute_force_torsion_count([coset], d)
         assert min(enumerated.values()) == 12 and unit_rows > 40
+
+
+class TestDivisibilityClass:
+    """The class (M, s', f) of a coset: least order M, Smith pivots reduced
+    by M, and the factor f they lose."""
+
+    # 2^40·3^5 divides deep into the pivots of 2 and 3 only
+    GATE_DS = (*range(1, 73), 10 ** 6, 2 ** 40 * 3 ** 5)
+
+    def test_count_against_the_translate_gate(self):
+        # the class gate against the translate test of every Smith pivot
+        # (oracles.translate_gate_count) on seeded cosets of dimension 1 to 6;
+        # a translate drawn on its own, not from a point, is more often
+        # reached only above its order
+        rng = random.Random(3607)
+        reduced = above_order = 0
+        for i in range(2000):
+            n = rng.randint(1, 6)
+            nc = (random_nonempty_coset if i % 2 else random_coset)(rng, n, max_rows=5, span=4, max_den=6).normalize()
+            if nc is None:
+                continue
+            min_order, pivots, factor = nc.divisibility_class
+            reduced += len(pivots) < len(nc.torsion) or factor > 1
+            above_order += min_order > nc.order
+            for d in self.GATE_DS:
+                assert nc.count(d) == translate_gate_count(nc, d), d
+        assert reduced > 200 and above_order > 60
+
+    def test_classes_of_small_cosets(self):
+        # {2x ≡ 1/2} = {1/4, 3/4}: two points from d = 4 on, no pivot left;
+        # {2x ≡ 0} = {0, 1/2}: one point at odd d, two at even d
+        quarter = CongruenceCoset.of(1, [[2]], [Fraction(1, 2)]).normalize()
+        half = CongruenceCoset.of(1, [[2]], [0]).normalize()
+        assert (quarter.torsion, quarter.divisibility_class) == (((2, 1),), (4, (), 2))
+        assert (half.torsion, half.divisibility_class) == (((2, 0),), (1, (2,), 1))
+        assert [quarter.count(d) for d in range(1, 9)] == [0, 0, 0, 2, 0, 0, 0, 2]
+        assert [half.count(d) for d in range(1, 9)] == [1, 2, 1, 2, 1, 2, 1, 2]
+
+    def test_class_ignores_a_unimodular_change_of_coordinates(self):
+        # {A·x ≡ b} and {A·W·x ≡ b} are images of each other under W, so they
+        # share M, s' and f, though their Smith transforms differ
+        rng = random.Random(3608)
+        moved_translate = 0
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            coset = random_nonempty_coset(rng, n, max_rows=4, span=4, max_den=6)
+            w = random_unimodular(rng, n)
+            image = CongruenceCoset.of(n, [[sum(a * w[k][j] for k, a in enumerate(row)) for j in range(n)]
+                                           for row in coset.rows], coset.rhs)
+            nc, moved = coset.normalize(), image.normalize()
+            assert moved.divisibility_class == nc.divisibility_class
+            moved_translate += moved.torsion != nc.torsion
+        assert moved_translate > 10
 
 
 class TestEnumerate:
@@ -557,11 +610,11 @@ def _sparse_translated_coset(rng, n, codim):
 
 
 def _classes(table):
-    return {(order, torsion) for order, torsion, _ in table.classes}
+    return {(min_order, pivots) for min_order, pivots, _ in table.classes}
 
 
 class TestClassEvaluation:
-    """CountTable.values, one divisibility test per class of (order, torsion)
+    """CountTable.values, one torsion gate per class (min_order, pivots)
     and one power per exponent, against the sum over each column's terms one
     by one (oracles.per_term_count), for the forms merged into one table and
     for each form read alone as a one-column table."""
@@ -599,8 +652,8 @@ class TestClassEvaluation:
                 strata = tuple(Stratum(c, generic + rng.randint(1, 4)) for c in comps)
                 forms.append(RankFunction(n, generic, strata).count_form(len(strata)))
             seen |= self._check(*forms)
-        assert {2, 3} <= {order for order, _ in seen}
-        assert any(torsion for _, torsion in seen)
+        assert {2, 3} <= {min_order for min_order, _ in seen}
+        assert any(pivots for _, pivots in seen)
         assert len(seen) > 10
 
     def test_terms_of_one_class_cancel_at_one_exponent(self):
@@ -651,8 +704,8 @@ class TestClassEvaluation:
             grid = tuple(tuple(random_rank_function(rng, 2 * g) for _ in range(n + 1))
                          for _ in range(n + 1))
             seen |= self._check_hodge_table(VarietyModel(n=n, g=g, hodge=grid, defect_strata=()))
-        assert {2, 3} <= {order for order, _ in seen}
-        assert any(torsion for _, torsion in seen)
+        assert {2, 3} <= {min_order for min_order, _ in seen}
+        assert any(pivots for _, pivots in seen)
 
     def test_hodge_table_of_a_point(self):
         # n = 0: one Betti column, b_0 = h^(0,0)
