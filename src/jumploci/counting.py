@@ -6,7 +6,7 @@ unless d·b is integral.  The count of a modular system is read off the
 Smith form of A.  Neither the Smith form nor the transformed translate
 depends on d, so the count of a normalized coset is a closed form in d,
 read off its :attr:`~jumploci.torus.NormalizedCoset.divisibility_class`,
-computed once per coset with its Smith data.
+computed once per coset off Smith data that are not kept.
 
 Every count is one :class:`CountForm`: a limit times d^N plus a signed sum
 over distinct nonempty normalized meets (Möbius inversion over their
@@ -22,8 +22,8 @@ cosets is the form of limit 0 with every value 1.  Each new stratum's rows
 are inserted into the Hermite rows of every stored meet
 (:meth:`~jumploci.torus.NormalizedCoset.meet`), and meets are keyed by
 their integer Hermite form, hashed once.  Each meet hands its rows of
-(H | L·b) on to the next meet and to its Smith data.  Empty meets are
-never extended, so the work is bounded by the distinct nonempty meets
+(H | L·b) on to the next meet and to its divisibility class.  Empty meets
+are never extended, so the work is bounded by the distinct nonempty meets
 rather than by the 2^r subsets.
 
 A term's count depends on d only through divisibility (Kamiya, Takemura
@@ -67,16 +67,12 @@ class TorsionCount:
 
 
 def coset_torsion_count(coset: CongruenceCoset, d: int) -> TorsionCount:
-    """Number of points of order dividing d on the coset, exactly.
-
-    Zero when the coset is empty; otherwise the closed form of its
-    normalized coset (:meth:`NormalizedCoset.count`).  For a nonempty
-    connected coset the result is d^dim when the translate order divides d
-    and 0 otherwise.
+    """Number of points of order dividing d on the coset, exactly: the
+    count of the union of the coset alone (:func:`union_torsion_count`), so
+    zero when the coset is empty.  For a nonempty connected coset the result
+    is d^dim when the translate order divides d and 0 otherwise.
     """
-    _check_d(d)
-    nc = coset.normalize()
-    return TorsionCount(d, nc.count(d) if nc is not None else 0)
+    return TorsionCount(d, union_torsion_count([coset], d))
 
 
 def check_union(components: Sequence[CongruenceCoset], budget: int) -> None:

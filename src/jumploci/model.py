@@ -299,8 +299,8 @@ class VarietyModel:
         fills the torus (q_base = g) folds into :attr:`RankFunction.limit`.
         Every m's strata are one tuple of locus cosets, the translates pinned in
         this torus off the leading 2·q_base coordinates, so all m share their
-        normalization and Smith data.  A ``q_base`` outside [0, g] has no
-        such block and raises ValueError."""
+        normalization and divisibility classes.  A ``q_base`` outside [0, g]
+        has no such block and raises ValueError."""
         pluri, dim = self.pluri, self.torus_dim
         if pluri is None:
             return {}

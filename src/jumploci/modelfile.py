@@ -1,9 +1,11 @@
 """Model file format: versioned UTF-8 JSON with exact rationals.
 
 Rationals are serialized as "num/den" strings (plain integers allowed on
-input) so that nothing is lost to floating point.  Rank-grid entries that
-are identically zero are omitted on export and filled back in on import,
-making export/import a round trip up to equality of models.
+input) so that nothing is lost to floating point; on input a rational is a
+JSON integer or an ASCII "num" or "num/den" string, "num" optionally
+signed "-", and nothing else.  Rank-grid entries that are identically zero
+are omitted on export and filled back in on import, making export/import a
+round trip up to equality of models.
 
 Within one load, strata written with the same coset (the origin point
 repeats in most grid entries) share one :class:`CongruenceCoset`, so its
@@ -23,6 +25,7 @@ that contradicts the derived value is refused, never read another way.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import chain, repeat
 from pathlib import Path
@@ -47,10 +50,17 @@ def _quoted(x: Any) -> str:
     return shown_int(x) if type(x) is int else shown(repr(x))
 
 
+# what export writes; Fraction would also read exponent notation, whose
+# digits escape the interpreter's digit cap ("1e100000000")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _fraction_from_str(s: Any) -> Fraction:
     if isinstance(s, bool) or isinstance(s, float):
         raise ModelFormatError(f"rationals must be strings or integers, got {_quoted(s)}")
     try:
+        if isinstance(s, str) and not _RATIONAL.fullmatch(s):
+            raise ValueError
         return Fraction(s)
     except (ValueError, TypeError, ZeroDivisionError):
         raise ModelFormatError(f"bad rational {_quoted(s)}") from None

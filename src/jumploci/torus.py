@@ -26,12 +26,14 @@ Every one is complete when it is made: one fill sets its fields, real
 dimension, hash and the rows of ``(H | nums)`` by pivot column, which the
 next meet inserts into.  The Hermite kernel passes what its one loop
 built; a coset built from its fields finds the pivots of its own rows.
-Compiling is a property of the coset: on first use those rows give its
-Smith data and its divisibility class
-(:attr:`NormalizedCoset.divisibility_class`), which depends on the coset
-alone and gives its number of d-torsion points, a closed form in d.  A
-coset that many counts share computes them once.  Only the rows of H with
-pivot above 1 enter: a pivot of 1 splits off as Smith pivot 1.
+Compiling is a property of the coset, and it keeps one compiled datum: on
+first use those rows give its divisibility class
+(:attr:`NormalizedCoset.divisibility_class`), read off Smith data that are
+not kept.  The class depends on the coset alone, not on the Smith
+transform, and gives its number of d-torsion points, a closed form in d,
+and its component count.  A coset that many counts share computes it once.
+Only the rows of H with pivot above 1 enter: a pivot of 1 splits off as
+Smith pivot 1.
 Everything is exact: arbitrary-precision ``int`` and ``Fraction``
 throughout, no floating point; membership is decided in integers.
 """
@@ -453,8 +455,8 @@ class NormalizedCoset:
     fields.  It is made complete: ``dim``, ``_hash`` (meets are dict keys)
     and ``basis``, the rows of (H | nums) by pivot column, which a meet
     starts from and the Smith pass reads, shared between meets and never
-    changed in place.  The Smith data and the class read off them are
-    computed on first use, since only counted cosets need them.
+    changed in place.  Its divisibility class is computed on first use, off
+    Smith data it does not keep, since only counted cosets need it.
     """
 
     ambient_dim: int
@@ -467,17 +469,12 @@ class NormalizedCoset:
               {next(c for c, a in enumerate(r) if a): (*r, m) for r, m in zip(self.rows, self.nums)}, self.order)
 
     @cached_property
-    def torsion(self) -> tuple[tuple[int, int], ...]:
-        """(s, (U·nums)_i mod s) for each Smith pivot s > 1 of H, U·H·V = S,
-        by :func:`_smith_data` once per coset, with :attr:`divisibility_class`."""
-        self.divisibility_class  # computes the Smith data and keeps them
-        return vars(self)["torsion"]
-
-    @cached_property
     def component_count(self) -> int:
         """Number of connected components of the underlying subgroup {x : H·x ≡ 0}:
-        the product of the Smith pivots of H."""
-        return math.prod(s for s, _ in self.torsion)
+        f·Π s' off the class, which is the product Π s of the Smith pivots of H,
+        since f = Π gcd(s, M) and s' = s/gcd(s, M)."""
+        _, pivots, factor = self.divisibility_class
+        return factor * math.prod(pivots)
 
     @cached_property
     def divisibility_class(self) -> tuple[int, tuple[int, ...], int]:
@@ -486,13 +483,12 @@ class NormalizedCoset:
         on U; the count is f·d^dim·:func:`torsion_gate`.  Each pivot asks for
         a least valuation of d/order at each prime, reached by multiplying in
         what it misses: the one read of the translate entries of the Smith
-        data, which are computed here and kept as :attr:`torsion`."""
-        if "torsion" not in vars(self):
-            vars(self)["torsion"] = _smith_data(self.basis, self.ambient_dim)
-        m, torsion = self.order, vars(self)["torsion"]
-        while torsion:
+        data, which are computed here and not kept."""
+        smith = _smith_data(self.basis, self.ambient_dim)
+        m = self.order
+        while smith:
             scale = m // self.order
-            for s, w in torsion:
+            for s, w in smith:
                 g = math.gcd(s, m)
                 missing = g // math.gcd(scale * w, g)
                 if missing > 1:
@@ -501,19 +497,12 @@ class NormalizedCoset:
             else:
                 break
         pivots, factor = [], 1
-        for s, _ in torsion:
+        for s, _ in smith:
             g = math.gcd(s, m)
             factor *= g
             if s > g:
                 pivots.append(s // g)
         return m, tuple(pivots), factor
-
-    def count(self, d: int) -> int:
-        """Number of points of order dividing d on the coset, off its class."""
-        _check_d(d)
-        min_order, pivots, factor = self.divisibility_class
-        gate = factor * torsion_gate(min_order, pivots, d)
-        return gate * d ** self.dim if gate else 0
 
     @property
     def min_order(self) -> int:

@@ -10,6 +10,7 @@ curves.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import comb
 
@@ -64,36 +65,46 @@ def smallest_torsion_order(components) -> int:
 
 
 def brute_force_rank_sum(rank_function, d: int) -> int:
-    """Sum of the rank function over the full d-torsion grid, pointwise."""
-    from fractions import Fraction
-
-    from jumploci import TorusPoint
-
-    n = rank_function.ambient_dim
-    total = 0
-    for ys in product(range(d), repeat=n):
-        total += rank_function.rank_at(TorusPoint.of([Fraction(y, d) for y in ys]))
-    return total
+    """Sum of the rank function over the full d-torsion grid, pointwise: at
+    each y/d the largest value of a stratum whose (A, b) holds there, tested
+    in integers as in :func:`brute_force_torsion_points`, else the generic
+    value."""
+    strata = [(brute_force_torsion_points(coset, d), value) for coset, value in rank_function.strata]
+    return sum(max([rank_function.generic_value, *(value for points, value in strata if ys in points)])
+               for ys in product(range(d), repeat=rank_function.ambient_dim))
 
 
 def per_term_count(form, d: int) -> int:
     """A count form's value at d read term by term: limit·d^N plus each
-    term's coefficient times its own closed-form count, with no grouping of
-    the terms by divisibility class."""
-    return form.limit * d ** form.ambient_dim + sum(c * nc.count(d) for c, nc in form.terms)
+    term's coefficient times its own count off its translate and Smith data
+    (:func:`translate_gate_count`), with no divisibility class."""
+    return form.limit * d ** form.ambient_dim + sum(c * translate_gate_count(nc, d) for c, nc in form.terms)
+
+
+@cache
+def smith_translates(nc) -> tuple[tuple[int, int], ...]:
+    """(s, w) for each Smith pivot s > 1 of a normalized coset's H, w its
+    transformed translate U·nums modulo s: one :func:`jumploci.torus.snf`
+    pass over every row of (H | nums), none split off, the translate column
+    carried along.  Kept per coset, as the oracle reads it at many d."""
+    from jumploci.torus import snf
+
+    n = nc.ambient_dim
+    rows = snf([(*row, m) for row, m in zip(nc.rows, nc.nums)], n)
+    return tuple((r[i], r[n] % r[i]) for i, r in enumerate(rows) if r[i] > 1)
 
 
 def translate_gate_count(nc, d: int) -> int:
     """A normalized coset's count of d-torsion points read off its translate
-    order and Smith data (s, w), w the transformed translate modulo s, with
-    no divisibility class: 0 unless the order divides d and gcd(s, d)
-    divides (d/order)·w for every pivot, else d^dim·Π gcd(s, d)."""
+    order and Smith data (s, w) (:func:`smith_translates`), with no
+    divisibility class: 0 unless the order divides d and gcd(s, d) divides
+    (d/order)·w for every pivot, else d^dim·Π gcd(s, d)."""
     from math import gcd
 
     if d % nc.order:
         return 0
     scale, gate = d // nc.order, 1
-    for s, w in nc.torsion:
+    for s, w in smith_translates(nc):
         g = gcd(s, d)
         if scale * w % g:
             return 0

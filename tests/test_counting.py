@@ -27,7 +27,14 @@ from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, c
 from jumploci.torus import NormalizedCoset, snf
 from jumploci.tower import sheaf_rank_on_cover
 from gen import random_connected_coset, random_coset, random_nonempty_coset, random_rank_function, random_unimodular
-from oracles import brute_force_rank_sum, brute_force_torsion_count, per_term_count, translate_gate_count
+from oracles import (brute_force_rank_sum, brute_force_torsion_count, per_term_count, smith_translates,
+                     translate_gate_count)
+
+
+def _count(nc, d):
+    """A normalized coset's count at d, read as every count is: a one-column
+    table of the union of the coset alone."""
+    return CountTable.of([CountForm.of(nc.ambient_dim, 0, [(nc, 1)])]).values(d)[0]
 
 
 def _count_mod(width, rows, rhs, modulus):
@@ -129,11 +136,11 @@ class TestNormalizedCosetCount:
             n = rng.randint(1, 3)
             coset = random_nonempty_coset(rng, n, max_rows=3, span=5, max_den=6)
             nc = coset.normalize()
-            torsion_pivots += any(s > 2 for s, _ in nc.torsion)
-            # the carried pivots against a separate Smith pass over the rows
+            torsion_pivots += any(s > 2 for s, _ in smith_translates(nc))
+            # the class's f·Π s' against a separate Smith pass over the rows
             assert nc.component_count == math.prod(invariant_factors(nc.rows, n))
             for d in range(1, 13):
-                assert nc.count(d) == brute_force_torsion_count([coset], d)
+                assert coset_torsion_count(coset, d).value == brute_force_torsion_count([coset], d)
         assert torsion_pivots > 30
 
     @staticmethod
@@ -152,7 +159,7 @@ class TestNormalizedCosetCount:
             yield nc, neg
             negated = CongruenceCoset(n, coset.rows, tuple(-b for b in coset.rhs))
             for d in range(1, 9):
-                assert neg.count(d) == brute_force_torsion_count([negated], d)
+                assert _count(neg, d) == brute_force_torsion_count([negated], d)
 
     def test_negated_count_against_enumeration(self):
         # a negated coset of translate order above 1 is built from its fields,
@@ -174,13 +181,23 @@ class TestNormalizedCosetCount:
         # row, so U = (−1) and the carried translate is −1
         assert snf([(6, -3, 1)], 2) == ((3, 0, -1),)
         # 6·x0 − 3·x1 ≡ 1/2 is one row, read without a pass: its pivot is
-        # the gcd 3, with U = 1
+        # the gcd 3, with U = 1, where the pass takes U = (−1); the class
+        # does not see which, as gcd(3, 2) = 1 leaves the translate unread
         coset = CongruenceCoset.of(2, [[6, -3]], [Fraction(1, 2)])
         nc = coset.normalize()
         assert (nc.rows, nc.nums, nc.order) == (((6, -3),), (1,), 2)
-        assert (nc.order, nc.dim, nc.torsion) == (2, 1, ((3, 1),))
+        assert smith_translates(nc) == ((3, 2),)
+        assert (nc.order, nc.dim, nc.divisibility_class) == (2, 1, (2, (3,), 1))
         for d in range(1, 13):
-            assert nc.count(d) == brute_force_torsion_count([coset], d)
+            assert coset_torsion_count(coset, d).value == brute_force_torsion_count([coset], d)
+        # over 1/3 the translate is read: w = 1 with U = 1 and w = 2 with
+        # U = (−1) both ask for 3 | d/3, so either way M = 9 and f = 3
+        coset = CongruenceCoset.of(2, [[6, -3]], [Fraction(1, 3)])
+        nc = coset.normalize()
+        assert smith_translates(nc) == ((3, 2),)
+        assert nc.divisibility_class == (9, (), 3)
+        for d in range(1, 19):
+            assert coset_torsion_count(coset, d).value == brute_force_torsion_count([coset], d)
 
     def test_min_order_against_enumeration(self):
         # points of order dividing d exist exactly at the multiples of
@@ -201,17 +218,25 @@ class TestNormalizedCosetCount:
 
 
 class TestUnitPivotSplit:
-    """Smith data read from the rows whose Hermite pivot exceeds 1 against a
-    Smith pass over every row, for cosets with 0, 1 and 2 or more such rows."""
+    """The class read from the rows whose Hermite pivot exceeds 1 against a
+    Smith pass over every row (oracles.smith_translates), for cosets with 0,
+    1 and 2 or more such rows."""
 
     @staticmethod
-    def _reference(nc):
-        """A copy of the coset whose Smith data come from every basis row."""
-        n = nc.ambient_dim
-        ref = NormalizedCoset(n, nc.rows, nc.nums, nc.order)
-        vars(ref)["torsion"] = tuple((r[i], r[n] % r[i])
-                                     for i, r in enumerate(snf(list(nc.basis.values()), n)) if r[i] > 1)
-        return ref
+    def _check_least_order(nc):
+        """The least order M of the class against the oracle's gate: it has
+        points at M and at no M/p, p a prime factor of M.  Points come at
+        the multiples of one least order, as each pivot's test at a prime p
+        holds from some valuation of d at p on."""
+        m = nc.min_order
+        assert translate_gate_count(nc, m) > 0
+        rest, p = m, 2
+        while rest > 1:
+            if rest % p == 0:
+                assert translate_gate_count(nc, m // p) == 0
+                while rest % p == 0:
+                    rest //= p
+            p += 1
 
     def test_against_a_pass_over_every_row(self):
         rng = random.Random(4301)
@@ -225,15 +250,14 @@ class TestUnitPivotSplit:
             kind = min(2, sum(r[c] > 1 for c, r in nc.basis.items()))
             seen[kind] += 1
             unit_rows += kind < len(nc.rows)
-            ref = self._reference(nc)
-            assert nc.component_count == ref.component_count
-            assert nc.min_order == ref.min_order
+            assert nc.component_count == math.prod(s for s, _ in smith_translates(nc))
+            self._check_least_order(nc)
             for d in (*range(1, 25), 10 ** 6, 10 ** 30):
-                assert nc.count(d) == ref.count(d)
+                assert coset_torsion_count(coset, d).value == translate_gate_count(nc, d)
             if n <= 3 and enumerated[kind] < 12:
                 enumerated[kind] += 1
                 for d in range(1, 13):
-                    assert nc.count(d) == brute_force_torsion_count([coset], d)
+                    assert coset_torsion_count(coset, d).value == brute_force_torsion_count([coset], d)
         assert min(enumerated.values()) == 12 and unit_rows > 40
 
 
@@ -253,25 +277,28 @@ class TestDivisibilityClass:
         reduced = above_order = 0
         for i in range(2000):
             n = rng.randint(1, 6)
-            nc = (random_nonempty_coset if i % 2 else random_coset)(rng, n, max_rows=5, span=4, max_den=6).normalize()
+            coset = (random_nonempty_coset if i % 2 else random_coset)(rng, n, max_rows=5, span=4, max_den=6)
+            nc = coset.normalize()
             if nc is None:
                 continue
             min_order, pivots, factor = nc.divisibility_class
-            reduced += len(pivots) < len(nc.torsion) or factor > 1
+            reduced += len(pivots) < len(smith_translates(nc)) or factor > 1
             above_order += min_order > nc.order
             for d in self.GATE_DS:
-                assert nc.count(d) == translate_gate_count(nc, d), d
+                assert coset_torsion_count(coset, d).value == translate_gate_count(nc, d), d
         assert reduced > 200 and above_order > 60
 
     def test_classes_of_small_cosets(self):
         # {2x ≡ 1/2} = {1/4, 3/4}: two points from d = 4 on, no pivot left;
         # {2x ≡ 0} = {0, 1/2}: one point at odd d, two at even d
-        quarter = CongruenceCoset.of(1, [[2]], [Fraction(1, 2)]).normalize()
-        half = CongruenceCoset.of(1, [[2]], [0]).normalize()
-        assert (quarter.torsion, quarter.divisibility_class) == (((2, 1),), (4, (), 2))
-        assert (half.torsion, half.divisibility_class) == (((2, 0),), (1, (2,), 1))
-        assert [quarter.count(d) for d in range(1, 9)] == [0, 0, 0, 2, 0, 0, 0, 2]
-        assert [half.count(d) for d in range(1, 9)] == [1, 2, 1, 2, 1, 2, 1, 2]
+        quarter = CongruenceCoset.of(1, [[2]], [Fraction(1, 2)])
+        half = CongruenceCoset.of(1, [[2]], [0])
+        assert (smith_translates(quarter.normalize()), quarter.normalize().divisibility_class) == \
+            (((2, 1),), (4, (), 2))
+        assert (smith_translates(half.normalize()), half.normalize().divisibility_class) == \
+            (((2, 0),), (1, (2,), 1))
+        assert [coset_torsion_count(quarter, d).value for d in range(1, 9)] == [0, 0, 0, 2, 0, 0, 0, 2]
+        assert [coset_torsion_count(half, d).value for d in range(1, 9)] == [1, 2, 1, 2, 1, 2, 1, 2]
 
     def test_class_ignores_a_unimodular_change_of_coordinates(self):
         # {A·x ≡ b} and {A·W·x ≡ b} are images of each other under W, so they
@@ -286,7 +313,7 @@ class TestDivisibilityClass:
                                            for row in coset.rows], coset.rhs)
             nc, moved = coset.normalize(), image.normalize()
             assert moved.divisibility_class == nc.divisibility_class
-            moved_translate += moved.torsion != nc.torsion
+            moved_translate += smith_translates(moved) != smith_translates(nc)
         assert moved_translate > 10
 
 
@@ -723,12 +750,12 @@ class TestClassEvaluation:
         line = CongruenceCoset.of(2, [[2, 0]], [0])
         reads = (lambda: sheaf_rank_on_cover(model.hodge[0][1], d), lambda: union_torsion_count([point, line], d),
                  lambda: model.hodge_table(DEFAULT_COMPONENT_BUDGET).values(d))
+        reads += tuple((lambda nc=nc: _count(nc, d)) for nc in (point.normalize(), line.normalize(),
+                                                                *(nc for _, nc in form.terms)))
+        reads += (lambda: coset_torsion_count(point, d),)
         for read in reads:
             with pytest.raises(ValueError, match="d must be positive"):
                 read()
-        for nc in (point.normalize(), line.normalize(), *(nc for _, nc in form.terms)):
-            with pytest.raises(ValueError, match="d must be positive"):
-                nc.count(d)
 
 
 class TestTermByTermCount:

@@ -1,6 +1,7 @@
 """Model file round trips and format errors."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -68,6 +69,60 @@ def test_float_rationals_rejected():
     blob["hodge"][0]["strata"][0]["b"] = [0.5, 0.0]
     with pytest.raises(ModelFormatError):
         model_from_dict(blob)
+
+
+# exponent notation, decimals, signs other than a leading "-", padding,
+# underscores and non-ASCII digits, all of which Fraction would read;
+# "1e100000000" would take it past the interpreter's digit cap for minutes
+_BAD_RATIONALS = ["1e10000000", "1e100000000", "1E2", "2e-1", "0.5", ".5", "+1/2", "+1", " 1/2", "1/2 ",
+                  "1 / 2", "1/+2", "1/-2", "--1", "1_000", "\u0661", "\uff11/2", "", "/2", "1/", "1/0", "1/2/3"]
+
+
+class TestRationalFormat:
+    """A rational is a JSON integer or an ASCII "num" or "num/den" string,
+    num optionally signed "-", as export writes it: in the strata, the pluri
+    translates and a locus file alike, anything else is a bad rational."""
+
+    @pytest.mark.parametrize("bad", _BAD_RATIONALS)
+    def test_stratum_translate(self, bad, tmp_path, capsys):
+        blob = model_to_dict(builtin("abelian", g=1).model)
+        blob["hodge"][0]["strata"][0]["b"][0] = bad
+        with pytest.raises(ModelFormatError, match="^bad coset: bad rational "):
+            model_from_dict(blob)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(blob), encoding="utf-8")
+        assert main(["validate", "--model", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad coset: bad rational ")
+
+    @pytest.mark.parametrize("bad", _BAD_RATIONALS)
+    def test_pluri_translate(self, bad, tmp_path, capsys):
+        blob = model_to_dict(builtin("abelian", g=1).model)
+        blob["pluri"]["translates"][0][0] = bad
+        with pytest.raises(ModelFormatError, match="^bad rational "):
+            model_from_dict(blob)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(blob), encoding="utf-8")
+        assert main(["tower", "--model", str(path), "--d-max", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad rational ")
+
+    @pytest.mark.parametrize("bad", _BAD_RATIONALS)
+    def test_locus_file(self, bad, tmp_path, capsys):
+        path = tmp_path / "locus.json"
+        path.write_text(json.dumps({"ambient_dim": 1, "components": [{"A": [[1]], "b": [bad]}]}),
+                        encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="^bad coset: bad rational "):
+            load_locus(path)
+        assert main(["count", "--locus", str(path), "--d", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: bad coset: bad rational ")
+
+    def test_what_export_writes_loads(self, tmp_path):
+        # integers, signed or not, with leading zeros, and "num/den" strings
+        path = tmp_path / "locus.json"
+        path.write_text(json.dumps({"ambient_dim": 1, "components": [
+            {"A": [[1]], "b": [b]} for b in (3, -2, "-3/4", "0", "-0", "007", "6/8", "12/004")]}),
+            encoding="utf-8")
+        assert [c.rhs[0] for c in load_locus(path)] == [3, -2, Fraction(-3, 4), 0, 0, 7, Fraction(3, 4), 3]
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, "3"])
