@@ -22,7 +22,6 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb
 from typing import Callable
 
@@ -50,16 +49,14 @@ def _origin_grid(n: int, torus_dim: int, origin_value: Callable[[int, int], int]
                  generic_value: Callable[[int, int], int] = lambda p, q: 0):
     """The grid of rank functions that jump only at the origin, as
     :func:`~jumploci.model.origin_jump` builds one, and are constant where
-    the origin value does not exceed the generic one.  The grid shares one
-    origin coset, which would otherwise be coerced and normalized per entry,
-    and builds one function per distinct pair of values."""
+    the origin value does not exceed the generic one.  Every entry shares
+    one origin coset, which would otherwise be coerced and normalized per
+    entry, so the model maps equal entries to one function."""
     origin = CongruenceCoset.point(TorusPoint.zero(torus_dim))
 
-    @cache  # for this grid only
     def rank(generic: int, at_origin: int) -> RankFunction:
-        if at_origin > generic:
-            return RankFunction(torus_dim, generic, (Stratum(origin, at_origin),))
-        return constant_rank(torus_dim, generic)
+        strata = (Stratum(origin, at_origin),) if at_origin > generic else ()
+        return RankFunction(torus_dim, generic, strata)
 
     return tuple(tuple(rank(generic_value(p, q), origin_value(p, q)) for q in range(n + 1))
                  for p in range(n + 1))
@@ -186,7 +183,6 @@ def blowup_abelian_codim(g: int = 3, c: int = 2) -> CatalogEntry:
     # twists trivial on the center: the annihilator of the center's dual block
     kernel = CongruenceCoset.pinned(torus, {i: Fraction(0) for i in range(2 * center_dim)})
 
-    @cache  # one function per distinct pair of values, for this model only
     def rank(exc: int, on_abelian: int) -> RankFunction:
         total = on_abelian + exc
         if c == g:
@@ -256,7 +252,6 @@ def fibered_over_curve(genus: int = 2) -> CatalogEntry:
     curve_block = CongruenceCoset.pinned(torus, {2 * gb: Fraction(0), 2 * gb + 1: Fraction(0)})
     origin = CongruenceCoset.point(TorusPoint.zero(torus))
 
-    @cache  # one function per distinct pair of values, for this model only
     def rf(on_block: int, at_origin: int) -> RankFunction:
         strata = []
         if on_block > 0:

@@ -57,11 +57,20 @@ def _parse_params(text: Optional[str]) -> dict:
     return params
 
 
+def _check_sources(args) -> None:
+    """Refuse, before anything is loaded, a flag that the chosen input would
+    ignore: --locus takes no model flag, and --model no --builtin or --params."""
+    given = [name for name in ("locus", "i", "model", "builtin", "params") if getattr(args, name, None) is not None]
+    source = next((name for name in ("locus", "model") if name in given), None)
+    ignored = [f"--{name}" for name in given if name != source and (source, name) != ("model", "i")]
+    if source and ignored:
+        raise EngineError(f"--{source} cannot be combined with {', '.join(ignored)}")
+
+
 def _load_model(args) -> VarietyModel:
-    if getattr(args, "builtin", None):
-        entry = catalog.builtin(args.builtin, **_parse_params(getattr(args, "params", None)))
-        return entry.model
-    if getattr(args, "model", None):
+    if args.builtin:
+        return catalog.builtin(args.builtin, **_parse_params(args.params)).model
+    if args.model:
         return modelfile.load_model(args.model)
     raise EngineError("provide --model FILE or --builtin NAME")
 
@@ -358,6 +367,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for flag, value in (("--budget", args.budget), ("--enum-cap", args.enum_cap)):
             if value < 1:
                 raise EngineError(f"{flag} must be a positive integer, got {value}")
+        _check_sources(args)
         # looked up by name on each call, so a wrapper installed on the module is called
         code = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()  # so that a closed pipe is met here, not at exit

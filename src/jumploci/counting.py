@@ -30,15 +30,15 @@ A term's count depends on d only through divisibility (Kamiya, Takemura
 and Terao, 2008): f·d^dim·[M | d]·Π gcd(s', d/M) for its class (M, s', f),
 M its least order, s' its Smith pivots reduced by M, whatever its
 presentation (:func:`~jumploci.torus.torsion_gate`).  A :class:`CountTable`
-is the one evaluator of forms: it merges them, one column per form, keyed
+is the one evaluator of forms: a column is a sum of forms, and each
+distinct form's terms are read once into the columns that list it, keyed
 by (M, s'), each class mapping each exponent to the summed f·c of its
-terms, column by column; a form read alone (a union, a sheaf slot, a
-plurigenus) is a one-column table.  The class (1, ()) at exponent 0 does
-not depend on d, so it is summed once into a constant per column.  Every
-d starts from those constants, runs one gate per other class and one
-power of d per distinct exponent, then adds gate·c·d^e into the columns.
-Every number a model's cover reports (the grid, the Betti numbers and
-d^(2g)) is one table (:meth:`~jumploci.model.VarietyModel.hodge_table`).
+terms; a form read alone (a union, a sheaf slot, a plurigenus) is a
+one-column table.  The class (1, ()) at exponent 0 does not depend on d,
+so it is summed once into a constant per column.  Every d starts from
+those constants, runs one gate per other class and one power of d per
+distinct exponent, then adds gate·c·d^e into the columns.  Every number
+a cover reports is one table (:meth:`~jumploci.model.VarietyModel.hodge_table`).
 The limit is class (1, ()), whose gate is 1; the catalog's forms have no
 other class.
 """
@@ -161,8 +161,9 @@ class CountForm:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Count forms merged by divisibility class, one column per form; the
-    only evaluator of a form, so a form read alone is a one-column table.
+    """Sums of count forms merged by divisibility class, one column per sum,
+    each distinct form read once, by identity, into every column that lists
+    it; the only evaluator of a form, so a form read alone is a one-column table.
 
     ``constants`` holds each column's coefficient of class (1, ()) at
     exponent 0, the part of its count that no d changes, summed once here.
@@ -177,15 +178,20 @@ class CountTable:
                          tuple[tuple[int, tuple[tuple[int, int], ...]], ...]], ...]
 
     @classmethod
-    def of(cls, forms: Sequence[CountForm]) -> "CountTable":
+    def of(cls, columns: Sequence[Sequence[CountForm]]) -> "CountTable":
+        uses: dict[int, tuple[CountForm, list[int]]] = {}
+        for column, forms in enumerate(columns):
+            for form in forms:
+                uses.setdefault(id(form), (form, []))[1].append(column)
         grouped: dict[tuple[int, tuple[int, ...]], dict[int, dict[int, int]]] = {}
-        for column, form in enumerate(forms):
+        for form, listed in uses.values():
             terms = [(1, (), 1, form.ambient_dim, form.limit)]
             terms += [(*nc.divisibility_class, nc.dim, c) for c, nc in form.terms]
             for min_order, pivots, factor, e, c in terms:
                 vector = grouped.setdefault((min_order, pivots), {}).setdefault(e, {})
-                vector[column] = vector.get(column, 0) + factor * c
-        constants = [0] * len(forms)
+                for column in listed:
+                    vector[column] = vector.get(column, 0) + factor * c
+        constants = [0] * len(columns)
         for column, c in grouped.get((1, ()), {}).pop(0, {}).items():
             constants[column] = c
         classes = []
@@ -230,7 +236,7 @@ def union_torsion_count(components: Sequence[CongruenceCoset], d: int,
     comps = list(components)
     check_union(comps, budget)
     normalized = [(nc, 1) for nc in (c.normalize() for c in comps) if nc is not None]
-    return CountTable.of([CountForm.of(comps[0].ambient_dim if comps else 0, 0, normalized)]).values(d)[0]
+    return CountTable.of([[CountForm.of(comps[0].ambient_dim if comps else 0, 0, normalized)]]).values(d)[0]
 
 
 def check_enumeration(n: int, d: int, cap: int) -> None:

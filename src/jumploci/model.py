@@ -14,8 +14,8 @@ named sheaf slots; construction checks its shape, and :func:`validate_model`
 its content.  Equal grid entries are one object, so what a rank function
 derives is derived once per distinct function.  Everything that does not
 depend on the cover is kept on the model once built: the grid's count
-forms and the Betti numbers' merged forms compiled into one count table
-(:meth:`VarietyModel.hodge_table`) that every cover and every decay fit
+forms compiled into one count table (:meth:`VarietyModel.hodge_table`),
+each Betti number a sum of them, that every cover and every decay fit
 reads, the rows' Euler characteristics (:attr:`VarietyModel.chi_p`,
 :attr:`VarietyModel.chi_top`) that the tower and the L² report read, and
 the rank functions of ω^m (:attr:`VarietyModel.plurigenera`).
@@ -156,8 +156,8 @@ def constant_rank(ambient_dim: int, value: int) -> RankFunction:
 def origin_jump(ambient_dim: int, generic: int, origin_value: int) -> RankFunction:
     """Rank function jumping only at the origin (the most common shape);
     constant when the origin value does not exceed the generic one.  Each
-    call builds its own origin coset; a grid of such functions is better
-    built around one, as the catalog builds its grids."""
+    call builds its own origin coset, and a model maps equal entries to one
+    function only over shared cosets; the catalog builds each grid around one."""
     if origin_value <= generic:
         return constant_rank(ambient_dim, generic)
     origin = CongruenceCoset.point(TorusPoint.zero(ambient_dim))
@@ -262,24 +262,22 @@ class VarietyModel:
 
     @cached_property
     def _hodge_table(self) -> CountTable:
-        n, dim = self.n, self.torus_dim
-        forms = [rf._count_form for row in self.hodge for rf in row]
-        for k in range(2 * n + 1):
-            diagonal = [self.hodge[p][k - p]._count_form for p in range(max(0, k - n), min(k, n) + 1)]
-            forms.append(CountForm(dim, sum(form.limit for form in diagonal),
-                                   tuple(chain.from_iterable(form.terms for form in diagonal))))
-        forms.append(CountForm(dim, 1, ()))
-        return CountTable.of(forms)
+        n = self.n
+        columns = [[rf._count_form] for row in self.hodge for rf in row]
+        columns += [[self.hodge[p][k - p]._count_form for p in range(max(0, k - n), min(k, n) + 1)]
+                    for k in range(2 * n + 1)]
+        columns.append([CountForm(self.torus_dim, 1, ())])
+        return CountTable.of(columns)
 
     def hodge_table(self, budget: int) -> CountTable:
         """Every number a cover reports in one table, built on first use and
         kept: a column per grid entry, row-major (:meth:`grid` slices the
-        rows out of its values), then one per Betti number b_0 … b_2n (the
-        merged form of the entries with p + q = k), then one for d^(2g), the
-        form of limit 1 and no terms.  The budget caps the strata above the
-        limit of each entry; it is checked on every call against the largest
-        such count, and the first entry over it, row-major, raises before
-        any form is built."""
+        rows out of its values), then one per Betti number b_0 … b_2n (the sum
+        of the forms of the entries with p + q = k, each distinct form read
+        once per table), then one for d^(2g), the form of limit 1 and no
+        terms.  The budget caps the strata above the limit of each entry; it
+        is checked on every call against the largest such count, and the
+        first entry over it, row-major, raises before any form is built."""
         if self._most_strata > budget:
             for rf in chain(*self.hodge):
                 check_budget(rf._strata_above_limit, budget)

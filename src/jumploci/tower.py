@@ -13,7 +13,7 @@ every invariant computable for d with d^(2g) far beyond machine range.
 Everything that does not depend on d is kept off the per-cover path.  The
 model compiles every number a cover reports once into one count table
 (:meth:`VarietyModel.hodge_table`): a column per grid entry, one per Betti
-number (the merged form of its anti-diagonal) and a last one for d^(2g);
+number (the sum of its anti-diagonal's forms) and a last one for d^(2g);
 it also keeps the rows' Euler characteristics (:attr:`VarietyModel.chi_p`).
 Every grid number has one evaluation path: :func:`cover_invariants` cuts
 one evaluation per cover into rows by one ``zip`` (:meth:`VarietyModel.grid`),
@@ -61,7 +61,7 @@ def sheaf_rank_on_cover(rf: RankFunction, d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
     """Sum of rf over all d-torsion points, read off its count form as a
     one-column table."""
-    return CountTable.of([rf.count_form(budget)]).values(d)[0]
+    return CountTable.of([[rf.count_form(budget)]]).values(d)[0]
 
 
 def _locate(model: VarietyModel, selector: Selector) -> tuple[list[RankFunction], Optional[int]]:

@@ -1,5 +1,6 @@
 """Catalog entries against their closed-form oracles."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from jumploci import (
     DEFAULT_INSTANCES,
 )
 from jumploci.modelfile import MAX_G, MAX_N
+from gen import CATALOG_SWEEP
 from oracles import COVER_ORACLES
 
 
@@ -27,6 +29,18 @@ def test_every_entry_validates_cleanly():
         assert report.ok, (entry.model.name, [f.message for f in report.errors])
         assert not report.warnings, (entry.model.name, [f.message for f in report.warnings])
         assert entry.oracle_notes
+
+
+def test_equal_grid_entries_are_one_function():
+    # the builders keep no functions of their own: they share one origin or
+    # kernel coset, and the model maps equal entries over it to one object
+    entries = distinct = 0
+    for name, params in DEFAULT_INSTANCES + CATALOG_SWEEP:
+        grid = [rf for row in builtin(name, **params).model.hodge for rf in row]
+        assert all((a == b) == (a is b) for a, b in combinations(grid, 2)), name
+        entries += len(grid)
+        distinct += len({id(rf) for rf in grid})
+    assert (entries, distinct) == (172, 55)
 
 
 def test_oracle_notes_name_their_derivation():

@@ -15,7 +15,7 @@ import pytest
 
 import jumploci
 from jumploci import (CongruenceCoset, RankFunction, Stratum, TorusPoint, VarietyModel, asymptotics, builtin,
-                      constant_rank, dumps_model, load_model, origin_jump)
+                      catalog, constant_rank, dumps_model, load_model, modelfile, origin_jump)
 from jumploci.cli import _int_text_of_any_size, main
 from jumploci.errors import ECHO_CHARS, shown, shown_int
 from gen import random_model
@@ -572,6 +572,40 @@ class TestValidateExport:
 
     def test_missing_source(self, capsys):
         assert main(["export"]) == 2
+
+
+class TestOneSource:
+    """A flag that the chosen input would ignore exits 2 with one message
+    that names the flags, and nothing is loaded or printed."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_loads(self, monkeypatch):
+        def load(*args, **kwargs):
+            raise AssertionError("an input was loaded")
+        for module, name in ((modelfile, "load_model"), (modelfile, "load_locus"), (catalog, "builtin")):
+            monkeypatch.setattr(module, name, load)
+
+    @pytest.mark.parametrize("command", [["validate"], ["check"], ["tower"], ["export"],
+                                         ["count", "--i", "0,0", "--d", "2"]])
+    @pytest.mark.parametrize("flags, ignored", [
+        (["--builtin", "abelian"], "--builtin"),
+        (["--params", "g=2"], "--params"),
+        (["--builtin", "abelian", "--params", "g=2"], "--builtin, --params"),
+    ])
+    def test_model_file_with_a_catalog_flag(self, capsys, command, flags, ignored):
+        assert main([*command, "--model", "m.json", *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: --model cannot be combined with {ignored}\n")
+
+    @pytest.mark.parametrize("flags, ignored", [
+        (["--i", "0,0"], "--i"),
+        (["--model", "m.json"], "--model"),
+        (["--builtin", "abelian", "--params", "g=2"], "--builtin, --params"),
+        (["--i", "0,0", "--model", "m.json", "--builtin", "abelian", "--params", "g=2"],
+         "--i, --model, --builtin, --params"),
+    ])
+    def test_locus_with_a_model_flag(self, capsys, flags, ignored):
+        assert main(["count", "--locus", "union.json", *flags, "--d", "2"]) == 2
+        assert capsys.readouterr() == ("", f"error: --locus cannot be combined with {ignored}\n")
 
 
 _POINT = {"schema_version": 1, "n": 0, "g": 1, "hodge": [{"p": 0, "q": 0, "generic": 1}],

@@ -26,7 +26,8 @@ from jumploci.catalog import DEFAULT_INSTANCES
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_union
 from jumploci.torus import NormalizedCoset, snf
 from jumploci.tower import sheaf_rank_on_cover
-from gen import random_connected_coset, random_coset, random_nonempty_coset, random_rank_function, random_unimodular
+from gen import (random_connected_coset, random_coset, random_model, random_nonempty_coset, random_rank_function,
+                 random_unimodular)
 from oracles import (brute_force_rank_sum, brute_force_torsion_count, per_term_count, smith_translates,
                      translate_gate_count)
 
@@ -34,7 +35,7 @@ from oracles import (brute_force_rank_sum, brute_force_torsion_count, per_term_c
 def _count(nc, d):
     """A normalized coset's count at d, read as every count is: a one-column
     table of the union of the coset alone."""
-    return CountTable.of([CountForm.of(nc.ambient_dim, 0, [(nc, 1)])]).values(d)[0]
+    return CountTable.of([[CountForm.of(nc.ambient_dim, 0, [(nc, 1)])]]).values(d)[0]
 
 
 def _count_mod(width, rows, rhs, modulus):
@@ -552,7 +553,7 @@ class TestOnePassForm:
         line = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 3)]).normalize()
         strata = [(torus, 2), (line, 4), (line, 2)]
         assert self._terms(2, 2, strata) == _per_threshold_terms(2, 2, strata) == {line: 2}
-        column = CountTable.of([CountForm.of(2, 2, strata)])
+        column = CountTable.of([[CountForm.of(2, 2, strata)]])
         for d in (1, 3, 6):
             assert column.values(d)[0] == 2 * d ** 2 + 2 * (d if d % 3 == 0 else 0)
 
@@ -648,11 +649,11 @@ class TestClassEvaluation:
 
     @staticmethod
     def _check(*forms):
-        table = CountTable.of(forms)
+        table = CountTable.of([[form] for form in forms])
         for d in CLASS_DS:
             assert table.values(d) == [per_term_count(form, d) for form in forms]
         for form in forms:
-            column = CountTable.of([form])
+            column = CountTable.of([[form]])
             assert [column.values(d)[0] for d in CLASS_DS] == [per_term_count(form, d) for d in CLASS_DS]
         return _classes(table)
 
@@ -689,16 +690,40 @@ class TestClassEvaluation:
         a = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 2)]).normalize()
         b = CongruenceCoset.of(2, [[0, 1]], [Fraction(1, 2)]).normalize()
         form = CountForm(2, 1, ((3, a), (-3, b), (5, a.meet(b))))
-        column = CountTable.of([form])
+        column = CountTable.of([[form]])
         assert column.classes == ((1, (), ((2, ((0, 1),)),)), (2, (), ((0, ((0, 5),)),)))
         self._check(form)
         assert (column.values(3)[0], column.values(4)[0]) == (9, 16 + 5)
         cancelled = CountForm(2, 0, ((3, a), (-3, b)))
-        assert CountTable.of([cancelled]).classes == ()
+        assert CountTable.of([[cancelled]]).classes == ()
         # across columns a coefficient cancels only within its own column
-        table = CountTable.of([CountForm(2, 0, ((3, a),)), CountForm(2, 0, ((-3, a),))])
+        table = CountTable.of([[CountForm(2, 0, ((3, a),))], [CountForm(2, 0, ((-3, a),))]])
         assert table.classes == ((2, (), ((1, ((0, 3), (1, -3))),)),)
         assert table.values(4) == [12, -12] and table.values(3) == [0, 0]
+
+    def test_a_form_listed_in_several_columns_is_read_once(self):
+        class CountedTerms(tuple):
+            reads = 0
+
+            def __iter__(self):
+                self.reads += 1
+                return super().__iter__()
+
+        a = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 2)]).normalize()
+        b = CongruenceCoset.of(2, [[0, 1]], [Fraction(1, 3)]).normalize()
+        c = CongruenceCoset.of(2, [[2, 0], [0, 2]], [0, 0]).normalize()
+        f = CountForm(2, 1, CountedTerms(((3, a), (-2, b), (5, c))))
+        g = CountForm(2, 2, CountedTerms(((-3, a), (1, a.meet(c)))))
+        table = CountTable.of([[f], [f], [f, g]])
+        assert (f.terms.reads, g.terms.reads) == (1, 1)
+        # the sum of f and g read as one form whose terms are both lists
+        summed = CountForm(2, f.limit + g.limit, (*f.terms, *g.terms))
+        expected = CountTable.of([[f], [f], [summed]])
+        canonical = lambda t: (t.constants, {(m, pivots, e, column, coefficient) for m, pivots, exponents in t.classes
+                                             for e, entries in exponents for column, coefficient in entries})
+        assert canonical(table) == canonical(expected)
+        for d in CLASS_DS:
+            assert table.values(d) == expected.values(d) == [per_term_count(f, d)] * 2 + [per_term_count(summed, d)]
 
     @staticmethod
     def _check_hodge_table(model):
@@ -734,6 +759,12 @@ class TestClassEvaluation:
         assert {2, 3} <= {min_order for min_order, _ in seen}
         assert any(pivots for _, pivots in seen)
 
+    @pytest.mark.parametrize("seed", [f"invariance:{k}" for k in range(20)] + [f"golden:{k}" for k in (1, 2, 5)])
+    def test_hodge_table_columns_on_invariance_and_golden_models(self, seed):
+        # the catalog's forms are all class (1, ()), so only these models add
+        # forms of several classes into one Betti column
+        self._check_hodge_table(random_model(random.Random(seed)))
+
     def test_hodge_table_of_a_point(self):
         # n = 0: one Betti column, b_0 = h^(0,0)
         rf = RankFunction(2, 1, (Stratum(CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), 0])), 3),))
@@ -765,7 +796,7 @@ class TestTermByTermCount:
 
     @staticmethod
     def _check(form, brute_force, grid_cap):
-        column = CountTable.of([form])
+        column = CountTable.of([[form]])
         for d in CLASS_DS:
             assert column.values(d)[0] == per_term_count(form, d), d
         small = [d for d in range(1, 13) if d ** form.ambient_dim <= grid_cap]
