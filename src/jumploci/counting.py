@@ -33,20 +33,21 @@ presentation (:func:`~jumploci.torus.torsion_gate`).  A :class:`CountTable`
 is the one evaluator of forms: a column is a sum of forms, and each
 distinct form's terms are read once into the columns that list it, keyed
 by (M, s'), each class mapping each exponent to the summed f·c of its
-terms; a form read alone (a union, a sheaf slot, a plurigenus) is a
-one-column table.  The class (1, ()) at exponent 0 does not depend on d,
-so it is summed once into a constant per column.  Every d starts from
-those constants, runs one gate per other class and one power of d per
-distinct exponent, then adds gate·c·d^e into the columns.  Every number
-a cover reports is one table (:meth:`~jumploci.model.VarietyModel.hodge_table`).
-The limit is class (1, ()), whose gate is 1; the catalog's forms have no
-other class.
+terms; a form read alone (a union, a sheaf slot, a plurigenus) keeps its
+one-column table (:attr:`CountForm.table`).  The class (1, ()) at exponent
+0 does not depend on d, so it is summed once into a constant per column.
+Every d starts from those constants, runs one gate per other class and
+one power of d per distinct exponent, then adds gate·c·d^e into the
+columns.  Every number a cover reports is one table
+(:meth:`~jumploci.model.VarietyModel.hodge_table`).  The limit is class
+(1, ()), whose gate is 1; the catalog's forms have no other class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -158,12 +159,17 @@ class CountForm:
             poly[nc.dim] = poly.get(nc.dim, 0) + c * nc.component_count
         return {e: c for e, c in poly.items() if c}
 
+    @cached_property
+    def table(self) -> CountTable:
+        """The form read alone, as a one-column table built on first use."""
+        return CountTable.of([[self]])
+
 
 @dataclass(frozen=True)
 class CountTable:
     """Sums of count forms merged by divisibility class, one column per sum,
     each distinct form read once, by identity, into every column that lists
-    it; the only evaluator of a form, so a form read alone is a one-column table.
+    it; the only evaluator of a form, even read alone (:attr:`CountForm.table`).
 
     ``constants`` holds each column's coefficient of class (1, ()) at
     exponent 0, the part of its count that no d changes, summed once here.
@@ -231,12 +237,12 @@ class CountTable:
 def union_torsion_count(components: Sequence[CongruenceCoset], d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
     """Exact |S_d ∩ (C_1 ∪ ... ∪ C_r)| as a signed sum over distinct meets,
-    read off the union's form as a one-column :class:`CountTable`."""
+    read off the union's form's one-column table (:attr:`CountForm.table`)."""
     _check_d(d)
     comps = list(components)
     check_union(comps, budget)
     normalized = [(nc, 1) for nc in (c.normalize() for c in comps) if nc is not None]
-    return CountTable.of([[CountForm.of(comps[0].ambient_dim if comps else 0, 0, normalized)]]).values(d)[0]
+    return CountForm.of(comps[0].ambient_dim if comps else 0, 0, normalized).table.values(d)[0]
 
 
 def check_enumeration(n: int, d: int, cap: int) -> None:

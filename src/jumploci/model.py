@@ -271,13 +271,13 @@ class VarietyModel:
 
     def hodge_table(self, budget: int) -> CountTable:
         """Every number a cover reports in one table, built on first use and
-        kept: a column per grid entry, row-major (:meth:`grid` slices the
-        rows out of its values), then one per Betti number b_0 … b_2n (the sum
-        of the forms of the entries with p + q = k, each distinct form read
-        once per table), then one for d^(2g), the form of limit 1 and no
-        terms.  The budget caps the strata above the limit of each entry; it
-        is checked on every call against the largest such count, and the
-        first entry over it, row-major, raises before any form is built."""
+        kept: a column per grid entry, row-major (:meth:`grid`), then one per
+        Betti number b_0 … b_2n (:attr:`betti_columns`; the sum of the forms
+        of the entries with p + q = k, each distinct form read once per
+        table), then one for d^(2g), the form of limit 1 and no terms.  The
+        budget caps the strata above the limit of each entry; it is checked
+        on every call against the largest such count, and the first entry
+        over it, row-major, raises before any form is built."""
         if self._most_strata > budget:
             for rf in chain(*self.hodge):
                 check_budget(rf._strata_above_limit, budget)
@@ -289,6 +289,11 @@ class VarietyModel:
         of n + 1, and the first n + 1 rows are the grid."""
         it = iter(values)
         return tuple(zip(*(it,) * (self.n + 1)))[:self.n + 1]
+
+    @cached_property
+    def betti_columns(self) -> slice:
+        """Where :meth:`hodge_table` holds b_0 … b_2n: after the grid."""
+        return slice((self.n + 1) ** 2, -1)
 
     @cached_property
     def plurigenera(self) -> Mapping[int, RankFunction]:

@@ -15,12 +15,12 @@ model compiles every number a cover reports once into one count table
 (:meth:`VarietyModel.hodge_table`): a column per grid entry, one per Betti
 number (the sum of its anti-diagonal's forms) and a last one for d^(2g);
 it also keeps the rows' Euler characteristics (:attr:`VarietyModel.chi_p`).
-Every grid number has one evaluation path: :func:`cover_invariants` cuts
-one evaluation per cover into rows by one ``zip`` (:meth:`VarietyModel.grid`),
-and :func:`value_on_cover` reads one column of it.  Only P_m for m >= 2 (the
-model's :attr:`VarietyModel.plurigenera`) and the sheaf slots, which the
-model's table does not hold, read their own forms, each as a one-column
-table, and a cover asked for no exponent builds no plurigenus.
+:func:`cover_invariants` cuts one evaluation of it per cover into the grid,
+the Betti numbers and deg.  A lone invariant has one path:
+:func:`value_on_cover` sums its rank functions (:func:`summands`), each read
+off its form's kept one-column table (:attr:`~jumploci.counting.CountForm.table`),
+as a cover reads P_m for m >= 2 (:attr:`VarietyModel.plurigenera`), which the
+model's table does not hold; a cover asked for no exponent builds no plurigenus.
 
 Every invariant is a sum of rank functions (:func:`summands`), so its
 limit as value / d^(2g) is the sum of their limits: proper loci contribute
@@ -32,12 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
-from .counting import DEFAULT_COMPONENT_BUDGET, CountTable
+from .counting import DEFAULT_COMPONENT_BUDGET
 from .counting import union_torsion_count  # noqa: F401  (bench/tests asserts this binding)
 from .errors import MissingPluriData, shown_int
 from .model import RankFunction, VarietyModel, euler_char
+from .torus import _check_d
 
 Selector = tuple  # ("hodge", p, q) | ("betti", k) | ("irregularity",) | ("pluri", m) | ("sheaf", name, i)
 
@@ -59,44 +60,9 @@ class CoverInvariants:
 
 def sheaf_rank_on_cover(rf: RankFunction, d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    """Sum of rf over all d-torsion points, read off its count form as a
-    one-column table."""
-    return CountTable.of([[rf.count_form(budget)]]).values(d)[0]
-
-
-def _locate(model: VarietyModel, selector: Selector) -> tuple[list[RankFunction], Optional[int]]:
-    """The selected invariant's rank functions and its column in the model's
-    table, None when no table holds it: (p,q) is column p(n+1)+q, Betti k
-    column (n+1)^2+k, q column 1 and P_1 column n(n+1).  A selector that
-    names nothing in the model, or whose index or exponent is not an int (a
-    bool is not) or whose sheaf name is not a str, raises one ValueError
-    that names it."""
-    n = model.n
-    kind, *args = tuple(selector) or (None,)
-    if kind == "hodge" and len(args) == 2 and all(type(i) is int and 0 <= i <= n for i in args):
-        p, q = args
-        return [model.hodge[p][q]], p * (n + 1) + q
-    if kind == "betti" and len(args) == 1 and type(args[0]) is int:
-        k = args[0]  # outside [0, 2n] no entry has p + q = k, and no column holds it
-        rfs = [model.hodge[p][k - p] for p in range(max(0, k - n), min(k, n) + 1)]
-        return rfs, (n + 1) ** 2 + k if rfs else None
-    if kind == "irregularity" and not args:  # a point (n = 0) has no h^(0,1) entry
-        return ([model.hodge[0][1]], 1) if n else ([], None)
-    if kind == "pluri" and len(args) == 1 and type(args[0]) is int:
-        m = args[0]
-        if m < 1:
-            raise ValueError("m must be positive")
-        if m == 1:  # the geometric genus
-            return [model.hodge[n][0]], n * (n + 1)
-        if m not in model.plurigenera:
-            raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
-        return [model.plurigenera[m]], None
-    if kind == "sheaf" and len(args) == 2 and type(args[0]) is str:
-        name, i = args
-        slot = model.sheaves.get(name, ())
-        if type(i) is int and 0 <= i < len(slot):
-            return [slot[i]], None
-    raise ValueError(f"unknown selector {selector!r}")
+    """Sum of rf over all d-torsion points, read off its count form's
+    one-column table, built on first use and kept (:attr:`CountForm.table`)."""
+    return rf.count_form(budget).table.values(d)[0]
 
 
 def summands(model: VarietyModel, selector: Selector) -> list[RankFunction]:
@@ -105,19 +71,43 @@ def summands(model: VarietyModel, selector: Selector) -> list[RankFunction]:
     h^(p,q)(X_d); ``("betti", k)`` is b_k(X_d), 0 for k outside [0, 2n];
     ``("irregularity",)`` is q(X_d), 0 for a point; ``("sheaf", name, i)`` is
     the i-th rank of a named sheaf; ``("pluri", m)`` is the plurigenus
-    P_m(X_d), the geometric genus h^(n,0) for m = 1 (limit: :func:`pluri_limit`)."""
-    return _locate(model, selector)[0]
+    P_m(X_d), the geometric genus h^(n,0) for m = 1 (limit: :func:`pluri_limit`).
+    A selector that names nothing in the model, or whose index, exponent or
+    sheaf name has the wrong type (a bool is no int), raises one ValueError."""
+    n = model.n
+    kind, *args = tuple(selector) or (None,)
+    if kind == "hodge" and len(args) == 2 and all(type(i) is int and 0 <= i <= n for i in args):
+        p, q = args
+        return [model.hodge[p][q]]
+    if kind == "betti" and len(args) == 1 and type(args[0]) is int:
+        k = args[0]  # outside [0, 2n] no entry has p + q = k
+        return [model.hodge[p][k - p] for p in range(max(0, k - n), min(k, n) + 1)]
+    if kind == "irregularity" and not args:  # a point (n = 0) has no h^(0,1) entry
+        return [model.hodge[0][1]] if n else []
+    if kind == "pluri" and len(args) == 1 and type(args[0]) is int:
+        m = args[0]
+        if m < 1:
+            raise ValueError("m must be positive")
+        if m == 1:  # the geometric genus
+            return [model.hodge[n][0]]
+        if m not in model.plurigenera:
+            raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
+        return [model.plurigenera[m]]
+    if kind == "sheaf" and len(args) == 2 and type(args[0]) is str:
+        name, i = args
+        slot = model.sheaves.get(name, ())
+        if type(i) is int and 0 <= i < len(slot):
+            return [slot[i]]
+    raise ValueError(f"unknown selector {selector!r}")
 
 
 def value_on_cover(model: VarietyModel, selector: Selector, d: int,
                    *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    """The selected invariant of X_d.  A grid number is a column of one
-    evaluation of the model's table, whose budget covers the whole grid;
-    P_m for m >= 2 and the sheaf slots sum their own forms."""
-    rfs, column = _locate(model, selector)
-    if column is None:
-        return sum(sheaf_rank_on_cover(rf, d, budget=budget) for rf in rfs)
-    return model.hodge_table(budget).values(d)[column]
+    """The selected invariant of X_d, each of its :func:`summands` read by
+    :func:`sheaf_rank_on_cover`.  d is checked first, even when there is
+    nothing to sum, and the budget caps only the rank functions read."""
+    _check_d(d)
+    return sum(sheaf_rank_on_cover(rf, d, budget=budget) for rf in summands(model, selector))
 
 
 def pluri_limit(model: VarietyModel, m: int) -> Fraction:
@@ -128,7 +118,7 @@ def pluri_limit(model: VarietyModel, m: int) -> Fraction:
 
 def pluri_bound_constant(model: VarietyModel, m: int) -> int:
     """Constant M with P_m(X_d)/deg <= M · d^(-2(g - q_base)) for all d."""
-    _locate(model, ("pluri", m))  # refuses an exponent that is not a positive int
+    summands(model, ("pluri", m))  # refuses an exponent that is not a positive int
     if m not in model.plurigenera:
         raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
     return model.plurigenera[m].limit + max(1, len(model.pluri.translates)) * model.pluri.values[m]
@@ -136,21 +126,20 @@ def pluri_bound_constant(model: VarietyModel, m: int) -> int:
 
 def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
                      *, budget: int = DEFAULT_COMPONENT_BUDGET) -> CoverInvariants:
-    """Every invariant of X_d read off one evaluation of the model's table:
-    the grid from its first (n+1)^2 columns, the Betti numbers from the next
-    2n+1, deg from the last, q = h^(0,1) and P_1 = h^(n,0) from the grid;
-    only P_m for m >= 2 has forms of its own.  Each exponent is resolved as
-    the selector ("pluri", m).  ``pluri`` is a new dict on every call."""
+    """Every invariant of X_d read off one evaluation of the model's table,
+    cut into the grid, the Betti numbers and deg; q = h^(0,1) and P_1 = h^(n,0)
+    from the grid.  Each exponent is resolved as the selector ("pluri", m), and
+    P_m for m >= 2 is read off its form's kept table.  ``pluri`` is new per call."""
     values = model.hodge_table(budget).values(d)
     grid = model.grid(values)
     n = model.n
     pluri = {}
-    for m in pluri_ms:  # P_1 is a column of values; P_m for m >= 2 sums its own form
-        rfs, column = _locate(model, ("pluri", m))
-        pluri[m] = values[column] if column is not None else sheaf_rank_on_cover(rfs[0], d, budget=budget)
+    for m in pluri_ms:
+        rf, = summands(model, ("pluri", m))
+        pluri[m] = grid[n][0] if m == 1 else sheaf_rank_on_cover(rf, d, budget=budget)
     inv = object.__new__(CoverInvariants)  # frozen: fill the fields in one step
     object.__setattr__(inv, "__dict__", {
-        "d": d, "deg": values[-1], "hodge": grid, "betti": tuple(values[(n + 1) ** 2:-1]),
+        "d": d, "deg": values[-1], "hodge": grid, "betti": tuple(values[model.betti_columns]),
         "q": grid[0][1] if n else 0, "chi_p": model.chi_p, "chi_top": model.chi_top, "pluri": pluri})
     return inv
 
@@ -158,9 +147,7 @@ def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
 def normalized_sequence(model: VarietyModel, selector: Selector, d_range: Iterable[int],
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> list[Fraction]:
     """value(d) / d^(2g) as exact rationals, in the order of ``d_range``."""
-    deg = model.torus_dim
-    return [Fraction(value_on_cover(model, selector, d, budget=budget), d ** deg)
-            for d in d_range]
+    return [Fraction(value_on_cover(model, selector, d, budget=budget), d ** model.torus_dim) for d in d_range]
 
 
 def symbolic_limit(model: VarietyModel, selector: Selector) -> Fraction:

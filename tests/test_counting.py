@@ -25,7 +25,7 @@ from jumploci import (
 from jumploci.catalog import DEFAULT_INSTANCES
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_union
 from jumploci.torus import NormalizedCoset, snf
-from jumploci.tower import sheaf_rank_on_cover
+from jumploci.tower import normalized_sequence, sheaf_rank_on_cover, value_on_cover
 from gen import (random_connected_coset, random_coset, random_model, random_nonempty_coset, random_rank_function,
                  random_unimodular)
 from oracles import (brute_force_rank_sum, brute_force_torsion_count, per_term_count, smith_translates,
@@ -781,6 +781,9 @@ class TestClassEvaluation:
         line = CongruenceCoset.of(2, [[2, 0]], [0])
         reads = (lambda: sheaf_rank_on_cover(model.hodge[0][1], d), lambda: union_torsion_count([point, line], d),
                  lambda: model.hodge_table(DEFAULT_COMPONENT_BUDGET).values(d))
+        # a selector with no rank functions sums nothing, yet d is still checked
+        reads += (lambda: value_on_cover(model, ("betti", 2 * model.n + 1), d),
+                  lambda: normalized_sequence(model, ("betti", -1), [d]))
         reads += tuple((lambda nc=nc: _count(nc, d)) for nc in (point.normalize(), line.normalize(),
                                                                 *(nc for _, nc in form.terms)))
         reads += (lambda: coset_torsion_count(point, d),)

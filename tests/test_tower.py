@@ -36,9 +36,10 @@ from jumploci import asymptotics, cli, counting, torus, tower
 from jumploci import model as model_module
 from jumploci.catalog import DEFAULT_INSTANCES
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
-from gen import CATALOG_SWEEP, random_rank_function
+from gen import CATALOG_SWEEP, random_model, random_rank_function
 from oracles import (
     brute_force_rank_sum,
+    per_term_count,
     row_euler_characteristic,
     smallest_torsion_order,
     summed_count,
@@ -532,18 +533,26 @@ class TestCoverInvariants:
                         {m: summed_count(model, ("pluri", m), d) for m in pluri_ms}) for d in (1, 2, 3)}
         values = count_calls(monkeypatch, (counting.CountTable, "values"))
         forms = count_calls(monkeypatch, (RankFunction, "count_form"))
+        tables = count_calls(monkeypatch, (counting.CountTable, "of"))
+        cover_invariants(model, 4, pluri_ms)  # the first cover compiles what it reads, once
+        assert len(tables) <= 1 + len(model.plurigenera)
+        tables.clear()
         for d in (1, 2, 3):
             for ms in ((), pluri_ms):
                 values.clear()
                 forms.clear()
                 inv = cover_invariants(model, d, ms)
                 # one table evaluation for the grid, the Betti numbers and
-                # deg, and one one-column table per plurigenus exponent m >= 2
+                # deg, and one read of a kept one-column table per exponent m >= 2
                 assert len(values) == 1 + max(0, len(ms) - 1)
                 assert len(forms) == max(0, len(ms) - 1)
                 assert (inv.hodge, inv.betti) == expected[d][:2]
             assert inv.pluri == expected[d][2]
             assert inv.pluri[1] == inv.hodge[model.n][0]
+            for m, rf in model.plurigenera.items():
+                assert sheaf_rank_on_cover(rf, d) == inv.pluri[m]
+        # no later cover or read of a plurigenus compiles a table
+        assert tables == []
 
     def test_table_budget_checked_on_every_call(self):
         # parallel circles of translate order 5: four at (0,1), five at (1,0),
@@ -553,20 +562,28 @@ class TestCoverInvariants:
         rows = [list(row) for row in base.hodge]
         rows[0][1], rows[1][0] = RankFunction(2, 1, circles[:4]), RankFunction(2, 1, circles)
         model = dataclasses.replace(base, hodge=tuple(map(tuple, rows)))
-        # a single number reads the whole table, so its budget covers the whole
-        # grid: even (1,1), which has no strata, is refused over the budget
-        calls = (lambda b: model.hodge_table(b), lambda b: cover_invariants(model, 5, budget=b),
-                 lambda b: value_on_cover(model, ("hodge", 1, 0), 5, budget=b),
-                 lambda b: value_on_cover(model, ("hodge", 1, 1), 5, budget=b))
+        # the table and a whole cover read every entry, so their budget covers
+        # the whole grid; a single number reads only its own rank functions,
+        # so its budget caps those alone: (1,1), which has no strata, always reads
+        grid = (lambda b: model.hodge_table(b), lambda b: cover_invariants(model, 5, budget=b))
+        single = {(1, 0): 5, (0, 1): 4, (1, 1): 0}
         for budget in (12, 3, 5, 4, 12, 3):
             if budget < 5:
                 strata = 4 if budget < 4 else 5
-                for call in calls:
+                for call in grid:
                     with pytest.raises(ComponentBudgetExceeded,
                                        match=f"^{strata} components exceed the component budget of {budget}$"):
                         call(budget)
             else:
                 assert cover_invariants(model, 5, budget=budget).hodge == ((1, 25 + 20), (25 + 25, 1))
+            for (p, q), strata in single.items():
+                if strata > budget:
+                    with pytest.raises(ComponentBudgetExceeded,
+                                       match=f"^{strata} components exceed the component budget of {budget}$"):
+                        value_on_cover(model, ("hodge", p, q), 5, budget=budget)
+                else:
+                    assert value_on_cover(model, ("hodge", p, q), 5, budget=budget) == model.grid(
+                        model.hodge_table(12).values(5))[p][q]
 
     @staticmethod
     def _models():
@@ -613,21 +630,44 @@ class TestCoverInvariants:
             assert inv.chi_top == top_euler_characteristic(model)
             assert inv.pluri == {}
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 24, 10 ** 30])
+    @staticmethod
+    def _selected(model, selector):
+        """The rank functions a selector names, picked from the model here
+        rather than by :func:`tower.summands`."""
+        kind, *args = selector
+        if kind == "hodge":
+            return [model.hodge[args[0]][args[1]]]
+        if kind == "betti":
+            return [model.hodge[p][q] for p, q in model.hodge_pairs() if p + q == args[0]]
+        if kind == "irregularity":
+            return [model.hodge[0][1]] if model.n else []
+        if kind == "pluri":
+            return [model.hodge[model.n][0] if args[0] == 1 else model.plurigenera[args[0]]]
+        return [model.sheaves[args[0]][args[1]]]
+
+    @pytest.mark.parametrize("d", [*range(1, 13), 24, 10 ** 6, 10 ** 30])
     def test_every_selector_reads_its_summed_counts(self, d):
-        # value_on_cover against the count of each summand's form read term
-        # by term, for every kind of selector; a grid number reads the table
+        # value_on_cover against the forms of the rank functions the selector
+        # names, picked here and read term by term with no table, for every
+        # kind of selector, Betti degrees outside [0, 2n] too; over the
+        # corpus, the 20 invariance and the 3 golden models
+        models = self._models() + [random_model(random.Random(f"invariance:{seed}")) for seed in range(20)]
+        models += [random_model(random.Random(f"golden:{k}")) for k in (1, 2, 5)]
         kinds = set()
-        for model in self._models():
+        for model in models:
             n = model.n
             selectors = [("hodge", p, q) for p, q in model.hodge_pairs()]
             selectors += [("betti", k) for k in range(-1, 2 * n + 2)]
             selectors += [("irregularity",), ("pluri", 1)] + [("pluri", m) for m in model.plurigenera]
             selectors += [("sheaf", name, i) for name, slot in model.sheaves.items() for i in range(len(slot))]
             for selector in selectors:
-                assert value_on_cover(model, selector, d) == summed_count(model, selector, d), selector
-                kinds.add(selector[0])
-        assert kinds == {"hodge", "betti", "irregularity", "pluri", "sheaf"}
+                rfs = self._selected(model, selector)
+                expected = sum(per_term_count(rf.count_form(12), d) for rf in rfs)
+                assert value_on_cover(model, selector, d) == expected == summed_count(model, selector, d), selector
+                kinds.add((selector[0], bool(rfs)))
+        assert kinds == {("hodge", True), ("betti", True), ("betti", False), ("irregularity", True),
+                         ("irregularity", False), ("pluri", True), ("sheaf", True)}
+        assert any(model.plurigenera for model in models)  # P_m for m >= 2 too
 
     def test_grid_is_the_row_slices_of_the_values(self):
         # n runs from 0 to 4 over the corpus; the values run on past the grid
@@ -707,9 +747,11 @@ _D_READERS = {
                           [1, 17, 32, 17, 194, 17, 32, 17, 1, 1, 34, 258, 34, 1, 16]),
     "sheaf_rank_on_cover": (lambda d: sheaf_rank_on_cover(_QI0.plurigenera[2], d), 80),
     "value_on_cover": (lambda d: value_on_cover(_QI0, ("hodge", 1, 1), d), 194),
+    "value_on_cover, no summands": (lambda d: value_on_cover(_QI0, ("betti", 7), d), 0),
     "cover_invariants": (lambda d: cover_invariants(_QI0, d).hodge[0][1], 17),
     "chi_multiplicativity_check": (lambda d: chi_multiplicativity_check(_QI0, d), True),
     "normalized_sequence": (lambda d: normalized_sequence(_QI0, ("hodge", 1, 1), [d]), [Fraction(97, 8)]),
+    "normalized_sequence, no summands": (lambda d: normalized_sequence(_QI0, ("betti", -1), [d]), [0]),
     "betti_limit_deviation": (lambda d: asymptotics.betti_limit_deviation(_QI0, d), Fraction(1, 8)),
 }
 
