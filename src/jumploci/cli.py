@@ -201,7 +201,7 @@ def cmd_tower(args) -> int:
     if args.d_max < 1:
         raise EngineError(f"--d-max must be a positive integer, got {args.d_max}")
     model = _validated_model(args)
-    ms = _positive_ints(args.pluri, "--pluri") if args.pluri else []
+    ms = [] if args.pluri is None else _positive_ints(args.pluri, "--pluri")
     seen: set[int] = set()
     for m in ms:
         if m in seen:  # a CSV header with two P_m columns loses one to readers keyed on it

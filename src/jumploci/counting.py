@@ -33,12 +33,12 @@ presentation (:func:`~jumploci.torus.torsion_gate`).  A :class:`CountTable`
 is the one evaluator of forms: a column is a sum of forms, and each
 distinct form's terms are read once into the columns that list it, keyed
 by (M, s'), each class mapping each exponent to the summed f·c of its
-terms; a form read alone (a union, a sheaf slot, a plurigenus) keeps its
-one-column table (:attr:`CountForm.table`).  The class (1, ()) at exponent
-0 does not depend on d, so it is summed once into a constant per column.
-Every d starts from those constants, runs one gate per other class and
-one power of d per distinct exponent, then adds gate·c·d^e into the
-columns.  Every number a cover reports is one table
+terms; a form read alone (a union, a sheaf slot, the plurigenus locus)
+keeps its one-column table (:attr:`CountForm.table`).  The class (1, ())
+at exponent 0 does not depend on d, so it is summed once into a constant
+per column.  Every d starts from those constants, runs one gate per other
+class and one power of d per distinct exponent, then adds gate·c·d^e into
+the columns.  Every number a cover reports is one table
 (:meth:`~jumploci.model.VarietyModel.hodge_table`).  The limit is class
 (1, ()), whose gate is 1; the catalog's forms have no other class.
 """

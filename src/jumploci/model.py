@@ -18,7 +18,7 @@ forms compiled into one count table (:meth:`VarietyModel.hodge_table`),
 each Betti number a sum of them, that every cover and every decay fit
 reads, the rows' Euler characteristics (:attr:`VarietyModel.chi_p`,
 :attr:`VarietyModel.chi_top`) that the tower and the L² report read, and
-the rank functions of ω^m (:attr:`VarietyModel.plurigenera`).
+the one locus of every ω^m, m >= 2 (:attr:`VarietyModel.pluri_locus`).
 """
 
 from __future__ import annotations
@@ -171,13 +171,13 @@ class PluriData:
     The non-vanishing locus of every power m ≥ 2 is the same finite union
     of translates of one subtorus of complex dimension ``q_base`` (the
     irregularity of the Iitaka base); the subtorus is taken to be the block
-    of the leading 2·q_base coordinates.  ``values[m]`` is the constant
-    rank on the locus; the rank off it, 0, is derived, not stated
-    (:attr:`VarietyModel.plurigenera`), and an older model file's
-    ``generic_values`` must agree with it.  Construction refuses a
-    ``q_base``, exponent or value that is not an integer (TypeError); their
-    ranges are left to :func:`validate_model`.  The model refuses a
-    ``q_base`` outside [0, g], which names no block, when it builds ω^m.
+    of the leading 2·q_base coordinates (:attr:`VarietyModel.pluri_locus`).
+    ``values[m]`` is the constant rank on the locus, so P_m(X_d) is values[m]
+    times its count; the rank off it, 0, is derived, not stated, and an
+    older model file's ``generic_values`` must agree with it.  Construction
+    refuses a ``q_base``, exponent or value that is not an integer
+    (TypeError); their ranges are left to :func:`validate_model`, and the
+    locus refuses a ``q_base`` outside [0, g], which names no block.
     """
 
     q_base: int
@@ -296,23 +296,20 @@ class VarietyModel:
         return slice((self.n + 1) ** 2, -1)
 
     @cached_property
-    def plurigenera(self) -> Mapping[int, RankFunction]:
-        """The rank function of ω^m for each m with plurigenus data, built once:
-        ``values[m]`` on the locus cosets and 0 elsewhere, so a locus that
-        fills the torus (q_base = g) folds into :attr:`RankFunction.limit`.
-        Every m's strata are one tuple of locus cosets, the translates pinned in
-        this torus off the leading 2·q_base coordinates, so all m share their
-        normalization and divisibility classes.  A ``q_base`` outside [0, g]
-        has no such block and raises ValueError."""
+    def pluri_locus(self) -> Optional[RankFunction]:
+        """The locus of every ω^m, m >= 2, built once (None without data): 1 on
+        the translates pinned in this torus off the leading 2·q_base
+        coordinates, 0 elsewhere.  ω^m is ``values[m]`` on it and 0 off it, and
+        its limit is 1 exactly when it fills the torus (q_base = g).  A
+        ``q_base`` outside [0, g] has no such block and raises ValueError."""
         pluri, dim = self.pluri, self.torus_dim
         if pluri is None:
-            return {}
+            return None
         if not 0 <= pluri.q_base <= self.g:
             raise ValueError(f"q_base {shown_int(pluri.q_base)} lies outside [0, g] = [0, {self.g}]")
-        cosets = tuple(CongruenceCoset.pinned(dim, {i: t.coords[i] for i in range(2 * pluri.q_base, dim)})
-                       for t in pluri.translates)
-        return {m: RankFunction(dim, 0, tuple(Stratum(c, value) for c in cosets) if value > 0 else ())
-                for m, value in pluri.values.items()}
+        return RankFunction(dim, 0, tuple(
+            Stratum(CongruenceCoset.pinned(dim, {i: t.coords[i] for i in range(2 * pluri.q_base, dim)}), 1)
+            for t in pluri.translates))
 
     @cached_property
     def chi_p(self) -> tuple[int, ...]:

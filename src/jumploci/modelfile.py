@@ -272,10 +272,10 @@ def model_from_dict(obj: Any) -> VarietyModel:
     )
     if declared and 0 <= pluri.q_base <= g:  # an older file's generic values must be the derived ones
         for m, value in declared.items():
-            if m in pluri.values and value != model.plurigenera[m].limit:
+            if m in pluri.values and value != pluri.values[m] * model.pluri_locus.limit:
                 raise ModelFormatError(
                     f"'generic_values' gives {_quoted(value)} for m = {_quoted(m)}, but the model derives "
-                    f"{_quoted(model.plurigenera[m].limit)}: the locus value when q_base = g, else 0")
+                    f"{_quoted(pluri.values[m] * model.pluri_locus.limit)}: the locus value when q_base = g, else 0")
     return model
 
 

@@ -3,12 +3,11 @@
 The degree-d cover induced by multiplication by d on the Albanese torus
 has degree d^(2g), and the rank of a pulled-back sheaf on it decomposes as
 the sum of the twisted ranks over all d-torsion points of the dual torus.
-Each rank function sums through its count form
-(:meth:`RankFunction.count_form`), read by a
-:class:`~jumploci.counting.CountTable`: the limit contributes limit·d^(2g), and
-the signed meets of its strata above the limit contribute their exact
-torsion counts, one torsion gate per divisibility class of terms.  This keeps
-every invariant computable for d with d^(2g) far beyond machine range.
+Each rank function sums through its count form (:meth:`RankFunction.count_form`),
+read by a :class:`~jumploci.counting.CountTable`: the limit contributes
+limit·d^(2g), and the signed meets of its strata above the limit contribute
+their exact torsion counts, one torsion gate per divisibility class of terms.
+This keeps every invariant computable for d with d^(2g) far beyond machine range.
 
 Everything that does not depend on d is kept off the per-cover path.  The
 model compiles every number a cover reports once into one count table
@@ -16,16 +15,14 @@ model compiles every number a cover reports once into one count table
 number (the sum of its anti-diagonal's forms) and a last one for d^(2g);
 it also keeps the rows' Euler characteristics (:attr:`VarietyModel.chi_p`).
 :func:`cover_invariants` cuts one evaluation of it per cover into the grid,
-the Betti numbers and deg.  A lone invariant has one path:
-:func:`value_on_cover` sums its rank functions (:func:`summands`), each read
-off its form's kept one-column table (:attr:`~jumploci.counting.CountForm.table`),
-as a cover reads P_m for m >= 2 (:attr:`VarietyModel.plurigenera`), which the
-model's table does not hold; a cover asked for no exponent builds no plurigenus.
-
-Every invariant is a sum of rank functions (:func:`summands`), so its
-limit as value / d^(2g) is the sum of their limits: proper loci contribute
-nothing, full-torus loci their constant rank, and alternating sums give the
-Euler characteristics that control the middle degree.
+the Betti numbers and deg.  Every invariant is a weighted sum of rank
+functions (:func:`summands`), each read off its form's kept one-column table
+(:attr:`~jumploci.counting.CountForm.table`), so its limit as value / d^(2g)
+is the weighted sum of their limits: proper loci contribute nothing,
+full-torus loci their constant rank, and alternating sums give the Euler
+characteristics that control the middle degree.  P_m for m >= 2 is
+``values[m]`` times one locus (:attr:`VarietyModel.pluri_locus`), which a
+cover reads once, and only when asked for such an exponent.
 """
 
 from __future__ import annotations
@@ -65,49 +62,53 @@ def sheaf_rank_on_cover(rf: RankFunction, d: int,
     return rf.count_form(budget).table.values(d)[0]
 
 
-def summands(model: VarietyModel, selector: Selector) -> list[RankFunction]:
-    """The rank functions whose sum is the selected invariant; its value on
-    a cover and its limit are sums over this list.  ``("hodge", p, q)`` is
+def summands(model: VarietyModel, selector: Selector) -> list[tuple[int, RankFunction]]:
+    """The (coefficient, rank function) pairs whose weighted sum is the
+    selected invariant, on a cover and in the limit.  ``("hodge", p, q)`` is
     h^(p,q)(X_d); ``("betti", k)`` is b_k(X_d), 0 for k outside [0, 2n];
     ``("irregularity",)`` is q(X_d), 0 for a point; ``("sheaf", name, i)`` is
-    the i-th rank of a named sheaf; ``("pluri", m)`` is the plurigenus
-    P_m(X_d), the geometric genus h^(n,0) for m = 1 (limit: :func:`pluri_limit`).
-    A selector that names nothing in the model, or whose index, exponent or
+    the i-th rank of a named sheaf; each has coefficient 1.  ``("pluri", m)``
+    is P_m(X_d): h^(n,0) for m = 1, else ``values[m]`` times the locus
+    (:attr:`VarietyModel.pluri_locus`; limit: :func:`pluri_limit`).  A
+    selector that names nothing in the model, or whose index, exponent or
     sheaf name has the wrong type (a bool is no int), raises one ValueError."""
     n = model.n
     kind, *args = tuple(selector) or (None,)
     if kind == "hodge" and len(args) == 2 and all(type(i) is int and 0 <= i <= n for i in args):
         p, q = args
-        return [model.hodge[p][q]]
+        return [(1, model.hodge[p][q])]
     if kind == "betti" and len(args) == 1 and type(args[0]) is int:
         k = args[0]  # outside [0, 2n] no entry has p + q = k
-        return [model.hodge[p][k - p] for p in range(max(0, k - n), min(k, n) + 1)]
+        return [(1, model.hodge[p][k - p]) for p in range(max(0, k - n), min(k, n) + 1)]
     if kind == "irregularity" and not args:  # a point (n = 0) has no h^(0,1) entry
-        return [model.hodge[0][1]] if n else []
+        return [(1, model.hodge[0][1])] if n else []
     if kind == "pluri" and len(args) == 1 and type(args[0]) is int:
         m = args[0]
         if m < 1:
             raise ValueError("m must be positive")
-        if m == 1:  # the geometric genus
-            return [model.hodge[n][0]]
-        if m not in model.plurigenera:
-            raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
-        return [model.plurigenera[m]]
+        return [(1, model.hodge[n][0]) if m == 1 else _pluri_summand(model, m)]
     if kind == "sheaf" and len(args) == 2 and type(args[0]) is str:
         name, i = args
         slot = model.sheaves.get(name, ())
         if type(i) is int and 0 <= i < len(slot):
-            return [slot[i]]
+            return [(1, slot[i])]
     raise ValueError(f"unknown selector {selector!r}")
+
+
+def _pluri_summand(model: VarietyModel, m: int) -> tuple[int, RankFunction]:
+    locus = model.pluri_locus  # a q_base outside [0, g] raises before missing data
+    if locus is None or m not in model.pluri.values:
+        raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
+    return model.pluri.values[m], locus
 
 
 def value_on_cover(model: VarietyModel, selector: Selector, d: int,
                    *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    """The selected invariant of X_d, each of its :func:`summands` read by
-    :func:`sheaf_rank_on_cover`.  d is checked first, even when there is
-    nothing to sum, and the budget caps only the rank functions read."""
+    """The selected invariant of X_d: its :func:`summands`, each read by
+    :func:`sheaf_rank_on_cover` unless its coefficient is 0.  d is checked first,
+    even with nothing to sum, and the budget caps only the rank functions read."""
     _check_d(d)
-    return sum(sheaf_rank_on_cover(rf, d, budget=budget) for rf in summands(model, selector))
+    return sum(c * sheaf_rank_on_cover(rf, d, budget=budget) for c, rf in summands(model, selector) if c)
 
 
 def pluri_limit(model: VarietyModel, m: int) -> Fraction:
@@ -119,9 +120,8 @@ def pluri_limit(model: VarietyModel, m: int) -> Fraction:
 def pluri_bound_constant(model: VarietyModel, m: int) -> int:
     """Constant M with P_m(X_d)/deg <= M · d^(-2(g - q_base)) for all d."""
     summands(model, ("pluri", m))  # refuses an exponent that is not a positive int
-    if m not in model.plurigenera:
-        raise MissingPluriData(f"no plurigenus data for m = {shown_int(m)}")
-    return model.plurigenera[m].limit + max(1, len(model.pluri.translates)) * model.pluri.values[m]
+    value, locus = _pluri_summand(model, m)
+    return value * (locus.limit + max(1, len(model.pluri.translates)))
 
 
 def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
@@ -129,14 +129,16 @@ def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
     """Every invariant of X_d read off one evaluation of the model's table,
     cut into the grid, the Betti numbers and deg; q = h^(0,1) and P_1 = h^(n,0)
     from the grid.  Each exponent is resolved as the selector ("pluri", m), and
-    P_m for m >= 2 is read off its form's kept table.  ``pluri`` is new per call."""
+    the locus is read at most once per cover.  ``pluri`` is new per call."""
     values = model.hodge_table(budget).values(d)
     grid = model.grid(values)
     n = model.n
-    pluri = {}
+    pluri, count = {}, None
     for m in pluri_ms:
-        rf, = summands(model, ("pluri", m))
-        pluri[m] = grid[n][0] if m == 1 else sheaf_rank_on_cover(rf, d, budget=budget)
+        (c, rf), = summands(model, ("pluri", m))
+        if m > 1 and c and count is None:
+            count = sheaf_rank_on_cover(rf, d, budget=budget)
+        pluri[m] = grid[n][0] if m == 1 else c * count if c else 0
     inv = object.__new__(CoverInvariants)  # frozen: fill the fields in one step
     object.__setattr__(inv, "__dict__", {
         "d": d, "deg": values[-1], "hodge": grid, "betti": tuple(values[model.betti_columns]),
@@ -151,14 +153,14 @@ def normalized_sequence(model: VarietyModel, selector: Selector, d_range: Iterab
 
 
 def symbolic_limit(model: VarietyModel, selector: Selector) -> Fraction:
-    """Limit of the normalized invariant, exactly: the sum of the limits of
-    its rank functions.  A proper locus contributes exactly 0, since its
-    rank sum is O(d^degree) with degree below 2g.
+    """Limit of the normalized invariant, exactly: the weighted sum of the
+    limits of its rank functions.  A proper locus contributes exactly 0,
+    since its rank sum is O(d^degree) with degree below 2g.
 
     At k = n the Betti limit agrees with (-1)^n times the topological Euler
     characteristic whenever the model satisfies weak generic Nakano vanishing.
     """
-    return Fraction(sum(rf.limit for rf in summands(model, selector)))
+    return Fraction(sum(c * rf.limit for c, rf in summands(model, selector)))
 
 
 def chi_multiplicativity_check(model: VarietyModel, d: int,

@@ -113,11 +113,51 @@ def translate_gate_count(nc, d: int) -> int:
 
 
 def summed_count(model, selector, d: int) -> int:
-    """A selected invariant of X_d as the sum of its rank functions' counts,
-    each read by :func:`per_term_count`, never through the model's table."""
-    from jumploci.tower import summands
+    """A selected invariant of X_d as the weighted sum of the counts of the
+    rank functions it names, picked here from the grid, the sheaf slots and
+    the plurigenus data (:func:`pluri_locus_function`), never through the
+    engine's selectors or its table; each is read by :func:`per_term_count`."""
+    kind, *args = selector
+    n = model.n
+    if kind == "hodge":
+        picked = [(1, model.hodge[args[0]][args[1]])]
+    elif kind == "betti":
+        picked = [(1, model.hodge[p][args[0] - p]) for p in range(n + 1) if 0 <= args[0] - p <= n]
+    elif kind == "irregularity":
+        picked = [(1, model.hodge[0][1])] if n else []
+    elif kind == "pluri":
+        m = args[0]
+        picked = [(1, model.hodge[n][0]) if m == 1 else (model.pluri.values[m], pluri_locus_function(model))]
+    else:
+        picked = [(1, model.sheaves[args[0]][args[1]])]
+    return sum(c * per_term_count(rf.count_form(12), d) for c, rf in picked)
 
-    return sum(per_term_count(rf.count_form(12), d) for rf in summands(model, selector))
+
+def pluri_locus_function(model):
+    """The rank function of value 1 on the plurigenus locus, built here from
+    the model's ``PluriData``: each translate pinned off the leading
+    2·q_base coordinates, 0 elsewhere."""
+    from jumploci import CongruenceCoset, RankFunction, Stratum
+
+    dim, head = 2 * model.g, 2 * model.pluri.q_base
+    return RankFunction(dim, 0, tuple(Stratum(CongruenceCoset.pinned(dim, {i: t.coords[i] for i in range(head, dim)}), 1)
+                                      for t in model.pluri.translates))
+
+
+def brute_force_plurigenera(pluri, d: int) -> dict[int, int]:
+    """P_m(X_d) for every m of the plurigenus data, from the data alone:
+    ``values[m]`` times the residues y in (Z/d)^(2g) with y/d equal to some
+    translate t off the leading 2·q_base coordinates, that is y_i ≡ d·t_i
+    (mod d) with d·t_i an integer for every later i, by enumeration."""
+    head = 2 * pluri.q_base
+    tails = set()
+    for t in pluri.translates:
+        scaled = [c * d for c in t.coords[head:]]
+        if all(c.denominator == 1 for c in scaled):
+            tails.add(tuple(c.numerator % d for c in scaled))
+    dim = len(pluri.translates[0].coords) if pluri.translates else 0
+    count = sum(ys[head:] in tails for ys in product(range(d), repeat=dim))
+    return {m: value * count for m, value in pluri.values.items()}
 
 
 def row_euler_characteristic(model, p: int) -> int:

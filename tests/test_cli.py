@@ -344,6 +344,9 @@ class TestBadFlags:
         (["count", "--builtin", "abelian", "--i", "0,1", "--d", "2,0"], "--d"),
         (["tower", "--builtin", "abelian", "--pluri", "a"], "--pluri"),
         (["tower", "--builtin", "abelian", "--pluri", "2,-1"], "--pluri"),
+        (["count", "--builtin", "abelian", "--i", "0,1", "--d", ""], "--d"),
+        (["tower", "--builtin", "abelian", "--pluri", ""], "--pluri"),
+        (["tower", "--builtin", "abelian", "--pluri", ","], "--pluri"),
     ])
     def test_integer_lists(self, capsys, argv, flag):
         assert main(argv) == 2

@@ -662,7 +662,7 @@ class TestClassEvaluation:
             model = builtin(name, **params).model
             rank_functions = [rf for row in model.hodge for rf in row]
             rank_functions += [rf for row in model.sheaves.values() for rf in row]
-            rank_functions += model.plurigenera.values()
+            rank_functions += [model.pluri_locus] if model.pluri else []
             forms = [rf.count_form(DEFAULT_COMPONENT_BUDGET) for rf in rank_functions]
             assert self._check(*forms) <= {(1, ())}
 

@@ -33,7 +33,7 @@ from jumploci.errors import ECHO_CHARS
 from jumploci.asymptotics import converse_defect_witness, divergence_class, fit_bounds
 from jumploci.model import _level_set_mismatch, _serre_mismatch
 from jumploci.modelfile import model_to_dict
-from jumploci.tower import sheaf_rank_on_cover, value_on_cover
+from jumploci.tower import sheaf_rank_on_cover, summands, value_on_cover
 from gen import CATALOG_SWEEP, random_model, random_point
 
 
@@ -276,9 +276,10 @@ class TestValidation:
         pluri = PluriData(q_base=0, translates=(TorusPoint.zero(4),), values={2: 3})
         model = dataclasses.replace(base, pluri=pluri)
         assert validate_model(model).ok
-        rf = model.plurigenera[2]
+        (c, rf), = summands(model, ("pluri", 2))
+        assert (c, rf) == (3, model.pluri_locus)
         assert (rf.generic_value, rf.limit) == (0, 0)
-        assert [rf.rank_at(TorusPoint.of(x)) for x in ([0] * 4, [Fraction(1, 2), 0, 0, 0])] == [3, 0]
+        assert [c * rf.rank_at(TorusPoint.of(x)) for x in ([0] * 4, [Fraction(1, 2), 0, 0, 0])] == [3, 0]
         assert [value_on_cover(model, ("pluri", 2), d) for d in (1, 2, 3)] == [3, 3, 3]
 
     def test_stratification_that_contradicts_itself_is_error(self):

@@ -36,8 +36,10 @@ from jumploci import asymptotics, cli, counting, torus, tower
 from jumploci import model as model_module
 from jumploci.catalog import DEFAULT_INSTANCES
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
+from jumploci.errors import shown_int
 from gen import CATALOG_SWEEP, random_model, random_rank_function
 from oracles import (
+    brute_force_plurigenera,
     brute_force_rank_sum,
     per_term_count,
     row_euler_characteristic,
@@ -257,7 +259,7 @@ class TestNormalizedAndLimits:
             for q in range(model.n + 1):
                 if p + q != model.n:
                     assert symbolic_limit(model, ("hodge", p, q)) == 0
-                    assert all(rf.degree < model.torus_dim for rf in tower.summands(model, ("hodge", p, q)))
+                    assert all(rf.degree < model.torus_dim for _, rf in tower.summands(model, ("hodge", p, q)))
 
     def test_limit_consistency_along_factorials(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
@@ -315,7 +317,7 @@ class TestPlurigenera:
         # origin (1), since the pins at coordinates -2 and -1 alias 0 and 1
         base = builtin("abelian", g=1).model
         model = dataclasses.replace(base, pluri=PluriData(q_base, (TorusPoint.zero(2),), {2: 1}))
-        for read in (lambda: model.plurigenera, lambda: value_on_cover(model, ("pluri", 2), 2)):
+        for read in (lambda: model.pluri_locus, lambda: value_on_cover(model, ("pluri", 2), 2)):
             with pytest.raises(ValueError, match=rf"^q_base {q_base} lies outside \[0, g\] = \[0, 1\]$"):
                 read()
         assert any("Iitaka-base irregularity" in f.message for f in validate_model(model).errors)
@@ -325,16 +327,16 @@ class TestPlurigenera:
         for d in range(1, 5):
             assert value_on_cover(model, ("pluri", 2), d) == 1
         assert pluri_limit(model, 2) == 0
-        assert all(rf.degree < model.torus_dim for rf in tower.summands(model, ("pluri", 2)))
+        assert all(rf.degree < model.torus_dim for _, rf in tower.summands(model, ("pluri", 2)))
 
     def test_rank_function_built_once(self):
-        # one per m: the model has one torus, which every m's locus lives in
+        # one locus for every m, each m its value on it
         model = builtin("abelian", g=2).model
-        rf = model.plurigenera[2]
-        assert model.plurigenera is model.plurigenera
-        assert model.plurigenera[2] is rf
-        assert model.plurigenera[3] is not rf
-        assert tower.summands(model, ("pluri", 2)) == [rf]
+        locus = model.pluri_locus
+        assert model.pluri_locus is locus
+        assert [tower.summands(model, ("pluri", m)) for m in (2, 3)] == [[(1, locus)], [(1, locus)]]
+        assert all(rf is locus for m in range(2, 7) for _, rf in tower.summands(model, ("pluri", m)))
+        assert [value for _, value in locus.strata] == [1]
 
     def test_exponents_share_one_normalized_locus(self, monkeypatch):
         # three translates of the subtorus x2 = x3 = 0; every m reads the
@@ -353,12 +355,43 @@ class TestPlurigenera:
         monkeypatch.setattr(torus, "_hermite", recording_hermite)
         # 9 points of order dividing 3 on each translate
         assert [value_on_cover(model, ("pluri", m), 3) for m in range(2, 7)] == [27 * m for m in range(2, 7)]
-        cosets = [c for c, _ in model.plurigenera[2].strata]
+        cosets = [c for c, _ in model.pluri_locus.strata]
         assert len(set(cosets)) == 3
-        for rf in model.plurigenera.values():
-            assert all(c is locus for (c, _), locus in zip(rf.strata, cosets, strict=True))
+        for m in range(2, 7):
+            assert tower.summands(model, ("pluri", m)) == [(m, model.pluri_locus)]
         assert len(built) == 3
         assert set(built) == {c.normalize() for c in cosets}
+
+    def test_against_enumeration(self):
+        # every reader of P_m, m >= 2, against the plurigenus data read
+        # point by point, on the catalog's four models with data and on
+        # seeded data: q_base 0..g, up to four translates, repeated or
+        # agreeing off the head, of orders up to 6, and a value-0 exponent
+        models = [builtin(name, **params).model for name, params in DEFAULT_INSTANCES]
+        models = [model for model in models if model.pluri]
+        assert len(models) == 4
+        rng = random.Random(4141)
+        for _ in range(16):
+            base = builtin("abelian", g=rng.choice((1, 2))).model
+            dim = base.torus_dim
+            points = [TorusPoint.of([Fraction(rng.randrange(k), k) for k in rng.choices((1, 2, 3, 4, 6), k=dim)])
+                      for _ in range(rng.randint(1, 4))]
+            points.append(rng.choice(points))
+            values = {m: rng.randint(1, 9) for m in range(2, rng.randint(3, 6))}
+            values[rng.choice(list(values))] = 0
+            models.append(dataclasses.replace(base, pluri=PluriData(rng.randint(0, base.g), tuple(points), values)))
+        assert {(model.pluri.q_base, model.g) for model in models} == {(0, 1), (1, 1), (0, 2), (1, 2), (2, 2)}
+        for model in models:
+            ms = sorted(model.pluri.values)
+            for d in range(1, 13):
+                expected = brute_force_plurigenera(model.pluri, d)
+                assert cover_invariants(model, d, ms).pluri == expected
+                assert {m: value_on_cover(model, ("pluri", m), d) for m in ms} == expected
+            full = model.pluri.q_base == model.g and bool(model.pluri.translates)
+            for m in ms:
+                value = model.pluri.values[m]
+                assert pluri_limit(model, m) == value * full
+                assert tower.pluri_bound_constant(model, m) == value * (full + len(model.pluri.translates))
 
     def test_geometric_genus_routes_through_grid(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
@@ -383,7 +416,8 @@ class TestPlurigenera:
     def test_bound_constant_with_a_positive_generic_value(self):
         # q_base = g: the locus is the whole torus, and the generic value counts once
         model = builtin("elliptic_surface_qI0", genus=2, chi=1).model
-        assert [model.plurigenera[m].limit for m in (2, 3)] == [5, 8]
+        assert model.pluri_locus.limit == 1
+        assert [symbolic_limit(model, ("pluri", m)) for m in (2, 3)] == [5, 8]
         assert [tower.pluri_bound_constant(model, m) for m in (2, 3)] == [5 + 5, 8 + 8]
 
     def test_missing_data_for_a_huge_exponent(self):
@@ -393,6 +427,86 @@ class TestPlurigenera:
                      lambda model, _, m: tower.pluri_bound_constant(model, m)):
             with pytest.raises(MissingPluriData, match=r"m = 10{59}\.\.\.$"):
                 call(model, 1, 10 ** 5000)
+
+
+class TestPluriEdgeCases:
+    """What every plurigenus reader does at the edges of its data, read only
+    through the public readers: a value-0 exponent, a ``q_base`` outside
+    [0, g], an exponent with no data and a locus over the budget."""
+
+    READERS = {
+        "value_on_cover": lambda model, m, budget: value_on_cover(model, ("pluri", m), 5, budget=budget),
+        "cover_invariants": lambda model, m, budget: cover_invariants(model, 5, [m], budget=budget).pluri[m],
+        "pluri_limit": lambda model, m, budget: pluri_limit(model, m),
+        "pluri_bound_constant": lambda model, m, budget: tower.pluri_bound_constant(model, m),
+    }
+
+    @staticmethod
+    def _model(q_base, translates, values):
+        """``abelian(g=1)`` with its plurigenus data replaced; the translates
+        are points of order 13 on the circle x_0 = 0."""
+        points = tuple(TorusPoint.of([0, Fraction(j, 13)]) for j in range(translates))
+        return dataclasses.replace(builtin("abelian", g=1).model, pluri=PluriData(q_base, points, values))
+
+    @pytest.mark.parametrize("q_base", [0, 1])
+    def test_value_zero_reads_zero_over_any_locus(self, q_base):
+        # 13 translates exceed the default budget of 12, yet ω^2 of rank 0
+        # everywhere has nothing to count, at any budget
+        model = self._model(q_base, 13, {2: 0, 3: 4})
+        for budget in (1, 12):
+            assert [read(model, 2, budget) for read in self.READERS.values()] == [0, 0, 0, 0]
+        assert normalized_sequence(model, ("pluri", 2), [1, 2, 10 ** 30], budget=1) == [0, 0, 0]
+
+    def test_budget_caps_the_locus_translates(self):
+        # q_base = 0: 13 proper translates, one point each at d = 13
+        model = self._model(0, 13, {2: 0, 3: 4})
+        for budget in (1, 12):
+            for read in ("value_on_cover", "cover_invariants"):
+                with pytest.raises(ComponentBudgetExceeded,
+                                   match=f"^13 components exceed the component budget of {budget}$"):
+                    self.READERS[read](model, 3, budget)
+        assert value_on_cover(model, ("pluri", 3), 13, budget=13) == 4 * 13
+        assert value_on_cover(model, ("pluri", 3), 5, budget=13) == 4
+        # the limit and the bound constant read no locus count
+        assert (pluri_limit(model, 3), tower.pluri_bound_constant(model, 3)) == (0, 4 * 13)
+        # q_base = g: the locus fills the torus, and no translate lies above it
+        full = self._model(1, 13, {2: 0, 3: 4})
+        assert [read(full, 3, 1) for read in self.READERS.values()] == [4 * 25, 4 * 25, 4, 4 * (1 + 13)]
+
+    @pytest.mark.parametrize("q_base", [0, 1])
+    def test_no_translates(self, q_base):
+        # an empty locus: P_m is 0 on every cover, yet the bound constant
+        # counts one translate
+        model = self._model(q_base, 0, {2: 3, 3: 0})
+        assert [read(model, 2, 12) for read in self.READERS.values()] == [0, 0, 0, 3]
+        assert [read(model, 3, 12) for read in self.READERS.values()] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("q_base", [2, -1, 10 ** 5000], ids=["2", "-1", "10^5000"])
+    def test_q_base_outside_the_torus_at_every_exponent(self, q_base):
+        # a value-0 exponent and an exponent with no data are refused alike;
+        # P_1 is the grid's h^(n,0) and reads as it does without the data
+        model = self._model(q_base, 1, {2: 0, 3: 4})
+        message = rf"^q_base {re.escape(shown_int(q_base))} lies outside \[0, g\] = \[0, 1\]$"
+        for m in (2, 3, 4):
+            for read in self.READERS.values():
+                with pytest.raises(ValueError, match=message):
+                    read(model, m, 12)
+        with pytest.raises(ValueError, match=message):
+            tower.pluri_bound_constant(model, 1)
+        assert value_on_cover(model, ("pluri", 1), 5) == cover_invariants(model, 5, [1]).pluri[1] == 1
+
+    def test_missing_data(self):
+        # no exponent 1 in the data: P_1 reads off the grid, yet has no bound constant
+        for model in (builtin("elliptic_surface_qI0", genus=2, chi=1).model,
+                      builtin("blowup_abelian4_curve", genus=2).model, self._model(0, 2, {2: 3})):
+            assert model.pluri is None or 1 not in model.pluri.values
+            for m in (1, 7):
+                with pytest.raises(MissingPluriData, match=f"^no plurigenus data for m = {m}$"):
+                    tower.pluri_bound_constant(model, m)
+            for read in ("value_on_cover", "cover_invariants", "pluri_limit"):
+                with pytest.raises(MissingPluriData, match="^no plurigenus data for m = 7$"):
+                    self.READERS[read](model, 7, 12)
+            assert value_on_cover(model, ("pluri", 1), 2) == cover_invariants(model, 2).hodge[model.n][0]
 
 
 class TestSelectors:
@@ -431,7 +545,7 @@ class TestSelectors:
         # a bool is not read as 0 or 1, a float exponent is not read as an
         # int, and a string exponent or a list name is not compared or hashed
         model = builtin("elliptic_surface_qI0", genus=2, chi=1).model
-        assert 2 in model.plurigenera
+        assert 2 in model.pluri.values
         for selector in (("hodge", True, 0), ("hodge", 0, False), ("betti", True), ("pluri", True),
                          ("pluri", 2.0), ("pluri", "2")):
             self.assert_refused(model, selector)
@@ -535,7 +649,7 @@ class TestCoverInvariants:
         forms = count_calls(monkeypatch, (RankFunction, "count_form"))
         tables = count_calls(monkeypatch, (counting.CountTable, "of"))
         cover_invariants(model, 4, pluri_ms)  # the first cover compiles what it reads, once
-        assert len(tables) <= 1 + len(model.plurigenera)
+        assert len(tables) <= 1 + (model.pluri is not None) <= 2
         tables.clear()
         for d in (1, 2, 3):
             for ms in ((), pluri_ms):
@@ -543,14 +657,14 @@ class TestCoverInvariants:
                 forms.clear()
                 inv = cover_invariants(model, d, ms)
                 # one table evaluation for the grid, the Betti numbers and
-                # deg, and one read of a kept one-column table per exponent m >= 2
-                assert len(values) == 1 + max(0, len(ms) - 1)
-                assert len(forms) == max(0, len(ms) - 1)
+                # deg, and one read of the locus's kept table for every m >= 2
+                assert len(values) == 1 + (len(ms) > 1)
+                assert len(forms) == (len(ms) > 1)
                 assert (inv.hodge, inv.betti) == expected[d][:2]
             assert inv.pluri == expected[d][2]
             assert inv.pluri[1] == inv.hodge[model.n][0]
-            for m, rf in model.plurigenera.items():
-                assert sheaf_rank_on_cover(rf, d) == inv.pluri[m]
+            for m, value in (model.pluri.values.items() if model.pluri else ()):
+                assert value * sheaf_rank_on_cover(model.pluri_locus, d) == inv.pluri[m]
         # no later cover or read of a plurigenus compiles a table
         assert tables == []
 
@@ -603,7 +717,7 @@ class TestCoverInvariants:
         # read off the normalized strata, the degree equals the count form's
         # polynomial's top exponent: no leading coefficient cancels
         rank_functions = [rf for model in self._models()
-                          for rf in (*(rf for row in model.hodge for rf in row), *model.plurigenera.values(),
+                          for rf in (*(rf for row in model.hodge for rf in row), *[model.pluri_locus] * bool(model.pluri),
                                      *(rf for slot in model.sheaves.values() for rf in slot))]
         for rf in rank_functions:
             assert rf.degree == max(rf.count_form(12).polynomial, default=-1)
@@ -632,18 +746,19 @@ class TestCoverInvariants:
 
     @staticmethod
     def _selected(model, selector):
-        """The rank functions a selector names, picked from the model here
-        rather than by :func:`tower.summands`."""
+        """The (coefficient, rank function) pairs a selector names, picked
+        from the model here rather than by :func:`tower.summands`."""
         kind, *args = selector
         if kind == "hodge":
-            return [model.hodge[args[0]][args[1]]]
+            return [(1, model.hodge[args[0]][args[1]])]
         if kind == "betti":
-            return [model.hodge[p][q] for p, q in model.hodge_pairs() if p + q == args[0]]
+            return [(1, model.hodge[p][q]) for p, q in model.hodge_pairs() if p + q == args[0]]
         if kind == "irregularity":
-            return [model.hodge[0][1]] if model.n else []
+            return [(1, model.hodge[0][1])] if model.n else []
         if kind == "pluri":
-            return [model.hodge[model.n][0] if args[0] == 1 else model.plurigenera[args[0]]]
-        return [model.sheaves[args[0]][args[1]]]
+            m = args[0]
+            return [(1, model.hodge[model.n][0]) if m == 1 else (model.pluri.values[m], model.pluri_locus)]
+        return [(1, model.sheaves[args[0]][args[1]])]
 
     @pytest.mark.parametrize("d", [*range(1, 13), 24, 10 ** 6, 10 ** 30])
     def test_every_selector_reads_its_summed_counts(self, d):
@@ -658,16 +773,16 @@ class TestCoverInvariants:
             n = model.n
             selectors = [("hodge", p, q) for p, q in model.hodge_pairs()]
             selectors += [("betti", k) for k in range(-1, 2 * n + 2)]
-            selectors += [("irregularity",), ("pluri", 1)] + [("pluri", m) for m in model.plurigenera]
+            selectors += [("irregularity",), ("pluri", 1)] + [("pluri", m) for m in (model.pluri.values if model.pluri else ())]
             selectors += [("sheaf", name, i) for name, slot in model.sheaves.items() for i in range(len(slot))]
             for selector in selectors:
                 rfs = self._selected(model, selector)
-                expected = sum(per_term_count(rf.count_form(12), d) for rf in rfs)
+                expected = sum(c * per_term_count(rf.count_form(12), d) for c, rf in rfs)
                 assert value_on_cover(model, selector, d) == expected == summed_count(model, selector, d), selector
                 kinds.add((selector[0], bool(rfs)))
         assert kinds == {("hodge", True), ("betti", True), ("betti", False), ("irregularity", True),
                          ("irregularity", False), ("pluri", True), ("sheaf", True)}
-        assert any(model.plurigenera for model in models)  # P_m for m >= 2 too
+        assert any(model.pluri and model.pluri.values for model in models)  # P_m for m >= 2 too
 
     def test_grid_is_the_row_slices_of_the_values(self):
         # n runs from 0 to 4 over the corpus; the values run on past the grid
@@ -745,7 +860,7 @@ _D_READERS = {
     "enumerate_torsion": (lambda d: len(counting.enumerate_torsion(_HALF, d)), 2),
     "CountTable.values": (lambda d: _QI0.hodge_table(DEFAULT_COMPONENT_BUDGET).values(d),
                           [1, 17, 32, 17, 194, 17, 32, 17, 1, 1, 34, 258, 34, 1, 16]),
-    "sheaf_rank_on_cover": (lambda d: sheaf_rank_on_cover(_QI0.plurigenera[2], d), 80),
+    "sheaf_rank_on_cover": (lambda d: sheaf_rank_on_cover(_QI0.pluri_locus, d), 16),
     "value_on_cover": (lambda d: value_on_cover(_QI0, ("hodge", 1, 1), d), 194),
     "value_on_cover, no summands": (lambda d: value_on_cover(_QI0, ("betti", 7), d), 0),
     "cover_invariants": (lambda d: cover_invariants(_QI0, d).hodge[0][1], 17),
