@@ -310,11 +310,11 @@ def load_model(path: str | Path) -> VarietyModel:
 def load_locus(path: str | Path) -> list[CongruenceCoset]:
     """Read a standalone locus file: an ambient dimension plus components."""
     obj = _load_json(path)
-    if not isinstance(obj, dict) or "ambient_dim" not in obj:
+    if not isinstance(obj, dict) or not {"ambient_dim", "components"} <= obj.keys():
         raise ModelFormatError("a locus file needs 'ambient_dim' and 'components'")
     ambient = _natural(obj["ambient_dim"], "'ambient_dim'")
     if ambient > 2 * MAX_G:
         raise ModelFormatError(f"'ambient_dim' = {_quoted(ambient)} exceeds the largest supported "
                                f"torus dimension {2 * MAX_G}")
     built: dict = {}
-    return [_coset_from_dict(c, ambient, built) for c in _list(obj.get("components", []), "'components'")]
+    return [_coset_from_dict(c, ambient, built) for c in _list(obj["components"], "'components'")]

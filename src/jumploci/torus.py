@@ -12,20 +12,22 @@ structure all reduce to integer normal forms:
   the least entry of the block as its pivot; the columns after them only
   follow the row operations.  Carrying a translate gives ``U·b``
   without building ``U``, and neither transform is stored.
-* One Hermite kernel inserts integer rows of ``(A | L·b)``, ``L`` a common
-  denominator of ``b``, one at a time into an echelon basis, and reduces
-  the entries above each pivot at the end.  :meth:`CongruenceCoset.normalize`
-  inserts into the empty basis and decides emptiness exactly, once per
-  coset; :meth:`NormalizedCoset.meet` inserts the rows of one normalized
-  coset into the rows of another, so a meet costs the rows it adds, not
-  the whole stacked system.
+* One insertion pass meets a coset with integer rows of ``(A | L·b)``,
+  ``L`` a common denominator of ``b``: it inserts them one at a time into
+  an echelon basis, decides emptiness exactly, and reduces the entries
+  above each pivot at the end unless every row was implied.
+  :meth:`CongruenceCoset.normalize` is the full torus meeting the coset's
+  rows, once per coset; :meth:`NormalizedCoset.meet` inserts the rows of
+  one normalized coset into the rows of another, so a meet costs the rows
+  it adds, not the whole stacked system, and is the coset itself when
+  they add none.
 
 A :class:`NormalizedCoset` keeps its translate as integers ``nums`` over
 its translate order, so equal cosets compare and hash as tuples of ints.
 Every one is complete when it is made: one fill sets its fields, real
 dimension, hash and the rows of ``(H | nums)`` by pivot column, which the
-next meet inserts into.  The Hermite kernel passes what its one loop
-built; a coset built from its fields finds the pivots of its own rows.
+next meet inserts into.  A coset the insertion pass makes keeps the rows
+its loop built; one built from its fields finds the pivots of its own rows.
 Compiling is a property of the coset, and it keeps one compiled datum: on
 first use those rows give its divisibility class
 (:attr:`NormalizedCoset.divisibility_class`), read off Smith data that are
@@ -233,9 +235,6 @@ class TorusPoint:
     def __neg__(self) -> "TorusPoint":
         return TorusPoint(tuple(-c for c in self.coords))
 
-    def __iter__(self):
-        return iter(self.coords)
-
 
 @dataclass(frozen=True)
 class CongruenceCoset:
@@ -319,58 +318,59 @@ class CongruenceCoset:
 
     @cached_property
     def _normalized(self) -> Optional["NormalizedCoset"]:
-        """Inserts the rows of (A | L·b), L the common denominator of b, into
-        the empty basis: a Hermite form with positive pivots and the entries
-        above each pivot reduced into [0, pivot).  A row that reduces to zero
-        must have an integral right-hand side, which is exactly the emptiness
-        test."""
+        """The full torus meeting the rows of (A | L·b), L the common
+        denominator of b: :func:`_meet_rows` inserts them into the empty basis
+        and always takes the canonical form, so a system with no rows gives
+        the full torus.  A row that reduces to zero must have an integral
+        right-hand side, which is exactly the emptiness test."""
         order = math.lcm(*(b.denominator for b in self.rhs))
-        basis: dict[int, Row] = {}
-        for r, b in zip(self.rows, self.rhs):
-            if _insert(basis, (*r, b.numerator * (order // b.denominator)), order) == _EMPTY:
-                return None
-        return _hermite(self.ambient_dim, basis, order)
+        rows = ((*r, b.numerator * (order // b.denominator)) for r, b in zip(self.rows, self.rhs))
+        return _meet_rows(self.ambient_dim, {}, rows, order, None)
 
 
 Row = Sequence[int]  # (a_1, ..., a_N, L·b): one equation over a modulus L
 
-# outcomes of inserting one row into an echelon basis
-_IMPLIED, _ADDED, _EMPTY = 0, 1, 2
 
-
-def _insert(basis: dict[int, Row], row: Row, modulus: int) -> int:
-    """Insert one row of ``(A | L·b)`` into an echelon basis.
+def _meet_rows(width: int, basis: dict[int, Row], rows: Iterable[Row], modulus: int,
+               kept: Optional["NormalizedCoset"]) -> Optional["NormalizedCoset"]:
+    """Insert rows of ``(A | L·b)`` one at a time into an echelon basis.
 
     ``basis`` maps each pivot column to its row; rows are never changed in
-    place, so a basis may share its rows.  At the leading column of the
-    row, a pivot dividing the entry clears it; otherwise Euclid against the
+    place, so a basis may share its rows.  At the leading column of a row,
+    a pivot dividing the entry clears it; otherwise Euclid against the
     pivot row leaves their gcd in a new pivot row and carries the remainder
     on.  A column without a pivot row takes the row as its pivot.  Returns
-    ``_EMPTY`` when the row reduces to zero with a right-hand side nonzero
-    modulo ``modulus`` (the system has no point), ``_IMPLIED`` when it
-    reduces to zero leaving the basis as it was, and ``_ADDED`` otherwise.
+    None when a row reduces to zero with a right-hand side nonzero modulo
+    ``modulus`` (the system has no point); ``kept``, the coset whose rows
+    the basis holds, when every row reduces to zero leaving the basis as it
+    was; and otherwise the canonical form, by :func:`_hermite`.  With no
+    ``kept`` coset the canonical form is always taken.
     """
-    n = len(row) - 1
-    outcome = _IMPLIED
-    for c in range(n):
-        a = row[c]
-        if not a:
-            continue
-        piv = basis.get(c)
-        if piv is None:
-            basis[c] = row
-            return _ADDED
-        p = piv[c]
-        if a % p == 0:
-            q = a // p
-            row = [x - q * y for x, y in zip(row, piv)]
-            continue
-        while row[c]:
-            q = piv[c] // row[c]
-            piv, row = row, [x - q * y for x, y in zip(piv, row)]
-        basis[c] = piv
-        outcome = _ADDED
-    return _EMPTY if row[n] % modulus else outcome
+    added = kept is None
+    for row in rows:
+        for c in range(width):
+            a = row[c]
+            if not a:
+                continue
+            piv = basis.get(c)
+            if piv is None:
+                basis[c] = row
+                added = True
+                break
+            p = piv[c]
+            if a % p == 0:
+                q = a // p
+                row = [x - q * y for x, y in zip(row, piv)]
+                continue
+            while row[c]:
+                q = piv[c] // row[c]
+                piv, row = row, [x - q * y for x, y in zip(piv, row)]
+            basis[c] = piv
+            added = True
+        else:
+            if row[width] % modulus:
+                return None
+    return _hermite(width, basis, modulus) if added else kept
 
 
 def _fill(nc: "NormalizedCoset", width: int, rows: IntMatrix, nums: tuple[int, ...],
@@ -533,13 +533,7 @@ class NormalizedCoset:
             s, t = modulus // self.order, modulus // other.order
             basis = {c: (*r[:-1], r[-1] * s) if s > 1 else r for c, r in self.basis.items()}
             rows = [(*r[:-1], r[-1] * t) if t > 1 else r for r in other.basis.values()]
-        added = False
-        for r in rows:
-            outcome = _insert(basis, r, modulus)
-            if outcome == _EMPTY:
-                return None
-            added = added or outcome == _ADDED
-        return _hermite(self.ambient_dim, basis, modulus) if added else self
+        return _meet_rows(self.ambient_dim, basis, rows, modulus, self)
 
     def __neg__(self) -> "NormalizedCoset":
         """The coset {-x : x in self}: the translate negates, and stays

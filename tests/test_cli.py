@@ -283,10 +283,17 @@ class TestPointModel:
     """n = 0: the grid is the one entry (0,0), so there is no h^(0,1)."""
 
     @pytest.mark.parametrize("g", [0, 1])
-    def test_check_and_tower_exit_0(self, tmp_path, capsys, g):
+    @pytest.mark.parametrize("source", ["written", "exported"])
+    def test_check_and_tower_exit_0(self, tmp_path, capsys, source, g):
+        # the same checks run on a hand-written file and on the model's own export
         model = VarietyModel(n=0, g=g, hodge=((constant_rank(2 * g, 1),),), defect_strata=((0, 0),))
         path = tmp_path / "point.json"
-        path.write_text(dumps_model(model))
+        if source == "written":
+            path.write_text(json.dumps({"schema_version": 1, "n": 0, "g": g,
+                                        "hodge": [{"p": 0, "q": 0, "generic": 1}], "defect_strata": [[0, 0]]}))
+        else:
+            path.write_text(dumps_model(model))
+        assert load_model(path) == model
         code, out = run_cli(capsys, "validate", "--model", str(path))
         assert (code, out.splitlines()[-1]) == (0, "model accepted")
         warning = (f"warning: a point's Albanese torus is trivial, not of irregularity {g}; "
@@ -301,6 +308,8 @@ class TestPointModel:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [(row["deg"], row["h_0_0"], row["q"]) for row in rows] == [
             (str(d ** (2 * g)), str(d ** (2 * g)), "0") for d in (1, 2, 3)]
+        deg = 3 ** (2 * g)
+        assert out.splitlines()[-1] == f"1,3,{deg},{deg},{deg},0,1,1,1,1"
 
 
 class TestGenusZero:

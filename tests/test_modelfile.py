@@ -262,6 +262,9 @@ def test_locus_at_the_torus_cap_loads(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].split() == ["2", str(2 ** (n - 1)), str(2 ** (n - 1))]
 
 
+_MISSING = object()  # a field left out of the file
+
+
 @pytest.mark.parametrize("field,bad,message", [
     ("ambient_dim", 2.7, "'ambient_dim' must be an integer"),
     ("ambient_dim", True, "'ambient_dim' must be an integer"),
@@ -270,10 +273,20 @@ def test_locus_at_the_torus_cap_loads(tmp_path, capsys):
     ("components", {"A": [[1, 0]], "b": ["1/2"]}, "'components' must be a list"),
     ("components", "none", "'components' must be a list"),
     ("ambient_dim", 2 * MAX_G + 1, "exceeds the largest supported torus dimension 128"),
+    ("components", _MISSING, "a locus file needs 'ambient_dim' and 'components'"),
+    ("ambient_dim", _MISSING, "a locus file needs 'ambient_dim' and 'components'"),
+    (None, [{"ambient_dim": 2, "components": []}], "a locus file needs 'ambient_dim' and 'components'"),
 ])
 def test_bad_locus_rejected(field, bad, message, tmp_path, capsys):
+    """A field set to a bad value or left out (``_MISSING``), or, with no
+    field named, a bad top-level value in place of the whole object."""
     blob = {"ambient_dim": 2, "components": [{"A": [[1, 0]], "b": ["1/2"]}]}
-    blob[field] = bad
+    if field is None:
+        blob = bad
+    elif bad is _MISSING:
+        del blob[field]
+    else:
+        blob[field] = bad
     path = tmp_path / "locus.json"
     path.write_text(json.dumps(blob), encoding="utf-8")
     with pytest.raises(ModelFormatError, match=message):
@@ -411,7 +424,7 @@ def test_a_row_that_is_not_a_list_is_refused(rows, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(point), encoding="utf-8")
     assert main(["validate", "--model", str(model_path)]) == 2
-    assert "each row of 'A'" in capsys.readouterr().err
+    assert "each row of 'A' must be a list of integers" in capsys.readouterr().err
     locus_path = tmp_path / "locus.json"
     locus_path.write_text(json.dumps({"ambient_dim": 0, "components": [{"A": rows, "b": ["0"] * len(rows)}]}),
                           encoding="utf-8")

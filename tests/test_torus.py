@@ -259,6 +259,17 @@ class TestNormalize:
         coset = CongruenceCoset.of(2, [[1, 0], [1, 0]], [Fraction(1, 3), Fraction(0)])
         assert coset.normalize() is None
 
+    @pytest.mark.parametrize("b,full", [(0, True), (3, True), (Fraction(1, 2), False)])
+    def test_rows_that_are_all_zero(self, b, full):
+        # 0 ≡ b holds everywhere for integral b and nowhere otherwise
+        coset = CongruenceCoset.of(3, [[0, 0, 0], [0, 0, 0]], [b, b])
+        nc = coset.normalize()
+        if full:
+            assert nc == CongruenceCoset.full_torus(3).normalize()
+            assert (nc.rows, nc.nums, nc.order, nc.dim) == ((), (), 1, 3)
+        else:
+            assert nc is None
+
     def test_translate_order(self):
         coset = CongruenceCoset.pinned(3, {0: Fraction(1, 2), 2: Fraction(2, 3)})
         assert coset.normalize().order == 6
@@ -477,6 +488,31 @@ class TestMeet:
             assert x.meet(x) == x
             assert x.meet(full) == x
             assert full.meet(x) == x
+
+    def test_a_meet_is_the_coset_itself_exactly_when_it_lies_inside(self):
+        # x.meet(y) is x when x ⊆ y, that is when the stacked system
+        # normalizes to x, and a new coset otherwise; a nonempty meet lies in
+        # both factors, often of another translate order, so the rescaled
+        # insertion decides the identity too
+        rng = random.Random(8675)
+        inside = rescaled = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            x = random_nonempty_coset(rng, n, max_rows=2, span=3, max_den=4).normalize()
+            y = random_nonempty_coset(rng, n, max_rows=2, span=3, max_den=4).normalize()
+            meet = x.meet(y)
+            stacked = CongruenceCoset(n, x.rows + y.rows, x.rhs + y.rhs).normalize()
+            assert (meet is x) == (stacked == x)
+            inside += meet is x
+            if meet is None:
+                continue
+            for factor in (x, y):
+                assert meet.meet(factor) is meet
+                rescaled += meet.order != factor.order
+        assert inside > 20 and rescaled > 20
+        line = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 2)]).normalize()
+        point = CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), Fraction(1, 3)])).normalize()
+        assert point.meet(line) is point and line.meet(point) is not line
 
     def test_nested_and_disjoint(self):
         line = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 3)]).normalize()
