@@ -77,7 +77,7 @@ def _load_model(args) -> VarietyModel:
 
 def _validated_model(args) -> VarietyModel:
     model = _load_model(args)
-    report = validate_model(model)
+    report = validate_model(model, budget=args.budget)
     if not report.ok:
         for finding in report.errors:
             print(f"error: {finding.message}")
@@ -286,7 +286,7 @@ def cmd_check(args) -> int:
 
 def cmd_validate(args) -> int:
     model = _load_model(args)
-    report = validate_model(model)
+    report = validate_model(model, budget=args.budget)
     for finding in report.findings:
         print(f"{finding.severity}: {finding.message}")
     for p in sorted(report.weak_gv_table):
@@ -322,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jumploci",
         description="Exact invariants of abelian-cover towers from jump-locus models.")
     parser.add_argument("--budget", type=int, default=counting.DEFAULT_COMPONENT_BUDGET,
-                        help="cap on the components of a union; the work grows with their "
-                             "distinct nonempty meets")
+                        help="cap on each grid entry's jump strata (tower, check, count --i), on a locus "
+                             "file's components (count --locus) and on each Serre level set (validate)")
     parser.add_argument("--enum-cap", type=int, default=counting.DEFAULT_ENUM_CAP,
                         help="point cap for brute-force enumeration")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -448,16 +448,16 @@ def _level_set_mismatch(f: RankFunction, g: RankFunction, f_strata: list[tuple[N
     return None
 
 
-def validate_model(model: VarietyModel) -> ValidationReport:
+def validate_model(model: VarietyModel, *, budget: int = DEFAULT_COMPONENT_BUDGET) -> ValidationReport:
     """The findings on the content of a well-formed model (construction
     checked its shape); report-valued, never raises on bad content.
 
     Serre symmetry h^(p,q)(α) = h^(n-p,n-q)(-α) is decided exactly, from
     the presentations or level set by level set (:func:`_serre_mismatch`),
     unless there are errors.  A pair whose level sets must be counted but
-    exceed the default component budget gets a warning that it was not
-    decided.  Each distinct rank function is judged, and each distinct pair
-    of functions decided, once per call; the findings are then named at
+    hold more strata than ``budget`` gets a warning that it was not decided.
+    Each distinct rank function is judged, and each distinct pair of
+    functions decided, once per call; the findings are then named at
     every place that holds them, so they read as if each were checked there.
 
     When the stratification raises no error, generic vanishing is checked
@@ -589,7 +589,7 @@ def validate_model(model: VarietyModel) -> ValidationReport:
             key = (id(f), id(h))
             if key not in decided:
                 try:
-                    decided[key] = _serre_mismatch(f, h, DEFAULT_COMPONENT_BUDGET)
+                    decided[key] = _serre_mismatch(f, h, budget)
                 except ComponentBudgetExceeded as exc:
                     decided[key] = exc
             t = decided[key]

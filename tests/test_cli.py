@@ -9,7 +9,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -19,6 +18,7 @@ from jumploci import (CongruenceCoset, RankFunction, Stratum, TorusPoint, Variet
 from jumploci.cli import _int_text_of_any_size, main
 from jumploci.errors import ECHO_CHARS, shown, shown_int
 from gen import random_model
+from test_console import cli_process
 
 
 def run_cli(capsys, *argv):
@@ -38,11 +38,8 @@ def test_closed_pipe_exits_quietly():
     # the read end is closed before the child starts, so its first write fails
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(jumploci.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     try:
-        proc = subprocess.run([sys.executable, "-m", "jumploci.cli", "catalog-list"],
-                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        proc = cli_process("catalog-list", stdout=write_end, stderr=subprocess.PIPE, timeout=120)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")

@@ -26,11 +26,13 @@ from jumploci import (
     defect,
     origin_jump,
     satisfies_weak_generic_nakano,
+    save_model,
     validate_model,
 )
 from jumploci.counting import DEFAULT_COMPONENT_BUDGET
 from jumploci.errors import ECHO_CHARS
 from jumploci.asymptotics import converse_defect_witness, divergence_class, fit_bounds
+from jumploci.cli import main
 from jumploci.model import _level_set_mismatch, _serre_mismatch
 from jumploci.modelfile import model_to_dict
 from jumploci.tower import sheaf_rank_on_cover, summands, value_on_cover
@@ -626,6 +628,23 @@ class TestSerreSymmetry:
         # equal sets of cosets need no counting, so the verdict stays exact
         mirror = RankFunction(2, 0, tuple(negated(s) for s in points))
         assert not serre_warnings(curve_grid(many, mirror))
+
+    def test_validate_reads_the_budget(self, tmp_path, capsys):
+        # one function presented two ways: {2x ≡ 0, y ≡ 0} and 12 points of
+        # order 17, against the points 0 and 1/2 and the 12 negated points
+        point = lambda x: Stratum(CongruenceCoset.point(TorusPoint.of([x, 0])), 1)
+        points = [point(Fraction(k, 17)) for k in range(1, 13)]
+        halves = Stratum(CongruenceCoset.of(2, [[2, 0], [0, 1]], [0, 0]), 1)
+        model = curve_grid(RankFunction(2, 0, (halves, *points)),
+                           RankFunction(2, 0, (point(0), point(Fraction(1, 2)), *map(negated, points))))
+        save_model(model, tmp_path / "b.json")
+        undecided = ["Serre symmetry of (0,1) and (1,0) was not decided: "
+                     "13 components exceed the component budget of 12"]
+        assert serre_warnings(model) == undecided and not validate_model(model, budget=14).findings
+        for budget, warnings in (([], undecided), (["--budget", "20"], [])):
+            assert main([*budget, "validate", "--model", str(tmp_path / "b.json")]) == 0
+            assert [line for line in capsys.readouterr().out.splitlines() if "Serre" in line] == [
+                f"warning: {w}" for w in warnings]
 
 
 def fresh_grid(model):

@@ -1,7 +1,10 @@
-"""The README's library example runs as written."""
+"""The README's library example and command line block run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from jumploci.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +15,12 @@ def test_library_example_runs():
     assert len(blocks) == 1
     assert "assert " in blocks[0]
     exec(compile(blocks[0], f"{README}:Library example", "exec"), {})
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch):
+    # every line exits 0 but the check example, whose bound fails (exit 1)
+    monkeypatch.chdir(tmp_path)
+    block = README.read_text(encoding="utf-8").split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("jumploci ")]
+    assert [argv[0] for argv in argvs] == ["count", "tower", "check", "validate", "export", "catalog-list"]
+    assert [main(argv) for argv in argvs] == [0, 0, 1, 0, 0, 0]

@@ -243,9 +243,11 @@ class TestNormalizedAndLimits:
         assert seq == [Fraction(4, d ** 4) for d in range(1, 5)]
 
     def test_line_bundle_constant_sequence(self):
-        model = builtin("nondeg_line_bundle", g=2, p=1, chi0=2).model
-        seq = normalized_sequence(model, ("sheaf", "line_bundle", 1), range(1, 6))
-        assert seq == [Fraction(2)] * 5
+        # the pullback to X_d has d^(2g)·chi0 in its one nonzero degree p
+        for p, chi0 in ((1, 2), (0, 3)):
+            model = builtin("nondeg_line_bundle", g=2, p=p, chi0=chi0).model
+            seq = normalized_sequence(model, ("sheaf", "line_bundle", p), range(1, 6))
+            assert seq == [Fraction(chi0)] * 5
 
     def test_symbolic_limits_blowup(self):
         model = builtin("blowup_abelian4_curve", genus=2).model
