@@ -28,7 +28,6 @@ from typing import Callable, Optional, Sequence
 
 from .counting import DEFAULT_COMPONENT_BUDGET
 from .model import VarietyModel, decay_exponent, locus_too_large, satisfies_weak_generic_nakano
-from .torus import TorusPoint
 from .tower import symbolic_limit, value_on_cover
 
 
@@ -139,10 +138,9 @@ def divergence_class(model: VarietyModel) -> DivergenceReport:
     if model.n == 0:  # a point has no h^(0,1) entry
         return DivergenceReport(False, 0, None, 0)
     rf = model.hodge[0][1]
-    origin_value = rf.rank_at(TorusPoint.zero(model.torus_dim))
     if rf.degree <= 0:
-        return DivergenceReport(False, 0, None, origin_value)
-    return DivergenceReport(True, rf.degree, 1 if rf.limit > 0 else rf.witness_order, origin_value)
+        return DivergenceReport(False, 0, None, rf.origin_value)
+    return DivergenceReport(True, rf.degree, 1 if rf.limit > 0 else rf.witness_order, rf.origin_value)
 
 
 def l2_betti(model: VarietyModel) -> L2Report:

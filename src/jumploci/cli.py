@@ -248,8 +248,9 @@ def cmd_check(args) -> int:
     if divergence.divergent:
         print(f"# cover irregularity diverges: stratum of real dimension {divergence.max_stratum_dim}, "
               f"witness order {divergence.witness_order}")
-    else:
-        print(f"# cover irregularity bounded at {divergence.base_irregularity}")
+    else:  # the supremum of q(X_d): its count at every d that all jump orders divide
+        bound = model.hodge[0][1].count_form(args.budget).polynomial.get(0, 0) if n else 0
+        print(f"# cover irregularity bounded at {bound}")
     caveat = "" if l2.weak_gnv else " (weak generic Nakano vanishing fails; closed form not certified)"
     print(f"# L2 Betti numbers{caveat}: {[str(b) for b in l2.betti]}")
     print(f"# nonvanishing middle L2 Hodge rows: {sorted(l2.nonvanishing)}")
@@ -322,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jumploci",
         description="Exact invariants of abelian-cover towers from jump-locus models.")
     parser.add_argument("--budget", type=int, default=counting.DEFAULT_COMPONENT_BUDGET,
-                        help="cap on each grid entry's jump strata (tower, check, count --i), on a locus "
-                             "file's components (count --locus) and on each Serre level set (validate)")
+                        help="cap on each grid entry's strata above its limit (tower, check) or above its "
+                             "generic value, a stratum filling the torus included (count --i); on a locus "
+                             "file's components (count --locus); on each Serre level set (validate)")
     parser.add_argument("--enum-cap", type=int, default=counting.DEFAULT_ENUM_CAP,
                         help="point cap for brute-force enumeration")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -47,8 +47,9 @@ class RankFunction:
     values mean, such as a negative rank, is left to :func:`validate_model`.
 
     Everything that does not depend on the cover index d is computed on
-    first use and kept on the instance: the normalized strata, the limit,
-    the degree, the witness order and the count form that every d reads.
+    first use, off the normalized strata, and kept on the instance: the
+    limit, the origin value, the degree, the witness order and the count
+    form that every d reads.
     """
 
     ambient_dim: int
@@ -71,19 +72,28 @@ class RankFunction:
         object.__setattr__(self, "strata", tuple(strata))
 
     @cached_property
-    def normalized_strata(self) -> tuple[Optional[NormalizedCoset], ...]:
-        """The normalized coset of each stratum, None when it is empty."""
-        return tuple(coset.normalize() for coset, _ in self.strata)
+    def normalized_strata(self) -> tuple[tuple[Optional[NormalizedCoset], int], ...]:
+        """(normalized coset, value) of each stratum, in order; the coset is
+        None when the stratum is empty."""
+        return tuple((coset.normalize(), value) for coset, value in self.strata)
 
     @cached_property
     def limit(self) -> int:
         """The d^(2g) coefficient of the rank sum: the generic value with any
         stratum spanning the whole torus folded in.  It needs no Smith form."""
         best = self.generic_value
-        for (_, value), nc in zip(self.strata, self.normalized_strata):
+        for nc, value in self.normalized_strata:
             if value > best and nc is not None and nc.dim == self.ambient_dim:
                 best = value
         return best
+
+    @cached_property
+    def origin_value(self) -> int:
+        """h(0): the largest of the generic value and the values of the
+        nonempty strata of translate order 1, the only normalized cosets
+        through the origin, since a translate is kept reduced over its order."""
+        return max([self.generic_value, *(value for nc, value in self.normalized_strata
+                                          if nc is not None and nc.order == 1)])
 
     @cached_property
     def _count_form(self) -> CountForm:
@@ -100,16 +110,6 @@ class RankFunction:
         above the limit; it is checked on every call."""
         check_budget(self._strata_above_limit, budget)
         return self._count_form
-
-    def rank_at(self, alpha: TorusPoint) -> int:
-        """max(generic value, values of the strata containing the point)."""
-        if alpha.dim != self.ambient_dim:
-            raise DimensionMismatch("point dimension differs from the dual-torus dimension")
-        best = self.generic_value
-        for coset, value in self.strata:
-            if value > best and coset.contains(alpha):
-                best = value
-        return best
 
     @cached_property
     def degree(self) -> int:
@@ -136,7 +136,7 @@ class RankFunction:
 
     def effective_strata(self) -> list[tuple[NormalizedCoset, int]]:
         """Nonempty, non-full strata whose value exceeds the limit."""
-        return [(nc, value) for (_, value), nc in zip(self.strata, self.normalized_strata)
+        return [(nc, value) for nc, value in self.normalized_strata
                 if value > self.limit and nc is not None and nc.dim < self.ambient_dim]
 
 
@@ -405,24 +405,12 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
     equal generic values and the same (coset, value) pairs over f's nonempty
     normalized strata as over g's, negated once, the max rule gives
     f(α) = g(-α) everywhere, and no level set is built or counted.
-    Otherwise the level sets decide it (:func:`_level_set_mismatch`).
-    """
-    f_strata = [(nc, value) for (_, value), nc in zip(f.strata, f.normalized_strata) if nc is not None]
-    g_strata = [(-nc, value) for (_, value), nc in zip(g.strata, g.normalized_strata) if nc is not None]
-    if f.generic_value == g.generic_value and set(f_strata) == set(g_strata):
-        return None
-    return _level_set_mismatch(f, g, f_strata, g_strata, budget)
 
-
-def _level_set_mismatch(f: RankFunction, g: RankFunction, f_strata: list[tuple[NormalizedCoset, int]],
-                        g_strata: list[tuple[NormalizedCoset, int]], budget: int) -> Optional[int]:
-    """:func:`_serre_mismatch` decided threshold by threshold, given the
-    nonempty normalized strata of f and the negated ones of g, with values.
-
-    Both functions take only their generic and stratum values, so these
-    thresholds decide it.  Each level set is a set of normalized cosets:
-    the full torus at or below the generic value, else the nonempty strata
-    reaching t.  Equal sets of cosets are equal level sets.  Otherwise
+    Otherwise it is decided threshold by threshold: both functions take
+    only their generic and stratum values, so these thresholds decide it.
+    Each level set is a set of normalized cosets: the full torus at or
+    below the generic value, else the nonempty strata reaching t, g's
+    negated.  Equal sets of cosets are equal level sets.  Otherwise
     U = {f >= t} and V = -{g >= t} are equal exactly when U, V and U ∪ V
     have the same count polynomial (:attr:`CountForm.polynomial`): U ⊆ U ∪ V,
     so equal polynomials make them equal, and likewise for V.  U ∪ V has at
@@ -430,6 +418,10 @@ def _level_set_mismatch(f: RankFunction, g: RankFunction, f_strata: list[tuple[N
     differ.  Raises ComponentBudgetExceeded when a level set above its
     generic value has more strata than the budget, checked for U, then V.
     """
+    f_strata = [(nc, value) for nc, value in f.normalized_strata if nc is not None]
+    g_strata = [(-nc, value) for nc, value in g.normalized_strata if nc is not None]
+    if f.generic_value == g.generic_value and set(f_strata) == set(g_strata):
+        return None
     full = frozenset({NormalizedCoset(f.ambient_dim, (), (), 1)})
     values = {f.generic_value, g.generic_value}
     values.update(value for _, value in f.strata + g.strata)
@@ -480,7 +472,7 @@ def validate_model(model: VarietyModel, *, budget: int = DEFAULT_COMPONENT_BUDGE
         found = []
         if rf.generic_value < 0:
             found.append(("error", None, f" has negative generic value {shown_int(rf.generic_value)}"))
-        for idx, ((_, value), nc) in enumerate(zip(rf.strata, rf.normalized_strata)):
+        for idx, (nc, value) in enumerate(rf.normalized_strata):
             opening = f"stratum {idx} of "
             if value <= rf.generic_value:
                 found.append(("error", opening, f" has value {shown_int(value)} not above the generic "
@@ -514,19 +506,18 @@ def validate_model(model: VarietyModel, *, budget: int = DEFAULT_COMPONENT_BUDGE
     for p, q in model.hodge_pairs():
         check_rank_function(model.hodge[p][q], f"({p},{q})", "rank function ")
 
-    origin = TorusPoint.zero(model.torus_dim)
     for p in (0, n) if n else (0,):  # h^(n,n)(0) = h^0(O_X) = 1 by Serre duality
-        if model.hodge[p][p].rank_at(origin) != 1:
+        if model.hodge[p][p].origin_value != 1:
             err(f"the ({p},{p}) rank at the origin must be 1")
     if n >= 1 and g >= 1:
         # every X_d is connected: h^(0,0)(α) = [α = 0], and h^(n,n) by Serre duality
         for p in (0, n):
             rf = model.hodge[p][p]
             if rf.generic_value or any(value > 0 and nc is not None and (nc.dim or nc.divisibility_class != (1, (), 1))
-                                       for (_, value), nc in zip(rf.strata, rf.normalized_strata)):
+                                       for nc, value in rf.normalized_strata):
                 err(f"the ({p},{p}) rank must vanish off the origin, since every cover X_d is connected")
-    if n >= 1 and model.hodge[1][0].rank_at(origin) != g:
-        warn(f"the (1,0) rank at the origin is {shown_int(model.hodge[1][0].rank_at(origin))}, "
+    if n >= 1 and model.hodge[1][0].origin_value != g:
+        warn(f"the (1,0) rank at the origin is {shown_int(model.hodge[1][0].origin_value)}, "
              f"not the irregularity {g}; the model does not present its own Albanese torus")
     if n == 0 and g > 0:
         warn(f"a point's Albanese torus is trivial, not of irregularity {g}; "

@@ -55,6 +55,18 @@ def brute_force_torsion_points(coset, d: int) -> set[tuple[int, ...]]:
             if all(sum(a * y for a, y in zip(row, ys)) % d == c for row, c in rows)}
 
 
+def rank_at(rank_function, alpha) -> int:
+    """The rank at one point: the largest value of a stratum whose (A, b)
+    holds there, that is each entry of A·α - b an integer, else the generic
+    value.  Membership is tested from (A, b) alone, in exact rationals, as
+    :func:`brute_force_torsion_points` tests it in integers."""
+    def holds(coset):
+        return all((sum(a * x for a, x in zip(row, alpha.coords)) - b).denominator == 1
+                   for row, b in zip(coset.rows, coset.rhs))
+
+    return max([rank_function.generic_value, *(value for coset, value in rank_function.strata if holds(coset))])
+
+
 def smallest_torsion_order(components) -> int:
     """Smallest d at which one of the (nonempty) cosets has a point of order
     dividing d, by enumeration at d = 1, 2, ..."""

@@ -17,6 +17,7 @@ from jumploci import (CongruenceCoset, RankFunction, Stratum, TorusPoint, Variet
                       catalog, constant_rank, dumps_model, load_model, modelfile, origin_jump)
 from jumploci.cli import _int_text_of_any_size, main
 from jumploci.errors import ECHO_CHARS, shown, shown_int
+from jumploci.tower import value_on_cover
 from gen import random_model
 from test_console import cli_process
 
@@ -67,6 +68,22 @@ class TestCount:
         assert code == 0
         assert out.splitlines()[-1].split() == [big, "1", "1"]
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_interpreter_without_a_digit_cap(self, monkeypatch, capsys):
+        # Python 3.10.0 to 3.10.6 have no digit cap and neither function: the
+        # context manager then yields without touching them, and count prints
+        # the same table
+        argv = ["count", "--builtin", "fibered_over_curve", "--params", "genus=2", "--i", "0,1",
+                "--d", "1,2,1" + "0" * 30]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        for name in ("set_int_max_str_digits", "get_int_max_str_digits"):
+            monkeypatch.delattr(sys, name, raising=False)
+        with _int_text_of_any_size():
+            pass
+        assert main(argv) == 0
+        assert capsys.readouterr().out == table
+        assert table.splitlines()[-1].split()[1:] == ["1" + "0" * 120] * 2
 
     def test_blowup_origin_only_locus(self, capsys):
         code, out = run_cli(capsys, "count", "--builtin", "blowup_abelian4_curve",
@@ -240,7 +257,24 @@ class TestCheck:
         assert "exceed the component budget of 12" in capsys.readouterr().err
         code, out = run_cli(capsys, "--budget", "20", "check", "--model", str(path))
         assert code == 0
-        assert "cover irregularity bounded at 1" in out
+        assert "cover irregularity bounded at 13" in out
+
+    def test_bounded_irregularity_is_the_supremum(self, tmp_path, capsys):
+        # h^(0,1) and h^(1,0) are 1 at the origin and at (1/2, 0): q(X) = 1,
+        # yet q(X_d) = 2 at every even d, and check prints that supremum
+        two_points = RankFunction(2, 0, tuple(Stratum(CongruenceCoset.point(TorusPoint.of([x, 0])), 1)
+                                              for x in (0, Fraction(1, 2))))
+        model = VarietyModel(n=1, g=1, hodge=((origin_jump(2, 0, 1), two_points), (two_points, origin_jump(2, 0, 1))),
+                             defect_strata=((0, 1),))
+        assert [value_on_cover(model, ("irregularity",), d) for d in range(1, 7)] == [1, 2, 1, 2, 1, 2]
+        path = tmp_path / "two_points.json"
+        path.write_text(dumps_model(model))
+        code, out = run_cli(capsys, "validate", "--model", str(path))
+        assert (code, out.splitlines()[0]) == (0, "proper loci for p=0: q in [0, 1]")
+        code, out = run_cli(capsys, "check", "--model", str(path))
+        assert code == 0
+        assert "# cover irregularity bounded at 2\n" in out
+        assert json.loads(out.split("-- machine readable --")[1])["divergence"]["base_irregularity"] == 1
 
 
     @pytest.mark.parametrize("name,params,bound,witness", [
@@ -261,10 +295,12 @@ class TestCheck:
         monkeypatch.setattr(asymptotics, "converse_defect_witness", refuse)
         monkeypatch.setattr(RankFunction, "count_form", lambda rf, budget: forms.append(rf) or count_form(rf, budget))
         if params is None:
+            model = random_model(random.Random(name))
             path = tmp_path / "seeded.json"
-            path.write_text(dumps_model(random_model(random.Random(name))))
+            path.write_text(dumps_model(model))
             source = ["--model", str(path)]
         else:
+            model = builtin(name, **params).model
             source = ["--builtin", name, "--params", ",".join(f"{k}={v}" for k, v in params.items())]
         code, out = run_cli(capsys, "check", *source, "--defect-bound", str(bound))
         assert code == (0 if witness is None else 1)
@@ -272,8 +308,9 @@ class TestCheck:
         assert machine["witness"] == witness
         assert machine["divergence"]["witness_order"] == {"fibered_over_curve": 1, "golden:1": 6}.get(name)
         # the fits read degrees and the divergence class reads h^(0,1)'s
-        # degree and witness order, off the strata: no verdict builds a form
-        assert forms == []
+        # degree and witness order, off the strata: no verdict builds a form.
+        # A bounded q(X_d) is printed off h^(0,1)'s form, which the table holds
+        assert forms == ([] if machine["divergence"]["divergent"] else [model.hodge[0][1]])
 
 
 class TestPointModel:
@@ -474,6 +511,25 @@ class TestBadFlags:
         assert captured.out == ""
         assert "2 components exceed the component budget of 1" in captured.err
         assert main(["--budget", "2", *argv]) == 0
+
+    def test_budget_counts_what_each_command_reads(self, tmp_path, capsys):
+        # (0,1) and (1,0) are 1 on the whole torus and 2 at (1/2, 0): count --i
+        # caps the jump locus, both strata above the generic value 0, while
+        # tower folds the stratum that fills the torus into the limit 1 and
+        # caps the one stratum above it
+        blob = json.loads(dumps_model(builtin("abelian", g=1).model))
+        for entry in blob["hodge"]:
+            if {entry["p"], entry["q"]} == {0, 1}:
+                entry["strata"] = [{"A": [], "b": [], "value": 1},
+                                   {"A": [[1, 0], [0, 1]], "b": ["1/2", "0"], "value": 2}]
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps(blob))
+        assert main(["--budget", "1", "count", "--model", str(path), "--i", "0,1", "--d", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: 2 components exceed the component budget of 1\n")
+        assert main(["--budget", "2", "count", "--model", str(path), "--i", "0,1", "--d", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split() == ["2", "4", "4"]
+        assert main(["--budget", "1", "tower", "--model", str(path), "--d-max", "2"]) == 0
+        assert [row["h_0_1"] for row in csv.DictReader(io.StringIO(capsys.readouterr().out))] == ["1", "5"]
 
     def test_check_d_max_below_two(self, capsys):
         assert main(["check", "--builtin", "abelian", "--d-max", "1"]) == 2

@@ -2,9 +2,10 @@
 
 import dataclasses
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -33,10 +34,11 @@ from jumploci.counting import DEFAULT_COMPONENT_BUDGET
 from jumploci.errors import ECHO_CHARS
 from jumploci.asymptotics import converse_defect_witness, divergence_class, fit_bounds
 from jumploci.cli import main
-from jumploci.model import _level_set_mismatch, _serre_mismatch
+from jumploci.model import _serre_mismatch
 from jumploci.modelfile import model_to_dict
 from jumploci.tower import sheaf_rank_on_cover, summands, value_on_cover
-from gen import CATALOG_SWEEP, random_model, random_point
+from gen import CATALOG_SWEEP, random_coset, random_fraction, random_model, random_point
+from oracles import rank_at
 
 
 def origin_coset(n):
@@ -44,25 +46,56 @@ def origin_coset(n):
 
 
 class TestRankAt:
+    """The engine reads a rank function at the origin only (origin_value);
+    other points are read by the oracle, off each stratum's (A, b)."""
+
     def test_constant(self):
         rf = constant_rank(2, 1)
-        assert rf.rank_at(TorusPoint.zero(2)) == 1
-        assert rf.rank_at(TorusPoint.of([Fraction(1, 3), 0])) == 1
+        assert rank_at(rf, TorusPoint.zero(2)) == rf.origin_value == 1
+        assert rank_at(rf, TorusPoint.of([Fraction(1, 3), 0])) == 1
 
     def test_origin_jump(self):
         rf = origin_jump(2, 0, 4)
-        assert rf.rank_at(TorusPoint.zero(2)) == 4
-        assert rf.rank_at(TorusPoint.of([Fraction(1, 2), 0])) == 0
+        assert rank_at(rf, TorusPoint.zero(2)) == rf.origin_value == 4
+        assert rank_at(rf, TorusPoint.of([Fraction(1, 2), 0])) == 0
 
     def test_overlap_takes_max(self):
         line = CongruenceCoset.of(2, [[0, 1]], [0])
         rf = RankFunction(2, 0, (Stratum(line, 2), Stratum(origin_coset(2), 5)))
-        assert rf.rank_at(TorusPoint.zero(2)) == 5
-        assert rf.rank_at(TorusPoint.of([Fraction(1, 3), 0])) == 2
+        assert rank_at(rf, TorusPoint.zero(2)) == rf.origin_value == 5
+        assert rank_at(rf, TorusPoint.of([Fraction(1, 3), 0])) == 2
 
-    def test_point_of_another_torus_is_refused(self):
-        with pytest.raises(DimensionMismatch, match="^point dimension differs from the dual-torus dimension$"):
-            constant_rank(2, 1).rank_at(TorusPoint.zero(4))
+    def test_origin_value_matches_the_oracle(self):
+        # every catalog instance, invariance model and golden model, and 80
+        # seeded functions whose strata may be empty, fill the torus, or pass
+        # through the origin or off it, where one may top every value at it
+        models = [builtin(name, **params).model for name, params in (*DEFAULT_INSTANCES, *CATALOG_SWEEP)]
+        models += [random_model(random.Random(f"invariance:{seed}")) for seed in range(20)]
+        models += [random_model(random.Random(f"golden:{k}")) for k in (1, 2, 5)]
+        functions = [rf for model in models for rf in chain(*model.hodge, *model.sheaves.values())]
+        rng = random.Random(1313)
+        for _ in range(80):
+            dim = rng.choice((2, 4))
+            strata = [Stratum(random_coset(rng, dim, max_rows=2), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))]
+            if rng.random() < 0.3:
+                strata.append(Stratum(CongruenceCoset.full_torus(dim), rng.randint(1, 6)))
+            if rng.random() < 0.3:  # x0 ≡ b and x0 ≡ b + 1/2 hold nowhere
+                b = random_fraction(rng)
+                strata.append(Stratum(CongruenceCoset.of(dim, [[1] + [0] * (dim - 1)] * 2, [b, b + Fraction(1, 2)]),
+                                      rng.randint(1, 6)))
+            functions.append(RankFunction(dim, rng.randint(0, 2), tuple(strata)))
+        kinds = Counter()
+        for rf in functions:
+            origin = TorusPoint.zero(rf.ambient_dim)
+            assert rf.origin_value == rank_at(rf, origin)
+            for coset, value in rf.strata:
+                nc = coset.normalize()
+                through = rank_at(RankFunction(rf.ambient_dim, 0, (Stratum(coset, 1),)), origin) == 1
+                kinds["empty"] += nc is None
+                kinds["full"] += nc is not None and nc.dim == rf.ambient_dim
+                kinds["through the origin"] += through
+                kinds["off the origin, above every value at it"] += nc is not None and not through and value > rf.origin_value
+        assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
 
     def test_effective_generic_folds_full_torus(self):
         rf = RankFunction(2, 1, (Stratum(CongruenceCoset.full_torus(2), 3),))
@@ -81,9 +114,10 @@ class TestRankAt:
                 level = [c for c, v in rf.strata if v >= t]
                 for _ in range(8):
                     x = random_point(rng, rf.ambient_dim, 4)
-                    assert (rf.rank_at(x) >= t) == any(c.contains(x) for c in level)
+                    assert (rank_at(rf, x) >= t) == any(c.contains(x) for c in level)
 
     def test_classification_stable_under_permutation(self):
+        # the order of the strata changes nothing that is read off them
         rng = random.Random(333)
         entry = builtin("fibered_over_curve", genus=2)
         model = entry.model
@@ -93,9 +127,13 @@ class TestRankAt:
                 shuffled = list(rf.strata)
                 rng.shuffle(shuffled)
                 permuted = RankFunction(rf.ambient_dim, rf.generic_value, tuple(shuffled))
+                read = lambda f: (f.origin_value, f.limit, f.degree, f.witness_order,
+                                  f.count_form(DEFAULT_COMPONENT_BUDGET).polynomial,
+                                  [sheaf_rank_on_cover(f, d) for d in range(1, 5)])
+                assert read(permuted) == read(rf)
                 for _ in range(10):
                     x = random_point(rng, model.torus_dim, 4)
-                    assert permuted.rank_at(x) == rf.rank_at(x)
+                    assert rank_at(permuted, x) == rank_at(rf, x)
 
 
 class TestValueTypes:
@@ -281,7 +319,7 @@ class TestValidation:
         (c, rf), = summands(model, ("pluri", 2))
         assert (c, rf) == (3, model.pluri_locus)
         assert (rf.generic_value, rf.limit) == (0, 0)
-        assert [c * rf.rank_at(TorusPoint.of(x)) for x in ([0] * 4, [Fraction(1, 2), 0, 0, 0])] == [3, 0]
+        assert [c * rank_at(rf, TorusPoint.of(x)) for x in ([0] * 4, [Fraction(1, 2), 0, 0, 0])] == [3, 0]
         assert [value_on_cover(model, ("pluri", 2), d) for d in (1, 2, 3)] == [3, 3, 3]
 
     def test_stratification_that_contradicts_itself_is_error(self):
@@ -515,13 +553,38 @@ def presented(rf):
     return {(nc, v) for c, v in rf.strata if (nc := c.normalize()) is not None}
 
 
+def mirrors(f, g):
+    """Whether the presentations of f and -g are the same: equal generic
+    values and the same nonempty normalized strata with their values."""
+    return f.generic_value == g.generic_value and presented(f) == {(-nc, v) for nc, v in presented(g)}
+
+
+def with_nested_stratum(g, f, rng):
+    """g with one more stratum, nested in a nonempty one of g's own at no
+    higher value, so the same function, drawn so that its presentation does
+    not mirror f's; None when there is none.  Its value is g's generic value
+    or one that f or g already takes, so the thresholds, and the smallest
+    one at which the level sets differ, stay the same."""
+    values = {g.generic_value, *(value for _, value in f.strata + g.strata)}
+    candidates = [(c, row, b, w) for c, v in g.strata if c.normalize() is not None
+                  for row in SERRE_ROWS for b in SERRE_RHS for w in values if g.generic_value <= w <= v]
+    rng.shuffle(candidates)
+    candidates.sort(key=lambda candidate: candidate[-1] == g.generic_value)  # a jumped value first
+    for coset, row, b, w in candidates:
+        inner = CongruenceCoset.of(2, coset.rows + (row,), coset.rhs + (b,))
+        nested = RankFunction(2, g.generic_value, (*g.strata, Stratum(inner, w)))
+        if inner.normalize() is not None and not mirrors(f, nested):
+            return nested
+    return None
+
+
 def brute_mismatch(f, g, d):
     """Smallest threshold t where {f >= t} and -{g >= t} differ on the d-torsion grid."""
     values = sorted({f.generic_value, g.generic_value} | {v for _, v in f.strata + g.strata})
     found = None
     for ys in product(range(d), repeat=2):
         alpha = TorusPoint.of([Fraction(y, d) for y in ys])
-        a, b = f.rank_at(alpha), g.rank_at(-alpha)
+        a, b = rank_at(f, alpha), rank_at(g, -alpha)
         if a != b:
             t = min(v for v in values if v > min(a, b))
             found = t if found is None else min(found, t)
@@ -567,26 +630,28 @@ class TestSerreSymmetry:
     def test_presentations_agree_with_level_sets(self):
         # mirrored presentations return before any level set; that verdict
         # must be the level sets' own (checked against brute force in
-        # test_agrees_with_brute_force), and functions presented otherwise, by
-        # a split or nested stratum, still go to the level sets
+        # test_agrees_with_brute_force).  The level sets decide the same pair
+        # once g (or f, when g has no nonempty stratum) carries a redundant
+        # stratum nested in one of its own: the same function, whose
+        # presentation no longer mirrors the other's
         rng = random.Random(2626)
         outcomes = {"mirrored": 0, "mirrored with translates of order 2 or 3": 0,
                     "other presentations, symmetric": 0, "asymmetric": 0}
         for _ in range(120):
             f, g = mirrored_pair(rng)
-            f_strata = [(nc, v) for (_, v), nc in zip(f.strata, f.normalized_strata) if nc is not None]
-            g_strata = [(-nc, v) for (_, v), nc in zip(g.strata, g.normalized_strata) if nc is not None]
-            levels = _level_set_mismatch(f, g, f_strata, g_strata, DEFAULT_COMPONENT_BUDGET)
-            assert _serre_mismatch(f, g, DEFAULT_COMPONENT_BUDGET) == levels
-            if f.generic_value == g.generic_value and set(f_strata) == set(g_strata):
+            verdict = _serre_mismatch(f, g, DEFAULT_COMPONENT_BUDGET)
+            nested = with_nested_stratum(g, f, rng)
+            pair = (f, nested) if nested is not None else (with_nested_stratum(f, g, rng), g)
+            assert not mirrors(*pair)
+            levels = _serre_mismatch(*pair, DEFAULT_COMPONENT_BUDGET)
+            assert verdict == levels
+            if mirrors(f, g):
                 assert levels is None
                 # the same strata over another generic value do not mirror
                 bumped = RankFunction(2, g.generic_value + 1, g.strata)
-                assert (_serre_mismatch(f, bumped, DEFAULT_COMPONENT_BUDGET)
-                        == _level_set_mismatch(f, bumped, f_strata, g_strata, DEFAULT_COMPONENT_BUDGET)
-                        == g.generic_value + 1)
+                assert _serre_mismatch(f, bumped, DEFAULT_COMPONENT_BUDGET) == g.generic_value + 1
                 outcomes["mirrored"] += 1
-                outcomes["mirrored with translates of order 2 or 3"] += any(nc.order in (2, 3) for nc, _ in f_strata)
+                outcomes["mirrored with translates of order 2 or 3"] += any(nc.order in (2, 3) for nc, _ in presented(f))
             else:
                 outcomes["asymmetric" if levels is not None else "other presentations, symmetric"] += 1
         assert min(outcomes.values()) >= 5, outcomes
@@ -606,7 +671,7 @@ class TestSerreSymmetry:
             f, g = mirrored_pair(rng)
             negations.clear()
             _serre_mismatch(f, g, DEFAULT_COMPONENT_BUDGET)
-            assert negations == [nc for nc in g.normalized_strata if nc is not None]
+            assert negations == [nc for nc, _ in g.normalized_strata if nc is not None]
             thresholds = max(thresholds, len({v for _, v in f.strata + g.strata}))
         assert thresholds >= 3  # so that a per-threshold negation would show
 

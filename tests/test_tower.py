@@ -87,8 +87,8 @@ class TestSheafRankOnCover:
             assert form.limit == rf.limit
             top_exponent = max((nc.dim for _, nc in form.terms), default=-1)
             assert top_exponent == max((nc.dim for nc, _ in rf.effective_strata()), default=-1)
-            top = [coset for (coset, value), nc in zip(rf.strata, rf.normalized_strata)
-                   if value > rf.limit and nc is not None and nc.dim == top_exponent]
+            top = [coset for coset, value in rf.strata
+                   if value > rf.limit and (nc := coset.normalize()) is not None and nc.dim == top_exponent]
             assert rf.witness_order == (smallest_torsion_order(top) if top else None)
             assert rf.degree == max(form.polynomial, default=-1)
             witnessed += bool(top)
