@@ -141,11 +141,10 @@ def cmd_count(args) -> int:
     top = max(dims) if dims else 0
     # what could fail partway is checked first, so the table streams and a
     # failure leaves no partial table
-    counting.check_union(components, args.budget)
-    if args.enumerate:
+    counting.check_budget(len(dims), args.budget)
+    if args.enumerate and components:
         for d in ds:
-            for comp in components:
-                counting.check_enumeration(comp.ambient_dim, d, args.enum_cap)
+            counting.check_enumeration(components[0].ambient_dim, d, args.enum_cap)
     print(f"# {label}: {len(components)} components, top dimension {top}")
     print(f"{'d':>6} {'torsion':>14} {'d^dim':>14}")
     # counts are exact, so a huge d prints every digit
@@ -323,9 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jumploci",
         description="Exact invariants of abelian-cover towers from jump-locus models.")
     parser.add_argument("--budget", type=int, default=counting.DEFAULT_COMPONENT_BUDGET,
-                        help="cap on each grid entry's strata above its limit (tower, check) or above its "
-                             "generic value, a stratum filling the torus included (count --i); on a locus "
-                             "file's components (count --locus); on each Serre level set (validate)")
+                        help="cap on the nonempty strata one count pass takes in: each grid entry's "
+                             "strata above its limit (tower, check), its jump locus above the generic value, "
+                             "a stratum filling the torus included (count --i), a locus file's components "
+                             "(count --locus), each Serre level set (validate)")
     parser.add_argument("--enum-cap", type=int, default=counting.DEFAULT_ENUM_CAP,
                         help="point cap for brute-force enumeration")
     sub = parser.add_subparsers(dest="command", required=True)

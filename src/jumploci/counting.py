@@ -76,19 +76,8 @@ def coset_torsion_count(coset: CongruenceCoset, d: int) -> TorsionCount:
     return TorsionCount(d, union_torsion_count([coset], d))
 
 
-def check_union(components: Sequence[CongruenceCoset], budget: int) -> None:
-    """Raise unless the components share one torus and fit the budget."""
-    if not components:
-        return
-    ambient = components[0].ambient_dim
-    for c in components:
-        if c.ambient_dim != ambient:
-            raise DimensionMismatch("union components live in different tori")
-    check_budget(len(components), budget)
-
-
 def check_budget(components: int, budget: int) -> None:
-    """Raise unless a union of this many components fits the budget."""
+    """Raise unless a count pass taking in this many nonempty components fits the budget."""
     if components > budget:
         raise ComponentBudgetExceeded(
             f"{components} components exceed the component budget of {budget}")
@@ -118,8 +107,8 @@ class CountForm:
         rows (:meth:`NormalizedCoset.meet`); meets are keyed by their
         integer Hermite form, so equal meets merge, terms that cancel are
         dropped and an empty meet is never extended.  A union of cosets is
-        the form of limit 0 with every value 1.  Callers run
-        :func:`check_union` first.
+        the form of limit 0 with every value 1.  Callers check the budget
+        on ``len(strata)`` first (:func:`check_budget`).
         """
         union: dict[NormalizedCoset, int] = {}
         terms: dict[NormalizedCoset, int] = {}
@@ -236,13 +225,15 @@ class CountTable:
 
 def union_torsion_count(components: Sequence[CongruenceCoset], d: int,
                         *, budget: int = DEFAULT_COMPONENT_BUDGET) -> int:
-    """Exact |S_d ∩ (C_1 ∪ ... ∪ C_r)| as a signed sum over distinct meets,
-    read off the union's form's one-column table (:attr:`CountForm.table`)."""
+    """Exact |S_d ∩ (C_1 ∪ ... ∪ C_r)| as a signed sum over distinct meets, read off
+    the table of its nonempty components' form (:attr:`CountForm.table`), which the budget caps."""
     _check_d(d)
-    comps = list(components)
-    check_union(comps, budget)
-    normalized = [(nc, 1) for nc in (c.normalize() for c in comps) if nc is not None]
-    return CountForm.of(comps[0].ambient_dim if comps else 0, 0, normalized).table.values(d)[0]
+    ambient = components[0].ambient_dim if components else 0
+    if any(c.ambient_dim != ambient for c in components):
+        raise DimensionMismatch("union components live in different tori")
+    normalized = [(nc, 1) for nc in (c.normalize() for c in components) if nc is not None]
+    check_budget(len(normalized), budget)
+    return CountForm.of(ambient, 0, normalized).table.values(d)[0]
 
 
 def check_enumeration(n: int, d: int, cap: int) -> None:

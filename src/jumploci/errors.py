@@ -28,10 +28,10 @@ class DimensionMismatch(EngineError):
 
 
 class ComponentBudgetExceeded(EngineError):
-    """A union has more coset components than the budget allows.
+    """A count pass would take in more nonempty cosets than the budget allows.
 
-    The budget caps the components r; the work of counting a union is
-    bounded by the distinct nonempty meets of its components, at most 2^r - 1.
+    The budget caps the r nonempty cosets one pass takes in; the work of the
+    pass is bounded by their distinct nonempty meets, at most 2^r - 1.
     """
 
 

@@ -101,13 +101,13 @@ class RankFunction:
 
     @cached_property
     def _strata_above_limit(self) -> int:
-        """How many strata lie above the limit."""
-        return sum(value > self.limit for _, value in self.strata)
+        """How many strata the count pass takes in (:meth:`effective_strata`)."""
+        return len(self.effective_strata())
 
     def count_form(self, budget: int) -> CountForm:
         """The limit and the signed meets of the strata above it, merged by
-        Hermite form (:meth:`CountForm.of`).  The budget caps the strata
-        above the limit; it is checked on every call."""
+        Hermite form (:meth:`CountForm.of`).  The budget caps the nonempty
+        strata the pass takes in; it is checked on every call."""
         check_budget(self._strata_above_limit, budget)
         return self._count_form
 
@@ -257,7 +257,7 @@ class VarietyModel:
 
     @cached_property
     def _most_strata(self) -> int:
-        """The most strata above the limit at any grid entry."""
+        """The most strata any grid entry's count pass takes in."""
         return max(rf._strata_above_limit for rf in chain(*self.hodge))
 
     @cached_property
@@ -275,9 +275,9 @@ class VarietyModel:
         Betti number b_0 … b_2n (:attr:`betti_columns`; the sum of the forms
         of the entries with p + q = k, each distinct form read once per
         table), then one for d^(2g), the form of limit 1 and no terms.  The
-        budget caps the strata above the limit of each entry; it is checked
-        on every call against the largest such count, and the first entry
-        over it, row-major, raises before any form is built."""
+        budget caps the nonempty strata each entry's pass takes in; it is
+        checked on every call against the largest such count, and the first
+        entry over it, row-major, raises before any form is built."""
         if self._most_strata > budget:
             for rf in chain(*self.hodge):
                 check_budget(rf._strata_above_limit, budget)
@@ -415,8 +415,8 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
     have the same count polynomial (:attr:`CountForm.polynomial`): U ⊆ U ∪ V,
     so equal polynomials make them equal, and likewise for V.  U ∪ V has at
     most |U| + |V| components, and is not counted when U and V already
-    differ.  Raises ComponentBudgetExceeded when a level set above its
-    generic value has more strata than the budget, checked for U, then V.
+    differ.  Raises ComponentBudgetExceeded when U or V, short of the full
+    torus, has more cosets than the budget, checked for U, then V.
     """
     f_strata = [(nc, value) for nc, value in f.normalized_strata if nc is not None]
     g_strata = [(-nc, value) for nc, value in g.normalized_strata if nc is not None]
@@ -431,9 +431,9 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
         v = full if t <= g.generic_value else frozenset(nc for nc, value in g_strata if value >= t)
         if u == v:
             continue
-        for rf in (f, g):
-            if t > rf.generic_value:
-                check_budget(sum(value >= t for _, value in rf.strata), budget)
+        for level in (u, v):
+            if level is not full:
+                check_budget(len(level), budget)
         poly = polynomial(u)
         if poly != polynomial(v) or polynomial(u | v) != poly:
             return t
@@ -447,7 +447,7 @@ def validate_model(model: VarietyModel, *, budget: int = DEFAULT_COMPONENT_BUDGE
     Serre symmetry h^(p,q)(α) = h^(n-p,n-q)(-α) is decided exactly, from
     the presentations or level set by level set (:func:`_serre_mismatch`),
     unless there are errors.  A pair whose level sets must be counted but
-    hold more strata than ``budget`` gets a warning that it was not decided.
+    hold more cosets than ``budget`` gets a warning that it was not decided.
     Each distinct rank function is judged, and each distinct pair of
     functions decided, once per call; the findings are then named at
     every place that holds them, so they read as if each were checked there.

@@ -531,6 +531,34 @@ class TestBadFlags:
         assert main(["--budget", "1", "tower", "--model", str(path), "--d-max", "2"]) == 0
         assert [row["h_0_1"] for row in csv.DictReader(io.StringIO(capsys.readouterr().out))] == ["1", "5"]
 
+    def test_budget_skips_empty_components(self, tmp_path, capsys):
+        # {x0 ≡ 0, x0 ≡ 1/2} is empty: every count takes in the origin alone,
+        # while count's header still counts the presented components
+        origin = {"A": [[1, 0], [0, 1]], "b": ["0", "0"]}
+        empty = {"A": [[1, 0], [1, 0]], "b": ["0", "1/2"]}
+        rows = []
+        for name, components in (("both", [origin, empty]), ("origin", [origin])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"ambient_dim": 2, "components": components}))
+            assert main(["--budget", "1", "count", "--locus", str(path), "--d", "2"]) == 0
+            header, _, row = capsys.readouterr().out.splitlines()
+            assert header == f"# {path}: {len(components)} components, top dimension 0"
+            rows.append(row)
+        assert rows[0] == rows[1]
+        # (0,1) and (1,0) are 1 at the origin and 2 on the empty stratum
+        blob = json.loads(dumps_model(builtin("abelian", g=1).model))
+        for entry in blob["hodge"]:
+            if {entry["p"], entry["q"]} == {0, 1}:
+                entry["strata"] = [{**origin, "value": 1}, {**empty, "value": 2}]
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(blob))
+        assert main(["--budget", "1", "count", "--model", str(path), "--i", "0,1", "--d", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "# jump locus of (0,1): 2 components, top dimension 0", f"{'d':>6} {'torsion':>14} {'d^dim':>14}",
+            f"{2:>6} {1:>14} {1:>14}"]
+        assert main(["--budget", "1", "tower", "--model", str(path), "--d-max", "2"]) == 0
+        assert [row["h_0_1"] for row in csv.DictReader(io.StringIO(capsys.readouterr().out))] == ["1", "1"]
+
     def test_check_d_max_below_two(self, capsys):
         assert main(["check", "--builtin", "abelian", "--d-max", "1"]) == 2
         captured = capsys.readouterr()

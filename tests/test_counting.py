@@ -23,7 +23,7 @@ from jumploci import (
     union_torsion_count,
 )
 from jumploci.catalog import DEFAULT_INSTANCES
-from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_union
+from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable
 from jumploci.torus import NormalizedCoset, snf
 from jumploci.tower import normalized_sequence, sheaf_rank_on_cover, value_on_cover
 from gen import (random_connected_coset, random_coset, random_model, random_nonempty_coset, random_rank_function,
@@ -362,7 +362,17 @@ class TestUnion:
     def test_components_in_two_tori_are_refused(self):
         parts = [CongruenceCoset.point(TorusPoint.zero(2)), CongruenceCoset.point(TorusPoint.zero(4))]
         with pytest.raises(DimensionMismatch, match="^union components live in different tori$"):
-            check_union(parts, DEFAULT_COMPONENT_BUDGET)
+            union_torsion_count(parts, 1)
+
+    def test_budget_skips_empty_components(self):
+        # {x0 ≡ 0, x0 ≡ 1/2} is empty: the pass takes in the origin alone
+        origin = CongruenceCoset.point(TorusPoint.zero(2))
+        empty = CongruenceCoset.of(2, [[1, 0], [1, 0]], [0, Fraction(1, 2)])
+        assert empty.normalize() is None
+        assert union_torsion_count([origin, empty], 2, budget=1) == 1
+        with pytest.raises(ComponentBudgetExceeded, match="^2 components exceed the component budget of 1$"):
+            union_torsion_count([origin, empty, CongruenceCoset.point(TorusPoint.of([Fraction(1, 2), 0]))],
+                                2, budget=1)
 
     def test_two_coordinate_lines(self):
         a = CongruenceCoset.of(2, [[1, 0]], [0])

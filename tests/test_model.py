@@ -694,6 +694,20 @@ class TestSerreSymmetry:
         mirror = RankFunction(2, 0, tuple(negated(s) for s in points))
         assert not serre_warnings(curve_grid(many, mirror))
 
+    def test_budget_skips_empty_strata(self):
+        # 12 points and the empty {x0 ≡ 0, x0 ≡ 1/2} against 12 other points:
+        # each level set to count holds 12 cosets
+        point = lambda x, y: Stratum(CongruenceCoset.point(TorusPoint.of([x, y])), 1)
+        empty = Stratum(CongruenceCoset.of(2, [[1, 0], [1, 0]], [0, Fraction(1, 2)]), 1)
+        model = curve_grid(RankFunction(2, 0, (*(point(Fraction(k, 12), 0) for k in range(12)), empty)),
+                           RankFunction(2, 0, tuple(point(Fraction(k, 12), Fraction(1, 2)) for k in range(12))))
+        serre = lambda budget: [f.message for f in validate_model(model, budget=budget).warnings
+                                if "Serre" in f.message]
+        assert serre(12) == ["ranks at (0,1) and (1,0) are not Serre-symmetric: "
+                             "{h^(0,1) >= 1} and -{h^(1,0) >= 1} differ"]
+        assert serre(11) == ["Serre symmetry of (0,1) and (1,0) was not decided: "
+                             "12 components exceed the component budget of 11"]
+
     def test_validate_reads_the_budget(self, tmp_path, capsys):
         # one function presented two ways: {2x ≡ 0, y ≡ 0} and 12 points of
         # order 17, against the points 0 and 1/2 and the 12 negated points

@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from jumploci.cli import main
+from jumploci.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +24,9 @@ def test_command_line_block_runs(tmp_path, monkeypatch):
     argvs = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("jumploci ")]
     assert [argv[0] for argv in argvs] == ["count", "tower", "check", "validate", "export", "catalog-list"]
     assert [main(argv) for argv in argvs] == [0, 0, 1, 0, 0, 0]
+
+
+def test_budget_help_is_in_the_readme():
+    # the README states --budget in the words of its help text, whitespace aside
+    budget = next(a for a in build_parser()._actions if "--budget" in a.option_strings)
+    assert " ".join(budget.help.split()) in " ".join(README.read_text(encoding="utf-8").split())

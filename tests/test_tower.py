@@ -109,6 +109,15 @@ class TestSheafRankOnCover:
             for d in reversed(small):
                 assert sheaf_rank_on_cover(rf, d) == expected[d]
 
+    def test_budget_skips_empty_strata(self):
+        # {x0 ≡ 0, x0 ≡ 1/2} is empty: the pass takes in the origin alone
+        origin = CongruenceCoset.point(TorusPoint.zero(2))
+        empty = CongruenceCoset.of(2, [[1, 0], [1, 0]], [0, Fraction(1, 2)])
+        rf = RankFunction(2, 0, (Stratum(origin, 2), Stratum(empty, 3)))
+        assert len(rf.count_form(1).terms) == 1
+        for d in range(1, 5):
+            assert sheaf_rank_on_cover(rf, d, budget=1) == brute_force_rank_sum(rf, d) == 2
+
     def test_budget_checked_on_every_call(self):
         strata = tuple(Stratum(CongruenceCoset.of(2, [[1, 0]], [Fraction(j, 5)]), 1)
                        for j in range(5))
