@@ -152,8 +152,8 @@ def cmd_count(args) -> int:
         for d in ds:
             value = counting.union_torsion_count(components, d, budget=args.budget)
             print(f"{d:>6} {value:>14} {d ** top:>14}")
-            if args.enumerate:  # a point on several components is listed once, where first seen
-                for coords in dict.fromkeys(pt.coords for comp in components
+            if args.enumerate:  # a point is listed once, where first seen; an empty component lists none
+                for coords in dict.fromkeys(pt.coords for comp in components if comp.normalize() is not None
                                             for pt in counting.enumerate_torsion(comp, d, cap=args.enum_cap)):
                     print("    " + " ".join(map(str, coords)))
     return EXIT_OK

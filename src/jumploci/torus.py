@@ -14,13 +14,12 @@ structure all reduce to integer normal forms:
   without building ``U``, and neither transform is stored.
 * One insertion pass meets a coset with integer rows of ``(A | L·b)``,
   ``L`` a common denominator of ``b``: it inserts them one at a time into
-  an echelon basis, decides emptiness exactly, and reduces the entries
-  above each pivot at the end unless every row was implied.
+  a basis kept in Hermite form after every row that changes it, so its
+  entries stay of polynomial size, and decides emptiness exactly.
   :meth:`CongruenceCoset.normalize` is the full torus meeting the coset's
-  rows, once per coset; :meth:`NormalizedCoset.meet` inserts the rows of
-  one normalized coset into the rows of another, so a meet costs the rows
-  it adds, not the whole stacked system, and is the coset itself when
-  they add none.
+  rows, once per coset; :meth:`NormalizedCoset.meet` inserts the rows of one
+  normalized coset into another's, so a meet costs the rows it adds, not
+  the whole stacked system, and is the coset itself when they add none.
 
 A :class:`NormalizedCoset` keeps its translate as integers ``nums`` over
 its translate order, so equal cosets compare and hash as tuples of ints.
@@ -333,21 +332,24 @@ Row = Sequence[int]  # (a_1, ..., a_N, L·b): one equation over a modulus L
 
 def _meet_rows(width: int, basis: dict[int, Row], rows: Iterable[Row], modulus: int,
                kept: Optional["NormalizedCoset"]) -> Optional["NormalizedCoset"]:
-    """Insert rows of ``(A | L·b)`` one at a time into an echelon basis.
+    """Insert rows of ``(A | L·b)`` one at a time into a basis in Hermite form.
 
-    ``basis`` maps each pivot column to its row; rows are never changed in
-    place, so a basis may share its rows.  At the leading column of a row,
-    a pivot dividing the entry clears it; otherwise Euclid against the
+    ``basis`` maps each pivot column to its row.  At the leading column of a
+    row, a pivot dividing the entry clears it; otherwise Euclid against the
     pivot row leaves their gcd in a new pivot row and carries the remainder
-    on.  A column without a pivot row takes the row as its pivot.  Returns
+    on.  A column without a pivot row takes the row as its pivot.  After a
+    row that changes the basis, one pass in pivot order makes the pivots
+    positive and reduces right-hand sides into [0, modulus) and the entries
+    above each pivot into [0, pivot): the basis stays the Hermite form of the
+    rows so far, of polynomial size (Kannan and Bachem, 1979).  Rows built
+    here are fresh lists; shared rows are never changed in place.  Returns
     None when a row reduces to zero with a right-hand side nonzero modulo
-    ``modulus`` (the system has no point); ``kept``, the coset whose rows
-    the basis holds, when every row reduces to zero leaving the basis as it
-    was; and otherwise the canonical form, by :func:`_hermite`.  With no
-    ``kept`` coset the canonical form is always taken.
+    ``modulus`` (no point); ``kept``, the coset whose rows the basis holds,
+    when no row changes the basis; and otherwise the coset :func:`_hermite`
+    packs, always taken with no ``kept`` coset.
     """
-    added = kept is None
     for row in rows:
+        changed = False
         for c in range(width):
             a = row[c]
             if not a:
@@ -355,7 +357,7 @@ def _meet_rows(width: int, basis: dict[int, Row], rows: Iterable[Row], modulus: 
             piv = basis.get(c)
             if piv is None:
                 basis[c] = row
-                added = True
+                changed = True
                 break
             p = piv[c]
             if a % p == 0:
@@ -366,11 +368,25 @@ def _meet_rows(width: int, basis: dict[int, Row], rows: Iterable[Row], modulus: 
                 q = piv[c] // row[c]
                 piv, row = row, [x - q * y for x, y in zip(piv, row)]
             basis[c] = piv
-            added = True
+            changed = True
         else:
             if row[width] % modulus:
                 return None
-    return _hermite(width, basis, modulus) if added else kept
+        if changed:  # the basis no longer holds the rows of kept
+            kept = None
+            cols = sorted(basis)
+            for i, c in enumerate(cols):
+                r = basis[c]
+                if r[c] < 0 or not 0 <= r[width] < modulus:
+                    r = basis[c] = [-a for a in r] if r[c] < 0 else list(r)
+                    r[width] %= modulus
+                p = r[c]
+                for j in cols[:i]:
+                    q = basis[j][c] // p
+                    if q:
+                        rj = basis[j] = [x - q * y for x, y in zip(basis[j], r)]
+                        rj[width] %= modulus
+    return _hermite(width, basis, modulus) if kept is None else kept
 
 
 def _fill(nc: "NormalizedCoset", width: int, rows: IntMatrix, nums: tuple[int, ...],
@@ -384,30 +400,13 @@ def _fill(nc: "NormalizedCoset", width: int, rows: IntMatrix, nums: tuple[int, .
 
 
 def _hermite(width: int, basis: dict[int, Row], modulus: int) -> "NormalizedCoset":
-    """The canonical form of an inserted basis: rows in pivot order, positive
-    pivots, entries above each pivot reduced into [0, pivot), and the
-    right-hand side over its exact order.  One pass over the reduced rows
-    builds the rows of (H | nums) by pivot column, of H and of nums, and
-    :func:`_fill` makes the coset of them as they are."""
-    cols = sorted(basis)
-    rows = [basis[c] for c in cols]
-    for i, c in enumerate(cols):
-        r = rows[i]
-        if r[c] < 0:
-            r = rows[i] = [-a for a in r]
-        p = r[c]
-        for j in range(i):
-            q = rows[j][c] // p
-            if q:
-                rows[j] = [a - q * b for a, b in zip(rows[j], r)]
+    """Pack a basis that :func:`_meet_rows` keeps in Hermite form: the rows of
+    (H | nums) by pivot column as tuples, then H and nums over ``modulus``."""
     aug, h_rows, nums = {}, [], []
-    for c, r in zip(cols, rows):
-        m = r[width] % modulus
-        if type(r) is not tuple or r[width] != m:  # a row that came through unchanged is kept
-            r = (*r[:width], m)
-        aug[c] = r
+    for c in sorted(basis):
+        r = aug[c] = tuple(basis[c])
         h_rows.append(r[:width])
-        nums.append(m)
+        nums.append(r[width])
     return _fill(object.__new__(NormalizedCoset), width, tuple(h_rows), tuple(nums), aug, modulus)
 
 

@@ -68,6 +68,21 @@ def random_unimodular(rng: random.Random, n: int, steps: int | None = None) -> l
     return m
 
 
+def unimodular_point(rng: random.Random, n: int, steps: int | None = None) -> CongruenceCoset:
+    """The point (1/6, ..., 1/6) of (R/Z)^n, presented as W·x ≡ W·(1/6, ...)
+    for a :func:`random_unimodular` W: its Hermite form is the identity, but
+    an elimination that does not reduce as it goes meets large entries."""
+    w = random_unimodular(rng, n, steps)
+    return CongruenceCoset.of(n, w, [Fraction(sum(row), 6) % 1 for row in w])
+
+
+def dense_system(rng: random.Random, n: int) -> CongruenceCoset:
+    """n equations A·x ≡ (1/7, ..., 1/7) in (R/Z)^n, the entries of A drawn
+    row by row from [-3, 3]: with full rank, a finite set of points."""
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    return CongruenceCoset.of(n, rows, [Fraction(1, 7)] * n)
+
+
 def random_connected_coset(rng: random.Random, n: int, max_den: int = 6):
     """Nonempty coset whose underlying subgroup is connected.
 

@@ -128,6 +128,27 @@ class TestCount:
         assert listed[:8] == [f"{x} {y}" for x in ("1/4", "3/4") for y in ("0", "1/4", "1/2", "3/4")]
         assert listed[8:] == ["0 0", "1/2 0"]
 
+    def test_enumerate_skips_an_empty_component(self, tmp_path, capsys, monkeypatch):
+        # {x0 ≡ 0, x0 ≡ 1/2} is empty: its 12^4 grid is not walked, yet the
+        # header still counts both presented components, as does the output
+        empty = {"A": [[1, 0, 0, 0], [1, 0, 0, 0]], "b": ["0", "1/2"]}
+        pinned = {"A": [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "b": ["1/2", "0", "0", "0"]}
+        locus = tmp_path / "empty.json"
+        locus.write_text(json.dumps({"ambient_dim": 4, "components": [empty, pinned]}))
+        calls = []
+        contains = CongruenceCoset.contains
+        monkeypatch.setattr(CongruenceCoset, "contains", lambda self, x: calls.append(self.rows) or contains(self, x))
+        code, out = run_cli(capsys, "count", "--locus", str(locus), "--d", "12,2", "--enumerate")
+        assert code == 0
+        assert out == (f"# {locus}: 2 components, top dimension 0\n"
+                       "     d        torsion          d^dim\n"
+                       "    12              2              1\n"
+                       "    1/4 0 0 0\n"
+                       "    3/4 0 0 0\n"
+                       "     2              0              1\n")
+        assert calls.count(((1, 0, 0, 0), (1, 0, 0, 0))) == 0
+        assert len(calls) == 12 ** 4 + 2 ** 4
+
     def test_invalid_arguments(self, capsys):
         assert main(["count", "--builtin", "abelian", "--d", "2"]) == 2
         assert main(["count", "--builtin", "abelian", "--params", "g=zero",

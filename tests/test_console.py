@@ -10,6 +10,7 @@ dichotomy.  The other console checks sit with the code they test, in
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ import pytest
 import jumploci
 from jumploci import builtin, value_on_cover
 from jumploci.cli import main
+from gen import dense_system, unimodular_point
 from test_golden import TABLE, digest, key
 
 QI0 = ("--builtin", "elliptic_surface_qI0", "--params", "genus=2,chi=1")
@@ -167,3 +169,28 @@ def test_a_huge_exponent_is_refused_within_seconds(tmp_path):
                        cwd=tmp_path, capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "bad rational" in proc.stderr
+
+
+# torsion counts at d = 1, 6, 7, 12: the point (1/6, ...) lies on the 6- and
+# 12-torsion grids; a dense system with b = 1/7 and 7 ∤ det A has one 7-torsion
+# point and none at a d that 7 does not divide
+POINT, DENSE = ["0", "1", "0", "1"], ["0", "0", "1", "0"]
+
+
+@pytest.mark.parametrize("make,counts", [
+    (lambda: unimodular_point(random.Random(32), 32, steps=640), POINT),
+    (lambda: dense_system(random.Random(1), 48), DENSE),
+    (lambda: unimodular_point(random.Random(128), 128, steps=2560), POINT),
+    (lambda: dense_system(random.Random(128), 128), DENSE),
+], ids=["point-32", "dense-48", "point-128", "dense-128"])
+def test_a_high_dimensional_locus_is_counted_within_seconds(tmp_path, make, counts):
+    # an elimination that reduces only at the end takes 50 s or more on the
+    # N = 32 point and the N = 48 system; the process ends inside 10 s
+    coset = make()
+    (tmp_path / "locus.json").write_text(json.dumps({"ambient_dim": coset.ambient_dim, "components": [
+        {"A": [list(r) for r in coset.rows], "b": [str(b) for b in coset.rhs]}]}), encoding="utf-8")
+    proc = cli_process("count", "--locus", "locus.json", "--d", "1,6,7,12",
+                       cwd=tmp_path, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [line.split() for line in proc.stdout.splitlines()[2:]] == [
+        [d, n, "1"] for d, n in zip(["1", "6", "7", "12"], counts)]

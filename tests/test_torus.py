@@ -17,7 +17,7 @@ from jumploci import (
     invariant_factors,
     snf,
 )
-from gen import random_coset, random_nonempty_coset, random_point
+from gen import dense_system, random_coset, random_nonempty_coset, random_point, unimodular_point
 from oracles import brute_force_torsion_points, hermite_point, integer_det, smith_diagonal_by_minors
 
 
@@ -319,6 +319,22 @@ class TestNormalize:
             nc = coset.normalize()
             assert nc is not None
             assert coset.contains(hermite_point(nc))
+
+    def test_a_point_through_a_unimodular_matrix_is_the_identity(self):
+        nc = unimodular_point(random.Random(32), 32, steps=640).normalize()
+        assert nc.rows == tuple(map(tuple, _eye(32)))
+        assert (nc.nums, nc.order) == ((1,) * 32, 6)
+
+    def test_a_dense_full_rank_system(self):
+        # H is triangular of determinant ±det A, and its back-substituted point
+        # satisfies every equation of the system in exact rationals
+        coset = dense_system(random.Random(1), 48)
+        nc = coset.normalize()
+        assert nc.dim == 0
+        assert math.prod(r[c] for c, r in nc.basis.items()) == abs(integer_det(coset.rows)) != 0
+        x = hermite_point(nc).coords
+        for row, b in zip(coset.rows, coset.rhs):
+            assert (sum(a * c for a, c in zip(row, x)) - b).denominator == 1
 
 
 class TestIntersection:
