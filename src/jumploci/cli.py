@@ -142,9 +142,6 @@ def cmd_count(args) -> int:
     # what could fail partway is checked first, so the table streams and a
     # failure leaves no partial table
     counting.check_budget(len(dims), args.budget)
-    if args.enumerate and components:
-        for d in ds:
-            counting.check_enumeration(components[0].ambient_dim, d, args.enum_cap)
     print(f"# {label}: {len(components)} components, top dimension {top}")
     print(f"{'d':>6} {'torsion':>14} {'d^dim':>14}")
     # counts are exact, so a huge d prints every digit
@@ -152,10 +149,6 @@ def cmd_count(args) -> int:
         for d in ds:
             value = counting.union_torsion_count(components, d, budget=args.budget)
             print(f"{d:>6} {value:>14} {d ** top:>14}")
-            if args.enumerate:  # a point is listed once, where first seen; an empty component lists none
-                for coords in dict.fromkeys(pt.coords for comp in components if comp.normalize() is not None
-                                            for pt in counting.enumerate_torsion(comp, d, cap=args.enum_cap)):
-                    print("    " + " ".join(map(str, coords)))
     return EXIT_OK
 
 
@@ -326,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "strata above its limit (tower, check), its jump locus above the generic value, "
                              "a stratum filling the torus included (count --i), a locus file's components "
                              "(count --locus), each Serre level set (validate)")
-    parser.add_argument("--enum-cap", type=int, default=counting.DEFAULT_ENUM_CAP,
-                        help="point cap for brute-force enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="torsion counts of a jump locus")
@@ -335,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--i", help="grid entry P,Q whose jump locus to count")
     p_count.add_argument("--locus", help="standalone locus file")
     p_count.add_argument("--d", required=True, help="comma list of cover indices")
-    p_count.add_argument("--enumerate", action="store_true",
-                         help="also list the torsion points (small d only)")
 
     p_tower = sub.add_parser("tower", help="CSV of exact cover invariants")
     _add_model_source(p_tower)
@@ -366,9 +355,8 @@ _PARSER = build_parser()
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        for flag, value in (("--budget", args.budget), ("--enum-cap", args.enum_cap)):
-            if value < 1:
-                raise EngineError(f"{flag} must be a positive integer, got {value}")
+        if args.budget < 1:
+            raise EngineError(f"--budget must be a positive integer, got {args.budget}")
         _check_sources(args)
         # looked up by name on each call, so a wrapper installed on the module is called
         code = globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -1,4 +1,4 @@
-"""Exact counting and enumeration of d-torsion points on cosets and unions.
+"""Exact counts of d-torsion points on cosets and unions, and a brute-force list to check them.
 
 A point x of order dividing d is x = y/d with y in (Z/d)^N, so membership
 in {A·x ≡ b} becomes the modular system A·y ≡ d·b (mod d), which is empty
@@ -236,12 +236,6 @@ def union_torsion_count(components: Sequence[CongruenceCoset], d: int,
     return CountForm.of(ambient, 0, normalized).table.values(d)[0]
 
 
-def check_enumeration(n: int, d: int, cap: int) -> None:
-    """Raise unless the d-torsion grid of (R/Z)^n, d^n points, fits the cap."""
-    if d ** n > cap:
-        raise CapExceeded(f"enumerating {d}^{n} points exceeds the cap of {cap}")
-
-
 def enumerate_torsion(coset: CongruenceCoset, d: int,
                       *, cap: int = DEFAULT_ENUM_CAP) -> list[TorusPoint]:
     """All d-torsion points on the coset, by direct membership testing.
@@ -251,7 +245,8 @@ def enumerate_torsion(coset: CongruenceCoset, d: int,
     """
     _check_d(d)
     n = coset.ambient_dim
-    check_enumeration(n, d, cap)
+    if d ** n > cap:
+        raise CapExceeded(f"enumerating {d}^{n} points exceeds the cap of {cap}")
     points = []
     for ys in product(range(d), repeat=n):
         p = TorusPoint.of([Fraction(y, d) for y in ys])

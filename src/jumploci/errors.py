@@ -36,7 +36,7 @@ class ComponentBudgetExceeded(EngineError):
 
 
 class CapExceeded(EngineError):
-    """A brute-force enumeration would exceed the configured point cap."""
+    """:func:`~jumploci.counting.enumerate_torsion` would test more points than its ``cap``."""
 
 
 class MissingStratification(EngineError):

@@ -103,51 +103,50 @@ class TestCount:
     def test_full_torus_locus_file(self, tmp_path, capsys):
         locus = tmp_path / "locus.json"
         locus.write_text(json.dumps({"ambient_dim": 2, "components": [{"A": [], "b": []}]}))
-        code, out = run_cli(capsys, "count", "--locus", str(locus), "--d", "2", "--enumerate")
+        code, out = run_cli(capsys, "count", "--locus", str(locus), "--d", "2")
         assert code == 0
         line = [l for l in out.splitlines() if l.strip().startswith("2 ")][0]
         assert line.split()[1] == "4"
-        listed = {l.strip() for l in out.splitlines()
-                  if not l.startswith("#") and ("/" in l or l.strip() == "0 0")}
-        assert listed == {"0 0", "0 1/2", "1/2 0", "1/2 1/2"}
 
-    def test_enumerate_lists_a_shared_point_once(self, tmp_path, capsys):
+    def test_a_shared_point_is_counted_once(self, tmp_path, capsys):
         # {2·x0 ≡ 1/2} ∪ {x1 ≡ 0} at d = 4: (1/4, 0) and (3/4, 0) lie on both
-        # components, so the listed lines equal the torsion column, 10, and
-        # come in first-seen order (the first component's points first)
+        # components, so the torsion column is 8 + 4 - 2 = 10
         locus = tmp_path / "union.json"
         locus.write_text(json.dumps({"ambient_dim": 2, "components": [
             {"A": [[2, 0]], "b": ["1/2"]}, {"A": [[0, 1]], "b": ["0"]}]}))
-        code, out = run_cli(capsys, "count", "--locus", str(locus), "--d", "4", "--enumerate")
+        code, out = run_cli(capsys, "count", "--locus", str(locus), "--d", "4")
         assert code == 0
         lines = out.splitlines()
+        assert len(lines) == 3
         assert lines[2].split() == ["4", "10", "4"]
-        listed = [line.strip() for line in lines[3:]]
-        assert all(line.startswith("    ") for line in lines[3:])
-        assert len(listed) == len(set(listed)) == 10
-        assert listed[:8] == [f"{x} {y}" for x in ("1/4", "3/4") for y in ("0", "1/4", "1/2", "3/4")]
-        assert listed[8:] == ["0 0", "1/2 0"]
 
-    def test_enumerate_skips_an_empty_component(self, tmp_path, capsys, monkeypatch):
-        # {x0 ≡ 0, x0 ≡ 1/2} is empty: its 12^4 grid is not walked, yet the
-        # header still counts both presented components, as does the output
+    def test_an_empty_component_counts_nothing(self, tmp_path, capsys):
+        # {x0 ≡ 0, x0 ≡ 1/2} is empty: it adds no point, yet the header still
+        # counts both presented components
         empty = {"A": [[1, 0, 0, 0], [1, 0, 0, 0]], "b": ["0", "1/2"]}
         pinned = {"A": [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "b": ["1/2", "0", "0", "0"]}
         locus = tmp_path / "empty.json"
         locus.write_text(json.dumps({"ambient_dim": 4, "components": [empty, pinned]}))
-        calls = []
-        contains = CongruenceCoset.contains
-        monkeypatch.setattr(CongruenceCoset, "contains", lambda self, x: calls.append(self.rows) or contains(self, x))
-        code, out = run_cli(capsys, "count", "--locus", str(locus), "--d", "12,2", "--enumerate")
+        code, out = run_cli(capsys, "count", "--locus", str(locus), "--d", "12,2")
         assert code == 0
         assert out == (f"# {locus}: 2 components, top dimension 0\n"
                        "     d        torsion          d^dim\n"
                        "    12              2              1\n"
-                       "    1/4 0 0 0\n"
-                       "    3/4 0 0 0\n"
                        "     2              0              1\n")
-        assert calls.count(((1, 0, 0, 0), (1, 0, 0, 0))) == 0
-        assert len(calls) == 12 ** 4 + 2 ** 4
+
+    def test_point_listing_flags_are_unrecognized(self, capsys):
+        # count prints exact counts only: --enumerate and --enum-cap are gone
+        count = ["count", "--builtin", "abelian", "--i", "0,1", "--d", "2"]
+        for argv in ([*count, "--enumerate"], ["--enum-cap", "5", *count]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage: jumploci ")
+        for argv in (["--help"], ["count", "--help"]):
+            helped = cli_process(*argv, capture_output=True, text=True, check=True).stdout
+            assert helped.startswith("usage: jumploci ") and "--enum" not in helped
 
     def test_invalid_arguments(self, capsys):
         assert main(["count", "--builtin", "abelian", "--d", "2"]) == 2
@@ -518,14 +517,6 @@ class TestBadFlags:
         assert all(row["P_1"] == row[f"h_{n}_0"] for row in rows)
 
     def test_count_failures_write_nothing(self, capsys):
-        # the cap fails at the second d only, the budget at every d
-        argv = ["count", "--builtin", "abelian", "--i", "0,1", "--d", "2,100", "--enumerate"]
-        assert main(["--enum-cap", "1000", *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "enumerating 100^2 points exceeds the cap of 1000" in captured.err
-        assert main(["--enum-cap", "1000", *argv[:-2], "2"]) == 0
-        assert capsys.readouterr().out.startswith("# jump locus of (0,1)")
         argv = ["count", "--builtin", "blowup_abelian_codim", "--i", "1,1", "--d", "2"]
         assert main(["--budget", "1", *argv]) == 2
         captured = capsys.readouterr()
@@ -587,8 +578,7 @@ class TestBadFlags:
         assert "--d-max must be at least 2, got 1" in captured.err
         assert main(["check", "--builtin", "abelian", "--d-max", "2"]) == 0
 
-    @pytest.mark.parametrize("flag,value", [("--budget", "0"), ("--budget", "-1"),
-                                            ("--enum-cap", "0"), ("--enum-cap", "-1")])
+    @pytest.mark.parametrize("flag,value", [("--budget", "0"), ("--budget", "-1")])
     def test_global_caps_below_one(self, capsys, flag, value):
         argv = [flag, value, "count", "--builtin", "abelian", "--i", "0,0", "--d", "2"]
         assert main(argv) == 2

@@ -1,8 +1,7 @@
 """Property test: every argv over the subcommands and flags ends in exit 0, 1 or 2.
 
 Sizes stay small so that no example allocates a large grid: catalog
-entries with n, g <= 3, ``--d`` up to 50, ``--d-max`` up to 6, and an
-``--enum-cap`` of at most 2000 points on every argv.
+entries with n, g <= 3, ``--d`` up to 50 and ``--d-max`` up to 6.
 """
 
 import contextlib
@@ -97,7 +96,6 @@ def argvs(draw):
         groups.append(draw(usually("--i", mostly(
             st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(lambda pq: f"{pq[0]},{pq[1]}"), GARBAGE))))
         groups.append(draw(usually("--d", int_lists(-1, 50))))
-        groups.append(draw(st.sampled_from([[], ["--enumerate"]])))
     elif command == "tower":
         groups.append(draw(source()))
         groups.append(draw(optional("--d-max", ints(-1, 6))))
@@ -113,7 +111,6 @@ def argvs(draw):
             groups.append(draw(optional("--out", st.sampled_from(OUT_PATHS))))
     groups = draw(st.permutations(groups))
     head = draw(optional("--budget", ints(-1, 20)))
-    head += ["--enum-cap", draw(ints(-1, 2000))]
     return head + [command] + [token for group in groups for token in group]
 
 

@@ -28,8 +28,8 @@ from jumploci.torus import NormalizedCoset, snf
 from jumploci.tower import normalized_sequence, sheaf_rank_on_cover, value_on_cover
 from gen import (random_connected_coset, random_coset, random_model, random_nonempty_coset, random_rank_function,
                  random_unimodular)
-from oracles import (brute_force_rank_sum, brute_force_torsion_count, per_term_count, smith_translates,
-                     translate_gate_count)
+from oracles import (brute_force_rank_sum, brute_force_torsion_count, brute_force_torsion_points, per_term_count,
+                     smith_translates, translate_gate_count)
 
 
 def _count(nc, d):
@@ -323,6 +323,30 @@ class TestEnumerate:
         pts = enumerate_torsion(CongruenceCoset.full_torus(2), 2)
         assert len(pts) == 4
         assert TorusPoint.of([Fraction(1, 2), Fraction(1, 2)]) in pts
+        halves = (Fraction(0), Fraction(1, 2))
+        assert {p.coords for p in pts} == {(x, y) for x in halves for y in halves}
+
+    def test_a_shared_point_is_listed_by_both_components(self):
+        # {2·x0 ≡ 1/2} ∪ {x1 ≡ 0} at d = 4: (1/4, 0) and (3/4, 0) lie on
+        # both, so the union has 8 + 4 - 2 = 10 distinct points
+        parts = [CongruenceCoset.of(2, [[2, 0]], [Fraction(1, 2)]), CongruenceCoset.of(2, [[0, 1]], [Fraction(0)])]
+        listed = [p.coords for c in parts for p in enumerate_torsion(c, 4)]
+        points = set(listed)
+        assert len(listed) == 12 and len(points) == 10
+        quarters = [Fraction(k, 4) for k in range(4)]
+        assert points == {(x, y) for x in quarters[1::2] for y in quarters} | {(x, Fraction(0)) for x in quarters}
+        oracle = {tuple(Fraction(y, 4) for y in ys) for c in parts for ys in brute_force_torsion_points(c, 4)}
+        assert points == oracle
+        assert len(points) == union_torsion_count(parts, 4) == brute_force_torsion_count(parts, 4)
+
+    def test_an_empty_coset_lists_no_point(self):
+        empty = CongruenceCoset.of(4, [[1, 0, 0, 0], [1, 0, 0, 0]], [Fraction(0), Fraction(1, 2)])
+        pinned = CongruenceCoset.of(4, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                                    [Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0)])
+        assert enumerate_torsion(empty, 4) == [] and brute_force_torsion_points(empty, 4) == set()
+        assert [p.coords for p in enumerate_torsion(pinned, 4)] == [
+            (Fraction(k, 4), Fraction(0), Fraction(0), Fraction(0)) for k in (1, 3)]
+        assert union_torsion_count([empty, pinned], 4) == 2
 
     def test_translate_line(self):
         coset = CongruenceCoset.of(2, [[1, 0]], [Fraction(1, 2)])

@@ -648,21 +648,30 @@ class TestCoverInvariants:
         assert inv.chi_p == tuple(row_euler_characteristic(model, p) for p in range(model.n + 1))
         assert inv.chi_top == top_euler_characteristic(model)
 
-    @pytest.mark.parametrize("name,params", DEFAULT_INSTANCES)
+    @pytest.mark.parametrize("name,params", [*DEFAULT_INSTANCES, *(pytest.param(seed, None, id=seed) for seed in (
+        "golden:1", "golden:2", "golden:5", "invariance:0", "invariance:17"))])
     def test_one_table_evaluation_per_cover(self, monkeypatch, name, params):
-        model = builtin(name, **params).model
+        # the catalog entries, and seeded models with gates and several
+        # divisibility classes: once the first cover has compiled its table,
+        # no cover, however large d, runs a Smith form, a Hermite reduction or
+        # a meet, so its cost does not grow with d
+        model = random_model(random.Random(name)) if params is None else builtin(name, **params).model
         pluri_ms = [1] + sorted(model.pluri.values if model.pluri else ())
+        ds = (*range(1, 25), 10 ** 30)
         expected = {d: (tuple(tuple(summed_count(model, ("hodge", p, q), d) for q in range(model.n + 1))
                               for p in range(model.n + 1)),
                         tuple(summed_count(model, ("betti", k), d) for k in range(2 * model.n + 1)),
-                        {m: summed_count(model, ("pluri", m), d) for m in pluri_ms}) for d in (1, 2, 3)}
+                        {m: summed_count(model, ("pluri", m), d) for m in pluri_ms}) for d in ds}
         values = count_calls(monkeypatch, (counting.CountTable, "values"))
         forms = count_calls(monkeypatch, (RankFunction, "count_form"))
         tables = count_calls(monkeypatch, (counting.CountTable, "of"))
+        built = count_calls(monkeypatch, (torus, "snf"), (counting, "snf"), (torus, "_hermite"),
+                            (torus, "_smith_data"), (torus.NormalizedCoset, "meet"))
         cover_invariants(model, 4, pluri_ms)  # the first cover compiles what it reads, once
         assert len(tables) <= 1 + (model.pluri is not None) <= 2
         tables.clear()
-        for d in (1, 2, 3):
+        built.clear()
+        for d in ds:
             for ms in ((), pluri_ms):
                 values.clear()
                 forms.clear()
@@ -676,6 +685,7 @@ class TestCoverInvariants:
             assert inv.pluri[1] == inv.hodge[model.n][0]
             for m, value in (model.pluri.values.items() if model.pluri else ()):
                 assert value * sheaf_rank_on_cover(model.pluri_locus, d) == inv.pluri[m]
+            assert built == [], d
         # no later cover or read of a plurigenus compiles a table
         assert tables == []
 
