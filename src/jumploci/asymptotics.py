@@ -22,17 +22,15 @@ covers of factorial degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .counting import DEFAULT_COMPONENT_BUDGET
 from .model import VarietyModel, decay_exponent, locus_too_large, satisfies_weak_generic_nakano
 from .tower import symbolic_limit, value_on_cover
 
 
-@dataclass(frozen=True)
-class BoundFit:
+class BoundFit(NamedTuple):
     """Result of fitting B with normalized rank <= B · d^(-exponent)."""
 
     p: int
@@ -44,8 +42,7 @@ class BoundFit:
     violating_dim: Optional[int] = None  # real dimension witnessing unboundedness
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Whether the cover irregularities q(X_d) stay bounded."""
 
     divergent: bool
@@ -56,8 +53,7 @@ class DivergenceReport:
     base_irregularity: int
 
 
-@dataclass(frozen=True)
-class L2Report:
+class L2Report(NamedTuple):
     betti: tuple[Fraction, ...]
     hodge: tuple[tuple[Fraction, ...], ...]
     nonvanishing: frozenset[int]

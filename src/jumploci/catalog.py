@@ -20,10 +20,9 @@ recomputed independently (and is, in the test suite):
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import BadParams, UnknownName, shown
 from .model import (
@@ -37,8 +36,7 @@ from .modelfile import MAX_G, MAX_N
 from .torus import CongruenceCoset, TorusPoint
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     parameters: dict
     model: VarietyModel

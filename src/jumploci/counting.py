@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded, ComponentBudgetExceeded, DimensionMismatch
 from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, _check_d, torsion_gate
@@ -59,8 +59,7 @@ DEFAULT_COMPONENT_BUDGET = 12
 DEFAULT_ENUM_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class TorsionCount:
+class TorsionCount(NamedTuple):
     """Exact count of the d-torsion points lying on one coset."""
 
     d: int
@@ -154,8 +153,7 @@ class CountForm:
         return CountTable.of([[self]])
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Sums of count forms merged by divisibility class, one column per sum,
     each distinct form read once, by identity, into every column that lists
     it; the only evaluator of a form, even read alone (:attr:`CountForm.table`).

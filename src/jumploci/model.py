@@ -327,8 +327,7 @@ class Finding(NamedTuple):
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     findings: tuple[Finding, ...]
     weak_gv_table: Mapping[int, frozenset[int]]
 
