@@ -1,18 +1,5 @@
 """Exact calculator for cohomological jump loci and abelian-cover towers."""
 
-from .asymptotics import (
-    BoundFit,
-    DivergenceReport,
-    L2Report,
-    betti_deviation_constant,
-    betti_limit_deviation,
-    converse_defect_witness,
-    divergence_class,
-    fit_bounds,
-    l2_betti,
-    l2_euler_characteristic,
-)
-from .catalog import CatalogEntry, DEFAULT_INSTANCES, builtin, builtin_names
 from .counting import (
     TorsionCount,
     coset_torsion_count,
@@ -58,5 +45,29 @@ from .tower import (
     value_on_cover,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Names of the modules that only some commands run, imported on first use:
+# name -> home module.  Nothing is stored here once resolved, so a name is
+# always its home module's current attribute.
+_LAZY = {
+    **dict.fromkeys(("asymptotics", "BoundFit", "DivergenceReport", "L2Report", "betti_deviation_constant",
+                     "betti_limit_deviation", "converse_defect_witness", "divergence_class", "fit_bounds",
+                     "l2_betti", "l2_euler_characteristic"), "asymptotics"),
+    **dict.fromkeys(("catalog", "CatalogEntry", "DEFAULT_INSTANCES", "builtin", "builtin_names"), "catalog"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
+
+__all__ = sorted({*_LAZY, *(name for name in dir() if not name.startswith("_"))})
 __version__ = "0.1.0"

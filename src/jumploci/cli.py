@@ -9,6 +9,10 @@ Subcommands:
 * ``export``       write a catalog entry to a model file
 * ``catalog-list`` list the built-in models
 
+Each command imports the modules that only it runs (``asymptotics`` for
+``check``, ``catalog`` for ``--builtin`` and ``catalog-list``, ``csv`` for
+``tower``) when it runs, so the others start up without them.
+
 Exit codes: 0 pass, 1 analytic fail (``check`` only), 2 invalid input,
 141 (128 + SIGPIPE) when standard output is closed before everything is
 written, as by ``jumploci catalog-list | head -1``; nothing goes to
@@ -19,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import math
@@ -27,7 +30,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import asymptotics, catalog, counting, modelfile, tower
+from . import counting, modelfile, tower
 from .errors import EngineError, MissingPluriData, shown, shown_int
 from .model import VarietyModel, validate_model
 
@@ -69,6 +72,7 @@ def _check_sources(args) -> None:
 
 def _load_model(args) -> VarietyModel:
     if args.builtin:
+        from . import catalog
         return catalog.builtin(args.builtin, **_parse_params(args.params)).model
     if args.model:
         return modelfile.load_model(args.model)
@@ -204,6 +208,7 @@ def cmd_tower(args) -> int:
             tower.summands(model, ("pluri", m))
         except MissingPluriData as exc:
             raise EngineError(f"--pluri {shown_int(m)}: {exc}") from None
+    import csv
     # every row is computed before anything is written, so a failure leaves no output
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(_tower_rows(model, args.d_max, ms, args.budget))
@@ -222,6 +227,7 @@ def cmd_check(args) -> int:
     if not 0 <= args.defect_bound <= n:
         raise EngineError(f"--defect-bound {args.defect_bound} lies outside [0, {n}], "
                           f"the range of the defect of a model with n = {n}")
+    from . import asymptotics
     fits = asymptotics.fit_bounds(model, args.defect_bound, args.d_max, budget=args.budget)
     witness = next(((f.p, f.q) for f in fits if not f.passes), None)  # the converse: first failing fit
     divergence = asymptotics.divergence_class(model)
@@ -302,6 +308,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_catalog_list(args) -> int:
+    from . import catalog
     for name, params in catalog.DEFAULT_INSTANCES:
         entry = catalog.builtin(name, **params)
         args_text = ",".join(f"{k}={v}" for k, v in params.items())

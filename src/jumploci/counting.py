@@ -59,13 +59,14 @@ DEFAULT_COMPONENT_BUDGET = 12
 DEFAULT_ENUM_CAP = 10_000_000
 
 
-class TorsionCount(NamedTuple):
+class TorsionCount(NamedTuple):  # (bench/oracles.py and bench/tracing.py read its value)
     """Exact count of the d-torsion points lying on one coset."""
 
     d: int
     value: int
 
 
+# bench/oracles.py calls this, and bench/tracing.py spans it and reads its value
 def coset_torsion_count(coset: CongruenceCoset, d: int) -> TorsionCount:
     """Number of points of order dividing d on the coset, exactly: the
     count of the union of the coset alone (:func:`union_torsion_count`), so

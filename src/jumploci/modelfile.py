@@ -124,10 +124,9 @@ def _coset_from_dict(obj: Any, ambient_dim: int, built: dict) -> CongruenceCoset
         if key in built:
             return built[key]
     try:
-        coset = CongruenceCoset.of(
-            ambient_dim,
-            [[_integer(a, "an entry of 'A'") for a in row] for row in rows],
-            [_fraction_from_str(b) for b in rhs])
+        # a keyed matrix holds exact ints only, so its rows go on as they are
+        matrix = key[0] if key is not None else [[_integer(a, "an entry of 'A'") for a in row] for row in rows]
+        coset = CongruenceCoset(ambient_dim, matrix, [_fraction_from_str(b) for b in rhs])
     except Exception as exc:
         raise ModelFormatError(f"bad coset: {exc}") from None
     if key is not None:

@@ -128,17 +128,23 @@ def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
                      *, budget: int = DEFAULT_COMPONENT_BUDGET) -> CoverInvariants:
     """Every invariant of X_d read off one evaluation of the model's table,
     cut into the grid, the Betti numbers and deg; q = h^(0,1) and P_1 = h^(n,0)
-    from the grid.  Each exponent is resolved as the selector ("pluri", m), and
-    the locus is read at most once per cover.  ``pluri`` is new per call."""
+    from the grid.  Each exponent is checked once, refused as the selector
+    ("pluri", m) would be, and the locus is read at most once per cover.
+    ``pluri`` is new per call."""
     values = model.hodge_table(budget).values(d)
     grid = model.grid(values)
     n = model.n
     pluri, count = {}, None
     for m in pluri_ms:
-        (c, rf), = summands(model, ("pluri", m))
-        if m > 1 and c and count is None:
-            count = sheaf_rank_on_cover(rf, d, budget=budget)
-        pluri[m] = grid[n][0] if m == 1 else c * count if c else 0
+        if type(m) is not int or m < 1:
+            summands(model, ("pluri", m))  # raises the selector's ValueError
+        if m == 1:
+            pluri[m] = grid[n][0]
+            continue
+        c, locus = _pluri_summand(model, m)
+        if c and count is None:
+            count = sheaf_rank_on_cover(locus, d, budget=budget)
+        pluri[m] = c * count if c else 0
     inv = object.__new__(CoverInvariants)  # frozen: fill the fields in one step
     object.__setattr__(inv, "__dict__", {
         "d": d, "deg": values[-1], "hodge": grid, "betti": tuple(values[model.betti_columns]),

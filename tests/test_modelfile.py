@@ -338,6 +338,17 @@ class TestOneCosetPerLoad:
         assert len(built) == len(distinct) < len(_cosets(loaded))
         assert set(built) == {c.normalize() for c in distinct}
 
+    def test_a_keyed_matrix_is_not_checked_again(self, monkeypatch):
+        # the key's type test already proves every entry of 'A' an exact int
+        from jumploci import modelfile
+
+        checked = []
+        integer = modelfile._integer
+        monkeypatch.setattr(modelfile, "_integer", lambda x, what: checked.append(what) or integer(x, what))
+        model = builtin("blowup_abelian_codim", g=3, c=2).model
+        assert model_from_dict(model_to_dict(model)) == model
+        assert checked and "an entry of 'A'" not in checked
+
     def test_two_loads_share_nothing(self, tmp_path):
         save_model(builtin("blowup_abelian4_curve", genus=2).model, tmp_path / "m.json")
         first, second = load_model(tmp_path / "m.json"), load_model(tmp_path / "m.json")

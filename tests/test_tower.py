@@ -201,6 +201,25 @@ class TestHodgeAndBetti:
         assert len(smith) == 2
         assert len(passes) == 0
 
+    def test_cover_reads_each_exponent_without_a_selector(self, monkeypatch):
+        # a cover checks each exponent once and reads values[m] and the locus
+        # itself; P_m agrees with the selector's path, and a bad exponent is
+        # refused with the selector's message
+        points = tuple(TorusPoint.of([0, Fraction(j, 13)]) for j in range(3))
+        proper = dataclasses.replace(builtin("abelian", g=1).model,
+                                     pluri=PluriData(0, points, {m: 3 * m - 4 for m in range(2, 7)}))
+        for model in (builtin("elliptic_surface_qI0", genus=2, chi=1).model, proper):
+            selected = count_calls(monkeypatch, (tower, "summands"))
+            covers = {d: cover_invariants(model, d, range(1, 7)).pluri for d in (1, 2, 13, 10 ** 30)}
+            assert not selected
+            for d, pluri in covers.items():
+                assert pluri == {m: value_on_cover(model, ("pluri", m), d) for m in range(1, 7)}
+            for m in (0, -1, True, 2.0):
+                with pytest.raises(ValueError) as refused:
+                    tower.summands(model, ("pluri", m))
+                with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+                    cover_invariants(model, 2, [2, m])
+
     def test_b0_is_one(self):
         for name, params in (("abelian", {"g": 2}), ("cartwright_steger_like", {}),
                              ("fibered_over_curve", {"genus": 2})):
