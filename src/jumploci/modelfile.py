@@ -7,13 +7,19 @@ signed "-", and nothing else.  Rank-grid entries that are identically zero
 are omitted on export and filled back in on import, making export/import a
 round trip up to equality of models.
 
-Within one load, strata written with the same coset (the origin point
-repeats in most grid entries) share one :class:`CongruenceCoset`, so its
-rationals are parsed, and the coset built and normalized, once.  Entries
-with the same generic value over those shared cosets (Serre duality and
-Hodge symmetry repeat most of a grid) then become one :class:`RankFunction`
-when the :class:`VarietyModel` is built.  The table that finds the repeats
-lives for that load only; nothing is kept between loads.
+Export states each distinct coset once, in a top-level ``cosets`` list in
+first-appearance order (grid row-major, then sheaf slots by name), and a
+stratum names its coset by index: ``{"coset": i, "value": v}``.  A stratum
+may instead state its coset inline, ``{"A": ..., "b": ..., "value": v}``,
+as hand-written files and earlier exports do; a file may mix both forms.
+Within one load, strata with the same coset (the origin point repeats in
+most grid entries), named by index or written out alike, share one
+:class:`CongruenceCoset`, so its rationals are parsed, and the coset built
+and normalized, once.  Entries with the same generic value over those
+shared cosets (Serre duality and Hodge symmetry repeat most of a grid) then
+become one :class:`RankFunction` when the :class:`VarietyModel` is built.
+The dictionary that finds the repeats lives for that load only; nothing is
+kept between loads.
 
 A file states only what a model cannot derive, so export writes no
 ``flags`` (semismall means defect 0) and no pluri ``generic_values`` (0 off
@@ -134,14 +140,26 @@ def _coset_from_dict(obj: Any, ambient_dim: int, built: dict) -> CongruenceCoset
     return coset
 
 
-def _rank_to_dict(rf: RankFunction) -> dict:
+def _rank_to_dict(rf: RankFunction, cosets: dict) -> dict:
+    """The entry of ``rf``, its strata naming cosets by their index in
+    ``cosets``, which takes in each coset not seen before."""
     return {
         "generic": rf.generic_value,
-        "strata": [dict(_coset_to_dict(c), value=v) for c, v in rf.strata],
+        "strata": [{"coset": cosets.setdefault(c, len(cosets)), "value": v} for c, v in rf.strata],
     }
 
 
-def _rank_from_dict(obj: Any, ambient_dim: int, built: dict) -> RankFunction:
+def _coset_at(index: Any, table: list | None) -> CongruenceCoset:
+    """The coset a stratum names by its index in the file's 'cosets' list."""
+    if table is None:
+        raise ModelFormatError(f"a stratum names coset {_quoted(index)}, but the file has no 'cosets' list")
+    if type(index) is not int or not 0 <= index < len(table):
+        raise ModelFormatError(f"a stratum's 'coset' must be an index below {len(table)}, "
+                               f"the length of 'cosets', got {_quoted(index)}")
+    return table[index]
+
+
+def _rank_from_dict(obj: Any, ambient_dim: int, built: dict, table: list | None) -> RankFunction:
     obj = _object(obj, "a rank function")
     generic = _integer(obj.get("generic", 0), "'generic'")
     strata = []
@@ -149,7 +167,13 @@ def _rank_from_dict(obj: Any, ambient_dim: int, built: dict) -> RankFunction:
         if "value" not in _object(s, "a stratum"):
             raise ModelFormatError("a stratum needs a 'value'")
         value = _integer(s["value"], "a stratum 'value'")
-        strata.append(Stratum(_coset_from_dict(s, ambient_dim, built), value))
+        if "coset" not in s:
+            coset = _coset_from_dict(s, ambient_dim, built)
+        elif "A" in s or "b" in s:
+            raise ModelFormatError("a stratum names its coset either by 'coset' or by 'A' and 'b', not both")
+        else:
+            coset = _coset_at(s["coset"], table)
+        strata.append(Stratum(coset, value))
     return RankFunction(ambient_dim, generic, tuple(strata))
 
 
@@ -160,13 +184,14 @@ def _point_from_list(obj: Any, ambient_dim: int) -> TorusPoint:
 
 
 def model_to_dict(model: VarietyModel) -> dict:
+    cosets: dict = {}  # each distinct coset, by value, to its index in first-appearance order
     hodge = []
     for p in range(model.n + 1):
         for q in range(model.n + 1):
             rf = model.hodge[p][q]
             if rf.generic_value == 0 and not rf.strata:
                 continue
-            hodge.append(dict({"p": p, "q": q}, **_rank_to_dict(rf)))
+            hodge.append(dict({"p": p, "q": q}, **_rank_to_dict(rf, cosets)))
     out: dict = {
         "schema_version": SCHEMA_VERSION,
         "name": model.name,
@@ -183,9 +208,10 @@ def model_to_dict(model: VarietyModel) -> dict:
         }
     if model.sheaves:
         out["sheaves"] = {
-            name: [_rank_to_dict(rf) for rf in rfs]
+            name: [_rank_to_dict(rf, cosets) for rf in rfs]
             for name, rfs in sorted(model.sheaves.items())
         }
+    out["cosets"] = [_coset_to_dict(c) for c in cosets]
     return out
 
 
@@ -220,6 +246,9 @@ def model_from_dict(obj: Any) -> VarietyModel:
         raise ModelFormatError(f"'g' = {_quoted(g)} exceeds the largest supported irregularity {MAX_G}")
     torus = 2 * g
     built: dict = {}  # the cosets of this load, by their JSON content
+    table = None  # the file's 'cosets' list, parsed, when it has one
+    if "cosets" in obj:
+        table = [_coset_from_dict(c, torus, built) for c in _list(obj["cosets"], "'cosets'")]
 
     zero = RankFunction(torus, 0, ())  # every entry the file omits
     grid = [[zero] * (n + 1) for _ in range(n + 1)]
@@ -231,7 +260,7 @@ def model_from_dict(obj: Any) -> VarietyModel:
             raise ModelFormatError(f"hodge entry ({_quoted(p)},{_quoted(q)}) outside the (n+1)x(n+1) grid")
         if grid[p][q] is not zero:
             raise ModelFormatError(f"hodge entry ({p},{q}) appears more than once")
-        grid[p][q] = _rank_from_dict(entry, torus, built)
+        grid[p][q] = _rank_from_dict(entry, torus, built, table)
 
     strata = []
     for pair in _list(obj.get("defect_strata", []), "'defect_strata'"):
@@ -255,7 +284,7 @@ def model_from_dict(obj: Any) -> VarietyModel:
     for name, rfs in _object(obj.get("sheaves", {}), "'sheaves'").items():
         if not isinstance(rfs, list):
             raise ModelFormatError(f"sheaf slot {_quoted(name)} must be a list of rank functions")
-        sheaves[name] = tuple(_rank_from_dict(rf, torus, built) for rf in rfs)
+        sheaves[name] = tuple(_rank_from_dict(rf, torus, built, table) for rf in rfs)
 
     name = obj.get("name", "")
     if not isinstance(name, str):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -139,3 +140,32 @@ def random_model(rng: random.Random) -> VarietyModel:
     grid[0][0] = grid[n][n] = RankFunction(dim, 0, (Stratum(CongruenceCoset.point(TorusPoint.zero(dim)), 1),))
     m = min(n, g)
     return VarietyModel(n=n, g=g, hodge=tuple(map(tuple, grid)), defect_strata=((0, m), (n - m, m)))
+
+
+def _rank_entries(blob: dict) -> list[dict]:
+    """Every rank function of a model dict: grid entries, then sheaf slots."""
+    return blob["hodge"] + [rf for slot in (blob.get("sheaves") or {}).values() for rf in slot]
+
+
+def inline_strata(blob: dict) -> dict:
+    """``blob``, a model dict, in the layout earlier builds export: each
+    stratum that names a coset by index states it inline, each a copy of its
+    own, and the 'cosets' list goes.  Edits ``blob`` and returns it."""
+    cosets = blob.pop("cosets", [])
+    for entry in _rank_entries(blob):
+        entry["strata"] = [dict(copy.deepcopy(cosets[s["coset"]]), value=s["value"]) if "coset" in s else s
+                           for s in entry["strata"]]
+    return blob
+
+
+def tabled_strata(blob: dict) -> dict:
+    """``blob``, a model dict, with each inline stratum's coset appended to
+    its 'cosets' list and named by index, one table entry per stratum.  Edits
+    ``blob`` and returns it."""
+    cosets = blob.setdefault("cosets", [])
+    for entry in _rank_entries(blob):
+        for s in entry["strata"]:
+            if "coset" not in s:
+                cosets.append({"A": s.pop("A"), "b": s.pop("b")})
+                s["coset"] = len(cosets) - 1
+    return blob

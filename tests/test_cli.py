@@ -18,8 +18,9 @@ from jumploci import (CongruenceCoset, RankFunction, Stratum, TorusPoint, Variet
 from jumploci.cli import _int_text_of_any_size, main
 from jumploci.errors import ECHO_CHARS, shown, shown_int
 from jumploci.tower import value_on_cover
-from gen import random_model
+from gen import inline_strata, random_model
 from test_console import cli_process
+from test_modelfile import LAYOUTS
 
 
 def run_cli(capsys, *argv):
@@ -524,18 +525,19 @@ class TestBadFlags:
         assert "2 components exceed the component budget of 1" in captured.err
         assert main(["--budget", "2", *argv]) == 0
 
-    def test_budget_counts_what_each_command_reads(self, tmp_path, capsys):
+    @LAYOUTS
+    def test_budget_counts_what_each_command_reads(self, layout, tmp_path, capsys):
         # (0,1) and (1,0) are 1 on the whole torus and 2 at (1/2, 0): count --i
         # caps the jump locus, both strata above the generic value 0, while
         # tower folds the stratum that fills the torus into the limit 1 and
         # caps the one stratum above it
-        blob = json.loads(dumps_model(builtin("abelian", g=1).model))
+        blob = inline_strata(json.loads(dumps_model(builtin("abelian", g=1).model)))
         for entry in blob["hodge"]:
             if {entry["p"], entry["q"]} == {0, 1}:
                 entry["strata"] = [{"A": [], "b": [], "value": 1},
                                    {"A": [[1, 0], [0, 1]], "b": ["1/2", "0"], "value": 2}]
         path = tmp_path / "full.json"
-        path.write_text(json.dumps(blob))
+        path.write_text(json.dumps(layout(blob)))
         assert main(["--budget", "1", "count", "--model", str(path), "--i", "0,1", "--d", "2"]) == 2
         assert capsys.readouterr() == ("", "error: 2 components exceed the component budget of 1\n")
         assert main(["--budget", "2", "count", "--model", str(path), "--i", "0,1", "--d", "2"]) == 0
@@ -543,7 +545,8 @@ class TestBadFlags:
         assert main(["--budget", "1", "tower", "--model", str(path), "--d-max", "2"]) == 0
         assert [row["h_0_1"] for row in csv.DictReader(io.StringIO(capsys.readouterr().out))] == ["1", "5"]
 
-    def test_budget_skips_empty_components(self, tmp_path, capsys):
+    @LAYOUTS
+    def test_budget_skips_empty_components(self, layout, tmp_path, capsys):
         # {x0 ≡ 0, x0 ≡ 1/2} is empty: every count takes in the origin alone,
         # while count's header still counts the presented components
         origin = {"A": [[1, 0], [0, 1]], "b": ["0", "0"]}
@@ -558,12 +561,12 @@ class TestBadFlags:
             rows.append(row)
         assert rows[0] == rows[1]
         # (0,1) and (1,0) are 1 at the origin and 2 on the empty stratum
-        blob = json.loads(dumps_model(builtin("abelian", g=1).model))
+        blob = inline_strata(json.loads(dumps_model(builtin("abelian", g=1).model)))
         for entry in blob["hodge"]:
             if {entry["p"], entry["q"]} == {0, 1}:
                 entry["strata"] = [{**origin, "value": 1}, {**empty, "value": 2}]
         path = tmp_path / "empty.json"
-        path.write_text(json.dumps(blob))
+        path.write_text(json.dumps(layout(blob)))
         assert main(["--budget", "1", "count", "--model", str(path), "--i", "0,1", "--d", "2"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "# jump locus of (0,1): 2 components, top dimension 0", f"{'d':>6} {'torsion':>14} {'d^dim':>14}",
@@ -658,10 +661,11 @@ class TestValidateExport:
         assert code == 0
         assert "model accepted" in out
 
-    def test_validate_rejects_broken_file(self, tmp_path, capsys):
+    @LAYOUTS
+    def test_validate_rejects_broken_file(self, layout, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        blob = json.loads(
-            __import__("jumploci").dumps_model(builtin("abelian", g=1).model))
+        blob = layout(json.loads(
+            __import__("jumploci").dumps_model(builtin("abelian", g=1).model)))
         blob["hodge"][0]["strata"][0]["value"] = 0  # no longer above the generic value
         bad.write_text(json.dumps(blob))
         code, out = run_cli(capsys, "validate", "--model", str(bad))

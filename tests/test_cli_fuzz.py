@@ -15,6 +15,7 @@ st = hypothesis.strategies
 
 from jumploci import builtin, dumps_model
 from jumploci.cli import main
+from gen import inline_strata
 
 # catalog entries with n, g <= 3 and parameter values around their ranges
 SMALL_BUILTINS = {
@@ -48,7 +49,7 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     model = root / "model.json"
     model.write_text(dumps_model(builtin("abelian", g=1).model))
-    broken = json.loads(dumps_model(builtin("abelian", g=1).model))
+    broken = inline_strata(json.loads(dumps_model(builtin("abelian", g=1).model)))
     broken["hodge"][0]["strata"][0]["value"] = 0
     (root / "broken.json").write_text(json.dumps(broken))
     (root / "garbage.json").write_text("{not json")

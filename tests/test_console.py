@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import jumploci
-from jumploci import builtin, value_on_cover
+from jumploci import builtin, catalog, load_model, value_on_cover
 from jumploci.cli import main
 from gen import dense_system, unimodular_point
 from test_golden import TABLE, digest, key
@@ -169,6 +169,16 @@ def test_a_huge_exponent_is_refused_within_seconds(tmp_path):
                        cwd=tmp_path, capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "bad rational" in proc.stderr
+
+
+def test_the_largest_model_is_exported_within_seconds(tmp_path):
+    # abelian(64) has one coset, the origin, in each of its 65² grid entries:
+    # the file states the 128 × 128 matrix once, where inline it would repeat it
+    proc = cli_process("export", "--builtin", "abelian", "--params", "g=64", "--out", "big.json",
+                       cwd=tmp_path, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert (tmp_path / "big.json").stat().st_size < 2_000_000
+    assert load_model(tmp_path / "big.json") == catalog.builtin("abelian", g=64).model
 
 
 # torsion counts at d = 1, 6, 7, 12: the point (1/6, ...) lies on the 6- and

@@ -1,13 +1,16 @@
 """Model file round trips and format errors."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 from jumploci import (
+    CongruenceCoset,
     ModelFormatError,
     RankFunction,
+    Stratum,
     builtin,
     dumps_model,
     load_locus,
@@ -20,8 +23,24 @@ from jumploci import (
     defect,
 )
 from jumploci.cli import main
+from jumploci.errors import ECHO_CHARS
 from jumploci.modelfile import MAX_G, MAX_N
-from gen import CATALOG_SWEEP
+from gen import CATALOG_SWEEP, inline_strata, tabled_strata
+from test_golden import MODEL_SEEDS, seeded_model
+
+# the two ways a stratum states its coset: inline, as earlier builds export,
+# and by index into the 'cosets' list, as export writes now
+LAYOUTS = pytest.mark.parametrize("layout", [inline_strata, tabled_strata], ids=["inline", "table"])
+
+
+def _coset_of(blob, stratum):
+    """The object that states ``stratum``'s coset in ``blob``: the stratum
+    itself, or the 'cosets' entry it names."""
+    return blob["cosets"][stratum["coset"]] if "coset" in stratum else stratum
+
+
+def _first_coset(blob):
+    return _coset_of(blob, blob["hodge"][0]["strata"][0])
 
 
 @pytest.mark.parametrize("name,params", DEFAULT_INSTANCES)
@@ -55,18 +74,21 @@ def test_rationals_survive_as_strings():
     (lambda d: d.pop("n"), "must be present"),
     (lambda d: d["hodge"].append({"p": 9, "q": 0, "generic": 1}), "outside"),
     (lambda d: d["hodge"][0]["strata"].append({"A": [[1]], "b": ["1/2"]}), "value"),
+    (lambda d: d["hodge"][0]["strata"].append({"coset": 0}), "value"),
 ])
-def test_malformed_models(mutate, message):
+@LAYOUTS
+def test_malformed_models(mutate, message, layout):
     base = model_to_dict(builtin("blowup_abelian4_curve", genus=2).model)
-    blob = json.loads(json.dumps(base))
+    blob = layout(json.loads(json.dumps(base)))
     mutate(blob)
     with pytest.raises(ModelFormatError, match=message):
         model_from_dict(blob)
 
 
-def test_float_rationals_rejected():
-    blob = model_to_dict(builtin("abelian", g=1).model)
-    blob["hodge"][0]["strata"][0]["b"] = [0.5, 0.0]
+@LAYOUTS
+def test_float_rationals_rejected(layout):
+    blob = layout(model_to_dict(builtin("abelian", g=1).model))
+    _first_coset(blob)["b"] = [0.5, 0.0]
     with pytest.raises(ModelFormatError):
         model_from_dict(blob)
 
@@ -84,9 +106,10 @@ class TestRationalFormat:
     translates and a locus file alike, anything else is a bad rational."""
 
     @pytest.mark.parametrize("bad", _BAD_RATIONALS)
-    def test_stratum_translate(self, bad, tmp_path, capsys):
-        blob = model_to_dict(builtin("abelian", g=1).model)
-        blob["hodge"][0]["strata"][0]["b"][0] = bad
+    @LAYOUTS
+    def test_stratum_translate(self, bad, layout, tmp_path, capsys):
+        blob = layout(model_to_dict(builtin("abelian", g=1).model))
+        _first_coset(blob)["b"][0] = bad
         with pytest.raises(ModelFormatError, match="^bad coset: bad rational "):
             model_from_dict(blob)
         path = tmp_path / "model.json"
@@ -127,13 +150,14 @@ class TestRationalFormat:
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, "3"])
 @pytest.mark.parametrize("field", ["value", "A"])
-def test_non_integers_rejected(field, bad, tmp_path):
-    blob = model_to_dict(builtin("abelian", g=1).model)
+@LAYOUTS
+def test_non_integers_rejected(field, bad, layout, tmp_path):
+    blob = layout(model_to_dict(builtin("abelian", g=1).model))
     stratum = blob["hodge"][0]["strata"][0]
     if field == "value":
         stratum["value"] = bad
     else:
-        stratum["A"][0][0] = bad
+        _coset_of(blob, stratum)["A"][0][0] = bad
     with pytest.raises(ModelFormatError):
         model_from_dict(blob)
     path = tmp_path / "model.json"
@@ -173,8 +197,9 @@ def test_load_locus(tmp_path):
     (lambda d: d.update(n=MAX_N + 1), "largest supported dimension"),
     (lambda d: d.update(g=MAX_G + 1), "largest supported irregularity"),
 ])
-def test_bad_fields_rejected(mutate, message, tmp_path):
-    blob = model_to_dict(builtin("abelian", g=1).model)
+@LAYOUTS
+def test_bad_fields_rejected(mutate, message, layout, tmp_path):
+    blob = layout(model_to_dict(builtin("abelian", g=1).model))
     mutate(blob)
     with pytest.raises(ModelFormatError, match=message):
         model_from_dict(blob)
@@ -219,7 +244,7 @@ def test_plain_pluri_key_loads():
 
 def test_largest_n_and_g_load():
     blob = model_to_dict(builtin("abelian", g=1).model)
-    blob.update(n=MAX_N, g=MAX_G, hodge=[], defect_strata=[[0, MAX_G]], pluri=None)
+    blob.update(n=MAX_N, g=MAX_G, hodge=[], cosets=[], defect_strata=[[0, MAX_G]], pluri=None)
     model = model_from_dict(blob)
     assert (model.n, model.g, len(model.hodge)) == (MAX_N, MAX_G, MAX_N + 1)
 
@@ -301,8 +326,9 @@ def test_missing_file():
 
 
 def _cosets(model):
-    """Every stratum's coset, grid and sheaf slots."""
-    rfs = [rf for row in model.hodge for rf in row] + [rf for slot in model.sheaves.values() for rf in slot]
+    """Every stratum's coset in the order export meets them: grid row-major,
+    then sheaf slots by name."""
+    rfs = [rf for row in model.hodge for rf in row] + [rf for _, slot in sorted(model.sheaves.items()) for rf in slot]
     return [coset for rf in rfs for coset, _ in rf.strata]
 
 
@@ -317,6 +343,7 @@ class TestOneCosetPerLoad:
         cosets = _cosets(loaded)
         assert len(cosets) == 25
         assert len({id(c) for c in cosets}) == len(set(cosets)) == 1
+        assert len(json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["cosets"]) == 1
 
     @pytest.mark.parametrize("name,params", [("blowup_abelian4_curve", {"genus": 2}),
                                              ("blowup_abelian_codim", {"g": 3, "c": 2})])
@@ -356,11 +383,13 @@ class TestOneCosetPerLoad:
         assert not {id(c) for c in _cosets(first)} & {id(c) for c in _cosets(second)}
 
     @pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=repr)
-    def test_a_repeat_in_a_wrong_type_is_refused(self, bad, tmp_path):
+    @LAYOUTS
+    def test_a_repeat_in_a_wrong_type_is_refused(self, bad, layout, tmp_path):
         # True == 1.0 == 1 with equal hashes: a key of raw values would take
-        # the later stratum for the earlier coset and accept it
-        blob = model_to_dict(builtin("blowup_abelian4_curve", genus=2).model)
-        strata = [s for entry in blob["hodge"] for s in entry["strata"]]
+        # the later stratum for the earlier coset and accept it; in the table
+        # layout, each stratum names a 'cosets' entry of its own
+        blob = layout(inline_strata(model_to_dict(builtin("blowup_abelian4_curve", genus=2).model)))
+        strata = [_coset_of(blob, s) for entry in blob["hodge"] for s in entry["strata"]]
         assert strata[0]["A"][0][0] == 1 and all(s["A"] == strata[0]["A"] for s in strata)
         strata[-1]["A"][0][0] = bad
         with pytest.raises(ModelFormatError, match="an entry of 'A' must be an integer"):
@@ -370,9 +399,10 @@ class TestOneCosetPerLoad:
         assert main(["validate", "--model", str(path)]) == 2
 
     @pytest.mark.parametrize("bad", [False, 0.0], ids=repr)
-    def test_a_repeat_with_a_wrong_type_in_b_is_refused(self, bad):
-        blob = model_to_dict(builtin("blowup_abelian4_curve", genus=2).model)
-        strata = [s for entry in blob["hodge"] for s in entry["strata"]]
+    @LAYOUTS
+    def test_a_repeat_with_a_wrong_type_in_b_is_refused(self, bad, layout):
+        blob = layout(inline_strata(model_to_dict(builtin("blowup_abelian4_curve", genus=2).model)))
+        strata = [_coset_of(blob, s) for entry in blob["hodge"] for s in entry["strata"]]
         for s in strata:
             s["b"] = [0] * len(s["b"])  # integers, which a raw key would match to False and 0.0
         assert model_from_dict(blob) == builtin("blowup_abelian4_curve", genus=2).model
@@ -521,7 +551,7 @@ def _full_torus_stratum(d):
     (lambda d: d.update(defect_strata=[[0, 1], [-1, 0]]), ["error: stratum (-1,0) has negative entries"]),
     (lambda d: d.update(defect_strata=[[0, 1], [1, 1]]),
      ["error: stratum (1,1) cannot fit in a variety of dimension 1"]),
-    (lambda d: d.update(g=0, defect_strata=[[0, 1]], pluri=None, hodge=[
+    (lambda d: d.update(g=0, defect_strata=[[0, 1]], pluri=None, cosets=[], hodge=[
         {"p": p, "q": q, "generic": 1} for p in range(2) for q in range(2)]),
      ["warning: the (1,0) rank at the origin is 1, not the irregularity 0; "
       "the model does not present its own Albanese torus",
@@ -604,10 +634,10 @@ def test_generic_values_with_nothing_derived_are_not_read():
 
 
 @pytest.mark.parametrize("mutate,message", [
-    (lambda d: d["hodge"][0]["strata"][0].pop("A"), "a coset needs 'A' (integer rows) and 'b' (rationals)"),
-    (lambda d: d["hodge"][0]["strata"][0].pop("b"), "a coset needs 'A' (integer rows) and 'b' (rationals)"),
-    (lambda d: d["hodge"][0]["strata"][0].update(A="1"), "'A' must be a list of rows and 'b' a list of rationals"),
-    (lambda d: d["hodge"][0]["strata"][0].update(b="0"), "'A' must be a list of rows and 'b' a list of rationals"),
+    (lambda d: _first_coset(d).pop("A"), "a coset needs 'A' (integer rows) and 'b' (rationals)"),
+    (lambda d: _first_coset(d).pop("b"), "a coset needs 'A' (integer rows) and 'b' (rationals)"),
+    (lambda d: _first_coset(d).update(A="1"), "'A' must be a list of rows and 'b' a list of rationals"),
+    (lambda d: _first_coset(d).update(b="0"), "'A' must be a list of rows and 'b' a list of rationals"),
     (lambda d: d["pluri"]["translates"].append(["0"]), "a torus point must be a list of 2 rationals"),
     (lambda d: d["hodge"][0].pop("q"), "every hodge entry needs integer 'p' and 'q'"),
     (lambda d: d.update(defect_strata=[[0, 1, 0]]), "'defect_strata' entries are [l, dim] pairs"),
@@ -616,8 +646,9 @@ def test_generic_values_with_nothing_derived_are_not_read():
     (lambda d: d["pluri"].pop("translates"), "bad pluri block: it needs 'q_base' and 'translates'"),
     (lambda d: d.update(sheaves={"L": {"generic": 1}}), "sheaf slot 'L' must be a list of rank functions"),
 ])
-def test_schema_errors_exit_2(mutate, message, tmp_path, capsys):
-    blob = model_to_dict(builtin("abelian", g=1).model)
+@LAYOUTS
+def test_schema_errors_exit_2(mutate, message, layout, tmp_path, capsys):
+    blob = layout(model_to_dict(builtin("abelian", g=1).model))
     mutate(blob)
     with pytest.raises(ModelFormatError) as exc:
         model_from_dict(blob)
@@ -633,3 +664,95 @@ def test_a_file_holding_a_list_exits_2(tmp_path, capsys):
     path.write_text("[]", encoding="utf-8")
     assert main(["validate", "--model", str(path)]) == 2
     assert capsys.readouterr().err == "error: a model file must contain a JSON object\n"
+
+
+def _first_stratum(blob):
+    return blob["hodge"][0]["strata"][0]
+
+
+def _past_the_end(bad):
+    return f"a stratum's 'coset' must be an index below 1, the length of 'cosets', got {bad}"
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda d: d.update(cosets={}), "'cosets' must be a list, got {}"),
+    (lambda d: d.update(cosets=None), "'cosets' must be a list, got None"),
+    (lambda d: d.update(cosets="x" * 500), f"'cosets' must be a list, got '{'x' * (ECHO_CHARS - 1)}..."),
+    (lambda d: _first_stratum(d).update(coset=True), _past_the_end("True")),
+    (lambda d: _first_stratum(d).update(coset=0.0), _past_the_end("0.0")),
+    (lambda d: _first_stratum(d).update(coset="0"), _past_the_end("'0'")),
+    (lambda d: _first_stratum(d).update(coset=-1), _past_the_end("-1")),
+    (lambda d: _first_stratum(d).update(coset=1), _past_the_end("1")),
+    (lambda d: _first_stratum(d).update(coset=None), _past_the_end("None")),
+    (lambda d: _first_stratum(d).update(coset=10 ** 500), _past_the_end("1" + "0" * (ECHO_CHARS - 1) + "...")),
+    (lambda d: _first_stratum(d).update(coset="9" * 500), _past_the_end(f"'{'9' * (ECHO_CHARS - 1)}...")),
+    (lambda d: d.pop("cosets"), "a stratum names coset 0, but the file has no 'cosets' list"),
+    (lambda d: _first_stratum(d).update(A=[[1, 0], [0, 1]]),
+     "a stratum names its coset either by 'coset' or by 'A' and 'b', not both"),
+    (lambda d: _first_stratum(d).update(b=["0", "0"]),
+     "a stratum names its coset either by 'coset' or by 'A' and 'b', not both"),
+    (lambda d: d["cosets"].append(1), "a coset needs 'A' (integer rows) and 'b' (rationals)"),
+    (lambda d: d["cosets"].append({"A": [[1, 0]]}), "a coset needs 'A' (integer rows) and 'b' (rationals)"),
+    (lambda d: d["cosets"].append({"A": [[1, 0]], "b": "0"}),
+     "'A' must be a list of rows and 'b' a list of rationals"),
+    (lambda d: d["cosets"].append({"A": ["10"], "b": ["0"]}), "each row of 'A' must be a list of integers"),
+    (lambda d: d["cosets"].append({"A": [[1, 0.5]], "b": ["0"]}),
+     "bad coset: an entry of 'A' must be an integer, got 0.5"),
+    (lambda d: d["cosets"].append({"A": [[1, 0]], "b": ["1e5"]}), "bad coset: bad rational '1e5'"),
+    (lambda d: d["cosets"].append({"A": [[1, 0, 0]], "b": ["0"]}),
+     "bad coset: row width differs from the ambient dimension"),
+], ids=["cosets object", "cosets null", "cosets long string", "index bool", "index float", "index string",
+        "index negative", "index past the end", "index null", "index huge", "index long string", "no cosets",
+        "index and A", "index and b", "entry not an object", "entry without b",
+        "entry b not a list", "entry row not a list", "entry float in A", "entry bad rational", "entry too wide"])
+def test_malformed_references_exit_2(mutate, message, tmp_path, capsys):
+    # a table entry no stratum names is still read, and refused alike
+    blob = model_to_dict(builtin("abelian", g=1).model)
+    assert len(blob["cosets"]) == 1 and _first_stratum(blob)["coset"] == 0
+    mutate(blob)
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_dict(blob)
+    assert str(exc.value) == message
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# every model the tests build: the default and swept catalog entries and the golden seeded models
+CORPUS = ([pytest.param(lambda name=name, params=params: builtin(name, **params).model,
+                        id=f"{name}({','.join(f'{k}={v}' for k, v in params.items())})")
+           for name, params in DEFAULT_INSTANCES + CATALOG_SWEEP]
+          + [pytest.param(lambda k=k: seeded_model(k), id=f"golden:{k}") for k in MODEL_SEEDS])
+
+
+@pytest.mark.parametrize("make", CORPUS)
+def test_both_layouts_load_to_one_model_and_one_export(make):
+    model = make()
+    table, inline = model_to_dict(model), inline_strata(model_to_dict(model))
+    assert "cosets" in table and "cosets" not in inline
+    assert model_from_dict(table) == model_from_dict(inline) == model
+    assert dumps_model(model_from_dict(table)) == dumps_model(model_from_dict(inline)) == dumps_model(model)
+
+
+def _unshared(model):
+    """``model`` with a coset object of its own in every stratum."""
+    def fresh(rf):
+        return RankFunction(rf.ambient_dim, rf.generic_value, tuple(
+            Stratum(CongruenceCoset(c.ambient_dim, c.rows, c.rhs), v) for c, v in rf.strata))
+
+    return dataclasses.replace(model, hodge=tuple(tuple(map(fresh, row)) for row in model.hodge),
+                               sheaves={name: tuple(map(fresh, slot)) for name, slot in model.sheaves.items()})
+
+
+@pytest.mark.parametrize("make", CORPUS)
+def test_export_lists_each_distinct_coset_once(make):
+    # by value, in first-appearance order: grid row-major, then sheaf slots by name
+    model = make()
+    unshared = _unshared(model)
+    assert len({id(c) for c in _cosets(unshared)}) == len(_cosets(unshared))
+    blob = model_to_dict(unshared)
+    assert blob == model_to_dict(model)
+    assert blob["cosets"] == [{"A": [list(r) for r in c.rows], "b": [str(b) for b in c.rhs]}
+                              for c in dict.fromkeys(_cosets(model))]
+    assert model_from_dict(blob) == model
