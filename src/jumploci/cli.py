@@ -42,9 +42,7 @@ EXIT_CLOSED_PIPE = 141
 
 def _parse_params(text: Optional[str]) -> dict:
     params: dict = {}
-    if not text:
-        return params
-    for item in text.split(","):
+    for item in (text or "").split(","):
         if not item:
             continue
         if "=" not in item:
@@ -161,8 +159,7 @@ def _tower_rows(model: VarietyModel, d_max: int, ms: list[int], budget: int):
     header = ["schema", "d", "deg"]
     header += [f"h_{p}_{q}" for p in range(n + 1) for q in range(n + 1)]
     header += [f"b_{k}" for k in range(2 * n + 1)]
-    header += ["q"]
-    header += [f"P_{m}" for m in ms]
+    header += ["q", *(f"P_{m}" for m in ms)]
     header += [f"nh_{p}_{q}" for p in range(n + 1) for q in range(n + 1)]
     header += [f"nh_{p}_{q}_approx" for p in range(n + 1) for q in range(n + 1)]
     header += [f"nb_{k}" for k in range(2 * n + 1)]
@@ -171,11 +168,7 @@ def _tower_rows(model: VarietyModel, d_max: int, ms: list[int], budget: int):
     for d in range(1, d_max + 1):
         inv = tower.cover_invariants(model, d, ms, budget=budget)
         flat = [inv.hodge[p][q] for p in range(n + 1) for q in range(n + 1)]
-        row = [modelfile.SCHEMA_VERSION, d, inv.deg]
-        row += flat
-        row += list(inv.betti)
-        row += [inv.q]
-        row += [inv.pluri[m] for m in ms]
+        row = [modelfile.SCHEMA_VERSION, d, inv.deg, *flat, *inv.betti, inv.q, *(inv.pluri[m] for m in ms)]
         deg = inv.deg
         for values in (flat, inv.betti):  # v/deg in lowest terms, then as float text
             for v in values:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, ComponentBudgetExceeded, DimensionMismatch
 from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, _check_d, torsion_gate
@@ -139,9 +139,7 @@ class CountForm:
 
         Once d is divisible by every translate order and every Smith pivot, a
         meet has component_count·d^dim points; the result maps each exponent
-        to its nonzero coefficient.  For unions U ⊆ V, U = V exactly when their polynomials
-        agree: a component of V not inside U meets U in lower dimension, so it
-        leaves a positive leading term in the difference.
+        to its nonzero coefficient.
         """
         poly = {self.ambient_dim: self.limit}
         for c, nc in self.terms:
@@ -152,6 +150,22 @@ class CountForm:
     def table(self) -> CountTable:
         """The form read alone, as a one-column table built on first use."""
         return CountTable.of([[self]])
+
+
+def covered(coset: NormalizedCoset, cosets: Iterable[NormalizedCoset]) -> bool:
+    """Whether the coset lies in the union of the cosets, exactly.
+
+    A component of the coset, a translate of a connected subtorus, lies in a
+    closed coset or meets it in lower dimension, a null set, and finitely
+    many null sets cover no component.  So the coset is covered exactly when
+    its full-dimensional meets, each a union of its components, take in all
+    component_count of them: the degree-dim coefficient of their union's
+    form.  No lower-dimensional meet is formed.  Unions are equal exactly
+    when each covers every coset of the other.
+    """
+    pieces = [(m, 1) for m in (coset.meet(d) for d in cosets) if m is not None and m.dim == coset.dim]
+    form = CountForm.of(coset.ambient_dim, 0, pieces)
+    return form.polynomial.get(coset.dim, 0) == coset.component_count
 
 
 class CountTable(NamedTuple):

@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_budget
+from .counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_budget, covered
 from .errors import ComponentBudgetExceeded, DimensionMismatch, MissingStratification, shown_int
 from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, _to_int
 
@@ -410,12 +410,11 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
     Each level set is a set of normalized cosets: the full torus at or
     below the generic value, else the nonempty strata reaching t, g's
     negated.  Equal sets of cosets are equal level sets.  Otherwise
-    U = {f >= t} and V = -{g >= t} are equal exactly when U, V and U ∪ V
-    have the same count polynomial (:attr:`CountForm.polynomial`): U ⊆ U ∪ V,
-    so equal polynomials make them equal, and likewise for V.  U ∪ V has at
-    most |U| + |V| components, and is not counted when U and V already
-    differ.  Raises ComponentBudgetExceeded when U or V, short of the full
-    torus, has more cosets than the budget, checked for U, then V.
+    U = {f >= t} and V = -{g >= t} are equal exactly when V covers each
+    coset of U and U each coset of V (:func:`covered`); no form spans U ∪ V.
+    Raises ComponentBudgetExceeded when U or V, short of the full torus, has
+    more cosets than the budget, checked for U, then V, so that no form
+    takes more pieces than the budget.
     """
     f_strata = [(nc, value) for nc, value in f.normalized_strata if nc is not None]
     g_strata = [(-nc, value) for nc, value in g.normalized_strata if nc is not None]
@@ -424,7 +423,6 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
     full = frozenset({NormalizedCoset(f.ambient_dim, (), (), 1)})
     values = {f.generic_value, g.generic_value}
     values.update(value for _, value in f.strata + g.strata)
-    polynomial = lambda cosets: CountForm.of(f.ambient_dim, 0, [(nc, 1) for nc in cosets]).polynomial
     for t in sorted(values):
         u = full if t <= f.generic_value else frozenset(nc for nc, value in f_strata if value >= t)
         v = full if t <= g.generic_value else frozenset(nc for nc, value in g_strata if value >= t)
@@ -433,8 +431,7 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
         for level in (u, v):
             if level is not full:
                 check_budget(len(level), budget)
-        poly = polynomial(u)
-        if poly != polynomial(v) or polynomial(u | v) != poly:
+        if not all(covered(x, v) for x in u) or not all(covered(y, u) for y in v):
             return t
     return None
 
@@ -585,13 +582,9 @@ def validate_model(model: VarietyModel, *, budget: int = DEFAULT_COMPONENT_BUDGE
             t = decided[key]
             if isinstance(t, ComponentBudgetExceeded):
                 warn(f"Serre symmetry of ({p},{q}) and ({pd},{qd}) was not decided: {t}")
-                continue
-            if t is not None:
+            elif t is not None:
                 warn(f"ranks at ({p},{q}) and ({pd},{qd}) are not Serre-symmetric: "
                      f"{{h^({p},{q}) >= {shown_int(t)}}} and -{{h^({pd},{qd}) >= {shown_int(t)}}} differ")
 
-    table = {
-        p: frozenset(q for q in range(n + 1) if model.hodge[p][q].is_proper())
-        for p in range(n + 1)
-    }
+    table = {p: frozenset(q for q in range(n + 1) if model.hodge[p][q].is_proper()) for p in range(n + 1)}
     return ValidationReport(tuple(findings), table)

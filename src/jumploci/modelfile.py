@@ -140,13 +140,14 @@ def _coset_from_dict(obj: Any, ambient_dim: int, built: dict) -> CongruenceCoset
     return coset
 
 
-def _rank_to_dict(rf: RankFunction, cosets: dict) -> dict:
+def _rank_to_dict(rf: RankFunction, cosets: dict, seen: dict) -> dict:
     """The entry of ``rf``, its strata naming cosets by their index in
-    ``cosets``, which takes in each coset not seen before."""
-    return {
-        "generic": rf.generic_value,
-        "strata": [{"coset": cosets.setdefault(c, len(cosets)), "value": v} for c, v in rf.strata],
-    }
+    ``cosets``, which takes in each coset not seen before.  ``seen`` maps
+    each coset object's id to its index, so an object is hashed once."""
+    for c, _ in rf.strata:
+        if id(c) not in seen:
+            seen[id(c)] = cosets.setdefault(c, len(cosets))
+    return {"generic": rf.generic_value, "strata": [{"coset": seen[id(c)], "value": v} for c, v in rf.strata]}
 
 
 def _coset_at(index: Any, table: list | None) -> CongruenceCoset:
@@ -185,13 +186,14 @@ def _point_from_list(obj: Any, ambient_dim: int) -> TorusPoint:
 
 def model_to_dict(model: VarietyModel) -> dict:
     cosets: dict = {}  # each distinct coset, by value, to its index in first-appearance order
+    seen: dict = {}  # each coset object, by id, to the same index
     hodge = []
     for p in range(model.n + 1):
         for q in range(model.n + 1):
             rf = model.hodge[p][q]
             if rf.generic_value == 0 and not rf.strata:
                 continue
-            hodge.append(dict({"p": p, "q": q}, **_rank_to_dict(rf, cosets)))
+            hodge.append(dict({"p": p, "q": q}, **_rank_to_dict(rf, cosets, seen)))
     out: dict = {
         "schema_version": SCHEMA_VERSION,
         "name": model.name,
@@ -208,7 +210,7 @@ def model_to_dict(model: VarietyModel) -> dict:
         }
     if model.sheaves:
         out["sheaves"] = {
-            name: [_rank_to_dict(rf, cosets) for rf in rfs]
+            name: [_rank_to_dict(rf, cosets, seen) for rf in rfs]
             for name, rfs in sorted(model.sheaves.items())
         }
     out["cosets"] = [_coset_to_dict(c) for c in cosets]

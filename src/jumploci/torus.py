@@ -66,10 +66,6 @@ def _as_int_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
-
-
 def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None) -> IntMatrix:
     """Smith form of the first ``width`` columns, the others carried along.
 
@@ -79,6 +75,8 @@ def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None) -> IntMatr
     unimodular U and V, neither of which is built.  C only undergoes the
     row operations, so carrying a translate gives U·b and carrying the
     identity gives U.  ``width`` is required for a matrix with no rows.
+    A carried column is never reduced: on raw dense rows its entries grow
+    to hundreds of thousands of bits, so the engine passes only Hermite rows.
 
     At step t the rows and columns before t are finished.  Each pass moves
     the least entry of the block to (t, t), the pivot in place winning a
@@ -274,7 +272,7 @@ class CongruenceCoset:
 
     @classmethod
     def point(cls, p: TorusPoint) -> "CongruenceCoset":
-        return cls(p.dim, tuple(map(tuple, _identity(p.dim))), p.coords)
+        return cls(p.dim, tuple((0,) * i + (1,) + (0,) * (p.dim - i - 1) for i in range(p.dim)), p.coords)
 
     @classmethod
     def pinned(cls, ambient_dim: int, values: dict[int, Fraction]) -> "CongruenceCoset":

@@ -23,7 +23,7 @@ from jumploci import (
     union_torsion_count,
 )
 from jumploci.catalog import DEFAULT_INSTANCES
-from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable
+from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, covered
 from jumploci.torus import NormalizedCoset, snf
 from jumploci.tower import normalized_sequence, sheaf_rank_on_cover, value_on_cover
 from gen import (random_connected_coset, random_coset, random_model, random_nonempty_coset, random_rank_function,
@@ -864,3 +864,57 @@ class TestTermByTermCount:
                 orders += [nc.order for _, nc in form.terms]
                 self._check(form, lambda d: brute_force_rank_sum(rf, d), 256)
         assert len(orders) > 20 and {2, 3} <= set(orders)
+
+
+def _union_polynomial(cosets):
+    """The reference rule that :func:`covered` replaced: C lies in the union
+    of V exactly when C ∪ V and V have the same count polynomial."""
+    return CountForm.of(2, 0, [(nc, 1) for nc in cosets]).polynomial
+
+
+def _covering_cases(rng):
+    """(corpus, coset, union) in (R/Z)^2: random cosets against random
+    unions, and split components, {k·x0 ≡ a} against some of its pieces
+    {x0 ≡ (a + j)/k}, at times with a point on one piece or a line across
+    them added, which cover no component."""
+    for _ in range(60):
+        coset = random_nonempty_coset(rng, 2, max_rows=2, span=2, max_den=4)
+        union = [random_coset(rng, 2, max_rows=2, span=2, max_den=4) for _ in range(rng.randint(0, 4))]
+        yield "random", coset, union
+    for _ in range(60):
+        k, a = rng.randint(2, 6), Fraction(rng.randint(0, 3), 4)
+        union = [CongruenceCoset.of(2, [[1, 0]], [(a + j) / k]) for j in range(k) if rng.random() < 0.7]
+        if rng.random() < 0.5:
+            union.append(CongruenceCoset.of(2, [[1, 0], [0, 1]], [a / k, Fraction(rng.randint(0, 3), 4)]))
+        if rng.random() < 0.3:
+            union.append(CongruenceCoset.of(2, [[0, 1]], [Fraction(rng.randint(0, 3), 4)]))
+        yield "split", CongruenceCoset.of(2, [[k, 0]], [a]), union
+
+
+class TestCovered:
+    def test_agrees_with_brute_force_and_the_union_polynomial(self):
+        # at a d, a multiple of 12, where every component of the coset has
+        # d^dim points, a component outside the union keeps a point that the
+        # lower-dimensional pieces miss
+        outcomes = {(corpus, inside): 0 for corpus in ("random", "split") for inside in (True, False)}
+        for corpus, coset, union in _covering_cases(random.Random(2020)):
+            nc = coset.normalize()
+            pieces = [x for x in (c.normalize() for c in union) if x is not None]
+            min_order, pivots, _ = nc.divisibility_class
+            d = math.lcm(12, min_order * math.lcm(*pivots))
+            points = brute_force_torsion_points(coset, d)
+            assert len(points) == nc.component_count * d ** nc.dim
+            inside = points <= set().union(*(brute_force_torsion_points(c, d) for c in union))
+            assert covered(nc, pieces) == inside, (coset, union)
+            assert (_union_polynomial([nc, *pieces]) == _union_polynomial(pieces)) == inside
+            outcomes[corpus, inside] += 1
+        assert min(outcomes.values()) >= 5, outcomes
+
+    def test_split_components(self):
+        halves = [CongruenceCoset.of(2, [[1, 0]], [b]).normalize() for b in (0, Fraction(1, 2))]
+        both = CongruenceCoset.of(2, [[2, 0]], [0]).normalize()
+        assert covered(both, halves) and covered(both, [both]) and covered(halves[1], [both])
+        assert not covered(both, halves[:1]) and not covered(both, [])
+        # a point on each component is a lower-dimensional piece, which covers nothing
+        points = [CongruenceCoset.of(2, [[1, 0], [0, 1]], [b, 0]).normalize() for b in (0, Fraction(1, 2))]
+        assert not covered(both, [halves[0], *points])

@@ -725,6 +725,33 @@ class TestSerreSymmetry:
             assert [line for line in capsys.readouterr().out.splitlines() if "Serre" in line] == [
                 f"warning: {w}" for w in warnings]
 
+    def test_generic_pair_makes_few_meets(self, monkeypatch):
+        # 11 generic cosets of codimension at most 2 in (R/Z)^16 against their
+        # negatives and one redundant meet of two of them: the same function,
+        # presented so that it does not mirror.  Each coset of a level set is
+        # met with each of the other's once, and no form spans the union
+        rng = random.Random(11)
+        n, cosets = 16, []
+        for _ in range(11):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+            cosets.append(CongruenceCoset.of(n, rows, [Fraction(rng.randint(0, 3), 4) for _ in rows]))
+        negatives = [CongruenceCoset.of(n, c.rows, [-b for b in c.rhs]) for c in cosets]
+        f = RankFunction(n, 0, tuple(Stratum(c, 1) for c in cosets))
+        g = RankFunction(n, 0, tuple(Stratum(c, 1) for c in (*negatives, negatives[0].intersect(negatives[1]))))
+        asymmetric = RankFunction(n, 0, g.strata[1:])  # the first coset is covered no more
+        meets = []
+        meet = NormalizedCoset.meet
+
+        def counted_meet(nc, other):
+            meets.append(nc)
+            return meet(nc, other)
+
+        monkeypatch.setattr(NormalizedCoset, "meet", counted_meet)
+        for h, verdict in ((g, None), (asymmetric, 1)):
+            meets.clear()
+            assert _serre_mismatch(f, h, DEFAULT_COMPONENT_BUDGET) == verdict
+            assert 0 < len(meets) <= (len(f.strata) + len(h.strata)) ** 2
+
 
 def fresh_grid(model):
     """A fresh copy of every grid entry and of its cosets, so that

@@ -756,3 +756,19 @@ def test_export_lists_each_distinct_coset_once(make):
     assert blob["cosets"] == [{"A": [list(r) for r in c.rows], "b": [str(b) for b in c.rhs]}
                               for c in dict.fromkeys(_cosets(model))]
     assert model_from_dict(blob) == model
+
+
+@pytest.mark.parametrize("make", [pytest.param(lambda: builtin("abelian", g=8).model, id="abelian(g=8)"), *CORPUS])
+def test_export_hashes_each_coset_object_once(make, monkeypatch):
+    # a coset met again is looked up by identity, not hashed again by value
+    model = make()
+    hashed = []
+    hash_by_value = CongruenceCoset.__hash__
+
+    def recording_hash(coset):
+        hashed.append(coset)
+        return hash_by_value(coset)
+
+    monkeypatch.setattr(CongruenceCoset, "__hash__", recording_hash)
+    model_to_dict(model)
+    assert len(hashed) <= len({id(c) for c in _cosets(model)})
