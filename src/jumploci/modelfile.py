@@ -58,16 +58,21 @@ def _quoted(x: Any) -> str:
 
 # what export writes; Fraction would also read exponent notation, whose
 # digits escape the interpreter's digit cap ("1e100000000")
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _fraction_from_str(s: Any) -> Fraction:
+    """A rational from its JSON form; a string's checking match also parses it."""
     if isinstance(s, bool) or isinstance(s, float):
         raise ModelFormatError(f"rationals must be strings or integers, got {_quoted(s)}")
     try:
-        if isinstance(s, str) and not _RATIONAL.fullmatch(s):
+        if not isinstance(s, str):
+            return Fraction(s)
+        match = _RATIONAL.fullmatch(s)
+        if not match:
             raise ValueError
-        return Fraction(s)
+        num, den = match.groups()  # int() refuses digits past the interpreter's cap
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except (ValueError, TypeError, ZeroDivisionError):
         raise ModelFormatError(f"bad rational {_quoted(s)}") from None
 

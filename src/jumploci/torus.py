@@ -14,8 +14,9 @@ structure all reduce to integer normal forms:
   without building ``U``, and neither transform is stored.
 * One insertion pass meets a coset with integer rows of ``(A | L·b)``,
   ``L`` a common denominator of ``b``: it inserts them one at a time into
-  a basis kept in Hermite form after every row that changes it, so its
-  entries stay of polynomial size, and decides emptiness exactly.
+  a basis kept in Hermite form after every row that changes it, reduced
+  again from the first pivot column that row changed, so its entries stay
+  of polynomial size, and decides emptiness exactly.
   :meth:`CongruenceCoset.normalize` is the full torus meeting the coset's
   rows, once per coset; :meth:`NormalizedCoset.meet` inserts the rows of one
   normalized coset into another's, so a meet costs the rows it adds, not
@@ -34,7 +35,7 @@ not kept.  The class depends on the coset alone, not on the Smith
 transform, and gives its number of d-torsion points, a closed form in d,
 and its component count.  A coset that many counts share computes it once.
 Only the rows of H with pivot above 1 enter: a pivot of 1 splits off as
-Smith pivot 1.
+Smith pivot 1, and so does a row with an entry of ±1, before any pass.
 Everything is exact: arbitrary-precision ``int`` and ``Fraction``
 throughout, no floating point; membership is decided in integers.
 """
@@ -45,7 +46,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -81,11 +81,13 @@ def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None) -> IntMatr
     At step t the rows and columns before t are finished.  Each pass moves
     the least entry of the block to (t, t), the pivot in place winning a
     tie, then clears column t by row operations and row t by column
-    operations; a remainder is smaller than the pivot, so the next pass
-    takes a smaller one.  When row and column t are clear but the pivot
-    fails to divide a row of the block, that row is added to row t, so the
-    next pass leaves a remainder.  The pivot shrinks at every pass that
-    leaves one, so step t ends, with a pivot that divides the block.
+    operations, which touch only the rows with an entry in column t; a
+    remainder is smaller than the pivot, so the next pass takes a smaller
+    one.  When row and column t are clear but the pivot fails to divide a
+    row of the block, the first such row, found at its first entry the
+    pivot does not divide, is added to row t, so the next pass leaves a
+    remainder.  The pivot shrinks at every pass that leaves one, so step t
+    ends, with a pivot that divides the block.
     """
     s = _as_int_rows(matrix)  # a fresh copy, reduced in place
     k = len(s)
@@ -127,10 +129,12 @@ def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None) -> IntMatr
                 for c in range(t, total):
                     si[c] -= q * st[c]
                 left = left or si[t] != 0
-        for j in range(t + 1, n):  # column operations only the rows from t on
+        # column operations touch only the rows with an entry in column t
+        rows_t = [sr for sr in s[t:] if sr[t]] if left else (st,)
+        for j in range(t + 1, n):
             if st[j]:
                 q = st[j] // pivot
-                for sr in s[t:]:
+                for sr in rows_t:
                     sr[j] -= q * sr[t]
                 left = left or st[j] != 0
         if left:
@@ -138,9 +142,13 @@ def snf(matrix: Iterable[Sequence[int]], width: Optional[int] = None) -> IntMatr
         # the pivot must divide every remaining entry for the divisor chain:
         # the first row with an entry it does not divide is added to row t
         for si in s[t + 1:] if abs(pivot) > 1 else ():
-            if [a for a in si[t + 1:n] if a % pivot]:
-                s[t] = [a + b for a, b in zip(st, si)]
-                break
+            for a in si[t + 1:n]:
+                if a % pivot:
+                    break
+            else:
+                continue
+            s[t] = [a + b for a, b in zip(st, si)]
+            break
         else:  # the pivot divides the block: step t is done
             if pivot < 0:
                 s[t] = [-a for a in st]
@@ -196,6 +204,20 @@ def _check_d(d) -> None:
 
 
 _ZERO = Fraction(0)
+
+
+class _computed_once:
+    """functools.cached_property without the lock Python 3.11 takes on each
+    first read, which a count pass makes once per fresh term."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -313,7 +335,7 @@ class CongruenceCoset:
         """
         return self._normalized
 
-    @cached_property
+    @_computed_once
     def _normalized(self) -> Optional["NormalizedCoset"]:
         """The full torus meeting the rows of (A | L·b), L the common
         denominator of b: :func:`_meet_rows` inserts them into the empty basis
@@ -336,10 +358,12 @@ def _meet_rows(width: int, basis: dict[int, Row], rows: Iterable[Row], modulus: 
     row, a pivot dividing the entry clears it; otherwise Euclid against the
     pivot row leaves their gcd in a new pivot row and carries the remainder
     on.  A column without a pivot row takes the row as its pivot.  After a
-    row that changes the basis, one pass in pivot order makes the pivots
-    positive and reduces right-hand sides into [0, modulus) and the entries
-    above each pivot into [0, pivot): the basis stays the Hermite form of the
-    rows so far, of polynomial size (Kannan and Bachem, 1979).  Rows built
+    row that changes the basis, one pass in pivot order, from the first
+    pivot column the row changed, makes the pivots positive and reduces
+    right-hand sides into [0, modulus) and the entries above each pivot into
+    [0, pivot): the pivot rows left of that column are unchanged and already
+    reduced, and the basis stays the Hermite form of the rows so far, of
+    polynomial size (Kannan and Bachem, 1979).  Rows built
     here are fresh lists; shared rows are never changed in place.  Returns
     None when a row reduces to zero with a right-hand side nonzero modulo
     ``modulus`` (no point); ``kept``, the coset whose rows the basis holds,
@@ -347,7 +371,7 @@ def _meet_rows(width: int, basis: dict[int, Row], rows: Iterable[Row], modulus: 
     packs, always taken with no ``kept`` coset.
     """
     for row in rows:
-        changed = False
+        first = None  # the first pivot column the row changes
         for c in range(width):
             a = row[c]
             if not a:
@@ -355,7 +379,8 @@ def _meet_rows(width: int, basis: dict[int, Row], rows: Iterable[Row], modulus: 
             piv = basis.get(c)
             if piv is None:
                 basis[c] = row
-                changed = True
+                if first is None:
+                    first = c
                 break
             p = piv[c]
             if a % p == 0:
@@ -366,14 +391,17 @@ def _meet_rows(width: int, basis: dict[int, Row], rows: Iterable[Row], modulus: 
                 q = piv[c] // row[c]
                 piv, row = row, [x - q * y for x, y in zip(piv, row)]
             basis[c] = piv
-            changed = True
+            if first is None:
+                first = c
         else:
             if row[width] % modulus:
                 return None
-        if changed:  # the basis no longer holds the rows of kept
+        if first is not None:  # the basis no longer holds the rows of kept
             kept = None
             cols = sorted(basis)
-            for i, c in enumerate(cols):
+            # the pivot rows left of the first change are unchanged and reduced
+            for i in range(cols.index(first), len(cols)):
+                c = cols[i]
                 r = basis[c]
                 if r[c] < 0 or not 0 <= r[width] < modulus:
                     r = basis[c] = [-a for a in r] if r[c] < 0 else list(r)
@@ -412,11 +440,23 @@ def _smith_data(basis: dict[int, Row], width: int) -> tuple[tuple[int, int], ...
     """(s, (U·nums)_i mod s) for each Smith pivot s > 1 of the rows of
     (H | nums) by pivot column, H their first ``width`` columns.
 
-    A row with Hermite pivot 1 splits off as a unit Smith pivot.  A single
-    other row needs no pass: its only pivot is the gcd of its entries, with
-    U = 1.  More run one :func:`snf` pass, the last column carried along.
+    A row with Hermite pivot 1 splits off as a unit Smith pivot, and so
+    does any other row u with an entry of ±1, at column j: row operations
+    clear column j from the other rows, carrying their translates, and
+    column operations then clear the rest of u without touching them.  A
+    single row left needs no pass: its only pivot is the gcd of its entries,
+    with U = 1.  More run one :func:`snf` pass, the last column carried
+    along.
     """
     rows = [r for c, r in basis.items() if r[c] > 1]
+    while len(rows) > 1:
+        # `in` finds 1 or -1 fast, perhaps only as a translate; columns decide
+        units = [(u, j) for u in rows if 1 in u or -1 in u for j in range(width) if u[j] in (1, -1)]
+        if not units:
+            break
+        u, j = units[0]
+        e = u[j]
+        rows = [r if not r[j] else [a - r[j] * e * b for a, b in zip(r, u)] for r in rows if r is not u]
     if not rows:
         return ()
     if len(rows) == 1:
@@ -465,7 +505,7 @@ class NormalizedCoset:
         _fill(self, self.ambient_dim, self.rows, self.nums,
               {next(c for c, a in enumerate(r) if a): (*r, m) for r, m in zip(self.rows, self.nums)}, self.order)
 
-    @cached_property
+    @_computed_once
     def component_count(self) -> int:
         """Number of connected components of the underlying subgroup {x : H·x ≡ 0}:
         f·Π s' off the class, which is the product Π s of the Smith pivots of H,
@@ -473,7 +513,7 @@ class NormalizedCoset:
         _, pivots, factor = self.divisibility_class
         return factor * math.prod(pivots)
 
-    @cached_property
+    @_computed_once
     def divisibility_class(self) -> tuple[int, tuple[int, ...], int]:
         """(M, s', f): M the least d at which the coset has a point, s' the
         Smith pivots s/gcd(s, M) above 1 and f = Π gcd(s, M), none depending
@@ -482,24 +522,21 @@ class NormalizedCoset:
         what it misses: the one read of the translate entries of the Smith
         data, which are computed here and not kept."""
         smith = _smith_data(self.basis, self.ambient_dim)
-        m = self.order
-        while smith:
-            scale = m // self.order
+        m = order = self.order
+        while True:  # until no pivot misses a prime power of m
+            scale = m // order
+            pivots, factor = [], 1
             for s, w in smith:
                 g = math.gcd(s, m)
                 missing = g // math.gcd(scale * w, g)
                 if missing > 1:
                     m *= missing
                     break
+                factor *= g
+                if s > g:
+                    pivots.append(s // g)
             else:
-                break
-        pivots, factor = [], 1
-        for s, _ in smith:
-            g = math.gcd(s, m)
-            factor *= g
-            if s > g:
-                pivots.append(s // g)
-        return m, tuple(pivots), factor
+                return m, tuple(pivots), factor
 
     @property
     def min_order(self) -> int:
@@ -528,8 +565,11 @@ class NormalizedCoset:
         else:
             modulus = math.lcm(self.order, other.order)
             s, t = modulus // self.order, modulus // other.order
-            basis = {c: (*r[:-1], r[-1] * s) if s > 1 else r for c, r in self.basis.items()}
-            rows = [(*r[:-1], r[-1] * t) if t > 1 else r for r in other.basis.values()]
+            # only nonzero translates rescale, and a coset of order 1 has none
+            basis = ({c: (*r[:-1], r[-1] * s) if r[-1] else r for c, r in self.basis.items()}
+                     if s > 1 and self.order > 1 else dict(self.basis))
+            rows = ([(*r[:-1], r[-1] * t) if r[-1] else r for r in other.basis.values()]
+                    if t > 1 and other.order > 1 else other.basis.values())
         return _meet_rows(self.ambient_dim, basis, rows, modulus, self)
 
     def __neg__(self) -> "NormalizedCoset":

@@ -77,6 +77,18 @@ def unimodular_point(rng: random.Random, n: int, steps: int | None = None) -> Co
     return CongruenceCoset.of(n, w, [Fraction(sum(row), 6) % 1 for row in w])
 
 
+def sparse_coset(rng: random.Random, n: int, codim: int) -> CongruenceCoset:
+    """codim rows of three entries in ±1, ±2 in (R/Z)^n, n >= 3, and a
+    translate of order 1 or 2: the cosets the union-count benchmark draws."""
+    rows = []
+    for _ in range(codim):
+        row = [0] * n
+        for j in rng.sample(range(n), 3):
+            row[j] = rng.choice((-2, -1, 1, 2))
+        rows.append(row)
+    return CongruenceCoset.of(n, rows, [Fraction(rng.randint(0, 1), 2) for _ in rows])
+
+
 def dense_system(rng: random.Random, n: int) -> CongruenceCoset:
     """n equations A·x ≡ (1/7, ..., 1/7) in (R/Z)^n, the entries of A drawn
     row by row from [-3, 3]: with full rank, a finite set of points."""

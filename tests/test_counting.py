@@ -27,7 +27,7 @@ from jumploci.counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, c
 from jumploci.torus import NormalizedCoset, snf
 from jumploci.tower import normalized_sequence, sheaf_rank_on_cover, value_on_cover
 from gen import (random_connected_coset, random_coset, random_model, random_nonempty_coset, random_rank_function,
-                 random_unimodular)
+                 random_unimodular, sparse_coset)
 from oracles import (brute_force_rank_sum, brute_force_torsion_count, brute_force_torsion_points, per_term_count,
                      smith_translates, translate_gate_count)
 
@@ -613,7 +613,7 @@ class TestStratumOrder:
 
     def test_lower_dimension_first_makes_fewer_meets(self, monkeypatch):
         rng = random.Random(5)
-        comps = [TestLargeUnions._sparse_coset(rng, 4, rng.choice((1, 2))) for _ in range(8)]
+        comps = [sparse_coset(rng, 4, rng.choice((1, 2))) for _ in range(8)]
         highest_first = sorted((c.normalize() for c in comps), key=lambda nc: -nc.dim)
         meets = []
         real = NormalizedCoset.meet
@@ -628,30 +628,38 @@ class TestStratumOrder:
 
 
 class TestLargeUnions:
-    """Unions of r = 16 and 20 codimension-1 and -2 cosets of (R/Z)^4, within a
-    budget of 20, against enumeration at small d."""
+    """Unions of r = 16 and 20 codimension-1 and -2 cosets of (R/Z)^4 and of
+    r = 16 in (R/Z)^6, the two ambient dimensions of the union-count
+    benchmark, within a budget of 20, against enumeration at small d."""
 
-    @staticmethod
-    def _sparse_coset(rng, n, codim):
-        rows = []
-        for _ in range(codim):
-            row = [0] * n
-            for j in rng.sample(range(n), 3):
-                row[j] = rng.choice((-2, -1, 1, 2))
-            rows.append(row)
-        return CongruenceCoset.of(n, rows, [Fraction(rng.randint(0, 1), 2) for _ in rows])
-
-    @pytest.mark.parametrize("r", [16, 20])
-    def test_against_enumeration(self, r):
-        rng = random.Random(1600 + r)
+    @pytest.mark.parametrize("n, r, ds", [(4, 16, (1, 2, 3, 4, 6)), (4, 20, (1, 2, 3, 4, 6)), (6, 16, (2,))],
+                             ids=["16", "20", "n6-16"])
+    def test_against_enumeration(self, n, r, ds):
+        rng = random.Random(1600 + r + 100 * (n - 4))
         for _ in range(2):
-            comps = [self._sparse_coset(rng, 4, rng.choice((1, 2))) for _ in range(r)]
+            comps = [sparse_coset(rng, n, rng.choice((1, 2))) for _ in range(r)]
             normalized = [nc for nc in (c.normalize() for c in comps) if nc is not None]
-            assert len(_union_terms(normalized, 4)) > r
-            for d in (1, 2, 3, 4, 6):
+            assert len(_union_terms(normalized, n)) > r
+            for d in ds:
                 assert union_torsion_count(comps, d, budget=20) == brute_force_torsion_count(comps, d)
             with pytest.raises(ComponentBudgetExceeded):
                 union_torsion_count(comps, 2, budget=r - 1)
+
+    def test_kernel_work(self, monkeypatch):
+        # r = 10 cosets of (R/Z)^6: Smith passes, through the module global
+        # that _smith_data calls, and packed meets, counted without a clock;
+        # a term's row with an entry of ±1 splits off before any pass
+        from jumploci import torus
+
+        rng = random.Random(0)
+        comps = [sparse_coset(rng, 6, rng.choice((1, 2))) for _ in range(10)]
+        passes, packs = [], []
+        snf_, hermite = torus.snf, torus._hermite
+        monkeypatch.setattr(torus, "snf", lambda *a: passes.append(1) or snf_(*a))
+        monkeypatch.setattr(torus, "_hermite", lambda *a: packs.append(1) or hermite(*a))
+        assert union_torsion_count(comps, 2) == 64
+        assert len(passes) <= 164
+        assert len(packs) <= 373
 
 
 # odd d skip the classes of translate order 2; 10^6 and 10^30 are divisible
