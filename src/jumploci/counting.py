@@ -12,19 +12,14 @@ Every count is one :class:`CountForm`: a limit times d^N plus a signed sum
 over distinct nonempty normalized meets (Möbius inversion over their
 intersection poset).  A form only counts: no locus verdict reads it, as a
 locus's degree and witness order are read off its strata.  A rank
-function's form is built in one pass: its strata join a running union in
-decreasing value order, and the change each makes to the union is weighted
-by its value's height above the limit.  Among equal values the
-lower-dimensional strata enter first, which makes fewer meets; the terms
-do not depend on the order, since a subset S of strata gives its meet
-(−1)^(|S|+1)·(min value over S − limit) however they enter.  A union of
-cosets is the form of limit 0 with every value 1.  Each new stratum's rows
-are inserted into the Hermite rows of every stored meet
+function's form is built in one pass (:meth:`CountForm.of`) over one
+running union of its strata, so a union count keeps one dict; a union of
+cosets is the form of limit 0 with every value 1.  Each new stratum's
+rows are inserted into a copy of the Hermite rows of every stored meet
 (:meth:`~jumploci.torus.NormalizedCoset.meet`), and meets are keyed by
-their integer Hermite form, hashed once.  Each meet hands its rows of
-(H | L·b) on to the next meet and to its divisibility class.  Empty meets
-are never extended, so the work is bounded by the distinct nonempty meets
-rather than by the 2^r subsets.
+their integer Hermite form, hashed once, so equal meets merge and terms
+that cancel are dropped.  Empty meets are never extended, so the work is
+bounded by the distinct nonempty meets rather than by the 2^r subsets.
 
 A term's count depends on d only through divisibility (Kamiya, Takemura
 and Terao, 2008): f·d^dim·[M | d]·Π gcd(s', d/M) for its class (M, s', f),
@@ -83,6 +78,15 @@ def check_budget(components: int, budget: int) -> None:
             f"{components} components exceed the component budget of {budget}")
 
 
+def _add(into: dict[NormalizedCoset, int], items: Iterable[tuple[NormalizedCoset, int]], weight: int) -> None:
+    """Add weight·c at each coset x of the items into the dict, dropping zeros."""
+    for x, c in items:
+        if v := into.get(x, 0) + weight * c:
+            into[x] = v
+        else:
+            del into[x]
+
+
 @dataclass(frozen=True)
 class CountForm:
     """A rank sum on (R/Z)^N in closed form: h(d) = limit·d^N + Σ c·count(d)
@@ -97,41 +101,30 @@ class CountForm:
            strata: Sequence[tuple[NormalizedCoset, int]]) -> "CountForm":
         """The form of h = max(limit, values of the strata containing the point).
 
-        One pass adds the strata to a running union U in decreasing value
-        order, lowest dimension first among equal values, using
-        1_{U ∪ C} = 1_U + 1_C − Σ c_x·1_{x ∩ C} over the terms (c_x, x) of
-        U, and weights each delta 1_{U ∪ C} − 1_U by the height of C's
-        value above the limit.  The terms are the same in any order; low
-        dimensions first tend to keep U smaller, so later strata make fewer
-        meets.  Each meet inserts C's rows into the stored meet's Hermite
-        rows (:meth:`NormalizedCoset.meet`); meets are keyed by their
-        integer Hermite form, so equal meets merge, terms that cancel are
-        dropped and an empty meet is never extended.  A union of cosets is
-        the form of limit 0 with every value 1.  Callers check the budget
-        on ``len(strata)`` first (:func:`check_budget`).
+        The strata join a running union U in decreasing value order, lowest
+        dimension first among equal values (fewer meets; in any order a set S
+        of strata gives its meet (−1)^(|S|+1)·(min value over S − limit)), by
+        1_{U ∪ C} = 1_U + 1_C − Σ c_x·1_{x ∩ C} over the terms (c_x, x) of U.
+        With U_i the union of the strata of value at least v_i,
+        h = limit + Σ (v_i − v_(i+1))·1_{U_i}, v_(i+1) the next value or the
+        limit: each level's union but the last joins the terms once, weighted
+        by its gap, and the last is read as the terms.  Callers check the
+        budget on ``len(strata)`` first (:func:`check_budget`).
         """
-        union: dict[NormalizedCoset, int] = {}
-        terms: dict[NormalizedCoset, int] = {}
-        for comp, value in sorted(strata, key=lambda s: (-s[1], s[0].dim)):
-            if value <= limit:
-                break
-            delta = {comp: 1}
-            for x, c in union.items():
-                meet = x.meet(comp)
-                if meet is not None:
-                    delta[meet] = delta.get(meet, 0) - c
-            height = value - limit
-            for x, c in delta.items():
-                u, h = union.get(x, 0) + c, terms.get(x, 0) + height * c
-                if u:
-                    union[x] = u
-                else:
-                    union.pop(x, None)
-                if h:
-                    terms[x] = h
-                else:
-                    terms.pop(x, None)
-        return cls(ambient_dim, limit, tuple((c, x) for x, c in terms.items()))
+        ordered = [s for s in sorted(strata, key=lambda s: (-s[1], s[0].dim)) if s[1] > limit]
+        union, terms = {}, {}  # terms: the unions of the levels before the last, weighted
+        for i, (comp, value) in enumerate(ordered):
+            delta = [(meet, -c) for x, c in union.items() if (meet := x.meet(comp)) is not None]
+            delta.append((comp, 1))
+            _add(union, delta, 1)
+            following = ordered[i + 1][1] if i + 1 < len(ordered) else limit
+            if limit < following < value:
+                _add(terms, union.items(), value - following)
+        gap = ordered[-1][1] - limit if ordered else 1
+        if terms:
+            _add(terms, union.items(), gap)
+            union, gap = terms, 1
+        return cls(ambient_dim, limit, tuple((gap * c, x) for x, c in union.items()))
 
     @property
     def polynomial(self) -> dict[int, int]:

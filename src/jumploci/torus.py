@@ -22,14 +22,11 @@ structure all reduce to integer normal forms:
   normalized coset into another's, so a meet costs the rows it adds, not
   the whole stacked system, and is the coset itself when they add none.
 
-A :class:`NormalizedCoset` keeps its translate as integers ``nums`` over
-its translate order, so equal cosets compare and hash as tuples of ints.
-Every one is complete when it is made: one fill sets its fields, real
-dimension, hash and the rows of ``(H | nums)`` by pivot column, which the
-next meet inserts into.  A coset the insertion pass makes keeps the rows
-its loop built; one built from its fields finds the pivots of its own rows.
-Compiling is a property of the coset, and it keeps one compiled datum: on
-first use those rows give its divisibility class
+A :class:`NormalizedCoset` holds the rows of ``(H | nums)`` once, by pivot
+column, ``nums`` its translate as integers over its translate order, so
+equal cosets compare and hash as tuples of ints.  A meet inserts into a
+copy of them, and only the rows it changes become new tuples.  On first
+use those rows give its one compiled datum, its divisibility class
 (:attr:`NormalizedCoset.divisibility_class`), read off Smith data that are
 not kept.  The class depends on the coset alone, not on the Smith
 transform, and gives its number of d-torsion points, a closed form in d,
@@ -344,43 +341,44 @@ class CongruenceCoset:
         right-hand side, which is exactly the emptiness test."""
         order = math.lcm(*(b.denominator for b in self.rhs))
         rows = ((*r, b.numerator * (order // b.denominator)) for r, b in zip(self.rows, self.rhs))
-        return _meet_rows(self.ambient_dim, {}, rows, order, None)
+        return _meet_rows(self.ambient_dim, [None] * self.ambient_dim, rows, order, None)
 
 
 Row = Sequence[int]  # (a_1, ..., a_N, L·b): one equation over a modulus L
 
 
-def _meet_rows(width: int, basis: dict[int, Row], rows: Iterable[Row], modulus: int,
+def _meet_rows(width: int, basis: list[Optional[Row]], rows: Iterable[Optional[Row]], modulus: int,
                kept: Optional["NormalizedCoset"]) -> Optional["NormalizedCoset"]:
     """Insert rows of ``(A | L·b)`` one at a time into a basis in Hermite form.
 
-    ``basis`` maps each pivot column to its row.  At the leading column of a
-    row, a pivot dividing the entry clears it; otherwise Euclid against the
-    pivot row leaves their gcd in a new pivot row and carries the remainder
-    on.  A column without a pivot row takes the row as its pivot.  After a
-    row that changes the basis, one pass in pivot order, from the first
-    pivot column the row changed, makes the pivots positive and reduces
+    ``basis`` holds each column's pivot row or None; a None row is skipped.
+    At the leading column of a row, a pivot dividing the entry clears it;
+    otherwise Euclid against the pivot row leaves their gcd in a new pivot
+    row and carries the remainder on.  A column without a pivot row takes
+    the row as its pivot.  After a row that changes the basis, one pass from
+    the first pivot column it changed makes the pivots positive and reduces
     right-hand sides into [0, modulus) and the entries above each pivot into
     [0, pivot): the pivot rows left of that column are unchanged and already
     reduced, and the basis stays the Hermite form of the rows so far, of
-    polynomial size (Kannan and Bachem, 1979).  Rows built
-    here are fresh lists; shared rows are never changed in place.  Returns
-    None when a row reduces to zero with a right-hand side nonzero modulo
-    ``modulus`` (no point); ``kept``, the coset whose rows the basis holds,
-    when no row changes the basis; and otherwise the coset :func:`_hermite`
-    packs, always taken with no ``kept`` coset.
+    polynomial size (Kannan and Bachem, 1979).  Only rows built here, fresh
+    lists, are changed in place; shared rows are tuples.
+    Returns None when a row reduces to zero with a right-hand side nonzero
+    modulo ``modulus`` (no point); ``kept``, the coset whose rows the basis
+    holds, when no row changes the basis; and otherwise the coset
+    :func:`_hermite` packs, always taken with no ``kept`` coset.
     """
     for row in rows:
+        if row is None:
+            continue
         first = None  # the first pivot column the row changes
         for c in range(width):
             a = row[c]
             if not a:
                 continue
-            piv = basis.get(c)
+            piv = basis[c]
             if piv is None:
                 basis[c] = row
-                if first is None:
-                    first = c
+                first = c if first is None else first
                 break
             p = piv[c]
             if a % p == 0:
@@ -391,52 +389,44 @@ def _meet_rows(width: int, basis: dict[int, Row], rows: Iterable[Row], modulus: 
                 q = piv[c] // row[c]
                 piv, row = row, [x - q * y for x, y in zip(piv, row)]
             basis[c] = piv
-            if first is None:
-                first = c
+            first = c if first is None else first
         else:
             if row[width] % modulus:
                 return None
         if first is not None:  # the basis no longer holds the rows of kept
             kept = None
-            cols = sorted(basis)
             # the pivot rows left of the first change are unchanged and reduced
-            for i in range(cols.index(first), len(cols)):
-                c = cols[i]
+            above = [j for j in range(first) if basis[j] is not None]
+            for c in range(first, width):
                 r = basis[c]
+                if r is None:
+                    continue
                 if r[c] < 0 or not 0 <= r[width] < modulus:
                     r = basis[c] = [-a for a in r] if r[c] < 0 else list(r)
                     r[width] %= modulus
                 p = r[c]
-                for j in cols[:i]:
-                    q = basis[j][c] // p
-                    if q:
+                for j in above:
+                    if q := basis[j][c] // p:
                         rj = basis[j] = [x - q * y for x, y in zip(basis[j], r)]
                         rj[width] %= modulus
+                above.append(c)
     return _hermite(width, basis, modulus) if kept is None else kept
 
 
-def _fill(nc: "NormalizedCoset", width: int, rows: IntMatrix, nums: tuple[int, ...],
-          basis: dict[int, Row], order: int) -> "NormalizedCoset":
-    """Set every attribute of a coset at once: its four fields, the rows of
-    (H | nums) by pivot column, its real dimension and its hash."""
+def _hermite(width: int, basis: list[Optional[Row]], modulus: int,
+             nc: Optional["NormalizedCoset"] = None) -> "NormalizedCoset":
+    """Pack the rows of (H | nums) by pivot column over ``modulus``, changed
+    ones as new tuples, into ``nc``, a new coset by default, with its real dimension and hash."""
+    if nc is None:
+        nc = object.__new__(NormalizedCoset)
+    by_pivot = tuple([tuple(r) if type(r) is list else r for r in basis])
     object.__setattr__(nc, "__dict__", {
-        "ambient_dim": width, "rows": rows, "nums": nums, "order": order, "dim": width - len(rows),
-        "basis": basis, "_hash": hash((width, rows, nums, order))})
+        "ambient_dim": width, "by_pivot": by_pivot, "order": modulus,
+        "dim": by_pivot.count(None), "_hash": hash((by_pivot, modulus))})
     return nc
 
 
-def _hermite(width: int, basis: dict[int, Row], modulus: int) -> "NormalizedCoset":
-    """Pack a basis that :func:`_meet_rows` keeps in Hermite form: the rows of
-    (H | nums) by pivot column as tuples, then H and nums over ``modulus``."""
-    aug, h_rows, nums = {}, [], []
-    for c in sorted(basis):
-        r = aug[c] = tuple(basis[c])
-        h_rows.append(r[:width])
-        nums.append(r[width])
-    return _fill(object.__new__(NormalizedCoset), width, tuple(h_rows), tuple(nums), aug, modulus)
-
-
-def _smith_data(basis: dict[int, Row], width: int) -> tuple[tuple[int, int], ...]:
+def _smith_data(by_pivot: Sequence[Optional[Row]], width: int) -> tuple[tuple[int, int], ...]:
     """(s, (U·nums)_i mod s) for each Smith pivot s > 1 of the rows of
     (H | nums) by pivot column, H their first ``width`` columns.
 
@@ -448,7 +438,7 @@ def _smith_data(basis: dict[int, Row], width: int) -> tuple[tuple[int, int], ...
     with U = 1.  More run one :func:`snf` pass, the last column carried
     along.
     """
-    rows = [r for c, r in basis.items() if r[c] > 1]
+    rows = [r for c, r in enumerate(by_pivot) if r is not None and r[c] > 1]
     while len(rows) > 1:
         # `in` finds 1 or -1 fast, perhaps only as a translate; columns decide
         units = [(u, j) for u in rows if 1 in u or -1 in u for j in range(width) if u[j] in (1, -1)]
@@ -481,7 +471,6 @@ def torsion_gate(min_order: int, pivots: tuple[int, ...], d: int) -> int:
     return math.prod([math.gcd(s, d // min_order) for s in pivots])
 
 
-@dataclass(frozen=True)
 class NormalizedCoset:
     """Canonicalized nonempty coset {x : H·x ≡ nums/order}, H in Hermite form.
 
@@ -489,21 +478,32 @@ class NormalizedCoset:
     smallest m > 0 with m·b integral: a connected coset meets the d-torsion
     grid exactly when it divides d), and every entry of ``nums`` lies in
     [0, order) with gcd(order, *nums) = 1, so equal cosets have equal
-    fields.  It is made complete: ``dim``, ``_hash`` (meets are dict keys)
-    and ``basis``, the rows of (H | nums) by pivot column, which a meet
-    starts from and the Smith pass reads, shared between meets and never
-    changed in place.  Its divisibility class is computed on first use, off
-    Smith data it does not keep, since only counted cosets need it.
+    fields.  ``by_pivot`` holds the rows of (H | nums) once, by pivot
+    column (None at a free column); meets copy them and the Smith pass
+    reads them, and ``rows`` and ``nums`` are read off them on first use.
+    It is immutable, with ``dim`` and the hash (meets are dict keys) set
+    when made; its divisibility class is computed on first use, off Smith
+    data it does not keep, since only counted cosets need it.
     """
 
-    ambient_dim: int
-    rows: IntMatrix
-    nums: tuple[int, ...]
-    order: int
+    def __init__(self, ambient_dim: int, rows: IntMatrix, nums: tuple[int, ...], order: int) -> None:
+        by_pivot = [None] * ambient_dim  # each row at the column of its pivot
+        for r, m in zip(rows, nums):
+            by_pivot[next(c for c, a in enumerate(r) if a)] = (*r, m)
+        _hermite(ambient_dim, by_pivot, order, self)
 
-    def __post_init__(self) -> None:  # built from its fields: find the pivot of each row
-        _fill(self, self.ambient_dim, self.rows, self.nums,
-              {next(c for c, a in enumerate(r) if a): (*r, m) for r, m in zip(self.rows, self.nums)}, self.order)
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"NormalizedCoset is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    @_computed_once
+    def rows(self) -> IntMatrix:  # the rows of H, in pivot order
+        return tuple(r[:-1] for r in self.by_pivot if r is not None)
+
+    @_computed_once
+    def nums(self) -> tuple[int, ...]:  # the translate over order, one entry per row of H
+        return tuple(r[-1] for r in self.by_pivot if r is not None)
 
     @_computed_once
     def component_count(self) -> int:
@@ -521,7 +521,7 @@ class NormalizedCoset:
         a least valuation of d/order at each prime, reached by multiplying in
         what it misses: the one read of the translate entries of the Smith
         data, which are computed here and not kept."""
-        smith = _smith_data(self.basis, self.ambient_dim)
+        smith = _smith_data(self.by_pivot, self.ambient_dim)
         m = order = self.order
         while True:  # until no pivot misses a prime power of m
             scale = m // order
@@ -548,28 +548,36 @@ class NormalizedCoset:
         """The translate as Fractions in [0, 1)."""
         return tuple(Fraction(m, self.order) for m in self.nums)
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not NormalizedCoset:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.by_pivot == other.by_pivot
+                                 and self.order == other.order)
+
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"NormalizedCoset({self.ambient_dim!r}, {self.rows!r}, {self.nums!r}, {self.order!r})"
 
     def meet(self, other: "NormalizedCoset") -> Optional["NormalizedCoset"]:
         """The normalized intersection, or None when it is empty.
 
-        The rows of ``other`` are inserted into the rows of ``self`` over the
-        lcm of their orders, rescaled only when the orders differ; when every
-        one of them is implied by ``self``, the meet is ``self`` itself.
+        The rows of ``other`` are inserted into a copy of those of ``self``
+        over the lcm of their orders, rescaled only when the orders differ;
+        when ``self`` implies every one of them, the meet is ``self`` itself.
         """
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("cannot intersect cosets of different ambient dimension")
         if self.order == other.order:
-            modulus, basis, rows = self.order, dict(self.basis), other.basis.values()
-        else:
-            modulus = math.lcm(self.order, other.order)
-            s, t = modulus // self.order, modulus // other.order
-            # only nonzero translates rescale, and a coset of order 1 has none
-            basis = ({c: (*r[:-1], r[-1] * s) if r[-1] else r for c, r in self.basis.items()}
-                     if s > 1 and self.order > 1 else dict(self.basis))
-            rows = ([(*r[:-1], r[-1] * t) if r[-1] else r for r in other.basis.values()]
-                    if t > 1 and other.order > 1 else other.basis.values())
+            return _meet_rows(self.ambient_dim, list(self.by_pivot), other.by_pivot, self.order, self)
+        modulus = math.lcm(self.order, other.order)
+        s, t = modulus // self.order, modulus // other.order
+        # only nonzero translates rescale, and a coset of order 1 has none
+        basis = ([r if r is None or not r[-1] else (*r[:-1], r[-1] * s) for r in self.by_pivot]
+                 if s > 1 and self.order > 1 else list(self.by_pivot))
+        rows = ([r if r is None or not r[-1] else (*r[:-1], r[-1] * t) for r in other.by_pivot]
+                if t > 1 and other.order > 1 else other.by_pivot)
         return _meet_rows(self.ambient_dim, basis, rows, modulus, self)
 
     def __neg__(self) -> "NormalizedCoset":

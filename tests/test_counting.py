@@ -165,11 +165,12 @@ class TestNormalizedCosetCount:
     def test_negated_count_against_enumeration(self):
         # a negated coset of translate order above 1 is built from its fields,
         # not by the Hermite pass, yet holds from construction on the real
-        # dimension, basis and hash that the Hermite pass gives the same set
+        # dimension, rows by pivot column and hash that the Hermite pass
+        # gives the same set
         for nc, neg in self._negations(order_one=False):
             hermite = CongruenceCoset(neg.ambient_dim, neg.rows, neg.rhs).normalize()
-            assert [vars(neg)[k] for k in ("dim", "basis", "_hash")] == \
-                [vars(hermite)[k] for k in ("dim", "basis", "_hash")]
+            assert [vars(neg)[k] for k in ("dim", "by_pivot", "_hash")] == \
+                [vars(hermite)[k] for k in ("dim", "by_pivot", "_hash")]
             assert neg.order == nc.order and neg.rows == nc.rows
 
     def test_negated_subgroup_is_itself(self):
@@ -248,7 +249,7 @@ class TestUnitPivotSplit:
             n = rng.randint(1, 4)
             coset = random_nonempty_coset(rng, n, max_rows=n, span=4, max_den=6)
             nc = coset.normalize()
-            kind = min(2, sum(r[c] > 1 for c, r in nc.basis.items()))
+            kind = min(2, sum(r[c] > 1 for c, r in enumerate(nc.by_pivot) if r is not None))
             seen[kind] += 1
             unit_rows += kind < len(nc.rows)
             assert nc.component_count == math.prod(s for s, _ in smith_translates(nc))
@@ -660,6 +661,22 @@ class TestLargeUnions:
         assert union_torsion_count(comps, 2) == 64
         assert len(passes) <= 164
         assert len(packs) <= 373
+
+    def test_bookkeeping(self, monkeypatch):
+        # the same union: the pass keeps one dict, so each meet costs two
+        # hashes, and no term, counted or not, reads its rows of H or
+        # translate numerators off its rows by pivot column (2,238 hashes
+        # with a delta dict, a union dict and a terms dict)
+        rng = random.Random(0)
+        comps = [sparse_coset(rng, 6, rng.choice((1, 2))) for _ in range(10)]
+        hashes, forms = [], []
+        hash_, of = NormalizedCoset.__hash__, CountForm.of
+        monkeypatch.setattr(NormalizedCoset, "__hash__", lambda nc: hashes.append(1) or hash_(nc))
+        monkeypatch.setattr(CountForm, "of", lambda *a: forms.append(of(*a)) or forms[-1])
+        assert union_torsion_count(comps, 2) == 64
+        assert len(hashes) <= 776
+        (form,) = forms
+        assert not any({"rows", "nums"} & set(vars(nc)) for _, nc in form.terms)
 
 
 # odd d skip the classes of translate order 2; 10^6 and 10^30 are divisible

@@ -23,7 +23,7 @@ from jumploci.torus import CongruenceCoset, TorusPoint
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jumploci"
 
 DATACLASSES = {
-    "torus.TorusPoint", "torus.CongruenceCoset", "torus.NormalizedCoset",  # __post_init__ or cached_property
+    "torus.TorusPoint", "torus.CongruenceCoset",                            # __post_init__
     "model.RankFunction", "model.PluriData", "counting.CountForm",          # __post_init__ or cached_property
     "model.VarietyModel", "tower.CoverInvariants",                          # copied with dataclasses.replace
 }

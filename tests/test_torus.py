@@ -331,7 +331,7 @@ class TestNormalize:
         coset = dense_system(random.Random(1), 48)
         nc = coset.normalize()
         assert nc.dim == 0
-        assert math.prod(r[c] for c, r in nc.basis.items()) == abs(integer_det(coset.rows)) != 0
+        assert math.prod(r[c] for c, r in enumerate(nc.by_pivot)) == abs(integer_det(coset.rows)) != 0
         x = hermite_point(nc).coords
         for row, b in zip(coset.rows, coset.rhs):
             assert (sum(a * c for a, c in zip(row, x)) - b).denominator == 1
@@ -447,8 +447,9 @@ class TestNormalizedCosetFields:
             assert CongruenceCoset(nc.ambient_dim, nc.rows, nc.rhs).normalize() == nc
             # what the Hermite pass fills in is what the four fields give
             fresh = NormalizedCoset(nc.ambient_dim, nc.rows, nc.nums, nc.order)
-            assert (nc.dim, nc.basis, nc._hash) == (fresh.dim, fresh.basis, fresh._hash)
-            assert all(type(r) is tuple and all(type(a) is int for a in r) for r in nc.basis.values())
+            assert (nc.dim, nc.by_pivot, nc._hash) == (fresh.dim, fresh.by_pivot, fresh._hash)
+            assert type(nc.by_pivot) is tuple and len(nc.by_pivot) == nc.ambient_dim
+            assert all(r is None or type(r) is tuple and all(type(a) is int for a in r) for r in nc.by_pivot)
             assert type(nc.rows) is tuple and all(type(r) is tuple for r in nc.rows)
             assert type(nc.nums) is tuple
 
@@ -545,7 +546,18 @@ class TestMeet:
         # normalizing and meeting hand on the rows of (H | nums) by pivot
         # column and the hash; both equal what the four fields give afresh
         def rescan(nc):
-            return {next(c for c, a in enumerate(r) if a): (*r, m) for r, m in zip(nc.rows, nc.nums)}
+            by_pivot = [None] * nc.ambient_dim
+            for r, m in zip(nc.rows, nc.nums):
+                by_pivot[next(c for c, a in enumerate(r) if a)] = (*r, m)
+            return tuple(by_pivot)
+
+        def check(nc):
+            assert "by_pivot" in vars(nc)  # kept from the Hermite pass
+            assert nc.by_pivot == rescan(nc) and nc.dim == nc.by_pivot.count(None)
+            fields = (nc.ambient_dim, nc.rows, nc.nums, nc.order)
+            assert hash(nc) == hash((nc.by_pivot, nc.order)) == hash(NormalizedCoset(*fields))
+            assert nc == NormalizedCoset(*fields)
+            made.append(nc)
 
         rng = random.Random(6561)
         met = 0
@@ -556,25 +568,45 @@ class TestMeet:
             y = random_nonempty_coset(rng, n, max_den=6).normalize()
             meet = x.meet(y)
             for nc in (x, y, meet):
-                if nc is None:
-                    continue
-                assert "basis" in vars(nc)  # kept from the Hermite pass
-                assert nc.basis == rescan(nc) and list(nc.basis) == sorted(nc.basis)
-                fields = (nc.ambient_dim, nc.rows, nc.nums, nc.order)
-                assert hash(nc) == hash(fields) == hash(NormalizedCoset(*fields))
-                assert nc == NormalizedCoset(*fields)
-                made.append(nc)
+                if nc is not None:
+                    check(nc)
             met += meet is not None and meet is not x
+        # the rescaling branch: translate orders both above 1 and different,
+        # in (R/Z)^4..7 with orders 2..12; x is at times a meet with y, so
+        # lies inside it
+        def of_order(n, order):
+            point = [Fraction(rng.randrange(order), order) for _ in range(n)]
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            return CongruenceCoset.of(n, rows, [sum(a * c for a, c in zip(r, point)) for r in rows]).normalize()
+
+        rescaled = inside = 0
+        while rescaled < 40:
+            n = rng.randint(4, 7)
+            x, y = of_order(n, rng.randint(2, 12)), of_order(n, rng.randint(2, 12))
+            if rng.random() < 0.4:
+                x = y.meet(x) or x
+            if not 1 < x.order != y.order > 1:
+                continue
+            rescaled += 1
+            meet = x.meet(y)
+            stacked = CongruenceCoset(n, x.rows + y.rows, x.rhs + y.rhs).normalize()
+            assert meet == stacked and (meet is x) == (stacked == x)
+            inside += meet is x
+            for nc in (x, y, meet):
+                if nc is not None:
+                    check(nc)
+        assert inside >= 5
         # a coset built from its fields holds, from construction on, the real
-        # dimension, basis and hash that the Hermite pass gives the same set:
-        # seeded cosets, their negations, their meets and the full torus
-        filled = ("dim", "basis", "_hash")
+        # dimension, rows by pivot column and hash that the Hermite pass gives
+        # the same set: seeded cosets, their negations, their meets and the
+        # full torus
+        filled = ("dim", "by_pivot", "_hash")
         for nc in made:
             for built in (NormalizedCoset(nc.ambient_dim, nc.rows, nc.nums, nc.order), -nc):
                 hermite = CongruenceCoset(built.ambient_dim, built.rows, built.rhs).normalize()
                 assert [vars(built)[k] for k in filled] == [vars(hermite)[k] for k in filled]
         fresh = NormalizedCoset(3, ((2, 0, 1), (0, 0, 3)), (1, 2), 5)
-        assert vars(fresh)["basis"] == {0: (2, 0, 1, 1), 2: (0, 0, 3, 2)}
+        assert vars(fresh)["by_pivot"] == ((2, 0, 1, 1), None, (0, 0, 3, 2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
