@@ -141,15 +141,14 @@ def cmd_count(args) -> int:
         label = f"jump locus of ({p},{q})"
     dims = [nc.dim for nc in (c.normalize() for c in components) if nc is not None]
     top = max(dims) if dims else 0
-    # what could fail partway is checked first, so the table streams and a
-    # failure leaves no partial table
-    counting.check_budget(len(dims), args.budget)
+    # every count is taken before the header, so a failure (the budget)
+    # leaves no partial table
+    values = [counting.union_torsion_count(components, d, budget=args.budget) for d in ds]
     print(f"# {label}: {len(components)} components, top dimension {top}")
     print(f"{'d':>6} {'torsion':>14} {'d^dim':>14}")
     # counts are exact, so a huge d prints every digit
     with _int_text_of_any_size():
-        for d in ds:
-            value = counting.union_torsion_count(components, d, budget=args.budget)
+        for d, value in zip(ds, values):
             print(f"{d:>6} {value:>14} {d ** top:>14}")
     return EXIT_OK
 

@@ -42,12 +42,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, ComponentBudgetExceeded, DimensionMismatch
-from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, _check_d, torsion_gate
+from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, _check_d, _computed_once, torsion_gate
 from .torus import snf  # noqa: F401  (bench/tests asserts this binding)
 
 DEFAULT_COMPONENT_BUDGET = 12
@@ -139,7 +138,7 @@ class CountForm:
             poly[nc.dim] = poly.get(nc.dim, 0) + c * nc.component_count
         return {e: c for e, c in poly.items() if c}
 
-    @cached_property
+    @_computed_once
     def table(self) -> CountTable:
         """The form read alone, as a one-column table built on first use."""
         return CountTable.of([[self]])

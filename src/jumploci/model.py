@@ -24,13 +24,12 @@ the one locus of every ω^m, m >= 2 (:attr:`VarietyModel.pluri_locus`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .counting import DEFAULT_COMPONENT_BUDGET, CountForm, CountTable, check_budget, covered
 from .errors import ComponentBudgetExceeded, DimensionMismatch, MissingStratification, shown_int
-from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, _to_int
+from .torus import CongruenceCoset, NormalizedCoset, TorusPoint, _computed_once, _to_int
 
 
 class Stratum(NamedTuple):
@@ -71,13 +70,13 @@ class RankFunction:
                           else Stratum(coset, _to_int(value)))
         object.__setattr__(self, "strata", tuple(strata))
 
-    @cached_property
+    @_computed_once
     def normalized_strata(self) -> tuple[tuple[Optional[NormalizedCoset], int], ...]:
         """(normalized coset, value) of each stratum, in order; the coset is
         None when the stratum is empty."""
         return tuple((coset.normalize(), value) for coset, value in self.strata)
 
-    @cached_property
+    @_computed_once
     def limit(self) -> int:
         """The d^(2g) coefficient of the rank sum: the generic value with any
         stratum spanning the whole torus folded in.  It needs no Smith form."""
@@ -87,7 +86,7 @@ class RankFunction:
                 best = value
         return best
 
-    @cached_property
+    @_computed_once
     def origin_value(self) -> int:
         """h(0): the largest of the generic value and the values of the
         nonempty strata of translate order 1, the only normalized cosets
@@ -95,23 +94,18 @@ class RankFunction:
         return max([self.generic_value, *(value for nc, value in self.normalized_strata
                                           if nc is not None and nc.order == 1)])
 
-    @cached_property
+    @_computed_once
     def _count_form(self) -> CountForm:
         return CountForm.of(self.ambient_dim, self.limit, self.effective_strata())
 
-    @cached_property
-    def _strata_above_limit(self) -> int:
-        """How many strata the count pass takes in (:meth:`effective_strata`)."""
-        return len(self.effective_strata())
-
     def count_form(self, budget: int) -> CountForm:
         """The limit and the signed meets of the strata above it, merged by
-        Hermite form (:meth:`CountForm.of`).  The budget caps the nonempty
-        strata the pass takes in; it is checked on every call."""
-        check_budget(self._strata_above_limit, budget)
+        Hermite form (:meth:`CountForm.of`).  The budget caps how many
+        :meth:`effective_strata` the pass takes in, counted on every call."""
+        check_budget(len(self.effective_strata()), budget)
         return self._count_form
 
-    @cached_property
+    @_computed_once
     def degree(self) -> int:
         """The exponent of d in the rank sum: 2g when the limit is positive,
         else the largest real dimension of a stratum above it, -1 when there
@@ -121,7 +115,7 @@ class RankFunction:
             return self.ambient_dim
         return max((nc.dim for nc, _ in self.effective_strata()), default=-1)
 
-    @cached_property
+    @_computed_once
     def witness_order(self) -> Optional[int]:
         """The least :attr:`~jumploci.torus.NormalizedCoset.min_order` of the
         strata above the limit of the largest real dimension, None if none:
@@ -255,12 +249,12 @@ class VarietyModel:
     def hodge_pairs(self) -> Iterable[tuple[int, int]]:
         return product(range(self.n + 1), repeat=2)
 
-    @cached_property
+    @_computed_once
     def _most_strata(self) -> int:
         """The most strata any grid entry's count pass takes in."""
-        return max(rf._strata_above_limit for rf in chain(*self.hodge))
+        return max(len(rf.effective_strata()) for rf in chain(*self.hodge))
 
-    @cached_property
+    @_computed_once
     def _hodge_table(self) -> CountTable:
         n = self.n
         columns = [[rf._count_form] for row in self.hodge for rf in row]
@@ -275,12 +269,12 @@ class VarietyModel:
         Betti number b_0 … b_2n (:attr:`betti_columns`; the sum of the forms
         of the entries with p + q = k, each distinct form read once per
         table), then one for d^(2g), the form of limit 1 and no terms.  The
-        budget caps the nonempty strata each entry's pass takes in; it is
+        budget caps each entry's :meth:`~RankFunction.effective_strata`; it is
         checked on every call against the largest such count, and the first
         entry over it, row-major, raises before any form is built."""
         if self._most_strata > budget:
             for rf in chain(*self.hodge):
-                check_budget(rf._strata_above_limit, budget)
+                check_budget(len(rf.effective_strata()), budget)
         return self._hodge_table
 
     def grid(self, values: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -290,12 +284,12 @@ class VarietyModel:
         it = iter(values)
         return tuple(zip(*(it,) * (self.n + 1)))[:self.n + 1]
 
-    @cached_property
+    @_computed_once
     def betti_columns(self) -> slice:
         """Where :meth:`hodge_table` holds b_0 … b_2n: after the grid."""
         return slice((self.n + 1) ** 2, -1)
 
-    @cached_property
+    @_computed_once
     def pluri_locus(self) -> Optional[RankFunction]:
         """The locus of every ω^m, m >= 2, built once (None without data): 1 on
         the translates pinned in this torus off the leading 2·q_base
@@ -311,12 +305,12 @@ class VarietyModel:
             Stratum(CongruenceCoset.pinned(dim, {i: t.coords[i] for i in range(2 * pluri.q_base, dim)}), 1)
             for t in pluri.translates))
 
-    @cached_property
+    @_computed_once
     def chi_p(self) -> tuple[int, ...]:
         """chi(Omega^p) of each row p (:func:`euler_char`); no cover changes it."""
         return tuple(euler_char(row) for row in self.hodge)
 
-    @cached_property
+    @_computed_once
     def chi_top(self) -> int:
         """The topological Euler characteristic: sum over p of (-1)^p chi(Omega^p)."""
         return sum((-1) ** p * chi for p, chi in enumerate(self.chi_p))
@@ -400,37 +394,36 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
     """Smallest threshold t at which {f >= t} and -{g >= t} differ; None
     when f(α) = g(-α) at every point α.
 
-    When the two presentations mirror, that is decided from them alone: with
-    equal generic values and the same (coset, value) pairs over f's nonempty
-    normalized strata as over g's, negated once, the max rule gives
-    f(α) = g(-α) everywhere, and no level set is built or counted.
-
-    Otherwise it is decided threshold by threshold: both functions take
-    only their generic and stratum values, so these thresholds decide it.
-    Each level set is a set of normalized cosets: the full torus at or
-    below the generic value, else the nonempty strata reaching t, g's
-    negated.  Equal sets of cosets are equal level sets.  Otherwise
-    U = {f >= t} and V = -{g >= t} are equal exactly when V covers each
-    coset of U and U each coset of V (:func:`covered`); no form spans U ∪ V.
+    Both functions take only their generic and stratum values, so these
+    thresholds decide it.  Each level set is a set of normalized cosets:
+    the full torus at or below the generic value, else the nonempty strata
+    reaching t, g's negated once.  Equal sets of cosets are equal level
+    sets, so presentations that mirror (equal generic values, the same
+    (coset, value) pairs up to negation) agree at every threshold with no
+    coset met.  Otherwise U = {f >= t} and V = -{g >= t} are equal exactly
+    when V covers each coset of U and U each coset of V (:func:`covered`);
+    no form spans U ∪ V, and the full torus is packed as a coset only where
+    one side is the full torus and the other is not.
     Raises ComponentBudgetExceeded when U or V, short of the full torus, has
     more cosets than the budget, checked for U, then V, so that no form
     takes more pieces than the budget.
     """
     f_strata = [(nc, value) for nc, value in f.normalized_strata if nc is not None]
     g_strata = [(-nc, value) for nc, value in g.normalized_strata if nc is not None]
-    if f.generic_value == g.generic_value and set(f_strata) == set(g_strata):
-        return None
-    full = frozenset({NormalizedCoset(f.ambient_dim, (), (), 1)})
+    full = None  # the full torus as a level set, packed when one side needs it
     values = {f.generic_value, g.generic_value}
     values.update(value for _, value in f.strata + g.strata)
     for t in sorted(values):
-        u = full if t <= f.generic_value else frozenset(nc for nc, value in f_strata if value >= t)
-        v = full if t <= g.generic_value else frozenset(nc for nc, value in g_strata if value >= t)
+        u = None if t <= f.generic_value else frozenset(nc for nc, value in f_strata if value >= t)
+        v = None if t <= g.generic_value else frozenset(nc for nc, value in g_strata if value >= t)
         if u == v:
             continue
         for level in (u, v):
-            if level is not full:
+            if level is not None:
                 check_budget(len(level), budget)
+        if None in (u, v):
+            full = full or frozenset({NormalizedCoset(f.ambient_dim, (), (), 1)})
+            u, v = (full if level is None else level for level in (u, v))
         if not all(covered(x, v) for x in u) or not all(covered(y, u) for y in v):
             return t
     return None
@@ -440,13 +433,13 @@ def validate_model(model: VarietyModel, *, budget: int = DEFAULT_COMPONENT_BUDGE
     """The findings on the content of a well-formed model (construction
     checked its shape); report-valued, never raises on bad content.
 
-    Serre symmetry h^(p,q)(α) = h^(n-p,n-q)(-α) is decided exactly, from
-    the presentations or level set by level set (:func:`_serre_mismatch`),
-    unless there are errors.  A pair whose level sets must be counted but
-    hold more cosets than ``budget`` gets a warning that it was not decided.
-    Each distinct rank function is judged, and each distinct pair of
-    functions decided, once per call; the findings are then named at
-    every place that holds them, so they read as if each were checked there.
+    Serre symmetry h^(p,q)(α) = h^(n-p,n-q)(-α) is decided exactly, level
+    set by level set (:func:`_serre_mismatch`), unless there are errors.  A
+    pair whose level sets must be counted but hold more cosets than
+    ``budget`` gets a warning that it was not decided.  Each distinct rank
+    function is judged, and each distinct pair of functions decided, once
+    per call; the findings are then named at every place that holds them,
+    so they read as if each were checked there.
 
     When the stratification raises no error, generic vanishing is checked
     at the model's own defect δ: a locus of real dimension above

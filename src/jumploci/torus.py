@@ -204,8 +204,9 @@ _ZERO = Fraction(0)
 
 
 class _computed_once:
-    """functools.cached_property without the lock Python 3.11 takes on each
-    first read, which a count pass makes once per fresh term."""
+    """The engine's one kept-attribute descriptor: the first read stores the
+    value in the instance ``__dict__``, where later reads find it, and takes
+    no lock, unlike the standard library's on Python 3.11."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__

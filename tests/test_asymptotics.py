@@ -255,7 +255,7 @@ class TestDivergence:
         extra = tuple(Stratum(CongruenceCoset.of(4, [[1, 0, 0, 0], [0, 1, 0, 0]], [Fraction(k, 14), 0]), 1)
                       for k in range(1, 14))
         h01 = RankFunction(4, 0, base.hodge[0][1].strata + extra)
-        assert h01._strata_above_limit == 14 > counting.DEFAULT_COMPONENT_BUDGET
+        assert len(h01.effective_strata()) == 14 > counting.DEFAULT_COMPONENT_BUDGET
         assert divergence_class(with_hodge(base, 0, 1, h01)) == DivergenceReport(True, 2, 2, 2)
 
     def test_classification_matches_sequence_growth(self):

@@ -538,8 +538,9 @@ class TestBadFlags:
                                    {"A": [[1, 0], [0, 1]], "b": ["1/2", "0"], "value": 2}]
         path = tmp_path / "full.json"
         path.write_text(json.dumps(layout(blob)))
-        assert main(["--budget", "1", "count", "--model", str(path), "--i", "0,1", "--d", "2"]) == 2
-        assert capsys.readouterr() == ("", "error: 2 components exceed the component budget of 1\n")
+        for ds in ("2", "1,2,6"):  # every count is taken before the header is printed
+            assert main(["--budget", "1", "count", "--model", str(path), "--i", "0,1", "--d", ds]) == 2
+            assert capsys.readouterr() == ("", "error: 2 components exceed the component budget of 1\n")
         assert main(["--budget", "2", "count", "--model", str(path), "--i", "0,1", "--d", "2"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].split() == ["2", "4", "4"]
         assert main(["--budget", "1", "tower", "--model", str(path), "--d-max", "2"]) == 0

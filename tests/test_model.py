@@ -628,12 +628,13 @@ class TestSerreSymmetry:
         assert min(outcomes.values()) >= 5, outcomes
 
     def test_presentations_agree_with_level_sets(self):
-        # mirrored presentations return before any level set; that verdict
-        # must be the level sets' own (checked against brute force in
-        # test_agrees_with_brute_force).  The level sets decide the same pair
-        # once g (or f, when g has no nonempty stratum) carries a redundant
-        # stratum nested in one of its own: the same function, whose
-        # presentation no longer mirrors the other's
+        # mirrored presentations have equal sets of cosets at every
+        # threshold, so no coset is met (test_mirrored_presentations_meet_nothing);
+        # that verdict must be the one containment gives (checked against
+        # brute force in test_agrees_with_brute_force).  Containment decides
+        # the same pair once g (or f, when g has no nonempty stratum) carries
+        # a redundant stratum nested in one of its own: the same function,
+        # whose presentation no longer mirrors the other's
         rng = random.Random(2626)
         outcomes = {"mirrored": 0, "mirrored with translates of order 2 or 3": 0,
                     "other presentations, symmetric": 0, "asymmetric": 0}
@@ -655,6 +656,30 @@ class TestSerreSymmetry:
             else:
                 outcomes["asymmetric" if levels is not None else "other presentations, symmetric"] += 1
         assert min(outcomes.values()) >= 5, outcomes
+
+    def test_mirrored_presentations_meet_nothing(self, monkeypatch):
+        # equal sets of cosets at every threshold: no containment is decided
+        # and the full torus is never packed; the only cosets packed are the
+        # negations of g's strata of translate order above 1
+        from jumploci import model as model_module, torus
+
+        covers, packs = [], []
+        covered, hermite = model_module.covered, torus._hermite
+        monkeypatch.setattr(model_module, "covered", lambda *a: covers.append(a) or covered(*a))
+        monkeypatch.setattr(torus, "_hermite", lambda *a: packs.append(a) or hermite(*a))
+        rng = random.Random(5151)
+        mirrored = 0
+        for _ in range(60):
+            f, g = mirrored_pair(rng)
+            if not mirrors(f, g):
+                continue
+            packs.clear()
+            assert _serre_mismatch(f, g, DEFAULT_COMPONENT_BUDGET) is None
+            assert covers == []
+            assert len(packs) == sum(nc is not None and nc.order > 1 for nc, _ in g.normalized_strata)
+            assert all(any(r is not None for r in basis) for _, basis, *_ in packs)
+            mirrored += 1
+        assert mirrored >= 5
 
     def test_each_stratum_of_g_is_negated_once(self, monkeypatch):
         negations = []

@@ -1,10 +1,11 @@
 """Which types are dataclasses and which are plain records.
 
 A type is a frozen dataclass only when it needs what only a dataclass
-gives: a ``__post_init__`` check, a ``cached_property``, or copies made
-with ``dataclasses.replace``.  Every other record is a ``typing.NamedTuple``,
-which is several times cheaper to define at import and keeps the field
-names, the field-wise equality and hash, the repr and the immutability.
+gives: a ``__post_init__`` check, a kept attribute, which a ``NamedTuple``
+cannot hold, or copies made with ``dataclasses.replace``.  Every other
+record is a ``typing.NamedTuple``, which is several times cheaper to
+define at import and keeps the field names, the field-wise equality and
+hash, the repr and the immutability.
 Unlike the dataclass, it also equals a plain tuple of the same values and
 can be unpacked and indexed; callers read records by attribute.
 """
@@ -24,7 +25,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jumploci"
 
 DATACLASSES = {
     "torus.TorusPoint", "torus.CongruenceCoset",                            # __post_init__
-    "model.RankFunction", "model.PluriData", "counting.CountForm",          # __post_init__ or cached_property
+    "model.RankFunction", "model.PluriData", "counting.CountForm",          # __post_init__ or a kept attribute
     "model.VarietyModel", "tower.CoverInvariants",                          # copied with dataclasses.replace
 }
 
@@ -80,6 +81,17 @@ def test_only_modules_with_a_dataclass_import_dataclasses():
                     or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"):
                 importing.add(path.stem)
     assert importing == {name.split(".")[0] for name in DATACLASSES}
+
+
+def test_no_module_uses_cached_property():
+    # one kept-attribute idiom: torus._computed_once, which takes no lock on a first read
+    using = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if (isinstance(node, ast.ImportFrom) and any(a.name == "cached_property" for a in node.names)
+                    or isinstance(node, ast.Attribute) and node.attr == "cached_property"):
+                using.add(path.stem)
+    assert not using
 
 
 @pytest.mark.parametrize("name", RECORDS)
