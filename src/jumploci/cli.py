@@ -177,7 +177,11 @@ def _tower_rows(model: VarietyModel, d_max: int, ms: list[int], budget: int):
         yield row
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_out(path: Optional[str], text: str) -> None:
+    """Writes ``text`` to the ``--out`` file, or to standard output without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
@@ -204,10 +208,7 @@ def cmd_tower(args) -> int:
     # every row is computed before anything is written, so a failure leaves no output
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(_tower_rows(model, args.d_max, ms, args.budget))
-    if args.out:
-        _write_file(args.out, buffer.getvalue())
-    else:
-        sys.stdout.write(buffer.getvalue())
+    _write_out(args.out, buffer.getvalue())
     return EXIT_OK
 
 
@@ -224,7 +225,7 @@ def cmd_check(args) -> int:
     witness = next(((f.p, f.q) for f in fits if not f.passes), None)  # the converse: first failing fit
     divergence = asymptotics.divergence_class(model)
     l2 = asymptotics.l2_betti(model)
-    all_pass = all(f.passes for f in fits)
+    all_pass = witness is None
 
     print(f"# decay bounds at defect bound N = {args.defect_bound}, d <= {args.d_max}")
     print(f"{'p':>3} {'q':>3} {'exponent':>9} {'fitted_B':>14} verdict")
@@ -292,10 +293,7 @@ def cmd_validate(args) -> int:
 
 def cmd_export(args) -> int:
     model = _load_model(args)
-    if args.out:
-        _write_file(args.out, modelfile.dumps_model(model))
-    else:
-        sys.stdout.write(modelfile.dumps_model(model))
+    _write_out(args.out, modelfile.dumps_model(model))
     return EXIT_OK
 
 

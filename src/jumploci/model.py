@@ -265,11 +265,11 @@ class VarietyModel:
 
     def hodge_table(self, budget: int) -> CountTable:
         """Every number a cover reports in one table, built on first use and
-        kept: a column per grid entry, row-major (:meth:`grid`), then one per
-        Betti number b_0 … b_2n (:attr:`betti_columns`; the sum of the forms
-        of the entries with p + q = k, each distinct form read once per
-        table), then one for d^(2g), the form of limit 1 and no terms.  The
-        budget caps each entry's :meth:`~RankFunction.effective_strata`; it is
+        kept: a column per grid entry, row-major, then one per Betti number
+        b_0 … b_2n (the sum of the forms of the entries with p + q = k, each
+        distinct form read once per table), then one for d^(2g), the form of
+        limit 1 and no terms; :meth:`cut` splits an evaluation.  The budget
+        caps each entry's :meth:`~RankFunction.effective_strata`; it is
         checked on every call against the largest such count, and the first
         entry over it, row-major, raises before any form is built."""
         if self._most_strata > budget:
@@ -277,17 +277,12 @@ class VarietyModel:
                 check_budget(len(rf.effective_strata()), budget)
         return self._hodge_table
 
-    def grid(self, values: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """The grid of one evaluation of :meth:`hodge_table`: one ``zip`` of
-        n + 1 references to one iterator over the values cuts them into rows
-        of n + 1, and the first n + 1 rows are the grid."""
-        it = iter(values)
-        return tuple(zip(*(it,) * (self.n + 1)))[:self.n + 1]
-
-    @_computed_once
-    def betti_columns(self) -> slice:
-        """Where :meth:`hodge_table` holds b_0 … b_2n: after the grid."""
-        return slice((self.n + 1) ** 2, -1)
+    def cut(self, values: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+        """One evaluation of :meth:`hodge_table` cut into (grid, betti, deg):
+        the first (n + 1)² values, cut into rows of n + 1 by one ``zip`` of
+        n + 1 references to one iterator, then b_0 … b_2n, then d^(2g)."""
+        w = self.n + 1
+        return tuple(zip(*(iter(values[:w * w]),) * w)), tuple(values[w * w:-1]), values[-1]
 
     @_computed_once
     def pluri_locus(self) -> Optional[RankFunction]:

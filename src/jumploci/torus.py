@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -220,33 +220,33 @@ class _computed_once:
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """A rational point of (R/Z)^N, stored by its representative in [0,1)^N.
-
-    ``order`` is the smallest positive integer m with m·x integral, i.e. the
-    lcm of the coordinate denominators.
-    """
+    """A rational point of (R/Z)^N, stored by its representative in [0,1)^N
+    alone: :attr:`order` and :attr:`dim` are read off its coordinates."""
 
     coords: tuple[Fraction, ...]
-    order: int = field(init=False, compare=False, repr=False)
-    dim: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        reduced = tuple(_to_fraction(c) % 1 for c in self.coords)
-        object.__setattr__(self, "coords", reduced)
-        object.__setattr__(self, "order", math.lcm(*(c.denominator for c in reduced)) if reduced else 1)
-        object.__setattr__(self, "dim", len(reduced))
+        object.__setattr__(self, "coords", tuple(_to_fraction(c) % 1 for c in self.coords))
+
+    @property
+    def order(self) -> int:
+        """The least m >= 1 with m·x integral: the lcm of the coordinate denominators."""
+        return math.lcm(*(c.denominator for c in self.coords))
+
+    @property
+    def dim(self) -> int:
+        """N, the number of coordinates."""
+        return len(self.coords)
 
     @classmethod
     def of(cls, values: Iterable) -> "TorusPoint":
-        return cls(tuple(_to_fraction(v) for v in values))
+        return cls(tuple(values))
 
     @classmethod
     def zero(cls, dim: int) -> "TorusPoint":
         """The origin, built as it is: its coordinates are already reduced."""
         point = object.__new__(cls)
         object.__setattr__(point, "coords", (_ZERO,) * dim)
-        object.__setattr__(point, "order", 1)
-        object.__setattr__(point, "dim", dim)
         return point
 
     def __neg__(self) -> "TorusPoint":
@@ -292,19 +292,16 @@ class CongruenceCoset:
 
     @classmethod
     def point(cls, p: TorusPoint) -> "CongruenceCoset":
-        return cls(p.dim, tuple((0,) * i + (1,) + (0,) * (p.dim - i - 1) for i in range(p.dim)), p.coords)
+        """The coset of one point: every coordinate pinned (:meth:`pinned`)."""
+        return cls.pinned(p.dim, dict(enumerate(p.coords)))
 
     @classmethod
     def pinned(cls, ambient_dim: int, values: dict[int, Fraction]) -> "CongruenceCoset":
-        """Coset fixing the listed coordinates and leaving the rest free."""
-        rows = []
-        rhs = []
-        for idx in sorted(values):
-            row = [0] * ambient_dim
-            row[idx] = 1
-            rows.append(tuple(row))
-            rhs.append(_to_fraction(values[idx]))
-        return cls(ambient_dim, tuple(rows), tuple(rhs))
+        """Coset fixing the listed coordinates and leaving the rest free: a unit
+        row per coordinate, in index order, the value as given on its right."""
+        pins = dict(sorted(values.items()))
+        rows = tuple((0,) * i + (1,) + (0,) * (ambient_dim - i - 1) for i in pins)
+        return cls(ambient_dim, rows, tuple(pins.values()))
 
     # -- operations --------------------------------------------------------
 
@@ -414,12 +411,10 @@ def _meet_rows(width: int, basis: list[Optional[Row]], rows: Iterable[Optional[R
     return _hermite(width, basis, modulus) if kept is None else kept
 
 
-def _hermite(width: int, basis: list[Optional[Row]], modulus: int,
-             nc: Optional["NormalizedCoset"] = None) -> "NormalizedCoset":
-    """Pack the rows of (H | nums) by pivot column over ``modulus``, changed
-    ones as new tuples, into ``nc``, a new coset by default, with its real dimension and hash."""
-    if nc is None:
-        nc = object.__new__(NormalizedCoset)
+def _hermite(width: int, basis: list[Optional[Row]], modulus: int) -> "NormalizedCoset":
+    """Pack the reduced rows of (H | nums) by pivot column over ``modulus``, changed ones
+    as new tuples, into a new coset with its real dimension and hash; every coset is made here."""
+    nc = object.__new__(NormalizedCoset)
     by_pivot = tuple([tuple(r) if type(r) is list else r for r in basis])
     object.__setattr__(nc, "__dict__", {
         "ambient_dim": width, "by_pivot": by_pivot, "order": modulus,
@@ -480,18 +475,19 @@ class NormalizedCoset:
     grid exactly when it divides d), and every entry of ``nums`` lies in
     [0, order) with gcd(order, *nums) = 1, so equal cosets have equal
     fields.  ``by_pivot`` holds the rows of (H | nums) once, by pivot
-    column (None at a free column); meets copy them and the Smith pass
-    reads them, and ``rows`` and ``nums`` are read off them on first use.
-    It is immutable, with ``dim`` and the hash (meets are dict keys) set
-    when made; its divisibility class is computed on first use, off Smith
-    data it does not keep, since only counted cosets need it.
+    column (None at a free column); meets copy them, negation and the Smith
+    pass read them; in the package only ``repr`` reads ``rows`` and ``nums``.
+    :func:`_hermite` packs every coset, the constructor's canonical fields
+    too.  It is immutable, with ``dim`` and the hash (meets are dict keys)
+    set when made; its divisibility class is computed on first use, off
+    Smith data it does not keep, since only counted cosets need it.
     """
 
-    def __init__(self, ambient_dim: int, rows: IntMatrix, nums: tuple[int, ...], order: int) -> None:
+    def __new__(cls, ambient_dim: int, rows: IntMatrix, nums: tuple[int, ...], order: int) -> "NormalizedCoset":
         by_pivot = [None] * ambient_dim  # each row at the column of its pivot
         for r, m in zip(rows, nums):
             by_pivot[next(c for c, a in enumerate(r) if a)] = (*r, m)
-        _hermite(ambient_dim, by_pivot, order, self)
+        return _hermite(ambient_dim, by_pivot, order)
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"NormalizedCoset is immutable: cannot set {name!r}")
@@ -582,10 +578,11 @@ class NormalizedCoset:
         return _meet_rows(self.ambient_dim, basis, rows, modulus, self)
 
     def __neg__(self) -> "NormalizedCoset":
-        """The coset {-x : x in self}: the translate negates, and stays
-        canonical once reduced into [0, order).  A subgroup (order 1) is its
-        own negative, and is returned as it is."""
-        if self.order == 1:
+        """The coset {-x : x in self}: each translate m becomes -m mod order and
+        H, reduced above its pivots, is kept, so the rows are canonical with no
+        Hermite pass.  A subgroup (order 1) is its own negative, returned as is."""
+        order = self.order
+        if order == 1:
             return self
-        return NormalizedCoset(self.ambient_dim, self.rows,
-                               tuple(-m % self.order for m in self.nums), self.order)
+        negated = [r if r is None else (*r[:-1], -r[-1] % order) for r in self.by_pivot]
+        return _hermite(self.ambient_dim, negated, order)

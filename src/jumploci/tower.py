@@ -14,8 +14,8 @@ model compiles every number a cover reports once into one count table
 (:meth:`VarietyModel.hodge_table`): a column per grid entry, one per Betti
 number (the sum of its anti-diagonal's forms) and a last one for d^(2g);
 it also keeps the rows' Euler characteristics (:attr:`VarietyModel.chi_p`).
-:func:`cover_invariants` cuts one evaluation of it per cover into the grid,
-the Betti numbers and deg.  Every invariant is a weighted sum of rank
+:func:`cover_invariants` evaluates it once per cover and has the model cut
+the values (:meth:`VarietyModel.cut`).  Every invariant is a weighted sum of rank
 functions (:func:`summands`), each read off its form's kept one-column table
 (:attr:`~jumploci.counting.CountForm.table`), so its limit as value / d^(2g)
 is the weighted sum of their limits: proper loci contribute nothing,
@@ -127,12 +127,11 @@ def pluri_bound_constant(model: VarietyModel, m: int) -> int:
 def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
                      *, budget: int = DEFAULT_COMPONENT_BUDGET) -> CoverInvariants:
     """Every invariant of X_d read off one evaluation of the model's table,
-    cut into the grid, the Betti numbers and deg; q = h^(0,1) and P_1 = h^(n,0)
-    from the grid.  Each exponent is checked once, refused as the selector
-    ("pluri", m) would be, and the locus is read at most once per cover.
-    ``pluri`` is new per call."""
-    values = model.hodge_table(budget).values(d)
-    grid = model.grid(values)
+    which :meth:`VarietyModel.cut` splits into the grid, the Betti numbers
+    and deg; q = h^(0,1) and P_1 = h^(n,0) from the grid.  Each exponent is
+    checked once, refused as the selector ("pluri", m) would be, and the
+    locus is read at most once per cover.  ``pluri`` is new per call."""
+    grid, betti, deg = model.cut(model.hodge_table(budget).values(d))
     n = model.n
     pluri, count = {}, None
     for m in pluri_ms:
@@ -147,7 +146,7 @@ def cover_invariants(model: VarietyModel, d: int, pluri_ms: Iterable[int] = (),
         pluri[m] = c * count if c else 0
     inv = object.__new__(CoverInvariants)  # frozen: fill the fields in one step
     object.__setattr__(inv, "__dict__", {
-        "d": d, "deg": values[-1], "hodge": grid, "betti": tuple(values[model.betti_columns]),
+        "d": d, "deg": deg, "hodge": grid, "betti": betti,
         "q": grid[0][1] if n else 0, "chi_p": model.chi_p, "chi_top": model.chi_top, "pluri": pluri})
     return inv
 

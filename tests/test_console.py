@@ -153,7 +153,12 @@ def test_generic_vanishing_warning_at_a_declared_defect(run):
      "2,4,1000000", [["2", "2", "2"], ["4", "10", "4"], ["1000000", "2999998", "1000000"]]),
     ("quarter.json", {"ambient_dim": 1, "components": [{"A": [[2]], "b": ["1/2"]}]},
      "2,4,8", [["2", "0", "1"], ["4", "2", "1"], ["8", "2", "1"]]),
-], ids=["union", "quarter"])
+    # three lines of the plane with translate orders 3, 4 and 6, whose meets
+    # rescale over the lcm of their orders; enumeration gives the same counts
+    ("lines.json", {"ambient_dim": 2, "components": [
+        {"A": [[1, 0]], "b": ["1/3"]}, {"A": [[1, 2]], "b": ["1/4"]}, {"A": [[0, 2]], "b": ["1/6"]}]},
+     "12,24,36", [["12", "44", "12"], ["24", "90", "24"], ["36", "140", "36"]]),
+], ids=["union", "quarter", "lines"])
 def test_locus_counts(run, tmp_path, name, locus, ds, rows):
     (tmp_path / name).write_text(json.dumps(locus), encoding="utf-8")
     code, out, err = run("count", "--locus", name, "--d", ds)

@@ -799,7 +799,7 @@ class TestClassEvaluation:
                      for k in range(2 * n + 1)]
             values = table.values(d)
             assert values == [h for row in grid for h in row] + betti + [d ** model.torus_dim], d
-            assert model.grid(values) == grid
+            assert model.cut(values) == (grid, tuple(betti), d ** model.torus_dim)
         return _classes(table)
 
     def test_hodge_table_columns_on_catalog_grids(self):

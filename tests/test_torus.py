@@ -1,5 +1,6 @@
 """Exact torus linear algebra: Smith form, normalization, intersection."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -162,6 +163,21 @@ class TestTorusPoint:
     def test_negation(self):
         p = TorusPoint.of([Fraction(1, 3), 0])
         assert (-p).coords == (Fraction(2, 3), Fraction(0))
+
+    def test_only_the_coordinates_are_stored(self):
+        # order and dim are read off the coordinates, on built, negated and
+        # zero points alike
+        assert [f.name for f in dataclasses.fields(TorusPoint)] == ["coords"]
+        rng = random.Random(2024)
+        points = [(TorusPoint.zero(n), 1, n) for n in range(9)]
+        for _ in range(40):
+            values = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rng.randint(0, 5))]
+            order = math.lcm(*(v.denominator for v in values))
+            p = TorusPoint.of(values)
+            points += [(p, order, len(values)), (-p, order, len(values))]
+        for p, order, dim in points:
+            assert vars(p) == {"coords": p.coords}
+            assert (p.order, p.dim) == (order, dim) == (math.lcm(*(c.denominator for c in p.coords)), len(p.coords))
 
 
 class TestConstructors:
@@ -454,17 +470,25 @@ class TestNormalizedCosetFields:
             assert type(nc.nums) is tuple
 
     def test_negation(self):
+        # negation repacks the rows by pivot: before anything reads rows or
+        # nums, neither the coset nor its negative holds them
         rng = random.Random(1729)
+        translated = 0
         for _ in range(60):
             n = rng.randint(1, 3)
-            nc = random_nonempty_coset(rng, n, max_den=6).normalize()
+            coset = random_nonempty_coset(rng, n, max_den=6)
+            nc = coset.normalize()
             neg = -nc
+            assert not {"rows", "nums"} & (vars(nc).keys() | vars(neg).keys())
+            assert neg == CongruenceCoset(n, coset.rows, tuple(-b for b in coset.rhs)).normalize()
+            translated += nc.order > 1
             assert neg.rows == nc.rows and neg.order == nc.order
             assert neg.rhs == tuple(-b % 1 for b in nc.rhs)
             assert -neg == nc
             for d in (1, 2, 3, 6):
                 points = brute_force_torsion_points(nc, d)
                 assert brute_force_torsion_points(neg, d) == {tuple(-y % d for y in ys) for ys in points}
+        assert translated >= 30
 
     def test_full_torus(self):
         nc = CongruenceCoset.full_torus(3).normalize()

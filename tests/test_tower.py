@@ -736,8 +736,8 @@ class TestCoverInvariants:
                                        match=f"^{strata} components exceed the component budget of {budget}$"):
                         value_on_cover(model, ("hodge", p, q), 5, budget=budget)
                 else:
-                    assert value_on_cover(model, ("hodge", p, q), 5, budget=budget) == model.grid(
-                        model.hodge_table(12).values(5))[p][q]
+                    assert value_on_cover(model, ("hodge", p, q), 5, budget=budget) == model.cut(
+                        model.hodge_table(12).values(5))[0][p][q]
 
     @staticmethod
     def _models():
@@ -833,7 +833,7 @@ class TestCoverInvariants:
             w = model.n + 1
             for d in (1, 6, 10 ** 30):
                 values = model.hodge_table(DEFAULT_COMPONENT_BUDGET).values(d)
-                grid = model.grid(values)
+                grid = model.cut(values)[0]
                 assert grid == tuple(tuple(values[i:i + w]) for i in range(0, w * w, w))
                 assert type(grid) is tuple and all(type(row) is tuple for row in grid)
 
