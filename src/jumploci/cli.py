@@ -137,7 +137,7 @@ def cmd_count(args) -> int:
             raise EngineError(f"--i {shown(args.i)} lies outside the {model.n + 1}x{model.n + 1} grid "
                               f"of a model with n = {model.n}")
         rf = model.hodge[p][q]
-        components = [c for c, v in rf.strata if v > rf.generic_value]
+        components = [c for c, _ in rf.strata]
         label = f"jump locus of ({p},{q})"
     dims = [nc.dim for nc in (c.normalize() for c in components) if nc is not None]
     top = max(dims) if dims else 0

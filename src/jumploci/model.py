@@ -71,10 +71,10 @@ class RankFunction:
         object.__setattr__(self, "strata", tuple(strata))
 
     @_computed_once
-    def normalized_strata(self) -> tuple[tuple[Optional[NormalizedCoset], int], ...]:
-        """(normalized coset, value) of each stratum, in order; the coset is
-        None when the stratum is empty."""
-        return tuple((coset.normalize(), value) for coset, value in self.strata)
+    def normalized_strata(self) -> tuple[tuple[NormalizedCoset, int], ...]:
+        """(normalized coset, value) of each nonempty stratum, in order; an
+        empty stratum is dropped here, and only validation names it."""
+        return tuple((nc, value) for coset, value in self.strata if (nc := coset.normalize()) is not None)
 
     @_computed_once
     def limit(self) -> int:
@@ -82,7 +82,7 @@ class RankFunction:
         stratum spanning the whole torus folded in.  It needs no Smith form."""
         best = self.generic_value
         for nc, value in self.normalized_strata:
-            if value > best and nc is not None and nc.dim == self.ambient_dim:
+            if value > best and nc.dim == self.ambient_dim:
                 best = value
         return best
 
@@ -91,8 +91,7 @@ class RankFunction:
         """h(0): the largest of the generic value and the values of the
         nonempty strata of translate order 1, the only normalized cosets
         through the origin, since a translate is kept reduced over its order."""
-        return max([self.generic_value, *(value for nc, value in self.normalized_strata
-                                          if nc is not None and nc.order == 1)])
+        return max([self.generic_value, *(value for nc, value in self.normalized_strata if nc.order == 1)])
 
     @_computed_once
     def _count_form(self) -> CountForm:
@@ -131,7 +130,7 @@ class RankFunction:
     def effective_strata(self) -> list[tuple[NormalizedCoset, int]]:
         """Nonempty, non-full strata whose value exceeds the limit."""
         return [(nc, value) for nc, value in self.normalized_strata
-                if value > self.limit and nc is not None and nc.dim < self.ambient_dim]
+                if value > self.limit and nc.dim < self.ambient_dim]
 
 
 def euler_char(rank_functions: Sequence[RankFunction]) -> int:
@@ -396,20 +395,19 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
     sets, so presentations that mirror (equal generic values, the same
     (coset, value) pairs up to negation) agree at every threshold with no
     coset met.  Otherwise U = {f >= t} and V = -{g >= t} are equal exactly
-    when V covers each coset of U and U each coset of V (:func:`covered`);
-    no form spans U ∪ V, and the full torus is packed as a coset only where
-    one side is the full torus and the other is not.
+    when V covers each coset of U and U each coset of V (:func:`covered`),
+    and no form spans U ∪ V.  Where one side is the full torus, the other
+    equals it exactly when it holds a coset of full dimension, the torus
+    itself, since proper cosets are null: no coset is met or built.
     Raises ComponentBudgetExceeded when U or V, short of the full torus, has
-    more cosets than the budget, checked for U, then V, so that no form
-    takes more pieces than the budget.
+    more cosets than the budget, checked for U, then V, before either test,
+    so also where the other side is the full torus.
     """
-    f_strata = [(nc, value) for nc, value in f.normalized_strata if nc is not None]
-    g_strata = [(-nc, value) for nc, value in g.normalized_strata if nc is not None]
-    full = None  # the full torus as a level set, packed when one side needs it
+    g_strata = [(-nc, value) for nc, value in g.normalized_strata]
     values = {f.generic_value, g.generic_value}
     values.update(value for _, value in f.strata + g.strata)
     for t in sorted(values):
-        u = None if t <= f.generic_value else frozenset(nc for nc, value in f_strata if value >= t)
+        u = None if t <= f.generic_value else frozenset(nc for nc, value in f.normalized_strata if value >= t)
         v = None if t <= g.generic_value else frozenset(nc for nc, value in g_strata if value >= t)
         if u == v:
             continue
@@ -417,9 +415,9 @@ def _serre_mismatch(f: RankFunction, g: RankFunction, budget: int) -> Optional[i
             if level is not None:
                 check_budget(len(level), budget)
         if None in (u, v):
-            full = full or frozenset({NormalizedCoset(f.ambient_dim, (), (), 1)})
-            u, v = (full if level is None else level for level in (u, v))
-        if not all(covered(x, v) for x in u) or not all(covered(y, u) for y in v):
+            if not any(nc.dim == f.ambient_dim for nc in (v if u is None else u)):
+                return t
+        elif not all(covered(x, v) for x in u) or not all(covered(y, u) for y in v):
             return t
     return None
 
@@ -456,8 +454,8 @@ def validate_model(model: VarietyModel, *, budget: int = DEFAULT_COMPONENT_BUDGE
         found = []
         if rf.generic_value < 0:
             found.append(("error", None, f" has negative generic value {shown_int(rf.generic_value)}"))
-        for idx, (nc, value) in enumerate(rf.normalized_strata):
-            opening = f"stratum {idx} of "
+        for idx, (coset, value) in enumerate(rf.strata):
+            opening, nc = f"stratum {idx} of ", coset.normalize()
             if value <= rf.generic_value:
                 found.append(("error", opening, f" has value {shown_int(value)} not above the generic "
                                                 f"{shown_int(rf.generic_value)}"))
@@ -497,7 +495,7 @@ def validate_model(model: VarietyModel, *, budget: int = DEFAULT_COMPONENT_BUDGE
         # every X_d is connected: h^(0,0)(α) = [α = 0], and h^(n,n) by Serre duality
         for p in (0, n):
             rf = model.hodge[p][p]
-            if rf.generic_value or any(value > 0 and nc is not None and (nc.dim or nc.divisibility_class != (1, (), 1))
+            if rf.generic_value or any(value > 0 and (nc.dim or nc.divisibility_class != (1, (), 1))
                                        for nc, value in rf.normalized_strata):
                 err(f"the ({p},{p}) rank must vanish off the origin, since every cover X_d is connected")
     if n >= 1 and model.hodge[1][0].origin_value != g:

@@ -413,7 +413,8 @@ def _meet_rows(width: int, basis: list[Optional[Row]], rows: Iterable[Optional[R
 
 def _hermite(width: int, basis: list[Optional[Row]], modulus: int) -> "NormalizedCoset":
     """Pack the reduced rows of (H | nums) by pivot column over ``modulus``, changed ones
-    as new tuples, into a new coset with its real dimension and hash; every coset is made here."""
+    as new tuples, into a new coset with its real dimension and hash; every coset is made
+    here, copies too, so that each is hashed in the process that holds it."""
     nc = object.__new__(NormalizedCoset)
     by_pivot = tuple([tuple(r) if type(r) is list else r for r in basis])
     object.__setattr__(nc, "__dict__", {
@@ -477,17 +478,15 @@ class NormalizedCoset:
     fields.  ``by_pivot`` holds the rows of (H | nums) once, by pivot
     column (None at a free column); meets copy them, negation and the Smith
     pass read them; in the package only ``repr`` reads ``rows`` and ``nums``.
-    :func:`_hermite` packs every coset, the constructor's canonical fields
-    too.  It is immutable, with ``dim`` and the hash (meets are dict keys)
-    set when made; its divisibility class is computed on first use, off
-    Smith data it does not keep, since only counted cosets need it.
+    :func:`_hermite` packs every coset; there is no constructor from fields,
+    and a copy or a pickle is repacked there.  It is immutable, with ``dim``
+    and the hash (meets are dict keys) set when made; its divisibility class
+    is computed on first use, off Smith data it does not keep, since only
+    counted cosets need it.
     """
 
-    def __new__(cls, ambient_dim: int, rows: IntMatrix, nums: tuple[int, ...], order: int) -> "NormalizedCoset":
-        by_pivot = [None] * ambient_dim  # each row at the column of its pivot
-        for r, m in zip(rows, nums):
-            by_pivot[next(c for c, a in enumerate(r) if a)] = (*r, m)
-        return _hermite(ambient_dim, by_pivot, order)
+    def __reduce__(self):  # repacked, and so hashed, where it is loaded
+        return _hermite, (self.ambient_dim, self.by_pivot, self.order)
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"NormalizedCoset is immutable: cannot set {name!r}")

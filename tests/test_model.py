@@ -1,6 +1,8 @@
 """Rank functions, validation, weak-GV classification, defect."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from collections import Counter
 from decimal import Decimal
@@ -36,7 +38,7 @@ from jumploci.asymptotics import converse_defect_witness, divergence_class, fit_
 from jumploci.cli import main
 from jumploci.model import _serre_mismatch
 from jumploci.modelfile import model_to_dict
-from jumploci.tower import sheaf_rank_on_cover, summands, value_on_cover
+from jumploci.tower import cover_invariants, sheaf_rank_on_cover, summands, value_on_cover
 from gen import CATALOG_SWEEP, random_coset, random_fraction, random_model, random_point
 from oracles import rank_at
 
@@ -578,6 +580,17 @@ def with_nested_stratum(g, f, rng):
     return None
 
 
+def one_full_side(f, g):
+    """Two pairs from f and g in which g's level set is the full torus where
+    f's is not: g's generic value raised past f's strata, and raised to f's
+    least stratum value with a full-torus stratum on f at that value."""
+    values = [value for _, value in f.strata]
+    top, least = max(values), min(values)
+    full = Stratum(CongruenceCoset.full_torus(2), least)
+    return [(f, RankFunction(2, top + 1, g.strata)),
+            (RankFunction(2, f.generic_value, (*f.strata, full)), RankFunction(2, least, g.strata))]
+
+
 def brute_mismatch(f, g, d):
     """Smallest threshold t where {f >= t} and -{g >= t} differ on the d-torsion grid."""
     values = sorted({f.generic_value, g.generic_value} | {v for _, v in f.strata + g.strata})
@@ -613,7 +626,8 @@ class TestSerreSymmetry:
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(4242)
-        outcomes = {"asymmetric": 0, "same strata": 0, "other strata": 0}
+        outcomes = {"asymmetric": 0, "same strata": 0, "other strata": 0, "full side differs": 0,
+                    "full side agrees, asymmetric above": 0, "full side agrees, symmetric": 0}
         for _ in range(60):
             f, g = mirrored_pair(rng)
             t = _serre_mismatch(f, g, DEFAULT_COMPONENT_BUDGET)
@@ -625,7 +639,40 @@ class TestSerreSymmetry:
                 # symmetric pairs presented by other cosets must be counted
                 neg = RankFunction(2, g.generic_value, tuple(negated(s) for s in g.strata))
                 outcomes["same strata" if presented(f) == presented(neg) else "other strata"] += 1
+            for f1, g1 in one_full_side(f, g):
+                t = _serre_mismatch(f1, g1, DEFAULT_COMPONENT_BUDGET)
+                assert t == brute_mismatch(f1, g1, SERRE_D)
+                assert _serre_mismatch(g1, f1, DEFAULT_COMPONENT_BUDGET) == t
+                if t is not None and t <= g1.generic_value:
+                    outcomes["full side differs"] += 1
+                else:
+                    outcomes["full side agrees, " + ("symmetric" if t is None else "asymmetric above")] += 1
         assert min(outcomes.values()) >= 5, outcomes
+
+    def test_a_full_side_is_decided_by_dimension(self, monkeypatch):
+        # where one level set is the full torus, no containment is decided
+        # and the full torus is not packed as a coset: only normalizing the
+        # full-torus stratum itself packs a basis with no row
+        from jumploci import model as model_module, torus
+
+        covers, packs = [], []
+        covered, hermite = model_module.covered, torus._hermite
+        monkeypatch.setattr(model_module, "covered", lambda *a: covers.append(a) or covered(*a))
+        monkeypatch.setattr(torus, "_hermite", lambda *a: packs.append(a) or hermite(*a))
+        rng = random.Random(5151)
+        verdicts = Counter()
+        for _ in range(60):
+            f, g = mirrored_pair(rng)
+            if not mirrors(f, g):
+                continue
+            for f1, g1 in one_full_side(f, g):
+                f1.normalized_strata, g1.normalized_strata  # normalize before recording
+                packs.clear()
+                t = _serre_mismatch(f1, g1, DEFAULT_COMPONENT_BUDGET)
+                assert covers == []
+                assert all(any(r is not None for r in basis) for _, basis, *_ in packs)
+                verdicts[t is None] += 1
+        assert min(verdicts[True], verdicts[False]) >= 5, verdicts
 
     def test_presentations_agree_with_level_sets(self):
         # mirrored presentations have equal sets of cosets at every
@@ -843,6 +890,26 @@ class TestSharedEntries:
         for bound in range(model.n + 1):
             assert fit_bounds(copy, bound, 8) == fit_bounds(model, bound, 8)
         assert divergence_class(copy) == divergence_class(model)
+
+
+class TestCopies:
+    """A validated and evaluated model keeps normalized cosets, on its rank
+    functions and their strata; copies and pickles of it are equal models
+    that give the same findings and covers."""
+
+    @pytest.mark.parametrize("index", range(len(SHARING_MODELS)))
+    def test_round_trips(self, index):
+        model = SHARING_MODELS[index]
+        report = validate_model(model)
+        pluri_ms = range(1, 4) if model.pluri is not None else ()
+        covers = [cover_invariants(model, d, pluri_ms) for d in (1, 2, 6, 10 ** 12)]
+        assert any(rf.normalized_strata for row in model.hodge for rf in row)
+        for copied in (copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert copied == model
+            assert ([[rf.normalized_strata for rf in row] for row in copied.hodge]
+                    == [[rf.normalized_strata for rf in row] for row in model.hodge])
+            assert validate_model(copied) == report
+            assert [cover_invariants(copied, d, pluri_ms) for d in (1, 2, 6, 10 ** 12)] == covers
 
 
 class TestClassifyWeakGV:

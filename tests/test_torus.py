@@ -1,14 +1,22 @@
 """Exact torus linear algebra: Smith form, normalization, intersection."""
 
+import ast
+import copy
 import dataclasses
 import itertools
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import jumploci
 from jumploci import (
     CongruenceCoset,
     DimensionMismatch,
@@ -459,10 +467,10 @@ class TestNormalizedCosetFields:
             assert math.gcd(nc.order, *nc.nums) == 1
             assert nc.rhs == tuple(Fraction(m, nc.order) for m in nc.nums)
             assert all(type(m) is int for m in nc.nums)
-            # the Fraction translate round-trips through a congruence system
-            assert CongruenceCoset(nc.ambient_dim, nc.rows, nc.rhs).normalize() == nc
-            # what the Hermite pass fills in is what the four fields give
-            fresh = NormalizedCoset(nc.ambient_dim, nc.rows, nc.nums, nc.order)
+            # the Fraction translate round-trips through a congruence system,
+            # whose Hermite pass fills in what the coset holds
+            fresh = CongruenceCoset(nc.ambient_dim, nc.rows, nc.rhs).normalize()
+            assert fresh == nc
             assert (nc.dim, nc.by_pivot, nc._hash) == (fresh.dim, fresh.by_pivot, fresh._hash)
             assert type(nc.by_pivot) is tuple and len(nc.by_pivot) == nc.ambient_dim
             assert all(r is None or type(r) is tuple and all(type(a) is int for a in r) for r in nc.by_pivot)
@@ -493,6 +501,61 @@ class TestNormalizedCosetFields:
     def test_full_torus(self):
         nc = CongruenceCoset.full_torus(3).normalize()
         assert (nc.rows, nc.nums, nc.order) == ((), (), 1)
+
+    def test_made_only_by_the_hermite_pass(self):
+        # no constructor takes the fields on trust: a coset is made by
+        # normalizing, meeting or negating, each packed by torus._hermite
+        for fields in ((3, (), (), 1), (3, ((2, 0, 1), (0, 0, 3)), (1, 2), 5)):
+            with pytest.raises(TypeError):
+                NormalizedCoset(*fields)
+        calls = []
+        for path in sorted(Path(jumploci.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owner = {}  # each call to its innermost enclosing function; ast.walk goes outside in
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner.update((call, fn.name) for call in ast.walk(fn) if isinstance(call, ast.Call))
+            calls += [(ast.unparse(call), path.name, owner.get(call))
+                      for call in ast.walk(tree) if isinstance(call, ast.Call)]
+        assert [where for text, *where in calls if text.startswith("NormalizedCoset(")] == []
+        assert [where for text, *where in calls if text == "object.__new__(NormalizedCoset)"] == [
+            ["torus.py", "_hermite"]]
+
+    def test_copies_are_repacked(self):
+        rng = random.Random(8128)
+        cosets = [CongruenceCoset.full_torus(2).normalize()]
+        while len(cosets) < 40:
+            nc = random_coset(rng, rng.randint(1, 4), max_den=6).normalize()
+            if nc is not None:
+                cosets += [nc, -nc]
+        assert sum(nc.dim > 0 and nc.order > 1 for nc in cosets) >= 5
+        for nc in cosets:
+            nc.divisibility_class  # kept on the original, recomputed on a copy
+            for copied in (copy.copy(nc), copy.deepcopy(nc), pickle.loads(pickle.dumps(nc))):
+                assert copied == nc and hash(copied) == hash(nc) and copied.by_pivot == nc.by_pivot
+                assert sorted(vars(copied)) == ["_hash", "ambient_dim", "by_pivot", "dim", "order"]
+                assert copied.divisibility_class == nc.divisibility_class and repr(copied) == repr(nc)
+
+    def test_pickle_loads_equal_in_another_process(self):
+        # the hash of a free column's None differs between processes on
+        # Python 3.10 and 3.11: a loaded coset must be hashed where it is loaded
+        systems = [(3, ((2, 0, 1), (0, 0, 3)), (Fraction(1, 5), Fraction(2, 5))),
+                   (4, ((1, 1, 0, 0), (0, 2, 0, 2)), (Fraction(1, 2), Fraction(1, 3))),
+                   (2, ((1, -1),), (Fraction(0),)), (2, (), ())]
+        cosets = [CongruenceCoset(*system).normalize() for system in systems]
+        assert all(None in nc.by_pivot for nc in cosets)
+        probe = ("import pickle, sys\n"
+                 "from jumploci import CongruenceCoset\n"
+                 "loaded, systems = pickle.loads(sys.stdin.buffer.read())\n"
+                 "for a, system in zip(loaded, systems):\n"
+                 "    b = CongruenceCoset(*system).normalize()\n"
+                 "    print(a == b, hash(a) == hash(b), len({a, b}))\n")
+        src = str(Path(jumploci.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", probe], input=pickle.dumps((cosets, systems)),
+                              capture_output=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().splitlines() == ["True True 1"] * len(systems)
 
 
 class TestMeet:
@@ -568,7 +631,7 @@ class TestMeet:
 
     def test_stored_basis_and_hash_match_a_rescan(self):
         # normalizing and meeting hand on the rows of (H | nums) by pivot
-        # column and the hash; both equal what the four fields give afresh
+        # column and the hash; both equal what normalizing its fields gives afresh
         def rescan(nc):
             by_pivot = [None] * nc.ambient_dim
             for r, m in zip(nc.rows, nc.nums):
@@ -578,9 +641,9 @@ class TestMeet:
         def check(nc):
             assert "by_pivot" in vars(nc)  # kept from the Hermite pass
             assert nc.by_pivot == rescan(nc) and nc.dim == nc.by_pivot.count(None)
-            fields = (nc.ambient_dim, nc.rows, nc.nums, nc.order)
-            assert hash(nc) == hash((nc.by_pivot, nc.order)) == hash(NormalizedCoset(*fields))
-            assert nc == NormalizedCoset(*fields)
+            fresh = CongruenceCoset(nc.ambient_dim, nc.rows, nc.rhs).normalize()
+            assert hash(nc) == hash((nc.by_pivot, nc.order)) == hash(fresh)
+            assert nc == fresh
             made.append(nc)
 
         rng = random.Random(6561)
@@ -620,17 +683,18 @@ class TestMeet:
                 if nc is not None:
                     check(nc)
         assert inside >= 5
-        # a coset built from its fields holds, from construction on, the real
-        # dimension, rows by pivot column and hash that the Hermite pass gives
-        # the same set: seeded cosets, their negations, their meets and the
-        # full torus
+        # a coset holds, from the moment it is made, the real dimension, rows
+        # by pivot column and hash that the Hermite pass gives the same set:
+        # seeded cosets, their negations, their meets and the full torus
         filled = ("dim", "by_pivot", "_hash")
         for nc in made:
-            for built in (NormalizedCoset(nc.ambient_dim, nc.rows, nc.nums, nc.order), -nc):
+            for built in (nc, -nc):
                 hermite = CongruenceCoset(built.ambient_dim, built.rows, built.rhs).normalize()
                 assert [vars(built)[k] for k in filled] == [vars(hermite)[k] for k in filled]
-        fresh = NormalizedCoset(3, ((2, 0, 1), (0, 0, 3)), (1, 2), 5)
+        # {2·x0 + x2 ≡ 1/5, 3·x2 ≡ 2/5}: one row at each pivot column, none at the free x1
+        fresh = CongruenceCoset.of(3, [[2, 0, 1], [0, 0, 3]], [Fraction(1, 5), Fraction(2, 5)]).normalize()
         assert vars(fresh)["by_pivot"] == ((2, 0, 1, 1), None, (0, 0, 3, 2))
+        assert repr(fresh) == "NormalizedCoset(3, ((2, 0, 1), (0, 0, 3)), (1, 2), 5)"
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
